@@ -181,16 +181,6 @@ def main(argv=None) -> int:
         help="chaos suite only: output JSON path (default BENCH_chaos.json)",
     )
     parser.add_argument(
-        "--sim-mode", choices=("exact", "approx"), default=None,
-        help="simulation fidelity for every cluster built during the run "
-             "(DESIGN.md §5g).  'approx' aggregates steady-state data-plane "
-             "flows analytically for a large speedup at ±few-%% accuracy; "
-             "protocol traffic stays discrete.  Composes with --jobs N and "
-             "the cell cache: the mode is part of each cell's identity and "
-             "cache key, so exact and approx results never mix.  "
-             "Default: exact",
-    )
-    parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="record a sim-time trace of every cluster built during the "
              "run; written as Chrome trace JSON (open in chrome://tracing "
@@ -210,22 +200,11 @@ def main(argv=None) -> int:
         jobs = 1
         cache_dir = None
         obs_runtime.start(args.trace)
-    prior_sim_mode = None
-    if args.sim_mode is not None:
-        from ..core import set_default_sim_mode
-
-        prior_sim_mode = set_default_sim_mode(args.sim_mode)
-    prior_config = parallel.configure(
-        jobs=jobs, cache_dir=cache_dir, sim_mode=args.sim_mode or "exact"
-    )
+    prior_config = parallel.configure(jobs=jobs, cache_dir=cache_dir)
     try:
         return _run(parser, args, n_ops, jobs)
     finally:
         parallel.configure(**prior_config)
-        if prior_sim_mode is not None:
-            from ..core import set_default_sim_mode
-
-            set_default_sim_mode(prior_sim_mode)
         session = obs_runtime.stop()
         if session is not None and session.tracers:
             summary = session.export()

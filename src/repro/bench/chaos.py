@@ -876,7 +876,7 @@ def run_suite(
             "weak_caught": any(not c["linearizable"] for c in weak_rows),
             "directed_cells": len(directed),
             "stale_replica_reads": sum(
-                c.get("stale_replica_reads", 0) for c in directed
+                c.get("stale_replica_reads", 0) for c in safe_rows
             ),
             "dirty_set": dirty,
         }

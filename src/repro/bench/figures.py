@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import ClusterConfig, NiceCluster, get_default_sim_mode
+from ..core import ClusterConfig, NiceCluster
 from ..net import MBPS, wire_size
 from ..sim import AllOf, Tally
 from ..workloads import (
@@ -742,24 +742,18 @@ def sec46_switch_scalability(
 
 #: The racks x hosts ladder the scale figure sweeps.  ``budget`` is the
 #: per-switch rule budget handed to every fabric switch (0 = unlimited,
-#: used for the single-switch baseline cell).  The paper-scale rungs
-#: (≥300 nodes) run in flow-approximation mode — an exact discrete run at
-#: 1000 nodes is hours of wall time for the same rule census; ``sim_mode``
-#: is carried on the :class:`Cell` (and its cache key), never as a cell-fn
-#: parameter.
+#: used for the single-switch baseline cell).
 SCALE_CONFIGS: Tuple[Dict, ...] = (
     dict(racks=1, hosts_per_rack=30, n_clients=8, budget=0),
     dict(racks=4, hosts_per_rack=16, n_clients=8, budget=1024),
     dict(racks=10, hosts_per_rack=30, n_clients=10, budget=4096),
-    dict(racks=15, hosts_per_rack=20, n_clients=10, budget=4096, sim_mode="approx"),
-    dict(racks=20, hosts_per_rack=50, n_clients=12, budget=8192, sim_mode="approx"),
+    dict(racks=15, hosts_per_rack=20, n_clients=10, budget=4096),
+    dict(racks=20, hosts_per_rack=50, n_clients=12, budget=8192),
 )
 
-#: CI's shrunk ladder: one fabric rung, approx mode, small enough that a
+#: CI's shrunk ladder: the 4x16 fabric rung alone, small enough that a
 #: cold ``--smoke`` run finishes in seconds and a warm one in milliseconds.
-SCALE_SMOKE_CONFIGS: Tuple[Dict, ...] = (
-    dict(racks=4, hosts_per_rack=16, n_clients=8, budget=1024, sim_mode="approx"),
-)
+SCALE_SMOKE_CONFIGS: Tuple[Dict, ...] = SCALE_CONFIGS[1:2]
 
 
 def scale_cell(
@@ -813,7 +807,6 @@ def scale_cell(
         vring_rules=cluster.controller.rule_count(),
         rule_budget=budget,
         budget_ok=bool(budget <= 0 or max(counts.values()) <= budget),
-        sim_mode=get_default_sim_mode(),
         # Incremental-planner counters (deterministic, unlike plan.sync_ms
         # which stays in the perf suite / obs registry): how many
         # (switch, partition) plans were computed vs served from cache.
@@ -891,8 +884,7 @@ def scale_fabric(
 ) -> ExperimentResult:
     """Throughput and installed-rule count vs cluster size on the
     leaf-spine fabric, plus one rack-outage chaos cell on the first
-    multi-rack *exact* rung.  A config's ``sim_mode`` entry (the ≥300-node
-    rungs run approx) becomes the cell's mode, not a cell-fn parameter."""
+    multi-rack rung."""
     if configs is None:
         configs = SCALE_CONFIGS
     result = ExperimentResult(
@@ -902,39 +894,20 @@ def scale_fabric(
             "racks", "hosts_per_rack", "nodes", "switches",
             "throughput_ops_s", "total_rules", "max_switch_rules",
             "vring_rules", "rule_budget", "budget_ok",
-            "sim_mode", "plan_recomputes", "plan_cache_hits",
+            "plan_recomputes", "plan_cache_hits",
         ],
     )
-    cells = []
-    for cfg in configs:
-        cfg = dict(cfg)
-        mode = cfg.pop("sim_mode", None)
-        cells.append(
-            Cell(
-                scale_cell,
-                dict(n_ops=n_ops, **cfg),
-                seed=derive_seed(seed, "scale", cfg["racks"]),
-                sim_mode=mode,
-            )
-        )
-    chaos_cfg = next(
-        (c for c in configs if c["racks"] > 1 and c.get("sim_mode") in (None, "exact")),
-        None,
-    )
-    if chaos_cfg is None:
-        # Smoke ladders may be approx-only: the chaos cell's
-        # reconcile-vs-scratch table diff is mode-independent, so run it on
-        # the first fabric rung in whatever mode that rung uses.
-        chaos_cfg = next((c for c in configs if c["racks"] > 1), None)
+    cells = [
+        Cell(scale_cell, dict(n_ops=n_ops, **cfg), seed=derive_seed(seed, "scale", cfg["racks"]))
+        for cfg in configs
+    ]
+    chaos_cfg = next((c for c in configs if c["racks"] > 1), None)
     if chaos_cfg is not None:
-        chaos_cfg = dict(chaos_cfg)
-        chaos_mode = chaos_cfg.pop("sim_mode", None)
         cells.append(
             Cell(
                 scale_chaos_cell,
                 dict(duration=chaos_duration, **chaos_cfg),
                 seed=derive_seed(seed, "scale-chaos", chaos_cfg["racks"]),
-                sim_mode=chaos_mode,
             )
         )
     for payload in run_cells(cells):

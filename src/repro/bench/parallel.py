@@ -53,9 +53,9 @@ __all__ = [
 DEFAULT_CACHE_DIR = ".bench_cache"
 
 #: Bumped when the cache entry layout changes (invalidates old entries).
-#: 2: ``sim_mode`` joined the cache key — exact and approx results of the
-#: same cell are distinct entries and can never cross-contaminate.
-CACHE_SCHEMA = 2
+#: 3: the simulation mode left the cache key (one mode, PR 15) — entries
+#: written under the flow-approximation mode must never be served.
+CACHE_SCHEMA = 3
 
 #: Sentinel distinguishing "not passed" from an explicit ``None``.
 _UNSET = object()
@@ -63,31 +63,23 @@ _UNSET = object()
 #: Session-wide orchestration defaults, set by the CLI via :func:`configure`.
 #: Library callers (tests, benchmarks) get inline execution and no cache,
 #: i.e. exactly the pre-orchestrator behavior.
-_config: Dict[str, Any] = {"jobs": 1, "cache_dir": None, "sim_mode": "exact"}
+_config: Dict[str, Any] = {"jobs": 1, "cache_dir": None}
 
 #: Per-cell execution records of this session (see :func:`drain_records`).
 _records: List[Dict[str, Any]] = []
 
 
-def configure(
-    jobs: Any = _UNSET, cache_dir: Any = _UNSET, sim_mode: Any = _UNSET
-) -> Dict[str, Any]:
+def configure(jobs: Any = _UNSET, cache_dir: Any = _UNSET) -> Dict[str, Any]:
     """Set session-wide orchestration defaults; returns the prior config.
 
     ``jobs`` is the worker count (1 = inline); ``cache_dir`` is the result
-    cache directory or ``None`` to disable caching; ``sim_mode`` is the
-    default simulation fidelity stamped on cells built after this call
-    (``Cell(sim_mode=...)`` overrides per cell).
+    cache directory or ``None`` to disable caching.
     """
     prior = dict(_config)
     if jobs is not _UNSET:
         _config["jobs"] = max(1, int(jobs))
     if cache_dir is not _UNSET:
         _config["cache_dir"] = cache_dir
-    if sim_mode is not _UNSET:
-        if sim_mode not in ("exact", "approx"):
-            raise ValueError(f"sim_mode must be 'exact' or 'approx': {sim_mode!r}")
-        _config["sim_mode"] = sim_mode
     return prior
 
 
@@ -125,28 +117,18 @@ class Cell:
 
     ``fn`` must be a module-level callable (picklable by reference) taking
     ``(**params, seed=seed)`` and returning a JSON-serializable payload;
-    its execution must be a pure function of ``(params, seed, sim_mode)``
-    — no dependence on global mutable state, wall clock, or sweep order.
-
-    ``sim_mode`` is the simulation fidelity the cell runs under (defaults
-    to the session config).  It is part of the identity — and therefore
-    the cache key — because the same ``(fn, params, seed)`` produces
-    different payloads in exact and approx mode.
+    its execution must be a pure function of ``(params, seed)`` — no
+    dependence on global mutable state, wall clock, or sweep order.
     """
 
     fn: Callable[..., Any]
     params: Dict[str, Any] = field(default_factory=dict)
     seed: int = 0
-    sim_mode: Optional[str] = None
 
     def __post_init__(self) -> None:
         # Canonicalize params up front (tuples → lists, numpy → native) so
         # execution and cache keying see the same values.
         object.__setattr__(self, "params", canonical(dict(self.params)))
-        if self.sim_mode is None:
-            object.__setattr__(self, "sim_mode", _config["sim_mode"])
-        if self.sim_mode not in ("exact", "approx"):
-            raise ValueError(f"sim_mode must be 'exact' or 'approx': {self.sim_mode!r}")
 
     @property
     def fn_name(self) -> str:
@@ -155,8 +137,7 @@ class Cell:
     @property
     def label(self) -> str:
         parts = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        mode = "" if self.sim_mode == "exact" else f"@{self.sim_mode}"
-        return f"{self.fn.__qualname__}({parts})#s{self.seed}{mode}"
+        return f"{self.fn.__qualname__}({parts})#s{self.seed}"
 
     def cache_key(self, fingerprint: str) -> str:
         material = _canonical_dumps(
@@ -165,7 +146,6 @@ class Cell:
                 "fn": self.fn_name,
                 "params": self.params,
                 "seed": self.seed,
-                "sim_mode": self.sim_mode,
                 "src": fingerprint,
             }
         )
@@ -173,8 +153,7 @@ class Cell:
 
     def execute(self) -> Any:
         """Run the cell inline (no cache, no pool); canonical payload."""
-        payload, _ = _execute_remote(self.fn, self.params, self.seed, self.sim_mode)
-        return payload
+        return canonical(self.fn(seed=self.seed, **self.params))
 
 
 # ------------------------------------------------------------- fingerprint
@@ -229,7 +208,6 @@ def _record(cell: Cell, wall_s: float, cache_hit: bool, key: Optional[str]) -> D
         "cell": cell.label,
         "fn": cell.fn_name,
         "seed": cell.seed,
-        "sim_mode": cell.sim_mode,
         "wall_s": wall_s,
         "cache_hit": cache_hit,
         "key": key,
@@ -262,7 +240,6 @@ def _cache_store(cache_dir: str, key: str, cell: Cell, payload: Any, wall_s: flo
         "fn": cell.fn_name,
         "params": cell.params,
         "seed": cell.seed,
-        "sim_mode": cell.sim_mode,
         "wall_s": wall_s,
         "created_unix": time.time(),
         "payload": payload,
@@ -274,18 +251,10 @@ def _cache_store(cache_dir: str, key: str, cell: Cell, payload: Any, wall_s: flo
 
 
 # ----------------------------------------------------------------- executor
-def _execute_remote(fn: Callable, params: Dict[str, Any], seed: int, sim_mode: str = "exact"):
-    """Cell execution under the cell's ``sim_mode``; returns
-    ``(canonical payload, wall_s)``.  The process default is restored
-    afterward — pool workers are reused across cells of either mode."""
-    from ..core.config import set_default_sim_mode
-
-    prior = set_default_sim_mode(sim_mode)
+def _execute_remote(fn: Callable, params: Dict[str, Any], seed: int):
+    """Worker-side cell execution; returns (canonical payload, wall_s)."""
     t0 = time.perf_counter()
-    try:
-        payload = canonical(fn(seed=seed, **params))
-    finally:
-        set_default_sim_mode(prior)
+    payload = canonical(fn(seed=seed, **params))
     return payload, time.perf_counter() - t0
 
 
@@ -330,11 +299,7 @@ def run_cells(
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
                     i: pool.submit(
-                        _execute_remote,
-                        cells[i].fn,
-                        cells[i].params,
-                        cells[i].seed,
-                        cells[i].sim_mode,
+                        _execute_remote, cells[i].fn, cells[i].params, cells[i].seed
                     )
                     for i in pending
                 }

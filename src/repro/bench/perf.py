@@ -1,6 +1,6 @@
 """Perf-regression microbenchmark suite.
 
-The benches cover the layers of the simulator fast path (schema v5):
+The benches cover the layers of the simulator fast path (schema v6):
 
 * ``kernel_churn`` — raw event-loop throughput: processes spinning on
   timeouts, ``AnyOf``/``AllOf`` joins, and deferred calls (the allocation
@@ -13,9 +13,8 @@ The benches cover the layers of the simulator fast path (schema v5):
 * ``multicast_fanout`` — end-to-end put legs at replication 3/5/7, the
   workload the vectorized group fan-out serves.
 * ``fig5_put_leg`` — an end-to-end fig5-style put leg on a warmed NICE
-  cluster, cache on vs off, asserting the results are bit-identical.
-* ``approx_vs_exact`` — the same leg under ``sim_mode="approx"`` vs
-  ``"exact"``: event reduction, wall speedup, and result drift.
+  cluster (cache on/off bit-identity is a tier-1 test,
+  ``tests/unit/test_determinism.py``).
 * ``harmonia_read_floor`` — hot-partition YCSB-C read throughput at R=3,
   harmonia mode vs NICE-LB (DESIGN.md §5j).  The §4.5 divisions leave the
   primary with half an evenly-spread client population, so harmonia's
@@ -48,7 +47,6 @@ import sys
 import time
 from typing import Optional
 
-from ..core import set_default_sim_mode
 from ..net import FlowTable, IPv4Address, IPv4Network, Match, Output, Packet, Proto, Rule
 from ..obs import install as install_tracer
 from ..sim import AllOf, AnyOf, Simulator
@@ -59,15 +57,12 @@ from .parallel import provenance
 
 __all__ = ["run_suite", "format_report", "DEFAULT_OUT"]
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 DEFAULT_OUT = "BENCH_perf.json"
 
 #: Ceiling on the live-tracer wall-clock multiplier (satellite of the §5g
 #: perf overhaul; the suite asserts it).
 TRACE_OVERHEAD_MAX = 1.30
-
-#: Environment escape hatch honored by FlowTable (see flowtable.py).
-DISABLE_ENV = "REPRO_DISABLE_FLOW_CACHE"
 
 #: Floor on harmonia's hot-partition read throughput relative to NICE-LB
 #: at R=3 under YCSB-C (the §5j read-scaling contract).  The structural
@@ -209,39 +204,21 @@ def bench_switch_lookup(
 E2E_PARTITIONS = 128
 
 
-def _run_fig5_leg(
-    n_ops: int,
-    size: int,
-    disable_cache: bool,
-    traced: bool = False,
-    sim_mode: str = "exact",
-) -> dict:
-    prior = os.environ.get(DISABLE_ENV)
-    os.environ[DISABLE_ENV] = "1" if disable_cache else "0"
-    prior_mode = set_default_sim_mode(sim_mode)
-    try:
-        t0 = time.perf_counter()
-        cluster = build_nice(
-            n_storage_nodes=15, n_clients=1, n_partitions=E2E_PARTITIONS
-        )
-        tracer = install_tracer(cluster.sim, label="perf") if traced else None
-        client = cluster.clients[0]
-        key = f"perf-{size}"
+def _run_fig5_leg(n_ops: int, size: int, traced: bool = False) -> dict:
+    t0 = time.perf_counter()
+    cluster = build_nice(n_storage_nodes=15, n_clients=1, n_partitions=E2E_PARTITIONS)
+    tracer = install_tracer(cluster.sim, label="perf") if traced else None
+    client = cluster.clients[0]
+    key = f"perf-{size}"
 
-        def driver(sim):
-            seed = yield client.put(key, "x", size)
-            assert seed.ok, "seed put failed"
-            tally = yield closed_loop_puts(client, sim, n_ops, size, keys=[key])
-            return tally
+    def driver(sim):
+        seed = yield client.put(key, "x", size)
+        assert seed.ok, "seed put failed"
+        tally = yield closed_loop_puts(client, sim, n_ops, size, keys=[key])
+        return tally
 
-        tally = run_to_completion(cluster, cluster.sim.process(driver(cluster.sim)))
-        wall = time.perf_counter() - t0
-    finally:
-        set_default_sim_mode(prior_mode)
-        if prior is None:
-            os.environ.pop(DISABLE_ENV, None)
-        else:
-            os.environ[DISABLE_ENV] = prior
+    tally = run_to_completion(cluster, cluster.sim.process(driver(cluster.sim)))
+    wall = time.perf_counter() - t0
     out = {
         "wall_s": wall,
         "ops_per_s": n_ops / wall if wall > 0 else None,
@@ -257,22 +234,8 @@ def _run_fig5_leg(
 
 
 def bench_fig5_put_leg(n_ops: int = 400, size: int = 1 << 12) -> dict:
-    """Fig5-style put leg end to end; cache on vs off must agree exactly."""
-    cached = _run_fig5_leg(n_ops, size, disable_cache=False)
-    uncached = _run_fig5_leg(n_ops, size, disable_cache=True)
-    identical = (
-        cached["put_ms"] == uncached["put_ms"]
-        and cached["sim_time_s"] == uncached["sim_time_s"]
-        and cached["put_count"] == uncached["put_count"]
-    )
-    return {
-        "n_ops": n_ops,
-        "size_bytes": size,
-        "cached": cached,
-        "uncached": uncached,
-        "speedup": uncached["wall_s"] / cached["wall_s"],
-        "results_identical": identical,
-    }
+    """Fig5-style put leg end to end on a warmed NICE cluster."""
+    return {"n_ops": n_ops, "size_bytes": size, **_run_fig5_leg(n_ops, size)}
 
 
 def bench_multicast_fanout(n_ops: int = 150, size: int = 1 << 14) -> dict:
@@ -312,42 +275,6 @@ def bench_multicast_fanout(n_ops: int = 150, size: int = 1 << 14) -> dict:
     return out
 
 
-def bench_approx_vs_exact(n_ops: int = 400, size: int = 1 << 16) -> dict:
-    """Fig5-style leg in ``sim_mode="approx"`` vs ``"exact"``.
-
-    Approx aggregates data-plane link service analytically (1 event per
-    packet per hop instead of the grant/serialize/finish/deliver chain)
-    and runs data-plane switch lookups inline; protocol traffic stays
-    discrete.  Reports the event reduction, wall speedup (min of two runs
-    per mode), and the drift of put latency / simulated time — the suite
-    asserts the drift stays within ±5%.
-    """
-    exact = min(
-        (_run_fig5_leg(n_ops, size, disable_cache=False) for _ in range(2)),
-        key=lambda r: r["wall_s"],
-    )
-    approx = min(
-        (
-            _run_fig5_leg(n_ops, size, disable_cache=False, sim_mode="approx")
-            for _ in range(2)
-        ),
-        key=lambda r: r["wall_s"],
-    )
-    put_err = abs(approx["put_ms"] - exact["put_ms"]) / exact["put_ms"]
-    time_err = abs(approx["sim_time_s"] - exact["sim_time_s"]) / exact["sim_time_s"]
-    return {
-        "n_ops": n_ops,
-        "size_bytes": size,
-        "exact": exact,
-        "approx": approx,
-        "wall_speedup": exact["wall_s"] / approx["wall_s"],
-        "event_reduction": exact["scheduled_events"] / approx["scheduled_events"],
-        "put_ms_rel_err": put_err,
-        "sim_time_rel_err": time_err,
-        "within_tolerance": put_err <= 0.05 and time_err <= 0.05,
-    }
-
-
 def bench_trace_overhead(n_ops: int = 400, size: int = 1 << 12) -> dict:
     """Fig5-style put leg, null tracer vs live tracer.
 
@@ -361,10 +288,8 @@ def bench_trace_overhead(n_ops: int = 400, size: int = 1 << 12) -> dict:
     """
     untraced_runs, traced_runs = [], []
     for _ in range(3):
-        untraced_runs.append(_run_fig5_leg(n_ops, size, disable_cache=False))
-        traced_runs.append(
-            _run_fig5_leg(n_ops, size, disable_cache=False, traced=True)
-        )
+        untraced_runs.append(_run_fig5_leg(n_ops, size))
+        traced_runs.append(_run_fig5_leg(n_ops, size, traced=True))
     untraced = min(untraced_runs, key=lambda r: r["wall_s"])
     traced = min(traced_runs, key=lambda r: r["wall_s"])
     identical = (
@@ -428,8 +353,6 @@ def bench_harmonia_read_floor(
 
 # ------------------------------------------------------------ plan_scale
 #: The fabric rungs plan_scale climbs (racks, hosts_per_rack, rule budget).
-#: Clusters build in approx mode — the planner under test is
-#: mode-independent and the data plane never runs here.
 PLAN_SCALE_RUNGS = ((4, 16, 1024), (10, 30, 4096), (20, 50, 8192))
 PLAN_SCALE_SMOKE_RUNGS = ((4, 16, 1024),)
 
@@ -441,7 +364,6 @@ def _plan_scale_rung(racks: int, hosts_per_rack: int, budget: int) -> dict:
         n_clients=2,
         n_racks=racks,
         switch_rule_budget=budget,
-        sim_mode="approx",
     )
     build_s = time.perf_counter() - t0
     sim, ctrl = cluster.sim, cluster.controller
@@ -520,7 +442,6 @@ def run_suite(smoke: bool = False, out_path: Optional[str] = DEFAULT_OUT) -> dic
         lookup = bench_switch_lookup(n_rules=1000, n_lookups=3000)
         fanout = bench_multicast_fanout(n_ops=30)
         fig5 = bench_fig5_put_leg(n_ops=40)
-        approx = bench_approx_vs_exact(n_ops=40)
         trace = bench_trace_overhead(n_ops=40)
         plan = bench_plan_scale(rungs=PLAN_SCALE_SMOKE_RUNGS)
         read_floor = bench_harmonia_read_floor(n_ops_per_client=300)
@@ -530,21 +451,15 @@ def run_suite(smoke: bool = False, out_path: Optional[str] = DEFAULT_OUT) -> dic
         lookup = bench_switch_lookup()
         fanout = bench_multicast_fanout()
         fig5 = bench_fig5_put_leg()
-        approx = bench_approx_vs_exact()
         trace = bench_trace_overhead()
         plan = bench_plan_scale()
         read_floor = bench_harmonia_read_floor()
     # Hard determinism/overhead contracts (DESIGN.md §5e/§5g): fail the
     # suite loudly rather than publish a report that quietly violates them.
-    assert fig5["results_identical"], "flow-cache on/off changed results"
     assert trace["results_identical"], "tracing perturbed simulated results"
     assert trace["overhead_ok"], (
         f"trace overhead {trace['overhead']:.2f}x exceeds "
         f"{TRACE_OVERHEAD_MAX:.2f}x"
-    )
-    assert approx["within_tolerance"], (
-        f"approx drifted beyond ±5%: put_ms {approx['put_ms_rel_err']:.3f}, "
-        f"sim_time {approx['sim_time_rel_err']:.3f}"
     )
     assert plan["all_warm_cached"], (
         "incremental planner recomputed plans on a warm reconcile: "
@@ -573,7 +488,6 @@ def run_suite(smoke: bool = False, out_path: Optional[str] = DEFAULT_OUT) -> dic
             "switch_lookup": lookup,
             "multicast_fanout": fanout,
             "fig5_put_leg": fig5,
-            "approx_vs_exact": approx,
             "trace_overhead": trace,
             "plan_scale": plan,
             "harmonia_read_floor": read_floor,
@@ -599,9 +513,9 @@ def format_report(report: dict) -> str:
         f" {l['uncached']['lookups_per_s']:,.0f} uncached"
         f" at {l['n_rules']} rules -> {l['speedup']:.1f}x"
         f" (hit rate {l['cached']['hit_rate']:.3f})",
-        f"  fig5_put_leg   : {f['cached']['wall_s']:.3f}s cached vs"
-        f" {f['uncached']['wall_s']:.3f}s uncached -> {f['speedup']:.2f}x,"
-        f" identical={f['results_identical']}",
+        f"  fig5_put_leg   : {f['ops_per_s']:,.0f} puts/s"
+        f" ({f['scheduled_events']} events in {f['wall_s']:.3f}s,"
+        f" put {f['put_ms']:.3f} ms)",
     ]
     s = b.get("kernel_steady")
     if s is not None:
@@ -618,14 +532,6 @@ def format_report(report: dict) -> str:
             for leg in m["legs"]
         )
         lines.append(f"  multicast_fanout: {per_r}")
-    a = b.get("approx_vs_exact")
-    if a is not None:
-        lines.append(
-            f"  approx_vs_exact: {a['event_reduction']:.2f}x fewer events,"
-            f" {a['wall_speedup']:.2f}x wall,"
-            f" drift put_ms {a['put_ms_rel_err']:.2%} /"
-            f" sim_time {a['sim_time_rel_err']:.2%}"
-        )
     p = b.get("plan_scale")
     if p is not None:
         per_rung = ", ".join(

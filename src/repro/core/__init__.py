@@ -14,8 +14,6 @@ from .config import (
     NODE_PORT,
     PUT_PORT,
     REQUEST_BYTES,
-    get_default_sim_mode,
-    set_default_sim_mode,
 )
 from .controller import HostRecord, NiceControllerApp
 from .controlplane_ha import (
@@ -55,7 +53,5 @@ __all__ = [
     "REQUEST_BYTES",
     "ReplicaSet",
     "replay_log",
-    "get_default_sim_mode",
-    "set_default_sim_mode",
     "VirtualRing",
 ]

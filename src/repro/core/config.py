@@ -14,8 +14,6 @@ from ..net import GBPS, IPv4Network
 
 __all__ = [
     "ClusterConfig",
-    "set_default_sim_mode",
-    "get_default_sim_mode",
     "GET_PORT",
     "PUT_PORT",
     "NODE_PORT",
@@ -47,34 +45,6 @@ ACK_BYTES = 64
 COMMIT_BYTES = 128
 HEARTBEAT_BYTES = 256
 MEMBERSHIP_BYTES = 512
-
-#: Process-wide default for :attr:`ClusterConfig.sim_mode`; set via
-#: :func:`set_default_sim_mode` (the ``--sim-mode`` CLI flag).
-_DEFAULT_SIM_MODE = "exact"
-
-
-def set_default_sim_mode(mode: str) -> str:
-    """Set the default ``sim_mode`` for configs built after this call.
-
-    This is how ``python -m repro.bench --sim-mode approx`` switches every
-    cluster a sweep builds without threading a parameter through each cell
-    function.  The bench layer records the active mode on each
-    :class:`repro.bench.parallel.Cell` and folds it into the cell cache
-    key, so parallel runs and the warm cache stay mode-correct.  Returns
-    the previous default so callers can restore it.
-    """
-    global _DEFAULT_SIM_MODE
-    if mode not in ("exact", "approx"):
-        raise ValueError(f"sim_mode must be 'exact' or 'approx': {mode!r}")
-    prior = _DEFAULT_SIM_MODE
-    _DEFAULT_SIM_MODE = mode
-    return prior
-
-
-def get_default_sim_mode() -> str:
-    """The mode :class:`ClusterConfig` will default to right now."""
-    return _DEFAULT_SIM_MODE
-
 
 @dataclass
 class ClusterConfig:
@@ -136,14 +106,6 @@ class ClusterConfig:
     switch_rule_budget: int = 0
     #: Salt for the fabric's ECMP hash — same seed, same paths.
     ecmp_seed: int = 0
-    #: Simulation fidelity (DESIGN.md §5g): "exact" (default) simulates
-    #: every wire event discretely; "approx" aggregates steady-state
-    #: data-plane flows analytically (per-link service-rate accounting)
-    #: while protocol-critical traffic — 2PC votes and commits (NODE_PORT),
-    #: membership/heartbeats (META_PORT), ARP, and chaos faults — stays
-    #: discrete.  Approx trades exact RNG ordering for event count; use it
-    #: for throughput sweeps, never for bit-identity comparisons.
-    sim_mode: str = field(default_factory=lambda: _DEFAULT_SIM_MODE)
     #: Read-path protocol (DESIGN.md §5j).  "nice" (default) keeps the
     #: paper's §4.5 static (src-prefix, dst-prefix) load balancer.
     #: "harmonia" adds a switch-maintained dirty-set of in-flight puts
@@ -192,8 +154,6 @@ class ClusterConfig:
         self.n_partitions = p
         if self.deployment not in ("hw", "ovs"):
             raise ValueError(f"deployment must be 'hw' or 'ovs': {self.deployment!r}")
-        if self.sim_mode not in ("exact", "approx"):
-            raise ValueError(f"sim_mode must be 'exact' or 'approx': {self.sim_mode!r}")
         if self.protocol_mode not in ("nice", "harmonia", "harmonia-weak"):
             raise ValueError(
                 "protocol_mode must be 'nice', 'harmonia' or "

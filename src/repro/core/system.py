@@ -28,7 +28,7 @@ from ..net import (
 from ..sim import RngRegistry, Simulator
 from ..transport import ProtocolStack
 from .client import NiceClient
-from .config import ClusterConfig, META_PORT, NODE_PORT
+from .config import ClusterConfig
 from .controller import NiceControllerApp
 from .controlplane_ha import ControlPlaneHA, MetadataReplica
 from .membership import PartitionMap, ReplicaSet
@@ -51,12 +51,6 @@ class NiceCluster:
         self.config = config or ClusterConfig()
         cfg = self.config
         self.sim = sim or Simulator()
-        if cfg.sim_mode == "approx":
-            # Flow-approximation mode (DESIGN.md §5g): the data plane is
-            # aggregated analytically at the links; everything addressed to
-            # (or sent from) the protocol-critical ports stays discrete.
-            self.sim.approx_mode = True
-            self.sim.approx_exempt_ports = frozenset((NODE_PORT, META_PORT))
         self.rng = RngRegistry(cfg.seed)
         self.network = Network(self.sim)
         if cfg.n_racks > 1:

@@ -10,7 +10,6 @@ optional idle timeouts; the controller owns rule lifecycle.
 from __future__ import annotations
 
 import itertools
-import os
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
@@ -189,16 +188,6 @@ def _rule_sort_key(rule: Rule) -> tuple:
 _NOT_CACHED = object()
 
 
-def flow_cache_enabled_default() -> bool:
-    """Process-wide default for the exact-match cache.
-
-    ``REPRO_DISABLE_FLOW_CACHE=1`` is the escape hatch used by the
-    determinism regression tests and the perf harness to measure the
-    wildcard-only slow path; anything else leaves the cache on.
-    """
-    return os.environ.get("REPRO_DISABLE_FLOW_CACHE", "") != "1"
-
-
 class FlowTable:
     """Priority-ordered rule set with OpenFlow-like lookup semantics.
 
@@ -225,7 +214,7 @@ class FlowTable:
     def __init__(
         self,
         capacity: int = 128 * 1024,
-        cache_enabled: Optional[bool] = None,
+        cache_enabled: bool = True,
         owner=None,
     ):
         if capacity < 1:
@@ -236,9 +225,7 @@ class FlowTable:
         #: itself has no simulator reference.
         self.owner = owner
         self._rules: List[Rule] = []
-        self.cache_enabled = (
-            flow_cache_enabled_default() if cache_enabled is None else cache_enabled
-        )
+        self.cache_enabled = cache_enabled
         self._cache: dict = {}
         self._generation = 0
         self._cache_generation = 0

@@ -21,10 +21,7 @@ timeout allocations.  :func:`transmit_fanout` additionally collapses a
 multicast fan-out over idle, equal-bandwidth channels into ONE shared
 grant/serialize/finish chain carrying the recipient list (per-receiver
 loss/jitter draws run at fire time, in leg order, so RNG streams see the
-same sequence as per-leg transmission).  In flow-approximation mode
-(``ClusterConfig.sim_mode="approx"``) non-exempt packets skip the chain
-entirely: one delivery event, with queueing folded in analytically via
-per-channel service-rate accounting (``_free_at``).
+same sequence as per-leg transmission).
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import numpy as np
 
 from ..obs.tracer import packet_op
 from ..sim import Counter, Simulator, URGENT
-from .packet import Packet, Proto
+from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from .topology import Device
@@ -109,11 +106,6 @@ class Channel:
         self._sending = False
         #: Packets waiting for the wire, FIFO.
         self._queue: deque = deque()
-        #: Analytic wire-occupancy horizon for flow-approximation mode:
-        #: absolute sim time at which the wire frees up.  The exact path
-        #: keeps it current too, so approximated flows queue behind exact
-        #: (protocol) traffic sharing the link.
-        self._free_at = 0.0
 
     def set_loss(self, rate: float, rng: Optional[np.random.Generator] = None) -> None:
         """Enable random packet loss (whole control packets; bulk bursts
@@ -157,15 +149,6 @@ class Channel:
     def transmit(self, packet: Packet) -> None:
         """Start (or queue) transmission of ``packet``."""
         sim = self.sim
-        if sim.approx_mode:
-            ex = sim.approx_exempt_ports
-            if (
-                packet.dport not in ex
-                and packet.sport not in ex
-                and packet.proto is not Proto.ARP
-            ):
-                self._transmit_approx(packet)
-                return
         if self._sending:
             tr = sim.tracer
             if tr is not None:
@@ -186,7 +169,6 @@ class Channel:
 
     def _serialize(self, packet: Packet) -> None:
         ser = packet._wire_size * 8.0 / self.bandwidth_bps
-        self._free_at = self.sim._now + ser
         self.sim._schedule_call(ser, self._finish_tx, packet)
 
     def _finish_tx(self, packet: Packet) -> None:
@@ -224,46 +206,6 @@ class Channel:
         else:
             self._sending = False
 
-    def _transmit_approx(self, packet: Packet) -> None:
-        """Flow-approximation delivery: one event, analytic queueing.
-
-        The wire-occupancy window is folded into the delivery delay via
-        ``_free_at`` service-rate accounting instead of being simulated as
-        grant/serialize/finish events; loss and jitter draw at enqueue
-        time (approx mode trades exact RNG ordering for event count).
-        """
-        sim = self.sim
-        now = sim._now
-        start = self._free_at
-        if start < now:
-            start = now
-        end = start + packet._wire_size * 8.0 / self.bandwidth_bps
-        self._free_at = end
-        self.tx_bytes.add(packet._wire_size)
-        self.tx_packets.add()
-        if self.down:
-            self.dropped_packets.add()
-            tr = sim.tracer
-            if tr is not None:
-                tr.instant("drop", "link", node=self.name,
-                           op=packet_op(packet.payload), reason="down")
-            return
-        if (
-            self.loss_rate
-            and self._loss_rng is not None
-            and self._loss_rng.random() < self.loss_rate
-        ):
-            self.dropped_packets.add()
-            tr = sim.tracer
-            if tr is not None:
-                tr.instant("drop", "link", node=self.name,
-                           op=packet_op(packet.payload), reason="loss")
-            return
-        delay = end - now + self.latency_s
-        if self.delay_jitter_s and self._jitter_rng is not None:
-            delay += self._jitter_rng.random() * self.delay_jitter_s
-        sim._schedule_call(delay, self._deliver, packet)
-
     def _deliver(self, packet: Packet) -> None:
         self.dst.device.handle_packet(packet, self.dst)
 
@@ -300,9 +242,6 @@ def _fanout_grant(sim: Simulator, legs: List[tuple]) -> None:
 def _fanout_serialize(sim: Simulator, legs: List[tuple]) -> None:
     ch0, p0 = legs[0]
     ser = p0._wire_size * 8.0 / ch0.bandwidth_bps
-    free = sim._now + ser
-    for ch, _ in legs:
-        ch._free_at = free
     sim._schedule_call(ser, _fanout_finish, legs)
 
 

@@ -15,7 +15,6 @@ headers did it in software, three orders of magnitude slower — modeled by
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.tracer import packet_op
@@ -35,10 +34,7 @@ from .flowtable import (
     ToController,
 )
 from .link import Port, transmit_fanout
-from .packet import Packet, Proto
-
-#: Hoisted enum member: the approx-mode exempt check runs per packet.
-_ARP = Proto.ARP
+from .packet import Packet
 from .topology import Device
 
 __all__ = ["OpenFlowSwitch", "FLOOD"]
@@ -71,10 +67,6 @@ class OpenFlowSwitch(Device):
         #: hardware switch of §5.1.
         self.rewrite_penalty_s = rewrite_penalty_s
         self.controller = None  # set by ControlPlane.attach
-        #: Escape hatch for the batching bit-identity test: setting
-        #: ``REPRO_NO_TX_BATCH=1`` at build time forces per-receiver
-        #: delivery chains, which must produce identical results.
-        self._batch_fanout = os.environ.get("REPRO_NO_TX_BATCH") != "1"
         self._buffer_ids = itertools.count(1)
         self._buffered: Dict[int, Tuple[Packet, int]] = {}
         self.forwarded = Counter(f"{name}.forwarded")
@@ -92,19 +84,7 @@ class OpenFlowSwitch(Device):
 
     # -- data plane ---------------------------------------------------------
     def handle_packet(self, packet: Packet, in_port: Port) -> None:
-        sim = self.sim
-        if sim.approx_mode and (
-            packet.dport not in sim.approx_exempt_ports
-            and packet.sport not in sim.approx_exempt_ports
-            and packet.proto is not _ARP
-        ):
-            # Flow-approximation (DESIGN.md §5g): data-plane lookups run
-            # inline instead of costing a heap event each; the ~5 µs lookup
-            # latency is folded away (orders of magnitude below the put
-            # path's service times, inside approx's ±5% envelope).
-            self._pipeline(packet, in_port.number)
-            return
-        sim.call_in(self.lookup_latency_s, self._pipeline, packet, in_port.number)
+        self.sim.call_in(self.lookup_latency_s, self._pipeline, packet, in_port.number)
 
     def _pipeline(self, packet: Packet, in_port_no: int) -> None:
         if self._harmonia is not None:
@@ -227,11 +207,7 @@ class OpenFlowSwitch(Device):
                 buckets=len(group.buckets),
             )
         buckets = group.buckets
-        if (
-            len(buckets) > 1
-            and self._batch_fanout
-            and self.rewrite_penalty_s == 0.0
-        ):
+        if len(buckets) > 1 and self.rewrite_penalty_s == 0.0:
             for bucket in buckets:
                 for action in bucket.actions:
                     if type(action) not in _SIMPLE_REWRITES:
@@ -255,12 +231,10 @@ class OpenFlowSwitch(Device):
         vectorized grant/serialize/finish chain when their channels are all
         idle, distinct and equal-bandwidth — otherwise every leg falls back
         to its own (still pooled) transmit chain, so chaos cases like
-        per-link throttling keep their exact event order.  Approx mode
-        never batches: ``Channel.transmit`` routes each leg through its
-        analytic service-rate path instead.
+        per-link throttling keep their exact event order.
         """
         legs = []
-        batchable = not self.sim.approx_mode
+        batchable = True
         bandwidth = 0.0
         for bucket in buckets:
             clone = packet.copy()

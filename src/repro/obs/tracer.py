@@ -16,7 +16,7 @@ Tracing must never perturb the simulation:
   list;
 * every hook site guards with ``tr = self.sim.tracer`` / ``if tr is not
   None`` so the disabled path is a single attribute load plus a branch
-  (the null-tracer pattern; same spirit as ``REPRO_DISABLE_FLOW_CACHE``);
+  (the null-tracer pattern);
 * event timestamps are ``sim.now`` — identical runs produce identical
   traces, and traced runs produce identical *results* to untraced runs.
 """

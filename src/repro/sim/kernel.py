@@ -472,13 +472,6 @@ class Simulator:
         #: off and every hook site reduces to an attribute load + branch
         #: (the null-tracer pattern; install via ``repro.obs.install``).
         self.tracer = None
-        #: Flow-approximation mode (DESIGN.md §5g), owned by the net layer
-        #: but stored here so ``Channel.transmit`` pays one attribute load
-        #: to check it (and to avoid a net→core import cycle).  When True,
-        #: packets whose sport/dport is not in ``approx_exempt_ports`` get
-        #: analytic single-event delivery instead of the exact wire chain.
-        self.approx_mode = False
-        self.approx_exempt_ports: frozenset = frozenset()
 
     # -- clock -------------------------------------------------------------
     @property

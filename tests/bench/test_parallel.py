@@ -38,13 +38,6 @@ def boom_cell(seed):
     raise ValueError("boom")
 
 
-def mode_cell(seed):
-    # Reports which sim mode the executor installed around the cell body.
-    from repro.core import get_default_sim_mode
-
-    return {"mode": get_default_sim_mode(), "seed": seed}
-
-
 @pytest.fixture(autouse=True)
 def _clean_records():
     drain_records()
@@ -195,86 +188,13 @@ def test_canonical_round_trips_tuples_and_numpy():
     assert isinstance(out["f"], float) and isinstance(out["i"], int)
 
 
-# --------------------------------------------------------------- sim_mode
-def test_cell_sim_mode_defaults_from_session_config():
-    prior = parallel.configure(jobs=1, cache_dir=None, sim_mode="approx")
-    try:
-        assert Cell(square_cell, {"x": 1}, seed=1).sim_mode == "approx"
-    finally:
-        parallel.configure(**prior)
-    assert Cell(square_cell, {"x": 1}, seed=1).sim_mode == "exact"
-
-
-def test_cell_rejects_unknown_sim_mode():
-    with pytest.raises(ValueError, match="sim_mode"):
-        Cell(square_cell, {"x": 1}, seed=1, sim_mode="fuzzy")
-    with pytest.raises(ValueError, match="sim_mode"):
-        parallel.configure(sim_mode="fuzzy")
-
-
-def test_cell_cache_key_sensitive_to_sim_mode():
-    exact = Cell(square_cell, {"x": 1}, seed=3, sim_mode="exact")
-    approx = Cell(square_cell, {"x": 1}, seed=3, sim_mode="approx")
-    assert exact.cache_key("fp") != approx.cache_key("fp")
-
-
-def test_cell_label_marks_approx_mode():
-    assert "@approx" not in Cell(square_cell, {"x": 1}, seed=1).label
-    assert Cell(square_cell, {"x": 1}, seed=1, sim_mode="approx").label.endswith(
-        "@approx"
-    )
-
-
-def test_execute_installs_and_restores_sim_mode():
-    from repro.core import get_default_sim_mode
-
-    assert get_default_sim_mode() == "exact"
-    (result,) = run_cells(
-        [Cell(mode_cell, {}, seed=0, sim_mode="approx")], jobs=1, cache_dir=None
-    )
-    assert result["mode"] == "approx"
-    assert get_default_sim_mode() == "exact"  # restored after the cell
-
-
-def test_sim_mode_pool_parity():
-    cells = [
-        Cell(mode_cell, {}, seed=s, sim_mode=m)
-        for s in range(3)
-        for m in ("exact", "approx")
-    ]
-    seq = run_cells(cells, jobs=1, cache_dir=None)
-    par = run_cells(cells, jobs=2, cache_dir=None)
-    assert seq == par
-    assert [r["mode"] for r in seq] == ["exact", "approx"] * 3
-
-
-def test_sim_mode_cache_entries_do_not_cross_contaminate(tmp_path):
-    """Same fn/params/seed in different modes are distinct cache entries:
-    each warm rerun must hit its own entry and return its own payload."""
-    cache = str(tmp_path / "bc")
-    exact = Cell(mode_cell, {}, seed=7, sim_mode="exact")
-    approx = Cell(mode_cell, {}, seed=7, sim_mode="approx")
-    run_cells([exact], jobs=1, cache_dir=cache)
-    drain_records()
-    # Approx with identical params/seed: must MISS the exact entry.
-    (a1,) = run_cells([approx], jobs=1, cache_dir=cache)
-    assert [r["cache_hit"] for r in drain_records()] == [False]
-    assert a1["mode"] == "approx"
-    # Warm reruns each hit their own entry with the right payload.
-    (e2,) = run_cells([exact], jobs=1, cache_dir=cache)
-    (a2,) = run_cells([approx], jobs=1, cache_dir=cache)
-    assert [r["cache_hit"] for r in drain_records()] == [True, True]
-    assert e2["mode"] == "exact" and a2["mode"] == "approx"
-
-
-def test_approx_scale_cell_jobs_parity(tmp_path):
-    """Approx-mode figure cells compose with --jobs N and the cache: the
-    lifted restriction from the old 'approx forces --jobs 1' behavior."""
+# ------------------------------------------------------ scale-cell parity
+def test_scale_cell_jobs_parity(tmp_path):
+    """Scale-ladder cells compose with --jobs N and the cache: rung and
+    ride-along chaos rows are bit-identical inline, pooled and replayed."""
     cfgs = (
-        dict(racks=2, hosts_per_rack=3, n_clients=2, budget=256,
-             sim_mode="approx"),
-        dict(racks=3, hosts_per_rack=2, n_clients=2, budget=256,
-             sim_mode="approx"),
+        dict(racks=2, hosts_per_rack=3, n_clients=2, budget=256),
+        dict(racks=3, hosts_per_rack=2, n_clients=2, budget=256),
     )
     seq = figures.scale_fabric(n_ops=5, configs=cfgs)
     drain_records()
@@ -288,9 +208,7 @@ def test_approx_scale_cell_jobs_parity(tmp_path):
         parallel.configure(**prior)
     assert par.rows == seq.rows
     assert warm.rows == seq.rows
-    rungs = [row for row in seq.rows if "sim_mode" in row]
-    assert len(rungs) == 2
-    assert all(row["sim_mode"] == "approx" for row in rungs)
+    assert len([row for row in seq.rows if "throughput_ops_s" in row]) == 2
     # 2 rung cells + the ride-along chaos cell, all cached and replayed.
     assert [r["cache_hit"] for r in rec_cold] == [False] * 3
     assert [r["cache_hit"] for r in rec_warm] == [True] * 3

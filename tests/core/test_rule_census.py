@@ -71,15 +71,14 @@ def test_nice_mode_census_has_no_hread_family():
     assert all("hread" not in fam for fam in census.values()), census
 
 
-def test_budget_compliance_at_thousand_node_approx_rung():
-    """The 1000-node scale rung (20 racks x 50 hosts, approx mode) must
+def test_budget_compliance_at_thousand_node_rung():
+    """The 1000-node scale rung (20 racks x 50 hosts) must
     hold the 8192-rule switch budget with the harmonia family planned in
     — the hread entries replace the LB divisions, they don't stack on
     top of them."""
     cluster = NiceCluster(ClusterConfig(
         n_storage_nodes=20 * 50, n_clients=12, n_racks=20,
-        switch_rule_budget=8192, sim_mode="approx",
-        protocol_mode="harmonia",
+        switch_rule_budget=8192, protocol_mode="harmonia",
     ))
     cluster.warm_up()
     controller = cluster.controller

@@ -1,21 +1,48 @@
 """Determinism regression: performance machinery must not change results.
 
-Each knob that exists purely for speed — the switch's exact-match flow
-cache, the vectorized multicast fan-out batching, the approx simulation
-mode's *exact* setting — runs a small fig5-style put leg twice with the
-same seed, once per path, and asserts bit-identical result rows and final
-simulated time.  This is the contract that lets each optimization ship at
-all: a memo or a batched schedule, never a semantic change.
+Each fast path that exists purely for speed — the switch's exact-match
+flow cache, the vectorized multicast fan-out batching — runs a small
+fig5-style put leg twice with the same seed, once on the fast path and
+once on an in-test reference (cache flipped off on every switch; the
+fan-out replaced by a per-leg transmit loop), and asserts bit-identical
+result rows and final simulated time.  This is the contract that lets
+each optimization ship at all: a memo or a batched schedule, never a
+semantic change.
 """
 
+import numpy as np
+import pytest
+
 from repro.bench.harness import build_nice, run_to_completion
-from repro.core import set_default_sim_mode
+from repro.core import ClusterConfig, NiceCluster
+from repro.net import OpenFlowSwitch
 from repro.workloads import closed_loop_puts
 
 
-def _fig5_leg(n_ops=8, sizes=(4, 1 << 14)):
-    """A miniature fig5 put leg; returns (result rows, final sim time)."""
-    cluster = build_nice(n_storage_nodes=15, n_clients=1)
+def _switches(cluster):
+    return [d for d in cluster.network.devices.values() if isinstance(d, OpenFlowSwitch)]
+
+
+def _fig5_leg(n_ops=8, sizes=(4, 1 << 14), cache_enabled=True, n_racks=1, jitter_s=0.0):
+    """A miniature fig5 put leg; returns (result rows, final sim time).
+
+    ``cache_enabled=False`` is the reference leg: every switch's flow
+    table runs the wildcard scan from the first warm-up packet on.
+    ``n_racks=3`` runs the same leg across a leaf-spine fabric.
+    ``jitter_s`` adds delivery jitter drawn from ONE stream shared by
+    every link, so any change in the order channels finish transmitting
+    hands different delays to different receivers.
+    """
+    cluster = NiceCluster(
+        ClusterConfig(n_storage_nodes=15, n_clients=1, n_racks=n_racks)
+    )
+    for switch in _switches(cluster):
+        switch.table.cache_enabled = cache_enabled
+    cluster.warm_up()
+    if jitter_s:
+        stream = np.random.default_rng(7)
+        for link in cluster.network.links:
+            link.set_delay_jitter(jitter_s, stream)
     client = cluster.clients[0]
     rows = []
 
@@ -35,19 +62,19 @@ def _fig5_leg(n_ops=8, sizes=(4, 1 << 14)):
             )
 
     run_to_completion(cluster, cluster.sim.process(driver(cluster.sim)))
+    tables = [switch.table for switch in _switches(cluster)]
     stats = {
-        "cache_hits": cluster.switch.table.cache_hits,
-        "cache_misses": cluster.switch.table.cache_misses,
-        "cache_enabled": cluster.switch.table.cache_enabled,
+        "cache_hits": sum(t.cache_hits for t in tables),
+        "cache_misses": sum(t.cache_misses for t in tables),
+        "cache_enabled": all(t.cache_enabled for t in tables),
     }
     return rows, cluster.sim.now, stats
 
 
-def test_fig5_leg_identical_with_cache_on_and_off(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_FLOW_CACHE", "0")
-    rows_on, now_on, stats_on = _fig5_leg()
-    monkeypatch.setenv("REPRO_DISABLE_FLOW_CACHE", "1")
-    rows_off, now_off, stats_off = _fig5_leg()
+@pytest.mark.parametrize("n_racks", [1, 3])
+def test_fig5_leg_identical_with_cache_on_and_off(n_racks):
+    rows_on, now_on, stats_on = _fig5_leg(n_racks=n_racks)
+    rows_off, now_off, stats_off = _fig5_leg(cache_enabled=False, n_racks=n_racks)
 
     # The runs really did take the two different paths.
     assert stats_on["cache_enabled"] and not stats_off["cache_enabled"]
@@ -59,9 +86,8 @@ def test_fig5_leg_identical_with_cache_on_and_off(monkeypatch):
     assert now_on == now_off
 
 
-def test_same_seed_same_results_with_cache(monkeypatch):
+def test_same_seed_same_results_with_cache():
     """Two identical cache-enabled runs agree with themselves (sanity)."""
-    monkeypatch.setenv("REPRO_DISABLE_FLOW_CACHE", "0")
     a = _fig5_leg(n_ops=4, sizes=(1 << 10,))
     b = _fig5_leg(n_ops=4, sizes=(1 << 10,))
     assert a[0] == b[0]
@@ -71,67 +97,39 @@ def test_same_seed_same_results_with_cache(monkeypatch):
 # -- multicast fan-out batching (DESIGN.md §5g) -------------------------------------
 
 
-def test_fig5_leg_identical_with_and_without_tx_batching(monkeypatch):
+@pytest.mark.parametrize("jitter_s", [0.0, 20e-6])
+@pytest.mark.parametrize("n_racks", [1, 3])
+def test_fig5_leg_identical_with_and_without_tx_batching(monkeypatch, n_racks, jitter_s):
     """Vectorized group fan-out vs per-receiver transmit chains.
 
-    ``REPRO_NO_TX_BATCH=1`` makes every switch built afterwards schedule a
-    full per-receiver grant/serialize/finish/deliver chain per multicast
-    leg; the default shares one chain across the R legs.  Both paths must
-    draw per-receiver loss/jitter in the same RNG order, so every result
-    bit must agree.
+    The reference leg replaces the switch's ``transmit_fanout`` with a
+    loop that schedules a full per-receiver grant/serialize/finish/deliver
+    chain per multicast leg; the default shares one chain across the R
+    legs.  Both paths must break same-timestamp ties the same way (the
+    jitter-free legs) and draw per-receiver jitter in the same RNG order
+    (the jittered legs), so every result bit must agree.
     """
-    monkeypatch.delenv("REPRO_NO_TX_BATCH", raising=False)
-    rows_batched, now_batched, _ = _fig5_leg()
-    monkeypatch.setenv("REPRO_NO_TX_BATCH", "1")
-    rows_unbatched, now_unbatched, _ = _fig5_leg()
+    import repro.net.switch as switch_mod
+
+    batched_calls = []
+    real_fanout = switch_mod.transmit_fanout
+
+    def counting_fanout(sim, legs):
+        batched_calls.append(len(legs))
+        real_fanout(sim, legs)
+
+    monkeypatch.setattr(switch_mod, "transmit_fanout", counting_fanout)
+    rows_batched, now_batched, _ = _fig5_leg(n_racks=n_racks, jitter_s=jitter_s)
+    assert batched_calls, "the batched leg never took the shared chain"
+
+    def per_leg_fanout(sim, legs):
+        for channel, clone in legs:
+            channel.transmit(clone)
+
+    monkeypatch.setattr(switch_mod, "transmit_fanout", per_leg_fanout)
+    rows_unbatched, now_unbatched, _ = _fig5_leg(n_racks=n_racks, jitter_s=jitter_s)
     assert rows_batched == rows_unbatched
     assert now_batched == now_unbatched
-
-
-# -- sim_mode (flow approximation, DESIGN.md §5g) -----------------------------------
-
-
-def _sim_mode_leg(mode, n_ops=8, sizes=(4, 1 << 14)):
-    prior = set_default_sim_mode(mode)
-    try:
-        return _fig5_leg(n_ops=n_ops, sizes=sizes)
-    finally:
-        set_default_sim_mode(prior)
-
-
-def test_sim_mode_approx_is_deterministic():
-    """Same seed, same approx run — approximate but reproducible."""
-    rows_a, now_a, _ = _sim_mode_leg("approx")
-    rows_b, now_b, _ = _sim_mode_leg("approx")
-    assert rows_a == rows_b
-    assert now_a == now_b
-
-
-def test_sim_mode_exact_untouched_by_approx_plumbing():
-    """Explicitly-requested exact mode equals the pre-knob default path.
-
-    Building a cluster with ``sim_mode="exact"`` (the default) must give
-    results bit-identical to a run where the approx default was toggled
-    on and back off around it — the process-global default must leak into
-    nothing but configs built while it is set.
-    """
-    rows_a, now_a, _ = _fig5_leg()
-    set_default_sim_mode("approx")
-    set_default_sim_mode("exact")
-    rows_b, now_b, _ = _fig5_leg()
-    assert rows_a == rows_b
-    assert now_a == now_b
-
-
-def test_sim_mode_approx_tracks_exact_closely():
-    """Approx results are not required to be identical, but must stay
-    within the ±5% envelope the mode advertises (EXPERIMENTS.md)."""
-    rows_exact, now_exact, _ = _sim_mode_leg("exact")
-    rows_approx, now_approx, _ = _sim_mode_leg("approx")
-    assert abs(now_approx - now_exact) <= 0.05 * now_exact
-    for re_, ra in zip(rows_exact, rows_approx):
-        assert ra["count"] == re_["count"]
-        assert abs(ra["put_ms"] - re_["put_ms"]) <= 0.05 * re_["put_ms"]
 
 
 # -- chaos-engine determinism (the reproducibility contract of repro.chaos) ---------
@@ -147,8 +145,6 @@ def _chaos_run(seed, schedule_seed):
     from repro.chaos import ChaosEngine, FaultSchedule
     from repro.check import HistoryRecorder
     from repro.workloads.synthetic import keys_in_partition
-
-    import numpy as np
 
     cluster = build_nice(n_storage_nodes=6, n_clients=2, seed=seed)
     keys = keys_in_partition(0, cluster.config.n_partitions, 2)

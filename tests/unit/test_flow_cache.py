@@ -3,8 +3,9 @@
 The cache is a pure memo: it must never change which rule a lookup
 returns, only skip the linear scan.  These tests pin the hit/miss
 accounting, every invalidation edge (flow-mod, remove, remove-by-cookie,
-idle expiry), the escape hatch, and — via hypothesis — agreement between
-the cached lookup and the wildcard scan on randomized rule sets.
+idle expiry), the cache-off reference path, and — via hypothesis —
+agreement between the cached lookup and the wildcard scan on randomized
+rule sets.
 """
 
 import pytest
@@ -21,7 +22,6 @@ from repro.net import (
     Proto,
     Rule,
 )
-from repro.net.flowtable import flow_cache_enabled_default
 
 
 def pkt(src="10.0.0.1", dst="10.10.1.5", proto=Proto.UDP, dport=4000, dst_mac=None):
@@ -141,7 +141,7 @@ def test_cache_limit_resets_memo():
     assert len(table._cache) <= 5
 
 
-# ------------------------------------------------------------- escape hatch
+# ------------------------------------------------------- cache-off reference
 def test_cache_disabled_never_counts():
     table = FlowTable(cache_enabled=False)
     rule = table.add(Rule(Match(), [Drop()]))
@@ -150,14 +150,16 @@ def test_cache_disabled_never_counts():
     assert (table.cache_hits, table.cache_misses) == (0, 0)
 
 
-def test_env_escape_hatch(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_FLOW_CACHE", "1")
-    assert flow_cache_enabled_default() is False
-    assert FlowTable().cache_enabled is False
-    monkeypatch.setenv("REPRO_DISABLE_FLOW_CACHE", "0")
-    assert FlowTable().cache_enabled is True
-    monkeypatch.delenv("REPRO_DISABLE_FLOW_CACHE")
-    assert FlowTable().cache_enabled is True
+def test_cache_on_by_default_and_flippable_on_a_live_table():
+    """The determinism tests flip ``cache_enabled`` on built switches to
+    get their reference leg: from then on lookups scan and never count."""
+    table = FlowTable()
+    assert table.cache_enabled is True
+    rule = table.add(Rule(Match(ip_dst="10.10.1.5"), [Output(1)]))
+    assert table.lookup(pkt()) is rule
+    table.cache_enabled = False
+    assert table.lookup(pkt()) is rule
+    assert (table.cache_hits, table.cache_misses) == (0, 1)
 
 
 # ------------------------------------------------------- property: memo-only

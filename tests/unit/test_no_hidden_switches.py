@@ -1,0 +1,51 @@
+"""One simulation mode, nothing to set (PR 15).
+
+The flow-approximation mode and the two ``REPRO_*`` environment switches
+are gone; these checks keep them from growing back under another name:
+the simulator reads no environment variable, and every place the mode
+used to be settable now rejects it.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.bench.__main__ import main
+from repro.bench.parallel import Cell
+from repro.core import ClusterConfig
+from repro.sim import Simulator
+
+
+def test_src_reads_no_environment_variable():
+    root = Path(repro.__file__).parent
+    pattern = re.compile(r"\bos\.(environ|getenv)\b|\bfrom os import .*\b(environ|getenv)\b")
+    hits = [
+        f"{path.relative_to(root)}:{lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
+
+
+def test_cluster_config_has_no_sim_mode():
+    with pytest.raises(TypeError):
+        ClusterConfig(sim_mode="approx")
+
+
+def test_cell_has_no_sim_mode():
+    with pytest.raises(TypeError):
+        Cell(len, {}, seed=0, sim_mode="approx")
+
+
+def test_cli_rejects_sim_mode_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--sim-mode", "approx", "fig5"])
+    assert exc.value.code == 2  # argparse usage error
+    assert "--sim-mode" in capsys.readouterr().err
+
+
+def test_kernel_knows_nothing_about_approximation():
+    assert [name for name in dir(Simulator()) if "approx" in name] == []
