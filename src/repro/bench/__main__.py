@@ -217,6 +217,8 @@ def main(argv=None) -> int:
 def _run(parser, args, n_ops: int, jobs: int) -> int:
     registry = _registry(n_ops, args.full, smoke=args.smoke)
 
+    # Each suite's verdict is its own ``check``; the exit code is all CI reads.
+    failed = False
     wanted = args.experiment
     if "perf" in wanted:
         from . import perf
@@ -227,9 +229,8 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
         print(perf.format_report(report))
         print(f"wrote {out_path}")
         print(f"({time.perf_counter() - t0:.1f}s wall)\n")
+        failed |= not report["passed"]
         wanted = [w for w in wanted if w != "perf"]
-        if not wanted:
-            return 0
     if "chaos" in wanted:
         from . import chaos
 
@@ -243,9 +244,10 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
         print(f"({len(cells)} cells, {hits} cache hits, --jobs {jobs})")
         print(f"wrote {out_path}")
         print(f"({report['wall_s']:.1f}s wall)\n")
+        failed |= not report["passed"]
         wanted = [w for w in wanted if w != "chaos"]
-        if not wanted:
-            return 0 if report["passed"] else 1
+    if not wanted:
+        return int(failed)
     if "all" in wanted:
         # "all" = the paper's figure suite; the fabric scale family and the
         # harmonia read-scaling sweep are their own opt-in runs (python -m
@@ -264,6 +266,10 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
         t0 = time.perf_counter()
         result = runner()
         elapsed = time.perf_counter() - t0
+        if name == "scale":
+            for failure in figures.check_scale(result.rows):
+                result.note(f"FAIL: {failure}")
+                failed = True
         cells = parallel.drain_records()
         all_cells.extend(cells)
         print(format_result(result))
@@ -312,7 +318,7 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {args.figures_out}")
-    return 0
+    return int(failed)
 
 
 if __name__ == "__main__":

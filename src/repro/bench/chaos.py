@@ -38,7 +38,9 @@ from .parallel import Cell, drain_records, provenance, run_cells
 
 __all__ = [
     "run_suite",
+    "check",
     "format_report",
+    "SCHEMA_VERSION",
     "DEFAULT_OUT",
     "MODES",
     "run_case",
@@ -54,6 +56,7 @@ __all__ = [
 SCHEDULE_KEY = "k0"
 
 DEFAULT_OUT = "BENCH_chaos.json"
+SCHEMA_VERSION = 6
 
 #: mode name -> builder spec + expectations.  ``expect_violation`` marks
 #: the deliberately weak config the checker must catch.  ``loss_fragile``
@@ -149,8 +152,11 @@ def _build(mode: str, seed: int, standbys: int = 0):
 
 def _schedule_suite(key: str, names: Optional[List[str]] = None) -> List[FaultSchedule]:
     suite = standard_schedules(key)
-    suite["random-a"] = FaultSchedule.random(101, key)
-    suite["random-b"] = FaultSchedule.random(202, key)
+    for seed in (101, 202):
+        # Keyed by its own name, like every other schedule, so the name a
+        # cell carries resolves back to the schedule.
+        schedule = FaultSchedule.random(seed, key)
+        suite[schedule.name] = schedule
     # Addressable by name but not part of the default sweep (the harmonia
     # modes add them explicitly; the flow-rule families under attack are
     # NICE-internal, so they are noise for the NOOB baselines).
@@ -267,6 +273,52 @@ def _controlplane_provenance(cluster) -> Dict:
     }
 
 
+def _history_row(
+    family: str, mode: str, schedule: str, seed: int,
+    recorder: HistoryRecorder, events: List,
+    standbys: int = 0, has_loss: bool = False, max_states: int = 2_000_000,
+) -> Dict:
+    """Verify a recorded history — the cheap staleness screen, then the
+    exact Wing–Gong check — and assemble the row every cell type shares."""
+    ops = recorder.ops
+    mono = check_monotonic(ops)
+    try:
+        lin = check_linearizable(ops, max_states=max_states)
+        inconclusive = False
+        states = lin.states
+        linearizable = lin.ok
+        core = lin.violation
+        reason = lin.reason
+    except CheckLimitExceeded as exc:
+        inconclusive = True
+        states = max_states
+        linearizable = mono.ok  # best effort: screen result only
+        core = mono.violation
+        reason = f"W&G limit: {exc}"
+    if not mono.ok and linearizable:
+        # The screen only reports true violations; exact search must agree.
+        linearizable, core, reason = False, mono.violation, mono.reason
+    return {
+        "family": family,
+        "standbys": standbys,
+        "mode": mode,
+        "schedule": schedule,
+        "has_loss": has_loss,
+        "seed": seed,
+        "n_ops": len(ops),
+        "ok_ops": sum(1 for op in ops if op.ok),
+        "failed_ops": sum(1 for op in ops if op.completed and not op.ok),
+        "pending_ops": len(recorder.pending()),
+        "linearizable": bool(linearizable),
+        "monotonic_ok": bool(mono.ok),
+        "inconclusive": inconclusive,
+        "states": states,
+        "chaos_events": [[t, label] for t, label in events],
+        "violation": [str(op) for op in core],
+        "reason": reason,
+    }
+
+
 def run_case(
     mode: str,
     schedule: FaultSchedule,
@@ -290,44 +342,11 @@ def run_case(
     engine.start()
     cluster.sim.run(until=duration)
 
-    mono = check_monotonic(recorder.ops)
-    try:
-        lin = check_linearizable(recorder.ops, max_states=max_states)
-        inconclusive = False
-        states = lin.states
-        linearizable = lin.ok
-        core = lin.violation
-        reason = lin.reason
-    except CheckLimitExceeded as exc:
-        inconclusive = True
-        states = max_states
-        linearizable = mono.ok  # best effort: screen result only
-        core = mono.violation
-        reason = f"W&G limit: {exc}"
-    if not mono.ok and linearizable:
-        # The screen only reports true violations; exact search must agree.
-        linearizable, core, reason = False, mono.violation, mono.reason
-
-    ok_ops = sum(1 for op in recorder.ops if op.ok)
-    row = {
-        "family": "controlplane" if standbys else "standard",
-        "standbys": standbys,
-        "mode": mode,
-        "schedule": schedule.name,
-        "has_loss": any(ev.kind == "loss" for ev in schedule),
-        "seed": seed,
-        "n_ops": len(recorder.ops),
-        "ok_ops": ok_ops,
-        "failed_ops": sum(1 for op in recorder.ops if op.completed and not op.ok),
-        "pending_ops": len(recorder.pending()),
-        "linearizable": bool(linearizable),
-        "monotonic_ok": bool(mono.ok),
-        "inconclusive": inconclusive,
-        "states": states,
-        "chaos_events": [[t, label] for t, label in engine.events],
-        "violation": [str(op) for op in core],
-        "reason": reason,
-    }
+    row = _history_row(
+        "controlplane" if standbys else "standard", mode, schedule.name, seed,
+        recorder, engine.events, standbys=standbys,
+        has_loss=any(ev.kind == "loss" for ev in schedule), max_states=max_states,
+    )
     if standbys:
         row["controlplane"] = _controlplane_provenance(cluster)
     return row
@@ -429,29 +448,10 @@ def harmonia_midput_cell(mode: str, seed: int) -> Dict:
     if not proc.triggered:
         raise RuntimeError("directed mid-put driver did not finish")
 
-    mono = check_monotonic(recorder.ops)
-    lin = check_linearizable(recorder.ops)
-    linearizable, core, reason = lin.ok, lin.violation, lin.reason
-    if not mono.ok and linearizable:
-        linearizable, core, reason = False, mono.violation, mono.reason
     return {
-        "family": "harmonia-directed",
-        "standbys": 0,
-        "mode": mode,
-        "schedule": "rack_isolate_midput",
-        "has_loss": False,
-        "seed": seed,
-        "n_ops": len(recorder.ops),
-        "ok_ops": sum(1 for op in recorder.ops if op.ok),
-        "failed_ops": sum(1 for op in recorder.ops if op.completed and not op.ok),
-        "pending_ops": len(recorder.pending()),
-        "linearizable": bool(linearizable),
-        "monotonic_ok": bool(mono.ok),
-        "inconclusive": False,
-        "states": lin.states,
-        "chaos_events": events,
-        "violation": [str(op) for op in core],
-        "reason": reason,
+        **_history_row(
+            "harmonia-directed", mode, "rack_isolate_midput", seed, recorder, events
+        ),
         "dirty_set": cluster.harmonia.stats(),
         "stale_replica_reads": cluster.nodes[secondary].gets_served.value,
     }
@@ -494,36 +494,14 @@ def _durability_row(
     """Common tail of every durability cell: verify the history (staleness
     screen + exact check + acked-durability against the surviving stores)
     and assemble the JSON row."""
-    mono = check_monotonic(recorder.ops)
-    lin = check_linearizable(recorder.ops)
-    linearizable, core, reason = lin.ok, lin.violation, lin.reason
-    if not mono.ok and linearizable:
-        linearizable, core, reason = False, mono.violation, mono.reason
     durable = check_durable(recorder.ops, _final_values(cluster, keys))
-    row = {
-        "family": "durability",
-        "standbys": 0,
-        "mode": mode,
-        "schedule": schedule,
-        "has_loss": False,
-        "seed": seed,
-        "n_ops": len(recorder.ops),
-        "ok_ops": sum(1 for op in recorder.ops if op.ok),
-        "failed_ops": sum(1 for op in recorder.ops if op.completed and not op.ok),
-        "pending_ops": len(recorder.pending()),
-        "linearizable": bool(linearizable),
-        "monotonic_ok": bool(mono.ok),
-        "inconclusive": False,
-        "states": lin.states,
-        "chaos_events": [[t, label] for t, label in events],
-        "violation": [str(op) for op in core],
-        "reason": reason,
+    return {
+        **_history_row("durability", mode, schedule, seed, recorder, events),
         "durable": bool(durable.ok),
         "durability_reason": durable.reason,
         "durable_keys_checked": len(durable.checked_keys),
+        **_node_durability_stats(cluster),
     }
-    row.update(_node_durability_stats(cluster))
-    return row
 
 
 def durability_cell(mode: str, schedule: str, seed: int, duration: float = 10.0) -> Dict:
@@ -679,6 +657,12 @@ def fail_slow_cell(seed: int, duration: float = 10.0) -> Dict:
     return row
 
 
+#: The NICE-only schedule families ``run_suite`` plans beside the standard
+#: matrix (one metadata standby; the §5k durability cells).
+CP_SCHEDULES = tuple(sorted(controlplane_schedules(SCHEDULE_KEY)))
+DURABILITY_SCHEDULES = ("power_blackout", "torn_wal", "bit_rot", "fail_slow")
+
+
 def run_suite(
     seeds: int = 5,
     baseline_seeds: int = 2,
@@ -694,62 +678,46 @@ def run_suite(
     baselines get ``baseline_seeds`` each to bound wall time.  ``smoke``
     shrinks everything for CI.  Cells fan across workers per the session's
     ``--jobs`` setting; the merged case order (mode → schedule → seed) and
-    every case payload are identical to a sequential run.
+    every case payload are identical to a sequential run.  The verdict is
+    :func:`check`'s, over the finished report.
     """
-    cp_names = sorted(controlplane_schedules(SCHEDULE_KEY))
-    dur_names = ["power_blackout", "torn_wal", "bit_rot", "fail_slow"]
     if smoke:
         seeds, baseline_seeds, duration = 2, 1, 8.0
         modes = modes or ["nice", "rac-2pc", "rac-weak", "harmonia", "harmonia-weak"]
         schedules = schedules or [
-            "crash_rejoin", "partition_rejoin", "primary_crash", *cp_names,
-            *dur_names,
+            "crash_rejoin", "partition_rejoin", "primary_crash",
+            *CP_SCHEDULES, *DURABILITY_SCHEDULES,
         ]
     # Durability-only modes (nice-waloff) never join the matrix product;
     # the durability cell plan below instantiates them directly.
     modes = modes or [m for m in MODES if not MODES[m].get("durability_only")]
-    # ``schedules`` spans both families: names from the control-plane
-    # family select HA cells, the rest the standard suite.  ``None``
-    # means everything.
+    # ``schedules`` spans all three families; ``None`` means everything.
     if schedules is None:
-        std_names: Optional[List[str]] = None
-        cp_selected = cp_names
-        dur_selected = dur_names
-    else:
-        std_names = [
-            n for n in schedules if n not in cp_names and n not in dur_names
+        schedules = [
+            *(s.name for s in _schedule_suite(SCHEDULE_KEY)),
+            *CP_SCHEDULES, *DURABILITY_SCHEDULES,
         ]
-        cp_selected = [n for n in cp_names if n in schedules]
-        dur_selected = [n for n in dur_names if n in schedules]
+    std_names = [n for n in schedules if n not in CP_SCHEDULES + DURABILITY_SCHEDULES]
+    _schedule_suite(SCHEDULE_KEY, std_names)  # rejects an unknown name before any cell runs
     # Harmonia modes get their own cell plan below: the honest mode runs
     # the standard suite plus the rule_flap schedule (its read rules are
     # flow state the flap attacks), the weak mode runs the directed
     # mid-put cell that deterministically exposes its early dirty-clear.
     h_modes = [m for m in modes if m.startswith("harmonia")]
-    std_modes = [m for m in modes if not m.startswith("harmonia")]
     t0 = time.perf_counter()
     drain_records()  # isolate this suite's cell records from earlier runs
     cells = [
-        Cell(
-            chaos_cell,
-            dict(mode=mode, schedule=schedule.name, duration=duration),
-            seed=seed,
-        )
-        for mode in std_modes
-        for schedule in _schedule_suite(SCHEDULE_KEY, std_names)
+        Cell(chaos_cell, dict(mode=mode, schedule=name, duration=duration), seed=seed)
+        for mode in modes
+        if mode not in h_modes
+        for name in std_names
         for seed in range(1, (seeds if mode == "nice" else baseline_seeds) + 1)
     ]
     if "harmonia" in h_modes:
-        h_sched = [s.name for s in _schedule_suite(SCHEDULE_KEY, std_names)]
-        if "rule_flap" not in h_sched:
-            h_sched.append("rule_flap")
+        h_names = std_names if "rule_flap" in std_names else [*std_names, "rule_flap"]
         cells += [
-            Cell(
-                chaos_cell,
-                dict(mode="harmonia", schedule=name, duration=duration),
-                seed=seed,
-            )
-            for name in h_sched
+            Cell(chaos_cell, dict(mode="harmonia", schedule=name, duration=duration), seed=seed)
+            for name in h_names
             for seed in range(1, baseline_seeds + 1)
         ]
     cells += [
@@ -757,206 +725,218 @@ def run_suite(
         for mode in h_modes
         for seed in range(1, baseline_seeds + 1)
     ]
-    # The control-plane family (metadata-leader crash/failover, controller
-    # channel outages) runs NICE-only, with one metadata standby.
     if "nice" in modes:
+        # The control-plane family (metadata-leader crash/failover,
+        # controller channel outages), with one metadata standby.
         cells += [
             Cell(
                 chaos_cell,
                 dict(mode="nice", schedule=name, duration=duration, standbys=1),
                 seed=seed,
             )
-            for name in cp_selected
+            for name in CP_SCHEDULES
+            if name in schedules
             for seed in range(1, seeds + 1)
         ]
-    # The durability family (§5k): power blackout for the honest mode and
-    # the weakened wal=off variant, the directed torn-tail cell, bit-rot
-    # vs the scrubber, and the fail-slow drain (harmonia read path).
-    if "nice" in modes and dur_selected:
-        d_dur = max(duration, 10.0)
+        # The durability family (§5k): power blackout for the honest mode
+        # and the weakened wal=off variant, the directed torn-tail cell,
+        # bit-rot vs the scrubber, the fail-slow drain (harmonia reads).
         d_seeds = range(1, baseline_seeds + 1)
-        if "power_blackout" in dur_selected:
+        if "power_blackout" in schedules:
             cells += [
                 Cell(
                     durability_cell,
-                    dict(mode=mode, schedule="power_blackout", duration=d_dur),
+                    dict(mode=mode, schedule="power_blackout", duration=max(duration, 10.0)),
                     seed=seed,
                 )
                 for mode in ("nice", "nice-waloff")
                 for seed in d_seeds
             ]
-        if "torn_wal" in dur_selected:
-            cells += [Cell(torn_wal_cell, {}, seed=seed) for seed in d_seeds]
-        if "bit_rot" in dur_selected:
-            cells += [Cell(bit_rot_cell, {}, seed=seed) for seed in d_seeds]
-        if "fail_slow" in dur_selected:
-            cells += [Cell(fail_slow_cell, {}, seed=seed) for seed in d_seeds]
+        for name, fn in (
+            ("torn_wal", torn_wal_cell), ("bit_rot", bit_rot_cell), ("fail_slow", fail_slow_cell)
+        ):
+            if name in schedules:
+                cells += [Cell(fn, {}, seed=seed) for seed in d_seeds]
     cases: List[Dict] = run_cells(cells)
     cell_records = drain_records()
-
-    summary: Dict[str, Dict] = {}
-    failures: List[str] = []
-    for mode in modes:
-        rows = [
-            c for c in cases
-            if c["mode"] == mode
-            and c.get("family") not in ("controlplane", "durability")
-        ]
-        violations = [c for c in rows if not c["linearizable"]]
-        tolerated = [
-            c
-            for c in violations
-            if MODES[mode]["loss_fragile"] and c["has_loss"]
-        ]
-        inconclusive = [c for c in rows if c["inconclusive"]]
-        summary[mode] = {
-            "cases": len(rows),
-            "violations": len(violations),
-            "tolerated": len(tolerated),
-            "inconclusive": len(inconclusive),
-            "expect_violation": MODES[mode]["expect_violation"],
-        }
-        if MODES[mode]["expect_violation"]:
-            if not violations:
-                failures.append(f"{mode}: weak config escaped detection")
-        else:
-            for c in violations:
-                if c in tolerated:
-                    continue
-                failures.append(
-                    f"{mode}/{c['schedule']}/seed{c['seed']}: "
-                    f"unexpected violation: {c['reason']}"
-                )
-    cp_rows = [c for c in cases if c.get("family") == "controlplane"]
-    if cp_rows:
-        summary["controlplane"] = {
-            "cases": len(cp_rows),
-            "violations": len([c for c in cp_rows if not c["linearizable"]]),
-            "promotions": sum(c["controlplane"]["promotions"] for c in cp_rows),
-            "fenced_flow_mods": sum(
-                c["controlplane"]["fenced_flow_mods"] for c in cp_rows
-            ),
-            "reconcile_matches_scratch": all(
-                c["controlplane"]["reconcile_matches_scratch"] for c in cp_rows
-            ),
-        }
-        for c in cp_rows:
-            tag = f"controlplane/{c['schedule']}/seed{c['seed']}"
-            cp = c["controlplane"]
-            if not c["linearizable"]:
-                failures.append(f"{tag}: unexpected violation: {c['reason']}")
-            if c["schedule"] in ("metadata_failover", "node_meta_crash") and not cp["promotions"]:
-                failures.append(f"{tag}: metadata leader crashed but no standby promoted")
-            if not cp["reconcile_matches_scratch"]:
-                failures.append(f"{tag}: reconciled tables diverge from scratch sync")
-            if cp["steady_reconcile"]["installed"] or cp["steady_reconcile"]["deleted"]:
-                failures.append(
-                    f"{tag}: settled cluster still needed repair: {cp['steady_reconcile']}"
-                )
-    h_rows = [
-        c for c in cases
-        if c["mode"].startswith("harmonia") and c.get("family") != "durability"
-    ]
-    harmonia_verdict = None
-    if h_rows:
-        safe_rows = [c for c in h_rows if c["mode"] == "harmonia"]
-        weak_rows = [c for c in h_rows if c["mode"] == "harmonia-weak"]
-        directed = [c for c in h_rows if c.get("family") == "harmonia-directed"]
-        dirty = {}
-        for c in directed:
-            for k, v in c.get("dirty_set", {}).items():
-                dirty[k] = dirty.get(k, 0) + v
-        harmonia_verdict = {
-            "cases": len(h_rows),
-            "safe_cases": len(safe_rows),
-            "safe_violations": len(
-                [c for c in safe_rows if not c["linearizable"]]
-            ),
-            "weak_cases": len(weak_rows),
-            "weak_caught": any(not c["linearizable"] for c in weak_rows),
-            "directed_cells": len(directed),
-            "stale_replica_reads": sum(
-                c.get("stale_replica_reads", 0) for c in safe_rows
-            ),
-            "dirty_set": dirty,
-        }
-    d_rows = [c for c in cases if c.get("family") == "durability"]
-    durability_verdict = None
-    if d_rows:
-        honest = [c for c in d_rows if c["mode"] != "nice-waloff"]
-        weak = [c for c in d_rows if c["mode"] == "nice-waloff"]
-        durability_verdict = {
-            "cells": len(d_rows),
-            "acked_lost": sum(1 for c in honest if not c["durable"]),
-            "torn_detected": sum(c["torn_records"] for c in d_rows),
-            "scrub_repairs": sum(c["scrub_repairs"] for c in d_rows),
-            "failslow_detected": any(
-                c.get("failslow_detections", 0) > 0 for c in d_rows
-            ),
-            "failslow_handoffs": sum(
-                c.get("failslow_handoffs", 0) for c in d_rows
-            ),
-            "weak_cases": len(weak),
-            "weak_caught": bool(weak)
-            and all(not c["durable"] for c in weak),
-        }
-        for c in honest:
-            tag = f"durability/{c['schedule']}/seed{c['seed']}"
-            if not c["durable"]:
-                failures.append(
-                    f"{tag}: acked put lost: {c['durability_reason']}"
-                )
-            if not c["linearizable"]:
-                failures.append(f"{tag}: unexpected violation: {c['reason']}")
-            if c["schedule"] == "torn_wal" and not c["torn_records"]:
-                failures.append(f"{tag}: crash mid-append left no torn tail")
-            if c["schedule"] == "bit_rot":
-                if not c["scrub_repairs"]:
-                    failures.append(f"{tag}: scrubber repaired nothing")
-                if c.get("remaining_corrupt"):
-                    failures.append(
-                        f"{tag}: {c['remaining_corrupt']} objects still corrupt"
-                    )
-                if c.get("bitrot_served"):
-                    failures.append(
-                        f"{tag}: {c['bitrot_served']} corrupt values served"
-                    )
-            if c["schedule"] == "fail_slow":
-                if not c.get("failslow_detections"):
-                    failures.append(f"{tag}: fail-slow disk never detected")
-                if not c.get("failslow_handoffs"):
-                    failures.append(f"{tag}: degraded primary never handed off")
-                if c.get("degraded_after"):
-                    failures.append(
-                        f"{tag}: still degraded after heal: {c['degraded_after']}"
-                    )
-        for c in weak:
-            if c["durable"]:
-                failures.append(
-                    f"durability/{c['schedule']}/seed{c['seed']}: "
-                    "wal=off acked losses escaped detection"
-                )
     report = {
-        "schema_version": 5,
+        "schema_version": SCHEMA_VERSION,
         "suite": "chaos",
         "smoke": smoke,
         "duration_s_per_case": duration,
+        "modes": modes,
+        "schedules": schedules,
         "provenance": provenance(records=cell_records, seeds=seeds),
         "cases": cases,
         "cells": cell_records,
-        "summary": summary,
-        "failures": failures,
-        "passed": not failures,
         "wall_s": round(time.perf_counter() - t0, 1),
     }
-    if harmonia_verdict is not None:
-        report["harmonia"] = harmonia_verdict
-    if durability_verdict is not None:
-        report["durability"] = durability_verdict
+    report.update(summarize(report))
+    report["failures"] = check(report)
+    report["passed"] = not report["failures"]
     if out_path:
         with open(out_path, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
     return report
+
+
+def _tag(case: Dict) -> str:
+    family = case["family"]
+    head = family if family in ("controlplane", "durability") else case["mode"]
+    return f"{head}/{case['schedule']}/seed{case['seed']}"
+
+
+def _tolerated(case: Dict) -> bool:
+    """A violation the matrix documents rather than fails: a loss-fragile
+    mode (see :data:`MODES`) under a loss-bearing schedule."""
+    return not case["linearizable"] and MODES[case["mode"]]["loss_fragile"] and case["has_loss"]
+
+
+def _caught(case: Dict) -> bool:
+    """Did the oracle a weak config exists for see it fail?  Acked
+    durability for the wal=off cells, linearizability everywhere else."""
+    return not (case["durable"] if case["family"] == "durability" else case["linearizable"])
+
+
+def summarize(report: Dict) -> Dict:
+    """The human-facing count blocks of a report (``summary``, ``harmonia``,
+    ``durability``), derived from its ``cases``.  :func:`check` never reads
+    them back."""
+    cases = report["cases"]
+    matrix = [c for c in cases if c["family"] not in ("controlplane", "durability")]
+    summary: Dict[str, Dict] = {}
+    for mode in report["modes"]:
+        rows = [c for c in matrix if c["mode"] == mode]
+        summary[mode] = {
+            "cases": len(rows),
+            "violations": sum(not c["linearizable"] for c in rows),
+            "tolerated": sum(_tolerated(c) for c in rows),
+            "inconclusive": sum(c["inconclusive"] for c in rows),
+            "expect_violation": MODES[mode]["expect_violation"],
+        }
+    blocks: Dict[str, Dict] = {"summary": summary}
+    cp_rows = [c for c in cases if c["family"] == "controlplane"]
+    if cp_rows:
+        cp = [c["controlplane"] for c in cp_rows]
+        summary["controlplane"] = {
+            "cases": len(cp_rows),
+            "violations": sum(not c["linearizable"] for c in cp_rows),
+            "tolerated": 0,  # NICE is never loss-fragile
+            "inconclusive": sum(c["inconclusive"] for c in cp_rows),
+            "promotions": sum(v["promotions"] for v in cp),
+            "fenced_flow_mods": sum(v["fenced_flow_mods"] for v in cp),
+            "reconcile_matches_scratch": all(v["reconcile_matches_scratch"] for v in cp),
+        }
+    h_rows = [c for c in matrix if c["mode"].startswith("harmonia")]
+    if h_rows:
+        safe = [c for c in h_rows if c["mode"] == "harmonia"]
+        weak = [c for c in h_rows if c["mode"] == "harmonia-weak"]
+        directed = [c for c in h_rows if c["family"] == "harmonia-directed"]
+        dirty: Dict[str, int] = {}
+        for c in directed:
+            for k, v in c["dirty_set"].items():
+                dirty[k] = dirty.get(k, 0) + v
+        blocks["harmonia"] = {
+            "cases": len(h_rows),
+            "safe_cases": len(safe),
+            "safe_violations": sum(not c["linearizable"] for c in safe),
+            "weak_cases": len(weak),
+            "weak_caught": any(_caught(c) for c in weak),
+            "directed_cells": len(directed),
+            "stale_replica_reads": sum(c.get("stale_replica_reads", 0) for c in safe),
+            "dirty_set": dirty,
+        }
+    d_rows = [c for c in cases if c["family"] == "durability"]
+    if d_rows:
+        honest = [c for c in d_rows if c["mode"] != "nice-waloff"]
+        weak = [c for c in d_rows if c["mode"] == "nice-waloff"]
+        blocks["durability"] = {
+            "cells": len(d_rows),
+            "acked_lost": sum(not c["durable"] for c in honest),
+            "torn_detected": sum(c["torn_records"] for c in d_rows),
+            "scrub_repairs": sum(c["scrub_repairs"] for c in d_rows),
+            "failslow_detected": any(c.get("failslow_detections", 0) > 0 for c in d_rows),
+            "failslow_handoffs": sum(c.get("failslow_handoffs", 0) for c in d_rows),
+            "weak_cases": len(weak),
+            "weak_caught": bool(weak) and all(_caught(c) for c in weak),
+        }
+    return blocks
+
+
+def _cell_gates(c: Dict):
+    """``(ok, failure text)`` pairs one honest cell must satisfy: a clean,
+    conclusive history plus its family's "the trap must spring" conditions."""
+    yield c["linearizable"] or _tolerated(c), f"unexpected violation: {c['reason']}"
+    yield not c["inconclusive"], f"inconclusive: {c['reason']}"
+    family, schedule = c["family"], c["schedule"]
+    if family == "controlplane":
+        cp = c["controlplane"]
+        steady = cp["steady_reconcile"]
+        if schedule in ("metadata_failover", "node_meta_crash"):
+            yield cp["promotions"], "metadata leader crashed but no standby promoted"
+            yield cp["fenced_flow_mods"], "no flow-mod of the deposed leader was fenced"
+        yield cp["reconcile_matches_scratch"], "reconciled tables diverge from scratch sync"
+        yield (
+            not (steady["installed"] or steady["deleted"]),
+            f"settled cluster still needed repair: {steady}",
+        )
+    elif family == "harmonia-directed":
+        stale = c["stale_replica_reads"]
+        yield stale == 0, f"{stale} stale replica reads served"
+    elif family == "durability":
+        yield c["durable"], f"acked put lost: {c['durability_reason']}"
+        if schedule == "torn_wal":
+            yield c["torn_records"], "crash mid-append left no torn tail"
+        elif schedule == "bit_rot":
+            yield c["scrub_repairs"], "scrubber repaired nothing"
+            yield not c["remaining_corrupt"], f"{c['remaining_corrupt']} objects still corrupt"
+            yield not c["bitrot_served"], f"{c['bitrot_served']} corrupt values served"
+        elif schedule == "fail_slow":
+            yield c["failslow_detections"], "fail-slow disk never detected"
+            yield c["failslow_handoffs"], "degraded primary never handed off"
+            yield not c["degraded_after"], f"still degraded after heal: {c['degraded_after']}"
+
+
+def check(report: Dict) -> List[str]:
+    """Every gate of the suite, as failure strings (empty = pass).
+
+    A pure function of ``cases`` plus the planned ``modes``/``schedules``,
+    which say what *must* be there: a matrix whose trap cell is missing,
+    or never springs, proves nothing.  ``run_suite``, the CLI exit code,
+    CI and the tier-1 test over the committed ``BENCH_chaos.json`` all
+    take their verdict from here.
+    """
+    if report["schema_version"] != SCHEMA_VERSION:
+        return [f"schema_version {report['schema_version']} != {SCHEMA_VERSION}"]
+    cases, modes, schedules = report["cases"], report["modes"], report["schedules"]
+    failures: List[str] = []
+    # What the planned matrix must contain: the weak configs the checker
+    # has to catch, and the (family, schedule) groups of honest trap cells.
+    weak = [m for m in modes if MODES[m]["expect_violation"]]
+    groups = []
+    if "harmonia" in modes:
+        groups += [("standard", "rule_flap"), ("harmonia-directed", "rack_isolate_midput")]
+    if "nice" in modes:
+        groups += [("controlplane", n) for n in CP_SCHEDULES if n in schedules]
+        groups += [("durability", n) for n in DURABILITY_SCHEDULES if n in schedules]
+        if "power_blackout" in schedules:
+            weak.append("nice-waloff")
+    ran = set()
+    for c in cases:
+        if not MODES[c["mode"]]["expect_violation"]:
+            ran.add((c["family"], c["schedule"]))
+            failures += [f"{_tag(c)}: {text}" for ok, text in _cell_gates(c) if not ok]
+        elif c["family"] == "durability" and not _caught(c):
+            failures.append(f"{_tag(c)}: wal=off acked losses escaped detection")
+    failures += [
+        f"{family}/{schedule}: planned but no honest cell ran"
+        for family, schedule in groups
+        if (family, schedule) not in ran
+    ]
+    for mode in weak:
+        if not any(_caught(c) for c in cases if c["mode"] == mode):
+            failures.append(f"{mode}: weak config escaped detection")
+    return failures
 
 
 def format_report(report: Dict) -> str:
@@ -972,18 +952,18 @@ def format_report(report: Dict) -> str:
         )
     lines.append("")
     for mode, s in report["summary"].items():
+        line = (
+            f"  {mode:<12} {s['cases']} cases, {s['violations']} violations, "
+            f"{s['tolerated']} tolerated (loss-fragile), {s['inconclusive']} inconclusive"
+        )
         if mode == "controlplane":
-            lines.append(
-                f"  {mode:<12} {s['cases']} cases, {s['violations']} violations, "
-                f"{s['promotions']} promotions, {s['fenced_flow_mods']} fenced mods, "
+            line += (
+                f", {s['promotions']} promotions, {s['fenced_flow_mods']} fenced mods, "
                 f"reconcile==scratch: {s['reconcile_matches_scratch']}"
             )
-            continue
-        want = "expected" if s["expect_violation"] else "must be clean"
-        tol = f", {s['tolerated']} tolerated (loss-fragile)" if s.get("tolerated") else ""
-        lines.append(
-            f"  {mode:<12} {s['cases']} cases, {s['violations']} violations ({want}){tol}"
-        )
+        else:
+            line += " (violation expected)" if s["expect_violation"] else " (must be clean)"
+        lines.append(line)
     h = report.get("harmonia")
     if h:
         lines.append(

@@ -912,11 +912,31 @@ def scale_fabric(
         )
     for payload in run_cells(cells):
         result.rows.extend(payload["rows"])
-    over = [r for r in result.rows if not r.get("budget_ok", True)]
     result.note(
         "per-rack prefixes aggregate to 2 wildcards per rack at each spine; "
         "leaves carry the per-partition vring rules (the §4.6 budget)"
     )
-    if over:
-        result.note(f"BUDGET EXCEEDED in {len(over)} row(s)")
     return result
+
+
+def check_scale(rows: Sequence[Dict]) -> List[str]:
+    """Every gate of the scale family, as failure strings (empty = pass):
+    the §4.6 rule budget on every row, and a rack-outage cell — present
+    whenever a multi-rack rung ran — that stayed linearizable and whose
+    reconcile-after-heal equals a from-scratch sync."""
+    failures = []
+    for r in rows:
+        outage = "schedule" in r  # the ride-along rack_outage chaos row
+        tag = f"scale {r['racks']}x{r['hosts_per_rack']}" + ("/rack_outage" if outage else "")
+        if not r["budget_ok"]:
+            failures.append(
+                f"{tag}: {r['max_switch_rules']} rules on one switch, "
+                f"budget {r['rule_budget']}"
+            )
+        if outage and not r["linearizable"]:
+            failures.append(f"{tag}: history not linearizable: {r['reason']}")
+        if outage and not r["reconcile_matches_scratch"]:
+            failures.append(f"{tag}: reconciled tables diverge from scratch sync")
+    if any(r["racks"] > 1 for r in rows) and not any("schedule" in r for r in rows):
+        failures.append("scale: multi-rack rungs ran but no rack_outage cell did")
+    return failures

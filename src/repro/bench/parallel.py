@@ -258,6 +258,17 @@ def _execute_remote(fn: Callable, params: Dict[str, Any], seed: int):
     return payload, time.perf_counter() - t0
 
 
+def _named(cell: Cell, run: Callable[[], Any]) -> Any:
+    """``run()``, with any failure re-raised naming the cell (fn, params,
+    seed) — a bare traceback out of a 300-cell sweep reproduces nothing."""
+    try:
+        return run()
+    except Exception as exc:
+        raise RuntimeError(
+            f"cell {cell.label} failed: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 def run_cells(
     cells: List[Cell],
     jobs: Any = _UNSET,
@@ -303,12 +314,12 @@ def run_cells(
                     )
                     for i in pending
                 }
-                outcomes = {i: futures[i].result() for i in pending}
+                outcomes = {i: _named(cells[i], futures[i].result) for i in pending}
         else:
             outcomes = {}
             for i in pending:
                 t0 = time.perf_counter()
-                payload = cells[i].execute()
+                payload = _named(cells[i], cells[i].execute)
                 outcomes[i] = (payload, time.perf_counter() - t0)
         for i in pending:
             payload, wall_s = outcomes[i]

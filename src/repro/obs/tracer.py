@@ -103,8 +103,10 @@ class Tracer:
     (``cat="proc"``, ``name="wake"`` — one per process resumption).
     They are invaluable when debugging a stuck coroutine but dominate
     the trace by volume (~3 wakes per protocol message), so the default
-    keeps only protocol-level events plus process spawns; the
-    `trace_overhead` perf budget is set against the default.
+    keeps only protocol-level events plus process spawns — the setting
+    ``benchmarks/e2e`` measures ``trace.overhead_x`` at, and the one the
+    tier-1 traced-equals-untraced test
+    (``tests/bench/test_harness_cli.py``) runs a real cluster under.
     """
 
     __slots__ = ("sim", "label", "events", "verbose")

@@ -1,47 +1,302 @@
-"""The committed ``BENCH_*.json`` reports must agree with the gates CI runs
-on freshly generated ones — a committed report can no longer say
-``stale_replica_reads: 1`` while the gate asserts ``== 0``."""
+"""One gate per suite (``perf.check``, ``chaos.check``, ``figures.check_scale``).
 
+The committed ``BENCH_*.json`` reports are judged by the very functions
+``run_suite``, the CLI exit code and CI use — a committed report can no
+longer say ``stale_replica_reads: 1`` beside ``passed: true`` — and every
+gate is shown to bite: one doctored field, exactly one failure string.
+"""
+
+import copy
 import json
 from pathlib import Path
 
-from repro.bench import chaos, perf
+import pytest
+
+from repro.bench import chaos, figures, perf
+from repro.bench.__main__ import main
+from repro.bench.harness import ExperimentResult
 
 ROOT = Path(__file__).resolve().parents[2]
+SUITES = {"perf": perf, "chaos": chaos}
 
 
-def test_committed_chaos_report_passes_the_harmonia_gate():
-    harmonia = json.loads((ROOT / "BENCH_chaos.json").read_text())["harmonia"]
-    assert harmonia["stale_replica_reads"] == 0
-    assert harmonia["weak_caught"]
+def committed(suite):
+    return json.loads((ROOT / f"BENCH_{suite}.json").read_text())
 
 
-def test_committed_perf_report_is_current_schema():
-    report = json.loads((ROOT / "BENCH_perf.json").read_text())
-    assert report["schema_version"] == perf.SCHEMA_VERSION
+@pytest.mark.parametrize("suite", SUITES)
+def test_committed_report_passes_its_own_gate(suite):
+    report = committed(suite)
+    assert report["schema_version"] == SUITES[suite].SCHEMA_VERSION
+    assert SUITES[suite].check(report) == [] == report["failures"]
+    assert report["passed"]
+    assert "PASS" in SUITES[suite].format_report(report)
 
 
-def test_committed_perf_report_renders_with_the_current_formatter():
-    report = json.loads((ROOT / "BENCH_perf.json").read_text())
-    assert not report["smoke"]
-    text = perf.format_report(report)
-    for bench in ("fig5_put_leg", "plan_scale", "harmonia_reads"):
-        assert bench in text
+def test_committed_reports_are_the_documented_runs():
+    assert not committed("perf")["smoke"]  # full suite: all three plan_scale rungs
+    report = committed("chaos")
+    assert report["smoke"] and len(report["cases"]) == 29
+    assert chaos.summarize(report) == {
+        k: report[k] for k in ("summary", "harmonia", "durability")
+    }
 
 
-def test_harmonia_verdict_counts_stale_reads_of_honest_cells_only():
-    """The directed mid-put cell strands a secondary: the weak variant
-    serves the stale read (that is how it gets caught), the honest one
-    never does — and only the honest count may reach the ``== 0`` gate."""
+# ------------------------------------------------------- every gate bites
+def cases(report, **want):
+    return [c for c in report["cases"] if all(c[k] == v for k, v in want.items())]
+
+
+def set_all(rows, **fields):
+    for row in rows:
+        row.update(fields)
+
+
+def drop(report, **want):
+    report["cases"] = [c for c in report["cases"] if c not in cases(report, **want)]
+
+
+def cp_set(report, schedule, **fields):
+    for c in cases(report, family="controlplane", schedule=schedule, seed=1):
+        c["controlplane"].update(fields)
+
+
+def bench(report, name):
+    return report["benches"][name]
+
+
+CHAOS_MUTATIONS = {
+    "stale schema": (
+        lambda r: r.update(schema_version=0),
+        [f"schema_version 0 != {chaos.SCHEMA_VERSION}"],
+    ),
+    "honest cell not linearizable": (
+        lambda r: set_all(cases(r, mode="nice", schedule="primary_crash", seed=2),
+                          linearizable=False, reason="doctored"),
+        ["nice/primary_crash/seed2: unexpected violation: doctored"],
+    ),
+    "honest cell inconclusive": (
+        lambda r: set_all(cases(r, mode="rac-2pc", schedule="crash_rejoin"),
+                          inconclusive=True, reason="W&G limit: doctored"),
+        ["rac-2pc/crash_rejoin/seed1: inconclusive: W&G limit: doctored"],
+    ),
+    "rac-weak never caught": (
+        lambda r: set_all(cases(r, mode="rac-weak"), linearizable=True),
+        ["rac-weak: weak config escaped detection"],
+    ),
+    "no harmonia-weak row": (
+        lambda r: drop(r, mode="harmonia-weak"),
+        ["harmonia-weak: weak config escaped detection"],
+    ),
+    "no honest directed cell": (
+        lambda r: drop(r, mode="harmonia", family="harmonia-directed"),
+        ["harmonia-directed/rack_isolate_midput: planned but no honest cell ran"],
+    ),
+    "no rule_flap cell": (
+        lambda r: drop(r, schedule="rule_flap"),
+        ["standard/rule_flap: planned but no honest cell ran"],
+    ),
+    "honest harmonia serves a stale replica read": (
+        lambda r: set_all(cases(r, mode="harmonia", family="harmonia-directed"),
+                          stale_replica_reads=1),
+        ["harmonia/rack_isolate_midput/seed1: 1 stale replica reads served"],
+    ),
+    "no control-plane cells": (
+        lambda r: drop(r, family="controlplane"),
+        [f"controlplane/{name}: planned but no honest cell ran"
+         for name in ("controller_outage", "metadata_failover", "node_meta_crash")],
+    ),
+    "deposed leader never fenced": (
+        lambda r: cp_set(r, "metadata_failover", fenced_flow_mods=0),
+        ["controlplane/metadata_failover/seed1: no flow-mod of the deposed leader was fenced"],
+    ),
+    "no standby promoted": (
+        lambda r: cp_set(r, "node_meta_crash", promotions=0),
+        ["controlplane/node_meta_crash/seed1: metadata leader crashed but no standby promoted"],
+    ),
+    "reconcile diverges from scratch": (
+        lambda r: cp_set(r, "controller_outage", reconcile_matches_scratch=False),
+        ["controlplane/controller_outage/seed1: reconciled tables diverge from scratch sync"],
+    ),
+    "settled cluster still repairs": (
+        lambda r: cp_set(r, "controller_outage",
+                         steady_reconcile={"installed": 2, "deleted": 0, "matched": 9}),
+        ["controlplane/controller_outage/seed1: settled cluster still needed repair: "
+         "{'installed': 2, 'deleted': 0, 'matched': 9}"],
+    ),
+    "acked put lost": (
+        lambda r: set_all(cases(r, mode="nice", schedule="power_blackout"),
+                          durable=False, durability_reason="doctored"),
+        ["durability/power_blackout/seed1: acked put lost: doctored"],
+    ),
+    "no nice-waloff row": (
+        lambda r: drop(r, mode="nice-waloff"),
+        ["nice-waloff: weak config escaped detection"],
+    ),
+    "wal=off survives the blackout": (
+        lambda r: set_all(cases(r, mode="nice-waloff"), durable=True),
+        ["durability/power_blackout/seed1: wal=off acked losses escaped detection",
+         "nice-waloff: weak config escaped detection"],
+    ),
+    "torn_records 0 everywhere": (
+        lambda r: set_all(cases(r, family="durability"), torn_records=0),
+        ["durability/torn_wal/seed1: crash mid-append left no torn tail"],
+    ),
+    "scrubber idle": (
+        lambda r: set_all(cases(r, schedule="bit_rot"), scrub_repairs=0, remaining_corrupt=4),
+        ["durability/bit_rot/seed1: scrubber repaired nothing",
+         "durability/bit_rot/seed1: 4 objects still corrupt"],
+    ),
+    "fail-slow never handed off": (
+        lambda r: set_all(cases(r, schedule="fail_slow"), failslow_handoffs=0),
+        ["durability/fail_slow/seed1: degraded primary never handed off"],
+    ),
+    "no fail_slow cell": (
+        lambda r: drop(r, schedule="fail_slow"),
+        ["durability/fail_slow: planned but no honest cell ran"],
+    ),
+}
+
+PERF_MUTATIONS = {
+    "stale schema": (
+        lambda r: r.update(schema_version=0),
+        [f"schema_version 0 != {perf.SCHEMA_VERSION}"],
+    ),
+    "kernel_churn under floor": (
+        lambda r: bench(r, "kernel_churn").update(events_per_s=119_999.0),
+        ["kernel_churn: 119,999 events/s under floor 120,000"],
+    ),
+    "kernel_steady under floor": (
+        lambda r: bench(r, "kernel_steady").update(events_per_s=90_000.0),
+        ["kernel_steady: 90,000 events/s under floor 150,000"],
+    ),
+    "entry pool stops recycling": (
+        lambda r: bench(r, "kernel_steady")["pools"]["entry_pool"].update(reuse_rate=0.5),
+        ["kernel_steady: entry-pool reuse 0.500 not above 0.9"],
+    ),
+    "events_per_op over its ceiling": (
+        lambda r: bench(r, "multicast_fanout")["legs"][1].update(events_per_op=340.0),
+        ["multicast_fanout: R=5 340.0 events/op over ceiling 336"],
+    ),
+    "warm reconcile recomputes": (
+        lambda r: bench(r, "plan_scale")["rungs"][2].update(warm_recomputes=1),
+        ["plan_scale 20x50: warm reconcile recomputed 1 plans (22528 cache hits)"],
+    ),
+    "warm reconcile touches the tables": (
+        lambda r: bench(r, "plan_scale")["rungs"][0].update(warm_reconcile_noop=False),
+        ["plan_scale 4x16: settled reconcile touched the tables"],
+    ),
+    "planner under floor": (
+        lambda r: bench(r, "plan_scale")["rungs"][0].update(plans_per_s=3_999.0),
+        ["plan_scale 4x16: 3,999 plans/s cold under floor 4,000"],
+    ),
+    "harmonia under its read floor": (
+        lambda r: bench(r, "harmonia_read_floor").update(ratio=1.49),
+        ["harmonia_read_floor: 1.49x NICE-LB under the 1.50x floor (R=3, YCSB-C)"],
+    ),
+    "harmonia leg errors": (
+        lambda r: bench(r, "harmonia_read_floor")["harmonia"].update(errors=3),
+        ["harmonia_read_floor: 3 harmonia errors"],
+    ),
+}
+
+
+MUTATIONS = {"chaos": CHAOS_MUTATIONS, "perf": PERF_MUTATIONS}
+
+
+@pytest.mark.parametrize(
+    "suite, name", [(suite, name) for suite, table in MUTATIONS.items() for name in table]
+)
+def test_single_field_mutation_yields_exactly_the_expected_failure(suite, name):
+    mutate, expected = MUTATIONS[suite][name]
+    report = committed(suite)
+    mutate(report)
+    assert SUITES[suite].check(report) == expected
+
+
+def test_filtered_run_skips_the_families_it_never_planned():
+    """An API call with ``modes=``/``schedules=`` plans no control-plane,
+    durability or rule-flap-free matrix — "must be present" follows the
+    recorded plan, so the same gate passes it.  Also pins the PR 15 fix:
+    the directed mid-put cell strands a secondary, the weak variant serves
+    the stale read (that is how it gets caught), the honest one never
+    does, and only the honest count reaches the ``== 0`` gate."""
     report = chaos.run_suite(
         seeds=1, baseline_seeds=1, modes=["harmonia", "harmonia-weak"],
         schedules=["crash_rejoin"], duration=3.0, out_path=None,
     )
+    assert report["failures"] == [] and report["passed"]
     directed = {
         c["mode"]: c["stale_replica_reads"]
         for c in report["cases"]
-        if c.get("family") == "harmonia-directed"
+        if c["family"] == "harmonia-directed"
     }
     assert directed["harmonia"] == 0 and directed["harmonia-weak"] >= 1
     assert report["harmonia"]["stale_replica_reads"] == 0
     assert report["harmonia"]["weak_caught"]
+    # The same report with its weak trap removed must fail by name.
+    drop(report, mode="harmonia-weak")
+    assert chaos.check(report) == ["harmonia-weak: weak config escaped detection"]
+
+
+def test_every_default_schedule_name_resolves_back_to_its_schedule():
+    """A cell carries its schedule by name; the full (non-smoke) matrix
+    used to plan the seeded-random schedules under names no lookup knew."""
+    for schedule in chaos._schedule_suite(chaos.SCHEDULE_KEY):
+        assert chaos._schedule_by_name(chaos.SCHEDULE_KEY, schedule.name).name == schedule.name
+
+
+# ------------------------------------------------------------- exit codes
+SCALE_ROWS = [
+    dict(racks=4, hosts_per_rack=16, budget_ok=True, max_switch_rules=451, rule_budget=1024),
+    dict(racks=4, hosts_per_rack=16, budget_ok=True, max_switch_rules=451, rule_budget=1024,
+         schedule="rack_outage", linearizable=True, reason="ok",
+         reconcile_matches_scratch=True),
+]
+
+
+@pytest.mark.parametrize("row, fields, expected", [
+    (0, dict(budget_ok=False, max_switch_rules=1100),
+     ["scale 4x16: 1100 rules on one switch, budget 1024"]),
+    (1, dict(linearizable=False, reason="doctored"),
+     ["scale 4x16/rack_outage: history not linearizable: doctored"]),
+    (1, dict(reconcile_matches_scratch=False),
+     ["scale 4x16/rack_outage: reconciled tables diverge from scratch sync"]),
+    (1, None, ["scale: multi-rack rungs ran but no rack_outage cell did"]),
+])
+def test_scale_gate_and_cli_exit_code(row, fields, expected, monkeypatch, capsys):
+    """Budget overruns used to be a note under a zero exit status."""
+    assert figures.check_scale(SCALE_ROWS) == []
+    rows = copy.deepcopy(SCALE_ROWS)
+    if fields is None:
+        del rows[row]
+    else:
+        rows[row].update(fields)
+    assert figures.check_scale(rows) == expected
+
+    def doctored_scale(**_kw):
+        result = ExperimentResult("scale", "doctored", ["racks", "budget_ok"])
+        result.rows.extend(rows)
+        return result
+
+    monkeypatch.setattr(figures, "scale_fabric", doctored_scale)
+    assert main(["scale", "--smoke", "--no-cache", "--figures-out", "-"]) == 1
+    assert f"FAIL: {expected[0]}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_cli_exits_nonzero_on_a_failing_report(suite, monkeypatch, capsys, tmp_path):
+    mutate, expected = MUTATIONS[suite]["stale schema"]
+    module = SUITES[suite]
+
+    def doctored_run(**_kw):
+        report = committed(suite)
+        mutate(report)
+        report["failures"] = module.check(report)
+        report["passed"] = not report["failures"]
+        return report
+
+    monkeypatch.setattr(module, "run_suite", doctored_run)
+    out = str(tmp_path / "unused.json")
+    assert main([suite, "--perf-out", out, "--chaos-out", out]) == 1
+    assert expected[0] in capsys.readouterr().out

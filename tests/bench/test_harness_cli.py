@@ -120,3 +120,29 @@ def test_cli_memoizes_shared_fig5_6_7_sweep(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
     report = json.loads((tmp_path / "out.json").read_text())
     assert [e["name"] for e in report["experiments"]] == ["fig5", "fig6", "fig7"]
+
+
+def test_cli_traced_cluster_equals_untraced_and_put_spans_have_children(tmp_path):
+    """The obs determinism contract on a *real* cluster (DESIGN.md §5e):
+    ``--trace`` changes no figure row, and the exported trace holds
+    complete put spans correlated, by op id, with their switch hops and
+    2PC phases."""
+    plain, traced, trace = (tmp_path / n for n in ("plain.json", "traced.json", "t.trace.json"))
+    assert main(["fig5", "--ops", "5", "--jobs", "1", "--no-cache",
+                 "--figures-out", str(plain)]) == 0
+    assert main(["fig5", "--ops", "5", "--trace", str(trace),
+                 "--figures-out", str(traced)]) == 0
+
+    def rows(path):
+        return [e["rows"] for e in json.loads(path.read_text())["experiments"]]
+
+    assert rows(traced) == rows(plain)
+    events = json.loads(trace.read_text())["traceEvents"]
+    phases = {}
+    for e in events:
+        if e.get("cat") == "op" and e["name"] == "put":
+            phases.setdefault(e["id"], set()).add(e["ph"])
+    complete = {op for op, phs in phases.items() if {"b", "e"} <= phs}
+    hops = {e["args"].get("op") for e in events if e.get("cat") == "switch"}
+    two_pc = {e["id"] for e in events if e.get("cat") == "2pc" and e["ph"] == "b"}
+    assert complete & hops & two_pc, "no put span with switch-hop and 2PC children"

@@ -34,7 +34,7 @@ def float_cell(x, seed):
     return {"v": x / 3.0 + 0.1, "third": 1.0 / 3.0}
 
 
-def boom_cell(seed):
+def boom_cell(x, seed):
     raise ValueError("boom")
 
 
@@ -97,12 +97,14 @@ def test_jobs1_never_creates_a_pool(monkeypatch):
     assert run_cells(cells, jobs=1, cache_dir=None)[2]["rows"][0]["sq"] == 4
 
 
-def test_worker_exception_propagates():
-    with pytest.raises(ValueError, match="boom"):
-        run_cells([Cell(boom_cell, {}, seed=0)], jobs=1, cache_dir=None)
-    with pytest.raises(ValueError, match="boom"):
-        run_cells([Cell(boom_cell, {}, seed=0), Cell(square_cell, {"x": 1}, seed=0)],
-                  jobs=2, cache_dir=None)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_worker_exception_propagates_naming_the_cell(jobs):
+    """Inline or pooled, the failure names fn, params and seed — enough to
+    rerun the one cell — and chains the original exception."""
+    cells = [Cell(square_cell, {"x": 1}, seed=0), Cell(boom_cell, {"x": 7}, seed=3)]
+    with pytest.raises(RuntimeError, match=r"boom_cell\(x=7\)#s3 failed: ValueError: boom") as exc:
+        run_cells(cells, jobs=jobs, cache_dir=None)
+    assert isinstance(exc.value.__cause__, ValueError)
 
 
 def test_configure_sets_session_defaults():
@@ -209,6 +211,7 @@ def test_scale_cell_jobs_parity(tmp_path):
     assert par.rows == seq.rows
     assert warm.rows == seq.rows
     assert len([row for row in seq.rows if "throughput_ops_s" in row]) == 2
+    assert figures.check_scale(seq.rows) == []  # real rows carry every gated field
     # 2 rung cells + the ride-along chaos cell, all cached and replayed.
     assert [r["cache_hit"] for r in rec_cold] == [False] * 3
     assert [r["cache_hit"] for r in rec_warm] == [True] * 3
