@@ -6,6 +6,7 @@ Examples::
     python -m repro.bench fig5 --full          # paper scale (1000 ops/point)
     python -m repro.bench all --ops 100 --jobs 4
     nice-bench fig12 --ops 500
+    python -m repro.bench diff A.json B.json   # exit 1 unless rows are identical
 
 Figure and chaos sweeps decompose into independent cells (see
 ``repro.bench.parallel``) that fan across ``--jobs`` worker processes and
@@ -25,10 +26,13 @@ import time
 
 from . import ablations, figures, parallel
 from ..obs import runtime as obs_runtime
-from .report import ascii_chart, format_result, ratio_summary
+from .report import ascii_chart, diff_reports, format_result, ratio_summary
 
 #: Default path of the figure-suite JSON report.
 FIGURES_OUT = "BENCH_figures.json"
+
+#: Differences ``diff`` prints before it just counts the rest.
+DIFF_SHOWN = 10
 
 
 def _chart_for(name: str, result):
@@ -133,8 +137,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiment",
         nargs="+",
-        help="fig4..fig12, sec46, scale, ablation-*, 'perf', 'chaos', or "
-             "'all' (= the figure suite; 'scale' runs separately)",
+        help="fig4..fig12, sec46, scale, ablation-*, 'perf', 'chaos', "
+             "'all' (= the figure suite; 'scale' runs separately), or "
+             "'diff A.json B.json' to compare the result rows of two "
+             "figure/scale/chaos reports",
     )
     parser.add_argument(
         "--ops", type=int, default=100,
@@ -189,6 +195,10 @@ def main(argv=None) -> int:
              "cached cell would leave a hole in the trace)",
     )
     args = parser.parse_args(argv)
+    if args.experiment[0] == "diff":
+        if len(args.experiment) != 3:
+            parser.error("diff takes exactly two report paths")
+        return _diff(*args.experiment[1:])
     n_ops = 1000 if args.full else args.ops
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
@@ -212,6 +222,23 @@ def main(argv=None) -> int:
                 f"wrote {summary['path']} ({summary['format']} trace, "
                 f"{summary['events']} events from {summary['runs']} runs)"
             )
+
+
+def _diff(path_a: str, path_b: str) -> int:
+    """Exit status 1 unless both reports hold the same result rows."""
+    reports = []
+    for path in (path_a, path_b):
+        with open(path) as fh:
+            reports.append(json.load(fh))
+        if not ("experiments" in reports[-1] or "cases" in reports[-1]):
+            raise SystemExit(f"diff: {path} is not a figure, scale or chaos report")
+    compared, diffs = diff_reports(*reports)
+    for line in diffs[:DIFF_SHOWN]:
+        print(line)
+    if len(diffs) > DIFF_SHOWN:
+        print(f"... and {len(diffs) - DIFF_SHOWN} more")
+    print(f"{compared} rows compared, {len(diffs)} differences: A={path_a} B={path_b}")
+    return int(bool(diffs))
 
 
 def _run(parser, args, n_ops: int, jobs: int) -> int:

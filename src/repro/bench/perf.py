@@ -1,9 +1,10 @@
 """Micro-benches for what ``benchmarks/e2e`` (``BENCHMARK.json``, the
-end-to-end perf contract) cannot see — schema v7:
+end-to-end perf contract) cannot see — schema v8:
 
 * ``kernel_churn`` / ``kernel_steady`` — raw event-loop throughput, and
   heap throughput under 90% timer cancellation (DESIGN.md §5g).
-* ``switch_lookup`` — ``FlowTable.lookup`` under N rules, cache on vs off.
+* ``switch_lookup`` — ``FlowTable.lookup`` at 1 000 / 4 000 rules and on a
+  multi-mask table, memo on vs off.
 * ``multicast_fanout`` — scheduled events per put at R = 3/5/7 (e2e is
   fixed at R = 3).
 * ``harmonia_read_floor`` — hot-partition YCSB-C reads, harmonia vs
@@ -25,7 +26,9 @@ import os
 import time
 from typing import Optional
 
-from ..net import FlowTable, IPv4Address, IPv4Network, Match, Output, Packet, Proto, Rule
+from ..net import (
+    FlowTable, IPv4Address, IPv4Network, Match, Output, Packet, Proto, Rule, ToController,
+)
 from ..sim import AllOf, AnyOf, Simulator
 from ..workloads import closed_loop_puts
 from .figures import BASE_SEED, read_scaling_cell
@@ -34,7 +37,7 @@ from .parallel import provenance
 
 __all__ = ["run_suite", "check", "format_report", "DEFAULT_OUT", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 DEFAULT_OUT = "BENCH_perf.json"
 
 #: Host-rate floors, events/s: ~1/3 of the rate observed on the reference
@@ -50,9 +53,9 @@ ENTRY_POOL_REUSE_FLOOR = 0.9
 PLANS_PER_S_FLOOR = 4000
 
 #: Ceilings on scheduled events per put at replication 3/5/7.  The counts
-#: are deterministic (208.4 / 333.6 / 458.7 today), so the ceilings sit
+#: are deterministic (159.9 / 260.8 / 361.7 today), so the ceilings sit
 #: under 1% above them and only ever ratchet down.
-FANOUT_EVENTS_PER_OP_MAX = {3: 210, 5: 336, 7: 462}
+FANOUT_EVENTS_PER_OP_MAX = {3: 161, 5: 263, 7: 365}
 
 #: Floor on harmonia's hot-partition read throughput relative to NICE-LB
 #: at R=3 under YCSB-C (the §5j read-scaling contract).  The structural
@@ -132,49 +135,96 @@ def bench_kernel_steady(
 
 
 # ------------------------------------------------------------------ switch
-def _lookup_table(n_rules: int, cache_enabled: bool) -> FlowTable:
-    table = FlowTable(cache_enabled=cache_enabled)
-    base = IPv4Address("10.64.0.0")
-    for i in range(n_rules):
-        match = Match(ip_dst=IPv4Network(base + i, 32), proto=Proto.UDP)
-        table.add(Rule(match, [Output(1)], priority=100))
-    return table
+_LOOKUP_BASE = IPv4Address("10.64.0.0")
+#: Distinct flows each lookup bench cycles through.
+LOOKUP_FLOWS = 64
 
 
-def _lookup_packets(n_rules: int, n_flows: int) -> list:
-    base = IPv4Address("10.64.0.0")
-    src = IPv4Address("10.0.0.1")
-    # Spread flows across the whole table so the linear scan pays the
-    # average (n/2) depth, not a best- or worst-case corner.
-    return [
-        Packet(src_ip=src, dst_ip=base + (f * n_rules) // n_flows, proto=Proto.UDP,
-               dport=4000, payload_bytes=64)
-        for f in range(n_flows)
+def _host_route_table(n_rules: int):
+    """``n_rules`` /32 routes — one destination mask — and flows
+    ``(dst_ip, dport)`` spread evenly over them."""
+    rules = [
+        Rule(Match(ip_dst=IPv4Network(_LOOKUP_BASE + i, 32), proto=Proto.UDP), [Output(1)])
+        for i in range(n_rules)
     ]
+    flows = [
+        (_LOOKUP_BASE + (f * n_rules) // LOOKUP_FLOWS, 4000) for f in range(LOOKUP_FLOWS)
+    ]
+    return rules, flows
 
 
-def bench_switch_lookup(
-    n_rules: int = 1000, n_lookups: int = 20000, n_flows: int = 64
-) -> dict:
-    """FlowTable.lookup under ``n_rules`` installed rules, cache on vs off."""
-    packets = _lookup_packets(n_rules, n_flows)
-    out = {"n_rules": n_rules, "n_lookups": n_lookups, "n_flows": n_flows}
-    for label, cache_enabled in (("cached", True), ("uncached", False)):
-        table = _lookup_table(n_rules, cache_enabled)
-        lookup = table.lookup
-        t0 = time.perf_counter()
-        for k in range(n_lookups):
-            lookup(packets[k % n_flows], 1)
-        wall = time.perf_counter() - t0
+def _leaf_table(n_subgroups: int = 128, n_hosts: int = 600):
+    """~1 000 rules over four destination masks, shaped like a fabric
+    leaf (DESIGN.md §5h): ARP to the controller, per /22 vring subgroup two
+    source-division get rules naming ``dport`` 7000 above a base rule, /32
+    host routes, /24 rack aggregates.  Flows alternate gets to a subgroup
+    with replies to a host on an ephemeral port."""
+    vring = IPv4Address("10.128.0.0")
+    rules = [Rule(Match(proto=Proto.ARP), [ToController()], priority=500)]
+    for g in range(n_subgroups):
+        subgroup = IPv4Network(vring + (g << 10), 22)
+        for division in ("10.0.0.0/26", "10.0.0.64/26"):
+            get = Match(ip_dst=subgroup, ip_src=IPv4Network(division), proto=Proto.UDP,
+                        dport=7000)
+            rules.append(Rule(get, [Output(2)], priority=300))
+        rules.append(Rule(Match(ip_dst=subgroup), [Output(3)], priority=200))
+    for i in range(n_hosts):
+        host = IPv4Network(_LOOKUP_BASE + i, 32)
+        rules.append(Rule(Match(ip_dst=host), [Output(1)], priority=200))
+    for rack in range(6):
+        aggregate = IPv4Network(IPv4Address("10.200.0.0") + (rack << 8), 24)
+        rules.append(Rule(Match(ip_dst=aggregate), [Output(4)], priority=140))
+    flows = [
+        (vring + (((f * n_subgroups) // LOOKUP_FLOWS) << 10) + 5, 7000) if f % 2
+        else (_LOOKUP_BASE + (f * n_hosts) // LOOKUP_FLOWS, 50000 + f)
+        for f in range(LOOKUP_FLOWS)
+    ]
+    return rules, flows
+
+
+def bench_switch_lookup(n_lookups: int = 20000) -> dict:
+    """``FlowTable.lookup`` rates with the exact-match memo on and off.
+
+    Memo off is the destination index alone: its rate must not follow the
+    rule count (1 000 vs 4 000 routes) and pays one probe per mask on the
+    leaf-shaped table.  ``memo_speedup`` is what the memo is still worth
+    on top of it (< 1: the index alone is faster).
+    """
+    src = IPv4Address("10.0.0.1")
+    out = {"n_lookups": n_lookups, "n_flows": LOOKUP_FLOWS, "tables": []}
+    for name, (rules, flows) in (
+        ("host_routes_1000", _host_route_table(1000)),
+        ("host_routes_4000", _host_route_table(4000)),
+        ("fabric_leaf", _leaf_table()),
+    ):
+        packets = [
+            Packet(src_ip=src, dst_ip=dst, proto=Proto.UDP, dport=dport, payload_bytes=64)
+            for dst, dport in flows
+        ]
         entry = {
-            "wall_s": wall,
-            "lookups_per_s": n_lookups / wall if wall > 0 else None,
+            "table": name,
+            "n_rules": len(rules),
+            "dst_masks": len({r.match.ip_dst.prefixlen if r.match.ip_dst else 0 for r in rules}),
         }
-        if cache_enabled:
-            total = table.cache_hits + table.cache_misses
-            entry["hit_rate"] = table.cache_hits / total if total else 0.0
-        out[label] = entry
-    out["speedup"] = out["uncached"]["wall_s"] / out["cached"]["wall_s"]
+        for label, cache_enabled in (("cached", True), ("uncached", False)):
+            table = FlowTable(cache_enabled=cache_enabled)
+            for rule in rules:
+                table.add(rule)
+            lookup = table.lookup
+            lookup(packets[0], 1)  # build the index outside the timed loop
+            t0 = time.perf_counter()
+            for k in range(n_lookups):
+                lookup(packets[k % LOOKUP_FLOWS], 1)
+            wall = time.perf_counter() - t0
+            entry[label] = {
+                "wall_s": wall,
+                "lookups_per_s": n_lookups / wall if wall > 0 else None,
+            }
+            if cache_enabled:
+                total = table.cache_hits + table.cache_misses
+                entry[label]["hit_rate"] = table.cache_hits / total if total else 0.0
+        entry["memo_speedup"] = entry["uncached"]["wall_s"] / entry["cached"]["wall_s"]
+        out["tables"].append(entry)
     return out
 
 
@@ -182,9 +232,9 @@ def bench_switch_lookup(
 def bench_multicast_fanout(n_ops: int = 150, size: int = 1 << 14) -> dict:
     """Scheduled events per put at replication 3/5/7.
 
-    The batched group fan-out schedules one shared serialize chain plus R
-    delivery legs instead of R full transmit chains; every extra replica
-    still costs ~63 events of chunk/ACK and 2PC traffic.  Only the
+    The batched group fan-out schedules one shared end-of-serialization
+    plus R delivery legs instead of R transmit chains; every extra replica
+    still costs ~50 events of chunk/ACK and 2PC traffic.  Only the
     deterministic columns are kept — wall time for put legs is
     ``benchmarks/e2e``'s job — and ``n_ops`` is the same in smoke and
     full runs so :data:`FANOUT_EVENTS_PER_OP_MAX` gates both.
@@ -406,12 +456,17 @@ def run_suite(smoke: bool = False, out_path: Optional[str] = DEFAULT_OUT) -> dic
 
 def format_report(report: dict) -> str:
     b = report["benches"]
-    k, s, l = b["kernel_churn"], b["kernel_steady"], b["switch_lookup"]
+    k, s = b["kernel_churn"], b["kernel_steady"]
     h = b["harmonia_read_floor"]
     per_r = ", ".join(
         f"R={leg['replication']}: {leg['events_per_op']:,.1f} ev/op"
         f" (max {FANOUT_EVENTS_PER_OP_MAX[leg['replication']]})"
         for leg in b["multicast_fanout"]["legs"]
+    )
+    per_table = ", ".join(
+        f"{t['table']}: {t['uncached']['lookups_per_s']:,.0f}/s uncached,"
+        f" memo {t['memo_speedup']:.2f}x"
+        for t in b["switch_lookup"]["tables"]
     )
     per_rung = ", ".join(
         f"{r['racks']}x{r['hosts_per_rack']}: {r['plans_per_s']:,.0f} plans/s cold,"
@@ -426,8 +481,7 @@ def format_report(report: dict) -> str:
         f"  kernel_steady  : {s['events_per_s']:,.0f} events/s"
         f" ({s['cancel_ratio']:.0%} cancelled,"
         f" entry-pool reuse {s['pools']['entry_pool']['reuse_rate']:.3f})",
-        f"  switch_lookup  : {l['speedup']:.1f}x cached vs uncached at"
-        f" {l['n_rules']} rules (hit rate {l['cached']['hit_rate']:.3f})",
+        f"  switch_lookup  : {per_table}",
         f"  multicast_fanout: {per_r}",
         f"  plan_scale     : {per_rung}",
         f"  harmonia_reads : {h['ratio']:.2f}x NICE-LB at R=3 YCSB-C"

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import json
+from typing import Any, Dict, List, Optional, Tuple
 
 from .harness import ExperimentResult
 
-__all__ = ["format_table", "format_result", "ratio_summary", "ascii_chart"]
+__all__ = ["format_table", "format_result", "ratio_summary", "ascii_chart", "diff_reports"]
 
 
 def ascii_chart(
@@ -123,3 +124,48 @@ def ratio_summary(
                 f"min {min(ratios):.2f}x, max {max(ratios):.2f}x"
             )
     return "\n".join(lines)
+
+
+def _result_tables(report: dict) -> Dict[str, List[dict]]:
+    """The simulated content of a figure, scale or chaos report: each
+    experiment's ``rows`` (a chaos report's ``cases``).  Wall-clock, cell
+    and cache records and provenance all live outside them."""
+    tables = {e["name"]: e["rows"] for e in report.get("experiments", [])}
+    if "cases" in report:
+        tables["cases"] = report["cases"]
+    return tables
+
+
+def _canon(value: Any) -> str:
+    # The JSON text is the identity that matters (and NaN == NaN in it).
+    return json.dumps(value, sort_keys=True)
+
+
+def diff_reports(a: dict, b: dict) -> Tuple[int, List[str]]:
+    """Compare the result rows of two reports (``python -m repro.bench diff``).
+
+    Returns ``(rows compared, one line per difference)``: a table present on
+    one side only, a row-count mismatch, or a row naming each field that
+    differs.  Bit-identity of two runs is ``diffs == []``.
+    """
+    tables_a, tables_b = _result_tables(a), _result_tables(b)
+    compared = 0
+    diffs = []
+    for name in list(tables_a) + [n for n in tables_b if n not in tables_a]:
+        if name not in tables_a or name not in tables_b:
+            diffs.append(f"{name}: only in {'A' if name in tables_a else 'B'}")
+            continue
+        rows_a, rows_b = tables_a[name], tables_b[name]
+        if len(rows_a) != len(rows_b):
+            diffs.append(f"{name}: {len(rows_a)} rows != {len(rows_b)} rows")
+        for i, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
+            compared += 1
+            if _canon(row_a) == _canon(row_b):
+                continue
+            fields = [
+                f"{key}: {row_a.get(key)!r} != {row_b.get(key)!r}"
+                for key in sorted(set(row_a) | set(row_b))
+                if _canon(row_a.get(key)) != _canon(row_b.get(key))
+            ]
+            diffs.append(f"{name}[{i}]: " + "; ".join(fields))
+    return compared, diffs

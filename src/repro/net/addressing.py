@@ -100,7 +100,7 @@ class IPv4Network:
             # Normalize to the network address so equality behaves sanely.
             self.address = IPv4Address(self.address.value & self._netmask)
         #: The (already-masked) network address as a bare int — the flow
-        #: table's scan loop compares against this without attribute chains.
+        #: table indexes and compares on this without attribute chains.
         self._value = self.address._value
 
     @property

@@ -59,9 +59,10 @@ class Match:
     def __post_init__(self) -> None:
         object.__setattr__(self, "ip_src", _as_network(self.ip_src))
         object.__setattr__(self, "ip_dst", _as_network(self.ip_dst))
-        # Precompiled (mask, value) int pairs: the flow-table scan calls
-        # ``matches`` once per installed rule on every cache miss, so the
-        # prefix checks must not pay IPv4Network.__contains__'s dispatch.
+        # Precompiled (mask, value) int pairs: the flow table indexes rules
+        # by ``(_dst_mask, _dst_val)`` and ``matches`` runs on every bucket
+        # candidate of a memo miss, so neither pays
+        # IPv4Network.__contains__'s dispatch.
         src, dst = self.ip_src, self.ip_dst
         object.__setattr__(self, "_src_mask", None if src is None else src._netmask)
         object.__setattr__(self, "_src_val", None if src is None else src._value)
@@ -195,16 +196,28 @@ class FlowTable:
     insertion order (deterministic).  The table enforces a capacity so the
     §4.6 switch-scalability analysis can be exercised for real.
 
-    An exact-match flow cache (the Open vSwitch megaflow/microflow split,
-    which the §5.1 OVS deployment relies on) fronts the wildcard table:
-    the first lookup for a header tuple pays the linear scan, subsequent
-    packets of the same flow hit a dict keyed on
-    ``(in_port, eth_dst, src_ip, dst_ip, proto, dport)``.  Every table
-    mutation (``add`` / ``remove`` / ``remove_by_cookie`` / ``expire_idle``)
-    bumps a generation counter; a stale cache is discarded wholesale on the
-    next lookup, so flow-mods and idle expiry invalidate correctly.  The
-    cache is a pure memo over fields the wildcard match inspects, so it
-    never changes which rule a packet selects — only how fast.
+    ``_rules`` is the canonical list, sorted by ``(-priority, seq)``; a
+    lookup never walks it.  The classifier is an index over the one field
+    almost every rule constrains (tuple-space search restricted to
+    ``ip_dst``): for each distinct destination mask in the table, a dict
+    from masked destination value to that bucket's rules in table order
+    (the few rules with no ``ip_dst`` at all are the /0 bucket).  A lookup
+    probes each mask once, takes the first full :meth:`Match.matches` hit
+    of each bucket and returns the candidate that sorts first — by
+    construction the rule a linear scan of ``_rules`` would return — so a
+    miss costs the prefix lengths in use, not the rules installed (the
+    one-stage match §4.6 assumes).  Every table mutation (``add`` / ``remove`` /
+    ``remove_by_cookie`` / ``expire_idle``) bumps a generation counter and
+    the next lookup rebuilds the index, once per generation.
+
+    An exact-match memo (the Open vSwitch microflow cache, which the §5.1
+    OVS deployment relies on) fronts the classifier: a dict keyed on
+    ``(in_port, eth_dst, src_ip, dst_ip, proto, dport)``, discarded
+    wholesale with the index.  ``eth_dst`` and ``dport`` enter the key only
+    when some installed rule names that very value — no rule can tell two
+    unnamed values apart, so every ephemeral ack port shares one entry
+    instead of minting a dead one per put.  The memo is pure: it never
+    changes which rule a packet selects — only how fast.
     """
 
     #: Cached exact-match entries before the memo is wiped (bounds memory on
@@ -225,10 +238,17 @@ class FlowTable:
         #: itself has no simulator reference.
         self.owner = owner
         self._rules: List[Rule] = []
+        self._generation = 0
+        #: Generation the index and the memo below were built for.
+        self._index_generation = 0
+        #: ``(mask, {masked ip_dst: [rules, table order]})`` per distinct mask;
+        #: rules with no ``ip_dst`` sit under mask 0 beside any /0 prefix.
+        self._by_dst_mask: tuple = ()
+        #: ``eth_dst`` / ``dport`` values some rule matches on (memo key).
+        self._named_eth_dst: set = set()
+        self._named_dport: set = set()
         self.cache_enabled = cache_enabled
         self._cache: dict = {}
-        self._generation = 0
-        self._cache_generation = 0
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -249,7 +269,7 @@ class FlowTable:
 
     @property
     def generation(self) -> int:
-        """Bumped on every mutation; the cache is valid for one generation."""
+        """Bumped on every mutation; index and memo live for one generation."""
         return self._generation
 
     def _trace_mod(self, name: str, **args) -> None:
@@ -275,15 +295,15 @@ class FlowTable:
         return rule
 
     def remove(self, rule: Rule) -> None:
-        try:
-            self._rules.remove(rule)
-        except ValueError:
-            pass
+        """Delete ``rule`` itself (by identity, never an equal-looking twin)."""
+        for i, installed in enumerate(self._rules):
+            if installed is rule:
+                break
         else:
-            self._generation += 1
-            self._trace_mod(
-                "flow_remove", cookie=rule.cookie, rules=len(self._rules)
-            )
+            return
+        del self._rules[i]
+        self._generation += 1
+        self._trace_mod("flow_remove", cookie=rule.cookie, rules=len(self._rules))
 
     def remove_by_cookie(self, cookie: str) -> int:
         """Delete all rules tagged with ``cookie``; returns removal count."""
@@ -299,34 +319,65 @@ class FlowTable:
         return removed
 
     def lookup(self, packet: Packet, in_port: Optional[int] = None) -> Optional[Rule]:
+        if self._index_generation != self._generation:
+            self._reindex()
         if not self.cache_enabled:
-            return self._scan(packet, in_port)
-        if self._cache_generation != self._generation or len(self._cache) > self.CACHE_LIMIT:
-            self._cache.clear()
-            self._cache_generation = self._generation
-        key = (
-            in_port,
-            packet.dst_mac,
-            packet.src_ip,
-            packet.dst_ip,
-            packet.proto,
-            packet.dport,
-        )
-        hit = self._cache.get(key, _NOT_CACHED)
+            return self._classify(packet, in_port)
+        cache = self._cache
+        if len(cache) > self.CACHE_LIMIT:
+            cache.clear()
+        eth_dst = packet.dst_mac
+        if eth_dst not in self._named_eth_dst:
+            eth_dst = None
+        dport = packet.dport
+        if dport not in self._named_dport:
+            dport = None
+        key = (in_port, eth_dst, packet.src_ip, packet.dst_ip, packet.proto, dport)
+        hit = cache.get(key, _NOT_CACHED)
         if hit is not _NOT_CACHED:
             self.cache_hits += 1
             return hit
         self.cache_misses += 1
-        rule = self._scan(packet, in_port)
-        self._cache[key] = rule
+        rule = self._classify(packet, in_port)
+        cache[key] = rule
         return rule
 
-    def _scan(self, packet: Packet, in_port: Optional[int]) -> Optional[Rule]:
-        """The wildcard slow path: linear scan in priority order."""
-        for rule in self._rules:
-            if rule.match.matches(packet, in_port):
-                return rule
-        return None
+    def _reindex(self) -> None:
+        """Rebuild the classifier from ``_rules`` and drop the stale memo."""
+        by_mask: dict = {}
+        eth_dsts = set()
+        dports = set()
+        for rule in self._rules:  # table order, so every bucket inherits it
+            match = rule.match
+            if match.eth_dst is not None:
+                eth_dsts.add(match.eth_dst)
+            if match.dport is not None:
+                dports.add(match.dport)
+            # No ip_dst at all is the /0 prefix: mask 0, value 0.
+            buckets = by_mask.setdefault(match._dst_mask or 0, {})
+            buckets.setdefault(match._dst_val or 0, []).append(rule)
+        self._by_dst_mask = tuple(by_mask.items())
+        self._named_eth_dst = eth_dsts
+        self._named_dport = dports
+        self._cache.clear()
+        self._index_generation = self._generation
+
+    def _classify(self, packet: Packet, in_port: Optional[int]) -> Optional[Rule]:
+        """The wildcard path: one probe per destination mask in use."""
+        best = None
+        dst = packet.dst_ip._value
+        for mask, buckets in self._by_dst_mask:
+            bucket = buckets.get(dst & mask)
+            if bucket is None:
+                continue
+            for rule in bucket:
+                if rule.match.matches(packet, in_port):
+                    # First hit is the bucket's best; keep it if it sorts
+                    # before the other buckets' in table order.
+                    if best is None or _rule_sort_key(rule) < _rule_sort_key(best):
+                        best = rule
+                    break
+        return best
 
     def expire_idle(self, now: float) -> int:
         """Evict rules idle past their timeout; returns eviction count."""

@@ -12,16 +12,17 @@ delivered to the far device after the propagation latency.  Channels count
 transmitted bytes for the network-load figures and can drop packets with a
 configured loss rate to exercise the reliable-multicast repair path.
 
-Hot path (DESIGN.md §5g): a transmission is a chain of pooled kernel
-callbacks — grant (urgent, at enqueue time), serialize-start, end-of-
-serialization (counters, loss/jitter draws, queue hand-off), delivery —
-that schedules exactly the same simulated moments the previous
-process-per-packet implementation did, minus the generator, resource and
-timeout allocations.  :func:`transmit_fanout` additionally collapses a
-multicast fan-out over idle, equal-bandwidth channels into ONE shared
-grant/serialize/finish chain carrying the recipient list (per-receiver
-loss/jitter draws run at fire time, in leg order, so RNG streams see the
-same sequence as per-leg transmission).
+Hot path (DESIGN.md §5g): a transmission is two pooled kernel callbacks —
+end-of-serialization (counters, loss/jitter draws, queue hand-off), scheduled
+the moment the packet gets the wire, and delivery.  A packet gets the wire in
+:meth:`Channel.transmit` when the channel is idle, else in the
+end-of-serialization of the packet ahead of it, so both moments are known
+without a grant or serialize-start hop and the simulated times are those of
+the process-per-packet model this replaced.  :func:`transmit_fanout`
+additionally collapses a multicast fan-out over idle, equal-bandwidth
+channels into ONE shared end-of-serialization carrying the recipient list
+(per-receiver loss/jitter draws run at fire time, in leg order, so RNG
+streams see the same sequence as per-leg transmission).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, List, Optional, TYPE_CHECKING
 import numpy as np
 
 from ..obs.tracer import packet_op
-from ..sim import Counter, Simulator, URGENT
+from ..sim import Counter, Simulator
 from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,8 +102,7 @@ class Channel:
         self.delay_jitter_s = 0.0
         self._jitter_rng: Optional[np.random.Generator] = None
         self.down = False
-        #: True while a packet occupies the wire (grant pending or
-        #: serializing); set at enqueue time so later transmits queue FIFO.
+        #: True while a packet occupies the wire; later transmits queue FIFO.
         self._sending = False
         #: Packets waiting for the wire, FIFO.
         self._queue: deque = deque()
@@ -144,7 +144,7 @@ class Channel:
         self.down = down
 
     def serialization_delay(self, packet: Packet) -> float:
-        return packet.size_bytes * 8.0 / self.bandwidth_bps
+        return packet._wire_size * 8.0 / self.bandwidth_bps
 
     def transmit(self, packet: Packet) -> None:
         """Start (or queue) transmission of ``packet``."""
@@ -159,17 +159,7 @@ class Channel:
             self._queue.append(packet)
             return
         self._sending = True
-        sim._schedule_call(0.0, self._grant, packet, priority=URGENT)
-
-    def _grant(self, packet: Packet) -> None:
-        # Urgent enqueue hop + normal grant hop: preserves the event-id
-        # assignment moments of the old process-start/resource-grant pair,
-        # so same-timestamp ties break exactly as before the rewrite.
-        self.sim._schedule_call(0.0, self._serialize, packet)
-
-    def _serialize(self, packet: Packet) -> None:
-        ser = packet._wire_size * 8.0 / self.bandwidth_bps
-        self.sim._schedule_call(ser, self._finish_tx, packet)
+        sim._schedule_call(self.serialization_delay(packet), self._finish_tx, packet)
 
     def _finish_tx(self, packet: Packet) -> None:
         """End of serialization: counters, fault draws, delivery, hand-off."""
@@ -202,7 +192,8 @@ class Channel:
             sim._schedule_call(delay, self._deliver, packet)
         queue = self._queue
         if queue:
-            sim._schedule_call(0.0, self._serialize, queue.popleft())
+            packet = queue.popleft()
+            sim._schedule_call(self.serialization_delay(packet), self._finish_tx, packet)
         else:
             self._sending = False
 
@@ -219,30 +210,21 @@ class Channel:
 
 
 def transmit_fanout(sim: Simulator, legs: List[tuple]) -> None:
-    """Vectorized multicast fan-out: ONE grant/serialize/finish chain for R legs.
+    """Vectorized multicast fan-out: ONE end-of-serialization event for R legs.
 
     ``legs`` is ``[(channel, packet), ...]``; the caller guarantees every
     channel is idle and distinct and all share one bandwidth (same packet
-    size across legs makes serialization end simultaneously).  The three
-    shared hops replace R consecutive per-leg hops of the same timestamp
-    and priority, which preserves tie-breaking against any third-party
-    event; per-leg delivery events, loss/jitter draws and queue hand-offs
-    run at fire time in leg order — the same order the per-leg chains
-    produced — so RNG streams and delivery ordering are bit-identical.
+    size across legs makes serialization end simultaneously).  The shared
+    event replaces R consecutive per-leg events of the same timestamp and
+    priority, which preserves tie-breaking against any third-party event;
+    per-leg delivery events, loss/jitter draws and queue hand-offs run at
+    fire time in leg order — the same order the per-leg chains produced —
+    so RNG streams and delivery ordering are bit-identical.
     """
     for ch, _ in legs:
         ch._sending = True
-    sim._schedule_call(0.0, _fanout_grant, sim, legs, priority=URGENT)
-
-
-def _fanout_grant(sim: Simulator, legs: List[tuple]) -> None:
-    sim._schedule_call(0.0, _fanout_serialize, sim, legs)
-
-
-def _fanout_serialize(sim: Simulator, legs: List[tuple]) -> None:
     ch0, p0 = legs[0]
-    ser = p0._wire_size * 8.0 / ch0.bandwidth_bps
-    sim._schedule_call(ser, _fanout_finish, legs)
+    sim._schedule_call(ch0.serialization_delay(p0), _fanout_finish, legs)
 
 
 def _fanout_finish(legs: List[tuple]) -> None:

@@ -228,10 +228,10 @@ class OpenFlowSwitch(Device):
         Semantically identical to running ``apply_actions`` per bucket (the
         caller has verified every bucket action is a plain header rewrite
         and the rewrite penalty is zero), but the R legs share one
-        vectorized grant/serialize/finish chain when their channels are all
-        idle, distinct and equal-bandwidth — otherwise every leg falls back
-        to its own (still pooled) transmit chain, so chaos cases like
-        per-link throttling keep their exact event order.
+        end-of-serialization event when their channels are all idle,
+        distinct and equal-bandwidth — otherwise every leg falls back to
+        its own (still pooled) transmit chain, so chaos cases like per-link
+        throttling keep their exact event order.
         """
         legs = []
         batchable = True

@@ -134,8 +134,7 @@ class Process(Event):
                     event._defused = True
                     next_ev = self._gen.throw(event._value)
             except StopIteration as stop:
-                self.sim._live_procs -= 1
-                self.succeed(stop.value)
+                self._finish(stop.value)
                 return
             except BaseException as exc:
                 self.sim._live_procs -= 1
@@ -149,8 +148,7 @@ class Process(Event):
                 try:
                     self._gen.throw(exc)
                 except StopIteration as stop:
-                    self.sim._live_procs -= 1
-                    self.succeed(stop.value)
+                    self._finish(stop.value)
                 except BaseException as err:
                     self.sim._live_procs -= 1
                     self.fail(err)
@@ -163,6 +161,21 @@ class Process(Event):
             self._target = next_ev
             next_ev.add_callback(self._resume)
             return
+
+    def _finish(self, value: Any) -> None:
+        """The generator returned ``value``: complete the process event."""
+        self.sim._live_procs -= 1
+        if self._callbacks:
+            self.succeed(value)
+            return
+        # Nobody observes this completion (fire-and-forget handlers are most
+        # processes), so it is processed on the spot instead of through a
+        # heap record whose pop would run no callback.  A waiter that shows
+        # up later is served like any late waiter on a processed event.
+        # Failures never take this path: an unhandled one must abort the run.
+        self._ok = True
+        self._value = value
+        self._processed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.triggered else "alive"

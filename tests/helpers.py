@@ -1,4 +1,5 @@
-"""Shared test fixtures: a star topology with static L3 forwarding."""
+"""Shared test fixtures: a star topology with static L3 forwarding, and
+the linear rule scan the flow table's index is checked against."""
 
 from repro.net import (
     Bucket,
@@ -63,3 +64,13 @@ class Star:
 
     def link_of(self, host):
         return self.net.link_between(self.switch, host)
+
+
+def linear_scan(table, packet, in_port=None):
+    """What ``FlowTable.lookup`` must return: the first match walking the
+    rule list in table order — the scan the destination index replaced,
+    kept as the reference for the property and determinism tests."""
+    for rule in table.iter_rules():
+        if rule.match.matches(packet, in_port):
+            return rule
+    return None

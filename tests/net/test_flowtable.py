@@ -16,6 +16,7 @@ from repro.net import (
     Proto,
     Rule,
     SetIpDst,
+    ToController,
 )
 
 
@@ -109,6 +110,49 @@ def test_remove_by_cookie():
     keep = table.add(Rule(Match(), [Drop()], cookie="vring:n2"))
     assert table.remove_by_cookie("vring:n1") == 2
     assert table.rules == (keep,)
+
+
+def test_remove_takes_the_rule_itself_not_an_equal_twin():
+    table = FlowTable()
+    first = table.add(Rule(Match(ip_dst="10.10.1.5"), [Drop()], seq=7))
+    twin = table.add(Rule(Match(ip_dst="10.10.1.5"), [Drop()], seq=7))
+    assert first == twin and first is not twin
+    table.remove(twin)
+    assert len(table) == 1 and table.rules[0] is first
+    assert table.lookup(pkt()) is first
+    table.remove(twin)  # already gone: no-op
+    assert len(table) == 1
+    table.remove(first)
+    assert table.lookup(pkt()) is None
+
+
+def test_miss_examines_the_same_handful_of_rules_at_1000_and_4000(monkeypatch):
+    """§4.6's one-stage match: what a memo miss costs follows the prefix
+    lengths in use, not the number of rules installed."""
+    examined = []
+    real_matches = Match.matches
+
+    def counting_matches(self, packet, in_port=None):
+        examined.append(self)
+        return real_matches(self, packet, in_port)
+
+    monkeypatch.setattr(Match, "matches", counting_matches)
+    base = IPv4Address("10.64.0.0")
+    counts = {}
+    for n_rules in (1000, 4000):
+        table = FlowTable(cache_enabled=False)
+        table.add(Rule(Match(proto=Proto.ARP), [ToController()], priority=300))
+        table.add(Rule(Match(ip_dst=IPv4Network("10.64.0.0/10")), [Output(9)], priority=50))
+        table.add(Rule(Match(), [Drop()], priority=1))
+        hosts = [
+            table.add(Rule(Match(ip_dst=base + i, proto=Proto.UDP), [Output(1)]))
+            for i in range(n_rules)
+        ]
+        table.lookup(pkt())  # build the index outside the counted lookup
+        del examined[:]
+        assert table.lookup(pkt(dst=str(base + n_rules // 2))) is hosts[n_rules // 2]
+        counts[n_rules] = len(examined)
+    assert counts[1000] == counts[4000] == 4  # one /32, the /10, ARP, catch-all
 
 
 def test_rule_counters_touch():

@@ -193,3 +193,59 @@ def test_immediate_chain_of_settled_events_runs_synchronously():
     sim.process(proc(sim))
     sim.run()
     assert trace == [(0.0, 0), (0.0, 1), (0.0, 2)]
+
+
+# ------------------------------------- completions nobody observes (§5g)
+def test_unobserved_completion_takes_no_heap_record_and_serves_late_waiters():
+    sim = Simulator()
+
+    def worker(sim):
+        yield sim.timeout(1.0)
+        return "done"
+
+    proc = sim.process(worker(sim))
+    sim.run()
+    assert sim._eid == 2  # the start call and the timeout; the return cost nothing
+    assert proc.processed and proc.ok and proc.value == "done"
+
+    got = []
+    proc.add_callback(lambda ev: got.append(("callback", ev.value)))
+
+    def joiner(sim):
+        got.append(("join", (yield proc)))
+
+    sim.process(joiner(sim))
+    sim.run()
+    assert sorted(got) == [("callback", "done"), ("join", "done")]
+
+
+def test_observed_completion_still_goes_through_the_heap():
+    sim = Simulator()
+    order = []
+
+    def worker(sim):
+        yield sim.timeout(1.0)
+        sim.call_in(0.0, order.append, "scheduled before the return")
+        return "done"
+
+    proc = sim.process(worker(sim))
+    proc.add_callback(lambda ev: order.append(ev.value))
+    sim.run()
+    assert order == ["scheduled before the return", "done"]
+
+
+def test_run_until_stops_when_an_unobserved_process_returns():
+    sim = Simulator()
+    fired = []
+
+    def worker(sim):
+        wake = sim.timeout(1.0)
+        sim.call_in(1.0, fired.append, "same time, scheduled later")
+        yield wake
+        return 7
+
+    proc = sim.process(worker(sim))
+    assert sim.run_until(proc) == 1.0
+    assert proc.value == 7 and fired == []
+    sim.run()
+    assert fired == ["same time, scheduled later"]

@@ -1,22 +1,29 @@
 """Determinism regression: performance machinery must not change results.
 
-Each fast path that exists purely for speed — the switch's exact-match
-flow cache, the vectorized multicast fan-out batching — runs a small
-fig5-style put leg twice with the same seed, once on the fast path and
-once on an in-test reference (cache flipped off on every switch; the
-fan-out replaced by a per-leg transmit loop), and asserts bit-identical
-result rows and final simulated time.  This is the contract that lets
-each optimization ship at all: a memo or a batched schedule, never a
-semantic change.
+Each fast path that exists purely for speed — the flow table's
+destination index and exact-match memo, the two-event transmit chain,
+completions that skip the heap, the vectorized multicast fan-out batching
+— runs a small leg (a fig5-style closed loop of puts, or four clients
+contending on shared keys) twice with the same seed, once on the fast
+path and once on an in-test reference (memo flipped off on every switch;
+lookup replaced by the linear scan; the four-hop grant/serialize chain; a
+heap record for every process return; the fan-out replaced by a per-leg
+transmit loop), and asserts bit-identical result rows and final simulated
+time.  This is the contract that lets each optimization ship at all: an
+index, a memo or a shorter schedule, never a semantic change.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
 
 from repro.bench.harness import build_nice, run_to_completion
 from repro.core import ClusterConfig, NiceCluster
-from repro.net import OpenFlowSwitch
+from repro.net import Channel, FlowTable, OpenFlowSwitch
+from repro.sim import URGENT
 from repro.workloads import closed_loop_puts
+from tests.helpers import linear_scan
 
 
 def _switches(cluster):
@@ -26,8 +33,8 @@ def _switches(cluster):
 def _fig5_leg(n_ops=8, sizes=(4, 1 << 14), cache_enabled=True, n_racks=1, jitter_s=0.0):
     """A miniature fig5 put leg; returns (result rows, final sim time).
 
-    ``cache_enabled=False`` is the reference leg: every switch's flow
-    table runs the wildcard scan from the first warm-up packet on.
+    ``cache_enabled=False`` is the memo-off leg: every switch's flow
+    table classifies each packet anew from the first warm-up packet on.
     ``n_racks=3`` runs the same leg across a leaf-spine fabric.
     ``jitter_s`` adds delivery jitter drawn from ONE stream shared by
     every link, so any change in the order channels finish transmitting
@@ -67,6 +74,7 @@ def _fig5_leg(n_ops=8, sizes=(4, 1 << 14), cache_enabled=True, n_racks=1, jitter
         "cache_hits": sum(t.cache_hits for t in tables),
         "cache_misses": sum(t.cache_misses for t in tables),
         "cache_enabled": all(t.cache_enabled for t in tables),
+        "events": cluster.sim._eid,
     }
     return rows, cluster.sim.now, stats
 
@@ -84,6 +92,24 @@ def test_fig5_leg_identical_with_cache_on_and_off(n_racks):
     # Bit-identical outcomes: every row field and the final clock.
     assert rows_on == rows_off
     assert now_on == now_off
+
+
+@pytest.mark.parametrize("n_racks", [1, 3])
+def test_fig5_leg_identical_with_index_and_linear_scan(monkeypatch, n_racks):
+    """The destination index vs the scan it replaced: first match walking
+    the rule list in table order, kept here as the reference."""
+    rows_indexed, now_indexed, _ = _fig5_leg(n_racks=n_racks)
+    scans = []
+
+    def linear_lookup(table, packet, in_port=None):
+        scans.append(1)
+        return linear_scan(table, packet, in_port)
+
+    monkeypatch.setattr(FlowTable, "lookup", linear_lookup)
+    rows_scanned, now_scanned, _ = _fig5_leg(n_racks=n_racks)
+    assert scans, "the reference leg never took the linear scan"
+    assert rows_indexed == rows_scanned
+    assert now_indexed == now_scanned
 
 
 def test_same_seed_same_results_with_cache():
@@ -130,6 +156,140 @@ def test_fig5_leg_identical_with_and_without_tx_batching(monkeypatch, n_racks, j
     rows_unbatched, now_unbatched, _ = _fig5_leg(n_racks=n_racks, jitter_s=jitter_s)
     assert rows_batched == rows_unbatched
     assert now_batched == now_unbatched
+
+
+# -- two-event transmit chain, unobserved completions (DESIGN.md §5g) ----------------
+
+
+def _contended_leg(n_racks=1, jitter_s=0.0, n_clients=4, n_ops=12):
+    """Four clients interleave puts and gets on three shared keys; returns
+    (per-client (latency, ok) lists, final sim time, events scheduled).
+
+    Identical links make same-timestamp ties the rule here, not the
+    exception.  Shown sensitive in a scratch copy: giving the idle-wire
+    path one more zero-delay hop than the queue hand-off moves the
+    jitter-free 3-rack leg (with these very keys — sensitivity to a tie
+    flip is luck of the placement), which the single closed loop of
+    ``_fig5_leg`` does not notice."""
+    cluster = NiceCluster(
+        ClusterConfig(n_storage_nodes=15, n_clients=n_clients, n_racks=n_racks)
+    )
+    cluster.warm_up()
+    if jitter_s:
+        stream = np.random.default_rng(7)
+        for link in cluster.network.links:
+            link.set_delay_jitter(jitter_s, stream)
+    sim = cluster.sim
+    rows = {}
+
+    def worker(client, i):
+        rows[i] = []
+        for k in range(n_ops):
+            key = f"k{(i + k) % 3}"
+            t0 = sim.now
+            if k % 2:
+                result = yield client.get(key)
+            else:
+                result = yield client.put(key, f"{i}:{k}", 1000 + 4000 * (k % 3))
+            rows[i].append((sim.now - t0, result.ok))
+
+    workers = [sim.process(worker(c, i)) for i, c in enumerate(cluster.clients)]
+    run_to_completion(cluster, sim.all_of(workers))
+    return rows, sim.now, sim._eid
+
+
+def _install_four_hop_transmit(monkeypatch):
+    """The transmit chain before it shrank to two events per hop: an urgent
+    grant hop at enqueue time, a serialize-start hop, end of serialization,
+    delivery; a queued packet's serialize-start was a zero-delay hop out of
+    the end of serialization ahead of it; the fan-out shared three hops.
+    Returns the list the reference appends to per queue hand-off."""
+    import repro.net.switch as switch_mod
+    from repro.net.link import _fanout_finish
+
+    real_finish_tx = Channel._finish_tx
+    handoffs = []
+
+    def serialize(channel, packet):
+        ser = channel.serialization_delay(packet)
+        channel.sim._schedule_call(ser, channel._finish_tx, packet)
+
+    def grant(channel, packet):
+        channel.sim._schedule_call(0.0, serialize, channel, packet)
+
+    def transmit(channel, packet):
+        if channel._sending:
+            channel._queue.append(packet)
+            return
+        channel._sending = True
+        channel.sim._schedule_call(0.0, grant, channel, packet, priority=URGENT)
+
+    def finish_tx(channel, packet):
+        # The real end of serialization with the backlog hidden, then the
+        # old hand-off: a zero-delay serialize-start hop for the next packet.
+        backlog, channel._queue = channel._queue, deque()
+        real_finish_tx(channel, packet)
+        channel._queue = backlog
+        if backlog:
+            handoffs.append(1)
+            channel._sending = True
+            channel.sim._schedule_call(0.0, serialize, channel, backlog.popleft())
+
+    def fanout_serialize(sim, legs):
+        channel, packet = legs[0]
+        sim._schedule_call(channel.serialization_delay(packet), _fanout_finish, legs)
+
+    def fanout_grant(sim, legs):
+        sim._schedule_call(0.0, fanout_serialize, sim, legs)
+
+    def transmit_fanout(sim, legs):
+        for channel, _ in legs:
+            channel._sending = True
+        sim._schedule_call(0.0, fanout_grant, sim, legs, priority=URGENT)
+
+    monkeypatch.setattr(Channel, "transmit", transmit)
+    monkeypatch.setattr(Channel, "_finish_tx", finish_tx)
+    monkeypatch.setattr(switch_mod, "transmit_fanout", transmit_fanout)
+    return handoffs
+
+
+@pytest.mark.parametrize("jitter_s", [0.0, 20e-6])
+@pytest.mark.parametrize("n_racks", [1, 3])
+def test_contended_leg_identical_with_two_and_four_hop_transmit(monkeypatch, n_racks, jitter_s):
+    """Scheduling end-of-serialization the moment a packet gets the wire
+    vs reaching it through grant and serialize-start hops: every chain
+    loses its zero-delay hops alike, so same-timestamp ties (the
+    jitter-free legs) and the shared jitter stream's draw order (the
+    jittered legs) must not move, on one switch or across the fabric."""
+    rows_two, now_two, events_two = _contended_leg(n_racks, jitter_s)
+    handoffs = _install_four_hop_transmit(monkeypatch)
+    rows_four, now_four, events_four = _contended_leg(n_racks, jitter_s)
+    assert handoffs, "no packet ever queued: the hand-off path went untested"
+    assert events_four > events_two
+    assert rows_two == rows_four
+    assert now_two == now_four
+
+
+@pytest.mark.parametrize("jitter_s", [0.0, 20e-6])
+@pytest.mark.parametrize("n_racks", [1, 3])
+def test_contended_leg_identical_with_and_without_completion_records(
+    monkeypatch, n_racks, jitter_s
+):
+    """A process nobody waits on completes without a heap record; the
+    reference schedules one for every return, as ``succeed`` always did."""
+    from repro.sim import Process
+
+    rows_skipped, now_skipped, events_skipped = _contended_leg(n_racks, jitter_s)
+
+    def finish_through_the_heap(proc, value):
+        proc.sim._live_procs -= 1
+        proc.succeed(value)
+
+    monkeypatch.setattr(Process, "_finish", finish_through_the_heap)
+    rows_recorded, now_recorded, events_recorded = _contended_leg(n_racks, jitter_s)
+    assert events_recorded > events_skipped
+    assert rows_skipped == rows_recorded
+    assert now_skipped == now_recorded
 
 
 # -- chaos-engine determinism (the reproducibility contract of repro.chaos) ---------
