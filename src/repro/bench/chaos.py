@@ -423,7 +423,7 @@ def harmonia_midput_cell(mode: str, seed: int) -> Dict:
         p_node, s_node = cluster.nodes[primary], cluster.nodes[secondary]
         while True:
             prepared = any(p.key == key and p.value == "v2"
-                           for p in s_node._pending.values())
+                           for p in s_node.puts.participant.pending.values())
             obj = p_node.store.get(key)
             if prepared and obj is not None and obj.value == "v2":
                 break

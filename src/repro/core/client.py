@@ -1,18 +1,23 @@
-"""The NICE client library (§3.2, §5 Request Routing).
+"""The client library: one attempt loop for NICE and NOOB (§3.2, §5, Fig 11).
 
-The client addresses the *virtual* storage system: it hashes the object
-name, finds the responsible vnode, and fires a UDP request at the vnode
-address — the unicast vring for gets, the multicast vring for puts (with
-the object data on the reliable multicast transport).  Replies arrive on a
-client-side TCP socket.  Failed operations are retried after a fixed
-back-off (Fig 11 uses 2 s); retried puts reuse the original client
-timestamp, so commits are idempotent across retries (§4.3).
+:class:`KvClient` is what every client machine has — a protocol stack, the
+reply socket and its waiters, latency tallies, counters, the recorder hook
+— and *the* attempt loop: a failed operation is retried after a fixed
+back-off (Fig 11 uses 2 s).  The two systems differ only in how one attempt
+is addressed and sent, which each subclass hands the loop as a closure.
+
+:class:`NiceClient` addresses the *virtual* storage system: it hashes the
+object name, finds the responsible vnode, and fires a UDP request at the
+vnode address — the unicast vring for gets, the multicast vring for puts
+(with the object data on the reliable multicast transport).  Retried puts
+reuse the original client timestamp, so commits are idempotent across
+retries (§4.3).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..net import Host, IPv4Address
 from ..sim import AnyOf, Counter, Event, Simulator, Tally
@@ -26,7 +31,7 @@ from .config import (
 )
 from .vring import VirtualRing
 
-__all__ = ["NiceClient", "OpResult"]
+__all__ = ["KvClient", "NiceClient", "OpResult"]
 
 
 class OpResult:
@@ -45,24 +50,14 @@ class OpResult:
         return f"<OpResult {'ok' if self.ok else self.status} {self.latency * 1e3:.3f}ms>"
 
 
-class NiceClient:
-    """One client machine's NICEKV library instance."""
+class KvClient:
+    """One client machine: reply socket, waiters, counters, attempt loop."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        host: Host,
-        config: ClusterConfig,
-        unicast_vring: VirtualRing,
-        multicast_vring: VirtualRing,
-    ):
+    def __init__(self, sim: Simulator, host: Host, config: ClusterConfig):
         self.sim = sim
         self.host = host
         self.config = config
-        self.uni = unicast_vring
-        self.mc = multicast_vring
         self.stack = ProtocolStack(sim, host)
-        self.mc_sender = MulticastSender(self.stack)
         self._reply_inbox = self.stack.tcp.listen(CLIENT_PORT)
         self._waiters: Dict[Tuple, Event] = {}
         self._op_seq = itertools.count(1)
@@ -97,6 +92,80 @@ class NiceClient:
     def _new_op(self) -> Tuple:
         return (str(self.ip), next(self._op_seq))
 
+    def _request(self, kind: str, op_id: Tuple, key: str, **extra) -> dict:
+        """The fields every request carries, plus the caller's own."""
+        return {
+            "type": kind,
+            "op_id": op_id,
+            "key": key,
+            "client_ip": str(self.ip),
+            "client_port": CLIENT_PORT,
+            **extra,
+        }
+
+    def _attempts(self, kind: str, key: str, max_retries: int, address):
+        """The attempt loop shared by every put and get.
+
+        ``address(attempt)`` resolves where one attempt goes and returns
+        ``(send, span_attrs)``; ``send(op_id)`` fires the request.  Each
+        attempt gets a fresh op id and waits for its reply or the retry
+        timeout.  ``ok`` ends the op; so does a get's authoritative miss
+        (an answer — the checker reads it as "initial value" — not a
+        failure to reach the store).  Anything else is retried, and an
+        early rejection (e.g. an aborted 2PC, which arrives well before the
+        retry timeout fires) still waits out the fixed back-off: without it
+        the client re-sends in the same sim instant, so a rejecting
+        replica set sees max_retries+1 requests in zero sim time.
+        """
+        t0 = self.sim.now
+        tr = self.sim.tracer
+        backoff = self.config.client_retry_timeout_s
+        for attempt in range(max_retries + 1):
+            send, span_attrs = address(attempt)
+            op_id = self._new_op()
+            span = None
+            if tr is not None:
+                span = tr.begin(kind, "op", node=self.host.name, op=op_id,
+                                key=key, attempt=attempt, **span_attrs)
+            waiter = Event(self.sim)
+            self._waiters[op_id] = waiter
+            send(op_id)
+            got = yield AnyOf(self.sim, [waiter, self.sim.timeout(backoff)])
+            self._waiters.pop(op_id, None)
+            replied = waiter in got
+            status = got[waiter].get("status", "error") if replied else "timeout"
+            if span is not None:
+                span.end(status=status)
+            if status == "ok":
+                latency = self.sim.now - t0
+                (self.put_latency if kind == "put" else self.get_latency).observe(latency)
+                return OpResult(True, latency, attempt, value=got[waiter].get("value"))
+            if status == "miss" and kind == "get":
+                return OpResult(False, self.sim.now - t0, attempt, status="miss")
+            if attempt < max_retries:
+                self.retries.add()
+                if replied:
+                    yield self.sim.timeout(backoff)
+        self.failures.add()
+        return OpResult(False, self.sim.now - t0, max_retries, status="timeout")
+
+
+class NiceClient(KvClient):
+    """One client machine's NICEKV library instance."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        host: Host,
+        config: ClusterConfig,
+        unicast_vring: VirtualRing,
+        multicast_vring: VirtualRing,
+    ):
+        super().__init__(sim, host, config)
+        self.uni = unicast_vring
+        self.mc = multicast_vring
+        self.mc_sender = MulticastSender(self.stack)
+
     # -- public API -----------------------------------------------------------
     def put(self, key: str, value, size: int, max_retries: int = 3):
         """Store ``value`` under ``key``; returns a Process → :class:`OpResult`."""
@@ -111,66 +180,29 @@ class NiceClient:
         ``quorum`` replicas hold the data; no 2PC round (Fig 8's NICE side)."""
         return self._traced("put", key, value, self._put_anyk(key, value, size, quorum))
 
-    # -- implementations ----------------------------------------------------------
+    # -- how one attempt is addressed and sent ------------------------------------
+    def _multicast_put(self, kind: str, op_id: Tuple, key: str, value, size: int,
+                       client_ts: float, quorum: int):
+        return self.mc_sender.send(
+            self.mc.vnode_for_key(key),
+            PUT_PORT,
+            self._request(kind, op_id, key, value=value, size=size, client_ts=client_ts),
+            size,
+            n_receivers=self.config.replication_level,
+            quorum=quorum,
+        )
+
     def _put(self, key: str, value, size: int, max_retries: int):
-        t0 = self.sim.now
         client_ts = self.sim.now  # reused across retries: idempotence token
-        vaddr = self.mc.vnode_for_key(key)
         tr = self.sim.tracer
         if tr is not None:
-            tr.instant("vnode_resolve", "client", node=self.host.name,
-                       key=key, vnode=str(vaddr), kind="put")
-        for attempt in range(max_retries + 1):
-            op_id = self._new_op()
-            span = None
-            if tr is not None:
-                span = tr.begin("put", "op", node=self.host.name, op=op_id,
-                                key=key, attempt=attempt)
-            waiter = Event(self.sim)
-            self._waiters[op_id] = waiter
-            self.mc_sender.send(
-                vaddr,
-                PUT_PORT,
-                {
-                    "type": "put",
-                    "op_id": op_id,
-                    "key": key,
-                    "value": value,
-                    "size": size,
-                    "client_ip": str(self.ip),
-                    "client_ts": client_ts,
-                    "client_port": CLIENT_PORT,
-                },
-                size,
-                n_receivers=self.config.replication_level,
-                quorum=1,
-            )
-            got = yield AnyOf(
-                self.sim, [waiter, self.sim.timeout(self.config.client_retry_timeout_s)]
-            )
-            self._waiters.pop(op_id, None)
-            replied = waiter in got
-            if replied and got[waiter].get("status") == "ok":
-                latency = self.sim.now - t0
-                self.put_latency.observe(latency)
-                if span is not None:
-                    span.end(status="ok")
-                return OpResult(True, latency, attempt)
-            if span is not None:
-                span.end(
-                    status=got[waiter].get("status", "error") if replied
-                    else "timeout"
-                )
-            if attempt < max_retries:
-                self.retries.add()
-                if replied:
-                    # A rejection (e.g. an aborted 2PC) arrives well before
-                    # the retry timeout fires; without this wait the client
-                    # re-multicasts in the same sim instant, so a rejecting
-                    # replica set sees max_retries+1 puts in zero sim time.
-                    yield self.sim.timeout(self.config.client_retry_timeout_s)
-        self.failures.add()
-        return OpResult(False, self.sim.now - t0, max_retries, status="timeout")
+            tr.instant("vnode_resolve", "client", node=self.host.name, key=key,
+                       vnode=str(self.mc.vnode_for_key(key)), kind="put")
+
+        def send(op_id):
+            self._multicast_put("put", op_id, key, value, size, client_ts, quorum=1)
+
+        return (yield from self._attempts("put", key, max_retries, lambda attempt: (send, {})))
 
     def _resolve_get_route(self, key: str, attempt: int):
         """Vnode address for one get attempt.
@@ -193,97 +225,36 @@ class NiceClient:
         return prefix.address + offset
 
     def _get(self, key: str, max_retries: int):
-        t0 = self.sim.now
-        tr = self.sim.tracer
-        for attempt in range(max_retries + 1):
+        def address(attempt):
             vaddr = self._resolve_get_route(key, attempt)
+            tr = self.sim.tracer
             if tr is not None:
                 tr.instant("vnode_resolve", "client", node=self.host.name,
                            key=key, vnode=str(vaddr), kind="get",
                            attempt=attempt)
-            op_id = self._new_op()
-            span = None
-            if tr is not None:
-                span = tr.begin("get", "op", node=self.host.name, op=op_id,
-                                key=key, attempt=attempt)
-            waiter = Event(self.sim)
-            self._waiters[op_id] = waiter
-            self.stack.udp_send(
-                vaddr,
-                GET_PORT,
-                {
-                    "type": "get",
-                    "op_id": op_id,
-                    "key": key,
-                    "client_ip": str(self.ip),
-                    "client_port": CLIENT_PORT,
-                },
-                REQUEST_BYTES,
-            )
-            got = yield AnyOf(
-                self.sim, [waiter, self.sim.timeout(self.config.client_retry_timeout_s)]
-            )
-            self._waiters.pop(op_id, None)
-            replied = waiter in got
-            if replied:
-                body = got[waiter]
-                status = body.get("status", "error")
-                latency = self.sim.now - t0
-                if status == "ok":
-                    self.get_latency.observe(latency)
-                    if span is not None:
-                        span.end(status="ok")
-                    return OpResult(True, latency, attempt, value=body.get("value"))
-                if status == "miss":
-                    # An authoritative miss is an answer (the checker reads
-                    # it as "initial value"), not a failure to reach the
-                    # store — returned as-is, no retry.
-                    if span is not None:
-                        span.end(status="miss")
-                    return OpResult(False, latency, attempt, status="miss")
-            if span is not None:
-                span.end(
-                    status=got[waiter].get("status", "error") if replied
-                    else "timeout"
+
+            def send(op_id):
+                self.stack.udp_send(
+                    vaddr, GET_PORT, self._request("get", op_id, key), REQUEST_BYTES
                 )
-            if attempt < max_retries:
-                self.retries.add()
-                if replied:
-                    # Mirror of _put: an early error reply must still honor
-                    # the fixed back-off before the next attempt.
-                    yield self.sim.timeout(self.config.client_retry_timeout_s)
-        self.failures.add()
-        return OpResult(False, self.sim.now - t0, max_retries, status="timeout")
+
+            return send, {}
+
+        return (yield from self._attempts("get", key, max_retries, address))
 
     def _put_anyk(self, key: str, value, size: int, quorum: int):
         t0 = self.sim.now
-        vaddr = self.mc.vnode_for_key(key)
         op_id = self._new_op()
         tr = self.sim.tracer
         span = None
         if tr is not None:
             span = tr.begin("put_anyk", "op", node=self.host.name, op=op_id,
                             key=key, quorum=quorum)
-        sender = self.mc_sender.send(
-            vaddr,
-            PUT_PORT,
-            {
-                "type": "put_anyk",
-                "op_id": op_id,
-                "key": key,
-                "value": value,
-                "size": size,
-                "client_ip": str(self.ip),
-                "client_ts": t0,
-                "client_port": CLIENT_PORT,
-            },
-            size,
-            n_receivers=self.config.replication_level,
-            quorum=quorum,
-        )
-        # Same timeout contract as _put: if quorum replicas are unreachable
-        # (crash/partition) the reliable multicast never completes — without
-        # this bound the op would hang forever and still report ok=True.
+        sender = self._multicast_put("put_anyk", op_id, key, value, size, t0, quorum)
+        # Same timeout contract as a put attempt: if quorum replicas are
+        # unreachable (crash/partition) the reliable multicast never
+        # completes — without this bound the op would hang forever and
+        # still report ok=True.
         got = yield AnyOf(
             self.sim, [sender, self.sim.timeout(self.config.client_retry_timeout_s)]
         )

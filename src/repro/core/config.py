@@ -80,8 +80,6 @@ class ClusterConfig:
     node_cpu_per_op_s: float = 25e-6
     #: Enable the §4.5 source-prefix load balancer for gets.
     load_balancing: bool = True
-    #: Inject per-chunk multicast loss (exercises NACK repair; 0 in paper runs).
-    multicast_chunk_loss: float = 0.0
     #: Metadata-service standbys for control-plane HA.  0 (default) keeps
     #: the single-process service from the paper; N > 0 adds N standby
     #: replicas that tail the membership log and promote themselves (with
@@ -106,35 +104,36 @@ class ClusterConfig:
     switch_rule_budget: int = 0
     #: Salt for the fabric's ECMP hash — same seed, same paths.
     ecmp_seed: int = 0
-    #: Read-path protocol (DESIGN.md §5j).  "nice" (default) keeps the
-    #: paper's §4.5 static (src-prefix, dst-prefix) load balancer.
-    #: "harmonia" adds a switch-maintained dirty-set of in-flight puts
-    #: (Harmonia, arXiv 1904.08964): gets on clean keys round-robin over
-    #: every consistent replica, gets on dirty keys fall back to the
-    #: primary.  "harmonia-weak" is a deliberately broken variant that
-    #: clears the dirty entry when the commit multicast *transits* the
-    #: switch (before replicas apply) — kept only so the chaos suite can
-    #: prove the linearizability checker catches the stale-read window.
+    #: -- Protocol variants, and why each exists (the one place that says) --
+    #: The paper has one protocol.  This repo carries three read-path
+    #: ``protocol_mode``s and two deliberately weakened variants, each for
+    #: one stated reason; a variant no figure or oracle needs should go.
+    #:   "nice"           the paper's §4.5 static (src-prefix, dst-prefix)
+    #:                    load balancer — the default, every figure.
+    #:   "harmonia"       a switch-maintained dirty-set of in-flight puts
+    #:                    (arXiv 1904.08964, DESIGN.md §5j): gets on clean
+    #:                    keys round-robin over every consistent replica,
+    #:                    dirty keys fall back to the primary — the one
+    #:                    measured extension (`read_scaling`).
+    #:   "harmonia-weak"  clears the dirty entry when the commit multicast
+    #:                    *transits* the switch, before replicas apply —
+    #:                    exists only so the chaos suite can prove the
+    #:                    linearizability checker catches that window.
+    #:   wal_forced=False ("wal=off", §5k) log appends skip the flush, so
+    #:                    acks race durability and a power failure loses
+    #:                    acknowledged puts — exists only so the acked-
+    #:                    durability checker has something to catch.
+    #: (NOOB's ``rac-weak`` is no code path: primary-only replication with
+    #: round-robin reads is a legal ``NoobConfig`` the checker must catch.)
     protocol_mode: str = "nice"
-    #: Fig 3 durability contract (DESIGN.md §5k): every write a put ack
-    #: depends on sits behind a forced (flushed) log append.  ``False``
-    #: models the deliberately-weakened ``wal=off`` variant — appends
-    #: skip the flush, so acks race durability and a power failure loses
-    #: acknowledged puts; kept only so the chaos matrix can prove the
-    #: acked-durability checker catches it.
+    #: Fig 3 durability contract: every write a put ack depends on sits
+    #: behind a forced (flushed) log append.
     wal_forced: bool = True
     #: Background scrubber cadence (seconds between full store walks that
     #: re-verify object checksums and read-repair bit-rot from a
     #: consistent replica).  0 (default) disables the scrubber entirely —
     #: no process is spawned, keeping default runs bit-identical.
     scrub_interval_s: float = 0.0
-    #: Fail-slow detector (§5k): a node reports its disk degraded once the
-    #: observed/nominal service-time ratio stays at or above
-    #: ``failslow_threshold`` for ``failslow_strikes`` consecutive
-    #: heartbeats; the metadata service then drains the node from the
-    #: read round-robin and, if it is a primary, hands the role off.
-    failslow_threshold: float = 4.0
-    failslow_strikes: int = 2
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -161,12 +160,6 @@ class ClusterConfig:
             )
         if self.scrub_interval_s < 0:
             raise ValueError(f"scrub_interval_s must be >= 0: {self.scrub_interval_s}")
-        if self.failslow_threshold <= 1.0:
-            raise ValueError(
-                f"failslow_threshold must be > 1: {self.failslow_threshold}"
-            )
-        if self.failslow_strikes < 1:
-            raise ValueError(f"failslow_strikes must be >= 1: {self.failslow_strikes}")
         if self.metadata_standbys < 0:
             raise ValueError(f"metadata_standbys must be >= 0: {self.metadata_standbys}")
         if self.n_racks < 1:

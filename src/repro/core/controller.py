@@ -403,20 +403,6 @@ class NiceControllerApp(ControllerApp):
                     self._fabric_ports[(switch.name, peer.device.name)] = port_no
         self._bump_topology()
 
-    def _edge_of_host(self, ip: IPv4Address) -> Optional[str]:
-        """Name of the edge switch ``ip`` sits behind, if any."""
-        loc = self.arp.lookup(ip)
-        if loc is None:
-            return None
-        info = self._switch_info.get(loc.switch_name)
-        return loc.switch_name if info is not None and info.role == "edge" else None
-
-    def location_of(self, name: str):
-        rec = self.hosts.get(name)
-        if rec is None:
-            return None
-        return self.arp.lookup(rec.ip)
-
     # -- bootstrap -----------------------------------------------------------------
     def _static_rules(self, switch, info: SwitchInfo) -> List[Rule]:
         """ARP punt rule on every switch, plus edge-switch base rules:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from ..kv import ConsistentHashRing
+from ..kv import ConsistentHashRing, key_hash
 
 __all__ = ["ReplicaSet", "PartitionMap"]
 
@@ -218,6 +218,13 @@ class PartitionMap:
             return self._sets[partition]
         except KeyError:
             raise KeyError(f"unknown partition {partition}") from None
+
+    def replicas_of_key(self, key: str) -> List[str]:
+        """Replica names serving ``key``, primary first — the placement
+        lookup every full-membership holder (NOOB client, node, gateway)
+        does locally (§2.1)."""
+        rs = self.get(ConsistentHashRing.partition_of_hash(key_hash(key), len(self._sets)))
+        return [rs.primary] + [m for m in rs.members if m != rs.primary]
 
     def install(self, rs: ReplicaSet) -> None:
         """Replace one partition's replica set (membership-log replay)."""

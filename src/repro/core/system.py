@@ -25,7 +25,7 @@ from ..net import (
     Network,
     OpenFlowSwitch,
 )
-from ..sim import RngRegistry, Simulator
+from ..sim import Simulator
 from ..transport import ProtocolStack
 from .client import NiceClient
 from .config import ClusterConfig
@@ -36,7 +36,7 @@ from .metadata import MetadataService
 from .storage_node import NiceStorageNode
 from .vring import VirtualRing
 
-__all__ = ["NiceCluster"]
+__all__ = ["ClusterBase", "NiceCluster"]
 
 #: Physical address plan.
 STORAGE_BASE = IPv4Address("10.0.0.1")
@@ -44,14 +44,31 @@ METADATA_IP = IPv4Address("10.0.0.250")
 _MAC_BASE = 0x020000000100
 
 
-class NiceCluster:
+class ClusterBase:
+    """What a test or bench does to any deployment, NICE or NOOB."""
+
+    def warm_up(self, duration: float = 0.05) -> None:
+        """Let flow-mods land and heartbeats start before measuring."""
+        self.sim.run(until=self.sim.now + duration)
+
+    def run(self, until: float = None) -> float:
+        return self.sim.run(until=until)
+
+    def reset_measurements(self) -> None:
+        self.network.reset_link_counters()
+        for host in self.network.devices.values():
+            if isinstance(host, Host):
+                host.tx_bytes.reset()
+                host.rx_bytes.reset()
+
+
+class NiceCluster(ClusterBase):
     """A fully-wired NICEKV deployment inside one simulator."""
 
     def __init__(self, config: ClusterConfig = None, sim: Simulator = None):
         self.config = config or ClusterConfig()
         cfg = self.config
         self.sim = sim or Simulator()
-        self.rng = RngRegistry(cfg.seed)
         self.network = Network(self.sim)
         if cfg.n_racks > 1:
             #: Leaf–spine fabric (DESIGN.md §5h).  ``self.switch`` stays
@@ -255,7 +272,6 @@ class NiceCluster:
                 self.mc_vring,
                 meta_targets,
                 self.directory,
-                rng=self.rng.stream(f"mc-loss:{name}") if cfg.multicast_chunk_loss else None,
             )
             self.metadata.register_node(name)
             for rs in member_of[name]:
@@ -319,13 +335,6 @@ class NiceCluster:
                 return service
         return self.metadata
 
-    def warm_up(self, duration: float = 0.05) -> None:
-        """Let flow-mods land and heartbeats start before measuring."""
-        self.sim.run(until=self.sim.now + duration)
-
-    def run(self, until: float = None) -> float:
-        return self.sim.run(until=until)
-
     def node_of_partition(self, partition: int) -> NiceStorageNode:
         """The current acting primary of ``partition``."""
         return self.nodes[self.partition_map.get(partition).primary]
@@ -335,10 +344,3 @@ class NiceCluster:
         partition = self.uni_vring.subgroup_of_key(key)
         rs = self.partition_map.get(partition)
         return [self.nodes[n] for n in rs.get_targets() if n in self.nodes]
-
-    def reset_measurements(self) -> None:
-        self.network.reset_link_counters()
-        for host in self.network.devices.values():
-            if isinstance(host, Host):
-                host.tx_bytes.reset()
-                host.rx_bytes.reset()

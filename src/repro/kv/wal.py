@@ -148,9 +148,8 @@ class WriteAheadLog:
 
     def __init__(self, disk: Disk, forced: bool = True):
         self.disk = disk
-        #: False models the deliberately-weakened ``wal=off`` variant:
-        #: appends skip the flush, so a put acks before its record is
-        #: durable — the chaos matrix must catch this.
+        #: False: appends skip the flush (the ``wal=off`` variant; why it
+        #: exists is in ``core/config.py``).
         self.forced = forced
         self._records: Dict[Tuple, LogRecord] = {}
         #: op id → journal entry, in append order (insertion-ordered).

@@ -7,29 +7,28 @@
 * **RAG/ROG** — clients send everything to a gateway.
 
 Requests and data travel over TCP; replies come straight from the serving
-node to the client's reply socket.
+node to the client's reply socket.  The attempt loop, reply socket and
+counters are :class:`~repro.core.client.KvClient`'s; this module only says
+where one attempt goes.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..core.client import OpResult
-from ..core.config import CLIENT_PORT, NODE_PORT, REQUEST_BYTES
+from ..core.client import KvClient
+from ..core.config import NODE_PORT, REQUEST_BYTES
 from ..core.membership import PartitionMap
-from ..kv import ConsistentHashRing, key_hash
 from ..net import Host, IPv4Address
-from ..sim import AnyOf, Counter, Event, Simulator, Tally
-from ..transport import ProtocolStack
+from ..sim import Simulator
 from .config import GW_PORT, NoobConfig
 
 __all__ = ["NoobClient"]
 
 
-class NoobClient:
+class NoobClient(KvClient):
     """One client machine under the configured access mode."""
 
     def __init__(
@@ -42,53 +41,14 @@ class NoobClient:
         gateway_ips: List[IPv4Address],
         rng: np.random.Generator,
     ):
-        self.sim = sim
-        self.host = host
-        self.config = config
+        super().__init__(sim, host, config)
         self.partition_map = partition_map
         self.directory = directory
         self.gateway_ips = gateway_ips
         self.rng = rng
-        self.stack = ProtocolStack(sim, host)
-        self._reply_inbox = self.stack.tcp.listen(CLIENT_PORT)
-        self._waiters: Dict[Tuple, Event] = {}
-        self._op_seq = itertools.count(1)
         self._rr = 0
-        self.put_latency = Tally(f"{host.name}.put")
-        self.get_latency = Tally(f"{host.name}.get")
-        self.failures = Counter(f"{host.name}.failures")
-        self.retries = Counter(f"{host.name}.retries")
-        #: Optional :class:`~repro.check.HistoryRecorder` (same hook as
-        #: :class:`~repro.core.client.NiceClient`).
-        self.recorder = None
-        sim.process(self._reply_loop())
-
-    @property
-    def ip(self) -> IPv4Address:
-        return self.host.ip
-
-    def _traced(self, kind: str, key: str, value, gen):
-        if self.recorder is not None:
-            gen = self.recorder.record(self.host.name, kind, key, value, self.sim, gen)
-        return self.sim.process(gen)
-
-    def _reply_loop(self):
-        while True:
-            msg = yield self._reply_inbox.get()
-            body = msg.payload or {}
-            op_id = tuple(body.get("op_id", ()))
-            waiter = self._waiters.pop(op_id, None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(body)
 
     # -- target selection ------------------------------------------------------
-    def _replicas_of(self, key: str) -> List[str]:
-        partition = ConsistentHashRing.partition_of_hash(
-            key_hash(key), len(self.partition_map)
-        )
-        rs = self.partition_map.get(partition)
-        return [rs.primary] + [m for m in rs.members if m != rs.primary]
-
     def _request_target(self, key: str, is_get: bool) -> Tuple[IPv4Address, int]:
         if self.config.access in ("rog", "rag"):
             gw = self.gateway_ips[self._rr % len(self.gateway_ips)]
@@ -97,7 +57,7 @@ class NoobClient:
         # get_lb defaults to the safe choice per consistency mode
         # (__post_init__); an explicit "round_robin" on a weaker mode is an
         # intentional misconfiguration (the chaos suite's violation oracle).
-        replicas = self._replicas_of(key)
+        replicas = self.partition_map.replicas_of_key(key)
         if (
             is_get
             and self.config.get_lb == "round_robin"
@@ -109,65 +69,23 @@ class NoobClient:
 
     # -- operations ---------------------------------------------------------------
     def put(self, key: str, value, size: int, max_retries: int = 3):
-        return self._traced("put", key, value, self._op("put", key, value, size, max_retries))
+        return self._traced(
+            "put", key, value, self._op("put", key, size, max_retries, value=value, size=size)
+        )
 
     def get(self, key: str, max_retries: int = 3):
-        return self._traced("get", key, None, self._op("get", key, None, REQUEST_BYTES, max_retries))
+        return self._traced("get", key, None, self._op("get", key, REQUEST_BYTES, max_retries))
 
-    def _op(self, kind: str, key: str, value, size: int, max_retries: int):
-        t0 = self.sim.now
+    def _op(self, kind: str, key: str, wire_bytes: int, max_retries: int, **payload):
         client_ts = self.sim.now
-        tr = self.sim.tracer
-        for attempt in range(max_retries + 1):
-            op_id = (str(self.ip), next(self._op_seq))
-            waiter = Event(self.sim)
-            self._waiters[op_id] = waiter
-            target_ip, target_port = self._request_target(key, is_get=(kind == "get"))
-            span = None
-            if tr is not None:
-                span = tr.begin(kind, "op", node=self.host.name, op=op_id,
-                                key=key, attempt=attempt, target=str(target_ip))
-            body = {
-                "type": kind,
-                "op_id": op_id,
-                "key": key,
-                "client_ip": str(self.ip),
-                "client_port": CLIENT_PORT,
-                "client_ts": client_ts,
-            }
-            if kind == "put":
-                body["value"] = value
-                body["size"] = size
-            self.stack.tcp.send_message(target_ip, target_port, body, size)
-            got = yield AnyOf(
-                self.sim, [waiter, self.sim.timeout(self.config.client_retry_timeout_s)]
-            )
-            self._waiters.pop(op_id, None)
-            replied = waiter in got
-            if replied:
-                reply = got[waiter]
-                status = reply.get("status", "error")
-                latency = self.sim.now - t0
-                if status == "ok":
-                    (self.put_latency if kind == "put" else self.get_latency).observe(latency)
-                    if span is not None:
-                        span.end(status="ok")
-                    return OpResult(True, latency, attempt, value=reply.get("value"))
-                if kind == "get" and status == "miss":
-                    # Authoritative miss: an answer, not a routing failure.
-                    if span is not None:
-                        span.end(status="miss")
-                    return OpResult(False, latency, attempt, status="miss")
-            if span is not None:
-                span.end(
-                    status=got[waiter].get("status", "error") if replied
-                    else "timeout"
-                )
-            if attempt < max_retries:
-                self.retries.add()
-                if replied:
-                    # Same fixed back-off as the NICE client: an early
-                    # rejection must not trigger a same-instant resend.
-                    yield self.sim.timeout(self.config.client_retry_timeout_s)
-        self.failures.add()
-        return OpResult(False, self.sim.now - t0, max_retries, status="timeout")
+
+        def address(attempt):
+            ip, port = self._request_target(key, is_get=(kind == "get"))
+
+            def send(op_id):
+                body = self._request(kind, op_id, key, client_ts=client_ts, **payload)
+                self.stack.tcp.send_message(ip, port, body, wire_bytes)
+
+            return send, {"target": str(ip)}
+
+        return (yield from self._attempts(kind, key, max_retries, address))

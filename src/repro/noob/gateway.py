@@ -12,13 +12,12 @@ request (and, for puts, its data) transits the gateway.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 from ..core.config import NODE_PORT
 from ..core.membership import PartitionMap
-from ..kv import ConsistentHashRing, key_hash
 from ..net import Host, IPv4Address
 from ..sim import Counter, Simulator
 from ..transport import ProtocolStack
@@ -57,17 +56,13 @@ class Gateway:
         if self.config.access == "rog":
             # Replica-oblivious: any node, uniformly at random (§2.1).
             return self.directory[names[int(self.rng.integers(len(names)))]]
-        partition = ConsistentHashRing.partition_of_hash(
-            key_hash(key), len(self.partition_map)
-        )
-        rs = self.partition_map.get(partition)
+        replicas = self.partition_map.replicas_of_key(key)
         if (
             self.config.get_lb == "round_robin"
             and self.config.consistency in ("2pc", "chain")
         ):
-            members = rs.members
-            return self.directory[members[int(self.rng.integers(len(members)))]]
-        return self.directory[rs.primary]
+            return self.directory[replicas[int(self.rng.integers(len(replicas)))]]
+        return self.directory[replicas[0]]
 
     def _serve_loop(self):
         while True:

@@ -6,35 +6,29 @@ and quorum modes), or runs two explicit 2PC rounds, or pushes the object
 down a replication chain [43].  The node keeps *full membership* — the
 complete partition map — as production NOOB systems do (§2.1), so any node
 can forward a misdirected request (the ROG extra hop).
+
+The server itself is the same :class:`~repro.core.node_shell.NodeShell` a
+NICE node is built on, and what a 2PC replica does locally is the same
+:class:`~repro.kv.TwoPhaseParticipant`; this module is the unicast wire
+protocols around them.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from ..core.config import ACK_BYTES, CLIENT_PORT, COMMIT_BYTES, NODE_PORT, REQUEST_BYTES
+from ..core.config import ACK_BYTES, COMMIT_BYTES, NODE_PORT, REQUEST_BYTES
 from ..core.membership import PartitionMap
-from ..kv import (
-    ConsistentHashRing,
-    Disk,
-    LockTable,
-    LogRecord,
-    ObjectStore,
-    PutStamp,
-    StoredObject,
-    WriteAheadLog,
-    key_hash,
-)
+from ..core.node_shell import NodeShell
+from ..kv import PreparedOp, PutStamp, StoredObject, TwoPhaseParticipant
 from ..net import Host, IPv4Address
-from ..sim import AllOf, AnyOf, Counter, Event, Resource, Simulator
-from ..transport import ProtocolStack
+from ..sim import AllOf, Counter, Event, Simulator
 from .config import NoobConfig
 
 __all__ = ["NoobStorageNode"]
 
 
-class NoobStorageNode:
+class NoobStorageNode(NodeShell):
     """One NOOB storage server."""
 
     def __init__(
@@ -46,39 +40,26 @@ class NoobStorageNode:
         partition_map: PartitionMap,
         directory: Dict[str, IPv4Address],
     ):
-        self.sim = sim
-        self.host = host
-        self.name = name
-        self.config = config
+        super().__init__(sim, host, name, config, directory)
         #: Full membership (§2.1): the complete map, not an O(R) slice.
         self.partition_map = partition_map
-        self.directory = directory
-        self.stack = ProtocolStack(sim, host)
-        self.cpu = Resource(sim, capacity=1, name=f"{name}.cpu")
-        self.disk = Disk(sim, name=f"{name}.disk")
-        self.store = ObjectStore()
-        self.wal = WriteAheadLog(self.disk)
-        self.locks = LockTable()
+        # NOOB has no recovery protocol (§2.1): a handler that was running
+        # when the node crashed simply carries on, so nothing a prepare
+        # does depends on the host being up.
+        self.participant = TwoPhaseParticipant(
+            sim, self.disk, self.store, self.wal, self.locks, is_up=lambda: True
+        )
         self._inbox = self.stack.tcp.listen(NODE_PORT)
-        self._token_seq = itertools.count(1)
-        self.puts_served = Counter(f"{name}.puts")
-        self.gets_served = Counter(f"{name}.gets")
         self.forwards = Counter(f"{name}.forwards")
         self.membership_updates = Counter(f"{name}.membership_updates")
         sim.process(self._serve_loop())
-
-    @property
-    def ip(self) -> IPv4Address:
-        return self.host.ip
 
     # -- failure injection -------------------------------------------------------
     def crash(self) -> None:
         """Fail-stop: NIC dark, volatile 2PC state lost; the object store
         and WAL survive (they model the disk, as in the NICE node)."""
         self.host.fail()
-        self.locks.clear()
-        if hasattr(self, "_pending_value"):
-            self._pending_value.clear()
+        self.participant.crash()
 
     def restart(self) -> None:
         """Power back on.  NOOB has no staged rejoin (§2.1): the node
@@ -87,32 +68,24 @@ class NoobStorageNode:
         self.host.recover()
 
     # -- helpers -----------------------------------------------------------------
-    def partition_of(self, key: str) -> int:
-        return ConsistentHashRing.partition_of_hash(key_hash(key), len(self.partition_map))
-
-    def replicas_of(self, key: str) -> List[str]:
-        rs = self.partition_map.get(self.partition_of(key))
-        return [rs.primary] + [m for m in rs.members if m != rs.primary]
-
     def _send(self, ip: IPv4Address, body: dict, size: int) -> Event:
         return self.stack.tcp.send_message(ip, NODE_PORT, body, size)
 
-    def _cpu_work(self):
-        """One request's worth of CPU service time (serialized per node)."""
-        cost = self.config.node_cpu_per_op_s
-        if cost <= 0:
-            return
-        req = self.cpu.request()
-        yield req
-        try:
-            yield self.sim.timeout(cost)
-        finally:
-            req.release()
+    def _rpc(self, peer: str, body: dict, size: int, timeout_factor: int):
+        """One request to ``peer``; returns its token-matched reply, or
+        ``None`` after ``timeout_factor`` peer timeouts.  Only the reply
+        wait is bounded — the send is not (unlike
+        :meth:`NodeShell.request`), which is part of the NOOB schedule."""
+        token = self.new_token()
+        conn = yield self._send(self.directory[peer], dict(body, token=token), size)
+        return (yield from self.await_reply(
+            conn,
+            lambda m: (m.payload or {}).get("token") == token,
+            self.config.peer_timeout_s * timeout_factor,
+        ))
 
-    def _reply_client(self, request: dict, body: dict, size: int) -> None:
-        self.stack.tcp.send_message(
-            IPv4Address(request["client_ip"]), request["client_port"], body, size
-        )
+    def _reply_put(self, body: dict, status: str) -> None:
+        self.reply_put(body["client_ip"], body["client_port"], tuple(body["op_id"]), status)
 
     # -- dispatch --------------------------------------------------------------------
     def _serve_loop(self):
@@ -143,7 +116,7 @@ class NoobStorageNode:
 
     def _handle_read_version(self, msg, body: dict):
         """Quorum-read participant: return our version of the object."""
-        yield from self._cpu_work()
+        yield from self.cpu_work()
         obj = self.store.get(body["key"])
         if obj is not None:
             yield self.disk.read(obj.size_bytes)
@@ -158,25 +131,11 @@ class NoobStorageNode:
             (obj.size_bytes if obj else 0) + ACK_BYTES,
         )
 
-    def _read_version(self, peer: str, key: str):
-        token = (self.name, next(self._token_seq))
-        conn = yield self._send(
-            self.directory[peer],
-            {"type": "read_version", "key": key, "token": token},
-            REQUEST_BYTES,
-        )
-        get = conn.inbox.get(lambda m: (m.payload or {}).get("token") == token)
-        got = yield AnyOf(self.sim, [get, self.sim.timeout(self.config.peer_timeout_s * 2)])
-        if get in got:
-            return got[get].payload
-        conn.inbox.cancel(get)
-        return None
-
     # -- put coordination ----------------------------------------------------------------
     def _handle_put(self, body: dict):
-        yield from self._cpu_work()
+        yield from self.cpu_work()
         key = body["key"]
-        replicas = self.replicas_of(key)
+        replicas = self.partition_map.replicas_of_key(key)
         tr = self.sim.tracer
         if replicas[0] != self.name:
             # Misdirected (ROG random node): one extra hop to the primary.
@@ -203,6 +162,21 @@ class NoobStorageNode:
         if span is not None:
             span.end()
 
+    @staticmethod
+    def _copy(body: dict, stamp: PutStamp, msg_type: str, **extra) -> dict:
+        """The object and its stamp, as one replica ships it to another."""
+        return {
+            "type": msg_type,
+            "key": body["key"],
+            "value": body["value"],
+            "size": body["size"],
+            "stamp": stamp,
+            "op_id": tuple(body["op_id"]),
+            "client_ip": body["client_ip"],
+            "client_ts": body["client_ts"],
+            **extra,
+        }
+
     def _stamp(self, body: dict) -> PutStamp:
         return PutStamp(str(self.ip), self.sim.now, body["client_ip"], body["client_ts"])
 
@@ -216,29 +190,9 @@ class NoobStorageNode:
         Each outbound copy costs the primary CPU time — the end-host
         replication work NICE offloads to the switch (§4.2).
         """
-        yield from self._cpu_work()
-        token = (self.name, next(self._token_seq))
-        conn = yield self._send(
-            self.directory[peer],
-            {
-                "type": msg_type,
-                "token": token,
-                "key": body["key"],
-                "value": body["value"],
-                "size": body["size"],
-                "stamp": stamp,
-                "op_id": tuple(body["op_id"]),
-                "client_ip": body["client_ip"],
-                "client_ts": body["client_ts"],
-            },
-            body["size"],
-        )
-        get = conn.inbox.get(lambda m: (m.payload or {}).get("token") == token)
-        got = yield AnyOf(self.sim, [get, self.sim.timeout(self.config.peer_timeout_s * 4)])
-        if get in got:
-            return got[get].payload
-        conn.inbox.cancel(get)
-        return None
+        yield from self.cpu_work()
+        copy = self._copy(body, stamp, msg_type)
+        return (yield from self._rpc(peer, copy, body["size"], timeout_factor=4))
 
     def _put_primary_only(self, body: dict, secondaries: List[str]):
         """Primary-backup: write locally, fan out R−1 unicast copies, ack
@@ -252,16 +206,22 @@ class NoobStorageNode:
         if transfers:
             yield AllOf(self.sim, transfers)
         self.puts_served.add()
-        self._reply_client(body, {"type": "put_reply", "op_id": tuple(body["op_id"]), "status": "ok"}, ACK_BYTES)
+        self._reply_put(body, "ok")
+
+    def _prepare(self, body: dict, role: str):
+        """The local participant sequence for one put (lock, +L, W)."""
+        op = PreparedOp(
+            tuple(body["op_id"]), body["key"], body["size"], body["client_ip"],
+            body["client_ts"], value=body["value"], role=role,
+        )
+        self.participant.admit(op)
+        yield from self.participant.prepare(op)
 
     def _put_2pc(self, body: dict, secondaries: List[str]):
         """Two explicit rounds (Fig 2's dashed arrows): prepare (data) then
         commit, each acked by every secondary."""
         op_id = tuple(body["op_id"])
-        key = body["key"]
-        yield self.locks.request(self.sim, key, op_id)
-        yield self.wal.append(LogRecord(op_id, key, body["size"], body["client_ip"], body["client_ts"]))
-        yield self.disk.write(body["size"], forced=False)  # log flush covers it
+        yield from self._prepare(body, "primary")
         stamp = self._stamp(body)
         prepares = [
             self.sim.process(self._replication_request(s, body, stamp, "prepare"))
@@ -270,35 +230,19 @@ class NoobStorageNode:
         if prepares:
             replies = yield AllOf(self.sim, prepares)
             if any(v is None for v in replies.values()):
-                self.locks.release(key, op_id)
-                self.wal.remove(op_id)
-                self._reply_client(body, {"type": "put_reply", "op_id": op_id, "status": "fail"}, ACK_BYTES)
+                self.participant.abort(op_id)
+                self._reply_put(body, "fail")
                 return
+        commit = {"type": "commit2pc", "op_id": op_id, "key": body["key"], "stamp": stamp}
         commits = [
-            self.sim.process(self._commit_request(s, op_id, key, stamp))
+            self.sim.process(self._rpc(s, commit, COMMIT_BYTES, timeout_factor=4))
             for s in secondaries
         ]
-        self.store.put(StoredObject(key, body["value"], body["size"], stamp))
-        self.wal.remove(op_id)
-        self.locks.release(key, op_id)
+        self.participant.commit(op_id, stamp)
         if commits:
             yield AllOf(self.sim, commits)
         self.puts_served.add()
-        self._reply_client(body, {"type": "put_reply", "op_id": op_id, "status": "ok"}, ACK_BYTES)
-
-    def _commit_request(self, peer: str, op_id: Tuple, key: str, stamp: PutStamp):
-        token = (self.name, next(self._token_seq))
-        conn = yield self._send(
-            self.directory[peer],
-            {"type": "commit2pc", "token": token, "op_id": op_id, "key": key, "stamp": stamp},
-            COMMIT_BYTES,
-        )
-        get = conn.inbox.get(lambda m: (m.payload or {}).get("token") == token)
-        got = yield AnyOf(self.sim, [get, self.sim.timeout(self.config.peer_timeout_s * 4)])
-        if get in got:
-            return got[get].payload
-        conn.inbox.cancel(get)
-        return None
+        self._reply_put(body, "ok")
 
     def _put_quorum(self, body: dict, secondaries: List[str]):
         """Quorum write: the primary concurrently unicasts to *all* replicas
@@ -328,7 +272,7 @@ class NoobStorageNode:
             if len(transfers) >= needed:
                 yield done
         self.puts_served.add()
-        self._reply_client(body, {"type": "put_reply", "op_id": tuple(body["op_id"]), "status": "ok"}, ACK_BYTES)
+        self._reply_put(body, "ok")
 
     def _put_chain(self, body: dict, replicas: List[str]):
         """Chain replication [43]: store locally, pass the object down the
@@ -340,72 +284,50 @@ class NoobStorageNode:
     def _chain_forward(self, body: dict, replicas: List[str], position: int, stamp: PutStamp):
         if position + 1 < len(replicas):
             nxt = replicas[position + 1]
-            yield self._send(
-                self.directory[nxt],
-                {
-                    "type": "chain_put",
-                    "key": body["key"],
-                    "value": body["value"],
-                    "size": body["size"],
-                    "stamp": stamp,
-                    "op_id": tuple(body["op_id"]),
-                    "client_ip": body["client_ip"],
-                    "client_port": body["client_port"],
-                    "client_ts": body["client_ts"],
-                    "position": position + 1,
-                },
-                body["size"],
+            copy = self._copy(
+                body, stamp, "chain_put",
+                client_port=body["client_port"], position=position + 1,
             )
+            yield self._send(self.directory[nxt], copy, body["size"])
         else:
             self.puts_served.add()
-            self._reply_client(
-                body, {"type": "put_reply", "op_id": tuple(body["op_id"]), "status": "ok"}, ACK_BYTES
-            )
+            self._reply_put(body, "ok")
 
     # -- replica-side handlers --------------------------------------------------------------
     def _handle_replicate(self, msg, body: dict):
-        yield from self._cpu_work()
-        yield self.disk.write(body["size"], forced=True)
-        self.store.put(StoredObject(body["key"], body["value"], body["size"], body["stamp"]))
+        yield from self.cpu_work()
+        yield from self._commit_local(body, body["stamp"])
         yield msg.conn.send({"type": "replicate_ack", "token": body["token"]}, ACK_BYTES)
 
     def _handle_prepare(self, msg, body: dict):
-        yield from self._cpu_work()
-        op_id = tuple(body["op_id"])
-        key = body["key"]
+        yield from self.cpu_work()
         tr = self.sim.tracer
         span = None
         if tr is not None:
-            span = tr.begin("2pc.prepare", "2pc", node=self.name, op=op_id,
-                            key=key)
-        yield self.locks.request(self.sim, key, op_id)
-        yield self.wal.append(LogRecord(op_id, key, body["size"], body["client_ip"], body["client_ts"]))
-        yield self.disk.write(body["size"], forced=False)  # log flush covers it
-        self._pending_value = getattr(self, "_pending_value", {})
-        self._pending_value[op_id] = (body["value"], body["size"])
+            span = tr.begin("2pc.prepare", "2pc", node=self.name,
+                            op=tuple(body["op_id"]), key=body["key"])
+        yield from self._prepare(body, "secondary")
         if span is not None:
             span.end(status="prepared")
         yield msg.conn.send({"type": "prepare_ack", "token": body["token"]}, ACK_BYTES)
 
     def _handle_commit2pc(self, msg, body: dict):
         op_id = tuple(body["op_id"])
-        pend = getattr(self, "_pending_value", {}).pop(op_id, None)
-        if pend is not None:
-            value, size = pend
-            self.store.put(StoredObject(body["key"], value, size, body["stamp"]))
-        self.wal.remove(op_id)
-        self.locks.release(body["key"], op_id)
+        op = self.participant.commit(op_id, body["stamp"])
+        if op is None:
+            # A crash since the prepare took the value with it; all that
+            # is left of the op is its log record.
+            self.wal.remove(op_id)
         tr = self.sim.tracer
         if tr is not None:
             tr.instant("commit", "2pc", node=self.name, op=op_id,
-                       applied=pend is not None)
+                       applied=op is not None)
         yield msg.conn.send({"type": "commit_ack", "token": body["token"]}, ACK_BYTES)
 
     def _handle_chain_put(self, body: dict):
-        yield from self._cpu_work()
-        yield self.disk.write(body["size"], forced=True)
-        self.store.put(StoredObject(body["key"], body["value"], body["size"], body["stamp"]))
-        replicas = self.replicas_of(body["key"])
+        yield from self.cpu_work()
+        yield from self._commit_local(body, body["stamp"])
+        replicas = self.partition_map.replicas_of_key(body["key"])
         yield from self._chain_forward(body, replicas, body["position"], body["stamp"])
 
     # -- gets ------------------------------------------------------------------------------
@@ -415,9 +337,9 @@ class NoobStorageNode:
         if tr is not None:
             span = tr.begin("get.serve", "op", node=self.name,
                             op=tuple(body["op_id"]), key=body["key"])
-        yield from self._cpu_work()
+        yield from self.cpu_work()
         key = body["key"]
-        replicas = self.replicas_of(key)
+        replicas = self.partition_map.replicas_of_key(key)
         can_serve = (
             self.name in replicas
             if self.config.consistency in ("2pc", "chain", "quorum")
@@ -440,7 +362,10 @@ class NoobStorageNode:
             peers = [r for r in replicas if r != self.name][: read_set - 1]
             votes = []
             for peer in peers:
-                reply = yield from self._read_version(peer, key)
+                reply = yield from self._rpc(
+                    peer, {"type": "read_version", "key": key}, REQUEST_BYTES,
+                    timeout_factor=2,
+                )
                 if reply is not None and reply.get("stamp") is not None:
                     votes.append((reply["stamp"], reply["value"], reply["size"]))
             if obj is not None:
@@ -451,20 +376,6 @@ class NoobStorageNode:
                 obj = StoredObject(key, value, size, stamp)
             else:
                 obj = None
-        self.gets_served.add()
-        if obj is not None:
-            yield self.disk.read(obj.size_bytes)
-            reply = {
-                "type": "get_reply",
-                "op_id": tuple(body["op_id"]),
-                "status": "ok",
-                "value": obj.value,
-                "size": obj.size_bytes,
-            }
-            size = REQUEST_BYTES + obj.size_bytes
-        else:
-            reply = {"type": "get_reply", "op_id": tuple(body["op_id"]), "status": "miss"}
-            size = ACK_BYTES
-        self._reply_client(body, reply, size)
+        yield from self.reply_get(body, obj)
         if span is not None:
-            span.end(status=reply["status"])
+            span.end(status="ok" if obj is not None else "miss")

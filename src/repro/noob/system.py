@@ -14,6 +14,7 @@ from typing import Dict, List
 
 from ..core.config import MEMBERSHIP_BYTES, NODE_PORT
 from ..core.membership import PartitionMap
+from ..core.system import ClusterBase
 from ..net import (
     Host,
     IPv4Address,
@@ -39,7 +40,7 @@ GATEWAY_BASE = IPv4Address("10.0.2.1")
 _MAC_BASE = 0x020000001100
 
 
-class NoobCluster:
+class NoobCluster(ClusterBase):
     """A fully-wired NOOB deployment inside one simulator."""
 
     def __init__(self, config: NoobConfig = None, sim: Simulator = None):
@@ -167,22 +168,8 @@ class NoobCluster:
         return self.sim.process(run())
 
     # -- conveniences ---------------------------------------------------------------
-    def warm_up(self, duration: float = 0.05) -> None:
-        self.sim.run(until=self.sim.now + duration)
-
-    def run(self, until: float = None) -> float:
-        return self.sim.run(until=until)
-
     def replica_nodes(self, key: str) -> List[NoobStorageNode]:
-        names = self.nodes[next(iter(self.nodes))].replicas_of(key)
-        return [self.nodes[n] for n in names]
+        return [self.nodes[n] for n in self.partition_map.replicas_of_key(key)]
 
     def primary_of(self, key: str) -> NoobStorageNode:
         return self.replica_nodes(key)[0]
-
-    def reset_measurements(self) -> None:
-        self.network.reset_link_counters()
-        for host in self.network.devices.values():
-            if isinstance(host, Host):
-                host.tx_bytes.reset()
-                host.rx_bytes.reset()

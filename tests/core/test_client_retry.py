@@ -9,12 +9,18 @@ Pins the PR-4 bugfix sweep:
   hanging forever (and reporting ok) when the quorum is unreachable;
 * an authoritative get "miss" returns immediately — it is an answer,
   not a failure to reach the store.
+
+The attempt loop itself is one piece of code (``KvClient._attempts``) that
+the NICE and the NOOB client both run: the ``system``-parametrized tests
+at the bottom drive it through each, using only the network (dark hosts, a
+rejection sent by another machine) to provoke each branch.
 """
 
 import pytest
 
 from repro.chaos import ChaosEngine, FaultEvent, FaultSchedule
-from repro.core import ClusterConfig, NiceCluster
+from repro.core import CLIENT_PORT, ClusterConfig, NiceCluster
+from repro.noob import NoobCluster, NoobConfig
 from repro.obs import install as install_tracer
 
 
@@ -135,54 +141,6 @@ def test_put_anyk_still_completes_with_reachable_quorum():
     assert result.latency < cluster.config.client_retry_timeout_s
 
 
-def test_get_miss_returns_immediately_without_retry():
-    cluster = make_cluster()
-    client = cluster.clients[0]
-
-    def driver():
-        result = yield client.get("never-written", max_retries=3)
-        return result
-
-    result = run_driver(cluster, driver())
-    assert not result.ok
-    assert result.status == "miss"
-    assert result.retries == 0  # answered on the first attempt
-    assert client.retries.value == 0
-    assert result.latency < cluster.config.client_retry_timeout_s
-
-
-def test_get_error_reply_backs_off_before_retrying():
-    """An early non-ok, non-miss reply must still honor the fixed back-off
-    (mirror of the put fix).  No node emits such a status today, so the
-    reply is injected straight into the client's waiter."""
-    cluster = make_cluster()
-    tracer = install_tracer(cluster.sim, label="test")
-    client = cluster.clients[0]
-    cfg = cluster.config
-
-    def inject_error(sim):
-        # Fail the first in-flight get attempt with a synthetic error.
-        yield sim.timeout(1e-4)
-        (op_id, waiter), = list(client._waiters.items())
-        waiter.succeed({"op_id": list(op_id), "status": "error"})
-
-    def driver(sim):
-        sim.process(inject_error(sim))
-        result = yield client.get("never-written", max_retries=1)
-        return result
-
-    result = run_driver(cluster, driver(cluster.sim))
-    # Attempt 0 saw the injected error; attempt 1 reached the store and
-    # got the authoritative miss.
-    assert result.status == "miss"
-    assert result.retries == 1
-    attempts = tracer.spans("get")
-    assert [e.args["status"] for _, e in attempts] == ["error", "miss"]
-    gap = attempts[1][0].ts - attempts[0][0].ts
-    assert gap >= cfg.client_retry_timeout_s
-    assert gap < cfg.client_retry_timeout_s + 0.1
-
-
 def resolved_routes(tracer, key):
     """The per-attempt get routes a client traced for ``key``."""
     return [
@@ -263,3 +221,120 @@ def test_get_succeeds_across_rule_flap():
     # Every attempt re-resolved; no two attempts shared a flow identity.
     assert len(routes) == result.retries + 1
     assert len(set(routes)) == len(routes)
+
+
+# -- the shared attempt loop, through a NICE and a NOOB client ---------------------
+
+
+@pytest.fixture(params=["nice", "noob"])
+def system(request):
+    """A small cluster of either system with one key already stored."""
+    kw = dict(n_storage_nodes=6, n_clients=2, replication_level=3,
+              heartbeat_miss_limit=10_000)
+    if request.param == "nice":
+        cluster = NiceCluster(ClusterConfig(**kw))
+    else:
+        cluster = NoobCluster(NoobConfig(**kw))
+    cluster.warm_up()
+    result = run_driver(cluster, put_one(cluster.clients[0], "stored"), until=5.0)
+    assert result.ok
+    return cluster
+
+
+def put_one(client, key):
+    result = yield client.put(key, "v", 1000)
+    return result
+
+
+def set_replicas_dark(cluster, key, dark):
+    """NIC-level outage of every replica of ``key``: requests vanish, no
+    failure is ever declared (``heartbeat_miss_limit`` is huge)."""
+    for node in cluster.replica_nodes(key):
+        if dark:
+            node.host.fail()
+        else:
+            node.host.recover()
+
+
+def test_miss_is_an_answer_not_a_retry(system):
+    client = system.clients[0]
+
+    def driver():
+        result = yield client.get("never-written", max_retries=3)
+        return result
+
+    result = run_driver(system, driver())
+    assert not result.ok
+    assert result.status == "miss"
+    assert result.retries == 0  # answered on the first attempt
+    assert client.retries.value == 0 and client.failures.value == 0
+    assert result.latency < system.config.client_retry_timeout_s
+
+
+def test_timeout_retries_until_the_store_answers(system):
+    client = system.clients[0]
+    timeout = system.config.client_retry_timeout_s
+
+    def driver(sim):
+        set_replicas_dark(system, "stored", True)
+        op = client.get("stored", max_retries=5)
+        yield sim.timeout(1.25 * timeout)  # the first attempt has timed out
+        set_replicas_dark(system, "stored", False)
+        result = yield op
+        return result
+
+    result = run_driver(system, driver(system.sim))
+    assert result.ok and result.value == "v"
+    assert result.retries >= 1
+    assert client.retries.value == result.retries
+    assert client.failures.value == 0
+    assert result.latency >= timeout
+
+
+def test_exhausted_retries_count_one_failure(system):
+    client = system.clients[0]
+    timeout = system.config.client_retry_timeout_s
+    set_replicas_dark(system, "stored", True)
+
+    def driver():
+        result = yield client.get("stored", max_retries=1)
+        return result
+
+    result = run_driver(system, driver())
+    assert not result.ok
+    assert result.status == "timeout"
+    assert result.retries == 1
+    assert client.retries.value == 1
+    assert client.failures.value == 1
+    assert result.latency == pytest.approx(2 * timeout, rel=0.01)
+
+
+def test_early_rejection_waits_out_the_backoff(system):
+    """A non-ok, non-miss reply that arrives early must not trigger a
+    same-instant resend.  No node emits such a status for a get, so
+    another machine sends it to the client's reply socket."""
+    tracer = install_tracer(system.sim, label="test")
+    client, other = system.clients
+    timeout = system.config.client_retry_timeout_s
+
+    def driver(sim):
+        set_replicas_dark(system, "stored", True)  # attempt 0 goes nowhere
+        op = client.get("stored", max_retries=1)
+        yield sim.timeout(0)  # let the attempt take its op id
+        begin = next(ev for ev in tracer.events if ev.ph == "B" and ev.name == "get")
+        other.stack.tcp.send_message(
+            client.ip, CLIENT_PORT,
+            {"type": "get_reply", "op_id": begin.op, "status": "error"}, 64,
+        )
+        yield sim.timeout(0.5 * timeout)
+        set_replicas_dark(system, "stored", False)
+        result = yield op
+        return result
+
+    result = run_driver(system, driver(system.sim))
+    assert result.ok and result.value == "v"
+    assert result.retries == 1 and client.retries.value == 1
+    attempts = tracer.spans("get")
+    assert [end.args["status"] for _, end in attempts] == ["error", "ok"]
+    gap = attempts[1][0].ts - attempts[0][0].ts
+    assert timeout <= gap < timeout + 0.1

@@ -38,8 +38,8 @@ def test_peer_report_triggers_immediate_failure():
     done = []
 
     def report(sim):
-        yield from reporter._strike("n3")
-        yield from reporter._strike("n3")
+        yield from reporter.meta.strike("n3")
+        yield from reporter.meta.strike("n3")
         done.append(sim.now)
 
     cluster.sim.process(report(cluster.sim))
@@ -98,7 +98,7 @@ def test_heartbeats_ignored_while_down():
     cluster = make_cluster()
     cluster.metadata.declare_failed("n1")
     # A stray heartbeat must not resurrect the node without rejoin.
-    cluster.nodes["n1"]._heartbeat_loop  # loop still runs; host is up here
+    assert cluster.nodes["n1"].host.up  # its heartbeat loop still runs
     cluster.sim.run(until=cluster.sim.now + 2.0)
     assert cluster.metadata.status["n1"] == "down"
 

@@ -133,11 +133,11 @@ def test_switch_fences_stale_epochs_only():
 def test_node_fences_stale_membership_epoch():
     cluster = make_ha_cluster()
     node = cluster.nodes["n0"]
-    node.meta_epoch = 2
-    assert node._fence_meta(1)        # stale: fenced
-    assert not node._fence_meta(2)    # current: accepted
-    assert not node._fence_meta(None)  # unstamped legacy path: accepted
-    assert not node._fence_meta(3)    # newer: adopted
+    node.meta.epoch = 2
+    assert node.meta.fence(1)        # stale: fenced
+    assert not node.meta.fence(2)    # current: accepted
+    assert not node.meta.fence(None)  # unstamped legacy path: accepted
+    assert not node.meta.fence(3)    # newer: adopted
     assert node.meta_epoch == 3
     assert node.membership_fenced.value == 1
 
@@ -195,8 +195,8 @@ def test_promotion_completes_with_control_exchange_in_flight():
     old_ip = ha.replica_named("meta").host.ip
 
     def strikes():
-        yield from reporter._strike("n3")
-        yield from reporter._strike("n3")
+        yield from reporter.meta.strike("n3")
+        yield from reporter.meta.strike("n3")
 
     def driver(sim):
         cluster.nodes["n3"].host.fail()

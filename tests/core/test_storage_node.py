@@ -52,7 +52,7 @@ def test_put_cleans_up_locks_and_wal():
     for node in cluster.replica_nodes("obj"):
         assert len(node.locks) == 0
         assert len(node.wal) == 0
-        assert not node._pending
+        assert not node.puts.participant.pending
 
 
 def test_sequential_puts_last_writer_wins():

@@ -57,13 +57,13 @@ def isolate_mid_put(cluster, key, primary, secondary):
     s_node = cluster.nodes[secondary]
     while True:
         prepared = any(p.key == key and p.value == "v2"
-                       for p in s_node._pending.values())
+                       for p in s_node.puts.participant.pending.values())
         obj = p_node.store.get(key)
         if prepared and obj is not None and obj.value == "v2":
             break
         yield sim.timeout(10e-6)
     assert not any(p.key == key and p.value == "v2"
-                   for p in p_node._pending.values())
+                   for p in p_node.puts.participant.pending.values())
     for link in cluster.fabric.uplinks_of(1):
         link.set_down(True)
 

@@ -267,3 +267,32 @@ def test_quorum_get_latency_grows_as_write_set_shrinks():
         out = run_driver(cluster, gen, until=120.0)
         lat[k] = out["avg"]
     assert lat[1] > lat[3]  # W=1 reads 3 replicas; W=3 reads 1
+
+
+def test_crash_clears_prepared_state_and_locks_but_not_the_log():
+    """A 2PC secondary that crashes between prepare and commit loses what
+    memory held (the lock, the prepared op) and keeps what the disk held
+    (the log record); the late commit then applies nothing."""
+    cluster = make_cluster(consistency="2pc", heartbeat_miss_limit=10_000)
+    client = cluster.clients[0]
+    primary, victim = cluster.replica_nodes("k")[:2]
+    prepared = {}
+
+    def crash_when_prepared(sim):
+        while not victim.participant.pending:
+            yield sim.timeout(10e-6)
+        (op,) = victim.participant.pending.values()
+        prepared.update(key=op.key, value=op.value, lock=victim.locks.holder("k") == op.op_id)
+        victim.crash()
+
+    def gen(sim, out):
+        sim.process(crash_when_prepared(sim))
+        out["put"] = yield client.put("k", "v", 1024, max_retries=0)
+
+    run_driver(cluster, gen)
+    assert prepared == {"key": "k", "value": "v", "lock": True}
+    assert not victim.participant.pending
+    assert len(victim.locks) == 0
+    assert len(victim.wal) == 1  # the disk survives the crash
+    assert victim.store.get("k") is None
+    assert primary.store.get("k").value == "v"  # the primary did commit

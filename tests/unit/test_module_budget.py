@@ -1,0 +1,44 @@
+"""Module-size ratchet (ROADMAP aim 2): no source module over 600 lines.
+
+The four modules that already were when the ratchet was written are
+listed with their ceiling at that moment; a ceiling may only come down,
+and a module that gets under the budget leaves the list for good.
+"""
+
+from pathlib import Path
+
+import repro
+
+BUDGET = 600
+
+#: path under src/repro -> lines allowed.  Never raise a number; never add
+#: a file.  (``core/storage_node`` and ``noob/storage_node.py`` are not here
+#: and must not be.)
+CEILINGS = {
+    "core/controller.py": 1124,
+    "bench/chaos.py": 988,
+    "bench/figures.py": 942,
+    "sim/kernel.py": 793,
+}
+
+
+def line_counts():
+    root = Path(repro.__file__).parent
+    return {
+        path.relative_to(root).as_posix(): len(path.read_text().splitlines())
+        for path in sorted(root.rglob("*.py"))
+    }
+
+
+def test_no_module_outgrows_its_budget():
+    over = {
+        name: n for name, n in line_counts().items() if n > CEILINGS.get(name, BUDGET)
+    }
+    assert over == {}, f"modules over budget (split them, do not raise the ceiling): {over}"
+
+
+def test_allowlist_only_names_modules_still_over_budget():
+    counts = line_counts()
+    stale = {name: counts.get(name) for name in CEILINGS if counts.get(name, 0) <= BUDGET}
+    assert stale == {}, f"under budget now — drop them from CEILINGS: {stale}"
+    assert not any("storage_node" in name for name in CEILINGS)

@@ -35,6 +35,18 @@ def test_cluster_config_has_no_sim_mode():
         ClusterConfig(sim_mode="approx")
 
 
+@pytest.mark.parametrize(
+    "option", ["multicast_chunk_loss", "failslow_threshold", "failslow_strikes"]
+)
+def test_cluster_config_has_no_never_set_option(option):
+    """Deleted in PR 18: no file under src/, tests/, benchmarks/ or
+    examples/ ever set them.  Chunk loss is still injectable where it is
+    tested (``MulticastEndpoint(chunk_loss_rate=, rng=)``); the fail-slow
+    detector's constants sit beside it."""
+    with pytest.raises(TypeError):
+        ClusterConfig(**{option: 2})
+
+
 def test_cell_has_no_sim_mode():
     with pytest.raises(TypeError):
         Cell(len, {}, seed=0, sim_mode="approx")
