@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter as Multiset
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -219,22 +220,19 @@ def _workload(
 
 def _table_snapshot(cluster) -> List:
     """Semantic FlowTable + group-table state of every switch, chaos
-    cookies excluded, mutable per-rule stats (seq, hit counters) ignored —
-    two snapshots are equal iff the switches would forward identically."""
+    cookies excluded, compared by ``Rule.content`` (not seq or hit
+    counters) — two snapshots are equal iff the switches would forward
+    identically."""
     snap = []
     switches = getattr(cluster, "switches", None)
     if switches is None:
         switches = [cluster.switch] + list(getattr(cluster, "edge_switches", []))
     for switch in switches:
-        rules = sorted(
-            (r.cookie, r.priority, str(r.match), str(list(r.actions)))
-            for r in switch.table.iter_rules()
-            if not r.cookie.startswith("chaos:")
+        rules = Multiset(
+            r.content for r in switch.table.iter_rules() if not r.cookie.startswith("chaos:")
         )
-        groups = sorted(
-            (gid, str(list(g.buckets))) for gid, g in switch.groups.items()
-        )
-        snap.append((switch.name, tuple(rules), tuple(groups)))
+        groups = {gid: tuple(g.buckets) for gid, g in switch.groups.items()}
+        snap.append((switch.name, rules, groups))
     return snap
 
 

@@ -125,7 +125,7 @@ class MetadataService:
         self._log_append("register", node=name)
 
     def node_ip(self, name: str) -> Optional[IPv4Address]:
-        rec = self.controller.hosts.get(name)
+        rec = self.controller.directory.hosts.get(name)
         return rec.ip if rec else None
 
     def live_nodes(self) -> List[str]:
@@ -300,7 +300,6 @@ class MetadataService:
                     # No stand-in exists to accumulate the writes this
                     # node will miss: its rejoin needs a full fetch.
                     rs.uncovered.add(node)
-        self.controller.hide_host(node)
         for rs in affected:
             self.controller.sync_partition(rs.partition, epoch=self.epoch)
             self._inform_replicas(rs)
@@ -322,7 +321,7 @@ class MetadataService:
             self.degraded.discard(node)
         # Degradation changes desired rules without bumping membership
         # revisions, so the controller must drop its plan cache.
-        self.controller.set_degraded(node, slow)
+        self.controller.directory.set_degraded(node, slow)
         affected = self.partition_map.partitions_of(node)
         for rs in affected:
             if slow and rs.primary == node:
@@ -355,10 +354,9 @@ class MetadataService:
         # failure domains.  Outside fabric mode every rack is None, the
         # preference filter is empty, and selection is exactly the
         # pre-fabric round-robin.
-        covered = {self.controller.rack_of_node(n) for n in rs.put_targets()}
-        preferred = [
-            c for c in eligible if self.controller.rack_of_node(c) not in covered
-        ]
+        rack_of = self.controller.directory.rack_of_node
+        covered = {rack_of(n) for n in rs.put_targets()}
+        preferred = [c for c in eligible if rack_of(c) not in covered]
         pool = preferred or eligible
         choice = pool[self._handoff_rr % len(pool)]
         self._handoff_rr += 1

@@ -123,31 +123,30 @@ class NiceCluster(ClusterBase):
             cfg, partition_map, self.uni_vring, self.mc_vring
         )
         self.controller.harmonia = self.harmonia
+        #: The controller's host/switch directory (``self.directory`` below is
+        #: the cluster's plain name -> IP map).
+        ctrl_dir = self.controller.directory
         self.control_plane = ControlPlane(
             self.sim, self.controller, latency_s=cfg.controller_latency_s
         )
         if self.fabric is not None:
             for rack, leaf in enumerate(self.fabric.leaves):
                 self.control_plane.attach(leaf)
-                self.controller.register_switch(leaf, role="leaf", rack=rack)
+                ctrl_dir.register_switch(leaf.name, role="leaf", rack=rack)
             for spine in self.fabric.spines:
                 self.control_plane.attach(spine)
-                self.controller.register_switch(
-                    spine, role="spine", can_rewrite=False
-                )
+                ctrl_dir.register_switch(spine.name, role="spine", can_rewrite=False)
             # Rack address blocks: the units of spine-side aggregation.
             client_subnets = self._client_subnets()
             for rack in range(cfg.n_racks):
-                self.controller.register_rack_prefix(
-                    rack, IPv4Network(f"10.0.{rack}.0/24")
-                )
-                self.controller.register_rack_prefix(rack, client_subnets[rack])
+                ctrl_dir.register_rack_prefix(rack, IPv4Network(f"10.0.{rack}.0/24"))
+                ctrl_dir.register_rack_prefix(rack, client_subnets[rack])
         else:
             self.control_plane.attach(self.switch)
             # §5.1: the CloudLab hardware switch forwards and multicasts but
             # cannot modify destination addresses — the edge OVSes do that.
-            self.controller.register_switch(
-                self.switch, role="core", can_rewrite=(cfg.deployment == "hw")
+            ctrl_dir.register_switch(
+                self.switch.name, role="core", can_rewrite=(cfg.deployment == "hw")
             )
 
         # -- hosts ---------------------------------------------------------
@@ -167,7 +166,7 @@ class NiceCluster(ClusterBase):
             mac += 1
             self.network.register(host)
             self._attach(host, self.rack_of[name])
-            self.controller.register_host(name, host.ip, host.mac)
+            ctrl_dir.register_host(name, host.ip, host.mac)
             self.directory[name] = host.ip
             storage_hosts.append(host)
 
@@ -177,7 +176,7 @@ class NiceCluster(ClusterBase):
         mac += 1
         self.network.register(meta_host)
         self._attach(meta_host, 0)
-        self.controller.register_host("meta", meta_host.ip, meta_host.mac)
+        ctrl_dir.register_host("meta", meta_host.ip, meta_host.mac)
 
         standby_hosts: List[Host] = []
         for i in range(1, cfg.metadata_standbys + 1):
@@ -185,7 +184,7 @@ class NiceCluster(ClusterBase):
             mac += 1
             self.network.register(standby)
             self._attach(standby, 0)
-            self.controller.register_host(f"meta{i}", standby.ip, standby.mac)
+            ctrl_dir.register_host(f"meta{i}", standby.ip, standby.mac)
             standby_hosts.append(standby)
 
         client_hosts: List[Host] = []
@@ -202,7 +201,7 @@ class NiceCluster(ClusterBase):
             host = Host(self.sim, f"c{i}", ip, MacAddress(mac))
             mac += 1
             self.network.register(host)
-            self.controller.register_host(f"c{i}", host.ip, host.mac)
+            ctrl_dir.register_host(f"c{i}", host.ip, host.mac)
             if cfg.deployment == "ovs":
                 # Client-side Open vSwitch between the client and the fabric.
                 ovs = OpenFlowSwitch(
@@ -215,8 +214,8 @@ class NiceCluster(ClusterBase):
                 )
                 uplink_port = (uplink.a if uplink.a.device is ovs else uplink.b).number
                 self.control_plane.attach(ovs)
-                self.controller.register_switch(
-                    ovs, role="edge", can_rewrite=True,
+                ctrl_dir.register_switch(
+                    ovs.name, role="edge", can_rewrite=True,
                     client_ip=host.ip, uplink_port=uplink_port,
                 )
                 if self.harmonia is not None:

@@ -20,10 +20,9 @@ fail-standalone behavior.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..sim import Counter, Simulator
-from .flowtable import Group, Rule
 from .packet import Packet
 
 __all__ = ["ControlPlane", "ControllerApp"]
@@ -95,79 +94,7 @@ class ControlPlane:
         )
 
     # -- controller -> switch ---------------------------------------------------
-    def flow_mod(
-        self,
-        switch,
-        rule: Rule,
-        done: Optional[Callable] = None,
-        epoch: Optional[int] = None,
-    ) -> None:
-        """Install ``rule`` on ``switch`` after the control latency."""
-        if self.down:
-            self.dropped_down.add()
-            return
-        self.messages_to_switch.add()
-        self.sim.call_in(
-            self.latency_s, self._apply, switch, self._epoch(epoch),
-            switch.install_rule, rule, done,
-        )
-
-    def flow_delete(
-        self,
-        switch,
-        cookie: str,
-        done: Optional[Callable] = None,
-        epoch: Optional[int] = None,
-    ) -> None:
-        """Delete all rules with ``cookie`` on ``switch``."""
-        if self.down:
-            self.dropped_down.add()
-            return
-        self.messages_to_switch.add()
-        self.sim.call_in(
-            self.latency_s, self._apply, switch, self._epoch(epoch),
-            switch.remove_cookie, cookie, done,
-        )
-
-    def group_mod(
-        self,
-        switch,
-        group: Group,
-        done: Optional[Callable] = None,
-        epoch: Optional[int] = None,
-    ) -> None:
-        if self.down:
-            self.dropped_down.add()
-            return
-        self.messages_to_switch.add()
-        self.sim.call_in(
-            self.latency_s, self._apply, switch, self._epoch(epoch),
-            switch.install_group, group, done,
-        )
-
-    def group_delete(
-        self,
-        switch,
-        group_id: int,
-        done: Optional[Callable] = None,
-        epoch: Optional[int] = None,
-    ) -> None:
-        if self.down:
-            self.dropped_down.add()
-            return
-        self.messages_to_switch.add()
-        self.sim.call_in(
-            self.latency_s, self._apply, switch, self._epoch(epoch),
-            switch.remove_group, group_id, done,
-        )
-
-    def apply_batch(
-        self,
-        switch,
-        ops,
-        done: Optional[Callable] = None,
-        epoch: Optional[int] = None,
-    ) -> None:
+    def apply_batch(self, switch, ops, epoch: Optional[int] = None) -> None:
         """Ship a list of table operations to ``switch`` in one burst.
 
         ``ops`` is a sequence of ``(kind, arg)`` pairs — ``("rule", Rule)``,
@@ -187,9 +114,7 @@ class ControlPlane:
             self.dropped_down.add(len(ops))
             return
         self.messages_to_switch.add(len(ops))
-        self.sim.call_in(
-            self.latency_s, self._apply_batch, switch, self._epoch(epoch), ops, done,
-        )
+        self.sim.call_in(self.latency_s, self._apply_batch, switch, self._epoch(epoch), ops)
 
     _BATCH_DISPATCH = {
         "rule": "install_rule",
@@ -199,14 +124,15 @@ class ControlPlane:
     }
 
     @staticmethod
-    def _apply_batch(switch, epoch: Optional[int], ops, done: Optional[Callable]) -> None:
+    def _apply_batch(switch, epoch: Optional[int], ops) -> None:
+        # The fence is checked at apply time (after the channel latency):
+        # what matters is the highest epoch the switch has seen when the
+        # message *lands*, not when it was sent.
         if not switch.accept_epoch(epoch):
             return
         dispatch = ControlPlane._BATCH_DISPATCH
         for kind, arg in ops:
             getattr(switch, dispatch[kind])(arg)
-        if done is not None:
-            done()
 
     def role_claim(self, switch, epoch: Optional[int] = None) -> None:
         """OFPT_ROLE_REQUEST-style mastership claim: advance the switch's
@@ -222,16 +148,13 @@ class ControlPlane:
         self.messages_to_switch.add()
         self.sim.call_in(self.latency_s, switch.accept_epoch, self._epoch(epoch))
 
-    def packet_out(self, switch, packet: Packet, actions, done: Optional[Callable] = None) -> None:
+    def packet_out(self, switch, packet: Packet, actions) -> None:
         """Inject ``packet`` at ``switch`` and run ``actions`` on it."""
         if self.down:
             self.dropped_down.add()
             return
         self.messages_to_switch.add()
-        self.sim.call_in(
-            self.latency_s, self._apply, switch, None,
-            switch.apply_actions, (packet, actions, 0), done,
-        )
+        self.sim.call_in(self.latency_s, switch.apply_actions, packet, actions, 0)
 
     def release_buffered(self, switch, buffer_id: int) -> None:
         if self.down:
@@ -246,17 +169,3 @@ class ControlPlane:
             return
         self.messages_to_switch.add()
         self.sim.call_in(self.latency_s, switch.drop_buffered, buffer_id)
-
-    @staticmethod
-    def _apply(switch, epoch: Optional[int], func: Callable, arg, done: Optional[Callable]) -> None:
-        # The fence is checked at apply time (after the channel latency):
-        # what matters is the highest epoch the switch has seen when the
-        # message *lands*, not when it was sent.
-        if not switch.accept_epoch(epoch):
-            return
-        if isinstance(arg, tuple):
-            func(*arg)
-        else:
-            func(arg)
-        if done is not None:
-            done()

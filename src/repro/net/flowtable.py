@@ -175,6 +175,13 @@ class Rule:
     bytes: int = 0
     last_used: float = 0.0
 
+    @property
+    def content(self) -> tuple:
+        """What the rule *is* — two rules with equal content forward
+        identically.  Generated equality also compares ``seq`` and the hit
+        counters, so "same rule" is spelled this way everywhere."""
+        return (self.cookie, self.priority, self.match, tuple(self.actions))
+
     def touch(self, packet: Packet, now: float) -> None:
         self.packets += 1
         self.bytes += packet.size_bytes

@@ -12,6 +12,7 @@ deterministic hash over flow identifiers (ECMP without per-flow state).
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sim import Simulator
@@ -21,6 +22,7 @@ from .packet import Packet
 __all__ = ["Device", "Network", "LeafSpineFabric", "ecmp_index"]
 
 
+@lru_cache(maxsize=None)  # one entry per (leaf, rack) and per partition
 def ecmp_index(n: int, *keys) -> int:
     """Deterministic ECMP choice: hash ``keys`` into ``[0, n)``.
 

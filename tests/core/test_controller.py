@@ -4,6 +4,7 @@ reactive packet-in path, failure hiding."""
 import pytest
 
 from repro.core import ClusterConfig, NiceCluster
+from repro.core.controller import client_divisions
 from repro.net import IPv4Address, Packet, Proto
 
 
@@ -42,7 +43,7 @@ def test_multicast_groups_have_r_buckets():
 
 def test_client_divisions_are_power_of_two_blocks():
     cluster = make_cluster()
-    divisions = cluster.controller._client_divisions(3)
+    divisions = client_divisions(cluster.config.client_space, 3)
     assert len(divisions) == 3
     assert all(d.prefixlen == 26 for d in divisions)  # /24 split into 4
     assert divisions[0].address == cluster.config.client_space.address
@@ -113,7 +114,7 @@ def test_learning_switch_arps_unknown_physical_dst():
     cluster.warm_up()
     # Forget one host's location and L3 rule: force ARP discovery.
     target = cluster.nodes["n2"].host
-    cluster.controller.arp.forget(target.ip)
+    cluster.controller.directory.arp.forget(target.ip)
     cluster.switch.remove_cookie(f"l3:{target.ip}")
     inbox = cluster.nodes["n2"].stack.udp_bind(9999)
     got = []
@@ -126,7 +127,7 @@ def test_learning_switch_arps_unknown_physical_dst():
     cluster.clients[0].stack.udp_send(target.ip, 9999, "ping", 10)
     cluster.sim.run(until=5.0)
     assert len(got) == 1
-    assert cluster.controller.arp.lookup(target.ip) is not None
+    assert cluster.controller.directory.arp.lookup(target.ip) is not None
 
 
 def test_single_hop_routing_trace():

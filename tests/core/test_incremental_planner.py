@@ -14,10 +14,9 @@ and topology version counters.  The contracts under test:
   plans.
 """
 
-import pytest
-
 from repro.core import ClusterConfig, NiceCluster, PartitionMap
 from repro.obs import MetricsRegistry
+from tests.helpers import desired_snapshot, planner_snapshot
 
 
 def make_cluster(**kw):
@@ -26,24 +25,6 @@ def make_cluster(**kw):
     cluster = NiceCluster(ClusterConfig(**defaults))
     cluster.warm_up()
     return cluster
-
-
-def desired_snapshot(controller):
-    """Comparable form of every switch's desired state (Rule objects have
-    identity semantics; compare by content)."""
-    snap = {}
-    for switch in controller.channel.switches:
-        rules, groups = controller.desired_state(switch)
-        snap[switch.name] = (
-            {
-                cookie: sorted(
-                    (r.priority, str(r.match), str(r.actions)) for r in rs
-                )
-                for cookie, rs in rules.items()
-            },
-            {gid: str(g.buckets) for gid, g in groups.items()},
-        )
-    return snap
 
 
 def reset_counters(controller):
@@ -86,12 +67,27 @@ def test_sync_partition_always_replans():
     assert ctrl.plan_recomputes.value == 2 * n_switches
 
 
+def test_plan_key_has_no_per_partition_counter():
+    """``sync_partition`` refreshes the entries it replans under the same
+    three-part key every other entry holds: the reconcile that follows
+    recomputes nothing."""
+    cluster = make_cluster()
+    ctrl = cluster.controller
+    ctrl.sync_partition(3)
+    cluster.warm_up()
+    reset_counters(ctrl)
+    stats = ctrl.reconcile()
+    assert ctrl.plan_recomputes.value == 0
+    assert stats["installed"] == 0 and stats["deleted"] == 0
+
+
 def test_incremental_equals_scratch_after_service_churn():
     cluster = make_cluster()
     ctrl = cluster.controller
     cluster.metadata.declare_failed("n1")
     cluster.sim.run(until=cluster.sim.now + 0.2)
     incremental = desired_snapshot(ctrl)
+    assert incremental == planner_snapshot(ctrl)
     ctrl.invalidate_plans()
     scratch = desired_snapshot(ctrl)
     assert incremental == scratch
@@ -107,6 +103,7 @@ def test_direct_transition_bumps_rev_and_invalidates_plan():
     after = desired_snapshot(ctrl)
     # Partition 0 replanned on every switch; the rest served from cache.
     assert ctrl.plan_recomputes.value == len(ctrl.channel.switches)
+    assert after == planner_snapshot(ctrl)
     ctrl.invalidate_plans()
     assert desired_snapshot(ctrl) == after
 
@@ -144,10 +141,10 @@ def test_arp_relearn_invalidates_location_dependent_plans():
     cluster = make_cluster()
     ctrl = cluster.controller
     desired_snapshot(ctrl)
-    rec = ctrl.hosts["n0"]
-    loc = ctrl.arp.lookup(rec.ip)
+    rec = ctrl.directory.hosts["n0"]
+    loc = ctrl.directory.arp.lookup(rec.ip)
     reset_counters(ctrl)
-    ctrl.arp.learn(rec.ip, rec.mac, loc.switch_name, loc.port_no)
+    ctrl.directory.arp.learn(rec.ip, rec.mac, loc.switch_name, loc.port_no)
     desired_snapshot(ctrl)
     assert ctrl.plan_recomputes.value > 0
 

@@ -1,5 +1,8 @@
-"""Shared test fixtures: a star topology with static L3 forwarding, and
-the linear rule scan the flow table's index is checked against."""
+"""Shared test fixtures: a star topology with static L3 forwarding, the
+linear rule scan the flow table's index is checked against, and the
+content snapshots the controller's plan-cache contract is stated in."""
+
+from collections import Counter
 
 from repro.net import (
     Bucket,
@@ -74,3 +77,52 @@ def linear_scan(table, packet, in_port=None):
         if rule.match.matches(packet, in_port):
             return rule
     return None
+
+
+def _by_content(rules_by_cookie, groups):
+    """Comparable form of one switch's state (``Rule`` equality includes
+    ``seq`` and hit counters; ``Rule.content`` is what the rule *is*)."""
+    return (
+        {cookie: Counter(r.content for r in rules) for cookie, rules in rules_by_cookie.items()},
+        {gid: tuple(g.buckets) for gid, g in groups.items()},
+    )
+
+
+def desired_snapshot(controller):
+    """Every switch's desired state as the controller serves it — plans
+    from its cache where their version key still holds."""
+    return {
+        switch.name: _by_content(*controller.desired_state(switch))
+        for switch in controller.channel.switches
+    }
+
+
+def planner_snapshot(controller):
+    """The same state computed by the pure planner in *this call*, no cache
+    involved — what ``desired_snapshot`` must always equal (DESIGN.md §5i)."""
+    planner, snap = controller.planner, {}
+    for switch in controller.channel.switches:
+        name = switch.name
+        rules = planner.static_rules(name) + planner.l3_rules(name)
+        groups = {}
+        for rs in controller.partition_map:
+            plan = planner.partition(rs, name)
+            rules += plan.pre + plan.post
+            if plan.group is not None:
+                groups[plan.group.group_id] = plan.group
+        by_cookie = {}
+        for rule in rules:
+            by_cookie.setdefault(rule.cookie, []).append(rule)
+        snap[name] = _by_content(by_cookie, groups)
+    return snap
+
+
+def table_snapshot(controller):
+    """What every switch's tables hold right now, by content."""
+    snap = {}
+    for switch in controller.channel.switches:
+        by_cookie = {}
+        for rule in switch.table.iter_rules():
+            by_cookie.setdefault(rule.cookie, []).append(rule)
+        snap[switch.name] = _by_content(by_cookie, switch.groups)
+    return snap

@@ -1,5 +1,5 @@
 """Coverage for control-plane operations not exercised elsewhere:
-group deletion, rule deletion callbacks, packet-out, idle expiry wiring."""
+group deletion, rule deletion, packet-out, idle expiry wiring."""
 
 from repro.net import (
     Bucket,
@@ -32,24 +32,22 @@ def make_plane():
 
 def test_group_delete_removes_group():
     star, plane = make_plane()
-    plane.group_mod(star.switch, Group(5, [Bucket(actions=(), port=1)]))
+    plane.apply_batch(star.switch, [("group", Group(5, [Bucket(actions=(), port=1)]))])
     star.sim.run(until=1.0)
     assert 5 in star.switch.groups
-    plane.group_delete(star.switch, 5)
+    plane.apply_batch(star.switch, [("group_delete", 5)])
     star.sim.run(until=2.0)
     assert 5 not in star.switch.groups
 
 
-def test_flow_delete_with_done_callback():
+def test_flow_delete_removes_cookie():
     star, plane = make_plane()
-    marks = []
     rule = Rule(Match(), [Drop()], cookie="x")
-    plane.flow_mod(star.switch, rule, done=lambda: marks.append("mod"))
+    plane.apply_batch(star.switch, [("rule", rule)])
     star.sim.run(until=1.0)
-    assert marks == ["mod"]
-    plane.flow_delete(star.switch, "x", done=lambda: marks.append("del"))
+    assert any(r.cookie == "x" for r in star.switch.table.rules)
+    plane.apply_batch(star.switch, [("delete", "x")])
     star.sim.run(until=2.0)
-    assert marks == ["mod", "del"]
     assert all(r.cookie != "x" for r in star.switch.table.rules)
 
 
@@ -90,7 +88,7 @@ def test_negative_control_latency_rejected():
 def test_idle_expiry_evicts_unused_vring_rule():
     star, plane = make_plane()
     rule = Rule(Match(ip_dst="10.10.1.0/24"), [Drop()], idle_timeout=1.0, cookie="i")
-    plane.flow_mod(star.switch, rule)
+    plane.apply_batch(star.switch, [("rule", rule)])
     star.sim.run(until=0.5)
     assert len([r for r in star.switch.table.rules if r.cookie == "i"]) == 1
     # No traffic touches it: expire sweep at t=10 evicts it.

@@ -51,7 +51,7 @@ def test_fabric_wiring_invariants():
         host = cluster.nodes[name].host
         assert fab.rack_of_host[host.name] == rack
         assert host.port.peer.device is fab.leaves[rack]
-        assert cluster.controller.rack_of_node(name) == rack
+        assert cluster.controller.directory.rack_of_node(name) == rack
 
 
 def test_rack_aware_placement_spans_failure_domains():
@@ -116,10 +116,10 @@ def test_ecmp_choice_is_function_of_src_dst_seed():
     b = build_fabric_cluster()
     for leaf in (f"leaf{r}" for r in range(4)):
         for rack in range(4):
-            assert a.controller._spine_toward(leaf, rack) == \
-                b.controller._spine_toward(leaf, rack)
+            assert a.controller.directory.spine_toward(leaf, rack) == \
+                b.controller.directory.spine_toward(leaf, rack)
     for p in range(len(a.metadata.partition_map)):
-        assert a.controller._mc_spine(p) == b.controller._mc_spine(p)
+        assert a.controller.directory.mc_spine(p) == b.controller.directory.mc_spine(p)
     # The whole installed rule plan is identical across rebuilds.
     assert a.controller.rule_counts_by_switch() == \
         b.controller.rule_counts_by_switch()

@@ -183,7 +183,7 @@ class InstallOnMiss(ControllerApp):
         self.packet_ins.append((packet, in_port_no))
         port = host_port_on_switch(self.net, switch, self.target)
         rule = Rule(Match(ip_dst=self.target.ip), [Output(port)])
-        self.channel.flow_mod(switch, rule)
+        self.channel.apply_batch(switch, [("rule", rule)])
         self.channel.release_buffered(switch, buffer_id)
 
 
@@ -231,7 +231,7 @@ def test_control_plane_message_counters():
     hosts[0].send(udp_pkt(hosts[0], "10.0.0.2"))
     sim.run()
     assert plane.messages_to_controller.value == 1
-    assert plane.messages_to_switch.value == 2  # flow_mod + release
+    assert plane.messages_to_switch.value == 2  # flow-mod + release
 
 
 def test_host_answers_arp_request():

@@ -11,6 +11,7 @@ of every switch must be identical to a from-scratch recomputation.
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ClusterConfig, NiceCluster
+from tests.helpers import desired_snapshot, planner_snapshot, table_snapshot
 
 N_NODES = 8
 N_PARTITIONS = 8
@@ -26,22 +27,6 @@ steps = st.lists(
     min_size=1,
     max_size=12,
 )
-
-
-def desired_snapshot(controller):
-    snap = {}
-    for switch in controller.channel.switches:
-        rules, groups = controller.desired_state(switch)
-        snap[switch.name] = (
-            {
-                cookie: sorted(
-                    (r.priority, str(r.match), str(r.actions)) for r in rs
-                )
-                for cookie, rs in rules.items()
-            },
-            {gid: str(g.buckets) for gid, g in groups.items()},
-        )
-    return snap
 
 
 def apply_step(controller, action, partition, node_idx):
@@ -83,6 +68,8 @@ def test_incremental_planning_equals_scratch_under_churn(seq):
             # The metadata service's path: explicit dirty-partition resync.
             ctrl.sync_partition(partition)
     incremental = desired_snapshot(ctrl)
+    # The contract, stated directly: cached value == this call.
+    assert incremental == planner_snapshot(ctrl)
     ctrl.invalidate_plans()
     scratch = desired_snapshot(ctrl)
     assert incremental == scratch
@@ -106,24 +93,13 @@ def test_reconcile_after_churn_matches_scratch_sync(seq):
             ctrl.sync_partition(partition)
     sim.run(until=sim.now + 0.05)
 
-    def table_snapshot():
-        snap = {}
-        for switch in ctrl.channel.switches:
-            snap[switch.name] = (
-                sorted(
-                    (r.cookie, r.priority, str(r.match), str(r.actions))
-                    for r in switch.table.iter_rules()
-                ),
-                sorted(
-                    (gid, str(g.buckets)) for gid, g in switch.groups.items()
-                ),
-            )
-        return snap
-
     ctrl.reconcile()
     sim.run(until=sim.now + 0.05)
-    reconciled = table_snapshot()
+    reconciled = table_snapshot(ctrl)
+    # Repaired tables hold exactly what the pure planner says, this call ...
+    assert reconciled == planner_snapshot(ctrl)
+    # ... and what a from-scratch sync installs.
     ctrl.invalidate_plans()
     ctrl.sync_all()
     sim.run(until=sim.now + 0.05)
-    assert table_snapshot() == reconciled
+    assert table_snapshot(ctrl) == reconciled

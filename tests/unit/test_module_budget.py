@@ -1,8 +1,8 @@
 """Module-size ratchet (ROADMAP aim 2): no source module over 600 lines.
 
-The four modules that already were when the ratchet was written are
-listed with their ceiling at that moment; a ceiling may only come down,
-and a module that gets under the budget leaves the list for good.
+The three modules still over it are listed with their ceiling at the
+moment the ratchet was written; a ceiling may only come down, and a module
+that gets under the budget leaves the list for good.
 """
 
 from pathlib import Path
@@ -12,11 +12,10 @@ import repro
 BUDGET = 600
 
 #: path under src/repro -> lines allowed.  Never raise a number; never add
-#: a file.  (``core/storage_node`` and ``noob/storage_node.py`` are not here
-#: and must not be.)
+#: a file.  (``core/storage_node``, ``noob/storage_node.py`` and
+#: ``core/controller`` are not here and must not be.)
 CEILINGS = {
-    "core/controller.py": 1124,
-    "bench/chaos.py": 988,
+    "bench/chaos.py": 986,
     "bench/figures.py": 942,
     "sim/kernel.py": 793,
 }
@@ -41,4 +40,4 @@ def test_allowlist_only_names_modules_still_over_budget():
     counts = line_counts()
     stale = {name: counts.get(name) for name in CEILINGS if counts.get(name, 0) <= BUDGET}
     assert stale == {}, f"under budget now — drop them from CEILINGS: {stale}"
-    assert not any("storage_node" in name for name in CEILINGS)
+    assert not any("storage_node" in name or "controller" in name for name in CEILINGS)
