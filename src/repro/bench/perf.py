@@ -1,8 +1,10 @@
 """Micro-benches for what ``benchmarks/e2e`` (``BENCHMARK.json``, the
-end-to-end perf contract) cannot see — schema v8:
+end-to-end perf contract) cannot see — schema v9:
 
 * ``kernel_churn`` / ``kernel_steady`` — raw event-loop throughput, and
   heap throughput under 90% timer cancellation (DESIGN.md §5g).
+* ``kernel_armed_timers`` — heap occupancy while every op arms a timeout
+  that the common case beats, and the heap never drains (§5g).
 * ``switch_lookup`` — ``FlowTable.lookup`` at 1 000 / 4 000 rules and on a
   multi-mask table, memo on vs off.
 * ``multicast_fanout`` — scheduled events per put at R = 3/5/7 (e2e is
@@ -38,7 +40,7 @@ from .parallel import provenance
 
 __all__ = ["run_suite", "check", "format_report", "DEFAULT_OUT", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 DEFAULT_OUT = "BENCH_perf.json"
 
 #: Host-rate floors, events/s: ~1/3 of the rate observed on the reference
@@ -131,6 +133,52 @@ def bench_kernel_steady(
         "cancel_ratio": cancelled / scheduled,
         "wall_s": wall,
         "events_per_s": scheduled / wall if wall > 0 else None,
+        "pools": sim.pool_stats(),
+    }
+
+
+def _armed_server(sim: Simulator, reply, hops: int):
+    for i in range(hops):
+        yield sim.timeout(2e-6 if i % 2 else 0.0)
+    reply.succeed()
+
+
+def _armed_client(sim: Simulator, n_ops: int, hops: int, peaks: dict):
+    for _ in range(n_ops):
+        reply = sim.event()
+        sim.process(_armed_server(sim, reply, hops))
+        yield AnyOf(sim, [reply, sim.timeout(2.0)])  # the reply always wins
+        heap = sim.pool_stats()["heap"]
+        peaks["heap_max"] = max(peaks["heap_max"], heap["size"])
+        peaks["live_max"] = max(peaks["live_max"], heap["live"])
+
+
+def bench_kernel_armed_timers(n_ops: int = 60_000, hops: int = 32, clients: int = 4) -> dict:
+    """Heap occupancy under the protocol-timeout profile, without a drain.
+
+    Every op arms a 2 s retry timer, is served by a process that takes
+    ``hops`` zero-delay and microsecond steps, and cancels the timer when
+    the reply wins — what each put and get does several times over.  The
+    whole run lasts under 2 simulated seconds, so no cancelled timer ever
+    surfaces: a kernel that waits for tombstones ends with ``heap_max`` ≈
+    ``n_ops``, one that compacts them holds it near ``live_max``.
+    """
+    sim = Simulator()
+    peaks = {"heap_max": 0, "live_max": 0}
+    for _ in range(clients):
+        sim.process(_armed_client(sim, n_ops // clients, hops, peaks))
+    t0 = time.perf_counter()
+    sim.run()
+    wall = time.perf_counter() - t0
+    assert sim.now < 2.0, "an armed timer surfaced: the bench measured a drain"
+    return {
+        "ops": n_ops,
+        "hops": hops,
+        "clients": clients,
+        "scheduled_events": sim._eid,
+        "wall_s": wall,
+        "events_per_s": sim._eid / wall if wall > 0 else None,
+        **peaks,
         "pools": sim.pool_stats(),
     }
 
@@ -375,6 +423,7 @@ def bench_plan_scale(rungs=PLAN_SCALE_RUNGS) -> dict:
 BENCHES = {
     "kernel_churn": (bench_kernel_churn, dict(n_procs=16, rounds=40)),
     "kernel_steady": (bench_kernel_steady, dict(n_events=60_000)),
+    "kernel_armed_timers": (bench_kernel_armed_timers, dict(n_ops=6_000)),
     "switch_lookup": (bench_switch_lookup, dict(n_lookups=3000)),
     "multicast_fanout": (bench_multicast_fanout, {}),
     "plan_scale": (bench_plan_scale, dict(rungs=PLAN_SCALE_RUNGS[:1])),
@@ -401,6 +450,13 @@ def check(report: dict) -> list:
     gate(
         reuse > ENTRY_POOL_REUSE_FLOOR,
         f"kernel_steady: entry-pool reuse {reuse:.3f} not above {ENTRY_POOL_REUSE_FLOOR}",
+    )
+    armed = b["kernel_armed_timers"]
+    heap_ceiling = 2 * armed["live_max"] + Simulator.COMPACT_FLOOR
+    gate(
+        armed["heap_max"] <= heap_ceiling,
+        f"kernel_armed_timers: heap held {armed['heap_max']} records for "
+        f"{armed['live_max']} live ones (ceiling {heap_ceiling})",
     )
     for leg in b["multicast_fanout"]["legs"]:
         ceiling = FANOUT_EVENTS_PER_OP_MAX[leg["replication"]]
@@ -463,7 +519,7 @@ def run_suite(smoke: bool = False, out_path: Optional[str] = DEFAULT_OUT) -> dic
 
 def format_report(report: dict) -> str:
     b = report["benches"]
-    k, s = b["kernel_churn"], b["kernel_steady"]
+    k, s, a = b["kernel_churn"], b["kernel_steady"], b["kernel_armed_timers"]
     h = b["harmonia_read_floor"]
     per_r = ", ".join(
         f"R={leg['replication']}: {leg['events_per_op']:,.1f} ev/op"
@@ -488,6 +544,8 @@ def format_report(report: dict) -> str:
         f"  kernel_steady  : {s['events_per_s']:,.0f} events/s"
         f" ({s['cancel_ratio']:.0%} cancelled,"
         f" entry-pool reuse {s['pools']['entry_pool']['reuse_rate']:.3f})",
+        f"  kernel_armed   : {a['events_per_s']:,.0f} events/s"
+        f" (heap max {a['heap_max']} for {a['live_max']} live, {a['ops']} ops)",
         f"  switch_lookup  : {per_table}",
         f"  multicast_fanout: {per_r}",
         f"  plan_scale     : {per_rung}",

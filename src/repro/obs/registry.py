@@ -220,14 +220,17 @@ class MetricsRegistry:
                 reg.collect_object(channel, f"{p}link.{channel.name}")
         sim = getattr(cluster, "sim", None)
         if sim is not None and hasattr(sim, "pool_stats"):
-            # Kernel allocation health (DESIGN.md §5g): reuse rates near
-            # 1.0 mean the hot path runs allocation-free.
-            reg.gauge(
-                f"{p}sim.call_pool.reuse_rate",
-                lambda s=sim: s.pool_stats()["call_pool"]["reuse_rate"],
-            )
-            reg.gauge(
-                f"{p}sim.entry_pool.reuse_rate",
-                lambda s=sim: s.pool_stats()["entry_pool"]["reuse_rate"],
-            )
+            # Kernel health (DESIGN.md §5g): reuse rates near 1.0 mean the
+            # hot path runs allocation-free; a heap that is mostly dead
+            # records makes every push and pop pay for them.
+            for block, field in (
+                ("call_pool", "reuse_rate"),
+                ("entry_pool", "reuse_rate"),
+                ("heap", "size"),
+                ("heap", "dead"),
+            ):
+                reg.gauge(
+                    f"{p}sim.{block}.{field}",
+                    lambda s=sim, b=block, f=field: s.pool_stats()[b][f],
+                )
         return reg

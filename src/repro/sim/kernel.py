@@ -11,21 +11,28 @@ bit-identical results.  The event heap therefore breaks ties on
 ``(time, priority, event_id)`` where ``event_id`` is a monotonically
 increasing counter — never on object identity.
 
-Data layout (DESIGN.md §5g): the heap is an array-backed binary heap of
-*pooled event records* — mutable 4-slot lists ``[when, priority, eid,
-target]`` recycled through a per-simulator free list, so the steady-state
-timer path allocates nothing.  Records compare element-wise exactly like
-the tuples they replaced (``eid`` is unique, so comparison never reaches
-the target slot).  Cancelling a timer tombstones its record in O(1)
-(``target = None``); tombstones are skipped and recycled when they
-surface, which replaces the old cancel-by-flag churn where dead timeouts
-ran a full ``_process`` on expiry.
+Data layout (DESIGN.md §5g): every scheduled event is one *pooled event
+record* — a mutable 4-slot list ``[when, priority, eid, target]`` recycled
+through a per-simulator free list, so the steady-state timer path
+allocates nothing.  Records compare element-wise exactly like the tuples
+they replaced (``eid`` is unique, so comparison never reaches the target
+slot).  A record with a delay waits in an array-backed binary heap; a
+zero-delay record (over half of all events) waits in a FIFO per priority
+and never touches the heap.  Cancelling a timer tombstones its record in
+O(1) (``target = None``); tombstones are skipped and recycled if they
+surface, and compacted away as soon as they outnumber the live records —
+the protocols arm a timeout at every step that the common case beats, and
+waiting 0.5–2 simulated seconds for each to surface left the heap 99 %
+dead.  Neither mechanism can reorder anything: the pop order is a function
+of the unique ``(time, priority, eid)`` keys of the live records alone.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from collections.abc import Mapping
+from math import inf
 from typing import Any, Callable, Iterable, List, Optional
 
 __all__ = [
@@ -448,10 +455,18 @@ class Simulator:
     #: this the records are simply dropped (steady state never gets here
     #: unless a burst scheduled far more concurrent timers than usual).
     ENTRY_POOL_CAP = 8192
+    #: Tombstones are compacted away as soon as they outnumber the live
+    #: records *and* this floor (below it a sweep costs more than it saves):
+    #: no cancel leaves more than ``2 * live + COMPACT_FLOOR`` records queued.
+    COMPACT_FLOOR = 64
 
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list = []
+        #: Zero-delay records, FIFO per priority (= ``eid`` order at one
+        #: timestamp); any other priority goes through the heap.
+        self._urgent: deque = deque()
+        self._normal: deque = deque()
         self._eid = 0
         self._running = False
         self._call_pool: List[_Call] = []
@@ -461,13 +476,17 @@ class Simulator:
         self._live_procs = 0
         #: Free list of recycled 4-slot heap records.
         self._entry_pool: List[list] = []
-        #: Number of tombstoned (cancelled) records still in the heap.
+        #: Number of tombstoned (cancelled) records still queued, in the
+        #: heap or in a ready queue.
         self._cancelled = 0
+        self._compactions = 0
         # Pool-reuse statistics (see :meth:`pool_stats`).  Entry-pool hits
         # are derived (eid - misses) to keep the hit branch increment-free.
         self._entry_misses = 0
         self._call_hits = 0
         self._call_misses = 0
+        #: Never triggered: what :meth:`run` and :meth:`step` wait for.
+        self._never = Event(self)
         #: Optional :class:`repro.obs.Tracer`.  ``None`` means tracing is
         #: off and every hook site reduces to an attribute load + branch
         #: (the null-tracer pattern; install via ``repro.obs.install``).
@@ -480,10 +499,6 @@ class Simulator:
         return self._now
 
     # -- scheduling (internal) ----------------------------------------------
-    def _next_eid(self) -> int:
-        self._eid += 1
-        return self._eid
-
     def _schedule_event(self, event: Event, priority: int, delay: float = 0.0) -> None:
         self._eid = eid = self._eid + 1
         pool = self._entry_pool
@@ -499,7 +514,12 @@ class Simulator:
             self._entry_misses += 1
             entry = [self._now + delay, priority, eid, event]
         event._entry = entry
-        heapq.heappush(self._heap, entry)
+        if delay == 0.0 and priority == NORMAL:
+            self._normal.append(entry)
+        elif delay == 0.0 and priority == URGENT:
+            self._urgent.append(entry)
+        else:
+            heapq.heappush(self._heap, entry)
 
     def _schedule_call(
         self, delay: float, func: Callable, *args: Any, priority: int = NORMAL
@@ -523,25 +543,49 @@ class Simulator:
         else:
             self._entry_misses += 1
             entry = [self._now + delay, priority, eid, call]
-        heapq.heappush(self._heap, entry)
+        if delay == 0.0 and priority == NORMAL:
+            self._normal.append(entry)
+        elif delay == 0.0 and priority == URGENT:
+            self._urgent.append(entry)
+        else:
+            heapq.heappush(self._heap, entry)
 
     def cancel_timer(self, event: Event) -> bool:
-        """Tombstone ``event``'s heap record in O(1); True if cancelled.
+        """Tombstone ``event``'s record in O(1) amortised; True if cancelled.
 
         Only meaningful for events that are scheduled but not yet processed
         (i.e. Timeouts, or triggered events awaiting their pop).  The record
-        stays in the heap until it surfaces, where it is skipped and
-        recycled instead of running a full ``_process``.  A cancelled timer
-        that later gains a new waiter (``add_callback``) is transparently
-        revived at its original fire time.
+        is skipped and recycled if it surfaces, but most never do: once
+        tombstones outnumber the live records they are compacted away.  A
+        cancelled timer that later gains a new waiter (``add_callback``) is
+        transparently revived at its original fire time.
         """
         entry = event._entry
         if type(entry) is list and entry[3] is event:
             entry[3] = None
             event._entry = entry[0]  # remember the fire time for revival
-            self._cancelled += 1
+            self._cancelled = dead = self._cancelled + 1
+            if dead > self.COMPACT_FLOOR and dead > self.pending_events:
+                self._compact()
             return True
         return False
+
+    def _compact(self) -> None:
+        """Drop every tombstone, *in place*: a running loop holds the heap
+        and the ready queues in locals.  Each sweep removes more records
+        than it keeps, so the cost is O(1) amortised per cancel; pop order
+        is a function of the surviving keys alone, so it cannot move."""
+        pool = self._entry_pool
+        for queue in (self._heap, self._urgent, self._normal):
+            live = [entry for entry in queue if entry[3] is not None]
+            if len(live) < len(queue):
+                room = self.ENTRY_POOL_CAP - len(pool)
+                pool.extend([entry for entry in queue if entry[3] is None][:room])
+                queue.clear()
+                queue.extend(live)
+        heapq.heapify(self._heap)
+        self._cancelled = 0
+        self._compactions += 1
 
     # -- public API ----------------------------------------------------------
     def event(self) -> Event:
@@ -593,67 +637,74 @@ class Simulator:
             raise SimulationError(f"negative delay: {delay}")
         self._schedule_call(delay, func, *args)
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Run until the heap drains or simulated time reaches ``until``.
+    def _run(self, until: Optional[float], event: Event, once: bool = False) -> bool:
+        """The one pop loop: process records in ``(time, priority, eid)``
+        order until ``event`` is processed, the next record lies beyond
+        ``until`` (the clock then stops at ``until``), one live record ran
+        (``once``), a callback raised :class:`StopSimulation`, or nothing
+        is left — the only case that returns True.
 
-        Returns the simulated time at which the run stopped.
+        The next record is the smaller of the ready head and the heap top:
+        ready records carry ``time == now`` (the clock only moves when both
+        queues are empty) and each queue is in ``eid`` order, so this is
+        the order a single heap holding all of them would produce.
         """
         if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
+            raise SimulationError("run(), run_until() and step() are not reentrant")
+        if until is None:
+            until = inf
+        elif until < self._now:
+            raise SimulationError(f"until={until} is in the past (now={self._now})")
         heap = self._heap
+        urgent, normal = self._urgent, self._normal
         heappop = heapq.heappop
         pool = self._entry_pool
         cap = self.ENTRY_POOL_CAP
+        self._running = True
         try:
-            if until is None:
-                # Fast loop: no deadline check and no heap peek per event.
-                while heap:
-                    entry = heappop(heap)
-                    target = entry[3]
-                    if target is None:  # tombstone: cancelled, just recycle
-                        self._cancelled -= 1
-                        if len(pool) < cap:
-                            pool.append(entry)
-                        continue
-                    self._now = entry[0]
-                    target._entry = None
-                    entry[3] = None
-                    if len(pool) < cap:
-                        pool.append(entry)
-                    try:
-                        target._process()
-                    except StopSimulation:
+            while not event._processed:
+                queue = urgent or normal
+                if queue:
+                    entry = queue[0]
+                    if heap and heap[0] < entry:
+                        entry = heappop(heap)
+                    else:
+                        queue.popleft()
+                elif heap:
+                    entry = heap[0]
+                    if entry[0] > until:
+                        self._now = until
                         break
-                return self._now
-            while heap:
-                entry = heap[0]
-                if entry[3] is None:
                     heappop(heap)
-                    self._cancelled -= 1
-                    if len(pool) < cap:
-                        pool.append(entry)
-                    continue
-                when = entry[0]
-                if when > until:
-                    self._now = until
-                    break
-                heappop(heap)
-                self._now = when
+                else:
+                    return True
                 target = entry[3]
-                target._entry = None
-                entry[3] = None
                 if len(pool) < cap:
                     pool.append(entry)
+                if target is None:  # tombstone: cancelled, just recycle
+                    self._cancelled -= 1
+                    continue
+                self._now = entry[0]
+                target._entry = None
+                entry[3] = None
                 try:
                     target._process()
                 except StopSimulation:
                     break
-            else:
-                if until > self._now:
-                    self._now = until
+                if once:
+                    break
         finally:
             self._running = False
+        return False
+
+    def run(self, until: Optional[float] = None) -> float:
+        """Run until nothing is left or simulated time reaches ``until``.
+
+        Returns the simulated time at which the run stopped.  ``until``
+        may equal ``now`` (drain the current instant) but not precede it.
+        """
+        if self._run(until, self._never) and until is not None:
+            self._now = until
         return self._now
 
     def run_until(self, event: Event, until: Optional[float] = None) -> float:
@@ -661,67 +712,14 @@ class Simulator:
 
         Stops *exactly* when ``event``'s callbacks have run — no spinning
         through fixed-size ``run(until=...)`` chunks and no draining of
-        unrelated same-time events afterwards.  Also stops if the heap
-        drains or simulated time would pass ``until`` (whichever comes
+        unrelated same-time events afterwards.  Also stops if nothing is
+        left or simulated time would pass ``until`` (whichever comes
         first); callers distinguish the cases via ``event.processed`` and
         ``pending_events``.
         """
         if event.sim is not self:
             raise SimulationError("run_until() got an event from another simulator")
-        if self._running:
-            raise SimulationError("run_until() is not reentrant")
-        if event._processed:
-            return self._now
-        self._running = True
-        heap = self._heap
-        heappop = heapq.heappop
-        pool = self._entry_pool
-        cap = self.ENTRY_POOL_CAP
-        try:
-            if until is None:
-                while heap and not event._processed:
-                    entry = heappop(heap)
-                    target = entry[3]
-                    if target is None:
-                        self._cancelled -= 1
-                        if len(pool) < cap:
-                            pool.append(entry)
-                        continue
-                    self._now = entry[0]
-                    target._entry = None
-                    entry[3] = None
-                    if len(pool) < cap:
-                        pool.append(entry)
-                    try:
-                        target._process()
-                    except StopSimulation:
-                        break
-                return self._now
-            while heap and not event._processed:
-                entry = heap[0]
-                if entry[3] is None:
-                    heappop(heap)
-                    self._cancelled -= 1
-                    if len(pool) < cap:
-                        pool.append(entry)
-                    continue
-                when = entry[0]
-                if when > until:
-                    self._now = until
-                    break
-                heappop(heap)
-                self._now = when
-                target = entry[3]
-                target._entry = None
-                entry[3] = None
-                if len(pool) < cap:
-                    pool.append(entry)
-                try:
-                    target._process()
-                except StopSimulation:
-                    break
-        finally:
-            self._running = False
+        self._run(until, event)
         return self._now
 
     def step(self) -> bool:
@@ -730,24 +728,7 @@ class Simulator:
         Tombstoned (cancelled) records encountered on the way are skipped
         and recycled without counting as the step.
         """
-        heap = self._heap
-        pool = self._entry_pool
-        while heap:
-            entry = heapq.heappop(heap)
-            target = entry[3]
-            if target is None:
-                self._cancelled -= 1
-                if len(pool) < self.ENTRY_POOL_CAP:
-                    pool.append(entry)
-                continue
-            self._now = entry[0]
-            target._entry = None
-            entry[3] = None
-            if len(pool) < self.ENTRY_POOL_CAP:
-                pool.append(entry)
-            target._process()
-            return True
-        return False
+        return not self._run(None, self._never, once=True)
 
     def stop(self) -> None:
         """Request the current :meth:`run` to stop after this event."""
@@ -756,10 +737,11 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events currently scheduled."""
-        return len(self._heap) - self._cancelled
+        return len(self._heap) + len(self._urgent) + len(self._normal) - self._cancelled
 
     def pool_stats(self) -> dict:
-        """Reuse statistics for the heap-record and ``_Call`` free lists."""
+        """Reuse statistics for the heap-record and ``_Call`` free lists,
+        and the event heap's occupancy (computed here, nothing per event)."""
         e_hits = self._eid - self._entry_misses
         c_total = self._call_hits + self._call_misses
         return {
@@ -775,6 +757,13 @@ class Simulator:
                 "reuse_rate": self._call_hits / c_total if c_total else 0.0,
                 "free": len(self._call_pool),
                 "cap": self._call_pool_cap,
+            },
+            "heap": {
+                "size": len(self._heap),
+                "ready": len(self._urgent) + len(self._normal),
+                "live": self.pending_events,
+                "dead": self._cancelled,
+                "compactions": self._compactions,
             },
         }
 

@@ -174,6 +174,10 @@ PERF_MUTATIONS = {
         lambda r: bench(r, "kernel_steady")["pools"]["entry_pool"].update(reuse_rate=0.5),
         ["kernel_steady: entry-pool reuse 0.500 not above 0.9"],
     ),
+    "armed timers pile up in the heap": (
+        lambda r: bench(r, "kernel_armed_timers").update(heap_max=60_000, live_max=10),
+        ["kernel_armed_timers: heap held 60000 records for 10 live ones (ceiling 84)"],
+    ),
     "events_per_op over its ceiling": (
         lambda r: bench(r, "multicast_fanout")["legs"][1].update(events_per_op=264.0),
         ["multicast_fanout: R=5 264.0 events/op over ceiling 263"],

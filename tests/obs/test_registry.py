@@ -99,3 +99,8 @@ def test_from_cluster_snapshot_reflects_traffic():
     assert snap["client"][cname]["put_latency"]["count"] == 1
     assert snap["client"][cname]["get_latency"]["count"] == 1
     assert snap["client"][cname]["failures"]["value"] == 0
+    # Kernel occupancy sits beside the pool reuse rates.
+    heap = cluster.sim.pool_stats()["heap"]
+    assert snap["sim"]["heap"]["size"]["value"] == heap["size"]
+    assert snap["sim"]["heap"]["dead"]["value"] == heap["dead"]
+    assert 0.0 < snap["sim"]["entry_pool"]["reuse_rate"]["value"] <= 1.0

@@ -304,6 +304,64 @@ def test_pending_events_counts_heap():
     assert sim.pending_events == 2
 
 
+def test_pending_events_counts_zero_delay_records_too():
+    sim = Simulator()
+    sim.timeout(0.0)
+    loser = sim.timeout(0.0)
+    sim.event().succeed()
+    sim.timeout(1.0)
+    assert sim.pending_events == 4
+    sim.cancel_timer(loser)  # dies in the ready queue
+    assert sim.pending_events == 3
+    heap = sim.pool_stats()["heap"]
+    assert heap == {"size": 1, "ready": 3, "live": 3, "dead": 1, "compactions": 0}
+    sim.run()
+    assert sim.pending_events == 0
+    assert sim.pool_stats()["heap"]["dead"] == 0
+
+
+def test_tombstones_are_compacted_not_waited_for():
+    """Armed-then-cancelled timers must not pile up until their fire time."""
+    sim = Simulator()
+    keeper = sim.timeout(50.0)
+    heap_id = id(sim._heap)
+    for _ in range(10 * Simulator.COMPACT_FLOOR):
+        sim.cancel_timer(sim.timeout(100.0))
+        heap = sim.pool_stats()["heap"]
+        assert heap["size"] <= 2 * heap["live"] + Simulator.COMPACT_FLOOR
+    assert sim.pool_stats()["heap"]["compactions"] >= 9
+    assert id(sim._heap) == heap_id  # rebuilt in place: a running loop holds it
+    assert sim.pending_events == 1
+    assert sim.run() == 50.0 and keeper.processed
+
+
+# ------------------------------------------------------- until in the past
+def test_run_until_a_past_time_is_rejected_not_a_rewind():
+    sim = Simulator()
+    fired = []
+    sim.call_in(5.0, fired.append, "at5")
+    sim.run(until=6.0)
+    with pytest.raises(SimulationError):
+        sim.run(until=2.0)
+    with pytest.raises(SimulationError):
+        sim.run_until(sim.event(), until=2.0)
+    assert sim.now == 6.0  # the clock did not rewind behind the event at 5.0
+    sim.call_in(0.5, fired.append, "at6.5")
+    assert sim.run() == 6.5
+    assert fired == ["at5", "at6.5"]
+
+
+def test_run_until_now_drains_the_current_instant():
+    sim = Simulator()
+    fired = []
+    sim.run(until=3.0)
+    sim.call_in(0.0, fired.append, "now")
+    sim.call_in(1.0, fired.append, "later")
+    assert sim.run(until=3.0) == 3.0
+    assert fired == ["now"]
+    assert sim.run_until(sim.event(), until=3.0) == 3.0  # equal is legal here too
+
+
 # ---------------------------------------------------------------- run_until
 def test_run_until_stops_exactly_at_event():
     sim = Simulator()

@@ -2,15 +2,17 @@
 
 Each fast path that exists purely for speed — the flow table's
 destination index and exact-match memo, the two-event transmit chain,
-completions that skip the heap, the vectorized multicast fan-out batching
-— runs a small leg (a fig5-style closed loop of puts, or four clients
-contending on shared keys) twice with the same seed, once on the fast
+completions that skip the heap, the vectorized multicast fan-out batching,
+the kernel's ready queues and tombstone compaction — runs a small leg (a
+fig5-style closed loop of puts, four clients contending on shared keys, or
+a crash-and-rejoin chaos cell) twice with the same seed, once on the fast
 path and once on an in-test reference (memo flipped off on every switch;
 lookup replaced by the linear scan; the four-hop grant/serialize chain; a
 heap record for every process return; the fan-out replaced by a per-leg
-transmit loop), and asserts bit-identical result rows and final simulated
-time.  This is the contract that lets each optimization ship at all: an
-index, a memo or a shorter schedule, never a semantic change.
+transmit loop; every record through one heap that is never compacted), and
+asserts bit-identical result rows and final simulated time.  This is the
+contract that lets each optimization ship at all: an index, a memo or a
+shorter schedule, never a semantic change.
 """
 
 from collections import deque
@@ -161,9 +163,9 @@ def test_fig5_leg_identical_with_and_without_tx_batching(monkeypatch, n_racks, j
 # -- two-event transmit chain, unobserved completions (DESIGN.md §5g) ----------------
 
 
-def _contended_leg(n_racks=1, jitter_s=0.0, n_clients=4, n_ops=12):
+def _contended_run(n_racks=1, jitter_s=0.0, n_clients=4, n_ops=12):
     """Four clients interleave puts and gets on three shared keys; returns
-    (per-client (latency, ok) lists, final sim time, events scheduled).
+    (the cluster afterwards, per-client (latency, ok) lists).
 
     Identical links make same-timestamp ties the rule here, not the
     exception.  Shown sensitive in a scratch copy: giving the idle-wire
@@ -195,7 +197,13 @@ def _contended_leg(n_racks=1, jitter_s=0.0, n_clients=4, n_ops=12):
 
     workers = [sim.process(worker(c, i)) for i, c in enumerate(cluster.clients)]
     run_to_completion(cluster, sim.all_of(workers))
-    return rows, sim.now, sim._eid
+    return cluster, rows
+
+
+def _contended_leg(n_racks=1, jitter_s=0.0):
+    """(rows, final sim time, events scheduled) of :func:`_contended_run`."""
+    cluster, rows = _contended_run(n_racks, jitter_s)
+    return rows, cluster.sim.now, cluster.sim._eid
 
 
 def _install_four_hop_transmit(monkeypatch):
@@ -292,13 +300,98 @@ def test_contended_leg_identical_with_and_without_completion_records(
     assert now_skipped == now_recorded
 
 
+# -- ready queues and tombstone compaction (DESIGN.md §5g) ---------------------------
+
+
+def _install_one_heap_kernel(monkeypatch):
+    """The kernel before the ready queues and compaction: every record,
+    zero-delay or not, is pushed on the one heap, and a tombstone stays
+    there until it surfaces."""
+    import heapq
+
+    from repro.sim import NORMAL, Simulator
+    from repro.sim.kernel import _Call
+
+    def push(sim, delay, priority, target):
+        sim._eid += 1
+        if sim._entry_pool:
+            entry = sim._entry_pool.pop()
+            entry[:] = sim._now + delay, priority, sim._eid, target
+        else:
+            sim._entry_misses += 1
+            entry = [sim._now + delay, priority, sim._eid, target]
+        heapq.heappush(sim._heap, entry)
+        return entry
+
+    def schedule_event(sim, event, priority, delay=0.0):
+        event._entry = push(sim, delay, priority, event)
+
+    def schedule_call(sim, delay, func, *args, priority=NORMAL):
+        call = sim._call_pool.pop() if sim._call_pool else _Call(sim)
+        call.func, call.args = func, args
+        push(sim, delay, priority, call)
+
+    monkeypatch.setattr(Simulator, "_schedule_event", schedule_event)
+    monkeypatch.setattr(Simulator, "_schedule_call", schedule_call)
+    monkeypatch.setattr(Simulator, "_compact", lambda sim: None)
+
+
+def _counters(cluster):
+    """Every registry metric except what the two kernels may differ in (the
+    ``sim`` subtree: pool reuse, heap occupancy) and host wall clock."""
+    from repro.obs import MetricsRegistry
+
+    snap = MetricsRegistry.from_cluster(cluster).snapshot()
+    del snap["sim"]
+    del snap["controlplane"]["plan"]["sync_ms"]
+    return snap
+
+
+def _events_scheduled(sim):
+    entry_pool = sim.pool_stats()["entry_pool"]
+    return entry_pool["hits"] + entry_pool["misses"]
+
+
+def _assert_same_run_on_both_kernels(fast, reference):
+    """``fast`` / ``reference``: (cluster, observable results) of one leg."""
+    (cluster, results), (ref_cluster, ref_results) = fast, reference
+    heap, ref_heap = cluster.sim.pool_stats()["heap"], ref_cluster.sim.pool_stats()["heap"]
+    assert heap["compactions"] > 0, "the leg never compacted: nothing was compared"
+    assert ref_heap["compactions"] == 0 and ref_heap["dead"] > heap["dead"]
+    assert results == ref_results
+    assert cluster.sim.now == ref_cluster.sim.now
+    assert cluster.sim.pending_events == ref_cluster.sim.pending_events
+    assert _events_scheduled(cluster.sim) == _events_scheduled(ref_cluster.sim)
+    assert _counters(cluster) == _counters(ref_cluster)
+
+
+@pytest.mark.parametrize("jitter_s", [0.0, 20e-6])
+@pytest.mark.parametrize("n_racks", [1, 3])
+def test_contended_leg_identical_on_the_one_heap_kernel(monkeypatch, n_racks, jitter_s):
+    """Zero-delay records in per-priority FIFOs and tombstones compacted
+    away vs the kernel they replaced: pop order is a function of the unique
+    ``(time, priority, eid)`` key alone, so not one tie may flip."""
+    fast = _contended_run(n_racks, jitter_s)
+    _install_one_heap_kernel(monkeypatch)
+    _assert_same_run_on_both_kernels(fast, _contended_run(n_racks, jitter_s))
+
+
+def test_crash_rejoin_cell_identical_on_the_one_heap_kernel(monkeypatch):
+    """Timers are armed, cancelled and revived across a fault here."""
+    fast = _chaos_cluster(seed=3)
+    _install_one_heap_kernel(monkeypatch)
+    _assert_same_run_on_both_kernels(fast, _chaos_cluster(seed=3))
+
+
 # -- chaos-engine determinism (the reproducibility contract of repro.chaos) ---------
 
 
-def _chaos_run(seed, schedule_seed):
-    """One chaos case: NICE cluster + random schedule + recorded history.
+def _chaos_cluster(seed, schedule_seed=None):
+    """One chaos case: NICE cluster + recorded history under a random
+    schedule, or (no ``schedule_seed``) a secondary's crash and rejoin.
 
-    Returns (chaos event log, canonical op-history tuples, final sim time).
+    Returns (the cluster afterwards, (chaos event log, canonical op-history
+    tuples)).
     """
     from repro.bench.chaos import rebuild_for_key, run_case  # noqa: F401
     from repro.bench.harness import build_nice
@@ -308,7 +401,10 @@ def _chaos_run(seed, schedule_seed):
 
     cluster = build_nice(n_storage_nodes=6, n_clients=2, seed=seed)
     keys = keys_in_partition(0, cluster.config.n_partitions, 2)
-    schedule = FaultSchedule.random(schedule_seed, keys[0], horizon=4.0, n_episodes=2)
+    if schedule_seed is None:
+        schedule = FaultSchedule.crash_rejoin(keys[0], fail_at=1.0, rejoin_at=3.0)
+    else:
+        schedule = FaultSchedule.random(schedule_seed, keys[0], horizon=4.0, n_episodes=2)
     recorder = HistoryRecorder()
     sim = cluster.sim
 
@@ -328,7 +424,13 @@ def _chaos_run(seed, schedule_seed):
     engine = ChaosEngine(cluster, schedule, seed=seed)
     engine.start()
     sim.run(until=5.0)
-    return engine.events, recorder.as_tuples(), sim.now
+    return cluster, (engine.events, recorder.as_tuples())
+
+
+def _chaos_run(seed, schedule_seed):
+    """(chaos event log, op-history tuples, final sim time) of one case."""
+    cluster, (events, history) = _chaos_cluster(seed, schedule_seed)
+    return events, history, cluster.sim.now
 
 
 def test_chaos_same_seed_bit_identical():

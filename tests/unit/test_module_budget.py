@@ -17,7 +17,7 @@ BUDGET = 600
 CEILINGS = {
     "bench/chaos.py": 986,
     "bench/figures.py": 942,
-    "sim/kernel.py": 793,
+    "sim/kernel.py": 782,
 }
 
 
