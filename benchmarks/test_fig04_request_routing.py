@@ -7,12 +7,12 @@ asserts the paper's shape: NICE ≈ RAC; NICE beats ROG by ~2x and RAG by
 
 import pytest
 
-from repro.bench import fig4_request_routing
+from repro.bench import run
 
 
 @pytest.fixture(scope="module")
 def result(bench_ops):
-    return fig4_request_routing(n_ops=bench_ops, sizes=(4, 1024, 65536, 1 << 20))
+    return run("fig4", n_ops=bench_ops, sizes=(4, 1024, 65536, 1 << 20))
 
 
 def series(result, system):
@@ -21,10 +21,6 @@ def series(result, system):
         for row in result.rows
         if row["system"] == system
     }
-
-
-def test_bench_fig4(benchmark, bench_ops):
-    benchmark(lambda: fig4_request_routing(n_ops=5, sizes=(4, 1024)))
 
 
 def test_nice_matches_rac(result):

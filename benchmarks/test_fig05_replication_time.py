@@ -6,14 +6,10 @@ sizes (transfer-dominated at the top end).
 
 import pytest
 
-from repro.bench import fig5_6_7_replication
-
-SIZES = (4, 65536, 1 << 20)
-
 
 @pytest.fixture(scope="module")
-def results(bench_ops):
-    return fig5_6_7_replication(n_ops=bench_ops, sizes=SIZES)
+def results(replication_sweep):
+    return replication_sweep
 
 
 def series(result, system, metric):
@@ -22,10 +18,6 @@ def series(result, system, metric):
         for row in result.rows
         if row["system"] == system
     }
-
-
-def test_bench_fig5(benchmark):
-    benchmark(lambda: fig5_6_7_replication(n_ops=5, sizes=(1024,)))
 
 
 def test_nice_wins_at_1mb_with_paper_ordering(results):

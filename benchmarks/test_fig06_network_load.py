@@ -7,24 +7,15 @@ In this model the data-plane cost is exact: NICE moves the object over
 
 import pytest
 
-from repro.bench import fig5_6_7_replication
-from repro.net import wire_size
-
-SIZES = (1024, 1 << 20)
-
 
 @pytest.fixture(scope="module")
-def fig6(bench_ops):
-    return fig5_6_7_replication(n_ops=bench_ops, sizes=SIZES)["fig6"]
+def fig6(replication_sweep):
+    return replication_sweep["fig6"]
 
 
 def per_object(fig6, system, size):
     rows = [r for r in fig6.rows if r["system"] == system and r["size_bytes"] == size]
     return rows[0]["x_object_size"]
-
-
-def test_bench_fig6(benchmark):
-    benchmark(lambda: fig5_6_7_replication(n_ops=5, sizes=(1024,))["fig6"])
 
 
 def test_nice_link_load_is_one_plus_r_copies(fig6):

@@ -4,24 +4,21 @@ Paper: all NOOB configurations load the primary R× more than a secondary
 (3x at R=3); NICE is balanced by design (ratio 1).
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.bench import fig5_6_7_replication
-
-SIZES = (1 << 20,)
+SIZE = 1 << 20
 
 
 @pytest.fixture(scope="module")
-def fig7(bench_ops):
-    return fig5_6_7_replication(n_ops=bench_ops, sizes=SIZES)["fig7"]
+def fig7(replication_sweep):
+    fig7 = replication_sweep["fig7"]
+    return replace(fig7, rows=[r for r in fig7.rows if r["size_bytes"] == SIZE])
 
 
 def ratio(fig7, system):
     return [r["load_ratio"] for r in fig7.rows if r["system"] == system][0]
-
-
-def test_bench_fig7(benchmark):
-    benchmark(lambda: fig5_6_7_replication(n_ops=5, sizes=(65536,))["fig7"])
 
 
 def test_noob_ratio_is_replication_level(fig7):

@@ -7,12 +7,12 @@ and 7 (slow nodes unavoidable).
 
 import pytest
 
-from repro.bench import fig8_quorum
+from repro.bench import run
 
 
 @pytest.fixture(scope="module")
 def result():
-    return fig8_quorum(n_ops=5)
+    return run("fig8", n_ops=5)
 
 
 def put_ms(result, system, quorum):
@@ -20,10 +20,6 @@ def put_ms(result, system, quorum):
         r["put_ms"] for r in result.rows
         if r["system"] == system and r["quorum"] == quorum
     ][0]
-
-
-def test_bench_fig8(benchmark):
-    benchmark(lambda: fig8_quorum(n_ops=2, quorums=(1, 7)))
 
 
 def test_nice_wins_big_at_small_quorums(result):

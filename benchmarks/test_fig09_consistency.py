@@ -7,14 +7,14 @@ better than NOOB-2PC; all degrade slightly with R.  (b) 1 MB — NICE up to
 
 import pytest
 
-from repro.bench import fig9_consistency
+from repro.bench import run
 
 LEVELS = (1, 3, 9)
 
 
 @pytest.fixture(scope="module")
 def result(bench_ops):
-    return fig9_consistency(n_ops=bench_ops, levels=LEVELS)
+    return run("fig9", n_ops=bench_ops, levels=LEVELS)
 
 
 def put_ms(result, system, r, size):
@@ -23,10 +23,6 @@ def put_ms(result, system, r, size):
         if row["system"] == system and row["replication"] == r
         and row["size_bytes"] == size
     ][0]
-
-
-def test_bench_fig9(benchmark):
-    benchmark(lambda: fig9_consistency(n_ops=5, levels=(3,), sizes=(4,)))
 
 
 def test_small_objects_nice_comparable_to_primary_only(result):

@@ -8,14 +8,14 @@ the get-only workload: NICE and 2PC spread gets, primary-only cannot.
 
 import pytest
 
-from repro.bench import fig10_load_balancing
+from repro.bench import run
 
 LEVELS = (1, 3, 9)
 
 
 @pytest.fixture(scope="module")
 def result(bench_ops):
-    return fig10_load_balancing(n_ops=bench_ops, levels=LEVELS)
+    return run("fig10", n_ops=bench_ops, levels=LEVELS)
 
 
 def cell(result, system, r, size, metric="op_ms"):
@@ -24,10 +24,6 @@ def cell(result, system, r, size, metric="op_ms"):
         if row["system"] == system and row["replication"] == r
         and row["size_bytes"] == size
     ][0]
-
-
-def test_bench_fig10(benchmark):
-    benchmark(lambda: fig10_load_balancing(n_ops=5, levels=(3,), sizes=(4,)))
 
 
 def test_noob_primary_only_is_not_weakly_scalable(result):

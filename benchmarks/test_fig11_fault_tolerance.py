@@ -10,26 +10,18 @@ total) — the mechanisms are identical, only the quiet periods shrink.
 
 import pytest
 
-from repro.bench import fig11_fault_tolerance
+from repro.bench import run
 
 FAIL_AT, RECOVER_AT, DURATION = 6.0, 18.0, 30.0
 
 
 @pytest.fixture(scope="module")
 def result():
-    return fig11_fault_tolerance(
-        duration=DURATION, fail_at=FAIL_AT, recover_at=RECOVER_AT
-    )
+    return run("fig11", duration=DURATION, fail_at=FAIL_AT, recover_at=RECOVER_AT)
 
 
 def rates(result, col):
     return {row["t_s"]: row[col] for row in result.rows}
-
-
-def test_bench_fig11(benchmark):
-    benchmark(
-        lambda: fig11_fault_tolerance(duration=8.0, fail_at=3.0, recover_at=6.0)
-    )
 
 
 def test_service_continues_through_failure(result):

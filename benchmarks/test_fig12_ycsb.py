@@ -7,7 +7,7 @@ balancing under zipf skew, the 2PC gap from LB latency + protocol cost.
 
 import pytest
 
-from repro.bench import fig12_ycsb
+from repro.bench import run
 
 N_CLIENTS = 10
 OPS = 200  # per client; paper uses 20000 (python -m repro.bench fig12 --full)
@@ -15,7 +15,7 @@ OPS = 200  # per client; paper uses 20000 (python -m repro.bench fig12 --full)
 
 @pytest.fixture(scope="module")
 def result():
-    return fig12_ycsb(n_ops_per_client=OPS, n_clients=N_CLIENTS, n_records=1000)
+    return run("fig12", n_ops_per_client=OPS, n_clients=N_CLIENTS, n_records=1000)
 
 
 def tput(result, workload, system):
@@ -23,10 +23,6 @@ def tput(result, workload, system):
         r["throughput_ops_s"] for r in result.rows
         if r["workload"] == workload and r["system"] == system
     ][0]
-
-
-def test_bench_fig12(benchmark):
-    benchmark(lambda: fig12_ycsb(n_ops_per_client=10, n_clients=3, n_records=50))
 
 
 def test_no_errors(result):

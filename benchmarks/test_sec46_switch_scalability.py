@@ -8,22 +8,18 @@ formula at data-center scale.
 
 import pytest
 
-from repro.bench import sec46_switch_scalability
+from repro.bench import run
 
 
 @pytest.fixture(scope="module")
 def result():
-    return sec46_switch_scalability(measured_nodes=(8, 16))
+    return run("sec46", measured_nodes=(8, 16))
 
 
 def rows(result, **where):
     return [
         r for r in result.rows if all(r[k] == v for k, v in where.items())
     ]
-
-
-def test_bench_sec46(benchmark):
-    benchmark(lambda: sec46_switch_scalability(measured_nodes=(8,), analytic_nodes=()))
 
 
 def test_measured_entries_without_lb_scale_linearly(result):

@@ -1,54 +1,35 @@
 """Benchmark harness: one experiment per paper figure plus ablations.
 
-Run ``python -m repro.bench all`` (or ``nice-bench``) to regenerate them.
+Run ``python -m repro.bench all`` (or ``nice-bench``) to regenerate them,
+or ``run("fig9", n_ops=50)`` for one experiment of the table.
 """
 
-from .ablations import (
-    ablation_chain_replication,
-    ablation_deployment,
-    ablation_lb_rules,
-    ablation_membership_maintenance,
-    ablation_software_rewrite,
+# Importing a module of cell functions registers its experiments; the
+# order here is the order of ``bench all``.
+from . import figures, scale, ablations  # noqa: F401  isort: skip
+from .harness import (
+    EXPERIMENTS,
+    SYSTEMS,
+    ExperimentResult,
+    build,
+    build_nice,
+    build_noob,
+    run,
+    run_to_completion,
 )
-from .figures import (
-    fig4_request_routing,
-    fig5_6_7_replication,
-    fig8_quorum,
-    fig9_consistency,
-    fig10_load_balancing,
-    fig11_fault_tolerance,
-    fig12_ycsb,
-    sec46_switch_scalability,
-)
-from .harness import ExperimentResult, build_nice, build_noob, run_to_completion
-from .parallel import Cell, configure, derive_seed, run_cells, source_fingerprint
 from .report import ascii_chart, format_result, format_table, ratio_summary
 
 __all__ = [
-    "Cell",
+    "EXPERIMENTS",
     "ExperimentResult",
-    "configure",
-    "derive_seed",
-    "run_cells",
-    "source_fingerprint",
-    "ablation_chain_replication",
-    "ablation_deployment",
-    "ablation_lb_rules",
-    "ablation_membership_maintenance",
-    "ablation_software_rewrite",
+    "SYSTEMS",
     "ascii_chart",
+    "build",
     "build_nice",
     "build_noob",
-    "fig10_load_balancing",
-    "fig11_fault_tolerance",
-    "fig12_ycsb",
-    "fig4_request_routing",
-    "fig5_6_7_replication",
-    "fig8_quorum",
-    "fig9_consistency",
     "format_result",
     "format_table",
     "ratio_summary",
+    "run",
     "run_to_completion",
-    "sec46_switch_scalability",
 ]

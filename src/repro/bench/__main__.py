@@ -24,109 +24,16 @@ import os
 import sys
 import time
 
-from . import ablations, figures, parallel
+from . import parallel
 from ..obs import runtime as obs_runtime
-from .report import ascii_chart, diff_reports, format_result, ratio_summary
+from .harness import EXPERIMENTS, run
+from .report import diff_reports, format_result, ratio_summary
 
 #: Default path of the figure-suite JSON report.
 FIGURES_OUT = "BENCH_figures.json"
 
 #: Differences ``diff`` prints before it just counts the rest.
 DIFF_SHOWN = 10
-
-
-def _chart_for(name: str, result):
-    """Text rendering of figure-shaped results (series over an x axis)."""
-    if name == "fig11":
-        series = {
-            "gets/s": [(r["t_s"], r["gets_per_s"]) for r in result.rows],
-            "puts/s": [(r["t_s"], r["puts_per_s"]) for r in result.rows],
-        }
-        return ascii_chart(series, title="Fig 11 — served requests/s over time")
-    if name in ("fig4", "fig5"):
-        metric = "get_ms" if name == "fig4" else "put_ms"
-        import math
-
-        series = {}
-        for row in result.rows:
-            series.setdefault(row["system"], []).append(
-                (math.log2(row["size_bytes"]), row[metric])
-            )
-        return ascii_chart(
-            series, title=f"{name} — {metric} vs log2(object size)"
-        )
-    return None
-
-#: experiment id -> (runner(n_ops), summary spec or None)
-def _registry(n_ops: int, full: bool, smoke: bool = False):
-    ycsb_ops = 20000 if full else max(n_ops, 50)
-    # Figs 5/6/7 share one sweep; memoize it so `bench all` (or any subset
-    # of fig5/fig6/fig7) runs the expensive replication sweep exactly once
-    # per invocation.
-    shared = {}
-
-    def fig5_6_7():
-        if "result" not in shared:
-            shared["result"] = figures.fig5_6_7_replication(n_ops=n_ops)
-        return shared["result"]
-
-    return {
-        "fig4": (
-            lambda: figures.fig4_request_routing(n_ops=n_ops),
-            ("get_ms", "NICE", ["size_bytes"]),
-        ),
-        "fig5": (
-            lambda: fig5_6_7()["fig5"],
-            ("put_ms", "NICE", ["size_bytes"]),
-        ),
-        "fig6": (
-            lambda: fig5_6_7()["fig6"],
-            ("link_bytes_per_op", "NICE", ["size_bytes"]),
-        ),
-        "fig7": (
-            lambda: fig5_6_7()["fig7"],
-            None,
-        ),
-        "fig8": (
-            lambda: figures.fig8_quorum(n_ops=max(n_ops // 10, 5)),
-            ("put_ms", "NICE", ["quorum"]),
-        ),
-        "fig9": (
-            lambda: figures.fig9_consistency(n_ops=n_ops),
-            ("put_ms", "NICE", ["replication", "size_bytes"]),
-        ),
-        "fig10": (
-            lambda: figures.fig10_load_balancing(n_ops=max(n_ops // 2, 10)),
-            ("op_ms", "NICE", ["replication", "size_bytes"]),
-        ),
-        "fig11": (lambda: figures.fig11_fault_tolerance(), None),
-        "fig12": (
-            lambda: figures.fig12_ycsb(n_ops_per_client=ycsb_ops),
-            ("mean_op_ms", "NICE", ["workload"]),
-        ),
-        "sec46": (lambda: figures.sec46_switch_scalability(), None),
-        "read_scaling": (
-            lambda: figures.read_scaling(
-                n_ops_per_client=2000 if full else max(n_ops, 50),
-            ),
-            ("throughput_ops_s", "NICE", ["workload", "replication"]),
-        ),
-        "scale": (
-            lambda: figures.scale_fabric(
-                n_ops=max(n_ops // 5, 10),
-                configs=figures.SCALE_SMOKE_CONFIGS if smoke else None,
-            ),
-            None,
-        ),
-        "ablation-chain": (lambda: ablations.ablation_chain_replication(), None),
-        "ablation-lb": (lambda: ablations.ablation_lb_rules(), None),
-        "ablation-membership": (
-            lambda: ablations.ablation_membership_maintenance(),
-            None,
-        ),
-        "ablation-deployment": (lambda: ablations.ablation_deployment(), None),
-        "ablation-sw-rewrite": (lambda: ablations.ablation_software_rewrite(), None),
-    }
 
 
 def main(argv=None) -> int:
@@ -242,8 +149,6 @@ def _diff(path_a: str, path_b: str) -> int:
 
 
 def _run(parser, args, n_ops: int, jobs: int) -> int:
-    registry = _registry(n_ops, args.full, smoke=args.smoke)
-
     # Each suite's verdict is its own ``check``; the exit code is all CI reads.
     failed = False
     wanted = args.experiment
@@ -276,35 +181,32 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
     if not wanted:
         return int(failed)
     if "all" in wanted:
-        # "all" = the paper's figure suite; the fabric scale family and the
-        # harmonia read-scaling sweep are their own opt-in runs (python -m
-        # repro.bench scale / read_scaling) so the 81-cell baseline stays
-        # byte-stable.
-        wanted = [name for name in registry if name not in ("scale", "read_scaling")]
-    unknown = [w for w in wanted if w not in registry]
+        # "all" = the paper's figure suite; the opt-in experiments (python
+        # -m repro.bench scale / read_scaling) are their own runs.
+        wanted = [name for name, exp in EXPERIMENTS.items() if exp.in_all]
+    unknown = [w for w in wanted if w not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
 
     parallel.drain_records()  # figure records start clean for the report
     experiments = []
     all_cells = []
+    shared = {}  # fig5 fig6 fig7 read one sweep: run it once per invocation
     for name in wanted:
-        runner, summary = registry[name]
+        exp = EXPERIMENTS[name]
         t0 = time.perf_counter()
-        result = runner()
+        result = run(name, shared=shared, **exp.cli(n_ops, args.full, args.smoke))
         elapsed = time.perf_counter() - t0
-        if name == "scale":
-            for failure in figures.check_scale(result.rows):
-                result.note(f"FAIL: {failure}")
-                failed = True
+        for failure in exp.check(result.rows) if exp.check else ():
+            result.note(f"FAIL: {failure}")
+            failed = True
         cells = parallel.drain_records()
         all_cells.extend(cells)
         print(format_result(result))
-        chart = _chart_for(name, result)
-        if chart:
-            print(chart)
-        if summary is not None:
-            metric, baseline, groups = summary
+        if exp.chart:
+            print(exp.chart(result))
+        if exp.summary is not None:
+            metric, baseline, groups = exp.summary
             text = ratio_summary(result, metric, baseline, group_cols=groups)
             if text:
                 print("summary:")
@@ -313,17 +215,7 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
         hits = sum(1 for c in cells if c["cache_hit"])
         cell_note = f", {len(cells)} cells, {hits} cache hits" if cells else ""
         print(f"({elapsed:.1f}s wall{cell_note})\n")
-        experiments.append(
-            {
-                "name": result.name,
-                "description": result.description,
-                "columns": result.columns,
-                "rows": result.rows,
-                "notes": result.notes,
-                "wall_s": elapsed,
-                "cells": cells,
-            }
-        )
+        experiments.append(dict(vars(result), wall_s=elapsed, cells=cells))
     if experiments and args.figures_out != "-":
         prov = parallel.provenance(
             records=all_cells, ops=n_ops, jobs=jobs, full=args.full

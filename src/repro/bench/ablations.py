@@ -4,37 +4,25 @@ These isolate individual design choices: multicast vs unicast fan-out,
 chain replication, the §4.5 load balancer, the §5.1 software-rewrite
 penalty, and the §4.1 membership-maintenance message complexity.
 
-Like the figure sweeps, each independent leg is a declarative
-:class:`~repro.bench.parallel.Cell` executed through
-:func:`~repro.bench.parallel.run_cells`, so ``bench all --jobs N``
-parallelizes and caches the ablations too.
+Like the figures, each is one :class:`~repro.bench.harness.Experiment`
+record beside its cell function, so ``bench all --jobs N`` parallelizes
+and caches the ablations too.  They register in ``bench all`` order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from ..sim import Tally
 from ..workloads import closed_loop_gets, closed_loop_puts, hot_object_clients
-from .figures import BASE_SEED
-from .harness import ExperimentResult, build_nice, build_noob, run_to_completion
-from .parallel import Cell, run_cells
-
-__all__ = [
-    "ablation_chain_replication",
-    "ablation_deployment",
-    "ablation_lb_rules",
-    "ablation_membership_maintenance",
-    "ablation_software_rewrite",
-]
+from .harness import Experiment, build, product, register, run_to_completion
 
 
 def ablation_deployment_cell(
     deployment: str, n_ops: int, sizes: Sequence[int], seed: int
 ) -> Dict:
     """One §5.1 deployment leg: hw (rewriting switch) or ovs split."""
-    cluster = build_nice(
-        n_storage_nodes=15, n_clients=1, deployment=deployment, seed=seed
+    cluster = build(
+        "NICE", n_storage_nodes=15, n_clients=1, deployment=deployment, seed=seed
     )
     client = cluster.clients[0]
 
@@ -60,49 +48,22 @@ def ablation_deployment_cell(
     return {"rows": rows}
 
 
-def ablation_deployment(
-    n_ops: int = 200,
-    sizes: Sequence[int] = (4, 65536, 1 << 20),
-    seed: int = BASE_SEED,
-) -> ExperimentResult:
-    """§5.1 deployment comparison: idealized rewriting hardware switch vs
-    the deployed client-side-OVS split (paper: <4% switching-speed loss)."""
-    result = ExperimentResult(
-        "ablation-deployment",
-        "hw (rewriting switch) vs ovs (client-side rewrite) — get/put ms",
-        ["deployment", "size_bytes", "get_ms", "put_ms"],
-    )
-    cells = [
-        Cell(
-            ablation_deployment_cell,
-            dict(deployment=d, n_ops=n_ops, sizes=list(sizes)),
-            seed=seed,
-        )
-        for d in ("hw", "ovs")
-    ]
-    for payload in run_cells(cells):
-        result.rows.extend(payload["rows"])
-    result.note("paper §5.1: deployed split costs <4% of switching speed")
-    return result
-
-
-#: Chain-ablation systems: display name -> builder overrides (None = NICE).
-_CHAIN_SYSTEMS = {
-    "NICE": None,
-    "NOOB primary fan-out": dict(access="rac", consistency="primary"),
-    "NOOB chain": dict(access="rac", consistency="chain"),
-}
+DEPLOYMENT = Experiment(
+    "ablation-deployment",
+    "hw (rewriting switch) vs ovs (client-side rewrite) — get/put ms",
+    ("deployment", "size_bytes", "get_ms", "put_ms"),
+    ablation_deployment_cell,
+    product(deployment="deployments"),
+    dict(n_ops=200, sizes=(4, 65536, 1 << 20), deployments=("hw", "ovs")),
+    notes=("paper §5.1: deployed split costs <4% of switching speed",),
+)
 
 
 def ablation_chain_cell(
     system: str, n_ops: int, sizes: Sequence[int], seed: int
 ) -> Dict:
     """One chain-replication leg: put latency for a single system."""
-    overrides = _CHAIN_SYSTEMS[system]
-    if overrides is None:
-        cluster = build_nice(n_storage_nodes=15, n_clients=1, seed=seed)
-    else:
-        cluster = build_noob(n_storage_nodes=15, n_clients=1, seed=seed, **overrides)
+    cluster = build(system, n_storage_nodes=15, n_clients=1, seed=seed)
     client = cluster.clients[0]
 
     def driver(sim):
@@ -123,36 +84,24 @@ def ablation_chain_cell(
     return {"rows": rows}
 
 
-def ablation_chain_replication(
-    n_ops: int = 200,
-    sizes: Sequence[int] = (1024, 262144, 1 << 20),
-    seed: int = BASE_SEED,
-) -> ExperimentResult:
-    """§4.2's related-work point: chain replication distributes load but
-    latency grows with the chain; NICE multicast avoids both costs."""
-    result = ExperimentResult(
-        "ablation-chain",
-        "Chain replication vs primary fan-out vs NICE multicast (put ms)",
-        ["system", "size_bytes", "put_ms"],
-    )
-    cells = [
-        Cell(
-            ablation_chain_cell,
-            dict(system=s, n_ops=n_ops, sizes=list(sizes)),
-            seed=seed,
-        )
-        for s in _CHAIN_SYSTEMS
-    ]
-    for payload in run_cells(cells):
-        result.rows.extend(payload["rows"])
-    result.note("R=3; chain latency should sit above primary fan-out for small R")
-    return result
+CHAIN = Experiment(
+    "ablation-chain",
+    "Chain replication vs primary fan-out vs NICE multicast (put ms)",
+    ("system", "size_bytes", "put_ms"),
+    ablation_chain_cell,
+    product(system="systems"),
+    dict(
+        n_ops=200, sizes=(1024, 262144, 1 << 20),
+        systems=("NICE", "NOOB primary fan-out", "NOOB chain"),
+    ),
+    notes=("R=3; chain latency should sit above primary fan-out for small R",),
+)
 
 
 def ablation_lb_cell(load_balancing: bool, n_ops: int, n_clients: int, seed: int) -> Dict:
     """One §4.5 leg: hot-object gets with the LB rules on or off."""
-    cluster = build_nice(
-        n_storage_nodes=15, n_clients=n_clients, load_balancing=load_balancing,
+    cluster = build(
+        "NICE", n_storage_nodes=15, n_clients=n_clients, load_balancing=load_balancing,
         seed=seed,
     )
     key = "lb-hot"
@@ -180,32 +129,19 @@ def ablation_lb_cell(load_balancing: bool, n_ops: int, n_clients: int, seed: int
     }
 
 
-def ablation_lb_rules(
-    n_ops: int = 300, n_clients: int = 6, seed: int = BASE_SEED
-) -> ExperimentResult:
-    """§4.5 isolated: hot-object gets with and without the source-prefix
-    load-balancing rules."""
-    result = ExperimentResult(
-        "ablation-lb",
-        "In-network load balancing on/off — hot-object get latency and spread",
-        ["load_balancing", "get_ms", "replicas_serving", "primary_share"],
-    )
-    cells = [
-        Cell(
-            ablation_lb_cell,
-            dict(load_balancing=lb, n_ops=n_ops, n_clients=n_clients),
-            seed=seed,
-        )
-        for lb in (True, False)
-    ]
-    for payload in run_cells(cells):
-        result.rows.extend(payload["rows"])
-    return result
+LB = Experiment(
+    "ablation-lb",
+    "In-network load balancing on/off — hot-object get latency and spread",
+    ("load_balancing", "get_ms", "replicas_serving", "primary_share"),
+    ablation_lb_cell,
+    product(load_balancing="settings"),
+    dict(n_ops=300, n_clients=6, settings=(True, False)),
+)
 
 
 def ablation_membership_cell(nodes: int, seed: int) -> Dict:
     """One §4.1 leg: membership-change message counts at one cluster size."""
-    cluster = build_nice(n_storage_nodes=nodes, n_clients=1, n_partitions=nodes, seed=seed)
+    cluster = build("NICE", n_storage_nodes=nodes, n_clients=1, n_partitions=nodes, seed=seed)
     base_switch = cluster.control_plane.messages_to_switch.value
     base_node = cluster.metadata.membership_messages.value
     cluster.metadata.declare_failed("n1")
@@ -213,7 +149,7 @@ def ablation_membership_cell(nodes: int, seed: int) -> Dict:
     nice_switch = cluster.control_plane.messages_to_switch.value - base_switch
     nice_node = cluster.metadata.membership_messages.value - base_node
 
-    noob = build_noob(n_storage_nodes=nodes, n_clients=1, n_partitions=nodes, seed=seed)
+    noob = build("NOOB+RAC", n_storage_nodes=nodes, n_clients=1, n_partitions=nodes, seed=seed)
     proc = noob.broadcast_membership_change()
     run_to_completion(noob, proc)
     return {
@@ -228,32 +164,23 @@ def ablation_membership_cell(nodes: int, seed: int) -> Dict:
     }
 
 
-def ablation_membership_maintenance(
-    node_counts: Sequence[int] = (4, 8, 12), seed: int = BASE_SEED
-) -> ExperimentResult:
-    """§4.1's scalability claim: a NICE membership change costs O(S)+O(R)
-    messages; NOOB full membership costs O(N)."""
-    result = ExperimentResult(
-        "ablation-membership",
-        "Messages per membership change — NICE O(S)+O(R) vs NOOB O(N)",
-        ["nodes", "nice_switch_msgs", "nice_node_msgs", "noob_node_msgs"],
-    )
-    cells = [
-        Cell(ablation_membership_cell, dict(nodes=n), seed=seed)
-        for n in node_counts
-    ]
-    for payload in run_cells(cells):
-        result.rows.extend(payload["rows"])
-    result.note(
+MEMBERSHIP = Experiment(
+    "ablation-membership",
+    "Messages per membership change — NICE O(S)+O(R) vs NOOB O(N)",
+    ("nodes", "nice_switch_msgs", "nice_node_msgs", "noob_node_msgs"),
+    ablation_membership_cell,
+    product(nodes="node_counts"),
+    dict(node_counts=(4, 8, 12)),
+    notes=(
         "NICE node messages stay O(R) per affected partition regardless of N; "
-        "NOOB broadcasts to every node"
-    )
-    return result
+        "NOOB broadcasts to every node",
+    ),
+)
 
 
 def ablation_sw_rewrite_cell(penalty: float, n_ops: int, seed: int) -> Dict:
     """One §5.1 leg: gets through a given software-rewrite penalty."""
-    cluster = build_nice(n_storage_nodes=15, n_clients=1, seed=seed)
+    cluster = build("NICE", n_storage_nodes=15, n_clients=1, seed=seed)
     cluster.switch.rewrite_penalty_s = penalty
     client = cluster.clients[0]
 
@@ -267,23 +194,14 @@ def ablation_sw_rewrite_cell(penalty: float, n_ops: int, seed: int) -> Dict:
     return {"rows": [dict(rewrite_penalty_s=penalty, get_ms=tally.mean * 1e3)]}
 
 
-def ablation_software_rewrite(
-    n_ops: int = 200,
-    penalties: Sequence[float] = (0.0, 5e-3),
-    seed: int = BASE_SEED,
-) -> ExperimentResult:
-    """§5.1 deployment experience: the one hardware switch that could
-    rewrite headers did so in software, three orders of magnitude slower."""
-    result = ExperimentResult(
-        "ablation-sw-rewrite",
-        "Header rewrite in hardware vs software path (get ms, 1 KB)",
-        ["rewrite_penalty_s", "get_ms"],
-    )
-    cells = [
-        Cell(ablation_sw_rewrite_cell, dict(penalty=p, n_ops=n_ops), seed=seed)
-        for p in penalties
-    ]
-    for payload in run_cells(cells):
-        result.rows.extend(payload["rows"])
-    result.note("paper: software path was ~1000x slower switching")
-    return result
+SW_REWRITE = Experiment(
+    "ablation-sw-rewrite",
+    "Header rewrite in hardware vs software path (get ms, 1 KB)",
+    ("rewrite_penalty_s", "get_ms"),
+    ablation_sw_rewrite_cell,
+    product(penalty="penalties"),
+    dict(n_ops=200, penalties=(0.0, 5e-3)),
+    notes=("paper: software path was ~1000x slower switching",),
+)
+
+register(CHAIN, LB, MEMBERSHIP, DEPLOYMENT, SW_REWRITE)

@@ -342,7 +342,7 @@ def _git_sha() -> str:
         )
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or a hung one (TimeoutExpired)
         pass
     return "unknown"
 

@@ -34,8 +34,8 @@ from ..net import (
 )
 from ..sim import AllOf, AnyOf, Simulator
 from ..workloads import closed_loop_puts
-from .figures import BASE_SEED, read_scaling_cell
-from .harness import build_nice, run_to_completion
+from .figures import read_scaling_cell
+from .harness import BASE_SEED, build_nice, run_to_completion
 from .parallel import provenance
 
 __all__ = ["run_suite", "check", "format_report", "DEFAULT_OUT", "SCHEMA_VERSION"]

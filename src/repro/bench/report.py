@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .harness import ExperimentResult
 
@@ -98,8 +98,7 @@ def ratio_summary(
     result: ExperimentResult,
     metric: str,
     baseline_system: str,
-    system_col: str = "system",
-    group_cols: Optional[List[str]] = None,
+    group_cols: Optional[Sequence[str]] = None,
 ) -> str:
     """Speedup of the baseline over each other system per group — the
     'NICE is up to 4.3× faster than ROG' style numbers the paper quotes."""
@@ -107,10 +106,10 @@ def ratio_summary(
     groups: Dict[tuple, Dict[str, float]] = {}
     for row in result.rows:
         key = tuple(row.get(c) for c in group_cols)
-        groups.setdefault(key, {})[row[system_col]] = row[metric]
+        groups.setdefault(key, {})[row["system"]] = row[metric]
     lines = []
     others = sorted(
-        {row[system_col] for row in result.rows if row[system_col] != baseline_system}
+        {row["system"] for row in result.rows if row["system"] != baseline_system}
     )
     for other in others:
         ratios = [

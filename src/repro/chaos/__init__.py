@@ -19,6 +19,7 @@ from .schedule import (
     FaultSchedule,
     controlplane_schedules,
     durability_schedules,
+    named,
     standard_schedules,
 )
 
@@ -28,5 +29,6 @@ __all__ = [
     "FaultSchedule",
     "controlplane_schedules",
     "durability_schedules",
+    "named",
     "standard_schedules",
 ]

@@ -58,6 +58,7 @@ key's partition, for ``flap``).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -68,6 +69,7 @@ __all__ = [
     "FaultSchedule",
     "controlplane_schedules",
     "durability_schedules",
+    "named",
     "standard_schedules",
 ]
 
@@ -346,7 +348,7 @@ class FaultSchedule:
         )
 
     @staticmethod
-    def random(seed: int, key: str, horizon: float = 8.0, n_episodes: int = 3, nice_only_events: bool = False) -> "FaultSchedule":
+    def random(seed: int, key: str, horizon: float = 8.0, n_episodes: int = 3) -> "FaultSchedule":
         """A seeded random schedule of fault episodes.
 
         Episodes never overlap (each heals before the next begins) so
@@ -355,8 +357,6 @@ class FaultSchedule:
         """
         rng = np.random.default_rng(seed)
         kinds = ["crash", "partition", "isolate", "loss", "jitter"]
-        if nice_only_events:
-            kinds += ["flap", "stall"]
         events: List[FaultEvent] = []
         t = 0.5 + float(rng.uniform(0.0, 1.0))
         for _ in range(n_episodes):
@@ -389,17 +389,11 @@ class FaultSchedule:
                         t, "loss", target, rate=float(rng.uniform(0.02, 0.15)), duration=dur
                     )
                 )
-            elif kind == "jitter":
+            else:  # jitter
                 events.append(
                     FaultEvent.make(
                         t, "jitter", target, jitter_s=float(rng.uniform(1e-4, 5e-4)), duration=dur
                     )
-                )
-            elif kind == "flap":
-                events.append(FaultEvent.make(t, "flap", f"key:{key}", down_s=0.2))
-            else:  # stall
-                events.append(
-                    FaultEvent.make(t, "stall", latency_s=0.02, duration=dur)
                 )
             t += dur + 0.5 + float(rng.uniform(0.0, 1.0))
         return FaultSchedule(
@@ -407,34 +401,55 @@ class FaultSchedule:
         )
 
 
+def _by_name(*schedules: FaultSchedule) -> Dict[str, FaultSchedule]:
+    return {s.name: s for s in schedules}
+
+
 def standard_schedules(key: str) -> Dict[str, FaultSchedule]:
     """The named schedule suite the chaos bench sweeps, keyed by name."""
-    schedules = [
+    return _by_name(
         FaultSchedule.crash_rejoin(key),
         FaultSchedule.primary_crash(key),
         FaultSchedule.partition_rejoin(key),
         FaultSchedule.isolate_rejoin(key),
         FaultSchedule.lossy_network(key),
-    ]
-    return {s.name: s for s in schedules}
+    )
 
 
 def controlplane_schedules(key: str) -> Dict[str, FaultSchedule]:
     """The control-plane fault family (NICE with metadata standbys)."""
-    schedules = [
+    return _by_name(
         FaultSchedule.metadata_failover(),
         FaultSchedule.controller_outage(key),
         FaultSchedule.node_meta_crash(key),
-    ]
-    return {s.name: s for s in schedules}
+    )
 
 
 def durability_schedules(key: str) -> Dict[str, FaultSchedule]:
     """The durability fault family (DESIGN.md §5k): power loss, bit-rot,
     and fail-slow disks."""
-    schedules = [
+    return _by_name(
         FaultSchedule.power_blackout(),
         FaultSchedule.bit_rot(key),
         FaultSchedule.fail_slow(key),
-    ]
-    return {s.name: s for s in schedules}
+    )
+
+
+_RANDOM_NAME = re.compile(r"random\[(\d+)\]")
+
+
+def named(name: str, key: str) -> FaultSchedule:
+    """The schedule a cell carries by ``name``, aimed at ``key``: any of the
+    three families above, ``rule_flap``, or the seeded ``random[N]``."""
+    seeded = _RANDOM_NAME.fullmatch(name)
+    if seeded:
+        return FaultSchedule.random(int(seeded.group(1)), key)
+    suite = {
+        **standard_schedules(key),
+        **controlplane_schedules(key),
+        **durability_schedules(key),
+        "rule_flap": FaultSchedule.rule_flap(key),
+    }
+    if name not in suite:
+        raise ValueError(f"unknown schedule {name!r}; have {sorted(suite)} or random[N]")
+    return suite[name]

@@ -1,4 +1,4 @@
-"""One gate per suite (``perf.check``, ``chaos.check``, ``figures.check_scale``).
+"""One gate per suite (``perf.check``, ``chaos.check``, ``scale.check``).
 
 The committed ``BENCH_*.json`` reports are judged by the very functions
 ``run_suite``, the CLI exit code and CI use — a committed report can no
@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import chaos, figures, perf
+from repro.bench import __main__ as cli
+from repro.bench import chaos, perf, scale
 from repro.bench.__main__ import main
 from repro.bench.harness import ExperimentResult
 
@@ -243,13 +244,6 @@ def test_filtered_run_skips_the_families_it_never_planned():
     assert chaos.check(report) == ["harmonia-weak: weak config escaped detection"]
 
 
-def test_every_default_schedule_name_resolves_back_to_its_schedule():
-    """A cell carries its schedule by name; the full (non-smoke) matrix
-    used to plan the seeded-random schedules under names no lookup knew."""
-    for schedule in chaos._schedule_suite(chaos.SCHEDULE_KEY):
-        assert chaos._schedule_by_name(chaos.SCHEDULE_KEY, schedule.name).name == schedule.name
-
-
 # ------------------------------------------------------------- exit codes
 SCALE_ROWS = [
     dict(racks=4, hosts_per_rack=16, budget_ok=True, max_switch_rules=451, rule_budget=1024),
@@ -270,20 +264,20 @@ SCALE_ROWS = [
 ])
 def test_scale_gate_and_cli_exit_code(row, fields, expected, monkeypatch, capsys):
     """Budget overruns used to be a note under a zero exit status."""
-    assert figures.check_scale(SCALE_ROWS) == []
+    assert scale.check(SCALE_ROWS) == []
     rows = copy.deepcopy(SCALE_ROWS)
     if fields is None:
         del rows[row]
     else:
         rows[row].update(fields)
-    assert figures.check_scale(rows) == expected
+    assert scale.check(rows) == expected
 
-    def doctored_scale(**_kw):
-        result = ExperimentResult("scale", "doctored", ["racks", "budget_ok"])
+    def doctored_scale(name, **_kw):
+        result = ExperimentResult(name, "doctored", ["racks", "budget_ok"])
         result.rows.extend(rows)
         return result
 
-    monkeypatch.setattr(figures, "scale_fabric", doctored_scale)
+    monkeypatch.setattr(cli, "run", doctored_scale)
     assert main(["scale", "--smoke", "--no-cache", "--figures-out", "-"]) == 1
     assert f"FAIL: {expected[0]}" in capsys.readouterr().out
 

@@ -101,25 +101,18 @@ def test_cli_uses_cache_on_second_run(tmp_path, capsys):
     assert second["provenance"]["cache_hits"] == 1
 
 
-def test_cli_memoizes_shared_fig5_6_7_sweep(tmp_path, monkeypatch, capsys):
-    """fig5 fig6 fig7 must run the shared replication sweep exactly once."""
-    from repro.bench import figures
-    from repro.bench import __main__ as cli
-
-    calls = []
-    real = figures.fig5_6_7_replication
-
-    def counting(n_ops=1000, **kw):
-        calls.append(n_ops)
-        return real(n_ops=3, sizes=(1024,))
-
-    monkeypatch.setattr(cli.figures, "fig5_6_7_replication", counting)
-    rc = main(["fig5", "fig6", "fig7", "--ops", "3", "--no-cache",
+def test_cli_memoizes_shared_fig5_6_7_sweep(tmp_path, capsys):
+    """fig5 fig6 fig7 must run the shared replication sweep exactly once:
+    one execution of the shared cell per system, all charged to fig5."""
+    rc = main(["fig5", "fig6", "fig7", "--ops", "3", "--jobs", "1", "--no-cache",
                "--figures-out", str(tmp_path / "out.json")])
     assert rc == 0
-    assert len(calls) == 1
     report = json.loads((tmp_path / "out.json").read_text())
     assert [e["name"] for e in report["experiments"]] == ["fig5", "fig6", "fig7"]
+    executed = [c["fn"] for e in report["experiments"] for c in e["cells"]]
+    assert executed == ["repro.bench.figures.fig5_6_7_cell"] * 4
+    assert [len(e["cells"]) for e in report["experiments"]] == [4, 0, 0]
+    assert all(e["rows"] for e in report["experiments"])
 
 
 def test_cli_traced_cluster_equals_untraced_and_put_spans_have_children(tmp_path):

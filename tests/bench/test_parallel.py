@@ -9,10 +9,11 @@ fresh run.
 import concurrent.futures
 import json
 import os
+import subprocess
 
 import pytest
 
-from repro.bench import chaos, figures, parallel
+from repro.bench import chaos, parallel, run, scale
 from repro.bench.parallel import (
     Cell,
     canonical,
@@ -198,20 +199,20 @@ def test_scale_cell_jobs_parity(tmp_path):
         dict(racks=2, hosts_per_rack=3, n_clients=2, budget=256),
         dict(racks=3, hosts_per_rack=2, n_clients=2, budget=256),
     )
-    seq = figures.scale_fabric(n_ops=5, configs=cfgs)
+    seq = run("scale", n_ops=5, configs=cfgs)
     drain_records()
     prior = parallel.configure(jobs=2, cache_dir=str(tmp_path / "bc"))
     try:
-        par = figures.scale_fabric(n_ops=5, configs=cfgs)
+        par = run("scale", n_ops=5, configs=cfgs)
         rec_cold = drain_records()
-        warm = figures.scale_fabric(n_ops=5, configs=cfgs)
+        warm = run("scale", n_ops=5, configs=cfgs)
         rec_warm = drain_records()
     finally:
         parallel.configure(**prior)
     assert par.rows == seq.rows
     assert warm.rows == seq.rows
     assert len([row for row in seq.rows if "throughput_ops_s" in row]) == 2
-    assert figures.check_scale(seq.rows) == []  # real rows carry every gated field
+    assert scale.check(seq.rows) == []  # real rows carry every gated field
     # 2 rung cells + the ride-along chaos cell, all cached and replayed.
     assert [r["cache_hit"] for r in rec_cold] == [False] * 3
     assert [r["cache_hit"] for r in rec_warm] == [True] * 3
@@ -226,18 +227,34 @@ def test_provenance_block():
     assert block["python"] and block["platform"] and block["git_sha"]
 
 
+@pytest.mark.parametrize("failure", [
+    subprocess.TimeoutExpired(cmd="git", timeout=5),
+    FileNotFoundError("git"),
+])
+def test_provenance_survives_a_hung_or_missing_git(monkeypatch, failure):
+    """``provenance()`` runs after every cell has finished, while the
+    report is being written: a ``git`` that hangs (``TimeoutExpired`` is
+    not an ``OSError``) or is not installed must cost the SHA, not the rows."""
+
+    def broken_git(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(subprocess, "run", broken_git)
+    assert provenance(records=[])["git_sha"] == "unknown"
+
+
 # ------------------------------------------- figure & chaos sweep parity
 def test_figure_sweep_parallel_parity_and_cache(tmp_path):
     """The acceptance bar: --jobs 1 and --jobs N rows are bit-identical,
     and a warm-cache rerun skips every cell yet returns identical rows."""
     kw = dict(n_ops=3, sizes=(4, 1024))
-    seq = figures.fig4_request_routing(**kw)
+    seq = run("fig4", **kw)
     drain_records()
     prior = parallel.configure(jobs=2, cache_dir=str(tmp_path / "bc"))
     try:
-        par = figures.fig4_request_routing(**kw)
+        par = run("fig4", **kw)
         rec_cold = drain_records()
-        warm = figures.fig4_request_routing(**kw)
+        warm = run("fig4", **kw)
         rec_warm = drain_records()
     finally:
         parallel.configure(**prior)
@@ -249,10 +266,10 @@ def test_figure_sweep_parallel_parity_and_cache(tmp_path):
 
 def test_multi_result_sweep_parallel_parity():
     kw = dict(n_ops=3, sizes=(1024,))
-    seq = figures.fig5_6_7_replication(**kw)
+    seq = {name: run(name, **kw) for name in ("fig5", "fig6", "fig7")}
     prior = parallel.configure(jobs=2, cache_dir=None)
     try:
-        par = figures.fig5_6_7_replication(**kw)
+        par = {name: run(name, **kw) for name in seq}
     finally:
         parallel.configure(**prior)
     for name in ("fig5", "fig6", "fig7"):

@@ -9,7 +9,7 @@ NOOB must verify; the weak NOOB configuration must be *caught*.
 import numpy as np
 import pytest
 
-from repro.bench.chaos import run_case
+from repro.bench.chaos import chaos_cell
 from repro.bench.harness import build_nice, build_noob, run_to_completion
 from repro.chaos import ChaosEngine, FaultSchedule
 from repro.check import HistoryRecorder, check_linearizable, check_monotonic
@@ -23,7 +23,9 @@ def test_fig11_timeline_history_is_linearizable():
     """Secondary crash + two-stage rejoin (the Fig 11 fault scenario):
     the recorded history must be linearizable and the engine must log the
     crash → restart → consistent progression in order."""
-    row = run_case("nice", FaultSchedule.crash_rejoin("k0", 2.0, 5.0), seed=7, duration=8.0)
+    row = chaos_cell(
+        "nice", lambda key: FaultSchedule.crash_rejoin(key, 2.0, 5.0), duration=8.0, seed=7
+    )
     assert row["linearizable"], row["reason"]
     assert row["monotonic_ok"]
     labels = [label for _, label in row["chaos_events"]]
@@ -102,7 +104,7 @@ def test_noob_quorum_crash_during_put():
 
 @pytest.mark.parametrize("mode", ["nice", "rac-quorum"])
 def test_partition_then_rejoin_verifies(mode):
-    row = run_case(mode, FaultSchedule.partition_rejoin("k0", 2.0, 5.0), seed=3, duration=8.0)
+    row = chaos_cell(mode, "partition_rejoin", duration=8.0, seed=3)
     assert row["linearizable"], row["reason"]
     labels = [label for _, label in row["chaos_events"]]
     assert any("partitioned" in l for l in labels)
@@ -116,9 +118,7 @@ def test_noob_primary_round_robin_under_partition_is_caught():
     """Primary-only replication + round-robin reads: during an asymmetric
     partition the stale secondary keeps serving clients — the checker must
     find the violation and shrink it to a small counterexample."""
-    row = run_case(
-        "rac-weak", FaultSchedule.partition_rejoin("k0", 2.0, 5.0), seed=1, duration=8.0
-    )
+    row = chaos_cell("rac-weak", "partition_rejoin", duration=8.0, seed=1)
     assert not row["linearizable"]
     assert not row["monotonic_ok"]  # even the cheap screen sees it
     # Minimal counterexample: a handful of ops, at least one stale get.
@@ -141,7 +141,9 @@ def test_nice_matrix_linearizable(schedule, seed):
         "primary_crash": FaultSchedule.primary_crash,
         "partition_rejoin": FaultSchedule.partition_rejoin,
     }
-    row = run_case("nice", builders[schedule]("k0", 2.0, 5.0), seed=seed, duration=8.0)
+    row = chaos_cell(
+        "nice", lambda key: builders[schedule](key, 2.0, 5.0), duration=8.0, seed=seed
+    )
     assert row["linearizable"], f"{schedule}/seed{seed}: {row['reason']}"
     assert not row["inconclusive"]
     assert row["n_ops"] > 200
@@ -154,7 +156,7 @@ def test_released_handoff_forwards_instead_of_miss():
     answered as an authoritative miss from the wrong store.  The node must
     forward to the primary instead (§4.3: only consistent replicas
     answer).  seed 3 deterministically lands a get in the window."""
-    row = run_case("nice", FaultSchedule.crash_rejoin("k0"), seed=3, duration=10.0)
+    row = chaos_cell("nice", "crash_rejoin", duration=10.0, seed=3)
     assert row["linearizable"], row["reason"]
     assert row["monotonic_ok"]
 
@@ -164,8 +166,8 @@ def test_released_handoff_forwards_instead_of_miss():
 
 def test_chaos_case_reproducible():
     """(seed, schedule) fully determines a case, histories included."""
-    a = run_case("nice", FaultSchedule.partition_rejoin("k0"), seed=9, duration=6.0)
-    b = run_case("nice", FaultSchedule.partition_rejoin("k0"), seed=9, duration=6.0)
+    a = chaos_cell("nice", "partition_rejoin", duration=6.0, seed=9)
+    b = chaos_cell("nice", "partition_rejoin", duration=6.0, seed=9)
     assert a["chaos_events"] == b["chaos_events"]
     assert a["n_ops"] == b["n_ops"]
     assert a["states"] == b["states"]

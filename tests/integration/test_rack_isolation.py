@@ -8,7 +8,7 @@ ReplicaSet.uncovered), and diff-based switch reconciliation must converge
 to exactly the tables a from-scratch sync would install.
 """
 
-from repro.bench.figures import scale_chaos_cell
+from repro.bench.scale import scale_chaos_cell
 from repro.chaos import FaultSchedule
 
 

@@ -393,7 +393,6 @@ def _chaos_cluster(seed, schedule_seed=None):
     Returns (the cluster afterwards, (chaos event log, canonical op-history
     tuples)).
     """
-    from repro.bench.chaos import rebuild_for_key, run_case  # noqa: F401
     from repro.bench.harness import build_nice
     from repro.chaos import ChaosEngine, FaultSchedule
     from repro.check import HistoryRecorder
@@ -473,16 +472,16 @@ _SCALE_KW = dict(
 def test_scale_cells_identical_across_jobs_and_warm_cache(tmp_path):
     """Multi-switch cells honor the same contract as the figure suite:
     --jobs 1, --jobs 2 and a warm-cache rerun are bit-identical."""
-    from repro.bench import figures, parallel
+    from repro.bench import parallel, run
 
     parallel.drain_records()
-    seq = figures.scale_fabric(**_SCALE_KW)
+    seq = run("scale", **_SCALE_KW)
     parallel.drain_records()
     prior = parallel.configure(jobs=2, cache_dir=str(tmp_path / "bc"))
     try:
-        par = figures.scale_fabric(**_SCALE_KW)
+        par = run("scale", **_SCALE_KW)
         parallel.drain_records()
-        warm = figures.scale_fabric(**_SCALE_KW)
+        warm = run("scale", **_SCALE_KW)
         rec_warm = parallel.drain_records()
     finally:
         parallel.configure(**prior)
