@@ -7,6 +7,7 @@ Examples::
     python -m repro.bench all --ops 100 --jobs 4
     nice-bench fig12 --ops 500
     python -m repro.bench diff A.json B.json   # exit 1 unless rows are identical
+    python -m repro.bench reach                # what the rows / tier-1 / nothing reaches
 
 Figure and chaos sweeps decompose into independent cells (see
 ``repro.bench.parallel``) that fan across ``--jobs`` worker processes and
@@ -45,9 +46,10 @@ def main(argv=None) -> int:
         "experiment",
         nargs="+",
         help="fig4..fig12, sec46, scale, ablation-*, 'perf', 'chaos', "
-             "'all' (= the figure suite; 'scale' runs separately), or "
+             "'all' (= the figure suite; 'scale' runs separately), "
              "'diff A.json B.json' to compare the result rows of two "
-             "figure/scale/chaos reports",
+             "figure/scale/chaos reports, or 'reach' (the reachability "
+             "census of src/repro; from a checkout)",
     )
     parser.add_argument(
         "--ops", type=int, default=100,
@@ -59,7 +61,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="perf/chaos/scale suites: shrunk matrices for CI sanity runs",
+        help="perf/chaos/scale suites and reach: shrunk matrices for CI sanity runs",
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -106,6 +108,10 @@ def main(argv=None) -> int:
         if len(args.experiment) != 3:
             parser.error("diff takes exactly two report paths")
         return _diff(*args.experiment[1:])
+    if args.experiment == ["reach"]:
+        from . import reach
+
+        return reach.main(smoke=args.smoke)
     n_ops = 1000 if args.full else args.ops
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ...chaos import ChaosEngine, FaultSchedule, named
+from ...chaos import FAULTS, ChaosEngine, FaultSchedule, named
 from ...check import (
     CheckLimitExceeded,
     HistoryRecorder,
@@ -213,7 +213,7 @@ def chaos_cell(
     row = _history_row(
         "controlplane" if standbys else "standard", mode, schedule.name, seed,
         recorder, engine.events, standbys=standbys,
-        has_loss=any(ev.kind == "loss" for ev in schedule),
+        has_loss=any(ev.kind == FAULTS["loss"].name for ev in schedule),
     )
     if standbys:
         row["controlplane"] = _controlplane_provenance(cluster)

@@ -14,21 +14,26 @@ faults, record client histories, verify linearizability
 """
 
 from .engine import ChaosEngine
+from .faults import FAULTS, Fault
 from .schedule import (
     FaultEvent,
     FaultSchedule,
     controlplane_schedules,
     durability_schedules,
+    episode,
     named,
     standard_schedules,
 )
 
 __all__ = [
     "ChaosEngine",
+    "FAULTS",
+    "Fault",
     "FaultEvent",
     "FaultSchedule",
     "controlplane_schedules",
     "durability_schedules",
+    "episode",
     "named",
     "standard_schedules",
 ]

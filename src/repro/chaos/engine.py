@@ -1,38 +1,31 @@
 """The chaos engine: plays a :class:`FaultSchedule` against a cluster.
 
 The engine is a simulator process.  It walks the schedule's events in
-time order, resolves each symbolic target against *current* membership,
-performs the fault through the same primitives operators have — host
+time order and fires each one the same way (:meth:`ChaosEngine._fire`):
+look the kind up in :data:`~repro.chaos.faults.FAULTS`, resolve the
+symbolic target against *current* membership, let the record's ``apply``
+perform the fault through the primitives operators have — host
 fail/recover, link down, switch flow-mods, control-plane latency — and
-appends a ``(sim_time_s, label)`` pair to its typed event log (the same
+append a ``(sim_time_s, label)`` pair to the typed event log (the same
 shape as :class:`~repro.workloads.faultload.FaultTimelineResult.events`).
 
-Determinism: all randomness (loss, jitter) comes from per-event numpy
-streams derived from ``(engine seed, event index)``, so a run is
-bit-reproducible from ``(cluster seed, schedule, engine seed)`` — the
-determinism tests compare whole event logs and op histories across runs.
-
-Pairing rule: a fault that takes a node out (``crash``, ``isolate``,
-``partition``) *binds* its symbolic target to the concrete node it hit;
-the matching recovery event (``rejoin``, ``heal``, ``heal_partition``)
-reuses that binding.  Without this, "secondary:k" would re-resolve after
-failover promoted a different replica and the wrong node would rejoin.
+Determinism: all randomness (loss, jitter, bit-rot picks) comes from
+per-event numpy streams derived from ``(engine seed, event index)``, so a
+run is bit-reproducible from ``(cluster seed, schedule, engine seed)`` —
+the determinism tests compare whole event logs and op histories across
+runs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..kv import ConsistentHashRing, key_hash
-from ..net.flowtable import Drop, Match, Rule
+from .faults import FAULTS, Fault, Skip
 from .schedule import FaultEvent, FaultSchedule
 
 __all__ = ["ChaosEngine"]
-
-#: Above every routing rule (vring rules are O(100), ARP 500).
-PARTITION_PRIORITY = 10_000
 
 
 class ChaosEngine:
@@ -45,10 +38,20 @@ class ChaosEngine:
         self.sim = cluster.sim
         #: Typed event log: each entry is a ``(sim_time_s, label)`` pair.
         self.events: List[Tuple[float, str]] = []
-        # target spec -> FIFO of concrete node names (a spec can have
-        # several outstanding outages, e.g. two "primary:<k>" crashes
-        # where the second hits the promoted replica).
-        self._bound: Dict[str, List[str]] = {}
+        #: What ``Fault.needs`` may name; ``None`` = this cluster lacks it.
+        self.parts = {
+            "fabric": cluster.fabric,
+            "controller": cluster.controller,
+            "control_plane": cluster.control_plane,
+            "metadata_ha": cluster.metadata_ha,
+        }
+        #: target spec -> FIFO of what an outage hit (a spec can have
+        #: several outstanding outages, e.g. two "primary:<k>" crashes where
+        #: the second hits the promoted replica).  The cluster-scope pairs
+        #: use the symbolic specs "meta" and "power".
+        self.bound: Dict[str, list] = {}
+        #: The deterministic stream of the event being fired.
+        self.rng: Optional[np.random.Generator] = None
         self._event_index = 0
 
     # -- lifecycle ---------------------------------------------------------------
@@ -62,7 +65,23 @@ class ChaosEngine:
                 yield self.sim.timeout(event.at - self.sim.now)
             self._fire(event)
 
-    def _mark(self, label: str) -> None:
+    def _fire(self, event: FaultEvent) -> None:
+        """Fire one event: everything that is the same for every kind."""
+        self._event_index += 1
+        fault = FAULTS[event.kind]
+        self.rng = np.random.default_rng([self.seed, self._event_index])
+        try:
+            for part in fault.needs:
+                if self.parts[part] is None:
+                    raise Skip(f"no {part.replace('_', ' ')}")
+            target = self._target(fault, event.target)
+            label = fault.apply(self, target, {**fault.defaults, **dict(event.params)})
+        except Skip as why:
+            label = f"{event.kind} skipped ({why})"
+        if label is not None:
+            self.mark(label)
+
+    def mark(self, label: str) -> None:
         self.events.append((float(self.sim.now), label))
         tr = self.sim.tracer
         if tr is not None:
@@ -70,37 +89,38 @@ class ChaosEngine:
             # are visible inline across the whole trace timeline.
             tr.instant(label, "fault", node="chaos")
 
-    def _stream(self) -> np.random.Generator:
-        """A fresh deterministic rng for the event being fired."""
-        rng = np.random.default_rng([self.seed, self._event_index])
-        return rng
-
     # -- target resolution ---------------------------------------------------------
-    def _partition_of_key(self, key: str) -> int:
-        vring = getattr(self.cluster, "uni_vring", None)
-        if vring is not None:
-            return vring.subgroup_of_key(key)
-        return ConsistentHashRing.partition_of_hash(
-            key_hash(key), len(self.cluster.partition_map)
-        )
+    def _target(self, fault: Fault, spec: str):
+        """What ``fault.apply`` is aimed at: ``spec`` read the way the
+        fault's scope reads it, :class:`Skip` if it names nothing now."""
+        if fault.scope == "cluster":
+            return None
+        prefix, _, arg = spec.partition(":")
+        if fault.scope == "key":
+            if prefix != "key":
+                raise ValueError(f"{fault.name} wants a 'key:<key>' target, got {spec!r}")
+            return self.cluster.partition_of_key(arg)
+        if fault.scope == "rack":
+            if prefix != "rack" or not 0 <= int(arg) < self.cluster.fabric.n_racks:
+                raise Skip(spec)
+            return int(arg)
+        name = self._resolve_node(spec, fault.binding)
+        if name is None or (fault.node_up and not self.cluster.nodes[name].host.up):
+            raise Skip(spec)
+        return name
 
-    def _resolve_node(self, spec: str, bind: str = "none") -> Optional[str]:
-        """Map a symbolic target to a node name against current membership.
-
-        ``bind="bind"`` (outage events) records the resolution;
-        ``bind="unbind"`` (recovery events) consumes the oldest recorded
-        one; ``bind="peek"`` reads it without consuming; ``bind="none"``
-        resolves fresh (self-healing bursts).
-        """
-        if bind in ("unbind", "peek") and self._bound.get(spec):
-            fifo = self._bound[spec]
-            return fifo.pop(0) if bind == "unbind" else fifo[0]
-        kind, _, arg = spec.partition(":")
-        if kind == "node":
+    def _resolve_node(self, spec: str, binding: str) -> Optional[str]:
+        """Map a symbolic node target to a node name against current
+        membership, honouring ``binding`` (see :mod:`~repro.chaos.faults`)."""
+        if binding in ("unbind", "peek") and self.bound.get(spec):
+            fifo = self.bound[spec]
+            return fifo.pop(0) if binding == "unbind" else fifo[0]
+        role, _, arg = spec.partition(":")
+        if role == "node":
             name = arg
-        elif kind in ("primary", "secondary"):
-            rs = self.cluster.partition_map.get(self._partition_of_key(arg))
-            if kind == "primary":
+        elif role in ("primary", "secondary"):
+            rs = self.cluster.partition_map.get(self.cluster.partition_of_key(arg))
+            if role == "primary":
                 name = rs.primary
             else:
                 secondaries = [m for m in rs.members if m != rs.primary]
@@ -111,391 +131,52 @@ class ChaosEngine:
             raise ValueError(f"unknown chaos target {spec!r}")
         if name not in self.cluster.nodes:
             return None
-        if bind == "bind":
-            self._bound.setdefault(spec, []).append(name)
+        if binding == "bind":
+            self.bound.setdefault(spec, []).append(name)
         return name
 
-    def _access_link(self, name: str):
-        # The host's own port's link — identical to the sw0<->host link in
-        # the single-switch topology, and the leaf<->host link in a fabric.
-        host = self.cluster.nodes[name].host
-        return host.port.link
+    # -- what several kinds do, written once -----------------------------------------
+    def restart(self, name: str, verb: str = "restarts") -> None:
+        """Power ``name`` back on; log that, and "consistent" once its
+        rejoin (NICE: a two-stage process; NOOB: nothing) completes."""
+        self.mark(f"{name} {verb}")
+        rejoin = self.cluster.nodes[name].restart()
+        if rejoin is not None:
+            self.sim.process(self._then_mark(rejoin, f"{name} consistent"))
 
-    def _access_switch(self, name: str):
-        """The switch the node's access link terminates on."""
-        host = self.cluster.nodes[name].host
-        peer = host.port.peer
-        return peer.device if peer is not None else self.cluster.switch
+    def _then_mark(self, event, label: str):
+        yield event
+        self.mark(label)
 
-    def _all_switches(self) -> list:
-        switches = getattr(self.cluster, "switches", None)
-        if switches is not None:
-            return list(switches)
-        return [self.cluster.switch] + list(
-            getattr(self.cluster, "edge_switches", [])
-        )
+    def burst(self, duration: float, undo: Callable[[], None], label: str) -> None:
+        """End a self-healing fault ``duration`` from now: ``undo()``, then
+        log ``label``."""
 
-    # -- event dispatch ------------------------------------------------------------
-    def _fire(self, event: FaultEvent) -> None:
-        self._event_index += 1
-        handler = getattr(self, f"_do_{event.kind}", None)
-        if handler is None:
-            raise ValueError(f"unknown fault kind {event.kind!r}")
-        handler(event)
+        def end():
+            undo()
+            self.mark(label)
 
-    def _do_crash(self, event: FaultEvent) -> None:
-        name = self._resolve_node(event.target, bind="bind")
-        if name is None or not self.cluster.nodes[name].host.up:
-            self._mark(f"crash skipped ({event.target})")
-            return
-        self.cluster.nodes[name].crash()
-        self._mark(f"{name} crashes")
+        self.sim.call_in(duration, end)
 
-    def _do_rejoin(self, event: FaultEvent) -> None:
-        name = self._resolve_node(event.target, bind="unbind")
-        if name is None:
-            self._mark(f"rejoin skipped ({event.target})")
-            return
-        node = self.cluster.nodes[name]
-        self._mark(f"{name} restarts")
-        proc = node.restart()
-        if proc is not None:  # NICE: two-stage rejoin runs as a process
-            def done(_=None, name=name):
-                self._mark(f"{name} consistent")
-
-            self.sim.process(self._await(proc, done))
-
-    @staticmethod
-    def _await(proc, done):
-        yield proc
-        done()
-
-    def _do_isolate(self, event: FaultEvent) -> None:
-        name = self._resolve_node(event.target, bind="bind")
-        link = self._access_link(name) if name else None
-        if link is None:
-            self._mark(f"isolate skipped ({event.target})")
-            return
-        link.set_down(True)
-        self._mark(f"{name} link down")
-
-    def _do_heal(self, event: FaultEvent) -> None:
-        name = self._resolve_node(event.target, bind="unbind")
-        link = self._access_link(name) if name else None
-        if link is None:
-            self._mark(f"heal skipped ({event.target})")
-            return
-        link.set_down(False)
-        self._mark(f"{name} link up")
-
-    # -- rack-level faults (leaf-spine fabric) -----------------------------------------
-    def _rack_target(self, event: FaultEvent):
-        fabric = getattr(self.cluster, "fabric", None)
-        kind, _, arg = event.target.partition(":")
-        if fabric is None or kind != "rack":
-            return None, None
-        rack = int(arg)
-        if not 0 <= rack < fabric.n_racks:
-            return None, None
-        return fabric, rack
-
-    def _do_rack_isolate(self, event: FaultEvent) -> None:
-        """Cut every uplink of the rack's leaf: the whole failure domain
-        drops off the fabric at once (hosts still reach each other through
-        the leaf, exactly like a real spine-facing optics failure)."""
-        fabric, rack = self._rack_target(event)
-        if fabric is None:
-            self._mark(f"rack_isolate skipped ({event.target})")
-            return
-        for link in fabric.uplinks_of(rack):
-            link.set_down(True)
-        self._mark(f"rack {rack} isolated ({len(fabric.uplinks_of(rack))} uplinks down)")
-
-    def _do_rack_heal(self, event: FaultEvent) -> None:
-        """Bring the uplinks back and two-phase-rejoin every node in the
-        rack the metadata service declared failed during the outage."""
-        fabric, rack = self._rack_target(event)
-        if fabric is None:
-            self._mark(f"rack_heal skipped ({event.target})")
-            return
-        for link in fabric.uplinks_of(rack):
-            link.set_down(False)
-        self._mark(f"rack {rack} uplinks healed")
-        metadata = self.cluster.metadata_active
-        for name in sorted(self.cluster.nodes):
-            if self.cluster.rack_of.get(name) != rack:
-                continue
-            if metadata.status.get(name) != "down":
-                continue
-            node = self.cluster.nodes[name]
-            self._mark(f"{name} restarts")
-            proc = node.restart()
-            if proc is not None:
-                def done(_=None, name=name):
-                    self._mark(f"{name} consistent")
-
-                self.sim.process(self._await(proc, done))
-
-    def _peer_ips(self, name: str) -> List:
-        """IPs of the target's storage peers plus the metadata service."""
-        ips = [
-            ip for peer, ip in sorted(self.cluster.directory.items()) if peer != name
-        ]
-        meta = self.cluster.network.devices.get("meta")
-        if meta is not None:
-            ips.append(meta.ip)
-        return ips
-
-    def _do_partition(self, event: FaultEvent) -> None:
-        name = self._resolve_node(event.target, bind="bind")
-        if name is None:
-            self._mark(f"partition skipped ({event.target})")
-            return
-        ip = self.cluster.directory[name]
-        cookie = f"chaos:partition:{name}"
-        access = self._access_switch(name)
-        for peer_ip in self._peer_ips(name):
-            for src, dst in ((ip, peer_ip), (peer_ip, ip)):
-                access.install_rule(
-                    Rule(
-                        Match(ip_src=src, ip_dst=dst),
-                        [Drop()],
-                        PARTITION_PRIORITY,
-                        cookie=cookie,
-                    )
-                )
-        self._mark(f"{name} partitioned from peers")
-
-    def _do_heal_partition(self, event: FaultEvent) -> None:
-        # Resolve without consuming the binding: the paired "rejoin" event
-        # (same target, same instant) still needs it.
-        name = self._resolve_node(event.target, bind="peek")
-        if name is None:
-            self._mark(f"heal_partition skipped ({event.target})")
-            return
-        removed = self._access_switch(name).remove_cookie(f"chaos:partition:{name}")
-        self._mark(f"{name} partition healed ({removed} rules)")
-
-    def _do_loss(self, event: FaultEvent) -> None:
-        name = self._resolve_node(event.target)  # bursts self-heal; no binding
-        link = self._access_link(name) if name else None
-        if link is None:
-            self._mark(f"loss skipped ({event.target})")
-            return
-        rate = float(event.param("rate", 0.05))
-        duration = float(event.param("duration", 1.0))
-        link.set_loss(rate, self._stream())
-
-        def restore(name=name, link=link):
-            link.set_loss(0.0)
-            self._mark(f"{name} loss burst ends")
-
-        self.sim.call_in(duration, restore)
-        self._mark(f"{name} loss burst {rate:.0%} for {duration:g}s")
-
-    def _do_jitter(self, event: FaultEvent) -> None:
-        name = self._resolve_node(event.target)  # bursts self-heal; no binding
-        link = self._access_link(name) if name else None
-        if link is None:
-            self._mark(f"jitter skipped ({event.target})")
-            return
-        jitter_s = float(event.param("jitter_s", 100e-6))
-        duration = float(event.param("duration", 1.0))
-        link.set_delay_jitter(jitter_s, self._stream())
-
-        def restore(name=name, link=link):
-            link.set_delay_jitter(0.0)
-            self._mark(f"{name} jitter ends")
-
-        self.sim.call_in(duration, restore)
-        self._mark(f"{name} jitter {jitter_s * 1e6:g}us for {duration:g}s")
-
-    def _do_flap(self, event: FaultEvent) -> None:
-        controller = getattr(self.cluster, "controller", None)
-        if controller is None or not hasattr(controller, "sync_partition"):
-            self._mark(f"flap skipped (no flow rules: {event.target})")
-            return
-        kind, _, key = event.target.partition(":")
-        if kind != "key":
-            raise ValueError(f"flap wants a 'key:<key>' target, got {event.target!r}")
-        partition = self._partition_of_key(key)
-        down_s = float(event.param("down_s", 0.2))
-        removed = 0
-        for switch in self._all_switches():
-            removed += switch.remove_cookie(f"uni:{partition}")
-            removed += switch.remove_cookie(f"mc:{partition}")
-            # Harmonia mode (DESIGN.md §5j) carries its read rule in a
-            # separate family; a flap must rip it out too or the stale
-            # frozen replica choices outlive the flap window.
-            removed += switch.remove_cookie(f"hread:{partition}")
-
-        def resync(partition=partition):
-            controller.sync_partition(partition)
-            self._mark(f"p{partition} rules re-synced")
-
-        self.sim.call_in(down_s, resync)
-        self._mark(f"p{partition} rules flapped ({removed} removed, {down_s:g}s)")
-
-    # -- control-plane faults --------------------------------------------------------
-    def _do_metadata_crash(self, event: FaultEvent) -> None:
-        """Fail-stop the acting metadata leader (requires standbys)."""
-        ha = getattr(self.cluster, "metadata_ha", None)
+    def crash_leader(self) -> Optional[str]:
+        """Fail-stop the acting metadata leader and return its name, or
+        ``None`` without HA or a live leader.  Bound under "meta" so that
+        :meth:`revive_leader` brings back the replica that actually
+        crashed, not whoever leads by then."""
+        ha = self.cluster.metadata_ha
         leader = ha.leader if ha is not None else None
         if leader is None or not leader.host.up:
-            self._mark(f"metadata_crash skipped ({event.target or 'no leader'})")
-            return
+            return None
         leader.crash()
-        # Bind under a symbolic key so the paired rejoin revives the
-        # replica that actually crashed, not whoever leads by then.
-        self._bound.setdefault("meta", []).append(leader.host.name)
-        self._mark(f"{leader.host.name} (metadata leader) crashes")
+        self.bound.setdefault("meta", []).append(leader.host.name)
+        return leader.host.name
 
-    def _do_metadata_rejoin(self, event: FaultEvent) -> None:
-        ha = getattr(self.cluster, "metadata_ha", None)
-        fifo = self._bound.get("meta")
-        replica = ha.replica_named(fifo.pop(0)) if (ha is not None and fifo) else None
+    def revive_leader(self) -> Optional[str]:
+        """Power the longest-crashed metadata replica back on; its name, or
+        ``None`` if none is down."""
+        ha, fifo = self.cluster.metadata_ha, self.bound.get("meta")
+        replica = ha.replica_named(fifo.pop(0)) if ha is not None and fifo else None
         if replica is None:
-            self._mark(f"metadata_rejoin skipped ({event.target})")
-            return
+            return None
         replica.recover()
-        self._mark(f"{replica.host.name} (metadata replica) rejoins")
-
-    def _do_controller_crash(self, event: FaultEvent) -> None:
-        """Sever the controller↔switch channel: flow-mods and packet-ins
-        are dropped until ``controller_recover``."""
-        control_plane = getattr(self.cluster, "control_plane", None)
-        if control_plane is None or not hasattr(control_plane, "set_down"):
-            self._mark("controller_crash skipped (no control plane)")
-            return
-        control_plane.set_down(True)
-        self._mark("controller channel down")
-
-    def _do_controller_recover(self, event: FaultEvent) -> None:
-        """Restore the channel and run the reconciliation pass: recompute
-        the desired ruleset and repair only what diverged."""
-        control_plane = getattr(self.cluster, "control_plane", None)
-        if control_plane is None or not hasattr(control_plane, "set_down"):
-            self._mark("controller_recover skipped (no control plane)")
-            return
-        control_plane.set_down(False)
-        service = getattr(self.cluster, "metadata_active", None)
-        if service is not None and hasattr(service, "reconcile_switches"):
-            stats = service.reconcile_switches()
-            self._mark(
-                "controller channel up (reconciled "
-                f"+{stats['installed']}/-{stats['deleted']}, {stats['matched']} kept)"
-            )
-        else:
-            self._mark("controller channel up")
-
-    def _do_stall(self, event: FaultEvent) -> None:
-        control_plane = getattr(self.cluster, "control_plane", None)
-        if control_plane is None:
-            self._mark("stall skipped (no control plane)")
-            return
-        latency_s = float(event.param("latency_s", 0.05))
-        duration = float(event.param("duration", 1.0))
-        previous = control_plane.latency_s
-        control_plane.latency_s = latency_s
-
-        def restore(previous=previous):
-            control_plane.latency_s = previous
-            self._mark("controller stall ends")
-
-        self.sim.call_in(duration, restore)
-        self._mark(f"controller stalled to {latency_s * 1e3:g}ms for {duration:g}s")
-
-    # -- durability faults (DESIGN.md §5k) ---------------------------------------------
-    def _do_disk_slow(self, event: FaultEvent) -> None:
-        """Fail-slow disk: service times scaled by ``factor``; the device
-        keeps answering, so only the health signal can expose it."""
-        name = self._resolve_node(event.target, bind="bind")
-        if name is None or not self.cluster.nodes[name].host.up:
-            self._mark(f"disk_slow skipped ({event.target})")
-            return
-        factor = float(event.param("factor", 8.0))
-        self.cluster.nodes[name].disk.set_degraded(factor)
-        self._mark(f"{name} disk {factor:g}x slow")
-
-    def _do_disk_heal(self, event: FaultEvent) -> None:
-        name = self._resolve_node(event.target, bind="unbind")
-        if name is None:
-            self._mark(f"disk_heal skipped ({event.target})")
-            return
-        self.cluster.nodes[name].disk.set_degraded(1.0)
-        self._mark(f"{name} disk healed")
-
-    def _do_disk_corrupt(self, event: FaultEvent) -> None:
-        """Silent bit-rot: flip ``count`` stored objects on the target.
-        Checksums are untouched, so reads and scrubs can detect the rot."""
-        name = self._resolve_node(event.target)  # no recovery pair; no binding
-        if name is None or not self.cluster.nodes[name].host.up:
-            self._mark(f"disk_corrupt skipped ({event.target})")
-            return
-        store = self.cluster.nodes[name].store
-        names = sorted(store.names())
-        if not names:
-            self._mark(f"disk_corrupt skipped ({name}: empty store)")
-            return
-        count = min(int(event.param("count", 1)), len(names))
-        rng = self._stream()
-        picks = [names[i] for i in rng.choice(len(names), size=count, replace=False)]
-        rotted = sum(1 for key in picks if store.corrupt(key))
-        self._mark(f"{name} bit-rot in {rotted} objects")
-
-    def _do_power_failure(self, event: FaultEvent) -> None:
-        """Whole-cluster power loss: every up storage node crashes *with*
-        its disk's volatile write cache (torn-tail appends included), and
-        the controller channel goes dark.  The metadata membership state
-        is modeled as durable (§4.4's recovery assumes the log survives;
-        with standbys the HA leader crashes too and must replay it)."""
-        downed: List[str] = []
-        for name in sorted(self.cluster.nodes):
-            node = self.cluster.nodes[name]
-            if node.host.up:
-                node.crash(power_loss=True)
-                downed.append(name)
-        self._bound.setdefault("power", []).append(downed)
-        ha = getattr(self.cluster, "metadata_ha", None)
-        leader = ha.leader if ha is not None else None
-        if leader is not None and leader.host.up:
-            leader.crash()
-            self._bound.setdefault("meta", []).append(leader.host.name)
-        control_plane = getattr(self.cluster, "control_plane", None)
-        if control_plane is not None and hasattr(control_plane, "set_down"):
-            control_plane.set_down(True)
-        self._mark(f"power failure ({len(downed)} nodes dark)")
-
-    def _do_power_restore(self, event: FaultEvent) -> None:
-        """Power returns: control plane first, then the storage nodes
-        restart staggered by ``stagger_s`` — each cold-restarts from its
-        durable disk image + WAL replay, then runs the two-phase rejoin."""
-        fifo = self._bound.get("power")
-        downed = fifo.pop(0) if fifo else []
-        control_plane = getattr(self.cluster, "control_plane", None)
-        if control_plane is not None and hasattr(control_plane, "set_down"):
-            control_plane.set_down(False)
-        ha = getattr(self.cluster, "metadata_ha", None)
-        meta_fifo = self._bound.get("meta")
-        if ha is not None and meta_fifo:
-            replica = ha.replica_named(meta_fifo.pop(0))
-            if replica is not None:
-                replica.recover()
-                self._mark(f"{replica.host.name} (metadata replica) rejoins")
-        stagger = float(event.param("stagger_s", 0.25))
-        for i, name in enumerate(downed):
-            def boot(name=name):
-                node = self.cluster.nodes[name]
-                self._mark(f"{name} cold restart")
-                proc = node.restart()
-                if proc is not None:
-                    def done(_=None, name=name):
-                        self._mark(f"{name} consistent")
-
-                    self.sim.process(self._await(proc, done))
-
-            if i == 0:
-                boot()
-            else:
-                self.sim.call_in(i * stagger, boot)
-        self._mark(f"power restored ({len(downed)} nodes booting)")
+        return replica.host.name

@@ -6,69 +6,34 @@ interprets.  Keeping schedules declarative makes them printable, hashable
 into test IDs, and — together with the deterministic simulator — makes a
 chaos run reproducible from ``(seed, schedule)`` alone.
 
-Event kinds (see the engine for exact semantics):
-
-=================  ==========================================================
-``crash``          fail-stop the target node (volatile state lost)
-``rejoin``         power the node back on; NICE runs the two-stage rejoin
-``isolate``        take the node's access link down (node alive, link dark)
-``heal``           restore the node's access link
-``partition``      install switch drop rules between the node and its
-                   storage/metadata peers — clients still reach it (the
-                   asymmetric partition that exposes stale replicas)
-``heal_partition`` remove those drop rules
-``loss``           random packet loss on the node's link for ``duration``
-``jitter``         extra random delivery delay on the link for ``duration``
-``flap``           delete the partition's vring flow rules, re-sync after
-                   ``down_s`` (NICE only)
-``stall``          raise the controller's control-plane latency for
-                   ``duration`` (NICE only)
-``metadata_crash`` fail-stop the acting metadata leader; a standby must
-                   promote itself (NICE with ``metadata_standbys`` only)
-``metadata_rejoin`` power the crashed metadata replica back on (it returns
-                   as a standby and syncs the membership log)
-``controller_crash`` sever the controller↔switch channel: flow-mods and
-                   packet-ins are dropped (NICE only)
-``controller_recover`` restore the channel and run the epoch-stamped
-                   reconciliation pass (diff-repair, not reinstall)
-``rack_isolate``   cut every spine uplink of one rack's leaf switch — the
-                   whole failure domain drops off the fabric (leaf-spine
-                   clusters only; target ``"rack:<idx>"``)
-``rack_heal``      restore the rack's uplinks and two-phase-rejoin every
-                   node the metadata service declared failed meanwhile
-``disk_slow``      degrade the target node's disk by ``factor`` (fail-slow
-                   fault: the device still works, just slower)
-``disk_heal``      restore the disk's factory service times
-``disk_corrupt``   silently flip bits in ``count`` stored objects on the
-                   target node (bit-rot; checksums catch it on read/scrub)
-``power_failure``  whole-cluster power loss: every up node crashes with
-                   volatile state *and* unflushed disk caches discarded;
-                   the metadata leader and controller channel go dark too
-``power_restore``  power returns: controller + metadata first, then the
-                   storage nodes restart staggered by ``stagger_s``; each
-                   cold-restarts from its durable image + WAL replay (§4.4
-                   complete-cluster-failure recovery)
-=================  ==========================================================
+The event kinds, what each does and the parameters it takes are the
+records of :data:`repro.chaos.faults.FAULTS` (``FAULTS[kind].doc``); an
+event naming an unknown kind or parameter is rejected when it is built.
 
 Targets are symbolic and resolved by the engine *at fire time* (membership
 may have changed): ``"node:<name>"``, ``"primary:<key>"``,
-``"secondary:<key>"`` (first non-primary replica), ``"key:<key>"`` (the
-key's partition, for ``flap``).
+``"secondary:<key>"`` (first non-primary replica), ``"rack:<idx>"`` (a
+fabric's failure domain), ``"key:<key>"`` (the key's partition, for
+``flap``); cluster-wide kinds take none.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .faults import FAULTS
+
 __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "controlplane_schedules",
     "durability_schedules",
+    "episode",
     "named",
     "standard_schedules",
 ]
@@ -83,17 +48,49 @@ class FaultEvent:
     target: str = ""
     params: Tuple[Tuple[str, object], ...] = ()
 
-    def param(self, name: str, default=None):
-        return dict(self.params).get(name, default)
+    def __post_init__(self) -> None:
+        if self.kind not in FAULTS:
+            raise ValueError(f"unknown fault kind {self.kind!r}; have {sorted(FAULTS)}")
+        takes = FAULTS[self.kind].defaults
+        unknown = sorted(name for name, _ in self.params if name not in takes)
+        if unknown:
+            raise ValueError(f"{self.kind} takes {sorted(takes)}, not {unknown}")
 
     @staticmethod
     def make(at: float, kind: str, target: str = "", **params) -> "FaultEvent":
         """Build an event with params given as keyword arguments."""
         return FaultEvent(float(at), kind, target, tuple(sorted(params.items())))
 
-    def __str__(self) -> str:
-        p = ", ".join(f"{k}={v}" for k, v in self.params)
-        return f"@{self.at:g}s {self.kind}({self.target}{', ' if p else ''}{p})"
+
+def episode(
+    kind: str, target: str, start: float, duration: float, **params
+) -> Tuple[FaultEvent, ...]:
+    """One whole fault of ``kind``, from ``start`` until it is over.
+
+    A kind that another kind ends (``Fault.ends``) gets that kind
+    ``duration`` later, and after it the ``rejoin`` a node needs once it
+    has been declared failed (``Fault.rejoins``); a self-healing kind
+    takes ``duration`` as its own parameter."""
+    enders = [fault.name for fault in FAULTS.values() if fault.ends == kind]
+    if not enders:
+        return (FaultEvent.make(start, kind, target, duration=duration, **params),)
+    if FAULTS[kind].rejoins:
+        enders.append("rejoin")
+    return (
+        FaultEvent.make(start, kind, target, **params),
+        *(FaultEvent.make(start + duration, ender, target) for ender in enders),
+    )
+
+
+def _schedule(events):
+    """Make ``events(...)``, which returns the events, the constructor of
+    the schedule named after it."""
+
+    @functools.wraps(events)
+    def build(*args, **kwargs) -> "FaultSchedule":
+        return FaultSchedule(events.__name__, tuple(events(*args, **kwargs)))
+
+    return staticmethod(build)
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,6 @@ class FaultSchedule:
 
     name: str
     events: Tuple[FaultEvent, ...]
-    description: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -115,236 +111,147 @@ class FaultSchedule:
     def __len__(self) -> int:
         return len(self.events)
 
-    @property
-    def horizon(self) -> float:
-        """Time of the last scheduled event."""
-        return self.events[-1].at if self.events else 0.0
-
     # -- named schedules ----------------------------------------------------------
-    @staticmethod
-    def crash_rejoin(key: str, fail_at: float = 2.0, rejoin_at: float = 6.0) -> "FaultSchedule":
+    @_schedule
+    def crash_rejoin(key: str, fail_at: float = 2.0, rejoin_at: float = 6.0):
         """The Fig 11 scenario: a secondary replica crashes and rejoins."""
-        return FaultSchedule(
-            "crash_rejoin",
-            (
-                FaultEvent.make(fail_at, "crash", f"secondary:{key}"),
-                FaultEvent.make(rejoin_at, "rejoin", f"secondary:{key}"),
-            ),
-            "secondary replica fail-stop crash, later restart + rejoin",
-        )
+        return episode("crash", f"secondary:{key}", fail_at, rejoin_at - fail_at)
 
-    @staticmethod
-    def primary_crash(key: str, fail_at: float = 2.0, rejoin_at: float = 6.0) -> "FaultSchedule":
+    @_schedule
+    def primary_crash(key: str, fail_at: float = 2.0, rejoin_at: float = 6.0):
         """Crash the key's *primary* mid-traffic: exercises failover
         reconciliation (committed-anywhere ⇒ commit-everywhere, §4.4)."""
-        return FaultSchedule(
-            "primary_crash",
-            (
-                FaultEvent.make(fail_at, "crash", f"primary:{key}"),
-                FaultEvent.make(rejoin_at, "rejoin", f"primary:{key}"),
-            ),
-            "primary crash during 2PC traffic, later restart + rejoin",
-        )
+        return episode("crash", f"primary:{key}", fail_at, rejoin_at - fail_at)
 
-    @staticmethod
-    def partition_rejoin(key: str, start: float = 2.0, heal_at: float = 5.0) -> "FaultSchedule":
+    @_schedule
+    def partition_rejoin(key: str, start: float = 2.0, heal_at: float = 5.0):
         """Asymmetric partition of a secondary from its peers, then heal.
 
         The node stays reachable from clients the whole time — exactly the
         window where a system without NICE's consistent-rejoin discipline
         serves stale data.  After healing, the node is explicitly rejoined
         (an isolated node is declared failed and must rejoin, §4.5)."""
-        return FaultSchedule(
-            "partition_rejoin",
-            (
-                FaultEvent.make(start, "partition", f"secondary:{key}"),
-                FaultEvent.make(heal_at, "heal_partition", f"secondary:{key}"),
-                FaultEvent.make(heal_at, "rejoin", f"secondary:{key}"),
-            ),
-            "secondary partitioned from peers (clients still reach it), heal + rejoin",
-        )
+        return episode("partition", f"secondary:{key}", start, heal_at - start)
 
-    @staticmethod
-    def isolate_rejoin(key: str, start: float = 2.0, heal_at: float = 5.0) -> "FaultSchedule":
+    @_schedule
+    def isolate_rejoin(key: str, start: float = 2.0, heal_at: float = 5.0):
         """Full access-link blackout of a secondary, then heal + rejoin."""
-        return FaultSchedule(
-            "isolate_rejoin",
-            (
-                FaultEvent.make(start, "isolate", f"secondary:{key}"),
-                FaultEvent.make(heal_at, "heal", f"secondary:{key}"),
-                FaultEvent.make(heal_at, "rejoin", f"secondary:{key}"),
-            ),
-            "secondary's access link fully dark, heal + rejoin",
-        )
+        return episode("isolate", f"secondary:{key}", start, heal_at - start)
 
-    @staticmethod
-    def rack_outage(rack: int = 1, start: float = 2.0, heal_at: float = 5.0) -> "FaultSchedule":
+    @_schedule
+    def rack_outage(rack: int = 1, start: float = 2.0, heal_at: float = 5.0):
         """Take a whole rack off the fabric (leaf uplinks dark), then heal.
 
         The rack-aware placement guarantees every replica set spans >= 2
         racks, so the surviving fabric must keep every partition available
         and linearizable; on heal, the rack's nodes run the §4.4 two-phase
         rejoin."""
-        return FaultSchedule(
-            "rack_outage",
-            (
-                FaultEvent.make(start, "rack_isolate", f"rack:{rack}"),
-                FaultEvent.make(heal_at, "rack_heal", f"rack:{rack}"),
-            ),
-            f"rack {rack} isolated from the spines, later healed + rejoined",
-        )
+        return episode("rack_isolate", f"rack:{rack}", start, heal_at - start)
 
-    @staticmethod
-    def lossy_network(key: str, start: float = 1.0, rate: float = 0.05, duration: float = 4.0) -> "FaultSchedule":
+    @_schedule
+    def lossy_network(key: str, start: float = 1.0, rate: float = 0.05, duration: float = 4.0):
         """A loss + jitter burst on every replica link of the key."""
-        return FaultSchedule(
-            "lossy_network",
-            (
-                FaultEvent.make(start, "loss", f"primary:{key}", rate=rate, duration=duration),
-                FaultEvent.make(start, "loss", f"secondary:{key}", rate=rate, duration=duration),
-                FaultEvent.make(start, "jitter", f"secondary:{key}", jitter_s=200e-6, duration=duration),
-            ),
-            f"{rate:.0%} loss burst + delay jitter on the key's replica links",
+        return (
+            *episode("loss", f"primary:{key}", start, duration, rate=rate),
+            *episode("loss", f"secondary:{key}", start, duration, rate=rate),
+            *episode("jitter", f"secondary:{key}", start, duration, jitter_s=200e-6),
         )
 
-    @staticmethod
-    def rule_flap(key: str, at: float = 2.0, down_s: float = 0.2, times: int = 2, gap: float = 1.5) -> "FaultSchedule":
-        """Repeatedly delete and re-sync the key partition's flow rules."""
-        events = tuple(
+    @_schedule
+    def rule_flap(key: str, at: float = 2.0, down_s: float = 0.2, times: int = 2, gap: float = 1.5):
+        """Repeatedly delete and re-sync the key partition's flow rules
+        (NICE only)."""
+        return (
             FaultEvent.make(at + i * gap, "flap", f"key:{key}", down_s=down_s)
             for i in range(times)
         )
-        return FaultSchedule(
-            "rule_flap", events, "vring flow rules deleted and re-synced (NICE only)"
-        )
 
-    @staticmethod
-    def controller_stall(at: float = 1.5, latency_s: float = 0.05, duration: float = 3.0) -> "FaultSchedule":
-        """Slow the control plane 100×: packet-ins and flow-mods crawl."""
-        return FaultSchedule(
-            "controller_stall",
-            (FaultEvent.make(at, "stall", latency_s=latency_s, duration=duration),),
-            "control-plane latency raised for a window (NICE only)",
-        )
-
-    @staticmethod
-    def metadata_failover(crash_at: float = 2.0, rejoin_at: float = 5.5) -> "FaultSchedule":
+    @_schedule
+    def metadata_failover(crash_at: float = 2.0, rejoin_at: float = 5.5):
         """Kill the metadata leader mid-2PC traffic; a standby must detect
         the lease expiry, replay the membership log, mint the next epoch
         and reconcile the switches.  The deposed leader later returns and
         must demote itself (its stale-epoch messages are fenced)."""
-        return FaultSchedule(
-            "metadata_failover",
-            (
-                FaultEvent.make(crash_at, "metadata_crash"),
-                FaultEvent.make(rejoin_at, "metadata_rejoin"),
-            ),
-            "metadata leader crash -> standby promotion -> deposed leader returns",
+        return (
+            FaultEvent.make(crash_at, "metadata_crash"),
+            FaultEvent.make(rejoin_at, "metadata_rejoin"),
         )
 
-    @staticmethod
+    @_schedule
     def controller_outage(
         key: str,
         node_fail_at: float = 1.5,
         crash_at: float = 3.8,
         node_rejoin_at: float = 4.0,
         recover_at: float = 5.5,
-    ) -> "FaultSchedule":
+    ):
         """Sever the switch channel across a node rejoin: the metadata
         leader defers the rejoin (its visibility flow-mods would be
         dropped), the node retries, and the post-recovery reconciliation
         repairs exactly the rules that diverged."""
-        return FaultSchedule(
-            "controller_outage",
-            (
-                FaultEvent.make(node_fail_at, "crash", f"secondary:{key}"),
-                FaultEvent.make(crash_at, "controller_crash"),
-                FaultEvent.make(node_rejoin_at, "rejoin", f"secondary:{key}"),
-                FaultEvent.make(recover_at, "controller_recover"),
-            ),
-            "controller channel dark across a node rejoin; reconcile on recovery",
+        return (
+            FaultEvent.make(node_fail_at, "crash", f"secondary:{key}"),
+            FaultEvent.make(crash_at, "controller_crash"),
+            FaultEvent.make(node_rejoin_at, "rejoin", f"secondary:{key}"),
+            FaultEvent.make(recover_at, "controller_recover"),
         )
 
-    @staticmethod
+    @_schedule
     def node_meta_crash(
         key: str,
         node_fail_at: float = 1.5,
         meta_crash_at: float = 2.2,
         meta_rejoin_at: float = 4.6,
         node_rejoin_at: float = 6.4,
-    ) -> "FaultSchedule":
+    ):
         """Combined data+control failure: a storage node dies, then the
         metadata leader dies before declaring it.  The promoted standby
         must declare the node from its own (replayed) state, and the node's
         rejoin lands on the new leader via redirect/failover."""
-        return FaultSchedule(
-            "node_meta_crash",
-            (
-                FaultEvent.make(node_fail_at, "crash", f"secondary:{key}"),
-                FaultEvent.make(meta_crash_at, "metadata_crash"),
-                FaultEvent.make(meta_rejoin_at, "metadata_rejoin"),
-                FaultEvent.make(node_rejoin_at, "rejoin", f"secondary:{key}"),
-            ),
-            "storage node + metadata leader crash; promoted standby handles both",
+        return (
+            FaultEvent.make(node_fail_at, "crash", f"secondary:{key}"),
+            FaultEvent.make(meta_crash_at, "metadata_crash"),
+            FaultEvent.make(meta_rejoin_at, "metadata_rejoin"),
+            FaultEvent.make(node_rejoin_at, "rejoin", f"secondary:{key}"),
         )
 
-    @staticmethod
-    def power_blackout(
-        fail_at: float = 3.0, restore_at: float = 5.0, stagger_s: float = 0.25
-    ) -> "FaultSchedule":
+    @_schedule
+    def power_blackout(fail_at: float = 3.0, restore_at: float = 5.0, stagger_s: float = 0.25):
         """Complete cluster power failure (§4.4, Complete Cluster Failure).
 
         Every node loses volatile state *and* its disk's unflushed write
         cache — only flushed (forced + flush-covered) bytes survive.  On
         restore, nodes cold-restart from the durable image + WAL replay;
         every acknowledged put must still be readable."""
-        return FaultSchedule(
-            "power_blackout",
-            (
-                FaultEvent.make(fail_at, "power_failure"),
-                FaultEvent.make(restore_at, "power_restore", stagger_s=stagger_s),
-            ),
-            "whole-cluster power loss; staggered cold restart from durable state",
+        return (
+            FaultEvent.make(fail_at, "power_failure"),
+            FaultEvent.make(restore_at, "power_restore", stagger_s=stagger_s),
         )
 
-    @staticmethod
-    def bit_rot(
-        key: str, at: float = 2.5, count: int = 4, target_role: str = "secondary"
-    ) -> "FaultSchedule":
+    @_schedule
+    def bit_rot(key: str, at: float = 2.5, count: int = 4, target_role: str = "secondary"):
         """Silent on-disk corruption of stored objects on one replica.
 
         Per-object checksums must catch the rot on the next read (read
         path) or scrubber pass (cold data) and repair from a consistent
         peer — no client may ever observe a corrupted value."""
-        return FaultSchedule(
-            "bit_rot",
-            (
-                FaultEvent.make(at, "disk_corrupt", f"{target_role}:{key}", count=count),
-            ),
-            f"silent bit-rot in {count} objects on the {target_role}; "
-            "checksums + scrub-and-repair must recover",
-        )
+        return (FaultEvent.make(at, "disk_corrupt", f"{target_role}:{key}", count=count),)
 
-    @staticmethod
+    @_schedule
     def fail_slow(
         key: str,
         at: float = 1.5,
         heal_at: float = 6.0,
         factor: float = 8.0,
         target_role: str = "primary",
-    ) -> "FaultSchedule":
+    ):
         """A fail-slow (gray-failure) disk: the device answers, just
         ``factor``× slower.  The obs-layer health signal must flag it, the
         metadata service must drain it from the read path and hand off the
         primary role; on heal the node is restored."""
-        return FaultSchedule(
-            "fail_slow",
-            (
-                FaultEvent.make(at, "disk_slow", f"{target_role}:{key}", factor=factor),
-                FaultEvent.make(heal_at, "disk_heal", f"{target_role}:{key}"),
-            ),
-            f"disk {factor:g}x slower on the {target_role}; detector must "
-            "drain + hand off, then restore on heal",
+        return (
+            FaultEvent.make(at, "disk_slow", f"{target_role}:{key}", factor=factor),
+            FaultEvent.make(heal_at, "disk_heal", f"{target_role}:{key}"),
         )
 
     @staticmethod
@@ -356,7 +263,15 @@ class FaultSchedule:
         ``seed`` always produces the same schedule.
         """
         rng = np.random.default_rng(seed)
-        kinds = ["crash", "partition", "isolate", "loss", "jitter"]
+        #: kind -> the one parameter drawn for it (name, low, high), if any.
+        menu = {
+            "crash": None,
+            "partition": None,
+            "isolate": None,
+            "loss": ("rate", 0.02, 0.15),
+            "jitter": ("jitter_s", 1e-4, 5e-4),
+        }
+        kinds = list(menu)
         events: List[FaultEvent] = []
         t = 0.5 + float(rng.uniform(0.0, 1.0))
         for _ in range(n_episodes):
@@ -364,41 +279,14 @@ class FaultSchedule:
                 break
             kind = kinds[int(rng.integers(len(kinds)))]
             role = "primary" if rng.random() < 0.3 else "secondary"
-            target = f"{role}:{key}"
             dur = float(rng.uniform(0.8, 2.0))
-            if kind == "crash":
-                events += [
-                    FaultEvent.make(t, "crash", target),
-                    FaultEvent.make(t + dur, "rejoin", target),
-                ]
-            elif kind == "partition":
-                events += [
-                    FaultEvent.make(t, "partition", target),
-                    FaultEvent.make(t + dur, "heal_partition", target),
-                    FaultEvent.make(t + dur, "rejoin", target),
-                ]
-            elif kind == "isolate":
-                events += [
-                    FaultEvent.make(t, "isolate", target),
-                    FaultEvent.make(t + dur, "heal", target),
-                    FaultEvent.make(t + dur, "rejoin", target),
-                ]
-            elif kind == "loss":
-                events.append(
-                    FaultEvent.make(
-                        t, "loss", target, rate=float(rng.uniform(0.02, 0.15)), duration=dur
-                    )
-                )
-            else:  # jitter
-                events.append(
-                    FaultEvent.make(
-                        t, "jitter", target, jitter_s=float(rng.uniform(1e-4, 5e-4)), duration=dur
-                    )
-                )
+            drawn = {}
+            if menu[kind] is not None:
+                name, low, high = menu[kind]
+                drawn[name] = float(rng.uniform(low, high))
+            events += episode(kind, f"{role}:{key}", t, dur, **drawn)
             t += dur + 0.5 + float(rng.uniform(0.0, 1.0))
-        return FaultSchedule(
-            f"random[{seed}]", tuple(events), f"seeded random episodes (seed={seed})"
-        )
+        return FaultSchedule(f"random[{seed}]", tuple(events))
 
 
 def _by_name(*schedules: FaultSchedule) -> Dict[str, FaultSchedule]:

@@ -15,7 +15,7 @@ without a recorder pay nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 __all__ = ["HistoryRecorder", "Operation"]
 
@@ -116,21 +116,8 @@ class HistoryRecorder:
         return result
 
     # -- views -----------------------------------------------------------------
-    def per_key(self) -> Dict[str, List[Operation]]:
-        """Operations grouped by key, each group in invocation order."""
-        by_key: Dict[str, List[Operation]] = {}
-        for op in self.ops:
-            by_key.setdefault(op.key, []).append(op)
-        return by_key
-
-    def completed(self) -> List[Operation]:
-        return [op for op in self.ops if op.completed]
-
     def pending(self) -> List[Operation]:
         return [op for op in self.ops if not op.completed]
 
     def as_tuples(self) -> List[Tuple]:
         return [op.as_tuple() for op in self.ops]
-
-    def __len__(self) -> int:
-        return len(self.ops)

@@ -71,9 +71,6 @@ class CheckResult:
     reason: str = ""
     states: int = 0  #: search states visited (cost diagnostics)
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def describe(self) -> str:
         """Multi-line human-readable report (empty string when ok)."""
         if self.ok:

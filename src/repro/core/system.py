@@ -45,14 +45,37 @@ _MAC_BASE = 0x020000000100
 
 
 class ClusterBase:
-    """What a test or bench does to any deployment, NICE or NOOB."""
+    """What a test, a bench, the chaos engine or the metrics registry may
+    ask of any deployment, NICE or NOOB.
+
+    Every deployment sets ``sim``, ``config``, ``network``, ``nodes``
+    (name -> storage node), ``clients``, ``directory`` (node name -> IP),
+    ``partition_map`` and ``switches`` (every data-plane switch), and
+    answers :meth:`partition_of_key`.  The parts only NICE has are declared
+    here as absent, so a caller tests ``is None`` on a name every cluster
+    answers instead of probing for it.
+    """
+
+    #: Leaf-spine fabric (``n_racks > 1``), the controller app and its
+    #: switch channel, the build-time metadata service, the HA replica
+    #: group (``metadata_standbys > 0``) and the acting metadata leader.
+    fabric = None
+    controller = None
+    control_plane = None
+    metadata = None
+    metadata_ha = None
+    metadata_active = None
+    #: Client-side Open vSwitches (NICE "ovs" deployment) and NOOB gateways.
+    edge_switches = ()
+    gateways = ()
+
+    def partition_of_key(self, key: str) -> int:
+        """The partition (index into ``partition_map``) serving ``key``."""
+        raise NotImplementedError
 
     def warm_up(self, duration: float = 0.05) -> None:
         """Let flow-mods land and heartbeats start before measuring."""
         self.sim.run(until=self.sim.now + duration)
-
-    def run(self, until: float = None) -> float:
-        return self.sim.run(until=until)
 
     def reset_measurements(self) -> None:
         self.network.reset_link_counters()
@@ -85,7 +108,6 @@ class NiceCluster(ClusterBase):
             )
             self.switch = self.fabric.leaves[0]
         else:
-            self.fabric = None
             self.switch = OpenFlowSwitch(
                 self.sim, "sw0", lookup_latency_s=cfg.switch_lookup_latency_s
             )
@@ -246,7 +268,6 @@ class NiceCluster(ClusterBase):
             self.metadata_ha.finalize()
             meta_targets = [METADATA_IP] + [h.ip for h in standby_hosts]
         else:
-            self.metadata_ha = None
             meta_stack = ProtocolStack(self.sim, meta_host)
             self.metadata = MetadataService(
                 self.sim, meta_stack, cfg, partition_map, self.controller
@@ -338,8 +359,10 @@ class NiceCluster(ClusterBase):
         """The current acting primary of ``partition``."""
         return self.nodes[self.partition_map.get(partition).primary]
 
+    def partition_of_key(self, key: str) -> int:
+        return self.uni_vring.subgroup_of_key(key)
+
     def replica_nodes(self, key: str) -> List[NiceStorageNode]:
         """Replica set (primary first) currently serving ``key``'s partition."""
-        partition = self.uni_vring.subgroup_of_key(key)
-        rs = self.partition_map.get(partition)
+        rs = self.partition_map.get(self.partition_of_key(key))
         return [self.nodes[n] for n in rs.get_targets() if n in self.nodes]

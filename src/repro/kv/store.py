@@ -84,9 +84,6 @@ class ObjectStore:
     def drop(self, name: str) -> None:
         self._objects.pop(name, None)
 
-    def clear(self) -> None:
-        self._objects.clear()
-
     # -- integrity (§5k) -------------------------------------------------------
     @staticmethod
     def verify(obj: StoredObject) -> bool:

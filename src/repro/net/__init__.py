@@ -16,7 +16,6 @@ from .flowtable import (
     SetEthDst,
     SetIpDst,
     HarmoniaRead,
-    SetIpSrc,
     ToController,
 )
 from .harmonia import HarmoniaRegistry
@@ -64,7 +63,6 @@ __all__ = [
     "Rule",
     "SetEthDst",
     "SetIpDst",
-    "SetIpSrc",
     "ToController",
     "wire_size",
     "make_arp_request",

@@ -63,9 +63,6 @@ class IPv4Address:
     def __lt__(self, other: "IPv4Address") -> bool:
         return self._value < other._value
 
-    def __le__(self, other: "IPv4Address") -> bool:
-        return self._value <= other._value
-
     def __hash__(self) -> int:
         return hash(self._value)
 

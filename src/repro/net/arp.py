@@ -9,7 +9,7 @@ ARP floods by remembering recently-queried addresses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .addressing import IPv4Address, MacAddress
 from .packet import Packet, Proto
@@ -62,13 +62,6 @@ class ArpTable:
             return False
         self._recently_asked[ip] = now
         return True
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def entries(self) -> Tuple[ArpEntry, ...]:
-        return tuple(self._entries.values())
 
 
 def make_arp_request(requester_ip: IPv4Address, requester_mac: MacAddress, target_ip: IPv4Address) -> Packet:

@@ -25,7 +25,6 @@ __all__ = [
     "Bucket",
     "Action",
     "SetIpDst",
-    "SetIpSrc",
     "SetEthDst",
     "Output",
     "OutputGroup",
@@ -103,14 +102,6 @@ class Action:
 
 @dataclass(frozen=True)
 class SetIpDst(Action):
-    ip: IPv4Address
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ip", IPv4Address(self.ip))
-
-
-@dataclass(frozen=True)
-class SetIpSrc(Action):
     ip: IPv4Address
 
     def __post_init__(self) -> None:
@@ -273,11 +264,6 @@ class FlowTable:
         Callers must not mutate the table while iterating.
         """
         return iter(self._rules)
-
-    @property
-    def generation(self) -> int:
-        """Bumped on every mutation; index and memo live for one generation."""
-        return self._generation
 
     def _trace_mod(self, name: str, **args) -> None:
         """Emit a flow-mod trace event via the owning switch (if traced)."""

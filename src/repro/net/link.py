@@ -200,11 +200,6 @@ class Channel:
     def _deliver(self, packet: Packet) -> None:
         self.dst.device.handle_packet(packet, self.dst)
 
-    @property
-    def queued(self) -> int:
-        """Transfers waiting behind the one on the wire (diagnostics)."""
-        return len(self._queue)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Channel {self.name} {self.bandwidth_bps/GBPS:g}Gbps>"
 

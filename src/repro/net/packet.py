@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from .addressing import IPv4Address, MacAddress
 
@@ -102,10 +102,6 @@ class Packet:
         new.uid = next(_uid)
         new.trace = list(self.trace)
         return new
-
-    def flow_key(self) -> Tuple:
-        """(src, dst, proto, sport, dport) — connection identification."""
-        return (self.src_ip, self.dst_ip, self.proto, self.sport, self.dport)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

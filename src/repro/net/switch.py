@@ -30,7 +30,6 @@ from .flowtable import (
     Rule,
     SetEthDst,
     SetIpDst,
-    SetIpSrc,
     ToController,
 )
 from .link import Port, transmit_fanout
@@ -44,7 +43,7 @@ FLOOD = -1
 
 #: Bucket actions the vectorized fan-out path knows how to apply inline;
 #: any other action type sends the whole group down the generic loop.
-_SIMPLE_REWRITES = (SetIpDst, SetIpSrc, SetEthDst)
+_SIMPLE_REWRITES = (SetIpDst, SetEthDst)
 
 
 class OpenFlowSwitch(Device):
@@ -124,9 +123,6 @@ class OpenFlowSwitch(Device):
                         field="ip_dst", old=packet.dst_ip, new=action.ip,
                     )
                 packet.dst_ip = action.ip
-                rewrote = True
-            elif isinstance(action, SetIpSrc):
-                packet.src_ip = action.ip
                 rewrote = True
             elif isinstance(action, SetEthDst):
                 packet.dst_mac = action.mac
@@ -250,8 +246,6 @@ class OpenFlowSwitch(Device):
                             field="ip_dst", old=clone.dst_ip, new=action.ip,
                         )
                     clone.dst_ip = action.ip
-                elif cls is SetIpSrc:
-                    clone.src_ip = action.ip
                 else:  # SetEthDst (caller verified the action set)
                     clone.dst_mac = action.mac
             port = self.ports.get(bucket.port)
@@ -324,9 +318,6 @@ class OpenFlowSwitch(Device):
 
     def install_rule(self, rule: Rule) -> Rule:
         return self.table.add(rule)
-
-    def remove_rule(self, rule: Rule) -> None:
-        self.table.remove(rule)
 
     def remove_cookie(self, cookie: str) -> int:
         return self.table.remove_by_cookie(cookie)

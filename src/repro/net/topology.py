@@ -165,9 +165,6 @@ class LeafSpineFabric:
         """Every fabric switch, leaves first (deterministic order)."""
         return [*self.leaves, *self.spines]
 
-    def leaf_of(self, rack: int):
-        return self.leaves[rack]
-
     def attach_host(
         self,
         host: Device,

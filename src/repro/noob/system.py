@@ -15,6 +15,7 @@ from typing import Dict, List
 from ..core.config import MEMBERSHIP_BYTES, NODE_PORT
 from ..core.membership import PartitionMap
 from ..core.system import ClusterBase
+from ..kv import ConsistentHashRing, key_hash
 from ..net import (
     Host,
     IPv4Address,
@@ -53,6 +54,7 @@ class NoobCluster(ClusterBase):
             self.sim, "sw0", lookup_latency_s=cfg.switch_lookup_latency_s
         )
         self.network.register(self.switch)
+        self.switches = [self.switch]
 
         node_names = [f"n{i}" for i in range(cfg.n_storage_nodes)]
         self.partition_map = PartitionMap.build(
@@ -168,6 +170,9 @@ class NoobCluster(ClusterBase):
         return self.sim.process(run())
 
     # -- conveniences ---------------------------------------------------------------
+    def partition_of_key(self, key: str) -> int:
+        return ConsistentHashRing.partition_of_hash(key_hash(key), len(self.partition_map))
+
     def replica_nodes(self, key: str) -> List[NoobStorageNode]:
         return [self.nodes[n] for n in self.partition_map.replicas_of_key(key)]
 

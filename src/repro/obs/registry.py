@@ -117,71 +117,45 @@ class MetricsRegistry:
 
     @classmethod
     def from_cluster(cls, cluster, prefix: str = "") -> "MetricsRegistry":
-        """Walk a NICE or NOOB cluster and register everything measurable.
-
-        Duck-typed: any object with ``clients`` / ``nodes`` / ``switch`` /
-        ``edge_switches`` / ``gateways`` / ``network`` attributes
-        contributes whichever of those it has.
-        """
+        """Walk a NICE or NOOB cluster (a
+        :class:`~repro.core.system.ClusterBase`) and register everything
+        measurable; the parts a deployment lacks are ``None``/empty there."""
         reg = cls()
         p = f"{prefix}." if prefix else ""
-        for client in getattr(cluster, "clients", []):
+        for client in cluster.clients:
             reg.collect_object(client, f"{p}client.{client.host.name}")
-        nodes = getattr(cluster, "nodes", {})
-        items = nodes.items() if isinstance(nodes, dict) else (
-            (n.host.name, n) for n in nodes
-        )
-        for name, node in sorted(items):
+        for name, node in sorted(cluster.nodes.items()):
             reg.collect_object(node, f"{p}node.{name}")
             # Disk health (DESIGN.md §5k): durability barrier, unflushed
             # window, degradation and WAL recovery counters — the obs feed
             # the fail-slow detector and the durability chaos cells read.
-            disk = getattr(node, "disk", None)
-            if disk is not None:
-                base = f"{p}node.{name}.disk"
-                reg.collect_object(disk, base)
-                reg.gauge(f"{base}.dirty_bytes", lambda d=disk: d.dirty_bytes)
-                reg.gauge(f"{base}.durable_seq", lambda d=disk: d.durable_seq)
-                reg.gauge(
-                    f"{base}.degraded_factor", lambda d=disk: d.degraded_factor
-                )
-            wal = getattr(node, "wal", None)
-            if wal is not None:
-                base = f"{p}node.{name}.wal"
-                reg.gauge(f"{base}.appended", lambda w=wal: w.appended)
-                reg.gauge(f"{base}.removed", lambda w=wal: w.removed)
-                reg.gauge(f"{base}.torn_records", lambda w=wal: w.torn_records)
-                reg.gauge(f"{base}.lost_records", lambda w=wal: w.lost_records)
-                reg.gauge(
-                    f"{base}.resurrected_records",
-                    lambda w=wal: w.resurrected_records,
-                )
-            if hasattr(node, "failslow"):
-                reg.gauge(
-                    f"{p}node.{name}.failslow", lambda n=node: int(n.failslow)
-                )
-        switches = []
-        core = getattr(cluster, "switch", None)
-        if core is not None:
-            switches.append(core)
-        switches.extend(getattr(cluster, "edge_switches", []))
-        for sw in switches:
-            base = f"{p}switch.{sw.name}"
+            disk, base = node.disk, f"{p}node.{name}.disk"
+            reg.collect_object(disk, base)
+            reg.gauge(f"{base}.dirty_bytes", lambda d=disk: d.dirty_bytes)
+            reg.gauge(f"{base}.durable_seq", lambda d=disk: d.durable_seq)
+            reg.gauge(f"{base}.degraded_factor", lambda d=disk: d.degraded_factor)
+            wal, base = node.wal, f"{p}node.{name}.wal"
+            reg.gauge(f"{base}.appended", lambda w=wal: w.appended)
+            reg.gauge(f"{base}.removed", lambda w=wal: w.removed)
+            reg.gauge(f"{base}.torn_records", lambda w=wal: w.torn_records)
+            reg.gauge(f"{base}.lost_records", lambda w=wal: w.lost_records)
+            reg.gauge(
+                f"{base}.resurrected_records", lambda w=wal: w.resurrected_records
+            )
+            if hasattr(node, "failslow"):  # the NICE node's health verdict
+                reg.gauge(f"{p}node.{name}.failslow", lambda n=node: int(n.failslow))
+        for sw in cluster.switches:
+            base, table = f"{p}switch.{sw.name}", sw.table
             reg.collect_object(sw, base)
-            table = getattr(sw, "table", None)
-            if table is not None:
-                reg.gauge(f"{base}.flowtable.rules", lambda t=table: len(t))
-                reg.gauge(f"{base}.flowtable.cache_hits",
-                          lambda t=table: t.cache_hits)
-                reg.gauge(f"{base}.flowtable.cache_misses",
-                          lambda t=table: t.cache_misses)
-        for gw in getattr(cluster, "gateways", []):
+            reg.gauge(f"{base}.flowtable.rules", lambda t=table: len(t))
+            reg.gauge(f"{base}.flowtable.cache_hits", lambda t=table: t.cache_hits)
+            reg.gauge(f"{base}.flowtable.cache_misses", lambda t=table: t.cache_misses)
+        for gw in cluster.gateways:
             reg.collect_object(gw, f"{p}gateway.{gw.host.name}")
-        ctrl = getattr(cluster, "control_plane", None)
-        if ctrl is not None:
-            reg.collect_object(ctrl, f"{p}controlplane")
-        controller = getattr(cluster, "controller", None)
-        if controller is not None and hasattr(controller, "plan_cache_hits"):
+        if cluster.control_plane is not None:
+            reg.collect_object(cluster.control_plane, f"{p}controlplane")
+        controller = cluster.controller
+        if controller is not None:
             # Incremental-planner instrumentation (DESIGN.md §5i):
             # cumulative planning wall time plus recompute/cache-hit
             # counts.  sync_ms is host wall clock — trend data, never part
@@ -198,39 +172,30 @@ class MetricsRegistry:
                 f"{p}controlplane.plan.cache_hits",
                 lambda c=controller: c.plan_cache_hits.value,
             )
-        metadata = getattr(cluster, "metadata", None)
-        if metadata is not None:
-            reg.collect_object(metadata, f"{p}metadata")
-            reg.gauge(
-                f"{p}metadata.epoch",
-                lambda c=cluster: getattr(
-                    getattr(c, "metadata_active", None) or c.metadata, "epoch", 0
-                ),
-            )
-        ha = getattr(cluster, "metadata_ha", None)
+        if cluster.metadata is not None:
+            reg.collect_object(cluster.metadata, f"{p}metadata")
+            reg.gauge(f"{p}metadata.epoch", lambda c=cluster: c.metadata_active.epoch)
+        ha = cluster.metadata_ha
         if ha is not None:
             reg.collect_object(ha, f"{p}metadata.ha")
             reg.gauge(
                 f"{p}metadata.ha.log_records",
                 lambda h=ha: max(len(r.log) for r in h.replicas),
             )
-        network = getattr(cluster, "network", None)
-        for link in getattr(network, "links", []):
+        for link in cluster.network.links:
             for channel in link.channels:
                 reg.collect_object(channel, f"{p}link.{channel.name}")
-        sim = getattr(cluster, "sim", None)
-        if sim is not None and hasattr(sim, "pool_stats"):
-            # Kernel health (DESIGN.md §5g): reuse rates near 1.0 mean the
-            # hot path runs allocation-free; a heap that is mostly dead
-            # records makes every push and pop pay for them.
-            for block, field in (
-                ("call_pool", "reuse_rate"),
-                ("entry_pool", "reuse_rate"),
-                ("heap", "size"),
-                ("heap", "dead"),
-            ):
-                reg.gauge(
-                    f"{p}sim.{block}.{field}",
-                    lambda s=sim, b=block, f=field: s.pool_stats()[b][f],
-                )
+        # Kernel health (DESIGN.md §5g): reuse rates near 1.0 mean the hot
+        # path runs allocation-free; a heap that is mostly dead records
+        # makes every push and pop pay for them.
+        for block, field in (
+            ("call_pool", "reuse_rate"),
+            ("entry_pool", "reuse_rate"),
+            ("heap", "size"),
+            ("heap", "dead"),
+        ):
+            reg.gauge(
+                f"{p}sim.{block}.{field}",
+                lambda s=cluster.sim, b=block, f=field: s.pool_stats()[b][f],
+            )
         return reg

@@ -3,26 +3,25 @@
 Public surface:
 
 * :class:`Simulator` — the event loop.
-* :class:`Event`, :class:`Timeout`, :func:`AnyOf`, :func:`AllOf` — waitables.
+* :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` — waitables.
 * :class:`Process`, :class:`Interrupt` — generator coroutines.
 * :class:`Store`, :class:`Resource` — queues and counted resources.
 * :class:`RngRegistry` — named deterministic random streams.
 * :class:`Counter`, :class:`Tally`, :class:`RateSeries` — measurement.
 """
 
-from .kernel import (
+from .events import (
     AllOf,
     AnyOf,
     Condition,
     ConditionValue,
     Event,
     NORMAL,
-    Simulator,
     SimulationError,
-    StopSimulation,
     Timeout,
     URGENT,
 )
+from .kernel import Simulator, StopSimulation
 from .monitor import Counter, RateSeries, Tally, summary_stats
 from .primitives import Resource, ResourceRequest, Store
 from .process import Interrupt, Process

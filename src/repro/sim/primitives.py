@@ -10,7 +10,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
-from .kernel import Event, SimulationError, Simulator
+from .events import Event, SimulationError
+from .kernel import Simulator
 
 __all__ = ["Store", "Resource", "ResourceRequest"]
 

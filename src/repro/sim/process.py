@@ -1,7 +1,7 @@
 """Coroutine processes for the simulation kernel.
 
 A *process* wraps a Python generator.  The generator yields
-:class:`~repro.sim.kernel.Event` objects; the process suspends until the
+:class:`~repro.sim.events.Event` objects; the process suspends until the
 yielded event triggers, then resumes with the event's value (or with the
 event's exception thrown into the generator, so protocol code can use
 ordinary ``try/except``).
@@ -14,9 +14,12 @@ process per secondary replica and joins them with ``AllOf``).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from .kernel import Event, SimulationError, Simulator, URGENT
+from .events import URGENT, Event, SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .kernel import Simulator
 
 __all__ = ["Process", "Interrupt"]
 

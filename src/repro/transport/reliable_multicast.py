@@ -203,9 +203,6 @@ class MulticastEndpoint:
         self.repairs_received = 0
         self._proc = stack.sim.process(self._run())
 
-    def close(self) -> None:
-        self.stack.udp_unbind(self.port)
-
     def _lose(self, chunks: int) -> int:
         if not self.chunk_loss_rate:
             return 0

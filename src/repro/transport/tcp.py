@@ -62,10 +62,6 @@ class TcpConnection:
         self.inbox = Store(layer.stack.sim, name=f"tcp-conn-{self.conn_id}")
         self._msg_seq = itertools.count(1)
 
-    @property
-    def local_ip(self) -> IPv4Address:
-        return self.layer.stack.ip
-
     def send(self, payload: Any, payload_bytes: int) -> Event:
         """Transmit one message; the returned event triggers on delivery.
 
@@ -85,7 +81,7 @@ class TcpConnection:
     def __repr__(self) -> str:  # pragma: no cover
         state = "est" if self.established else "syn"
         return (
-            f"<TcpConnection {self.local_ip}:{self.local_port} -> "
+            f"<TcpConnection {self.layer.stack.ip}:{self.local_port} -> "
             f"{self.remote_ip}:{self.remote_port} {state}>"
         )
 
@@ -120,9 +116,6 @@ class TcpLayer:
         store = Store(self.stack.sim, name=f"{self.stack.host.name}:tcp:{port}")
         self._listeners[port] = store
         return store
-
-    def close_listener(self, port: int) -> None:
-        self._listeners.pop(port, None)
 
     # -- client side --------------------------------------------------------------
     def connect(self, dst_ip: IPv4Address, dport: int) -> Event:

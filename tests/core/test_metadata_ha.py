@@ -219,3 +219,64 @@ def test_promotion_completes_with_control_exchange_in_flight():
     assert reporter.meta_failovers.value >= 1
     # The in-flight report was not lost: the new leader knows n3 is down.
     assert leader.service.status["n3"] == DOWN
+
+
+# -- a node mid-rejoin when the leader dies (Recovery.on_rejoin_restart) ------
+
+def _joining_when_leader_dies(rejoin):
+    """Crash n1, wait until it is declared, let ``rejoin(cluster, node)``
+    start its way back, and kill the metadata leader the moment the
+    membership log says JOINING.  Returns the cluster 6 s later, with every
+    ``rejoin_restart`` the node received as ``(sim time, rejoin running)``."""
+    cluster = make_ha_cluster(n_clients=1)
+    sim, node, received = cluster.sim, cluster.nodes["n1"], []
+    handler = node.recovery.on_rejoin_restart
+
+    def spy(body):
+        received.append((sim.now, node.recovery._rejoining))
+        handler(body)
+
+    node.recovery.on_rejoin_restart = spy
+
+    def run_until(status):
+        while cluster.metadata_active.status["n1"] != status:
+            assert sim.now < 8.0, f"n1 never became {status}"
+            sim.run(until=sim.now + 100e-6)
+
+    node.crash()
+    run_until(DOWN)
+    rejoin(cluster, node)
+    run_until(JOINING)
+    cluster.metadata_ha.leader.crash()
+    sim.run(until=sim.now + 6.0)
+    assert cluster.metadata_ha.promotions.value == 1
+    return cluster, received
+
+
+def test_promoted_standby_tells_a_joining_node_to_restart_its_rejoin():
+    """The node's own rejoin outlives the takeover (its ``consistent``
+    fails over to the new leader), so the notice finds it still rejoining
+    and must not start a second one."""
+    cluster, received = _joining_when_leader_dies(lambda cluster, node: node.restart())
+    assert [running for _, running in received] == [True]
+    assert cluster.metadata_active.status["n1"] == UP
+    assert cluster.metadata_active.rejoins_completed.value == 1
+
+
+def test_rejoin_restart_revives_a_rejoin_that_died_with_the_old_leader():
+    """Phase 1 reached the old leader but nothing on the node is driving
+    the rejoin any more: without the promoted standby's ``rejoin_restart``
+    the node would stay JOINING — put-visible, never get-visible — for good."""
+
+    def phase_one_only(cluster, node):
+        node.host.recover()
+        node.replica_sets.clear()
+        cluster.sim.process(
+            node.meta.request({"type": "rejoin", "node": "n1"}, reply_type="rejoin_ack")
+        )
+
+    cluster, received = _joining_when_leader_dies(phase_one_only)
+    assert [running for _, running in received] == [False]
+    service = cluster.metadata_active
+    assert service.status["n1"] == UP and service.rejoins_completed.value == 1
+    assert not any("n1" in rs.joining or "n1" in rs.absent for rs in cluster.partition_map)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core import ClusterConfig, NiceCluster
+from repro.noob import NoobCluster, NoobConfig
 from repro.obs import MetricsRegistry
 from repro.sim import Counter, RateSeries, Tally
 
@@ -78,6 +79,33 @@ def test_from_cluster_collects_all_layers():
     assert reg.get(rules_name)() > 0
     # The whole tree must export as strict JSON.
     json.loads(reg.to_json())
+
+
+def _switches_registered(cluster):
+    names = MetricsRegistry.from_cluster(cluster).names("switch")
+    assert all(n.split(".")[1] in {sw.name for sw in cluster.switches} for n in names)
+    return {n.split(".")[1] for n in names if n.endswith(".flowtable.rules")}
+
+
+def test_from_cluster_registers_every_switch_of_a_fabric():
+    """Was leaf 0 only: three of a 2x2 fabric's four flow tables, and every
+    spine's forwarded/table_misses, were missing from a snapshot."""
+    cluster = NiceCluster(ClusterConfig(n_storage_nodes=8, n_clients=2, n_racks=2))
+    assert _switches_registered(cluster) == {"leaf0", "leaf1", "spine0", "spine1"}
+    reg = MetricsRegistry.from_cluster(cluster)
+    assert "switch.spine1.forwarded" in reg and "switch.leaf1.table_misses" in reg
+
+
+def test_from_cluster_switch_names_on_one_switch_ovs_and_noob():
+    nice = NiceCluster(ClusterConfig(n_storage_nodes=4, n_clients=2))
+    assert _switches_registered(nice) == {"sw0"}
+    assert len(MetricsRegistry.from_cluster(nice)) == 178  # as before this walk was rewritten
+    ovs = NiceCluster(ClusterConfig(n_storage_nodes=4, n_clients=2, deployment="ovs"))
+    assert _switches_registered(ovs) == {"sw0", "ovs0", "ovs1"}
+    noob = NoobCluster(NoobConfig(n_storage_nodes=4, n_clients=2, access="rog"))
+    assert _switches_registered(noob) == {"sw0"}
+    assert any(n.startswith("gateway.gw0.") for n in MetricsRegistry.from_cluster(noob).names())
+    assert "controlplane.plan.cache_hits" not in MetricsRegistry.from_cluster(noob)
 
 
 def test_from_cluster_snapshot_reflects_traffic():

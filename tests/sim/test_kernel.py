@@ -481,7 +481,7 @@ def test_small_condition_membership_snapshot_at_trigger():
     assert t2 not in got  # t2 processed after the condition triggered
 
 
-def test_large_condition_still_returns_dict():
+def test_large_condition_returns_the_same_mapping_type():
     sim = Simulator()
     results = []
 
@@ -492,7 +492,7 @@ def test_large_condition_still_returns_dict():
 
     sim.process(proc(sim))
     sim.run()
-    assert isinstance(results[0], dict)
+    assert isinstance(results[0], ConditionValue)
     assert sorted(results[0].values()) == [0, 1, 2, 3]
 
 
