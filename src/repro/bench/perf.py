@@ -1,8 +1,10 @@
 """Micro-benches for what ``benchmarks/e2e`` (``BENCHMARK.json``, the
-end-to-end perf contract) cannot see — schema v9:
+end-to-end perf contract) cannot see — schema v10:
 
 * ``kernel_churn`` / ``kernel_steady`` — raw event-loop throughput, and
   heap throughput under 90% timer cancellation (DESIGN.md §5g).
+* ``kernel_process`` — µs per process spawn-and-join and per timeout wake
+  (recorded only: host-noisy, no floor).
 * ``kernel_armed_timers`` — heap occupancy while every op arms a timeout
   that the common case beats, and the heap never drains (§5g).
 * ``switch_lookup`` — ``FlowTable.lookup`` at 1 000 / 4 000 rules and on a
@@ -40,7 +42,7 @@ from .parallel import provenance
 
 __all__ = ["run_suite", "check", "format_report", "DEFAULT_OUT", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 DEFAULT_OUT = "BENCH_perf.json"
 
 #: Host-rate floors, events/s: ~1/3 of the rate observed on the reference
@@ -134,6 +136,42 @@ def bench_kernel_steady(
         "wall_s": wall,
         "events_per_s": scheduled / wall if wall > 0 else None,
         "pools": sim.pool_stats(),
+    }
+
+
+def _sleep(sim: Simulator, n: int):
+    for _ in range(n):
+        yield sim.timeout(1.0)
+
+
+def _spawn_and_join(sim: Simulator, n: int):
+    for _ in range(n):
+        yield sim.process(_sleep(sim, 1))
+
+
+def bench_kernel_process(n: int = 50_000, repeats: int = 3) -> dict:
+    """What a process costs the kernel: µs per spawn-and-join of a child
+    that waits one timeout, and µs per timeout wake of a running process.
+
+    The two legs alternate ``repeats`` times and each keeps its fastest
+    run (host noise only ever adds time).  Recorded, never gated: the
+    numbers are host wall clock.
+    """
+    runs = {"spawn_join": [], "wake": []}
+    for _ in range(repeats):
+        for leg, body in (("spawn_join", _spawn_and_join), ("wake", _sleep)):
+            sim = Simulator()
+            sim.process(body(sim, n))
+            gc.collect()
+            t0 = time.perf_counter()
+            sim.run()
+            runs[leg].append((time.perf_counter() - t0) / n * 1e6)
+    return {
+        "n": n,
+        "repeats": repeats,
+        "us_per_spawn_join": min(runs["spawn_join"]),
+        "us_per_wake": min(runs["wake"]),
+        "runs_us": runs,
     }
 
 
@@ -423,6 +461,7 @@ def bench_plan_scale(rungs=PLAN_SCALE_RUNGS) -> dict:
 BENCHES = {
     "kernel_churn": (bench_kernel_churn, dict(n_procs=16, rounds=40)),
     "kernel_steady": (bench_kernel_steady, dict(n_events=60_000)),
+    "kernel_process": (bench_kernel_process, dict(n=5_000)),
     "kernel_armed_timers": (bench_kernel_armed_timers, dict(n_ops=6_000)),
     "switch_lookup": (bench_switch_lookup, dict(n_lookups=3000)),
     "multicast_fanout": (bench_multicast_fanout, {}),
@@ -520,6 +559,7 @@ def run_suite(smoke: bool = False, out_path: Optional[str] = DEFAULT_OUT) -> dic
 def format_report(report: dict) -> str:
     b = report["benches"]
     k, s, a = b["kernel_churn"], b["kernel_steady"], b["kernel_armed_timers"]
+    p = b["kernel_process"]
     h = b["harmonia_read_floor"]
     per_r = ", ".join(
         f"R={leg['replication']}: {leg['events_per_op']:,.1f} ev/op"
@@ -544,6 +584,8 @@ def format_report(report: dict) -> str:
         f"  kernel_steady  : {s['events_per_s']:,.0f} events/s"
         f" ({s['cancel_ratio']:.0%} cancelled,"
         f" entry-pool reuse {s['pools']['entry_pool']['reuse_rate']:.3f})",
+        f"  kernel_process : {p['us_per_spawn_join']:.2f} us/spawn-and-join,"
+        f" {p['us_per_wake']:.2f} us/wake (fastest of {p['repeats']})",
         f"  kernel_armed   : {a['events_per_s']:,.0f} events/s"
         f" (heap max {a['heap_max']} for {a['live_max']} live, {a['ops']} ops)",
         f"  switch_lookup  : {per_table}",

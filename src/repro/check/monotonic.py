@@ -1,7 +1,7 @@
 """Cheap real-time staleness checker (necessary condition for linearizability).
 
 Where the Wing–Gong search is exact but exponential in the worst case,
-this screen is O(n log n + v·g) per key and catches the violation class
+this screen is O(n log n) per key and catches the violation class
 the NOOB misconfigurations actually produce — *stale reads*: a get
 returns a value that some acked put had already overwritten before the
 get was even invoked.
@@ -25,6 +25,7 @@ Every violation it reports is a true linearizability violation; a pass is
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -102,9 +103,24 @@ def _check_key(key: str, ops: List[Operation], n_total: int) -> Optional[CheckRe
 
     # -- read regressions across the whole history (subsumes per-client
     # monotonic reads since every client sees the same global order).
+    # Completed gets sorted by return carry the prefix-max of their
+    # writer's invoke time, so "did a get that returned before g2 was
+    # invoked read a value written after g2's writer returned?" is one
+    # bisect; only a get for which it may be true re-runs the scan, which
+    # names the earliest such g1 in invoke order.
     gets_by_inv = sorted(gets, key=lambda g: g.invoke_ts)
+    done_by_ret = sorted((g for g in gets if g.completed), key=lambda g: g.return_ts)
+    done_rets = [g.return_ts for g in done_by_ret]
+    newest_w_inv = list(
+        itertools.accumulate(
+            (_writer_window(g.value, writers)[0] for g in done_by_ret), max
+        )
+    )
     for j, g2 in enumerate(gets_by_inv):
         w2_inv, w2_ret = _writer_window(g2.value, writers)
+        hi = bisect.bisect_left(done_rets, g2.invoke_ts)
+        if hi == 0 or not w2_ret < newest_w_inv[hi - 1]:
+            continue
         for g1 in gets_by_inv[:j]:
             if not g1.completed or g1.return_ts >= g2.invoke_ts:
                 continue

@@ -13,15 +13,21 @@ from typing import Iterator, Union
 __all__ = ["IPv4Address", "IPv4Network", "MacAddress", "MULTICAST_NET"]
 
 
-class IPv4Address:
-    """An immutable IPv4 address (value type, hashable, orderable)."""
+class IPv4Address(int):
+    """An immutable IPv4 address: an ``int`` that prints dotted.
 
-    __slots__ = ("_value",)
+    Hash, equality and ordering are the integer's, so they run in C and
+    ``hash(addr) == hash(int(addr))``; an address also equals its integer
+    (``IPv4Address("0.0.0.1") == 1``).  ``str``, ``repr`` and ``format``
+    are dotted.  ``json`` writes an ``int`` subclass as a number, so
+    exporters stringify addresses themselves (:mod:`repro.obs.export`).
+    """
 
-    def __init__(self, value: Union[int, str, "IPv4Address"]):
-        if isinstance(value, IPv4Address):
-            self._value = value._value
-            return
+    __slots__ = ()
+
+    def __new__(cls, value: Union[int, str, "IPv4Address"]):
+        if type(value) is cls:
+            return value
         if isinstance(value, str):
             parts = value.split(".")
             if len(parts) != 4:
@@ -32,45 +38,33 @@ class IPv4Address:
                 if not 0 <= octet <= 255:
                     raise ValueError(f"malformed IPv4 address: {value!r}")
                 acc = (acc << 8) | octet
-            self._value = acc
-            return
+            return int.__new__(cls, acc)
         if isinstance(value, int):
             if not 0 <= value <= 0xFFFFFFFF:
                 raise ValueError(f"IPv4 address out of range: {value:#x}")
-            self._value = value
-            return
+            return int.__new__(cls, value)
         raise TypeError(f"cannot build IPv4Address from {type(value).__name__}")
 
     @property
     def value(self) -> int:
-        return self._value
+        return int(self)
 
     @property
     def is_multicast(self) -> bool:
         """True for 224.0.0.0/4 (IP multicast group addresses)."""
-        return (self._value >> 28) == 0xE
+        return (self >> 28) == 0xE
 
     def __str__(self) -> str:
-        v = self._value
-        return f"{v >> 24 & 255}.{v >> 16 & 255}.{v >> 8 & 255}.{v & 255}"
+        return f"{self >> 24 & 255}.{self >> 16 & 255}.{self >> 8 & 255}.{self & 255}"
 
     def __repr__(self) -> str:
         return f"IPv4Address({str(self)!r})"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IPv4Address) and self._value == other._value
-
-    def __lt__(self, other: "IPv4Address") -> bool:
-        return self._value < other._value
-
-    def __hash__(self) -> int:
-        return hash(self._value)
+    def __format__(self, spec: str) -> str:
+        return format(str(self), spec)
 
     def __add__(self, offset: int) -> "IPv4Address":
-        return IPv4Address(self._value + offset)
-
-    def __sub__(self, other: "IPv4Address") -> int:
-        return self._value - other._value
+        return IPv4Address(int(self) + offset)
 
 
 class IPv4Network:
@@ -98,7 +92,7 @@ class IPv4Network:
             self.address = IPv4Address(self.address.value & self._netmask)
         #: The (already-masked) network address as a bare int — the flow
         #: table indexes and compares on this without attribute chains.
-        self._value = self.address._value
+        self._value = int(self.address)
 
     @property
     def num_addresses(self) -> int:
@@ -107,7 +101,7 @@ class IPv4Network:
     def __contains__(self, addr: Union[IPv4Address, str]) -> bool:
         if type(addr) is not IPv4Address:
             addr = IPv4Address(addr)
-        return (addr._value & self._netmask) == self._value
+        return (addr & self._netmask) == self._value
 
     def overlaps(self, other: "IPv4Network") -> bool:
         shorter = self if self.prefixlen <= other.prefixlen else other

@@ -72,10 +72,10 @@ class Match:
         if self.in_port is not None and in_port != self.in_port:
             return False
         mask = self._dst_mask
-        if mask is not None and (packet.dst_ip._value & mask) != self._dst_val:
+        if mask is not None and (packet.dst_ip & mask) != self._dst_val:
             return False
         mask = self._src_mask
-        if mask is not None and (packet.src_ip._value & mask) != self._src_val:
+        if mask is not None and (packet.src_ip & mask) != self._src_val:
             return False
         if self.eth_dst is not None and packet.dst_mac != self.eth_dst:
             return False
@@ -358,7 +358,7 @@ class FlowTable:
     def _classify(self, packet: Packet, in_port: Optional[int]) -> Optional[Rule]:
         """The wildcard path: one probe per destination mask in use."""
         best = None
-        dst = packet.dst_ip._value
+        dst = packet.dst_ip
         for mask, buckets in self._by_dst_mask:
             bucket = buckets.get(dst & mask)
             if bucket is None:

@@ -16,7 +16,6 @@ Two granularities share this one class (see DESIGN.md §5):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, List, Optional
 
@@ -57,33 +56,48 @@ class Proto(Enum):
 _uid = itertools.count(1)
 
 
-@dataclass
 class Packet:
     """A simulated packet / flow burst."""
 
-    src_ip: IPv4Address
-    dst_ip: IPv4Address
-    proto: Proto
-    sport: int = 0
-    dport: int = 0
-    payload: Any = None
-    payload_bytes: int = 0
-    src_mac: Optional[MacAddress] = None
-    dst_mac: Optional[MacAddress] = None
-    uid: int = field(default_factory=lambda: next(_uid))
-    #: Forwarding trace (device names) — used by routing tests and to assert
-    #: single-hop claims; appended by switches and hosts.
-    trace: List[str] = field(default_factory=list)
-    #: Original (virtual) destination before any switch rewrite; set by the
-    #: first SetIpDst action so replies can echo the vnode a client targeted.
-    virtual_dst: Optional[IPv4Address] = None
+    __slots__ = (
+        "src_ip", "dst_ip", "proto", "sport", "dport", "payload", "payload_bytes",
+        "src_mac", "dst_mac", "uid", "trace", "virtual_dst", "_wire_size",
+    )
 
-    def __post_init__(self) -> None:
-        if self.payload_bytes < 0:
-            raise ValueError(f"negative payload size: {self.payload_bytes}")
-        # payload_bytes is immutable after construction, so the wire size is
-        # computed once (it is re-read on every link transmit and rule touch).
-        self._wire_size = wire_size(self.payload_bytes)
+    def __init__(
+        self,
+        src_ip: IPv4Address,
+        dst_ip: IPv4Address,
+        proto: Proto,
+        sport: int = 0,
+        dport: int = 0,
+        payload: Any = None,
+        payload_bytes: int = 0,
+        src_mac: Optional[MacAddress] = None,
+        dst_mac: Optional[MacAddress] = None,
+        virtual_dst: Optional[IPv4Address] = None,
+    ):
+        # payload_bytes is immutable after construction, so the wire size
+        # (re-read on every link transmit and rule touch) is computed once;
+        # wire_size rejects a negative payload.
+        self._wire_size = wire_size(payload_bytes)
+        self.src_ip = src_ip
+        self.dst_ip = dst_ip
+        self.proto = proto
+        self.sport = sport
+        self.dport = dport
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.src_mac = src_mac
+        self.dst_mac = dst_mac
+        self.uid = next(_uid)
+        #: Forwarding trace (device names) — used by routing tests and to
+        #: assert single-hop claims; appended by switches and hosts.
+        self.trace: List[str] = []
+        #: Original (virtual) destination before any switch rewrite; set by
+        #: the first SetIpDst action so replies can echo the vnode a client
+        #: targeted.
+        self.virtual_dst = virtual_dst
 
     @property
     def size_bytes(self) -> int:
@@ -91,16 +105,22 @@ class Packet:
         return self._wire_size
 
     def copy(self) -> "Packet":
-        """Independent copy for multicast fan-out (fresh uid, shared payload).
-
-        Clones the instance dict directly rather than via
-        ``dataclasses.replace`` — this runs once per replication leg per
-        packet, and replace()'s re-validation showed up in profiles.
-        """
+        """Independent copy for multicast fan-out: every slot copied, a
+        fresh ``uid`` and its own ``trace`` list; the payload is shared."""
         new = object.__new__(Packet)
-        new.__dict__.update(self.__dict__)
+        new.src_ip = self.src_ip
+        new.dst_ip = self.dst_ip
+        new.proto = self.proto
+        new.sport = self.sport
+        new.dport = self.dport
+        new.payload = self.payload
+        new.payload_bytes = self.payload_bytes
+        new.src_mac = self.src_mac
+        new.dst_mac = self.dst_mac
         new.uid = next(_uid)
-        new.trace = list(self.trace)
+        new.trace = self.trace.copy()
+        new.virtual_dst = self.virtual_dst
+        new._wire_size = self._wire_size
         return new
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

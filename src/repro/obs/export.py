@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List
 
+from ..net.addressing import IPv4Address
 from .tracer import Tracer
 
 __all__ = [
@@ -36,6 +37,21 @@ __all__ = [
     "jsonl_lines",
     "write_jsonl",
 ]
+
+
+def _plain(value):
+    """``value`` as the exporters write it.  Hot-path tracer sites store
+    addresses raw (no per-event ``str()`` cost) and an address is an
+    ``int``, which ``json`` writes as a number without consulting
+    ``default``: so addresses become dotted strings here, also inside
+    lists, tuples and dict values."""
+    if isinstance(value, IPv4Address):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
 
 
 def _op_str(op) -> str:
@@ -75,7 +91,7 @@ def chrome_trace(tracers: Iterable[Tracer]) -> dict:
                 "pid": pid,
                 "tid": tids[ev.node],
                 "ts": ev.ts * 1e6,
-                "args": ev.args or {},
+                "args": _plain(ev.args) if ev.args else {},
             }
             if ev.ph == "i":
                 out["ph"] = "i"
@@ -95,8 +111,7 @@ def write_chrome_trace(path: str, tracers: Iterable[Tracer]) -> int:
     """Write the Chrome trace JSON; returns the number of trace events."""
     doc = chrome_trace(tracers)
     with open(path, "w") as fh:
-        # default=str: hot-path tracer sites store address objects raw (no
-        # per-event str() cost); they stringify here, at export time.
+        # default=str: any other non-JSON value stringifies at export time.
         json.dump(doc, fh, indent=None, separators=(",", ":"), sort_keys=True,
                   default=str)
         fh.write("\n")
@@ -109,7 +124,7 @@ def jsonl_lines(tracers: Iterable[Tracer]) -> Iterable[str]:
         label = tracer.label
         for ev in tracer.events:
             d: Dict = {"run": label}
-            d.update(ev.to_dict())
+            d.update(_plain(ev.to_dict()))
             yield json.dumps(d, separators=(",", ":"), sort_keys=True, default=str)
 
 

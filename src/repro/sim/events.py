@@ -5,7 +5,9 @@ can wait on.
 after a delay, :class:`AnyOf` / :class:`AllOf` joins over several.  The
 only thing they ask of the loop (:class:`~repro.sim.kernel.Simulator`) is
 to be scheduled — ``sim._schedule_event`` / ``_schedule_call`` /
-``cancel_timer`` — so the two modules share nothing else.
+``cancel_timer`` — and to be processed, which the loop does inline: it
+clears ``_entry`` and ``_callbacks``, sets ``_processed`` and runs the
+callbacks in order, raising a failure that nobody handled.
 """
 
 from __future__ import annotations
@@ -152,15 +154,6 @@ class Event:
                 self._callbacks.remove(callback)
             except ValueError:
                 pass
-
-    def _process(self) -> None:
-        callbacks, self._callbacks = self._callbacks, None
-        self._processed = True
-        if callbacks:
-            for cb in callbacks:
-                cb(self)
-        elif self._ok is False and not self._defused:
-            raise self._value  # nobody handled the failure
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (

@@ -12,11 +12,13 @@ bit-identical results.  The event heap therefore breaks ties on
 increasing counter — never on object identity.
 
 Data layout (DESIGN.md §5g): every scheduled event is one *pooled event
-record* — a mutable 4-slot list ``[when, priority, eid, target]`` recycled
-through a per-simulator free list, so the steady-state timer path
-allocates nothing.  Records compare element-wise exactly like the tuples
-they replaced (``eid`` is unique, so comparison never reaches the target
-slot).  A record with a delay waits in an array-backed binary heap; a
+record* — a mutable 5-slot list ``[when, priority, eid, target, args]``
+recycled through a per-simulator free list, so the steady-state timer path
+allocates nothing.  An *event record* (``args is None``) runs the event's
+callbacks; a *call record* is a deferred call, ``target(*args)``.  Records
+compare element-wise exactly like the tuples they replaced (``eid`` is
+unique, so comparison never reaches the target slot).  A record with a
+delay waits in an array-backed binary heap; a
 zero-delay record (over half of all events) waits in a FIFO per priority
 and never touches the heap.  Cancelling a timer tombstones its record in
 O(1) (``target = None``); tombstones are skipped and recycled if they
@@ -42,36 +44,6 @@ __all__ = ["Simulator", "StopSimulation"]
 
 class StopSimulation(Exception):
     """Raised internally to halt :meth:`Simulator.run` early."""
-
-
-class _Call:
-    """A pooled heap entry that invokes ``func(*args)`` when popped.
-
-    ``call_at``/``call_in``/``_schedule_call`` used to wrap every deferred
-    call in a full :class:`Event` plus a closure callback — three
-    allocations per timer on the hottest kernel path.  This slotted stand-in
-    quacks like a processed event as far as the run loop is concerned
-    (``_process()``) and is recycled through a per-simulator free list.
-    """
-
-    __slots__ = ("sim", "func", "args", "_entry")
-
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-        self.func: Optional[Callable] = None
-        self.args: tuple = ()
-        self._entry = None
-
-    def _process(self) -> None:
-        func, args = self.func, self.args
-        # Release before invoking: the callee may schedule new calls and
-        # immediately reuse this object (its heap entry is already popped).
-        self.func = None
-        self.args = ()
-        pool = self.sim._call_pool
-        if len(pool) < self.sim._call_pool_cap:
-            pool.append(self)
-        func(*args)
 
 
 class Simulator:
@@ -102,21 +74,16 @@ class Simulator:
         self._normal: deque = deque()
         self._eid = 0
         self._running = False
-        self._call_pool: List[_Call] = []
-        #: `_Call` pool cap; grown by Process spawn accounting so reuse does
-        #: not starve at cluster scale (was a hard-coded 256).
-        self._call_pool_cap = 256
-        self._live_procs = 0
-        #: Free list of recycled 4-slot heap records.
+        #: Free list of recycled 5-slot records (event and call alike).
         self._entry_pool: List[list] = []
         #: Number of tombstoned (cancelled) records still queued, in the
         #: heap or in a ready queue.
         self._cancelled = 0
         self._compactions = 0
-        # Pool-reuse statistics (see :meth:`pool_stats`).  Entry-pool hits
-        # are derived (eid - misses) to keep the hit branch increment-free.
+        # Pool-reuse statistics (see :meth:`pool_stats`).  Hits are derived
+        # (records - misses) to keep the hit branch increment-free.
         self._entry_misses = 0
-        self._call_hits = 0
+        self._calls = 0
         self._call_misses = 0
         #: Never triggered: what :meth:`run` and :meth:`step` wait for.
         self._never = Event(self)
@@ -132,6 +99,10 @@ class Simulator:
         return self._now
 
     # -- scheduling (internal) ----------------------------------------------
+    # The event and call builders below are the same record code told twice:
+    # a shared helper costs one Python frame per scheduled record, which
+    # measured slower end to end (DESIGN.md §5g).  A record in the free list
+    # always has ``target`` and ``args`` cleared to None.
     def _schedule_event(self, event: Event, priority: int, delay: float = 0.0) -> None:
         self._eid = eid = self._eid + 1
         pool = self._entry_pool
@@ -145,7 +116,7 @@ class Simulator:
             # Misses are the rare branch; hits are derived as eid - misses
             # (every schedule consumes exactly one record and one eid).
             self._entry_misses += 1
-            entry = [self._now + delay, priority, eid, event]
+            entry = [self._now + delay, priority, eid, event, None]
         event._entry = entry
         if delay == 0.0 and priority == NORMAL:
             self._normal.append(entry)
@@ -157,14 +128,7 @@ class Simulator:
     def _schedule_call(
         self, delay: float, func: Callable, *args: Any, priority: int = NORMAL
     ) -> None:
-        if self._call_pool:
-            self._call_hits += 1
-            call = self._call_pool.pop()
-        else:
-            self._call_misses += 1
-            call = _Call(self)
-        call.func = func
-        call.args = args
+        self._calls += 1
         self._eid = eid = self._eid + 1
         pool = self._entry_pool
         if pool:
@@ -172,10 +136,12 @@ class Simulator:
             entry[0] = self._now + delay
             entry[1] = priority
             entry[2] = eid
-            entry[3] = call
+            entry[3] = func
+            entry[4] = args
         else:
             self._entry_misses += 1
-            entry = [self._now + delay, priority, eid, call]
+            self._call_misses += 1
+            entry = [self._now + delay, priority, eid, func, args]
         if delay == 0.0 and priority == NORMAL:
             self._normal.append(entry)
         elif delay == 0.0 and priority == URGENT:
@@ -317,10 +283,23 @@ class Simulator:
                     self._cancelled -= 1
                     continue
                 self._now = entry[0]
-                target._entry = None
-                entry[3] = None
+                args = entry[4]
+                entry[3] = entry[4] = None
                 try:
-                    target._process()
+                    if args is not None:
+                        target(*args)
+                    else:
+                        # An event: run its callbacks once, in order; a
+                        # failure nobody waited for or defused aborts the run.
+                        target._entry = None
+                        callbacks = target._callbacks
+                        target._callbacks = None
+                        target._processed = True
+                        if callbacks:
+                            for callback in callbacks:
+                                callback(target)
+                        elif target._ok is False and not target._defused:
+                            raise target._value
                 except StopSimulation:
                     break
                 if once:
@@ -368,10 +347,12 @@ class Simulator:
         return len(self._heap) + len(self._urgent) + len(self._normal) - self._cancelled
 
     def pool_stats(self) -> dict:
-        """Reuse statistics for the heap-record and ``_Call`` free lists,
-        and the event heap's occupancy (computed here, nothing per event)."""
+        """Reuse statistics of the one record free list — over every record
+        (``entry_pool``: hits + misses = records scheduled) and over the
+        call records alone (``call_pool``: hits + misses = calls scheduled)
+        — and the event heap's occupancy (computed here, nothing per event)."""
         e_hits = self._eid - self._entry_misses
-        c_total = self._call_hits + self._call_misses
+        c_hits = self._calls - self._call_misses
         return {
             "entry_pool": {
                 "hits": e_hits,
@@ -380,11 +361,9 @@ class Simulator:
                 "free": len(self._entry_pool),
             },
             "call_pool": {
-                "hits": self._call_hits,
+                "hits": c_hits,
                 "misses": self._call_misses,
-                "reuse_rate": self._call_hits / c_total if c_total else 0.0,
-                "free": len(self._call_pool),
-                "cap": self._call_pool_cap,
+                "reuse_rate": c_hits / self._calls if self._calls else 0.0,
             },
             "heap": {
                 "size": len(self._heap),

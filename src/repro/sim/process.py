@@ -14,6 +14,7 @@ process per secondary replica and joins them with ``AllOf``).
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from .events import URGENT, Event, SimulationError
@@ -58,28 +59,34 @@ _STARTED = _Started()
 class Process(Event):
     """A running generator, resumable by the event loop."""
 
-    __slots__ = ("_gen", "_target", "name")
+    __slots__ = ("_gen", "_target", "name", "_wake")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if type(generator) is not GeneratorType and (
+            not hasattr(generator, "send") or not hasattr(generator, "throw")
+        ):
             raise SimulationError(
                 f"process() needs a generator, got {type(generator).__name__}"
             )
-        super().__init__(sim)
+        # The Event fields, written here rather than through Event.__init__:
+        # one frame less on every spawn.
+        self.sim = sim
+        self._callbacks = None
+        self._value = Event._PENDING
+        self._ok = None
+        self._processed = False
+        self._defused = False
+        self._entry = None
         self._gen = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        # Live-process accounting drives the `_Call` pool cap: at cluster
-        # scale thousands of concurrent processes each keep a deferred call
-        # in flight, so the cap tracks 2x the high-water mark of live
-        # processes (never shrinking, floor 256 from Simulator.__init__).
-        sim._live_procs += 1
-        cap = sim._live_procs * 2
-        if cap > sim._call_pool_cap:
-            sim._call_pool_cap = cap
+        #: ``_resume`` bound once, for the start, every wake and the detach
+        #: (cleared when the generator ends, so a finished process is not
+        #: kept alive by a cycle through its own bound method).
+        self._wake = wake = self._resume
         # First resume happens on an urgent same-time call so that process
         # bodies start deterministically before ordinary events at `now`.
-        sim._schedule_call(0.0, self._resume, _STARTED, priority=URGENT)
+        sim._schedule_call(0.0, wake, _STARTED, priority=URGENT)
 
     # -- state -------------------------------------------------------------
     @property
@@ -105,7 +112,7 @@ class Process(Event):
         ev._ok = False
         ev._value = Interrupt(cause)
         ev._defused = True
-        ev.add_callback(self._resume)
+        ev._callbacks = [self._wake]
         self.sim._schedule_event(ev, URGENT)
 
     # -- engine ------------------------------------------------------------
@@ -121,7 +128,7 @@ class Process(Event):
         # Detach from the old target: an interrupt must not leave a stale
         # callback that would resume us a second time.
         if self._target is not None and self._target is not event:
-            self._target.remove_callback(self._resume)
+            self._target.remove_callback(self._wake)
         self._target = None
 
         tr = self.sim.tracer
@@ -140,7 +147,7 @@ class Process(Event):
                 self._finish(stop.value)
                 return
             except BaseException as exc:
-                self.sim._live_procs -= 1
+                self._wake = None
                 self.fail(exc)
                 return
 
@@ -153,7 +160,7 @@ class Process(Event):
                 except StopIteration as stop:
                     self._finish(stop.value)
                 except BaseException as err:
-                    self.sim._live_procs -= 1
+                    self._wake = None
                     self.fail(err)
                 return
 
@@ -162,12 +169,16 @@ class Process(Event):
                 event = next_ev
                 continue
             self._target = next_ev
-            next_ev.add_callback(self._resume)
+            if next_ev._callbacks is None and type(next_ev._entry) is not float:
+                next_ev._callbacks = [self._wake]
+            else:
+                # Another waiter, or a tombstoned timer to revive.
+                next_ev.add_callback(self._wake)
             return
 
     def _finish(self, value: Any) -> None:
         """The generator returned ``value``: complete the process event."""
-        self.sim._live_procs -= 1
+        self._wake = None
         if self._callbacks:
             self.succeed(value)
             return

@@ -24,7 +24,6 @@ build and dispatch than dicts on the per-packet hot path, and the declared
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -37,16 +36,26 @@ from .sockets import Datagram, ProtocolStack
 __all__ = ["MulticastSender", "MulticastEndpoint", "MulticastMessage"]
 
 
-@dataclass
 class MulticastMessage:
     """A fully-reassembled multicast message, handed to the application."""
 
-    src_ip: IPv4Address
-    ack_port: int
-    op: Tuple
-    payload: Any
-    payload_bytes: int
-    virtual_dst: Optional[IPv4Address]
+    __slots__ = ("src_ip", "ack_port", "op", "payload", "payload_bytes", "virtual_dst")
+
+    def __init__(
+        self,
+        src_ip: IPv4Address,
+        ack_port: int,
+        op: Tuple,
+        payload: Any,
+        payload_bytes: int,
+        virtual_dst: Optional[IPv4Address],
+    ):
+        self.src_ip = src_ip
+        self.ack_port = ack_port
+        self.op = op
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.virtual_dst = virtual_dst
 
 
 def _chunks(payload_bytes: int) -> int:

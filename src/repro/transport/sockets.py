@@ -9,7 +9,6 @@ bindings, TCP connections (:mod:`.tcp`) and the reliable-multicast engine
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..net import Host, IPv4Address, Packet, Proto
@@ -21,19 +20,30 @@ __all__ = ["ProtocolStack", "Datagram", "EPHEMERAL_BASE"]
 EPHEMERAL_BASE = 32768
 
 
-@dataclass
 class Datagram:
     """An application-visible UDP message."""
 
-    src_ip: IPv4Address
-    sport: int
-    dst_ip: IPv4Address
-    dport: int
-    payload: Any
-    payload_bytes: int
-    #: The vnode address the sender targeted, when the switch rewrote the
-    #: destination (None for plain physical-address traffic).
-    virtual_dst: Optional[IPv4Address]
+    __slots__ = ("src_ip", "sport", "dst_ip", "dport", "payload", "payload_bytes", "virtual_dst")
+
+    def __init__(
+        self,
+        src_ip: IPv4Address,
+        sport: int,
+        dst_ip: IPv4Address,
+        dport: int,
+        payload: Any,
+        payload_bytes: int,
+        virtual_dst: Optional[IPv4Address],
+    ):
+        self.src_ip = src_ip
+        self.sport = sport
+        self.dst_ip = dst_ip
+        self.dport = dport
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        #: The vnode address the sender targeted, when the switch rewrote
+        #: the destination (None for plain physical-address traffic).
+        self.virtual_dst = virtual_dst
 
 
 class ProtocolStack:

@@ -19,7 +19,6 @@ between the compared systems and would multiply event counts (DESIGN.md §5).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..net import IPv4Address, Packet, Proto
@@ -28,15 +27,24 @@ from ..sim import Event, Store
 __all__ = ["TcpLayer", "TcpConnection", "TcpMessage"]
 
 
-@dataclass
 class TcpMessage:
     """An application message received over a connection."""
 
-    conn: "TcpConnection"
-    src_ip: IPv4Address
-    sport: int
-    payload: Any
-    payload_bytes: int
+    __slots__ = ("conn", "src_ip", "sport", "payload", "payload_bytes")
+
+    def __init__(
+        self,
+        conn: "TcpConnection",
+        src_ip: IPv4Address,
+        sport: int,
+        payload: Any,
+        payload_bytes: int,
+    ):
+        self.conn = conn
+        self.src_ip = src_ip
+        self.sport = sport
+        self.payload = payload
+        self.payload_bytes = payload_bytes
 
 
 class TcpConnection:

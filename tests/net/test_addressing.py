@@ -141,3 +141,53 @@ def test_mac_and_ip_hash_do_not_collide():
     # Distinct types with the same numeric value must remain distinct keys.
     d = {MacAddress(5): "mac", IPv4Address(5): "ip"}
     assert len(d) == 2
+
+
+# -- an address is an int that prints dotted ----------------------------------
+
+
+def _echo(addrs):
+    """Runs in a worker process: what arrived there, and the addresses back."""
+    return [(type(a).__name__, str(a), hash(a)) for a in addrs], addrs
+
+
+def test_hash_equality_and_order_are_the_integers():
+    a, b = IPv4Address("10.0.0.3"), IPv4Address("10.0.0.12")
+    assert hash(a) == hash(int(a)) == hash(0x0A000003)
+    assert a == IPv4Address("10.0.0.3") and a != b
+    assert a < b and b > a and a <= a and sorted([b, a]) == [a, b]
+    assert IPv4Address(a) is a
+    assert type(a + 1) is IPv4Address and b - a == 9
+    assert not IPv4Address("0.0.0.0")  # an int: the zero address is falsy
+
+
+def test_an_address_equals_its_integer():
+    """Pinned decision: an address equals the ``int`` it holds (hash and
+    equality are the integer's, which is what puts them in C).  Accepted
+    because no container in the simulator keys addresses and plain ints
+    together — ports, uids and sequence numbers are far below 10.0.0.0
+    (167 772 160) — while a string never equals an address."""
+    a = IPv4Address("10.0.0.3")
+    assert a == 0x0A000003 and {a: "x"}[0x0A000003] == "x"
+    assert a != "10.0.0.3"
+
+
+def test_str_repr_and_format_are_dotted():
+    a = IPv4Address("10.0.0.3")
+    assert str(a) == f"{a}" == "%s" % a == "{}".format(a) == "10.0.0.3"
+    assert repr(a) == "IPv4Address('10.0.0.3')" and repr([a]) == "[IPv4Address('10.0.0.3')]"
+    assert f"{a:>10}|" == "  10.0.0.3|"
+
+
+def test_addresses_pickle_through_a_worker_process():
+    """``--jobs N`` runs cells in a ProcessPoolExecutor: addresses cross
+    it by pickle both ways and arrive as addresses, not bare ints."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    addrs = [IPv4Address("10.0.0.3"), IPv4Address("224.1.2.3")]
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        seen, back = pool.submit(_echo, addrs).result()
+    assert seen == [("IPv4Address", str(a), hash(a)) for a in addrs]
+    assert back == addrs and [type(a) for a in back] == [IPv4Address, IPv4Address]

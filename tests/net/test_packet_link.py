@@ -182,3 +182,32 @@ def test_port_peer():
     link = Link(sim, pa, pb)
     assert pa.peer is pb
     assert pb.peer is pa
+
+
+def test_negative_payload_rejected_at_construction():
+    with pytest.raises(ValueError, match="negative payload size: -1"):
+        make_packet(size=-1)
+
+
+def test_packet_copy_differs_only_in_uid_and_trace_identity():
+    from repro.net import MacAddress
+
+    p = make_packet(
+        sport=5, dport=7, payload={"k": 1}, src_mac=MacAddress(1), dst_mac=MacAddress(2),
+        virtual_dst=IPv4Address("10.1.0.1"),
+    )
+    p.trace.append("sw0")
+    q = p.copy()
+    assert q.uid != p.uid
+    assert q.trace == p.trace and q.trace is not p.trace
+    for name in set(Packet.__slots__) - {"uid", "trace"}:
+        assert getattr(q, name) is getattr(p, name), name
+
+
+def test_wire_values_are_slotted_plain_classes():
+    from dataclasses import is_dataclass
+
+    from repro.transport import Datagram, MulticastMessage, TcpMessage
+
+    for cls in (Packet, Datagram, TcpMessage, MulticastMessage):
+        assert not is_dataclass(cls) and "__dict__" not in vars(cls), cls

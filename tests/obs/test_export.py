@@ -110,3 +110,40 @@ def test_chaos_faults_export_as_global_instants():
     ]
     assert exported, "fault marker missing from Chrome export"
     assert all(e["s"] == "g" for e in exported)
+
+
+def test_a_traced_puts_addresses_export_as_dotted_strings(tmp_path):
+    """Switch sites store addresses raw, and an address is an ``int``, which
+    ``json`` writes as a number: both exporters must write the dotted form
+    for every address argument."""
+    from repro.bench.harness import build_nice, run_to_completion
+    from repro.net import IPv4Address
+
+    cluster = build_nice(n_storage_nodes=6, n_clients=1)
+    tracer = install(cluster.sim, label="put")
+    client = cluster.clients[0]
+
+    def driver(sim):
+        assert (yield client.put("k", "v", 1024)).ok
+        assert (yield client.get("k")).ok
+
+    run_to_completion(cluster, cluster.sim.process(driver(cluster.sim)))
+    raw = [ev.args or {} for ev in tracer.events]
+    addressed = [
+        (i, name, value) for i, args in enumerate(raw)
+        for name, value in args.items() if isinstance(value, IPv4Address)
+    ]
+    assert {name for _, name, _ in addressed} >= {"dst", "old", "new"}
+
+    chrome = [e for e in chrome_trace([tracer])["traceEvents"] if e["ph"] != "M"]
+    path = tmp_path / "put.jsonl"
+    write_jsonl(str(path), [tracer])
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(chrome) == len(lines) == len(raw)
+    for i, name, value in addressed:
+        assert chrome[i]["args"][name] == lines[i]["args"][name] == str(value)
+    doc = json.loads(json.dumps(chrome_trace([tracer]), default=str))
+    assert not any(
+        isinstance(v, int) and v >= 1 << 24
+        for e in doc["traceEvents"] for v in e["args"].values()
+    ), "an address escaped as an integer"

@@ -150,3 +150,151 @@ def test_screen_never_disagrees_with_exact_checker(history):
     mono = check_monotonic(history)
     if not mono.ok:
         assert not check_linearizable(history).ok
+
+
+# -- the read-regression scan against its quadratic reference ----------------
+
+
+def _reference_check_key(key, ops, n_total):
+    """``check_monotonic``'s per-key check as it was before the read-
+    regression half became a bisect: every earlier get scanned per get."""
+    import bisect
+    import math
+
+    from repro.check import CheckResult
+
+    def window(value):
+        w = writers.get(value) if value is not None else None
+        if w is None:
+            return (-math.inf, -math.inf)
+        return (w.invoke_ts, w.return_ts if w.completed else math.inf)
+
+    writers = {op.value: op for op in ops if op.kind == "put"}
+    acked_puts = [op for op in ops if op.kind == "put" and op.acked]
+    gets = [
+        op for op in ops
+        if op.kind == "get" and (op.acked or (op.completed and op.status == "miss"))
+    ]
+
+    def violation(core, reason):
+        seen, ordered = set(), []
+        for op in sorted(core, key=lambda o: o.invoke_ts):
+            if id(op) not in seen:
+                seen.add(id(op))
+                ordered.append(op)
+        return CheckResult(ok=False, n_ops=n_total, key=key, violation=ordered, reason=reason)
+
+    acked_by_ret = sorted(acked_puts, key=lambda p: p.return_ts)
+    rets = [p.return_ts for p in acked_by_ret]
+    prefix_best, best = [], None
+    for p in acked_by_ret:
+        if best is None or p.invoke_ts > best.invoke_ts:
+            best = p
+        prefix_best.append(best)
+    for g in gets:
+        _, w_ret = window(g.value)
+        hi = bisect.bisect_left(rets, g.invoke_ts)
+        if hi == 0:
+            continue
+        q = prefix_best[hi - 1]
+        if q.invoke_ts > w_ret and writers.get(g.value) is not q:
+            core = [q, g]
+            w = writers.get(g.value)
+            if w is not None:
+                core.insert(0, w)
+            what = f"value {g.value!r}" if g.value is not None else "the initial value"
+            return violation(
+                core,
+                f"stale read: {g.client} get({key}) returned {what}, "
+                f"overwritten by an acked put before the get was invoked",
+            )
+    gets_by_inv = sorted(gets, key=lambda g: g.invoke_ts)
+    for j, g2 in enumerate(gets_by_inv):
+        _, w2_ret = window(g2.value)
+        for g1 in gets_by_inv[:j]:
+            if not g1.completed or g1.return_ts >= g2.invoke_ts:
+                continue
+            if g1.value == g2.value:
+                continue
+            w1_inv, _ = window(g1.value)
+            if w2_ret < w1_inv:
+                core = [g1, g2]
+                for v in (g1.value, g2.value):
+                    w = writers.get(v)
+                    if w is not None:
+                        core.append(w)
+                return violation(
+                    core,
+                    f"read regression: {g2.client} get({key}) returned "
+                    f"{g2.value!r} after {g1.client} had already read the "
+                    f"strictly newer {g1.value!r}",
+                )
+    return None
+
+
+def _reference_check_monotonic(ops):
+    from repro.check import CheckResult
+
+    by_key = {}
+    for op in ops:
+        if op.kind in ("put", "get"):
+            by_key.setdefault(op.key, []).append(op)
+    for key in sorted(by_key):
+        bad = _reference_check_key(key, by_key[key], len(ops))
+        if bad is not None:
+            return bad
+    return CheckResult(ok=True, n_ops=len(ops), checked_keys=tuple(sorted(by_key)))
+
+
+_ticks = st.integers(min_value=0, max_value=40).map(lambda t: t / 4)
+
+
+@st.composite
+def arbitrary_history(draw, max_puts=8, max_gets=24, keys=("a", "b")):
+    """Puts with unique values, then gets that return any put's value (or
+    a miss) in any window — stale reads and read regressions included —
+    with ties on a quarter-second grid and some ops left pending."""
+    ops = []
+    for i in range(draw(st.integers(min_value=0, max_value=max_puts))):
+        inv = draw(_ticks)
+        ret = inv + draw(_ticks) if draw(st.integers(0, 5)) else None
+        ok = None if ret is None else draw(st.sampled_from([True, True, False]))
+        status = "pending" if ret is None else "ok" if ok else "timeout"
+        ops.append(_op(len(ops), f"w{i % 3}", "put", draw(st.sampled_from(keys)),
+                       inv, ret, value=f"v{i}", ok=ok, status=status))
+    values = [None] + [op.value for op in ops]
+    for i in range(draw(st.integers(min_value=0, max_value=max_gets))):
+        inv = draw(_ticks)
+        ret = inv + draw(_ticks) if draw(st.integers(0, 5)) else None
+        value = draw(st.sampled_from(values)) if ret is not None else None
+        ok = None if ret is None else value is not None
+        status = "pending" if ret is None else "ok" if ok else "miss"
+        ops.append(_op(len(ops), f"r{i % 4}", "get", draw(st.sampled_from(keys)),
+                       inv, ret, value=value, ok=ok, status=status))
+    return draw(st.permutations(ops))
+
+
+def _verdict(result):
+    ids = None if result.violation is None else [id(op) for op in result.violation]
+    return result.ok, result.key, result.reason, ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(arbitrary_history())
+def test_read_regression_bisect_matches_the_quadratic_scan(history):
+    assert _verdict(check_monotonic(history)) == _verdict(_reference_check_monotonic(history))
+
+
+def test_read_regression_reports_the_same_core_and_reason():
+    """A directed regression: r1 reads v1, then r0 (invoked after r1
+    returned) reads v0, whose writer returned before v1's began."""
+    history = [
+        _op(0, "w", "put", "k", 0.0, 1.0, value="v0"),
+        _op(1, "w", "put", "k", 2.0, 3.0, value="v1", ok=False, status="timeout"),
+        _op(2, "r1", "get", "k", 3.5, 4.0, value="v1"),
+        _op(3, "r0", "get", "k", 5.0, 6.0, value="v0"),
+    ]
+    result = check_monotonic(history)
+    assert not result.ok
+    assert result.reason.startswith("read regression: r0 get(k) returned 'v0'")
+    assert _verdict(result) == _verdict(_reference_check_monotonic(history))

@@ -523,3 +523,103 @@ def test_call_args_do_not_leak_between_pool_reuses():
         sim.call_in(float(i), seen.append, i)
     sim.run()
     assert seen == list(range(20))
+
+
+# ------------------------------- records call their target directly (§5g)
+def test_pool_stats_count_every_record_and_every_call(monkeypatch):
+    """``benchmarks/e2e`` reads ``entry_pool`` / ``call_pool`` ``hits``,
+    ``misses`` and ``reuse_rate``; ``entry_pool`` hits + misses is its
+    events-per-op numerator.  Both are counted here on a real put leg by
+    wrapping the two record builders."""
+    from repro.bench.harness import build_nice, run_to_completion
+    from repro.workloads import closed_loop_puts
+
+    counted = {"event": 0, "call": 0}
+    schedule_event, schedule_call = Simulator._schedule_event, Simulator._schedule_call
+
+    def counting_event(sim, *args, **kw):
+        counted["event"] += 1
+        schedule_event(sim, *args, **kw)
+
+    def counting_call(sim, *args, **kw):
+        counted["call"] += 1
+        schedule_call(sim, *args, **kw)
+
+    monkeypatch.setattr(Simulator, "_schedule_event", counting_event)
+    monkeypatch.setattr(Simulator, "_schedule_call", counting_call)
+    cluster = build_nice(n_storage_nodes=6, n_clients=1)
+    client = cluster.clients[0]
+    run_to_completion(cluster, closed_loop_puts(client, cluster.sim, 20, 1024, keys=["k"]))
+
+    stats = cluster.sim.pool_stats()
+    entry, call = stats["entry_pool"], stats["call_pool"]
+    for pool in (entry, call):
+        assert {"hits", "misses", "reuse_rate"} <= set(pool)
+        assert pool["reuse_rate"] == pool["hits"] / (pool["hits"] + pool["misses"])
+    assert entry["hits"] + entry["misses"] == counted["event"] + counted["call"]
+    assert entry["hits"] + entry["misses"] == cluster.sim._eid
+    assert call["hits"] + call["misses"] == counted["call"] > 0
+    assert counted["event"] > 0 and 0.9 < call["reuse_rate"] < 1.0
+    # A recycled record holds no reference to what it last ran.
+    assert all(e[3] is None and e[4] is None for e in cluster.sim._entry_pool)
+
+
+def test_late_callback_on_a_processed_event_is_an_urgent_call_record():
+    sim = Simulator()
+    ev = sim.event()
+    ev.succeed("v")
+    sim.run()
+    calls = sim.pool_stats()["call_pool"]
+    seen = []
+    sim.call_in(0.0, seen.append, "normal")
+    ev.add_callback(lambda e: seen.append(("late", e.value, sim.now)))
+    sim.run()
+    # Scheduled second, but urgent: it runs first, at the current time.
+    assert seen == [("late", "v", 0.0), "normal"]
+    after = sim.pool_stats()["call_pool"]
+    assert after["hits"] + after["misses"] == calls["hits"] + calls["misses"] + 2
+
+
+def test_a_process_waiting_on_a_tombstoned_timer_revives_it():
+    """``_resume`` registers itself directly only on an event with no
+    callbacks that is not a cancelled timer; a cancelled one goes through
+    ``add_callback`` and fires at its original time — or now, if that has
+    passed."""
+    sim = Simulator()
+    early, late = sim.timeout(1.0, "early"), sim.timeout(5.0, "late")
+    assert sim.cancel_timer(early) and sim.cancel_timer(late)
+    woke = []
+
+    def waiter(sim):
+        woke.append(((yield late), sim.now))
+        yield sim.timeout(1.0)  # now 6.0: early's fire time has passed
+        woke.append(((yield early), sim.now))
+
+    sim.process(waiter(sim))
+    sim.run()
+    assert woke == [("late", 5.0), ("early", 6.0)]
+
+
+def test_unhandled_failure_aborts_the_run_and_defused_does_not():
+    sim = Simulator()
+    sim.event().fail(ValueError("nobody waits"))
+    sim.event().fail(KeyError("defused")).defuse()
+    with pytest.raises(ValueError, match="nobody waits"):
+        sim.run()
+    sim.run()  # the defused failure is processed quietly
+
+
+def test_stop_simulation_raised_by_a_call_record():
+    sim = Simulator()
+    seen = []
+
+    def stop():
+        seen.append("stop")
+        raise StopSimulation()
+
+    sim.call_in(1.0, stop)
+    sim.call_in(2.0, seen.append, "later")
+    assert sim.run() == 1.0
+    assert seen == ["stop"] and sim.pending_events == 1
+    sim.run()  # the loop is reusable and resumes with the next record
+    assert seen == ["stop", "later"] and sim.now == 2.0

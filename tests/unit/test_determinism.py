@@ -290,7 +290,6 @@ def test_contended_leg_identical_with_and_without_completion_records(
     rows_skipped, now_skipped, events_skipped = _contended_leg(n_racks, jitter_s)
 
     def finish_through_the_heap(proc, value):
-        proc.sim._live_procs -= 1
         proc.succeed(value)
 
     monkeypatch.setattr(Process, "_finish", finish_through_the_heap)
@@ -310,26 +309,23 @@ def _install_one_heap_kernel(monkeypatch):
     import heapq
 
     from repro.sim import NORMAL, Simulator
-    from repro.sim.kernel import _Call
 
-    def push(sim, delay, priority, target):
+    def push(sim, delay, priority, target, args):
         sim._eid += 1
         if sim._entry_pool:
             entry = sim._entry_pool.pop()
-            entry[:] = sim._now + delay, priority, sim._eid, target
+            entry[:] = sim._now + delay, priority, sim._eid, target, args
         else:
             sim._entry_misses += 1
-            entry = [sim._now + delay, priority, sim._eid, target]
+            entry = [sim._now + delay, priority, sim._eid, target, args]
         heapq.heappush(sim._heap, entry)
         return entry
 
     def schedule_event(sim, event, priority, delay=0.0):
-        event._entry = push(sim, delay, priority, event)
+        event._entry = push(sim, delay, priority, event, None)
 
     def schedule_call(sim, delay, func, *args, priority=NORMAL):
-        call = sim._call_pool.pop() if sim._call_pool else _Call(sim)
-        call.func, call.args = func, args
-        push(sim, delay, priority, call)
+        push(sim, delay, priority, func, args)
 
     monkeypatch.setattr(Simulator, "_schedule_event", schedule_event)
     monkeypatch.setattr(Simulator, "_schedule_call", schedule_call)
