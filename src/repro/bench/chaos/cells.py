@@ -226,9 +226,9 @@ def harmonia_midput_cell(mode: str, seed: int) -> Dict:
 
     The stranded secondary keeps the old value while the primary holds the
     new one and the client's put fails (ambiguous).  A correct dirty-set
-    pins the key to the primary (linearizable); the weakened variant
-    cleared the key on the commit's transit and serves the stale replica
-    rack-locally — the violation the checker must catch.
+    pins the key to the primary (linearizable); one that cleared the key on
+    the commit's transit (the ``harmonia_commit_clear`` mutant) serves the
+    stale replica rack-locally — the violation the checker must catch.
     """
     cluster = build(
         mode, n_storage_nodes=8, n_clients=2, replication_level=3, n_racks=2,
@@ -342,9 +342,9 @@ def _durability_row(
 def durability_cell(mode: str, schedule: str, seed: int, duration: float = 10.0) -> Dict:
     """Whole-cluster power loss under live traffic (§4.4, Complete Cluster
     Failure): every node drops volatile state *and* its unflushed disk
-    cache, then cold-restarts from the durable image + WAL replay.  For
-    the honest mode every acked put must survive; for ``nice-waloff``
-    (acks race the flush) the acked-durability checker must catch losses.
+    cache, then cold-restarts from the durable image + WAL replay.  Every
+    acked put must survive; under the ``wal_unflushed`` mutant (acks race
+    the flush) the acked-durability checker must catch losses.
     """
     cluster = build(mode, **CLUSTER_KW, seed=seed)
     keys = keys_in_partition(0, cluster.config.n_partitions, 3)

@@ -1,18 +1,17 @@
 """The chaos × consistency matrix: its plan, its report and its gate.
 
 For every (access mode, fault schedule, seed) the plan names one cell of
-:mod:`~repro.bench.chaos.cells`; :func:`run_suite` runs them and writes
-the pass/fail matrix to ``BENCH_chaos.json``.  Everything else here —
-:func:`summarize`, :func:`check`, :func:`format_report` — is a pure
-function of the report's rows.
+:mod:`~repro.bench.chaos.cells`; :func:`run_suite` runs them, plus one
+cell per entry of the mutant table (:mod:`repro.check.mutants`), and
+writes the pass/fail matrix to ``BENCH_chaos.json``.  Everything else
+here — :func:`summarize`, :func:`check`, :func:`format_report` — is a
+pure function of the report's rows.
 
 Expectations encode the paper's claim (§3.3, §4.5): NICE and the honestly
-configured NOOB variants stay linearizable through every schedule, while
-the *weak* NOOB configuration — primary-only replication with round-robin
-reads, a config the baseline happily accepts — must be **caught** serving
-stale data, with a minimal counterexample in the artifact.  The suite
-fails (non-zero exit) if a safe mode produces a violation *or* the weak
-mode escapes detection.
+configured baselines stay linearizable and durable through every
+schedule.  The mutant table shows the oracles bite: the suite fails
+(non-zero exit) if an honest cell fails a gate *or* the set of killed
+mutants differs from the one the table expects.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import time
 from typing import Dict, List, Optional
 
 from ...chaos import controlplane_schedules, named, standard_schedules
+from ...check import mutants as mutant_table
 from ..parallel import Cell, drain_records, provenance, run_cells
 from .cells import (
     bit_rot_cell,
@@ -33,40 +33,19 @@ from .cells import (
 )
 
 DEFAULT_OUT = "BENCH_chaos.json"
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
+#: The matrix's access modes (keys of ``harness.SYSTEMS``, which say how
+#: each is built), in plan order.
+MODES = ("nice", "rac-2pc", "rag-2pc", "rog-2pc", "rac-quorum", "harmonia")
 
-def _expect(violation: bool = False, loss_fragile: bool = False, **flags) -> Dict:
-    return dict(expect_violation=violation, loss_fragile=loss_fragile, **flags)
-
-
-#: mode name (a key of ``harness.SYSTEMS``, which says how it is built) ->
-#: expectations.  ``expect_violation`` marks the deliberately weak config
-#: the checker must catch.  ``loss_fragile``
-#: marks honest configs with a *known* hazard under packet loss: NOOB-2PC
-#: never retransmits a lost commit, so one replica can stay prepared/stale
-#: while round-robin reads serve the other — a genuine partial-commit
-#: window the chaos suite documents rather than hides.  Violations in a
-#: loss-fragile mode under a loss-bearing schedule are recorded as
-#: "tolerated"; anywhere else they fail the suite.  NICE is never fragile:
-#: its multicast transport repairs losses and 2PC acks ride it (§4.3).
-MODES: Dict[str, Dict] = {
-    "nice": _expect(),
-    "rac-2pc": _expect(loss_fragile=True),
-    "rag-2pc": _expect(loss_fragile=True),
-    "rog-2pc": _expect(loss_fragile=True),
-    "rac-quorum": _expect(),
-    "rac-weak": _expect(violation=True),
-    # The honest harmonia mode must stay linearizable through every
-    # schedule; the directed rack-isolate-mid-put cell makes the weak
-    # variant's early dirty-clear a stale read the checker must catch.
-    "harmonia": _expect(),
-    "harmonia-weak": _expect(violation=True),
-    # Never part of the linearizability matrix — it exists so the
-    # power-blackout cell can prove the acked-durability checker catches
-    # ack-before-durable holes.
-    "nice-waloff": _expect(violation=True, durability_only=True),
-}
+#: Honest modes with a *known* hazard under packet loss: NOOB-2PC never
+#: retransmits a lost commit, so one replica can stay prepared/stale while
+#: round-robin reads serve the other — a genuine partial-commit window the
+#: chaos suite documents rather than hides.  Their violations under a
+#: loss-bearing schedule are recorded as "tolerated"; anywhere else they
+#: fail the suite.  NICE is never fragile (§4.3; see ROADMAP item 1).
+LOSS_FRAGILE = frozenset({"rac-2pc", "rag-2pc", "rog-2pc"})
 
 #: The schedule families ``run_suite`` plans: the standard matrix every
 #: mode runs, and the NICE-only control-plane (one metadata standby) and
@@ -90,30 +69,27 @@ def plan(
         if name not in DIRECTED:
             named(name, "")
     std_names = [n for n in schedules if n not in CP_SCHEDULES + DURABILITY_SCHEDULES]
-    # Harmonia modes get their own cell plan below: the honest mode runs
-    # the standard suite plus the rule_flap schedule (its read rules are
-    # flow state the flap attacks), the weak mode runs the directed
-    # mid-put cell that deterministically exposes its early dirty-clear.
-    h_modes = [m for m in modes if m.startswith("harmonia")]
     cells = [
         Cell(chaos_cell, dict(mode=mode, schedule=name, duration=duration), seed=seed)
         for mode in modes
-        if mode not in h_modes
+        if mode != "harmonia"
         for name in std_names
         for seed in range(1, (seeds if mode == "nice" else baseline_seeds) + 1)
     ]
-    if "harmonia" in h_modes:
+    if "harmonia" in modes:
+        # Harmonia runs the standard suite plus the rule_flap schedule (its
+        # read rules are flow state the flap attacks) and the directed
+        # mid-put cell (the window its dirty-set exists for).
         h_names = std_names if "rule_flap" in std_names else [*std_names, "rule_flap"]
         cells += [
             Cell(chaos_cell, dict(mode="harmonia", schedule=name, duration=duration), seed=seed)
             for name in h_names
             for seed in range(1, baseline_seeds + 1)
         ]
-    cells += [
-        Cell(harmonia_midput_cell, dict(mode=mode), seed=seed)
-        for mode in h_modes
-        for seed in range(1, baseline_seeds + 1)
-    ]
+        cells += [
+            Cell(harmonia_midput_cell, dict(mode="harmonia"), seed=seed)
+            for seed in range(1, baseline_seeds + 1)
+        ]
     if "nice" in modes:
         # The control-plane family (metadata-leader crash/failover,
         # controller channel outages), with one metadata standby.
@@ -127,18 +103,17 @@ def plan(
             if name in schedules
             for seed in range(1, seeds + 1)
         ]
-        # The durability family (§5k): power blackout for the honest mode
-        # and the weakened wal=off variant, the directed torn-tail cell,
-        # bit-rot vs the scrubber, the fail-slow drain (harmonia reads).
+        # The durability family (§5k): power blackout, the directed
+        # torn-tail cell, bit-rot vs the scrubber, the fail-slow drain
+        # (harmonia reads).
         d_seeds = range(1, baseline_seeds + 1)
         if "power_blackout" in schedules:
             cells += [
                 Cell(
                     durability_cell,
-                    dict(mode=mode, schedule="power_blackout", duration=max(duration, 10.0)),
+                    dict(mode="nice", schedule="power_blackout", duration=max(duration, 10.0)),
                     seed=seed,
                 )
-                for mode in ("nice", "nice-waloff")
                 for seed in d_seeds
             ]
         for name, fn in DIRECTED.items():
@@ -158,25 +133,28 @@ def run_suite(
 ) -> Dict:
     """Run the :func:`plan`; returns (and writes) the report dict.
 
-    ``smoke`` shrinks everything for CI.  Cells fan across workers per the
-    session's ``--jobs`` setting; the merged case order and every case
-    payload are identical to a sequential run.  The verdict is
-    :func:`check`'s, over the finished report.
+    ``smoke`` shrinks everything for CI.  An unfiltered call (no ``modes``,
+    no ``schedules``) also runs the whole mutant table.  Cells fan across
+    workers per the session's ``--jobs`` setting; the merged case order
+    and every case payload are identical to a sequential run.  The verdict
+    is :func:`check`'s, over the finished report.
     """
+    mutants = list(mutant_table.MUTANTS) if modes is None and schedules is None else []
     if smoke:
         seeds, baseline_seeds, duration = 2, 1, 8.0
-        modes = modes or ["nice", "rac-2pc", "rac-weak", "harmonia", "harmonia-weak"]
+        modes = modes or ["nice", "rac-2pc", "harmonia"]
         schedules = schedules or [
             "crash_rejoin", "partition_rejoin", "primary_crash",
             *CP_SCHEDULES, *DURABILITY_SCHEDULES,
         ]
-    # Durability-only modes (nice-waloff) never join the matrix product;
-    # the durability cell plan instantiates them directly.
-    modes = modes or [m for m in MODES if not MODES[m].get("durability_only")]
+    modes = modes or list(MODES)
     # ``schedules`` spans all three families; ``None`` means everything.
     if schedules is None:
         schedules = [*STANDARD_SCHEDULES, *CP_SCHEDULES, *DURABILITY_SCHEDULES]
-    cells = plan(modes, schedules, seeds, baseline_seeds, duration)
+    cells = plan(modes, schedules, seeds, baseline_seeds, duration) + [
+        Cell(mutant_table.mutant_cell, dict(name=name), seed=mutant_table.MUTANTS[name].seed)
+        for name in mutants
+    ]
     t0 = time.perf_counter()
     drain_records()  # isolate this suite's cell records from earlier runs
     cases: List[Dict] = run_cells(cells)
@@ -188,6 +166,7 @@ def run_suite(
         "duration_s_per_case": duration,
         "modes": modes,
         "schedules": schedules,
+        "planned_mutants": mutants,
         "provenance": provenance(records=cell_records, seeds=seeds),
         "cases": cases,
         "cells": cell_records,
@@ -210,22 +189,16 @@ def _tag(case: Dict) -> str:
 
 def _tolerated(case: Dict) -> bool:
     """A violation the matrix documents rather than fails: a loss-fragile
-    mode (see :data:`MODES`) under a loss-bearing schedule."""
-    return not case["linearizable"] and MODES[case["mode"]]["loss_fragile"] and case["has_loss"]
-
-
-def _caught(case: Dict) -> bool:
-    """Did the oracle a weak config exists for see it fail?  Acked
-    durability for the wal=off cells, linearizability everywhere else."""
-    return not (case["durable"] if case["family"] == "durability" else case["linearizable"])
+    mode (see :data:`LOSS_FRAGILE`) under a loss-bearing schedule."""
+    return not case["linearizable"] and case["mode"] in LOSS_FRAGILE and case["has_loss"]
 
 
 def summarize(report: Dict) -> Dict:
     """The human-facing count blocks of a report (``summary``, ``harmonia``,
-    ``durability``), derived from its ``cases``.  :func:`check` never reads
-    them back."""
-    cases = report["cases"]
-    matrix = [c for c in cases if c["family"] not in ("controlplane", "durability")]
+    ``durability``, ``mutants``), derived from its ``cases``.  :func:`check`
+    never reads them back."""
+    honest = [c for c in report["cases"] if "mutant" not in c]
+    matrix = [c for c in honest if c["family"] not in ("controlplane", "durability")]
     summary: Dict[str, Dict] = {}
     for mode in report["modes"]:
         rows = [c for c in matrix if c["mode"] == mode]
@@ -234,10 +207,9 @@ def summarize(report: Dict) -> Dict:
             "violations": sum(not c["linearizable"] for c in rows),
             "tolerated": sum(_tolerated(c) for c in rows),
             "inconclusive": sum(c["inconclusive"] for c in rows),
-            "expect_violation": MODES[mode]["expect_violation"],
         }
     blocks: Dict[str, Dict] = {"summary": summary}
-    cp_rows = [c for c in cases if c["family"] == "controlplane"]
+    cp_rows = [c for c in honest if c["family"] == "controlplane"]
     if cp_rows:
         cp = [c["controlplane"] for c in cp_rows]
         summary["controlplane"] = {
@@ -249,10 +221,8 @@ def summarize(report: Dict) -> Dict:
             "fenced_flow_mods": sum(v["fenced_flow_mods"] for v in cp),
             "reconcile_matches_scratch": all(v["reconcile_matches_scratch"] for v in cp),
         }
-    h_rows = [c for c in matrix if c["mode"].startswith("harmonia")]
+    h_rows = [c for c in matrix if c["mode"] == "harmonia"]
     if h_rows:
-        safe = [c for c in h_rows if c["mode"] == "harmonia"]
-        weak = [c for c in h_rows if c["mode"] == "harmonia-weak"]
         directed = [c for c in h_rows if c["family"] == "harmonia-directed"]
         dirty: Dict[str, int] = {}
         for c in directed:
@@ -260,28 +230,33 @@ def summarize(report: Dict) -> Dict:
                 dirty[k] = dirty.get(k, 0) + v
         blocks["harmonia"] = {
             "cases": len(h_rows),
-            "safe_cases": len(safe),
-            "safe_violations": sum(not c["linearizable"] for c in safe),
-            "weak_cases": len(weak),
-            "weak_caught": any(_caught(c) for c in weak),
+            "violations": sum(not c["linearizable"] for c in h_rows),
             "directed_cells": len(directed),
-            "stale_replica_reads": sum(c.get("stale_replica_reads", 0) for c in safe),
+            "stale_replica_reads": sum(c.get("stale_replica_reads", 0) for c in h_rows),
             "dirty_set": dirty,
         }
-    d_rows = [c for c in cases if c["family"] == "durability"]
+    d_rows = [c for c in honest if c["family"] == "durability"]
     if d_rows:
-        honest = [c for c in d_rows if c["mode"] != "nice-waloff"]
-        weak = [c for c in d_rows if c["mode"] == "nice-waloff"]
         blocks["durability"] = {
             "cells": len(d_rows),
-            "acked_lost": sum(not c["durable"] for c in honest),
+            "acked_lost": sum(not c["durable"] for c in d_rows),
             "torn_detected": sum(c["torn_records"] for c in d_rows),
             "scrub_repairs": sum(c["scrub_repairs"] for c in d_rows),
             "failslow_detected": any(c.get("failslow_detections", 0) > 0 for c in d_rows),
             "failslow_handoffs": sum(c.get("failslow_handoffs", 0) for c in d_rows),
-            "weak_cases": len(weak),
-            "weak_caught": bool(weak) and all(_caught(c) for c in weak),
         }
+    per: Dict[str, Dict] = {}
+    for c in report["cases"]:
+        if "mutant" in c:
+            mutant = mutant_table.MUTANTS.get(c["mutant"])
+            per[c["mutant"]] = {
+                "cell": mutant.label if mutant else None,
+                "killed": killed(c),
+                "failures": gate_failures(c),
+            }
+    if per:
+        n_killed = sum(v["killed"] for v in per.values())
+        blocks["mutants"] = {"killed": n_killed, "total": len(per), "per_mutant": per}
     return blocks
 
 
@@ -319,45 +294,62 @@ def _cell_gates(c: Dict):
             yield not c["degraded_after"], f"still degraded after heal: {c['degraded_after']}"
 
 
+def gate_failures(c: Dict) -> List[str]:
+    """The gates row ``c`` fails, as texts.  An honest cell must fail none."""
+    return [text for ok, text in _cell_gates(c) if not ok]
+
+
+def killed(c: Dict) -> bool:
+    """Whether a mutant's row is *killed*: it fails a gate on a conclusive
+    history (a search that hit its state limit caught no bug)."""
+    return not c["inconclusive"] and bool(gate_failures(c))
+
+
 def check(report: Dict) -> List[str]:
     """Every gate of the suite, as failure strings (empty = pass).
 
-    A pure function of ``cases`` plus the planned ``modes``/``schedules``,
-    which say what *must* be there: a matrix whose trap cell is missing,
-    or never springs, proves nothing.  ``run_suite``, the CLI exit code,
-    CI and the tier-1 test over the committed ``BENCH_chaos.json`` all
-    take their verdict from here.
+    A pure function of ``cases`` plus the planned ``modes``/``schedules``/
+    ``planned_mutants``, which say what *must* be there: a matrix whose
+    trap cell is missing, or never springs, proves nothing; a planned
+    mutant's row must be conclusive and :func:`killed` exactly when the
+    mutant table says.  ``run_suite``, the CLI exit code, CI and the tier-1
+    test over the committed ``BENCH_chaos.json`` take their verdict here.
     """
     if report["schema_version"] != SCHEMA_VERSION:
         return [f"schema_version {report['schema_version']} != {SCHEMA_VERSION}"]
     cases, modes, schedules = report["cases"], report["modes"], report["schedules"]
     failures: List[str] = []
-    # What the planned matrix must contain: the weak configs the checker
-    # has to catch, and the (family, schedule) groups of honest trap cells.
-    weak = [m for m in modes if MODES[m]["expect_violation"]]
+    # The (family, schedule) groups of honest trap cells the plan contains.
     groups = []
     if "harmonia" in modes:
         groups += [("standard", "rule_flap"), ("harmonia-directed", "rack_isolate_midput")]
     if "nice" in modes:
         groups += [("controlplane", n) for n in CP_SCHEDULES if n in schedules]
         groups += [("durability", n) for n in DURABILITY_SCHEDULES if n in schedules]
-        if "power_blackout" in schedules:
-            weak.append("nice-waloff")
+    mutant_rows = {c["mutant"]: c for c in cases if "mutant" in c}
     ran = set()
     for c in cases:
-        if not MODES[c["mode"]]["expect_violation"]:
+        if "mutant" not in c:
             ran.add((c["family"], c["schedule"]))
-            failures += [f"{_tag(c)}: {text}" for ok, text in _cell_gates(c) if not ok]
-        elif c["family"] == "durability" and not _caught(c):
-            failures.append(f"{_tag(c)}: wal=off acked losses escaped detection")
+            failures += [f"{_tag(c)}: {text}" for text in gate_failures(c)]
     failures += [
         f"{family}/{schedule}: planned but no honest cell ran"
         for family, schedule in groups
         if (family, schedule) not in ran
     ]
-    for mode in weak:
-        if not any(_caught(c) for c in cases if c["mode"] == mode):
-            failures.append(f"{mode}: weak config escaped detection")
+    for name in report["planned_mutants"]:
+        row, mutant = mutant_rows.get(name), mutant_table.MUTANTS.get(name)
+        if mutant is None:
+            failures.append(f"mutant {name}: not in the mutant table")
+        elif row is None:
+            failures.append(f"mutant {name}: planned but no cell ran")
+        elif row["inconclusive"]:
+            failures.append(f"mutant {name} inconclusive")
+        elif killed(row) != mutant.killed:
+            failures.append(
+                f"mutant {name} survived" if mutant.killed
+                else f"mutant {name} killed; table expects it to survive"
+            )
     return failures
 
 
@@ -367,6 +359,8 @@ def format_report(report: Dict) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for c in report["cases"]:
+        if "mutant" in c:
+            continue
         note = "inconclusive" if c["inconclusive"] else (c["reason"][:50] if not c["linearizable"] else "")
         lines.append(
             f"{c['mode']:<12} {c['schedule']:<18} {c['seed']:>4} "
@@ -383,16 +377,13 @@ def format_report(report: Dict) -> str:
                 f", {s['promotions']} promotions, {s['fenced_flow_mods']} fenced mods, "
                 f"reconcile==scratch: {s['reconcile_matches_scratch']}"
             )
-        else:
-            line += " (violation expected)" if s["expect_violation"] else " (must be clean)"
         lines.append(line)
     h = report.get("harmonia")
     if h:
         lines.append(
-            f"  harmonia: {h['safe_cases']} safe cases "
-            f"({h['safe_violations']} violations), weak caught: "
-            f"{h['weak_caught']} over {h['weak_cases']} cases, "
-            f"{h['directed_cells']} directed mid-put cells"
+            f"  harmonia: {h['cases']} cases ({h['violations']} violations), "
+            f"{h['directed_cells']} directed mid-put cells, "
+            f"{h['stale_replica_reads']} stale replica reads"
         )
     d = report.get("durability")
     if d:
@@ -400,9 +391,13 @@ def format_report(report: Dict) -> str:
             f"  durability: {d['cells']} cells, {d['acked_lost']} acked losses, "
             f"{d['torn_detected']} torn records, {d['scrub_repairs']} scrub "
             f"repairs, fail-slow detected: {d['failslow_detected']} "
-            f"({d['failslow_handoffs']} handoffs), wal=off caught: "
-            f"{d['weak_caught']} over {d['weak_cases']} cells"
+            f"({d['failslow_handoffs']} handoffs)"
         )
+    m = report.get("mutants")
+    if m:
+        lines += ["", f"mutants killed: {m['killed']} / {m['total']}"]
+        for name, v in m["per_mutant"].items():
+            lines.append(f"  {name:<22} {'killed' if v['killed'] else 'survived':<9} {v['cell']}")
     lines.append("")
     lines.append("PASS" if report["passed"] else "FAIL:")
     for f in report["failures"]:

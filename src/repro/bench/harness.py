@@ -95,7 +95,9 @@ def _noob(access: str, consistency: str, **extra):
 
 #: Every system name a result row carries -> (builder, config overrides):
 #: the figure legs by their display name, the chaos modes by their mode
-#: name (whose expectations live in ``chaos.MODES``).
+#: name (listed in ``chaos.MODES``, the loss-fragile ones in
+#: ``chaos.suite.LOSS_FRAGILE``), and ``rac-weak``, which only the mutant
+#: table runs.
 SYSTEMS: Dict[str, Tuple[Callable, Dict[str, Any]]] = {
     "NICE": (build_nice, {}),
     "NICE harmonia": (build_nice, dict(protocol_mode="harmonia")),
@@ -122,12 +124,8 @@ SYSTEMS: Dict[str, Tuple[Callable, Dict[str, Any]]] = {
     # the misconfiguration the checker must catch.
     "rac-weak": _noob("rac", "primary", get_lb="round_robin"),
     # Harmonia protocol mode (DESIGN.md §5j): switch dirty-set, any-replica
-    # conflict-free reads; "harmonia-weak" clears the dirty entry on the
-    # commit multicast's *transit* (before replicas apply).
+    # conflict-free reads.
     "harmonia": (build_nice, dict(protocol_mode="harmonia")),
-    "harmonia-weak": (build_nice, dict(protocol_mode="harmonia-weak")),
-    # Durability-only mode (DESIGN.md §5k): acks race the flush.
-    "nice-waloff": (build_nice, dict(wal_forced=False)),
 }
 
 

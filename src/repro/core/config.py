@@ -105,30 +105,21 @@ class ClusterConfig:
     #: Salt for the fabric's ECMP hash — same seed, same paths.
     ecmp_seed: int = 0
     #: -- Protocol variants, and why each exists (the one place that says) --
-    #: The paper has one protocol.  This repo carries three read-path
-    #: ``protocol_mode``s and two deliberately weakened variants, each for
-    #: one stated reason; a variant no figure or oracle needs should go.
-    #:   "nice"           the paper's §4.5 static (src-prefix, dst-prefix)
-    #:                    load balancer — the default, every figure.
-    #:   "harmonia"       a switch-maintained dirty-set of in-flight puts
-    #:                    (arXiv 1904.08964, DESIGN.md §5j): gets on clean
-    #:                    keys round-robin over every consistent replica,
-    #:                    dirty keys fall back to the primary — the one
-    #:                    measured extension (`read_scaling`).
-    #:   "harmonia-weak"  clears the dirty entry when the commit multicast
-    #:                    *transits* the switch, before replicas apply —
-    #:                    exists only so the chaos suite can prove the
-    #:                    linearizability checker catches that window.
-    #:   wal_forced=False ("wal=off", §5k) log appends skip the flush, so
-    #:                    acks race durability and a power failure loses
-    #:                    acknowledged puts — exists only so the acked-
-    #:                    durability checker has something to catch.
-    #: (NOOB's ``rac-weak`` is no code path: primary-only replication with
-    #: round-robin reads is a legal ``NoobConfig`` the checker must catch.)
+    #: The paper has one protocol.  This repo carries two read-path
+    #: ``protocol_mode``s, each for one stated reason; a variant no figure
+    #: or oracle needs should go.
+    #:   "nice"      the paper's §4.5 static (src-prefix, dst-prefix) load
+    #:               balancer — the default, every figure.
+    #:   "harmonia"  a switch-maintained dirty-set of in-flight puts (arXiv
+    #:               1904.08964, DESIGN.md §5j): gets on clean keys
+    #:               round-robin over every consistent replica, dirty keys
+    #:               fall back to the primary — the one measured extension
+    #:               (`read_scaling`).
+    #: Deliberately broken variants (a dirty-set cleared on the commit's
+    #: transit, log appends that skip the flush, …) are not settable here:
+    #: they are in-process patches in the mutant table,
+    #: ``repro/check/mutants.py``, which the chaos suite must catch.
     protocol_mode: str = "nice"
-    #: Fig 3 durability contract: every write a put ack depends on sits
-    #: behind a forced (flushed) log append.
-    wal_forced: bool = True
     #: Background scrubber cadence (seconds between full store walks that
     #: re-verify object checksums and read-repair bit-rot from a
     #: consistent replica).  0 (default) disables the scrubber entirely —
@@ -153,11 +144,8 @@ class ClusterConfig:
         self.n_partitions = p
         if self.deployment not in ("hw", "ovs"):
             raise ValueError(f"deployment must be 'hw' or 'ovs': {self.deployment!r}")
-        if self.protocol_mode not in ("nice", "harmonia", "harmonia-weak"):
-            raise ValueError(
-                "protocol_mode must be 'nice', 'harmonia' or "
-                f"'harmonia-weak': {self.protocol_mode!r}"
-            )
+        if self.protocol_mode not in ("nice", "harmonia"):
+            raise ValueError(f"protocol_mode must be 'nice' or 'harmonia': {self.protocol_mode!r}")
         if self.scrub_interval_s < 0:
             raise ValueError(f"scrub_interval_s must be >= 0: {self.scrub_interval_s}")
         if self.metadata_standbys < 0:

@@ -36,7 +36,7 @@ class NodeShell:
         self.cpu = Resource(sim, capacity=1, name=f"{name}.cpu")
         self.disk = Disk(sim, name=f"{name}.disk")
         self.store = ObjectStore()
-        self.wal = WriteAheadLog(self.disk, forced=config.wal_forced)
+        self.wal = WriteAheadLog(self.disk)
         self.locks = LockTable()
         self._token_seq = itertools.count(1)
         self.puts_served = Counter(f"{name}.puts")

@@ -122,9 +122,7 @@ class NiceCluster(ClusterBase):
         #: None keeps every switch on the untouched NICE read path.
         self.harmonia = None
         if cfg.protocol_mode != "nice":
-            self.harmonia = HarmoniaRegistry(
-                self.uni_vring, weak=(cfg.protocol_mode == "harmonia-weak")
-            )
+            self.harmonia = HarmoniaRegistry(self.uni_vring)
             core = self.fabric.switches if self.fabric is not None else [self.switch]
             for sw in core:
                 sw._harmonia = self.harmonia

@@ -146,11 +146,8 @@ class _JournalEntry:
 class WriteAheadLog:
     """Per-node durable operation log (backed by the node's disk)."""
 
-    def __init__(self, disk: Disk, forced: bool = True):
+    def __init__(self, disk: Disk):
         self.disk = disk
-        #: False: appends skip the flush (the ``wal=off`` variant; why it
-        #: exists is in ``core/config.py``).
-        self.forced = forced
         self._records: Dict[Tuple, LogRecord] = {}
         #: op id → journal entry, in append order (insertion-ordered).
         self._journal: Dict[Tuple, _JournalEntry] = {}
@@ -164,7 +161,7 @@ class WriteAheadLog:
         """Durably append (+L, forced write); returns a Process to yield on."""
         self._records[record.op_id] = record
         self.appended += 1
-        done = self.disk.write(RECORD_BYTES, forced=self.forced)
+        done = self.disk.write(RECORD_BYTES, forced=True)
         self._journal[record.op_id] = _JournalEntry(
             self.disk.issued_seq, encode_record(record)
         )

@@ -21,9 +21,9 @@ like one logical switch).  Lifecycle of one put:
   primary until the partition's next rule re-sync: some replica missed
   the commit, so only the primary is known-fresh (§4.4 drain guard)
 
-The deliberately broken ``weak`` variant instead clears the entry when
-the *commit* multicast transits — before the replicas have applied it —
-reopening the stale-read window the chaos suite must catch.
+The *commit* multicast's transit clears nothing: the replicas have not
+applied it yet (``check/mutants.py``'s ``harmonia_commit_clear`` is that
+bug, and the chaos suite must catch it).
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ _RESOLVED_LIMIT = 4096
 class HarmoniaRegistry:
     """Cluster-wide dirty-set, pin-set and round-robin state."""
 
-    def __init__(self, ring, weak: bool = False):
+    def __init__(self, ring):
         #: The unicast vring — key -> partition (uni and mc share the
         #: key -> subgroup mapping, so either ring works).
         self.ring = ring
-        #: Weakened variant: clear on commit *transit* (see module doc).
-        self.weak = bool(weak)
         #: op_id -> key, for every put currently in flight.
         self._key_of: Dict[Tuple, str] = {}
         #: key -> set of in-flight op_ids writing it.
@@ -79,14 +77,8 @@ class HarmoniaRegistry:
                     self._mark(tuple(body["op_id"]), body["key"])
             elif kind == "mc_ctrl" and len(payload) >= 2:
                 body = payload[1]
-                if isinstance(body, dict):
-                    mtype = body.get("type")
-                    if mtype == "abort":
-                        self._resolve(tuple(body["op_id"]), pin=False)
-                    elif mtype == "commit" and self.weak:
-                        # WEAK VARIANT: the commit is still in flight to
-                        # the replicas — clearing now races their apply.
-                        self._resolve(tuple(body["op_id"]), pin=False)
+                if isinstance(body, dict) and body.get("type") == "abort":
+                    self._resolve(tuple(body["op_id"]), pin=False)
         elif isinstance(payload, dict) and payload.get("kind") == "data":
             body = payload.get("payload")
             if isinstance(body, dict) and body.get("type") == "put_reply":

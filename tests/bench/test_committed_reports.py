@@ -16,6 +16,7 @@ from repro.bench import __main__ as cli
 from repro.bench import chaos, perf, scale
 from repro.bench.__main__ import main
 from repro.bench.harness import ExperimentResult
+from repro.check.mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parents[2]
 SUITES = {"perf": perf, "chaos": chaos}
@@ -37,15 +38,21 @@ def test_committed_report_passes_its_own_gate(suite):
 def test_committed_reports_are_the_documented_runs():
     assert not committed("perf")["smoke"]  # full suite: all three plan_scale rungs
     report = committed("chaos")
-    assert report["smoke"] and len(report["cases"]) == 29
+    assert report["smoke"] and len(cases(report)) == 24
+    assert report["planned_mutants"] == list(MUTANTS)
+    assert [c["mutant"] for c in report["cases"] if "mutant" in c] == list(MUTANTS)
     assert chaos.summarize(report) == {
-        k: report[k] for k in ("summary", "harmonia", "durability")
+        k: report[k] for k in ("summary", "harmonia", "durability", "mutants")
     }
+    expected = sum(m.killed for m in MUTANTS.values())
+    assert (report["mutants"]["killed"], report["mutants"]["total"]) == (expected, len(MUTANTS))
 
 
 # ------------------------------------------------------- every gate bites
 def cases(report, **want):
-    return [c for c in report["cases"] if all(c[k] == v for k, v in want.items())]
+    """Rows matching ``want``; honest rows only unless ``mutant=`` is given."""
+    want.setdefault("mutant", None)
+    return [c for c in report["cases"] if all(c.get(k) == v for k, v in want.items())]
 
 
 def set_all(rows, **fields):
@@ -55,6 +62,12 @@ def set_all(rows, **fields):
 
 def drop(report, **want):
     report["cases"] = [c for c in report["cases"] if c not in cases(report, **want)]
+
+
+def rename_mutant(report, old, new):
+    report["planned_mutants"] = [new if n == old else n for n in report["planned_mutants"]]
+    for c in cases(report, mutant=old):
+        c["mutant"] = new
 
 
 def cp_set(report, schedule, **fields):
@@ -81,13 +94,26 @@ CHAOS_MUTATIONS = {
                           inconclusive=True, reason="W&G limit: doctored"),
         ["rac-2pc/crash_rejoin/seed1: inconclusive: W&G limit: doctored"],
     ),
-    "rac-weak never caught": (
-        lambda r: set_all(cases(r, mode="rac-weak"), linearizable=True),
-        ["rac-weak: weak config escaped detection"],
+    "a required mutant survives": (
+        lambda r: set_all(cases(r, mutant="wal_unflushed"), durable=True, linearizable=True),
+        ["mutant wal_unflushed survived"],
     ),
-    "no harmonia-weak row": (
-        lambda r: drop(r, mode="harmonia-weak"),
-        ["harmonia-weak: weak config escaped detection"],
+    "an expected survivor is killed": (
+        lambda r: set_all(cases(r, mutant="drain_off"), linearizable=False, reason="doctored"),
+        ["mutant drain_off killed; table expects it to survive"],
+    ),
+    "a planned mutant never ran": (
+        lambda r: drop(r, mutant="rac-weak"),
+        ["mutant rac-weak: planned but no cell ran"],
+    ),
+    "a required mutant's only failure is an inconclusive search": (
+        lambda r: set_all(cases(r, mutant="wal_unflushed"), durable=True, linearizable=True,
+                          inconclusive=True, reason="W&G limit: doctored"),
+        ["mutant wal_unflushed inconclusive"],
+    ),
+    "a planned mutant left the table": (
+        lambda r: rename_mutant(r, "rac-weak", "ghost"),
+        ["mutant ghost: not in the mutant table"],
     ),
     "no honest directed cell": (
         lambda r: drop(r, mode="harmonia", family="harmonia-directed"),
@@ -129,15 +155,6 @@ CHAOS_MUTATIONS = {
         lambda r: set_all(cases(r, mode="nice", schedule="power_blackout"),
                           durable=False, durability_reason="doctored"),
         ["durability/power_blackout/seed1: acked put lost: doctored"],
-    ),
-    "no nice-waloff row": (
-        lambda r: drop(r, mode="nice-waloff"),
-        ["nice-waloff: weak config escaped detection"],
-    ),
-    "wal=off survives the blackout": (
-        lambda r: set_all(cases(r, mode="nice-waloff"), durable=True),
-        ["durability/power_blackout/seed1: wal=off acked losses escaped detection",
-         "nice-waloff: weak config escaped detection"],
     ),
     "torn_records 0 everywhere": (
         lambda r: set_all(cases(r, family="durability"), torn_records=0),
@@ -219,29 +236,26 @@ def test_single_field_mutation_yields_exactly_the_expected_failure(suite, name):
     assert SUITES[suite].check(report) == expected
 
 
+def test_summarize_keeps_a_row_whose_mutant_left_the_table():
+    report = committed("chaos")
+    rename_mutant(report, "rac-weak", "ghost")
+    ghost = chaos.summarize(report)["mutants"]["per_mutant"]["ghost"]
+    assert ghost["cell"] is None and ghost["killed"]
+
+
 def test_filtered_run_skips_the_families_it_never_planned():
     """An API call with ``modes=``/``schedules=`` plans no control-plane,
     durability or rule-flap-free matrix — "must be present" follows the
-    recorded plan, so the same gate passes it.  Also pins the PR 15 fix:
-    the directed mid-put cell strands a secondary, the weak variant serves
-    the stale read (that is how it gets caught), the honest one never
-    does, and only the honest count reaches the ``== 0`` gate."""
+    recorded plan, so the same gate passes it.  A filtered call plans no
+    mutant either; the honest directed mid-put cell serves no stale read."""
     report = chaos.run_suite(
-        seeds=1, baseline_seeds=1, modes=["harmonia", "harmonia-weak"],
-        schedules=["crash_rejoin"], duration=3.0, out_path=None,
+        seeds=1, baseline_seeds=1, modes=["harmonia"], schedules=["crash_rejoin"],
+        duration=3.0, out_path=None,
     )
     assert report["failures"] == [] and report["passed"]
-    directed = {
-        c["mode"]: c["stale_replica_reads"]
-        for c in report["cases"]
-        if c["family"] == "harmonia-directed"
-    }
-    assert directed["harmonia"] == 0 and directed["harmonia-weak"] >= 1
-    assert report["harmonia"]["stale_replica_reads"] == 0
-    assert report["harmonia"]["weak_caught"]
-    # The same report with its weak trap removed must fail by name.
-    drop(report, mode="harmonia-weak")
-    assert chaos.check(report) == ["harmonia-weak: weak config escaped detection"]
+    assert report["planned_mutants"] == [] and "mutants" not in report
+    (honest,) = cases(report, family="harmonia-directed")
+    assert honest["stale_replica_reads"] == 0 == report["harmonia"]["stale_replica_reads"]
 
 
 # ------------------------------------------------------------- exit codes

@@ -13,6 +13,7 @@ from repro.bench import EXPERIMENTS, SYSTEMS, build, chaos, run, scale
 from repro.bench.chaos import suite
 from repro.bench.harness import Experiment, product, register
 from repro.chaos import named
+from repro.check.mutants import mutant_cell
 
 #: ``bench all`` runs these, in this order — the order is part of
 #: ``BENCH_figures.json``.
@@ -67,7 +68,7 @@ def chaos_cell_functions():
         list(suite.MODES), [*suite.STANDARD_SCHEDULES, *suite.CP_SCHEDULES,
                             *suite.DURABILITY_SCHEDULES], 1, 1, 1.0,
     )
-    return {cell.fn for cell in everything} | {scale.scale_chaos_cell}
+    return {cell.fn for cell in everything} | {mutant_cell, scale.scale_chaos_cell}
 
 
 def test_every_cell_function_pickles_by_reference():
@@ -76,7 +77,7 @@ def test_every_cell_function_pickles_by_reference():
     cells = [exp.cell for exp in EXPERIMENTS.values()] + sorted(
         chaos_cell_functions(), key=lambda fn: fn.__qualname__
     )
-    assert len(chaos_cell_functions()) == 7
+    assert len(chaos_cell_functions()) == 8
     for fn in cells:
         assert pickle.loads(pickle.dumps(fn)) is fn, fn
 

@@ -7,13 +7,17 @@ fresh run.
 """
 
 import concurrent.futures
+import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 
 import pytest
 
 from repro.bench import chaos, parallel, run, scale
+from repro.bench.chaos.cells import durability_cell
+from repro.bench.chaos.suite import gate_failures, killed
 from repro.bench.parallel import (
     Cell,
     canonical,
@@ -23,6 +27,8 @@ from repro.bench.parallel import (
     run_cells,
     source_fingerprint,
 )
+from repro.check.mutants import MUTANTS, mutant_cell
+from repro.kv import WriteAheadLog
 
 
 # Module-level cell functions: picklable by reference for pool workers.
@@ -277,7 +283,7 @@ def test_multi_result_sweep_parallel_parity():
 
 
 def test_chaos_matrix_parallel_parity():
-    kw = dict(seeds=1, baseline_seeds=1, modes=["nice", "rac-weak"],
+    kw = dict(seeds=1, baseline_seeds=1, modes=["nice"],
               schedules=["partition_rejoin"], duration=3.0, out_path=None)
     seq = chaos.run_suite(**kw)
     prior = parallel.configure(jobs=2, cache_dir=None)
@@ -287,8 +293,54 @@ def test_chaos_matrix_parallel_parity():
         parallel.configure(**prior)
     assert seq["cases"] == par["cases"]
     assert seq["summary"] == par["summary"]
-    # The weak config must still be caught when its cell runs in a worker.
-    assert any(not c["linearizable"] for c in par["cases"])
+    assert par["passed"]
+
+
+# ------------------------------------------------ mutant patches never leak
+def mutant(name):
+    return Cell(mutant_cell, dict(name=name), seed=MUTANTS[name].seed)
+
+
+HONEST_BLACKOUT = Cell(
+    durability_cell, dict(mode="nice", schedule="power_blackout", duration=10.0), seed=1
+)
+
+
+def test_mutant_rows_identical_inline_pooled_and_warm(tmp_path):
+    cells = [mutant("harmonia_commit_clear"), mutant("wal_unflushed")]
+    inline = run_cells(cells, jobs=1, cache_dir=None)
+    drain_records()
+    pooled = run_cells(cells, jobs=2, cache_dir=str(tmp_path / "bc"))
+    warm = run_cells(cells, jobs=2, cache_dir=str(tmp_path / "bc"))
+    assert [r["cache_hit"] for r in drain_records()] == [False, False, True, True]
+    assert inline == pooled == warm
+    assert all(killed(row) for row in inline)
+
+
+def test_honest_cell_after_a_mutant_in_the_same_worker_passes():
+    spawn = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        broken, honest = [
+            pool.submit(cell.execute) for cell in (mutant("wal_unflushed"), HONEST_BLACKOUT)
+        ]
+        assert killed(broken.result(timeout=300))
+        assert gate_failures(honest.result(timeout=300)) == []
+
+
+def test_a_mutant_patch_is_undone_when_its_cell_raises(monkeypatch):
+    honest_append = WriteAheadLog.append
+
+    def dies(**_params):
+        assert WriteAheadLog.append is not honest_append  # patched inside the cell
+        raise RuntimeError("cell died mid-run")
+
+    doomed = dataclasses.replace(MUTANTS["wal_unflushed"], cell=dies)
+    monkeypatch.setitem(MUTANTS, "wal_unflushed", doomed)
+    with pytest.raises(RuntimeError, match="cell died mid-run"):
+        run_cells([mutant("wal_unflushed")], jobs=1, cache_dir=None)
+    assert WriteAheadLog.append is honest_append
+    (row,) = run_cells([HONEST_BLACKOUT], jobs=1, cache_dir=None)
+    assert gate_failures(row) == []
 
 
 def test_chaos_cells_cacheable(tmp_path):

@@ -7,14 +7,15 @@ commit multicast reaching a stranded secondary.  The secondary then holds
 the old value while the primary holds the new one — a correct dirty-set
 must keep every switch off the stale replica (the key was marked on the
 put's data transit and is pinned by the failed put_reply), while the
-deliberately weakened variant ("harmonia-weak": dirty entry cleared on
-the *commit's* transit, before replicas apply) leaks a stale conflict-free
-read that the Wing–Gong checker must catch.
+``harmonia_commit_clear`` mutant (dirty entry cleared on the *commit's*
+transit, before replicas apply) leaks a stale conflict-free read that the
+Wing–Gong checker must catch.
 """
 
 import pytest
 
 from repro.check import HistoryRecorder, check_linearizable
+from repro.check.mutants import MUTANTS
 from repro.core import ClusterConfig, NiceCluster
 
 
@@ -127,7 +128,8 @@ def test_rack_isolate_mid_put_harmonia_serves_no_stale_read():
 
 
 def test_rack_isolate_mid_put_weakened_variant_is_caught():
-    out = run_mid_put_scenario("harmonia-weak")
+    with MUTANTS["harmonia_commit_clear"].patch:
+        out = run_mid_put_scenario("harmonia")
     # The weakened dirty-set cleared the key on the commit's *transit*, so
     # rack-1's leaf was free to serve the stranded secondary rack-locally.
     stale = [g for g in out["rack1_gets"] if g.ok and g.value == "v1"]

@@ -13,6 +13,7 @@ from repro.kv import (
     WriteAheadLog,
     object_checksum,
 )
+from repro.check.mutants import MUTANTS
 from repro.sim import Simulator
 
 
@@ -256,15 +257,17 @@ def test_power_loss_honors_durable_removal():
 
 
 def test_unforced_wal_loses_appends_on_power_loss():
+    """The mutant table's ``wal_unflushed``: appends skip the flush."""
     sim = Simulator()
     disk = Disk(sim)
-    wal = WriteAheadLog(disk, forced=False)
+    wal = WriteAheadLog(disk)
 
     def io():
         for n in (1, 2, 3):
             yield wal.append(rec(n))
 
-    run_io(sim, io())
+    with MUTANTS["wal_unflushed"].patch:
+        run_io(sim, io())
     assert disk.flushes.value == 0  # acks never waited for a flush
     disk.crash()
     wal.power_loss()

@@ -3,9 +3,11 @@
 The flow-approximation mode and the two ``REPRO_*`` environment switches
 are gone; these checks keep them from growing back under another name:
 the simulator reads no environment variable, and every place the mode
-used to be settable now rejects it.
+used to be settable now rejects it.  Likewise no deliberately broken
+variant is settable: those are in-process patches in the mutant table.
 """
 
+import inspect
 import re
 from pathlib import Path
 
@@ -15,6 +17,8 @@ import repro
 from repro.bench.__main__ import main
 from repro.bench.parallel import Cell
 from repro.core import ClusterConfig
+from repro.kv import WriteAheadLog
+from repro.net.harmonia import HarmoniaRegistry
 from repro.sim import Simulator
 
 
@@ -61,3 +65,15 @@ def test_cli_rejects_sim_mode_flag(capsys):
 
 def test_kernel_knows_nothing_about_approximation():
     assert [name for name in dir(Simulator()) if "approx" in name] == []
+
+
+def test_src_ships_no_broken_variant():
+    """The weakened harmonia dirty-set and the unflushed WAL were options
+    of the protocol code; they are ``repro.check.mutants`` entries now."""
+    root = Path(repro.__file__).parent
+    pattern = re.compile(r"harmonia-weak|nice-waloff|wal_forced")
+    assert [p.name for p in sorted(root.rglob("*.py")) if pattern.search(p.read_text())] == []
+    assert list(inspect.signature(WriteAheadLog).parameters) == ["disk"]
+    assert list(inspect.signature(HarmoniaRegistry).parameters) == ["ring"]
+    with pytest.raises(ValueError, match="must be 'nice' or 'harmonia'"):
+        ClusterConfig(protocol_mode="harmonia-weak")
