@@ -1,5 +1,5 @@
 """Micro-benches for what ``benchmarks/e2e`` (``BENCHMARK.json``, the
-end-to-end perf contract) cannot see — schema v10:
+end-to-end perf contract) cannot see — schema v11:
 
 * ``kernel_churn`` / ``kernel_steady`` — raw event-loop throughput, and
   heap throughput under 90% timer cancellation (DESIGN.md §5g).
@@ -9,8 +9,8 @@ end-to-end perf contract) cannot see — schema v10:
   that the common case beats, and the heap never drains (§5g).
 * ``switch_lookup`` — ``FlowTable.lookup`` at 1 000 / 4 000 rules and on a
   multi-mask table, memo on vs off.
-* ``multicast_fanout`` — scheduled events per put at R = 3/5/7 (e2e is
-  fixed at R = 3).
+* ``multicast_fanout`` — scheduled events and spawned processes per put
+  at R = 3/5/7 (e2e is fixed at R = 3).
 * ``harmonia_read_floor`` — hot-partition YCSB-C reads, harmonia vs
   NICE-LB (§5j).
 * ``plan_scale`` — the incremental rule planner on the fabric rungs (§5i).
@@ -42,7 +42,7 @@ from .parallel import provenance
 
 __all__ = ["run_suite", "check", "format_report", "DEFAULT_OUT", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 DEFAULT_OUT = "BENCH_perf.json"
 
 #: Host-rate floors, events/s: ~1/3 of the rate observed on the reference
@@ -57,10 +57,13 @@ ENTRY_POOL_REUSE_FLOOR = 0.9
 #: reference run; the usual ~1/3).
 PLANS_PER_S_FLOOR = 4000
 
-#: Ceilings on scheduled events per put at replication 3/5/7.  The counts
-#: are deterministic (159.9 / 260.8 / 361.7 today), so the ceilings sit
-#: under 1% above them and only ever ratchet down.
+#: Ceilings per put at replication 3/5/7 on scheduled events (159.9 /
+#: 260.8 / 361.7 today) and on spawned processes (9.2 / 13.2 / 17.2: a
+#: process is for code that waits between steps, DESIGN.md §5g).  Both
+#: counts are deterministic, so the ceilings sit just above them and only
+#: ever ratchet down.
 FANOUT_EVENTS_PER_OP_MAX = {3: 161, 5: 263, 7: 365}
+FANOUT_SPAWNS_PER_OP_MAX = {3: 9.5, 5: 13.5, 7: 17.5}
 
 #: Floor on harmonia's hot-partition read throughput relative to NICE-LB
 #: at R=3 under YCSB-C (the §5j read-scaling contract).  The structural
@@ -73,6 +76,13 @@ HARMONIA_READ_FLOOR = 1.5
 
 
 # ------------------------------------------------------------------ kernel
+def _rates(sim: Simulator, events: int, wall: float) -> dict:
+    """The columns every event-loop bench reports."""
+    rate = events / wall if wall > 0 else None
+    return {"scheduled_events": events, "wall_s": wall, "events_per_s": rate,
+            "pools": sim.pool_stats()}
+
+
 def _churn_proc(sim: Simulator, rounds: int):
     for _ in range(rounds):
         # The 1–3 event joins that dominate the storage protocols.
@@ -93,15 +103,7 @@ def bench_kernel_churn(n_procs: int = 64, rounds: int = 250) -> dict:
     t0 = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - t0
-    events = sim._eid  # total heap entries scheduled (kernel-internal counter)
-    return {
-        "processes": n_procs,
-        "rounds": rounds,
-        "scheduled_events": events,
-        "wall_s": wall,
-        "events_per_s": events / wall if wall > 0 else None,
-        "pools": sim.pool_stats(),
-    }
+    return {"processes": n_procs, "rounds": rounds, **_rates(sim, sim._eid, wall)}
 
 
 def bench_kernel_steady(
@@ -130,12 +132,9 @@ def bench_kernel_steady(
         sim.run()  # fire survivors, sweep tombstones
     wall = time.perf_counter() - t0
     return {
-        "scheduled_events": scheduled,
         "cancelled": cancelled,
         "cancel_ratio": cancelled / scheduled,
-        "wall_s": wall,
-        "events_per_s": scheduled / wall if wall > 0 else None,
-        "pools": sim.pool_stats(),
+        **_rates(sim, scheduled, wall),
     }
 
 
@@ -209,16 +208,8 @@ def bench_kernel_armed_timers(n_ops: int = 60_000, hops: int = 32, clients: int 
     sim.run()
     wall = time.perf_counter() - t0
     assert sim.now < 2.0, "an armed timer surfaced: the bench measured a drain"
-    return {
-        "ops": n_ops,
-        "hops": hops,
-        "clients": clients,
-        "scheduled_events": sim._eid,
-        "wall_s": wall,
-        "events_per_s": sim._eid / wall if wall > 0 else None,
-        **peaks,
-        "pools": sim.pool_stats(),
-    }
+    return {"ops": n_ops, "hops": hops, "clients": clients, **peaks,
+            **_rates(sim, sim._eid, wall)}
 
 
 # ------------------------------------------------------------------ switch
@@ -317,14 +308,12 @@ def bench_switch_lookup(n_lookups: int = 20000) -> dict:
 
 # ------------------------------------------------------- multicast fan-out
 def bench_multicast_fanout(n_ops: int = 150, size: int = 1 << 14) -> dict:
-    """Scheduled events per put at replication 3/5/7.
+    """Scheduled events and spawned processes per put at replication 3/5/7.
 
-    The batched group fan-out schedules one shared end-of-serialization
-    plus R delivery legs instead of R transmit chains; every extra replica
-    still costs ~50 events of chunk/ACK and 2PC traffic.  Only the
-    deterministic columns are kept — wall time for put legs is
-    ``benchmarks/e2e``'s job — and ``n_ops`` is the same in smoke and
-    full runs so :data:`FANOUT_EVENTS_PER_OP_MAX` gates both.
+    Every extra replica costs ~50 events of chunk/ACK and 2PC traffic and
+    two processes.  Only these deterministic columns are kept (put wall
+    time is ``benchmarks/e2e``'s job), and ``n_ops`` is the same in smoke
+    and full runs so the ``FANOUT_*_PER_OP_MAX`` ceilings gate both.
     """
     out = {"n_ops": n_ops, "size_bytes": size, "legs": []}
     for r in (3, 5, 7):
@@ -341,9 +330,11 @@ def bench_multicast_fanout(n_ops: int = 150, size: int = 1 << 14) -> dict:
 
         run_to_completion(cluster, cluster.sim.process(driver(cluster.sim)))
         events = cluster.sim._eid
-        out["legs"].append(
-            {"replication": r, "scheduled_events": events, "events_per_op": events / n_ops}
-        )
+        spawns = cluster.sim.pool_stats()["processes"]["spawned"]
+        out["legs"].append({
+            "replication": r, "scheduled_events": events, "events_per_op": events / n_ops,
+            "spawns": spawns, "spawns_per_op": spawns / n_ops,
+        })
     return out
 
 
@@ -396,38 +387,35 @@ def _plan_scale_rung(racks: int, hosts_per_rack: int, budget: int) -> dict:
     sim, ctrl = cluster.sim, cluster.controller
     sim.run(until=sim.now + 0.05)  # let the build-time flow-mods land
 
-    # Cold: every (switch, partition) plan recomputed from scratch.  Each
-    # timed leg starts from a collected heap: the build leaves enough young
-    # garbage that a gen-2 pass otherwise lands inside whichever leg runs
-    # first and halves its plans/s for identical per-plan cost.
+    def timed_leg(fn):
+        """Time ``fn()``, then let its flow-mods land.  Each leg starts
+        from a collected heap: the build leaves enough young garbage that
+        a gen-2 pass otherwise lands inside whichever leg runs first and
+        halves its plans/s for identical per-plan cost."""
+        gc.collect()
+        t0 = time.perf_counter()
+        result = fn()
+        wall = time.perf_counter() - t0
+        sim.run(until=sim.now + 0.05)
+        return result, wall
+
+    # Cold: every (switch, partition) plan recomputed from scratch.
     ctrl.invalidate_plans()
     ctrl.plan_recomputes.reset()
     ctrl.plan_cache_hits.reset()
     ctrl.plan_wall_s = 0.0
-    gc.collect()
-    t0 = time.perf_counter()
-    ctrl.sync_all()
-    cold_sync_s = time.perf_counter() - t0
-    sim.run(until=sim.now + 0.05)
+    _, cold_sync_s = timed_leg(ctrl.sync_all)
     cold_recomputes = ctrl.plan_recomputes.value
 
     # Warm: reconcile must serve every plan from the cache.
     ctrl.plan_recomputes.reset()
     ctrl.plan_cache_hits.reset()
-    gc.collect()
-    t0 = time.perf_counter()
-    stats = ctrl.reconcile()
-    warm_reconcile_s = time.perf_counter() - t0
-    sim.run(until=sim.now + 0.05)
+    stats, warm_reconcile_s = timed_leg(ctrl.reconcile)
     warm_recomputes = ctrl.plan_recomputes.value
     warm_hits = ctrl.plan_cache_hits.value
 
     # Incremental: dirty one partition, resync just it.
-    gc.collect()
-    t0 = time.perf_counter()
-    ctrl.sync_partition(0)
-    incremental_sync_s = time.perf_counter() - t0
-    sim.run(until=sim.now + 0.05)
+    _, incremental_sync_s = timed_leg(lambda: ctrl.sync_partition(0))
 
     return {
         "racks": racks,
@@ -498,12 +486,12 @@ def check(report: dict) -> list:
         f"{armed['live_max']} live ones (ceiling {heap_ceiling})",
     )
     for leg in b["multicast_fanout"]["legs"]:
-        ceiling = FANOUT_EVENTS_PER_OP_MAX[leg["replication"]]
-        gate(
-            leg["events_per_op"] <= ceiling,
-            f"multicast_fanout: R={leg['replication']} "
-            f"{leg['events_per_op']:.1f} events/op over ceiling {ceiling}",
-        )
+        r = leg["replication"]
+        for unit, ceiling in (("events", FANOUT_EVENTS_PER_OP_MAX[r]),
+                              ("spawns", FANOUT_SPAWNS_PER_OP_MAX[r])):
+            per_op = leg[f"{unit}_per_op"]
+            gate(per_op <= ceiling,
+                 f"multicast_fanout: R={r} {per_op:.1f} {unit}/op over ceiling {ceiling}")
     rungs = b["plan_scale"]["rungs"]
     for r in rungs:
         tag = f"plan_scale {r['racks']}x{r['hosts_per_rack']}"
@@ -562,8 +550,8 @@ def format_report(report: dict) -> str:
     p = b["kernel_process"]
     h = b["harmonia_read_floor"]
     per_r = ", ".join(
-        f"R={leg['replication']}: {leg['events_per_op']:,.1f} ev/op"
-        f" (max {FANOUT_EVENTS_PER_OP_MAX[leg['replication']]})"
+        f"R={leg['replication']}: {leg['events_per_op']:,.1f} ev/op,"
+        f" {leg['spawns_per_op']:.1f} spawns/op"
         for leg in b["multicast_fanout"]["legs"]
     )
     per_table = ", ".join(

@@ -68,7 +68,7 @@ class KvClient:
         #: Optional :class:`~repro.check.HistoryRecorder`; when set, every
         #: op is captured with invoke/return stamps for consistency checks.
         self.recorder = None
-        sim.process(self._reply_loop())
+        self._reply_inbox.serve(self._on_reply)
 
     @property
     def ip(self) -> IPv4Address:
@@ -79,15 +79,13 @@ class KvClient:
             gen = self.recorder.record(self.host.name, kind, key, value, self.sim, gen)
         return self.sim.process(gen)
 
-    def _reply_loop(self):
-        while True:
-            msg = yield self._reply_inbox.get()
-            body = msg.payload or {}
-            op_id = tuple(body.get("op_id", ()))
-            waiter = self._waiters.pop(op_id, None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(body)
-            # Late duplicates (replies to retried ops) are dropped.
+    def _on_reply(self, msg) -> None:
+        body = msg.payload or {}
+        op_id = tuple(body.get("op_id", ()))
+        waiter = self._waiters.pop(op_id, None)
+        if waiter is not None and not waiter.triggered:
+            waiter.succeed(body)
+        # Late duplicates (replies to retried ops) are dropped.
 
     def _new_op(self) -> Tuple:
         return (str(self.ip), next(self._op_seq))

@@ -154,7 +154,7 @@ class MetadataReplica:
         self.leader_ip: Optional[IPv4Address] = None
         self._hb_inbox = self.stack.udp_bind(META_PORT)
         self._ctl_inbox = self.stack.tcp.listen(META_PORT)
-        sim.process(self._hb_loop())
+        self._hb_inbox.serve(self._on_hb)
         sim.process(self._ctl_loop())
         sim.process(self._tick_loop())
         ha.add_replica(self)
@@ -193,14 +193,12 @@ class MetadataReplica:
         return [r.host.ip for r in self.ha.replicas if r is not self]
 
     # -- inbound ------------------------------------------------------------------
-    def _hb_loop(self):
-        while True:
-            dgram = yield self._hb_inbox.get()
-            body = dgram.payload or {}
-            if body.get("type") == "leader_hb":
-                self._on_leader_hb(body)
-            elif self.leading:
-                self.service.on_heartbeat(body)
+    def _on_hb(self, dgram) -> None:
+        body = dgram.payload or {}
+        if body.get("type") == "leader_hb":
+            self._on_leader_hb(body)
+        elif self.leading:
+            self.service.on_heartbeat(body)
 
     def _on_leader_hb(self, body: dict) -> None:
         epoch = body.get("epoch", 0)

@@ -105,7 +105,7 @@ class MetadataService:
         if own_loops:
             self._hb_inbox = stack.udp_bind(META_PORT)
             self._ctl_inbox = stack.tcp.listen(META_PORT)
-            sim.process(self._heartbeat_loop())
+            self._hb_inbox.serve(lambda dgram: self.on_heartbeat(dgram.payload or {}))
             sim.process(self._control_loop())
         else:
             self._hb_inbox = None
@@ -187,11 +187,7 @@ class MetadataService:
         return bool(getattr(channel, "down", False))
 
     # -- inbound loops (single-process mode) ---------------------------------------------
-    def _heartbeat_loop(self):
-        while True:
-            dgram = yield self._hb_inbox.get()
-            self.on_heartbeat(dgram.payload or {})
-
+    # Heartbeats are a served mailbox (see __init__); control replies wait.
     def _control_loop(self):
         while True:
             msg = yield self._ctl_inbox.get()

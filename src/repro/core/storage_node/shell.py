@@ -1,5 +1,5 @@
 """The NICE storage node's shell (§4.3–§4.4, Fig 3): identity, resources,
-the O(R) membership slice, the three inbound dispatch loops, crash/restart.
+the O(R) membership slice, the three inbound mailboxes, crash/restart.
 
 Everything protocol-specific lives in four components that own their
 state and are reached through a few public methods: ``node.puts``
@@ -64,9 +64,9 @@ class NiceStorageNode(NodeShell):
         self.puts = PutEngine(self)
         self.reads = ReadPath(self)
         self.recovery = Recovery(self)
-        sim.process(self._put_loop())
-        sim.process(self._get_loop())
-        sim.process(self._node_loop())
+        self.mc_endpoint.messages.serve(self._on_put_msg)
+        self._get_inbox.serve(self._on_get_dgram)
+        self._node_inbox.serve(self._on_node_msg)
         sim.process(self.meta.heartbeat_loop())
         if config.scrub_interval_s > 0:
             # Opt-in: no scrubber process exists on default configs, so
@@ -133,58 +133,54 @@ class NiceStorageNode(NodeShell):
         return self.recovery.restart()
 
     # ------------------------------------------------------------------ inbound dispatch
-    def _put_loop(self):
+    # Three served mailboxes (``Store.serve``): the handlers never wait, so
+    # whatever takes time is spawned as its own process.
+    def _on_put_msg(self, msg) -> None:
         """The multicast vring: puts and the 2PC outcome (Fig 3)."""
-        while True:
-            msg = yield self.mc_endpoint.messages.get()
-            body = msg.payload or {}
-            kind = body.get("type")
-            if kind == "put":
-                self.sim.process(self.puts.prepare(msg, body))
-            elif kind == "put_anyk":
-                self.sim.process(self.puts.store_anyk(body))
-            elif kind == "commit":
-                self.sim.process(self.puts.on_commit(body))
-            elif kind == "abort":
-                self.puts.apply_abort(tuple(body["op_id"]))
+        body = msg.payload or {}
+        kind = body.get("type")
+        if kind == "put":
+            self.sim.process(self.puts.prepare(msg, body))
+        elif kind == "put_anyk":
+            self.sim.process(self.puts.store_anyk(body))
+        elif kind == "commit":
+            self.sim.process(self.puts.on_commit(body))
+        elif kind == "abort":
+            self.puts.apply_abort(tuple(body["op_id"]))
 
-    def _get_loop(self):
+    def _on_get_dgram(self, dgram) -> None:
         """The unicast vring: gets."""
-        while True:
-            dgram = yield self._get_inbox.get()
-            body = dgram.payload or {}
-            if body.get("type") == "get":
-                self.sim.process(self.reads.serve(body, dgram.virtual_dst))
+        body = dgram.payload or {}
+        if body.get("type") == "get":
+            self.sim.process(self.reads.serve(body, dgram.virtual_dst))
 
-    def _node_loop(self):
+    def _on_node_msg(self, msg) -> None:
         """Node-to-node and metadata-to-node TCP."""
-        while True:
-            msg = yield self._node_inbox.get()
-            body = msg.payload or {}
-            kind = body.get("type")
-            if kind == "put_ack1":
-                self.puts.record_ack(tuple(body["op_id"]), body["node"], phase=1)
-            elif kind == "put_ack2":
-                self.puts.record_ack(tuple(body["op_id"]), body["node"], phase=2)
-            elif kind == "membership":
-                if not self.meta.fence(body.get("epoch")):
-                    self.recovery.on_membership(ReplicaSet.from_wire(body["replica_set"]))
-            elif kind == "meta_leader":
-                # A standby took over: re-point heartbeats and control.
-                self.meta.adopt_leader(body.get("epoch"), body.get("ip"))
-            elif kind == "rejoin_restart":
-                self.recovery.on_rejoin_restart(body)
-            elif kind == "get_forward":
-                self.sim.process(self.reads.serve_forwarded(body["request"]))
-            elif kind == "query_locks":
-                self.sim.process(self.recovery.serve_query_locks(msg, body))
-            elif kind == "query_commit":
-                self.sim.process(self.recovery.serve_query_commit(msg, body))
-            elif kind == "force_commit":
-                self.puts.apply_commit(tuple(body["op_id"]), body["stamp"])
-            elif kind == "force_abort":
-                self.puts.apply_abort(tuple(body["op_id"]))
-            elif kind in ("fetch_handoff", "fetch_partition"):
-                self.sim.process(self.recovery.serve_fetch(msg, body))
-            elif kind == "fetch_object":
-                self.sim.process(self.reads.serve_fetch_object(msg, body))
+        body = msg.payload or {}
+        kind = body.get("type")
+        if kind == "put_ack1":
+            self.puts.record_ack(tuple(body["op_id"]), body["node"], phase=1)
+        elif kind == "put_ack2":
+            self.puts.record_ack(tuple(body["op_id"]), body["node"], phase=2)
+        elif kind == "membership":
+            if not self.meta.fence(body.get("epoch")):
+                self.recovery.on_membership(ReplicaSet.from_wire(body["replica_set"]))
+        elif kind == "meta_leader":
+            # A standby took over: re-point heartbeats and control.
+            self.meta.adopt_leader(body.get("epoch"), body.get("ip"))
+        elif kind == "rejoin_restart":
+            self.recovery.on_rejoin_restart(body)
+        elif kind == "get_forward":
+            self.sim.process(self.reads.serve_forwarded(body["request"]))
+        elif kind == "query_locks":
+            self.sim.process(self.recovery.serve_query_locks(msg, body))
+        elif kind == "query_commit":
+            self.sim.process(self.recovery.serve_query_commit(msg, body))
+        elif kind == "force_commit":
+            self.puts.apply_commit(tuple(body["op_id"]), body["stamp"])
+        elif kind == "force_abort":
+            self.puts.apply_abort(tuple(body["op_id"]))
+        elif kind in ("fetch_handoff", "fetch_partition"):
+            self.sim.process(self.recovery.serve_fetch(msg, body))
+        elif kind == "fetch_object":
+            self.sim.process(self.reads.serve_fetch_object(msg, body))

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
-from ..sim import Counter, Event, Resource, Simulator
+from ..sim import URGENT, Counter, Event, Resource, Simulator
 
 __all__ = ["Disk"]
 
@@ -100,70 +100,41 @@ class Disk:
         return seq <= self.durable_seq
 
     def write(self, nbytes: int, forced: bool = False) -> Event:
-        """Persist ``nbytes``; returns a Process to ``yield`` on."""
+        """Persist ``nbytes``; returns an Event to ``yield`` on."""
         if nbytes < 0:
             raise ValueError(f"negative write size: {nbytes}")
         self._issued_seq += 1
-        return self.sim.process(
-            self._io(nbytes, forced, True, self._issued_seq, self._epoch)
-        )
+        return _Io(self, nbytes, forced, True, self._issued_seq)
 
     def read(self, nbytes: int) -> Event:
+        """Fetch ``nbytes``; returns an Event to ``yield`` on."""
         if nbytes < 0:
             raise ValueError(f"negative read size: {nbytes}")
-        return self.sim.process(self._io(nbytes, False, False, 0, self._epoch))
+        return _Io(self, nbytes, False, False, 0)
 
-    def _io(self, nbytes: int, forced: bool, write: bool, seq: int, epoch: int):
-        req = self._device.request()
-        yield req
-        try:
-            bw = self.write_bandwidth_bps if write else self.read_bandwidth_bps
-            service = self.base_latency_s + nbytes * 8.0 / bw
-            yield self.sim.timeout(service)
-            if write:
-                self.bytes_written.add(nbytes)
-                self.writes.add()
-            else:
-                self.bytes_read.add(nbytes)
-                self.reads.add()
-            # Health signal: observed service time over the factory-spec
-            # expectation for the same transfer (queueing excluded, so a
-            # degraded device reads as exactly its slowdown factor).
-            nom_w, nom_r, nom_base = self._nominal
-            expected = nom_base + nbytes * 8.0 / (nom_w if write else nom_r)
-            if expected > 0.0:  # zero-cost transfers carry no signal
-                self._ratio_sum += service / expected
-                self._ratio_n += 1
-            if write and epoch == self._epoch:
-                self._completed_seq = seq
-                self._dirty.append((seq, nbytes))
-                self.dirty_bytes += nbytes
-        finally:
-            req.release()
-        if forced:
-            # Group commit: join the next flush cycle.
-            done = Event(self.sim)
-            self._flush_waiters.append(done)
-            if not self._flusher_running:
-                self._flusher_running = True
-                self.sim.process(self._flusher())
-            yield done
-
-    def _flusher(self):
+    def _flush_cycle(self) -> None:
         """Back-to-back flush cycles while demand exists; each cycle covers
-        every write that finished its transfer before the cycle started."""
-        while self._flush_waiters:
-            covered, self._flush_waiters = self._flush_waiters, []
-            epoch, barrier = self._epoch, self._completed_seq
-            self.flush_cycles_started += 1
-            yield self.sim.timeout(self.flush_latency_s)
-            self.flushes.add()
-            if epoch == self._epoch:
-                self._advance_barrier(barrier)
-                self.flush_cycles_done += 1
-            for ev in covered:
-                ev.succeed()
-        self._flusher_running = False
+        every write that finished its transfer before the cycle started
+        (the cycle rides on its timer's value)."""
+        if not self._flush_waiters:
+            self._flusher_running = False
+            return
+        covered, self._flush_waiters = self._flush_waiters, []
+        self.flush_cycles_started += 1
+        timer = self.sim.timeout(
+            self.flush_latency_s, (covered, self._epoch, self._completed_seq)
+        )
+        timer._callbacks = [self._end_cycle]
+
+    def _end_cycle(self, timer: Event) -> None:
+        covered, epoch, barrier = timer._value
+        self.flushes.add()
+        if epoch == self._epoch:
+            self._advance_barrier(barrier)
+            self.flush_cycles_done += 1
+        for ev in covered:
+            ev.succeed()
+        self._flush_cycle()
 
     def _advance_barrier(self, barrier: int):
         if barrier <= self.durable_seq:
@@ -210,3 +181,71 @@ class Disk:
         self._ratio_sum = 0.0
         self._ratio_n = 0
         return ratio
+
+
+class _Io(Event):
+    """One transfer, returned by :meth:`Disk.write` / :meth:`Disk.read`: a
+    callback chain that schedules the records of the process it replaced
+    (DESIGN.md §5g) — the URGENT start, the device grant, the service
+    timeout and, for a forced write, the flush-join event — and completes
+    like a process, through a record only when someone waits on it.  Each
+    event below is fresh and unwatched, so it takes its one callback by
+    assignment, exactly as a process yielding it would."""
+
+    __slots__ = ("disk", "nbytes", "forced", "write", "seq", "epoch", "_req")
+
+    def __init__(self, disk: Disk, nbytes: int, forced: bool, write: bool, seq: int):
+        super().__init__(disk.sim)
+        self.disk = disk
+        self.nbytes = nbytes
+        self.forced = forced
+        self.write = write
+        self.seq = seq
+        self.epoch = disk._epoch
+        disk.sim._schedule_call(0.0, self._start, priority=URGENT)
+
+    def _start(self) -> None:
+        self._req = req = self.disk._device.request()
+        req._callbacks = [self._granted]
+
+    def _granted(self, _req: Event) -> None:
+        disk = self.disk
+        bw = disk.write_bandwidth_bps if self.write else disk.read_bandwidth_bps
+        timer = disk.sim.timeout(disk.base_latency_s + self.nbytes * 8.0 / bw)
+        timer._callbacks = [self._served]
+
+    def _served(self, timer: Event) -> None:
+        disk, nbytes, write = self.disk, self.nbytes, self.write
+        if write:
+            disk.bytes_written.add(nbytes)
+            disk.writes.add()
+        else:
+            disk.bytes_read.add(nbytes)
+            disk.reads.add()
+        # Health signal: observed service time over the factory-spec
+        # expectation for the same transfer (queueing excluded, so a
+        # degraded device reads as exactly its slowdown factor).
+        nom_w, nom_r, nom_base = disk._nominal
+        expected = nom_base + nbytes * 8.0 / (nom_w if write else nom_r)
+        if expected > 0.0:  # zero-cost transfers carry no signal
+            disk._ratio_sum += timer.delay / expected
+            disk._ratio_n += 1
+        if write and self.epoch == disk._epoch:
+            disk._completed_seq = self.seq
+            disk._dirty.append((self.seq, nbytes))
+            disk.dirty_bytes += nbytes
+        self._req.release()
+        if not self.forced:
+            self._complete()
+            return
+        # Group commit: join the next flush cycle; the flusher's start
+        # record goes where its process used to be spawned.
+        done = Event(disk.sim)
+        done._callbacks = [self._flushed]
+        disk._flush_waiters.append(done)
+        if not disk._flusher_running:
+            disk._flusher_running = True
+            disk.sim._schedule_call(0.0, disk._flush_cycle, priority=URGENT)
+
+    def _flushed(self, _done: Event) -> None:
+        self._complete()

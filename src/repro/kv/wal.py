@@ -158,7 +158,7 @@ class WriteAheadLog:
         self.resurrected_records = 0
 
     def append(self, record: LogRecord) -> Event:
-        """Durably append (+L, forced write); returns a Process to yield on."""
+        """Durably append (+L, forced write); returns an Event to yield on."""
         self._records[record.op_id] = record
         self.appended += 1
         done = self.disk.write(RECORD_BYTES, forced=True)

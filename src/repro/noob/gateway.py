@@ -49,7 +49,7 @@ class Gateway:
         self.stack = ProtocolStack(sim, host)
         self._inbox = self.stack.tcp.listen(GW_PORT)
         self.requests_forwarded = Counter(f"{host.name}.forwarded")
-        sim.process(self._serve_loop())
+        self._inbox.serve(self._on_request)
 
     def _target_for(self, key: str) -> IPv4Address:
         names = sorted(self.directory)
@@ -64,21 +64,19 @@ class Gateway:
             return self.directory[replicas[int(self.rng.integers(len(replicas)))]]
         return self.directory[replicas[0]]
 
-    def _serve_loop(self):
-        while True:
-            msg = yield self._inbox.get()
-            body = msg.payload or {}
-            if body.get("type") in ("put", "get"):
-                self.requests_forwarded.add()
-                target = self._target_for(body["key"])
-                tr = self.sim.tracer
-                if tr is not None:
-                    tr.instant(
-                        "gw_forward", "op", node=self.host.name,
-                        op=tuple(body.get("op_id", ())) or None,
-                        kind=body["type"], target=str(target),
-                    )
-                # Forward the full request (put data transits the gateway).
-                self.stack.tcp.send_message(
-                    target, NODE_PORT, dict(body), msg.payload_bytes
+    def _on_request(self, msg) -> None:
+        body = msg.payload or {}
+        if body.get("type") in ("put", "get"):
+            self.requests_forwarded.add()
+            target = self._target_for(body["key"])
+            tr = self.sim.tracer
+            if tr is not None:
+                tr.instant(
+                    "gw_forward", "op", node=self.host.name,
+                    op=tuple(body.get("op_id", ())) or None,
+                    kind=body["type"], target=str(target),
                 )
+            # Forward the full request (put data transits the gateway).
+            self.stack.tcp.send_message(
+                target, NODE_PORT, dict(body), msg.payload_bytes
+            )

@@ -52,7 +52,7 @@ class NoobStorageNode(NodeShell):
         self._inbox = self.stack.tcp.listen(NODE_PORT)
         self.forwards = Counter(f"{name}.forwards")
         self.membership_updates = Counter(f"{name}.membership_updates")
-        sim.process(self._serve_loop())
+        self._inbox.serve(self._on_msg)
 
     # -- failure injection -------------------------------------------------------
     def crash(self) -> None:
@@ -88,28 +88,26 @@ class NoobStorageNode(NodeShell):
         self.reply_put(body["client_ip"], body["client_port"], tuple(body["op_id"]), status)
 
     # -- dispatch --------------------------------------------------------------------
-    def _serve_loop(self):
-        while True:
-            msg = yield self._inbox.get()
-            body = msg.payload or {}
-            kind = body.get("type")
-            if kind == "put":
-                self.sim.process(self._handle_put(body))
-            elif kind == "get":
-                self.sim.process(self._handle_get(body))
-            elif kind == "replicate":
-                self.sim.process(self._handle_replicate(msg, body))
-            elif kind == "prepare":
-                self.sim.process(self._handle_prepare(msg, body))
-            elif kind == "commit2pc":
-                self.sim.process(self._handle_commit2pc(msg, body))
-            elif kind == "chain_put":
-                self.sim.process(self._handle_chain_put(body))
-            elif kind == "read_version":
-                self.sim.process(self._handle_read_version(msg, body))
-            elif kind == "membership_update":
-                self.membership_updates.add()
-                self.sim.process(self._ack(msg))
+    def _on_msg(self, msg) -> None:
+        body = msg.payload or {}
+        kind = body.get("type")
+        if kind == "put":
+            self.sim.process(self._handle_put(body))
+        elif kind == "get":
+            self.sim.process(self._handle_get(body))
+        elif kind == "replicate":
+            self.sim.process(self._handle_replicate(msg, body))
+        elif kind == "prepare":
+            self.sim.process(self._handle_prepare(msg, body))
+        elif kind == "commit2pc":
+            self.sim.process(self._handle_commit2pc(msg, body))
+        elif kind == "chain_put":
+            self.sim.process(self._handle_chain_put(body))
+        elif kind == "read_version":
+            self.sim.process(self._handle_read_version(msg, body))
+        elif kind == "membership_update":
+            self.membership_updates.add()
+            self.sim.process(self._ack(msg))
 
     def _ack(self, msg):
         yield msg.conn.send({"type": "membership_ack"}, ACK_BYTES)

@@ -187,12 +187,14 @@ class MetricsRegistry:
                 reg.collect_object(channel, f"{p}link.{channel.name}")
         # Kernel health (DESIGN.md §5g): reuse rates near 1.0 mean the hot
         # path runs allocation-free; a heap that is mostly dead records
-        # makes every push and pop pay for them.
+        # makes every push and pop pay for them; spawns count the generator
+        # processes, which only code that waits between steps should need.
         for block, field in (
             ("call_pool", "reuse_rate"),
             ("entry_pool", "reuse_rate"),
             ("heap", "size"),
             ("heap", "dead"),
+            ("processes", "spawned"),
         ):
             reg.gauge(
                 f"{p}sim.{block}.{field}",

@@ -127,6 +127,20 @@ class Event:
         self._defused = True
         return self
 
+    def _complete(self, value: Any = None) -> None:
+        """Succeed with ``value`` if anyone waits; otherwise the event is
+        processed on the spot — a completion nobody observes needs no heap
+        record whose pop would run no callback, and a waiter that shows up
+        later is served like any late waiter on a processed event.  The
+        end of a process or a callback chain; failures never take this
+        path (an unhandled one must abort the run)."""
+        if self._callbacks:
+            self.succeed(value)
+            return
+        self._ok = True
+        self._value = value
+        self._processed = True
+
     # -- callbacks ---------------------------------------------------------
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Attach ``callback(event)``; runs when the event is processed."""

@@ -85,6 +85,8 @@ class Simulator:
         self._entry_misses = 0
         self._calls = 0
         self._call_misses = 0
+        #: Processes started through :meth:`process` (a deterministic count).
+        self._spawned = 0
         #: Never triggered: what :meth:`run` and :meth:`step` wait for.
         self._never = Event(self)
         #: Optional :class:`repro.obs.Tracer`.  ``None`` means tracing is
@@ -218,6 +220,7 @@ class Simulator:
     def process(self, generator) -> Process:
         """Start a new process running ``generator`` (see :mod:`.process`)."""
         proc = Process(self, generator)
+        self._spawned += 1
         tr = self.tracer
         if tr is not None:
             tr.instant("spawn", "proc", node=proc.name)
@@ -350,7 +353,8 @@ class Simulator:
         """Reuse statistics of the one record free list — over every record
         (``entry_pool``: hits + misses = records scheduled) and over the
         call records alone (``call_pool``: hits + misses = calls scheduled)
-        — and the event heap's occupancy (computed here, nothing per event)."""
+        — the event heap's occupancy (computed here, nothing per event) and
+        the processes spawned so far."""
         e_hits = self._eid - self._entry_misses
         c_hits = self._calls - self._call_misses
         return {
@@ -372,4 +376,5 @@ class Simulator:
                 "dead": self._cancelled,
                 "compactions": self._compactions,
             },
+            "processes": {"spawned": self._spawned},
         }

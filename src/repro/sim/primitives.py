@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
-from .events import Event, SimulationError
+from .events import URGENT, Event, SimulationError
 from .kernel import Simulator
 
 __all__ = ["Store", "Resource", "ResourceRequest"]
@@ -30,7 +30,9 @@ class Store:
     ``put`` never blocks (the network model applies backpressure at links,
     not at host queues); ``get`` returns an event that triggers when an item
     is available.  An optional filter ``get(lambda item: ...)`` supports
-    selective receive (used by transport-layer demultiplexing).
+    selective receive (used by transport-layer demultiplexing).  A mailbox
+    whose consumer never waits between items is served (:meth:`serve`)
+    instead of read.
     """
 
     def __init__(self, sim: Simulator, name: str = "store"):
@@ -38,6 +40,10 @@ class Store:
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: List[_StoreGet] = []
+        #: :meth:`serve`'s handler, and whether it waits for the next item
+        #: (the state in which the loop it replaces sat in ``get()``).
+        self._handler: Optional[Callable[[Any], None]] = None
+        self._armed = False
 
     def __len__(self) -> int:
         return len(self._items)
@@ -49,6 +55,11 @@ class Store:
 
     def put(self, item: Any) -> None:
         """Deposit ``item``; wakes the first matching waiter, if any."""
+        if self._armed:
+            # Where ``getter.succeed(item)`` went: one NORMAL zero-delay record.
+            self._armed = False
+            self.sim._schedule_call(0.0, self._dispatch, item)
+            return
         for i, getter in enumerate(self._getters):
             if getter.triggered:
                 continue
@@ -60,6 +71,8 @@ class Store:
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> Event:
         """Return an event yielding the next (matching) item."""
+        if self._handler is not None:
+            raise SimulationError(f"{self.name}: get() on a served store")
         ev = _StoreGet(self.sim, filter)
         for i, item in enumerate(self._items):
             if filter is None or filter(item):
@@ -68,6 +81,34 @@ class Store:
                 return ev
         self._getters.append(ev)
         return ev
+
+    def serve(self, handler: Callable[[Any], None]) -> None:
+        """Call ``handler(item)`` for every item, in order, forever.
+
+        Schedules exactly the records of the process it replaces,
+        ``while True: handler((yield store.get()))``, in the same slots
+        (DESIGN.md §5g): one URGENT zero-delay call now (the process
+        start), then one NORMAL zero-delay call per item — made by ``put``
+        when the store is armed, else once the previous handler returns,
+        where the loop's next ``get()`` ran.  The handler must not wait;
+        a consumer that does is a process.
+        """
+        if self._handler is not None:
+            raise SimulationError(f"{self.name}: already served")
+        if self._getters:
+            raise SimulationError(f"{self.name}: cannot serve a store with getters")
+        self._handler = handler
+        self.sim._schedule_call(0.0, self._next, priority=URGENT)
+
+    def _next(self) -> None:
+        if self._items:
+            self.sim._schedule_call(0.0, self._dispatch, self._items.popleft())
+        else:
+            self._armed = True
+
+    def _dispatch(self, item: Any) -> None:
+        self._handler(item)
+        self._next()
 
     def cancel(self, get_event: Event) -> None:
         """Withdraw an unfired ``get`` (e.g. its process was interrupted)."""

@@ -10,6 +10,11 @@ Processes are themselves events: waiting on a process means waiting for it
 to return, and its :attr:`value` is the generator's return value.  This is
 how protocol state machines compose (e.g. a put operation spawns one
 process per secondary replica and joins them with ``AllOf``).
+
+A process is for code that waits between steps.  A mailbox whose handler
+never waits is served (``Store.serve``), and a fixed chain of waits (a
+disk IO, a TCP send) is an ``Event`` subclass whose callbacks schedule the
+records the process would have (DESIGN.md §5g).
 """
 
 from __future__ import annotations
@@ -177,19 +182,10 @@ class Process(Event):
             return
 
     def _finish(self, value: Any) -> None:
-        """The generator returned ``value``: complete the process event."""
+        """The generator returned ``value``: complete the process event
+        (most processes are fire-and-forget handlers nobody waits on)."""
         self._wake = None
-        if self._callbacks:
-            self.succeed(value)
-            return
-        # Nobody observes this completion (fire-and-forget handlers are most
-        # processes), so it is processed on the spot instead of through a
-        # heap record whose pop would run no callback.  A waiter that shows
-        # up later is served like any late waiter on a processed event.
-        # Failures never take this path: an unhandled one must abort the run.
-        self._ok = True
-        self._value = value
-        self._processed = True
+        self._complete(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.triggered else "alive"

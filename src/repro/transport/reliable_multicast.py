@@ -210,27 +210,25 @@ class MulticastEndpoint:
         self._partial: Dict[Tuple, Tuple[int, Datagram]] = {}
         self.nacks_sent = 0
         self.repairs_received = 0
-        self._proc = stack.sim.process(self._run())
+        self._raw.serve(self._on_dgram)
 
     def _lose(self, chunks: int) -> int:
         if not self.chunk_loss_rate:
             return 0
         return int(self.rng.binomial(chunks, self.chunk_loss_rate))
 
-    def _run(self):
-        while True:
-            dgram = yield self._raw.get()
-            body = dgram.payload
-            if type(body) is not tuple or not body:
-                continue  # not one of ours; drop.
-            kind = body[0]
-            if kind == "mc_data":
-                self._on_data(dgram, body)
-            elif kind == "mc_repair":
-                self._on_repair(dgram, body)
-            elif kind == "mc_ctrl":
-                self._on_ctrl(dgram, body)
-            # anything else on this port is not ours; drop.
+    def _on_dgram(self, dgram: Datagram) -> None:
+        body = dgram.payload
+        if type(body) is not tuple or not body:
+            return  # not one of ours; drop.
+        kind = body[0]
+        if kind == "mc_data":
+            self._on_data(dgram, body)
+        elif kind == "mc_repair":
+            self._on_repair(dgram, body)
+        elif kind == "mc_ctrl":
+            self._on_ctrl(dgram, body)
+        # anything else on this port is not ours; drop.
 
     def _on_ctrl(self, dgram: Datagram, body: tuple) -> None:
         """Unreliable control message: deliver unless its single chunk is lost."""

@@ -22,7 +22,7 @@ import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..net import IPv4Address, Packet, Proto
-from ..sim import Event, Store
+from ..sim import URGENT, Event, Store
 
 __all__ = ["TcpLayer", "TcpConnection", "TcpMessage"]
 
@@ -171,18 +171,15 @@ class TcpLayer:
             # Waiters stay untriggered: protocol timeouts own that failure.
             self._connecting.pop(key, None)
 
-    def send_message(self, dst_ip: IPv4Address, dport: int, payload: Any, payload_bytes: int):
-        """Connect (cached) then send; returns a Process to ``yield`` on.
+    def send_message(
+        self, dst_ip: IPv4Address, dport: int, payload: Any, payload_bytes: int
+    ) -> Event:
+        """Connect (cached) then send; returns an Event to ``yield`` on.
 
-        The process's value is the connection, so callers can await the
+        The event's value is the connection, so callers can await the
         reply on ``conn.inbox``.
         """
-        def _run():
-            conn = yield self.connect(dst_ip, dport)
-            yield conn.send(payload, payload_bytes)
-            return conn
-
-        return self.stack.sim.process(_run())
+        return _SendMessage(self, dst_ip, dport, payload, payload_bytes)
 
     def reset_peer(self, ip: IPv4Address) -> int:
         """Tear down all cached state toward ``ip`` (peer declared failed).
@@ -285,3 +282,34 @@ class TcpLayer:
         delivered = packet.payload.get("_delivered")
         if delivered is not None and not delivered.triggered:
             delivered.succeed()
+
+
+class _SendMessage(Event):
+    """:meth:`TcpLayer.send_message` as a callback chain that schedules the
+    records of the process it replaced (DESIGN.md §5g): the URGENT start,
+    the connect event (cached, shared or fresh handshake), the delivery
+    event; it completes like a process, with the connection as its value,
+    through a record only when someone waits on it.  Both events are fresh
+    and unwatched, so each takes its one callback by assignment, exactly as
+    a process yielding it would."""
+
+    __slots__ = ("layer", "dst_ip", "dport", "payload", "payload_bytes", "conn")
+
+    def __init__(self, layer: TcpLayer, dst_ip, dport: int, payload: Any, payload_bytes: int):
+        super().__init__(layer.stack.sim)
+        self.layer = layer
+        self.dst_ip = dst_ip
+        self.dport = dport
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.sim._schedule_call(0.0, self._start, priority=URGENT)
+
+    def _start(self) -> None:
+        self.layer.connect(self.dst_ip, self.dport)._callbacks = [self._connected]
+
+    def _connected(self, ev: Event) -> None:
+        self.conn = conn = ev._value
+        conn.send(self.payload, self.payload_bytes)._callbacks = [self._delivered]
+
+    def _delivered(self, _ev: Event) -> None:
+        self._complete(self.conn)

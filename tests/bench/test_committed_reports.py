@@ -200,6 +200,10 @@ PERF_MUTATIONS = {
         lambda r: bench(r, "multicast_fanout")["legs"][1].update(events_per_op=264.0),
         ["multicast_fanout: R=5 264.0 events/op over ceiling 263"],
     ),
+    "spawns_per_op over its ceiling": (
+        lambda r: bench(r, "multicast_fanout")["legs"][0].update(spawns_per_op=10.0),
+        ["multicast_fanout: R=3 10.0 spawns/op over ceiling 9.5"],
+    ),
     "warm reconcile recomputes": (
         lambda r: bench(r, "plan_scale")["rungs"][2].update(warm_recomputes=1),
         ["plan_scale 20x50: warm reconcile recomputed 1 plans (22528 cache hits)"],

@@ -1,6 +1,7 @@
-"""Shared test fixtures: a star topology with static L3 forwarding, the
-linear rule scan the flow table's index is checked against, and the
-content snapshots the controller's plan-cache contract is stated in."""
+"""Shared test fixtures: a star topology with static L3 forwarding, a log
+of the slots a simulator schedules records in, the linear rule scan the
+flow table's index is checked against, and the content snapshots the
+controller's plan-cache contract is stated in."""
 
 from collections import Counter
 
@@ -18,7 +19,7 @@ from repro.net import (
     SetEthDst,
     SetIpDst,
 )
-from repro.sim import Simulator
+from repro.sim import NORMAL, Simulator
 from repro.transport import ProtocolStack
 
 
@@ -67,6 +68,25 @@ class Star:
 
     def link_of(self, host):
         return self.net.link_between(self.switch, host)
+
+
+def record_slots(sim):
+    """Log ``(now, delay, priority)`` of every record ``sim`` schedules
+    from here on, in order: two runs that schedule the same records in the
+    same slots — event or call, whatever the target — log the same list."""
+    slots = []
+    schedule_call, schedule_event = sim._schedule_call, sim._schedule_event
+
+    def call(delay, func, *args, priority=NORMAL):
+        slots.append((sim.now, delay, priority))
+        schedule_call(delay, func, *args, priority=priority)
+
+    def event(ev, priority, delay=0.0):
+        slots.append((sim.now, delay, priority))
+        schedule_event(ev, priority, delay)
+
+    sim._schedule_call, sim._schedule_event = call, event
+    return slots
 
 
 def linear_scan(table, packet, in_port=None):

@@ -99,7 +99,8 @@ def test_from_cluster_registers_every_switch_of_a_fabric():
 def test_from_cluster_switch_names_on_one_switch_ovs_and_noob():
     nice = NiceCluster(ClusterConfig(n_storage_nodes=4, n_clients=2))
     assert _switches_registered(nice) == {"sw0"}
-    assert len(MetricsRegistry.from_cluster(nice)) == 178  # as before this walk was rewritten
+    # 178 as before this walk was rewritten, plus the sim.processes.spawned gauge.
+    assert len(MetricsRegistry.from_cluster(nice)) == 179
     ovs = NiceCluster(ClusterConfig(n_storage_nodes=4, n_clients=2, deployment="ovs"))
     assert _switches_registered(ovs) == {"sw0", "ovs0", "ovs1"}
     noob = NoobCluster(NoobConfig(n_storage_nodes=4, n_clients=2, access="rog"))
@@ -132,3 +133,5 @@ def test_from_cluster_snapshot_reflects_traffic():
     assert snap["sim"]["heap"]["size"]["value"] == heap["size"]
     assert snap["sim"]["heap"]["dead"]["value"] == heap["dead"]
     assert 0.0 < snap["sim"]["entry_pool"]["reuse_rate"]["value"] <= 1.0
+    spawned = cluster.sim.pool_stats()["processes"]["spawned"]
+    assert snap["sim"]["processes"]["spawned"]["value"] == spawned > 0
