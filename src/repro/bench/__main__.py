@@ -4,9 +4,9 @@ Examples::
 
     python -m repro.bench fig5                 # quick scale
     python -m repro.bench fig5 --full          # paper scale (1000 ops/point)
-    python -m repro.bench all --ops 100 --jobs 4
+    python -m repro.bench all --ops 100 --jobs 4   # exit 1 if a paper claim fails
     nice-bench fig12 --ops 500
-    python -m repro.bench diff A.json B.json   # exit 1 unless rows are identical
+    python -m repro.bench diff A.json B.json   # exit 1 unless rows and notes are identical
     python -m repro.bench reach                # what the rows / tier-1 / nothing reaches
 
 Figure and chaos sweeps decompose into independent cells (see
@@ -25,7 +25,7 @@ import os
 import sys
 import time
 
-from . import parallel
+from . import claims, parallel
 from ..obs import runtime as obs_runtime
 from .harness import EXPERIMENTS, run
 from .report import diff_reports, format_result, ratio_summary
@@ -47,7 +47,7 @@ def main(argv=None) -> int:
         nargs="+",
         help="fig4..fig12, sec46, scale, ablation-*, 'perf', 'chaos', "
              "'all' (= the figure suite; 'scale' runs separately), "
-             "'diff A.json B.json' to compare the result rows of two "
+             "'diff A.json B.json' to compare the result rows and notes of two "
              "figure/scale/chaos reports, or 'reach' (the reachability "
              "census of src/repro; from a checkout)",
     )
@@ -138,7 +138,7 @@ def main(argv=None) -> int:
 
 
 def _diff(path_a: str, path_b: str) -> int:
-    """Exit status 1 unless both reports hold the same result rows."""
+    """Exit status 1 unless both reports hold the same result rows and notes."""
     reports = []
     for path in (path_a, path_b):
         with open(path) as fh:
@@ -203,7 +203,7 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
         t0 = time.perf_counter()
         result = run(name, shared=shared, **exp.cli(n_ops, args.full, args.smoke))
         elapsed = time.perf_counter() - t0
-        for failure in exp.check(result.rows) if exp.check else ():
+        for failure in exp.check(result) if exp.check else ():
             result.note(f"FAIL: {failure}")
             failed = True
         cells = parallel.drain_records()
@@ -218,6 +218,11 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
                 print("summary:")
                 for line in text.splitlines():
                     print(f"  {line}")
+        verdicts = claims.table(result)
+        if verdicts:
+            print("claims:")
+            for line in verdicts.splitlines():
+                print(f"  {line}")
         hits = sum(1 for c in cells if c["cache_hit"])
         cell_note = f", {len(cells)} cells, {hits} cache hits" if cells else ""
         print(f"({elapsed:.1f}s wall{cell_note})\n")

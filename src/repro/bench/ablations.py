@@ -6,15 +6,17 @@ penalty, and the §4.1 membership-maintenance message complexity.
 
 Like the figures, each is one :class:`~repro.bench.harness.Experiment`
 record beside its cell function, so ``bench all --jobs N`` parallelizes
-and caches the ablations too.  They register in ``bench all`` order.
+and caches the ablations too, and each is judged by what it shows
+(``claims.check``).  They register in ``bench all`` order.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from ..workloads import closed_loop_gets, closed_loop_puts, hot_object_clients
-from .harness import Experiment, build, product, register, run_to_completion
+from ..workloads import closed_loop_gets, hot_object_clients
+from . import claims
+from .harness import Experiment, build, product, register, run_to_completion, seeded_sweep
 
 
 def ablation_deployment_cell(
@@ -24,26 +26,12 @@ def ablation_deployment_cell(
     cluster = build(
         "NICE", n_storage_nodes=15, n_clients=1, deployment=deployment, seed=seed
     )
-    client = cluster.clients[0]
-
-    def driver(sim):
-        out = {}
-        for size in sizes:
-            key = f"dep-{size}"
-            seeded = yield client.put(key, "x", size)
-            assert seeded.ok
-            puts = yield closed_loop_puts(client, sim, n_ops, size, keys=[key])
-            gets = yield closed_loop_gets(client, sim, n_ops, [key])
-            out[size] = (gets, puts)
-        return out
-
-    tallies = run_to_completion(cluster, cluster.sim.process(driver(cluster.sim)))
     rows = [
         dict(
             deployment=deployment, size_bytes=size,
-            get_ms=gets.mean * 1e3, put_ms=puts.mean * 1e3,
+            get_ms=t["gets"].mean * 1e3, put_ms=t["puts"].mean * 1e3,
         )
-        for size, (gets, puts) in tallies.items()
+        for size, t in seeded_sweep(cluster, "dep", sizes, n_ops, gets=True).items()
     ]
     return {"rows": rows}
 
@@ -56,6 +44,7 @@ DEPLOYMENT = Experiment(
     product(deployment="deployments"),
     dict(n_ops=200, sizes=(4, 65536, 1 << 20), deployments=("hw", "ovs")),
     notes=("paper §5.1: deployed split costs <4% of switching speed",),
+    check=claims.check,
 )
 
 
@@ -64,22 +53,9 @@ def ablation_chain_cell(
 ) -> Dict:
     """One chain-replication leg: put latency for a single system."""
     cluster = build(system, n_storage_nodes=15, n_clients=1, seed=seed)
-    client = cluster.clients[0]
-
-    def driver(sim):
-        out = {}
-        for size in sizes:
-            key = f"chain-{size}"
-            seeded = yield client.put(key, "x", size)
-            assert seeded.ok
-            tally = yield closed_loop_puts(client, sim, n_ops, size, keys=[key])
-            out[size] = tally
-        return out
-
-    tallies = run_to_completion(cluster, cluster.sim.process(driver(cluster.sim)))
     rows = [
-        dict(system=system, size_bytes=size, put_ms=tally.mean * 1e3)
-        for size, tally in tallies.items()
+        dict(system=system, size_bytes=size, put_ms=t["puts"].mean * 1e3)
+        for size, t in seeded_sweep(cluster, "chain", sizes, n_ops).items()
     ]
     return {"rows": rows}
 
@@ -95,6 +71,7 @@ CHAIN = Experiment(
         systems=("NICE", "NOOB primary fan-out", "NOOB chain"),
     ),
     notes=("R=3; chain latency should sit above primary fan-out for small R",),
+    check=claims.check,
 )
 
 
@@ -136,6 +113,7 @@ LB = Experiment(
     ablation_lb_cell,
     product(load_balancing="settings"),
     dict(n_ops=300, n_clients=6, settings=(True, False)),
+    check=claims.check,
 )
 
 
@@ -175,6 +153,7 @@ MEMBERSHIP = Experiment(
         "NICE node messages stay O(R) per affected partition regardless of N; "
         "NOOB broadcasts to every node",
     ),
+    check=claims.check,
 )
 
 
@@ -202,6 +181,7 @@ SW_REWRITE = Experiment(
     product(penalty="penalties"),
     dict(n_ops=200, penalties=(0.0, 5e-3)),
     notes=("paper: software path was ~1000x slower switching",),
+    check=claims.check,
 )
 
 register(CHAIN, LB, MEMBERSHIP, DEPLOYMENT, SW_REWRITE)

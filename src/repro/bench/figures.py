@@ -31,13 +31,15 @@ from ..workloads import (
     OBJECT_SIZES,
     WORKLOADS,
     YcsbRunner,
-    closed_loop_gets,
     closed_loop_puts,
     hot_object_clients,
     keys_in_partition,
     run_fault_timeline,
 )
-from .harness import Experiment, ExperimentResult, build, product, register, run_to_completion
+from . import claims
+from .harness import (
+    Experiment, ExperimentResult, build, product, register, run_to_completion, seeded_sweep,
+)
 from .report import ascii_chart
 
 #: The four systems of Figs 4–7.
@@ -61,25 +63,14 @@ def _size_chart(metric: str, result: ExperimentResult) -> str:
 def fig4_cell(system: str, n_ops: int, sizes: Sequence[int], seed: int) -> Dict:
     """One Fig 4 leg: get latency vs size for a single system."""
     cluster = build(system, n_storage_nodes=15, n_clients=1, seed=seed)
-    client = cluster.clients[0]
-    rows: List[Dict] = []
-
-    def driver(sim):
-        for size in sizes:
-            key = f"routing-{size}"
-            r = yield client.put(key, "x", size)
-            assert r.ok, f"{system}: seed put failed"
-            tally = yield closed_loop_gets(client, sim, n_ops, [key])
-            rows.append(
-                dict(
-                    system=system,
-                    size_bytes=size,
-                    get_ms=tally.mean * 1e3,
-                    stdev_ms=tally.stdev * 1e3,
-                )
-            )
-
-    run_to_completion(cluster, cluster.sim.process(driver(cluster.sim)))
+    tallies = seeded_sweep(cluster, "routing", sizes, n_ops, puts=False, gets=True)
+    rows = [
+        dict(
+            system=system, size_bytes=size,
+            get_ms=t["gets"].mean * 1e3, stdev_ms=t["gets"].stdev * 1e3,
+        )
+        for size, t in tallies.items()
+    ]
     return {"rows": rows}
 
 
@@ -95,6 +86,7 @@ register(
         cli=lambda ops, full, smoke: dict(n_ops=ops),
         summary=("get_ms", "NICE", ("size_bytes",)),
         chart=partial(_size_chart, "get_ms"),
+        check=claims.check,
     )
 )
 
@@ -154,6 +146,7 @@ _REPLICATION_SWEEP = dict(
     params=dict(n_ops=1000, sizes=OBJECT_SIZES, systems=ROUTING_SYSTEMS),
     notes=("{n_ops} puts per point; single client, R=3, 15 storage nodes",),
     cli=lambda ops, full, smoke: dict(n_ops=ops),
+    check=claims.check,
 )
 
 register(
@@ -249,6 +242,7 @@ register(
         ),
         cli=lambda ops, full, smoke: dict(n_ops=max(ops // 10, 5)),
         summary=("put_ms", "NICE", ("quorum",)),
+        check=claims.check,
     )
 )
 
@@ -262,25 +256,12 @@ def fig9_cell(
         system, n_storage_nodes=15, n_clients=1, replication_level=replication,
         seed=seed,
     )
-    client = cluster.clients[0]
-
-    def driver(sim):
-        out = {}
-        for size in sizes:
-            key = f"cons-{size}"
-            seeded = yield client.put(key, "x", size)
-            assert seeded.ok
-            tally = yield closed_loop_puts(client, sim, n_ops, size, keys=[key])
-            out[size] = tally
-        return out
-
-    tallies = run_to_completion(cluster, cluster.sim.process(driver(cluster.sim)))
     rows = [
         dict(
             system=system, replication=replication, size_bytes=size,
-            put_ms=tally.mean * 1e3, stdev_ms=tally.stdev * 1e3,
+            put_ms=t["puts"].mean * 1e3, stdev_ms=t["puts"].stdev * 1e3,
         )
-        for size, tally in tallies.items()
+        for size, t in seeded_sweep(cluster, "cons", sizes, n_ops).items()
     ]
     return {"rows": rows}
 
@@ -299,6 +280,7 @@ register(
         notes=("{n_ops} puts per point; single client; NOOB uses RAC routing",),
         cli=lambda ops, full, smoke: dict(n_ops=ops),
         summary=("put_ms", "NICE", ("replication", "size_bytes")),
+        check=claims.check,
     )
 )
 
@@ -368,6 +350,7 @@ register(
         ),
         cli=lambda ops, full, smoke: dict(n_ops=max(ops // 2, 10)),
         summary=("op_ms", "NICE", ("replication", "size_bytes")),
+        check=claims.check,
     )
 )
 
@@ -416,6 +399,7 @@ register(
         dict(duration=120.0, fail_at=30.0, recover_at=90.0),
         notes=("3 clients, 20/80 put/get, 1 KB objects, one partition",),
         chart=_rate_chart,
+        check=claims.check,
     )
 )
 
@@ -488,6 +472,7 @@ register(
         ),
         cli=lambda ops, full, smoke: dict(n_ops_per_client=20000 if full else max(ops, 50)),
         summary=("mean_op_ms", "NICE", ("workload",)),
+        check=claims.check,
     )
 )
 
@@ -546,6 +531,7 @@ register(
             "match per partition (2PC timestamp target), hence 3N / (R+3)N "
             "measured — same O(N) / O(RN) scaling",
         ),
+        check=claims.check,
     )
 )
 

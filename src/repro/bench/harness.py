@@ -17,6 +17,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..core import ClusterConfig, NiceCluster
 from ..noob import NoobCluster, NoobConfig
 from ..obs import runtime as obs_runtime
+from ..sim import Tally
+from ..workloads import closed_loop_gets, closed_loop_puts
 from .parallel import Cell, run_cells
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "register",
     "run",
     "run_to_completion",
+    "seeded_sweep",
 ]
 
 #: Hard ceiling on simulated seconds per experiment leg (safety net).
@@ -155,6 +158,30 @@ def run_to_completion(cluster, process, horizon_s: float = MAX_HORIZON_S):
     return process.value
 
 
+def seeded_sweep(
+    cluster, prefix: str, sizes: Sequence[int], n_ops: int, puts: bool = True, gets: bool = False
+) -> Dict[int, Dict[str, Tally]]:
+    """The single-client size sweep of Figs 4 and 9 and two ablations: per
+    size, one seed put of ``{prefix}-{size}``, then ``n_ops`` closed-loop
+    puts of it and/or as many gets; ``{size: {"puts": tally, "gets": tally}}``."""
+    client = cluster.clients[0]
+
+    def driver(sim):
+        out = {}
+        for size in sizes:
+            key = f"{prefix}-{size}"
+            seeded = yield client.put(key, "x", size)
+            assert seeded.ok, f"seed put of {key} failed"
+            out[size] = tallies = {}
+            if puts:
+                tallies["puts"] = yield closed_loop_puts(client, sim, n_ops, size, keys=[key])
+            if gets:
+                tallies["gets"] = yield closed_loop_gets(client, sim, n_ops, [key])
+        return out
+
+    return run_to_completion(cluster, cluster.sim.process(driver(cluster.sim)))
+
+
 # -------------------------------------------------------------- experiments
 def product(**axes: str) -> Callable[[Callable, Dict[str, Any], int], List[Cell]]:
     """The usual grid: one cell per combination of the swept parameters.
@@ -197,8 +224,9 @@ class Experiment:
     #: ``ratio_summary`` spec: (metric, baseline system, group columns).
     summary: Optional[Tuple[str, str, Sequence[str]]] = None
     chart: Optional[Callable[[ExperimentResult], str]] = None
-    #: Rows -> failure strings; a non-empty list is CLI exit status 1.
-    check: Optional[Callable[[List[Dict]], List[str]]] = None
+    #: Result (rows and notes) -> failure strings; a non-empty list is CLI
+    #: exit status 1.
+    check: Optional[Callable[[ExperimentResult], List[str]]] = None
     #: Part of ``bench all`` (whose experiment order is the table's).
     in_all: bool = True
 

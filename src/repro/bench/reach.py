@@ -82,8 +82,6 @@ def main(smoke: bool = False) -> int:
             sys.argv = [str(ROOT / spec["command"][1]), "--workload", workload["name"], "--smoke"]
             with contextlib.suppress(SystemExit):
                 runpy.run_path(sys.argv[0], run_name="__main__")
-        only = ["-k", "fig04"] if smoke else []
-        pytest.main([str(ROOT / "benchmarks"), f"--ignore={ROOT}/benchmarks/e2e", *quiet, *only])
 
     tier1 = [str(ROOT / "tests" / ("unit" if smoke else "")), *quiet]
     by_rows, by_tests = _entered(rows), _entered(lambda: pytest.main(tier1))

@@ -127,9 +127,14 @@ def ratio_summary(
 
 def _result_tables(report: dict) -> Dict[str, List[dict]]:
     """The simulated content of a figure, scale or chaos report: each
-    experiment's ``rows`` (a chaos report's ``cases``).  Wall-clock, cell
-    and cache records and provenance all live outside them."""
-    tables = {e["name"]: e["rows"] for e in report.get("experiments", [])}
+    experiment's ``rows`` and ``notes`` (Fig 11's failure, rejoin and
+    consistent times live only there), a chaos report's ``cases``.
+    Wall-clock, cell and cache records and provenance all live outside
+    them."""
+    tables = {}
+    for e in report.get("experiments", []):
+        tables[e["name"]] = e["rows"]
+        tables[f"{e['name']} notes"] = [{"note": n} for n in e.get("notes", ())]
     if "cases" in report:
         tables["cases"] = report["cases"]
     return tables
@@ -141,7 +146,8 @@ def _canon(value: Any) -> str:
 
 
 def diff_reports(a: dict, b: dict) -> Tuple[int, List[str]]:
-    """Compare the result rows of two reports (``python -m repro.bench diff``).
+    """Compare the result rows and notes of two reports (``python -m repro.bench
+    diff``); a note counts as a row of its experiment's notes table.
 
     Returns ``(rows compared, one line per difference)``: a table present on
     one side only, a row-count mismatch, or a row naming each field that

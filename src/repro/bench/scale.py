@@ -8,14 +8,14 @@ one rack-outage fault cell riding along on the first multi-rack rung.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..chaos import FaultSchedule
 from ..check import check_linearizable
 from ..sim import AllOf
 from ..workloads import closed_loop_gets, closed_loop_puts
 from .chaos import reconcile_vs_scratch, run_faulted
-from .harness import Experiment, build, register, run_to_completion
+from .harness import Experiment, ExperimentResult, build, register, run_to_completion
 from .parallel import Cell, derive_seed
 
 #: The racks x hosts ladder the scale figure sweeps.  ``budget`` is the
@@ -166,12 +166,12 @@ def _ladder(cell: Callable, params: Dict[str, Any], seed: int) -> List[Cell]:
     return cells
 
 
-def check(rows: Sequence[Dict]) -> List[str]:
+def check(result: ExperimentResult) -> List[str]:
     """Every gate of the scale family, as failure strings (empty = pass):
     the §4.6 rule budget on every row, and a rack-outage cell — present
     whenever a multi-rack rung ran — that stayed linearizable and whose
     reconcile-after-heal equals a from-scratch sync."""
-    failures = []
+    rows, failures = result.rows, []
     for r in rows:
         outage = "schedule" in r  # the ride-along rack_outage chaos row
         tag = f"scale {r['racks']}x{r['hosts_per_rack']}" + ("/rack_outage" if outage else "")

@@ -1,4 +1,5 @@
-"""One gate per suite (``perf.check``, ``chaos.check``, ``scale.check``).
+"""One gate per suite (``perf.check``, ``chaos.check``, ``scale.check``)
+and one per figure (``claims.check``, the paper's claims).
 
 The committed ``BENCH_*.json`` reports are judged by the very functions
 ``run_suite``, the CLI exit code and CI use — a committed report can no
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import __main__ as cli
-from repro.bench import chaos, perf, scale
+from repro.bench import EXPERIMENTS, chaos, claims, perf, scale
 from repro.bench.__main__ import main
 from repro.bench.harness import ExperimentResult
 from repro.check.mutants import MUTANTS
@@ -24,6 +25,16 @@ SUITES = {"perf": perf, "chaos": chaos}
 
 def committed(suite):
     return json.loads((ROOT / f"BENCH_{suite}.json").read_text())
+
+
+def figure_results():
+    """The committed figure report as the ``ExperimentResult``s ``check`` reads."""
+    return {
+        e["name"]: ExperimentResult(
+            e["name"], e["description"], e["columns"], e["rows"], e["notes"]
+        )
+        for e in committed("figures")["experiments"]
+    }
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -262,6 +273,147 @@ def test_filtered_run_skips_the_families_it_never_planned():
     assert honest["stale_replica_reads"] == 0 == report["harmonia"]["stale_replica_reads"]
 
 
+# ------------------------------------------------------ the paper's claims
+def test_committed_figures_hold_every_claim():
+    """``bench all --ops 100``'s own rows, judged with no simulation."""
+    provenance = committed("figures")["provenance"]
+    assert provenance["ops"] == 100 and not provenance["full"]
+    results = figure_results()
+    assert list(results) == [name for name, exp in EXPERIMENTS.items() if exp.in_all]
+    assert {claim.figure for claim in claims.CLAIMS} == set(results)
+    assert {name.split()[0] for name in FIGURE_MUTATIONS} == set(results)  # every claim table bites
+    for name, result in results.items():
+        assert EXPERIMENTS[name].check is claims.check
+        assert claims.check(result) == [], name
+        assert not [note for note in result.notes if note.startswith("FAIL")]
+
+
+def figure_row(result, **where):
+    (match,) = [r for r in result.rows if all(r[k] == v for k, v in where.items())]
+    return match
+
+
+MB = 1 << 20
+
+
+def drop_note(result, event):
+    result.notes[:] = [n for n in result.notes if not n.endswith(event)]
+
+
+FIGURE_MUTATIONS = {
+    "fig4": (
+        lambda r: figure_row(r, system="NOOB+ROG", size_bytes=4).update(get_ms=0.42),
+        ["fig4: get time ROG / NICE at 4 B (paper: ~2x up to 64 KB): "
+         "measured 1.4, want [1.5, inf]"],
+    ),
+    "fig5": (
+        lambda r: figure_row(r, system="NOOB+ROG", size_bytes=MB).update(put_ms=130.0),
+        ["fig5: put time ROG / NICE at 1 MB (paper: up to 4.3x): measured 6.14, want [3, 5.5]"],
+    ),
+    "fig6": (
+        lambda r: figure_row(r, system="NICE", size_bytes=MB).update(x_object_size=4.2),
+        ["fig6: link bytes / object, NICE at 1 MB (1 uplink + R = 3 downlinks = 4): "
+         "measured 4.2, want [3.92, 4.08]"],
+    ),
+    "fig7": (
+        lambda r: figure_row(r, system="NICE", size_bytes=MB).update(load_ratio=1.5),
+        ["fig7: primary / secondary IO, NICE at 1 MB (paper: 1, balanced by design): "
+         "measured 1.5, want [0.9, 1.1]"],
+    ),
+    "fig8": (
+        lambda r: figure_row(r, system="NOOB", quorum=7).update(
+            put_ms=800.0, bandwidth_MBps=1.31072
+        ),
+        ["fig8: NOOB / NICE put time at k = 7 over at k = 1 (paper: the gap narrows): "
+         "measured 1.09, want [0, 1]"],
+    ),
+    "fig9": (
+        lambda r: figure_row(r, system="NICE", replication=9, size_bytes=MB).update(put_ms=27.0),
+        ["fig9: 1 MB NICE put time R = 9 / R = 1 (paper: +17 %): measured 1.3, want [0, 1.25]"],
+    ),
+    "fig10": (
+        lambda r: figure_row(r, system="NOOB 2PC", replication=9, size_bytes=MB).update(
+            get_only_ms=40.0
+        ),
+        ["fig10: 1 MB 2PC op time / its get-only marker at R = 9 (paper: 2PC's significant "
+         "overhead): measured 0.9491, want [1, inf]"],
+    ),
+    "fig11": (
+        lambda r: r.notes.__setitem__(
+            r.notes.index("t=90.08s: n7 consistent"), "t=96.08s: n7 consistent"
+        ),
+        ["fig11: s from the rejoin to get-visible (paper: ~5 s): measured 6.03, want [0, 5]"],
+    ),
+    "fig11 without its rejoin note": (
+        lambda r: drop_note(r, "rejoins"),
+        ["fig11: gets/s, lowest mean of before / during / after the failure (paper: service "
+         "continues): measured nan, want [1, inf]",
+         "fig11: put rate from failure + 2 s to the rejoin / before the failure (paper: the "
+         "handoff takes over): measured nan, want [0.8, 1.2]",
+         "fig11: s from the rejoin to get-visible (paper: ~5 s): measured nan, want [0, 5]"],
+    ),
+    "fig12": (
+        lambda r: figure_row(r, workload="F", system="NICE").update(errors=3),
+        ["fig12: errors over every leg (paper: none): measured 3, want [0, 0]"],
+    ),
+    "sec46": (
+        lambda r: figure_row(r, source="measured", load_balancing=False, nodes=16).update(
+            entries=50
+        ),
+        ["sec46: measured entries / N without LB (paper: 2; +1 group match per partition = 3): "
+         "measured nan, want [3, 3]"],
+    ),
+    "ablation-chain": (
+        lambda r: figure_row(r, system="NOOB chain", size_bytes=MB).update(put_ms=40.0),
+        ["ablation-chain: 1 MB put time, smallest step of NICE < fan-out < chain (§4.2: chain "
+         "latency grows with its length): measured 0.8439, want [1, inf]"],
+    ),
+    "ablation-lb": (
+        lambda r: figure_row(r, load_balancing=True).update(replicas_serving=2),
+        ["ablation-lb: LB on: replicas serving hot-object gets, all R = 3 (§4.5): "
+         "measured 2, want [3, 3]"],
+    ),
+    "ablation-membership": (
+        lambda r: figure_row(r, nodes=4).update(nice_node_msgs=7),
+        ["ablation-membership: NICE node messages mod R = 3, worst N (§4.1: R per affected "
+         "partition): measured 1, want [0, 0]"],
+    ),
+    "ablation-deployment": (
+        lambda r: figure_row(r, deployment="ovs", size_bytes=MB).update(get_ms=30.0),
+        ["ablation-deployment: get time ovs / hw, worst size (§5.1: one extra software-switch "
+         "hop): measured 1.58, want [1, 1.5]"],
+    ),
+    "ablation-sw-rewrite": (
+        lambda r: figure_row(r, rewrite_penalty_s=5e-3).update(get_ms=2.0),
+        ["ablation-sw-rewrite: 1 KB get time, 5 ms software rewrite / hardware (§5.1: ~1000x "
+         "slower switching): measured 6.29, want [10, inf]"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FIGURE_MUTATIONS)
+def test_doctored_figure_fails_exactly_the_expected_claim(name):
+    mutate, expected = FIGURE_MUTATIONS[name]
+    result = figure_results()[name.split()[0]]
+    mutate(result)
+    assert EXPERIMENTS[result.name].check(result) == expected
+
+
+def test_a_failing_claim_is_cli_exit_status_1(monkeypatch, capsys):
+    mutate, expected = FIGURE_MUTATIONS["fig5"]
+
+    def doctored_run(name, **_kw):
+        result = figure_results()[name]
+        mutate(result)
+        return result
+
+    monkeypatch.setattr(cli, "run", doctored_run)
+    assert main(["fig5", "--no-cache", "--figures-out", "-"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL: {expected[0]}" in out
+    assert "   NO       6.14  [3, 5.5]" in out
+
+
 # ------------------------------------------------------------- exit codes
 SCALE_ROWS = [
     dict(racks=4, hosts_per_rack=16, budget_ok=True, max_switch_rules=451, rule_budget=1024),
@@ -282,13 +434,13 @@ SCALE_ROWS = [
 ])
 def test_scale_gate_and_cli_exit_code(row, fields, expected, monkeypatch, capsys):
     """Budget overruns used to be a note under a zero exit status."""
-    assert scale.check(SCALE_ROWS) == []
+    assert scale.check(ExperimentResult("scale", "", [], SCALE_ROWS)) == []
     rows = copy.deepcopy(SCALE_ROWS)
     if fields is None:
         del rows[row]
     else:
         rows[row].update(fields)
-    assert scale.check(rows) == expected
+    assert scale.check(ExperimentResult("scale", "", [], rows)) == expected
 
     def doctored_scale(name, **_kw):
         result = ExperimentResult(name, "doctored", ["racks", "budget_ok"])

@@ -102,7 +102,7 @@ def test_every_row_carries_its_declared_columns(tiny_results, name):
             "racks", "hosts_per_rack", "budget_ok", "max_switch_rules", "rule_budget",
             "linearizable", "reason", "reconcile_matches_scratch",
         }
-        assert scale.check(rows) == []
+        assert scale.check(result) == []
         rows = [row for row in rows if "schedule" not in row]
     assert rows
     for row in rows:

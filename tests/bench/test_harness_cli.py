@@ -141,16 +141,19 @@ def test_cli_traced_cluster_equals_untraced_and_put_spans_have_children(tmp_path
     assert complete & hops & two_pc, "no put span with switch-hop and 2PC children"
 
 
-def test_cli_diff_compares_result_rows_and_nothing_else(tmp_path, capsys):
+def test_cli_diff_compares_result_rows_and_notes_and_nothing_else(tmp_path, capsys):
     """``bench diff``: wall-clock, cell-cache and provenance fields may
-    differ freely; one moved row field (or chaos case) is exit status 1
-    with the row and field named."""
+    differ freely; one moved row field, note (Fig 11's failure, rejoin and
+    consistent times live only there) or chaos case is exit status 1 with
+    the row and field named."""
     figures = {
         "suite": "figures",
         "provenance": {"git_sha": "aaa", "generated_unix": 1.0, "cache_hits": 0},
         "experiments": [
             {"name": "fig5", "wall_s": 1.0, "cells": [{"cache_hit": False}],
              "rows": [{"system": "NICE", "put_ms": 1.5}, {"system": "NOOB", "put_ms": 3.0}]},
+            {"name": "fig11", "rows": [],
+             "notes": ["t=30.05s: n7 fails", "t=90.08s: n7 consistent"]},
         ],
     }
     rerun = json.loads(json.dumps(figures))
@@ -158,20 +161,26 @@ def test_cli_diff_compares_result_rows_and_nothing_else(tmp_path, capsys):
     rerun["experiments"][0].update(wall_s=9.0, cells=[{"cache_hit": True}])
     moved = json.loads(json.dumps(rerun))
     moved["experiments"][0]["rows"][1]["put_ms"] = 3.0000000000000004
+    late = json.loads(json.dumps(rerun))
+    late["experiments"][1]["notes"][1] = "t=93.08s: n7 consistent"
     chaos = {"suite": "chaos", "wall_s": 5.0, "cases": [{"mode": "nice", "ok_ops": 617}]}
     chaos_moved = {"suite": "chaos", "wall_s": 5.0, "cases": [{"mode": "nice", "ok_ops": 616}]}
     paths = {}
-    for name, report in dict(a=figures, b=rerun, c=moved, d=chaos, e=chaos_moved).items():
+    for name, report in dict(a=figures, b=rerun, c=moved, d=chaos, e=chaos_moved, f=late).items():
         paths[name] = str(tmp_path / f"{name}.json")
         with open(paths[name], "w") as fh:
             json.dump(report, fh)
 
     assert main(["diff", paths["a"], paths["b"]]) == 0
-    assert "2 rows compared, 0 differences" in capsys.readouterr().out
+    assert "4 rows compared, 0 differences" in capsys.readouterr().out
     assert main(["diff", paths["a"], paths["c"]]) == 1
     out = capsys.readouterr().out
     assert "fig5[1]: put_ms: 3.0 != 3.0000000000000004" in out
-    assert "2 rows compared, 1 differences" in out
+    assert "4 rows compared, 1 differences" in out
+    assert main(["diff", paths["a"], paths["f"]]) == 1
+    out = capsys.readouterr().out
+    assert "fig11 notes[1]: note: 't=90.08s: n7 consistent' != 't=93.08s: n7 consistent'" in out
+    assert "4 rows compared, 1 differences" in out
     assert main(["diff", paths["d"], paths["e"]]) == 1
     assert "cases[0]: ok_ops: 617 != 616" in capsys.readouterr().out
     assert main(["diff", paths["a"], paths["d"]]) == 1  # different suites share no table

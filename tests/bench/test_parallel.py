@@ -218,7 +218,7 @@ def test_scale_cell_jobs_parity(tmp_path):
     assert par.rows == seq.rows
     assert warm.rows == seq.rows
     assert len([row for row in seq.rows if "throughput_ops_s" in row]) == 2
-    assert scale.check(seq.rows) == []  # real rows carry every gated field
+    assert scale.check(seq) == []  # real rows carry every gated field
     # 2 rung cells + the ride-along chaos cell, all cached and replayed.
     assert [r["cache_hit"] for r in rec_cold] == [False] * 3
     assert [r["cache_hit"] for r in rec_warm] == [True] * 3
