@@ -26,7 +26,7 @@ from ...check import (
     check_monotonic,
 )
 from ...workloads.synthetic import keys_in_partition
-from ..harness import SYSTEMS, build, build_nice
+from ..harness import build
 
 #: Cluster shrunk for sweep speed; semantics (R=3, one partition under
 #: attack) match the paper's fault scenario.
@@ -202,8 +202,6 @@ def chaos_cell(
     process — or, for a directly called cell with its own timings, a
     function from the cell's key to a :class:`FaultSchedule`.  Either way
     the schedule is aimed at a key of the partition under attack."""
-    if standbys and SYSTEMS[mode][0] is not build_nice:
-        raise ValueError("metadata standbys are a NICE-only configuration")
     cluster = build(
         mode, **CLUSTER_KW, seed=seed, **(dict(metadata_standbys=standbys) if standbys else {})
     )

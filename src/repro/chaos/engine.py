@@ -160,11 +160,12 @@ class ChaosEngine:
 
     def crash_leader(self) -> Optional[str]:
         """Fail-stop the acting metadata leader and return its name, or
-        ``None`` without HA or a live leader.  Bound under "meta" so that
-        :meth:`revive_leader` brings back the replica that actually
-        crashed, not whoever leads by then."""
+        ``None`` without a standby (restored, a lone leader would judge
+        every node by heartbeat clocks that stopped with it) or a live
+        leader.  Bound under "meta" so that :meth:`revive_leader` brings
+        back the replica that actually crashed, not whoever leads by then."""
         ha = self.cluster.metadata_ha
-        leader = ha.leader if ha is not None else None
+        leader = ha.leader if ha.size > 1 else None
         if leader is None or not leader.host.up:
             return None
         leader.crash()
@@ -174,8 +175,8 @@ class ChaosEngine:
     def revive_leader(self) -> Optional[str]:
         """Power the longest-crashed metadata replica back on; its name, or
         ``None`` if none is down."""
-        ha, fifo = self.cluster.metadata_ha, self.bound.get("meta")
-        replica = ha.replica_named(fifo.pop(0)) if ha is not None and fifo else None
+        fifo = self.bound.get("meta")
+        replica = self.cluster.metadata_ha.replica_named(fifo.pop(0)) if fifo else None
         if replica is None:
             return None
         replica.recover()

@@ -233,7 +233,8 @@ def rack_heal(e, rack, p):
 # -- control-plane faults --------------------------------------------------------------------
 @fault("cluster", needs=("metadata_ha",))
 def metadata_crash(e, _, p):
-    """fail-stop the acting metadata leader; a standby must promote itself"""
+    """fail-stop the acting metadata leader; a standby must promote itself
+    (skipped without a standby)"""
     name = e.crash_leader()
     if name is None:
         raise Skip("no leader")
@@ -304,8 +305,9 @@ def disk_corrupt(e, name, p):
 def power_failure(e, _, p):
     """whole-cluster power loss: every up node crashes with volatile state
     *and* unflushed disk caches (torn-tail appends included) discarded; the
-    metadata leader and the controller channel go dark too.  The membership
-    log is modeled as durable (§4.4's recovery assumes it survives)"""
+    controller channel goes dark too, and so does a metadata leader that has
+    a standby.  The membership log is modeled as durable (§4.4's recovery
+    assumes it survives)"""
     downed = [name for name, node in sorted(e.cluster.nodes.items()) if node.host.up]
     for name in downed:
         e.cluster.nodes[name].crash(power_loss=True)

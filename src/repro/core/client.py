@@ -24,6 +24,7 @@ from ..sim import AnyOf, Counter, Event, Simulator, Tally
 from ..transport import MulticastSender, ProtocolStack
 from .config import (
     CLIENT_PORT,
+    BaseConfig,
     ClusterConfig,
     GET_PORT,
     PUT_PORT,
@@ -53,7 +54,7 @@ class OpResult:
 class KvClient:
     """One client machine: reply socket, waiters, counters, attempt loop."""
 
-    def __init__(self, sim: Simulator, host: Host, config: ClusterConfig):
+    def __init__(self, sim: Simulator, host: Host, config: BaseConfig):
         self.sim = sim
         self.host = host
         self.config = config

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..net import GBPS, IPv4Network
+from ..net import GBPS, IPv4Address, IPv4Network
 
 __all__ = [
+    "BaseConfig",
     "ClusterConfig",
     "GET_PORT",
     "PUT_PORT",
@@ -47,8 +48,10 @@ HEARTBEAT_BYTES = 256
 MEMBERSHIP_BYTES = 512
 
 @dataclass
-class ClusterConfig:
-    """Knobs shared by the NICE and NOOB cluster builders."""
+class BaseConfig:
+    """Knobs both cluster builders read, NICE and NOOB: the platform
+    (nodes, clients, links, switch, node CPU), the ring, the timeouts a
+    storage node and a client share, and the seed."""
 
     n_storage_nodes: int = 15
     n_clients: int = 14
@@ -60,17 +63,11 @@ class ClusterConfig:
     link_bandwidth_bps: float = GBPS
     link_latency_s: float = 50e-6
     switch_lookup_latency_s: float = 5e-6
-    controller_latency_s: float = 500e-6
-    heartbeat_interval_s: float = 0.5
-    #: Heartbeats missed before the metadata service declares failure (§4.4).
-    heartbeat_miss_limit: int = 3
     #: Node-to-node protocol timeout; two timeouts trigger a failure report.
     peer_timeout_s: float = 0.5
     #: Client retry timeout — Fig 11: "the client will retry after waiting
     #: for 2 seconds".
     client_retry_timeout_s: float = 2.0
-    unicast_vring: IPv4Network = field(default_factory=lambda: IPv4Network("10.10.0.0/16"))
-    multicast_vring: IPv4Network = field(default_factory=lambda: IPv4Network("10.11.0.0/16"))
     client_space: IPv4Network = field(default_factory=lambda: IPv4Network("10.20.0.0/24"))
     #: Smooth node placement on the physical ring.
     ring_points_per_node: int = 32
@@ -78,12 +75,51 @@ class ClusterConfig:
     #: indexing, syscalls).  Serialized per node: the resource a hot
     #: primary saturates on small-object workloads (Figs 10, 12).
     node_cpu_per_op_s: float = 25e-6
+    seed: int = 42
+
+    def __post_init__(self) -> None:
+        if self.n_storage_nodes < 1:
+            raise ValueError("need at least one storage node")
+        if not 1 <= self.replication_level <= self.n_storage_nodes:
+            raise ValueError(
+                f"replication level {self.replication_level} needs "
+                f"{self.replication_level} storage nodes, have {self.n_storage_nodes}"
+            )
+        if self.n_partitions <= 0:
+            self.n_partitions = self.n_storage_nodes
+        # Round partitions up to a power of two (prefix subgroups, §3.2).
+        p = 1
+        while p < self.n_partitions:
+            p *= 2
+        self.n_partitions = p
+
+    def client_ip(self, i: int) -> IPv4Address:
+        """Client ``i``'s address behind one switch: the clients spread
+        evenly over ``client_space``, so the §4.5 source-prefix load
+        balancer sees a realistic client population."""
+        space = self.client_space
+        stride = max(1, space.num_addresses // max(self.n_clients, 1))
+        return space.address + (i * stride) % space.num_addresses
+
+
+@dataclass
+class ClusterConfig(BaseConfig):
+    """The NICE cluster's knobs: the shared ones plus the control plane,
+    the vrings, the fabric and the protocol variants."""
+
+    controller_latency_s: float = 500e-6
+    heartbeat_interval_s: float = 0.5
+    #: Heartbeats missed before the metadata service declares failure (§4.4).
+    heartbeat_miss_limit: int = 3
+    unicast_vring: IPv4Network = field(default_factory=lambda: IPv4Network("10.10.0.0/16"))
+    multicast_vring: IPv4Network = field(default_factory=lambda: IPv4Network("10.11.0.0/16"))
     #: Enable the §4.5 source-prefix load balancer for gets.
     load_balancing: bool = True
-    #: Metadata-service standbys for control-plane HA.  0 (default) keeps
-    #: the single-process service from the paper; N > 0 adds N standby
-    #: replicas that tail the membership log and promote themselves (with
-    #: a new epoch) when the leader's lease expires.
+    #: Metadata-service standbys for control-plane HA.  The service is a
+    #: replica group of ``1 + metadata_standbys``; 0 (default) is a group
+    #: of one, the paper's single process.  Each standby tails the
+    #: membership log and promotes itself (with a new epoch) when the
+    #: leader's lease expires.
     metadata_standbys: int = 0
     #: Deployment shape (§5.1): "hw" — one switch that can rewrite headers
     #: and multicast (the idealized setup); "ovs" — the paper's actual
@@ -125,23 +161,9 @@ class ClusterConfig:
     #: consistent replica).  0 (default) disables the scrubber entirely —
     #: no process is spawned, keeping default runs bit-identical.
     scrub_interval_s: float = 0.0
-    seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.n_storage_nodes < 1:
-            raise ValueError("need at least one storage node")
-        if not 1 <= self.replication_level <= self.n_storage_nodes:
-            raise ValueError(
-                f"replication level {self.replication_level} needs "
-                f"{self.replication_level} storage nodes, have {self.n_storage_nodes}"
-            )
-        if self.n_partitions <= 0:
-            self.n_partitions = self.n_storage_nodes
-        # Round partitions up to a power of two (prefix subgroups, §3.2).
-        p = 1
-        while p < self.n_partitions:
-            p *= 2
-        self.n_partitions = p
+        super().__post_init__()
         if self.deployment not in ("hw", "ovs"):
             raise ValueError(f"deployment must be 'hw' or 'ovs': {self.deployment!r}")
         if self.protocol_mode not in ("nice", "harmonia"):

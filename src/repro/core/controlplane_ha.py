@@ -1,14 +1,20 @@
-"""Control-plane fault tolerance: replicated metadata service with
-epoch-fenced takeover (the robustness layer NICE §4.4 assumes away).
+"""The metadata service's replica group, and control-plane fault
+tolerance: epoch-fenced takeover (the robustness layer NICE §4.4 assumes
+away).
 
-The paper's metadata service + SDN controller are single processes; here
-they gain a primary/standby replication scheme built from the same
-machinery storage nodes already use:
+Every NICE cluster builds its metadata service as a :class:`ControlPlaneHA`
+group of ``1 + metadata_standbys`` replicas (:class:`MetadataReplica`);
+rank 0 leads at epoch 1.  The default group of one is the paper's single
+process: it runs no tick loop, writes no membership log and is never
+crashed by a fault (nobody could take over).  With standbys the group
+gains a primary/standby replication scheme built from the same machinery
+storage nodes already use:
 
-* **Leader lease** — the acting leader beats ``leader_hb`` datagrams to
-  every standby on the node-heartbeat cadence; a standby promotes itself
-  when ``heartbeat_miss_limit × heartbeat_interval_s`` elapses without
-  one (staggered by replica rank so standbys don't race each other).
+* **Leader lease** — each replica has one timed loop on the
+  node-heartbeat cadence: the acting leader beats ``leader_hb`` datagrams
+  to every standby, and a standby promotes itself when
+  ``heartbeat_miss_limit × heartbeat_interval_s`` elapses without one
+  (staggered by replica rank so standbys don't race each other).
 * **Membership log** — every membership transition (register / fail /
   rejoin phases / admin ops) is appended to a disk-backed log
   (``kv.wal`` pattern: forced sequential writes) and replicated to the
@@ -124,9 +130,8 @@ class MetadataReplica:
 
     The replica owns the protocol stack, the membership-log disk, and the
     META_PORT inboxes; the actual :class:`MetadataService` logic runs
-    *inside* the replica (``own_loops=False``) so a standby can promote —
-    construct a fresh service over the replayed state — without rebinding
-    any socket.
+    *inside* the replica, so a standby can promote — construct a fresh
+    service over the replayed state — without rebinding any socket.
     """
 
     def __init__(
@@ -156,16 +161,18 @@ class MetadataReplica:
         self._ctl_inbox = self.stack.tcp.listen(META_PORT)
         self._hb_inbox.serve(self._on_hb)
         sim.process(self._ctl_loop())
-        sim.process(self._tick_loop())
+        if ha.size > 1:
+            sim.process(self._tick_loop())
         ha.add_replica(self)
 
     # -- lifecycle ----------------------------------------------------------------
     def lead(self, partition_map: PartitionMap, epoch: int = 1) -> MetadataService:
-        """Become the build-time leader (rank 0)."""
+        """Become the build-time leader (rank 0); a group of one keeps no
+        membership log."""
         self.role = "leader"
         self.service = MetadataService(
             self.sim, self.stack, self.config, partition_map, self.controller,
-            epoch=epoch, peers=(), log=self.log, own_loops=False,
+            epoch=epoch, log=self.log if self.ha.size > 1 else None,
         )
         self.epoch_seen = epoch
         return self.service
@@ -303,17 +310,21 @@ class MetadataReplica:
             self.log.replace(body.get("records") or [])
             self.epoch_seen = max(self.epoch_seen, body.get("epoch", 0))
 
-    # -- promotion ----------------------------------------------------------------
+    # -- lease and promotion ---------------------------------------------------------
     def _tick_loop(self):
+        """The replica's one timer: a leader beats its lease, a standby
+        watches it."""
         interval = self.config.heartbeat_interval_s
         lease = self.config.heartbeat_miss_limit * interval
         while True:
             yield self.sim.timeout(interval)
-            if not self.host.up or self.leading:
+            if not self.host.up:
                 continue
+            if self.leading:
+                self.service.send_leader_beat()
             # Rank-staggered threshold: the lowest-ranked live standby wins
             # the race, later ranks only step up if it too is dead.
-            if self.sim.now - self.last_leader_beat > lease * (1 + self.rank / 4):
+            elif self.sim.now - self.last_leader_beat > lease * (1 + self.rank / 4):
                 self.promote()
 
     def promote(self) -> Optional[MetadataService]:
@@ -327,7 +338,6 @@ class MetadataReplica:
         svc = MetadataService(
             self.sim, self.stack, self.config, pm, self.controller,
             epoch=new_epoch, peers=self._peer_ips(), log=self.log,
-            own_loops=False,
         )
         svc.status = dict(status)
         now = self.sim.now
@@ -383,6 +393,9 @@ class ControlPlaneHA:
         self.sim = sim
         self.config = config
         self.controller = controller
+        #: Replicas the group is built with; ``size > 1`` is the one test
+        #: for what a lone replica skips (see the module docstring).
+        self.size = 1 + config.metadata_standbys
         self.replicas: List[MetadataReplica] = []
         self.promotions = Counter("meta.ha.promotions")
         self.demotions = Counter("meta.ha.demotions")
@@ -424,7 +437,7 @@ class ControlPlaneHA:
         if leader is None:
             raise RuntimeError("finalize() requires a build-time leader")
         svc = leader.service
-        svc.set_peers([r.host.ip for r in self.replicas if r is not leader])
+        svc.peers = tuple(r.host.ip for r in self.replicas if r is not leader)
         for replica in self.replicas:
             if replica is leader:
                 continue

@@ -14,14 +14,14 @@ The service is the only component with complete membership knowledge.  It:
 * pushes O(R) membership slices to affected replicas only, keeping
   maintenance O(S) switch messages + O(R) node messages per change (§4.1).
 
-For control-plane fault tolerance (``ClusterConfig.metadata_standbys``)
-the service additionally carries an **epoch** stamped on every flow-mod
-and membership message, appends every membership transition to a
-persisted :class:`~repro.core.controlplane_ha.MembershipLog` (replicated
-to standbys), and beats a leader heartbeat so standbys can detect its
-death and promote.  With no standbys configured (the default) all of
-that collapses to the original single-process behavior: epoch is the
-constant 1, the log is ``None``, and no leader beats are sent.
+The service always runs inside a
+:class:`~repro.core.controlplane_ha.MetadataReplica`, which owns its
+sockets.  It stamps an **epoch** on every flow-mod and membership message;
+with standbys (``ClusterConfig.metadata_standbys``) it also appends every
+membership transition to a persisted, replicated
+:class:`~repro.core.controlplane_ha.MembershipLog`.  In the default group
+of one — the paper's single process — the epoch stays 1 and the log is
+``None``.
 """
 
 from __future__ import annotations
@@ -49,14 +49,14 @@ UP, DOWN, JOINING = "up", "down", "joining"
 
 
 class MetadataService:
-    """Runs on its own host; owns the partition map and the controller.
+    """Runs on a metadata host; owns the partition map and the controller.
 
-    ``own_loops=False`` is the HA mode: a
-    :class:`~repro.core.controlplane_ha.MetadataReplica` owns the sockets
-    and forwards traffic in, so a promoted service can take over without
-    rebinding ports.  ``active`` gates every timed loop — a deposed
+    Its :class:`~repro.core.controlplane_ha.MetadataReplica` owns the
+    sockets and forwards traffic in (:meth:`on_heartbeat`,
+    :meth:`handle_control`), so a promoted standby takes over without
+    rebinding ports.  ``active`` gates the monitor loop — a deposed
     leader's service is deactivated in place and its still-running
-    processes become no-ops.
+    process becomes a no-op.
     """
 
     def __init__(
@@ -69,7 +69,6 @@ class MetadataService:
         epoch: int = 1,
         peers: Iterable[IPv4Address] = (),
         log=None,
-        own_loops: bool = True,
     ):
         self.sim = sim
         self.stack = stack
@@ -102,17 +101,7 @@ class MetadataService:
         self.reconcile_passes = Counter("meta.reconciles")
         self.failslow_detections = Counter("meta.failslow_detections")
         self.failslow_handoffs = Counter("meta.failslow_handoffs")
-        if own_loops:
-            self._hb_inbox = stack.udp_bind(META_PORT)
-            self._ctl_inbox = stack.tcp.listen(META_PORT)
-            self._hb_inbox.serve(lambda dgram: self.on_heartbeat(dgram.payload or {}))
-            sim.process(self._control_loop())
-        else:
-            self._hb_inbox = None
-            self._ctl_inbox = None
         sim.process(self._monitor_loop())
-        if self.peers:
-            sim.process(self._leader_beat_loop())
         if self.log is not None and len(self.log) == 0:
             self._log_append("init", slices=list(partition_map))
 
@@ -146,8 +135,8 @@ class MetadataService:
             self._set_degraded(node, slow)
 
     def handle_control(self, msg, body: dict):
-        """One TCP control message; a generator (``yield from``-able by the
-        HA replica wrapper)."""
+        """One TCP control message; a generator the replica's control loop
+        runs with ``yield from``."""
         kind = body.get("type")
         if kind == "report_failure":
             suspect = body["suspect"]
@@ -186,13 +175,7 @@ class MetadataService:
         channel = getattr(self.controller, "channel", None)
         return bool(getattr(channel, "down", False))
 
-    # -- inbound loops (single-process mode) ---------------------------------------------
-    # Heartbeats are a served mailbox (see __init__); control replies wait.
-    def _control_loop(self):
-        while True:
-            msg = yield self._ctl_inbox.get()
-            yield from self.handle_control(msg, msg.payload or {})
-
+    # -- failure detection ------------------------------------------------------------
     def _monitor_loop(self):
         interval = self.config.heartbeat_interval_s
         limit = self.config.heartbeat_miss_limit * interval
@@ -211,29 +194,12 @@ class MetadataService:
                 if state in (UP, JOINING) and now - beat > limit:
                     self.declare_failed(node)
 
-    def _leader_beat_loop(self):
-        """Announce leadership to standbys on the same heartbeat cadence
-        nodes use; a standby promotes when the lease expires."""
-        interval = self.config.heartbeat_interval_s
-        while True:
-            yield self.sim.timeout(interval)
-            if not self.active or not self.stack.host.up:
-                continue
-            self.send_leader_beat()
-
     def send_leader_beat(self) -> None:
+        """Announce leadership to the standbys; a standby promotes when
+        this lease expires."""
         body = {"type": "leader_hb", "epoch": self.epoch, "ip": str(self.stack.ip)}
         for ip in self.peers:
             self.stack.udp_send(ip, META_PORT, body, HEARTBEAT_BYTES)
-
-    def set_peers(self, peers: Iterable[IPv4Address]) -> None:
-        """Late peer wiring (build-time: standbys are created after the
-        leader).  Starts the leader-beat loop on the 0→N transition so the
-        standby-less configuration never schedules it."""
-        had_peers = bool(self.peers)
-        self.peers = tuple(peers)
-        if self.peers and not had_peers:
-            self.sim.process(self._leader_beat_loop())
 
     # -- membership log (control-plane HA) ------------------------------------------------
     def _log_append(self, kind: str, node: str = "", slices: Iterable[ReplicaSet] = ()) -> None:

@@ -16,7 +16,7 @@ from ..kv import Disk, LockTable, ObjectStore, StoredObject, WriteAheadLog
 from ..net import Host, IPv4Address
 from ..sim import AnyOf, Counter, Resource, Simulator
 from ..transport import ProtocolStack
-from .config import ACK_BYTES, NODE_PORT, REQUEST_BYTES, ClusterConfig
+from .config import ACK_BYTES, NODE_PORT, REQUEST_BYTES, BaseConfig
 
 __all__ = ["NodeShell"]
 
@@ -24,7 +24,7 @@ __all__ = ["NodeShell"]
 class NodeShell:
     """Identity, resources and wire idioms of one storage server."""
 
-    def __init__(self, sim: Simulator, host: Host, name: str, config: ClusterConfig,
+    def __init__(self, sim: Simulator, host: Host, name: str, config: BaseConfig,
                  directory: Dict[str, IPv4Address]):
         self.sim = sim
         self.host = host

@@ -26,16 +26,13 @@ FAILSLOW_STRIKES = 2
 class MetaLink:
     """Metadata targets, epoch fence, control requests, health reports."""
 
-    def __init__(self, node, metadata_ip):
+    def __init__(self, node, metadata_ips):
         self.node = node
         #: Metadata control/heartbeat targets, preference order.  ``_idx``
         #: points at the current target; it rotates on control timeouts
         #: and snaps to the leader announced by ``meta_leader`` /
         #: ``meta_redirect`` messages.
-        if isinstance(metadata_ip, (list, tuple)):
-            self.ips: List[IPv4Address] = [IPv4Address(ip) for ip in metadata_ip]
-        else:
-            self.ips = [IPv4Address(metadata_ip)]
+        self.ips: List[IPv4Address] = [IPv4Address(ip) for ip in metadata_ips]
         self._idx = 0
         #: Highest metadata epoch seen; stale-epoch membership and control
         #: messages from a deposed leader are fenced.

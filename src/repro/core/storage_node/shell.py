@@ -37,7 +37,7 @@ class NiceStorageNode(NodeShell):
         config: ClusterConfig,
         unicast_vring: VirtualRing,
         multicast_vring: VirtualRing,
-        metadata_ip,
+        metadata_ips,
         directory: Dict[str, IPv4Address],
     ):
         # ``directory``: the builder hands over the full name -> IP map for
@@ -60,7 +60,7 @@ class NiceStorageNode(NodeShell):
         self.read_repairs = Counter(f"{name}.read_repairs")
         self.scrub_scans = Counter(f"{name}.scrub_scans")
         self.scrub_repairs = Counter(f"{name}.scrub_repairs")
-        self.meta = MetaLink(self, metadata_ip)
+        self.meta = MetaLink(self, metadata_ips)
         self.puts = PutEngine(self)
         self.reads = ReadPath(self)
         self.recovery = Recovery(self)

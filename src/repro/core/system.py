@@ -3,16 +3,13 @@
 Storage nodes, client nodes and the metadata service hang off an
 OpenFlow-enabled switch; the metadata service's controller module installs
 the vring mappings.  The builder mirrors the §6 deployment: one metadata
-node, ``n_storage_nodes`` storage servers, ``n_clients`` client machines,
-1 Gbps links.
-
-Client IPs are spread evenly across the client address space so the §4.5
-source-prefix load balancer sees a realistic client population.
+node (plus ``metadata_standbys``), ``n_storage_nodes`` storage servers,
+``n_clients`` client machines, 1 Gbps links.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..net import (
     ControlPlane,
@@ -26,7 +23,6 @@ from ..net import (
     OpenFlowSwitch,
 )
 from ..sim import Simulator
-from ..transport import ProtocolStack
 from .client import NiceClient
 from .config import ClusterConfig
 from .controller import NiceControllerApp
@@ -57,8 +53,9 @@ class ClusterBase:
     """
 
     #: Leaf-spine fabric (``n_racks > 1``), the controller app and its
-    #: switch channel, the build-time metadata service, the HA replica
-    #: group (``metadata_standbys > 0``) and the acting metadata leader.
+    #: switch channel, the build-time metadata service, its replica group
+    #: (one replica plus ``metadata_standbys``) and the acting leader's
+    #: service.
     fabric = None
     controller = None
     control_plane = None
@@ -190,25 +187,19 @@ class NiceCluster(ClusterBase):
             self.directory[name] = host.ip
             storage_hosts.append(host)
 
-        # The metadata service (and its standbys) lives in rack 0, inside
-        # rack 0's 10.0.0.0/24 block.
-        meta_host = Host(self.sim, "meta", METADATA_IP, MacAddress(mac))
-        mac += 1
-        self.network.register(meta_host)
-        self._attach(meta_host, 0)
-        ctrl_dir.register_host("meta", meta_host.ip, meta_host.mac)
-
-        standby_hosts: List[Host] = []
-        for i in range(1, cfg.metadata_standbys + 1):
-            standby = Host(self.sim, f"meta{i}", METADATA_IP + i, MacAddress(mac))
+        # The metadata replica group (``meta``, then standbys ``meta1``, …)
+        # lives in rack 0, inside rack 0's 10.0.0.0/24 block.
+        self.metadata_ha = ControlPlaneHA(self.sim, cfg, self.controller)
+        meta_hosts: List[Host] = []
+        for i in range(self.metadata_ha.size):
+            host = Host(self.sim, f"meta{i or ''}", METADATA_IP + i, MacAddress(mac))
             mac += 1
-            self.network.register(standby)
-            self._attach(standby, 0)
-            ctrl_dir.register_host(f"meta{i}", standby.ip, standby.mac)
-            standby_hosts.append(standby)
+            self.network.register(host)
+            self._attach(host, 0)
+            ctrl_dir.register_host(host.name, host.ip, host.mac)
+            meta_hosts.append(host)
 
         client_hosts: List[Host] = []
-        stride = max(1, cfg.client_space.num_addresses // max(cfg.n_clients, 1))
         for i in range(cfg.n_clients):
             if self.fabric is not None:
                 # Round-robin clients over racks, packed into each rack's
@@ -217,7 +208,7 @@ class NiceCluster(ClusterBase):
                 ip = client_subnets[client_rack].address + 1 + (i // cfg.n_racks)
             else:
                 client_rack = 0
-                ip = cfg.client_space.address + (i * stride) % cfg.client_space.num_addresses
+                ip = cfg.client_ip(i)
             host = Host(self.sim, f"c{i}", ip, MacAddress(mac))
             mac += 1
             self.network.register(host)
@@ -251,26 +242,13 @@ class NiceCluster(ClusterBase):
         self.controller.sync_all()
 
         # -- services ----------------------------------------------------------
-        if cfg.metadata_standbys > 0:
-            # HA mode: the replicas own the metadata sockets and the
-            # membership log; rank 0 leads at epoch 1.
-            self.metadata_ha = ControlPlaneHA(self.sim, cfg, self.controller)
-            primary = MetadataReplica(
-                self.sim, meta_host, cfg, self.controller, self.metadata_ha, rank=0
-            )
-            self.metadata = primary.lead(partition_map, epoch=1)
-            for i, standby in enumerate(standby_hosts, start=1):
-                MetadataReplica(
-                    self.sim, standby, cfg, self.controller, self.metadata_ha, rank=i
-                )
-            self.metadata_ha.finalize()
-            meta_targets = [METADATA_IP] + [h.ip for h in standby_hosts]
-        else:
-            meta_stack = ProtocolStack(self.sim, meta_host)
-            self.metadata = MetadataService(
-                self.sim, meta_stack, cfg, partition_map, self.controller
-            )
-            meta_targets = [METADATA_IP]
+        # The replicas own the metadata sockets; rank 0 leads at epoch 1.
+        ha = self.metadata_ha
+        leader = MetadataReplica(self.sim, meta_hosts[0], cfg, self.controller, ha, rank=0)
+        self.metadata = leader.lead(partition_map, epoch=1)
+        for rank, host in enumerate(meta_hosts[1:], start=1):
+            MetadataReplica(self.sim, host, cfg, self.controller, ha, rank=rank)
+        ha.finalize()
 
         self.nodes: Dict[str, NiceStorageNode] = {}
         # One pass over the map instead of O(nodes × partitions) scans of
@@ -288,16 +266,18 @@ class NiceCluster(ClusterBase):
                 cfg,
                 self.uni_vring,
                 self.mc_vring,
-                meta_targets,
+                [host.ip for host in meta_hosts],
                 self.directory,
             )
             self.metadata.register_node(name)
             for rs in member_of[name]:
-                if cfg.metadata_standbys > 0:
+                if ha.size > 1:
                     # A private copy per node: a deposed leader replaying
                     # old state must not be able to mutate node views
                     # through shared objects (epoch fencing guards the
-                    # message path; this guards the reference path).
+                    # message path; this guards the reference path).  A
+                    # group of one shares the service's objects, a shortcut
+                    # rows depend on (DESIGN.md §5f).
                     rs = ReplicaSet.from_wire(rs.to_wire())
                 node.install_replica_set(rs)
             self.nodes[name] = node
@@ -344,14 +324,10 @@ class NiceCluster(ClusterBase):
         return self.controller.partition_map
 
     @property
-    def metadata_active(self) -> MetadataService:
-        """The acting metadata leader (falls back to the build-time
-        primary when no HA replica currently leads)."""
-        if self.metadata_ha is not None:
-            service = self.metadata_ha.active_service
-            if service is not None:
-                return service
-        return self.metadata
+    def metadata_active(self) -> Optional[MetadataService]:
+        """The acting metadata leader's service (``None`` only between a
+        leader crash and a standby's promotion)."""
+        return self.metadata_ha.active_service
 
     def node_of_partition(self, partition: int) -> NiceStorageNode:
         """The current acting primary of ``partition``."""

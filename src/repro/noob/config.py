@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.config import ClusterConfig
+from ..core.config import BaseConfig
 
 __all__ = ["NoobConfig", "GW_PORT"]
 
@@ -22,8 +22,10 @@ GET_LB_MODES = ("primary", "round_robin")
 
 
 @dataclass
-class NoobConfig(ClusterConfig):
-    """ClusterConfig plus the NOOB-specific switches."""
+class NoobConfig(BaseConfig):
+    """The knobs both builders share plus the NOOB-specific switches; the
+    NICE-only ones (control plane, vrings, fabric, protocol variants) are
+    not accepted."""
 
     #: Request routing: replica-aware client (RAC), replica-aware gateway
     #: (RAG, +1 hop) or replica-oblivious gateway (ROG, +2 hops) — §2.1.

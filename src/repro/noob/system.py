@@ -89,11 +89,7 @@ class NoobCluster(ClusterBase):
                 add_host(f"gw{i}", GATEWAY_BASE + i) for i in range(cfg.n_gateways)
             ]
 
-        client_hosts: List[Host] = []
-        stride = max(1, cfg.client_space.num_addresses // max(cfg.n_clients, 1))
-        for i in range(cfg.n_clients):
-            ip = cfg.client_space.address + (i * stride) % cfg.client_space.num_addresses
-            client_hosts.append(add_host(f"c{i}", ip))
+        client_hosts = [add_host(f"c{i}", cfg.client_ip(i)) for i in range(cfg.n_clients)]
 
         # Static L3 forwarding: NOOB's network is a plain switched fabric.
         for host in hosts:

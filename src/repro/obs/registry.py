@@ -172,11 +172,10 @@ class MetricsRegistry:
                 f"{p}controlplane.plan.cache_hits",
                 lambda c=controller: c.plan_cache_hits.value,
             )
-        if cluster.metadata is not None:
-            reg.collect_object(cluster.metadata, f"{p}metadata")
-            reg.gauge(f"{p}metadata.epoch", lambda c=cluster: c.metadata_active.epoch)
         ha = cluster.metadata_ha
         if ha is not None:
+            reg.collect_object(cluster.metadata, f"{p}metadata")
+            reg.gauge(f"{p}metadata.epoch", lambda c=cluster: c.metadata_active.epoch)
             reg.collect_object(ha, f"{p}metadata.ha")
             reg.gauge(
                 f"{p}metadata.ha.log_records",

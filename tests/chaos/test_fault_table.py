@@ -97,6 +97,34 @@ def test_every_kind_applies_or_is_skipped_on_noob(kind):
     assert bool(skipped) == nice_only, engine.events
 
 
+def test_a_lone_metadata_leader_survives_leader_crashes_and_power_loss():
+    """A group of one has no standby to take over: ``metadata_crash`` is
+    skipped and ``power_failure`` leaves the leader up.  Crashed and
+    restored, it would judge every node by heartbeat clocks that stopped
+    with it and declare the whole fleet failed."""
+    cluster = NiceCluster(ClusterConfig(n_storage_nodes=4, n_clients=1))
+    leader = cluster.metadata_ha.leader
+    schedule = FaultSchedule("lone", (
+        FaultEvent.make(0.5, "metadata_crash"),
+        FaultEvent.make(0.6, "metadata_rejoin"),
+        FaultEvent.make(1.0, "power_failure"),
+        FaultEvent.make(1.5, "power_restore"),
+    ))
+    engine = ChaosEngine(cluster, schedule)
+    engine.start()
+    cluster.sim.run(until=1.2)
+    assert leader.host.up and cluster.metadata_ha.leader is leader
+    cluster.sim.run(until=8.0)
+    labels = [label for _, label in engine.events]
+    assert labels[:2] == ["metadata_crash skipped (no leader)",
+                          "metadata_rejoin skipped (no crashed replica)"]
+    assert not any("metadata replica" in label for label in labels)
+    assert cluster.metadata_active is cluster.metadata and leader.host.up
+    assert sum(label.endswith(" consistent") for label in labels) == 4
+    assert cluster.metadata.failures_declared.value == 0
+    assert set(cluster.metadata.status.values()) == {"up"}
+
+
 def test_stall_raises_control_plane_latency_for_its_duration():
     cluster = NiceCluster(ClusterConfig(n_storage_nodes=4, n_clients=1))
     before = cluster.control_plane.latency_s

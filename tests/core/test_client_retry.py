@@ -229,12 +229,11 @@ def test_get_succeeds_across_rule_flap():
 @pytest.fixture(params=["nice", "noob"])
 def system(request):
     """A small cluster of either system with one key already stored."""
-    kw = dict(n_storage_nodes=6, n_clients=2, replication_level=3,
-              heartbeat_miss_limit=10_000)
+    kw = dict(n_storage_nodes=6, n_clients=2, replication_level=3)
     if request.param == "nice":
-        cluster = NiceCluster(ClusterConfig(**kw))
+        cluster = NiceCluster(ClusterConfig(**kw, heartbeat_miss_limit=10_000))
     else:
-        cluster = NoobCluster(NoobConfig(**kw))
+        cluster = NoobCluster(NoobConfig(**kw))  # no metadata service to declare
     cluster.warm_up()
     result = run_driver(cluster, put_one(cluster.clients[0], "stored"), until=5.0)
     assert result.ok

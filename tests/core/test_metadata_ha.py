@@ -4,7 +4,13 @@ HA work hardened (dead-at-registration nodes, racing failure reports)."""
 
 import dataclasses
 
-from repro.core import ClusterConfig, NiceCluster, replay_log
+from repro.core import (
+    ClusterConfig,
+    MetadataReplica,
+    MetadataService,
+    NiceCluster,
+    replay_log,
+)
 from repro.core.metadata import DOWN, JOINING, UP
 
 
@@ -19,6 +25,45 @@ def make_cluster(**kw):
 def make_ha_cluster(**kw):
     kw.setdefault("metadata_standbys", 1)
     return make_cluster(**kw)
+
+
+# -- one code path: a standby-less cluster is a group of one -----------------
+
+def _spy(monkeypatch, cls, name):
+    """Count calls to ``cls.name`` on every instance."""
+    calls, original = [], getattr(cls, name)
+
+    def spy(self, *args):
+        calls.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+def test_default_cluster_is_a_replica_group_of_one(monkeypatch):
+    ticks = _spy(monkeypatch, MetadataReplica, "_tick_loop")
+    beats = _spy(monkeypatch, MetadataService, "send_leader_beat")
+    cluster = make_cluster()
+    cluster.sim.run(until=2.9)
+    ha = cluster.metadata_ha
+    assert ha.size == 1 and len(ha.replicas) == 1
+    assert ha.leader.service is cluster.metadata is cluster.metadata_active
+    assert cluster.metadata.epoch == 1 and cluster.metadata.log is None
+    assert len(ha.leader.log) == 0  # no membership-log record, no disk write
+    assert ticks == [] and beats == []
+
+
+def test_a_group_with_a_standby_ticks_once_per_replica(monkeypatch):
+    ticks = _spy(monkeypatch, MetadataReplica, "_tick_loop")
+    beats = _spy(monkeypatch, MetadataService, "send_leader_beat")
+    cluster = make_ha_cluster()
+    cluster.sim.run(until=2.9)
+    assert len(ticks) == 2 == cluster.metadata_ha.size
+    # One leader_hb per heartbeat interval (0.5 s), sent from the leader's
+    # tick; the standby's tick sees a fresh lease and stays a standby.
+    assert len(beats) == 5
+    assert cluster.metadata_ha.promotions.value == 0
 
 
 # -- satellite: liveness clock seeded at registration ------------------------

@@ -1,8 +1,11 @@
 """Tests for the NOOB baseline: access modes, consistency modes,
 replication fan-out costs."""
 
+import dataclasses
+
 import pytest
 
+from repro.core import ClusterConfig, NiceCluster
 from repro.net import wire_size
 from repro.noob import NoobCluster, NoobConfig
 
@@ -52,6 +55,37 @@ def test_config_validation():
         NoobConfig(access="rag", n_gateways=0)
     with pytest.raises(ValueError):
         NoobConfig(get_lb="bogus")
+
+
+#: ClusterConfig fields no NOOB code reads: the control plane, the vrings,
+#: the fabric and NICE's protocol variants.
+NICE_ONLY = (
+    "controller_latency_s", "heartbeat_interval_s", "heartbeat_miss_limit",
+    "unicast_vring", "multicast_vring", "load_balancing", "metadata_standbys",
+    "deployment", "n_racks", "n_spines", "switch_rule_budget", "ecmp_seed",
+    "protocol_mode", "scrub_interval_s",
+)
+
+
+def test_noob_config_rejects_nice_only_knobs():
+    """A NOOB cluster used to accept them and build one switch, with no
+    fabric and no standby, silently."""
+    with pytest.raises(TypeError):
+        NoobConfig(n_racks=4)
+    with pytest.raises(TypeError):
+        NoobConfig(n_racks=4, metadata_standbys=1, protocol_mode="harmonia",
+                   scrub_interval_s=1.0)
+    nice, noob = ({f.name for f in dataclasses.fields(c)} for c in (ClusterConfig, NoobConfig))
+    assert (len(nice), len(noob)) == (27, 18)
+    assert nice - noob == set(NICE_ONLY)
+    assert noob - nice == {"access", "consistency", "quorum_k", "get_lb", "n_gateways"}
+
+
+def test_both_builders_place_clients_at_the_same_addresses():
+    kw = dict(n_storage_nodes=5, n_clients=14)
+    for cluster in (NoobCluster(NoobConfig(**kw)), NiceCluster(ClusterConfig(**kw))):
+        ips = [str(c.host.ip) for c in cluster.clients]
+        assert ips == [f"10.20.0.{18 * i}" for i in range(14)]
 
 
 def test_2pc_defaults_to_round_robin_gets():
@@ -273,7 +307,7 @@ def test_crash_clears_prepared_state_and_locks_but_not_the_log():
     """A 2PC secondary that crashes between prepare and commit loses what
     memory held (the lock, the prepared op) and keeps what the disk held
     (the log record); the late commit then applies nothing."""
-    cluster = make_cluster(consistency="2pc", heartbeat_miss_limit=10_000)
+    cluster = make_cluster(consistency="2pc")
     client = cluster.clients[0]
     primary, victim = cluster.replica_nodes("k")[:2]
     prepared = {}

@@ -5,6 +5,7 @@ are gone; these checks keep them from growing back under another name:
 the simulator reads no environment variable, and every place the mode
 used to be settable now rejects it.  Likewise no deliberately broken
 variant is settable: those are in-process patches in the mutant table.
+And the metadata service has one way to run, standbys or not.
 """
 
 import inspect
@@ -16,7 +17,7 @@ import pytest
 import repro
 from repro.bench.__main__ import main
 from repro.bench.parallel import Cell
-from repro.core import ClusterConfig
+from repro.core import ClusterConfig, NiceCluster
 from repro.kv import WriteAheadLog
 from repro.net.harmonia import HarmoniaRegistry
 from repro.sim import Simulator
@@ -65,6 +66,16 @@ def test_cli_rejects_sim_mode_flag(capsys):
 
 def test_kernel_knows_nothing_about_approximation():
     assert [name for name in dir(Simulator()) if "approx" in name] == []
+
+
+def test_metadata_service_has_one_code_path():
+    """Every NICE cluster's metadata service runs inside a replica group
+    (of one by default); the service binds no socket and starts no loop of
+    its own beside its failure monitor."""
+    root = Path(repro.__file__).parent
+    pattern = re.compile(r"own_loops|_control_loop|_leader_beat_loop|set_peers")
+    assert [p.name for p in sorted(root.rglob("*.py")) if pattern.search(p.read_text())] == []
+    assert NiceCluster(ClusterConfig(n_storage_nodes=3, n_clients=1)).metadata_ha.size == 1
 
 
 def test_src_ships_no_broken_variant():

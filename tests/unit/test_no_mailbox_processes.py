@@ -15,8 +15,9 @@ from pathlib import Path
 import repro
 
 #: Mailbox loops that wait inside their body: (module, qualified function).
+#: ``MetadataService`` has no control loop of its own: every metadata
+#: service runs inside a replica, whose ``_ctl_loop`` answers for it.
 WAITING_MAILBOX_LOOPS = {
-    ("core/metadata.py", "MetadataService._control_loop"),
     ("core/controlplane_ha.py", "MetadataReplica._ctl_loop"),
 }
 
