@@ -58,6 +58,8 @@ class KvClient:
         self.sim = sim
         self.host = host
         self.config = config
+        #: The dotted address every op id and request carries.
+        self.ip_str = str(host.ip)
         self.stack = ProtocolStack(sim, host)
         self._reply_inbox = self.stack.tcp.listen(CLIENT_PORT)
         self._waiters: Dict[Tuple, Event] = {}
@@ -89,7 +91,7 @@ class KvClient:
         # Late duplicates (replies to retried ops) are dropped.
 
     def _new_op(self) -> Tuple:
-        return (str(self.ip), next(self._op_seq))
+        return (self.ip_str, next(self._op_seq))
 
     def _request(self, kind: str, op_id: Tuple, key: str, **extra) -> dict:
         """The fields every request carries, plus the caller's own."""
@@ -97,7 +99,7 @@ class KvClient:
             "type": kind,
             "op_id": op_id,
             "key": key,
-            "client_ip": str(self.ip),
+            "client_ip": self.ip_str,
             "client_port": CLIENT_PORT,
             **extra,
         }

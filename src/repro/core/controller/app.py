@@ -359,7 +359,7 @@ class NiceControllerApp(ControllerApp):
             outs = [
                 Output(no)
                 for no, port in sorted(sw.ports.items())
-                if no not in fabric_ports and port.link is not None
+                if no not in fabric_ports and port.channel is not None
             ]
             if outs:
                 self.channel.packet_out(sw, packet.copy(), outs)

@@ -30,6 +30,8 @@ class NodeShell:
         self.host = host
         self.name = name
         self.config = config
+        #: The dotted address put stamps carry.
+        self.ip_str = str(host.ip)
         #: name -> physical IP of the peers this node may address.
         self.directory = directory
         self.stack = ProtocolStack(sim, host)

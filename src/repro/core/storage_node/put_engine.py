@@ -144,7 +144,7 @@ class PutEngine:
         acked reception; just persist — no 2PC round."""
         node = self.node
         yield node.disk.write(body["size"], forced=True)
-        stamp = PutStamp(str(node.ip), node.sim.now, body["client_ip"], body["client_ts"])
+        stamp = PutStamp(node.ip_str, node.sim.now, body["client_ip"], body["client_ts"])
         node.store.put(StoredObject(body["key"], body["value"], body["size"], stamp))
         node.puts_served.add()
         tr = node.sim.tracer
@@ -261,7 +261,7 @@ class PutEngine:
             if span is not None:
                 span.end(status="aborted", missing=sorted(missing))
             return
-        stamp = PutStamp(str(node.ip), node.sim.now, op.client_addr, op.client_ts)
+        stamp = PutStamp(node.ip_str, node.sim.now, op.client_addr, op.client_ts)
         node.mc_sender.send_ctrl(
             group_addr,
             PUT_PORT,

@@ -128,7 +128,7 @@ class Disk:
 
     def _end_cycle(self, timer: Event) -> None:
         covered, epoch, barrier = timer._value
-        self.flushes.add()
+        self.flushes.value += 1
         if epoch == self._epoch:
             self._advance_barrier(barrier)
             self.flush_cycles_done += 1
@@ -217,11 +217,11 @@ class _Io(Event):
     def _served(self, timer: Event) -> None:
         disk, nbytes, write = self.disk, self.nbytes, self.write
         if write:
-            disk.bytes_written.add(nbytes)
-            disk.writes.add()
+            disk.bytes_written.value += nbytes
+            disk.writes.value += 1
         else:
-            disk.bytes_read.add(nbytes)
-            disk.reads.add()
+            disk.bytes_read.value += nbytes
+            disk.reads.value += 1
         # Health signal: observed service time over the factory-spec
         # expectation for the same transfer (queueing excluded, so a
         # degraded device reads as exactly its slowdown factor).

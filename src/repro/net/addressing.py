@@ -64,7 +64,10 @@ class IPv4Address(int):
         return format(str(self), spec)
 
     def __add__(self, offset: int) -> "IPv4Address":
-        return IPv4Address(int(self) + offset)
+        value = int(self) + offset
+        if type(value) is int and 0 <= value <= 0xFFFFFFFF:
+            return int.__new__(IPv4Address, value)
+        return IPv4Address(value)  # raises the constructor's error
 
 
 class IPv4Network:

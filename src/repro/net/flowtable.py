@@ -173,11 +173,6 @@ class Rule:
         counters, so "same rule" is spelled this way everywhere."""
         return (self.cookie, self.priority, self.match, tuple(self.actions))
 
-    def touch(self, packet: Packet, now: float) -> None:
-        self.packets += 1
-        self.bytes += packet.size_bytes
-        self.last_used = now
-
 
 def _rule_sort_key(rule: Rule) -> tuple:
     return (-rule.priority, rule.seq)

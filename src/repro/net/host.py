@@ -57,18 +57,16 @@ class Host(Device):
             return
         if packet.src_mac is None:
             packet.src_mac = self.mac
-        self.tx_bytes.add(packet.size_bytes)
-        packet.trace.append(self.name)
+        self.tx_bytes.value += packet._wire_size
         self.port.send(packet)
 
     def handle_packet(self, packet: Packet, in_port: Port) -> None:
         if not self.up:
             return
-        self.rx_bytes.add(packet.size_bytes)
-        if packet.proto == Proto.ARP:
+        self.rx_bytes.value += packet._wire_size
+        if packet.proto is Proto.ARP:
             self._handle_arp(packet)
             return
-        packet.trace.append(self.name)
         if self.stack is not None:
             self.stack.deliver(packet)
 
@@ -86,5 +84,4 @@ class Host(Device):
             )
             self.send(reply)
         elif body.get("op") == "reply" and self.stack is not None:
-            packet.trace.append(self.name)
             self.stack.deliver(packet)

@@ -48,25 +48,29 @@ MBPS = 1_000_000.0
 class Port:
     """One attachment point of a device; at most one link plugs into it."""
 
-    __slots__ = ("device", "number", "link")
+    __slots__ = ("device", "number", "link", "channel")
 
     def __init__(self, device: "Device", number: int):
         self.device = device
         self.number = number
+        #: The link's direction leaving through this port; ``None`` while
+        #: the port is unplugged (the one plugged-in test).
+        self.channel: Optional[Channel] = None
+        #: The attached duplex link, for faults that cut both directions.
         self.link: Optional[Link] = None
 
     @property
     def peer(self) -> Optional["Port"]:
         """The port at the far end of the attached link (None if unplugged)."""
-        if self.link is None:
-            return None
-        return self.link.b if self.link.a is self else self.link.a
+        channel = self.channel
+        return None if channel is None else channel.dst
 
     def send(self, packet: Packet) -> None:
         """Enqueue ``packet`` for transmission out of this port."""
-        if self.link is None:
+        channel = self.channel
+        if channel is None:
             raise RuntimeError(f"port {self.device.name}:{self.number} is unplugged")
-        self.link.channel_from(self).transmit(packet)
+        channel.transmit(packet)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Port {self.device.name}:{self.number}>"
@@ -143,9 +147,6 @@ class Channel:
         alive — this models a network partition, not a crash."""
         self.down = down
 
-    def serialization_delay(self, packet: Packet) -> float:
-        return packet._wire_size * 8.0 / self.bandwidth_bps
-
     def transmit(self, packet: Packet) -> None:
         """Start (or queue) transmission of ``packet``."""
         sim = self.sim
@@ -159,13 +160,15 @@ class Channel:
             self._queue.append(packet)
             return
         self._sending = True
-        sim._schedule_call(self.serialization_delay(packet), self._finish_tx, packet)
+        sim._schedule_call(
+            packet._wire_size * 8.0 / self.bandwidth_bps, self._finish_tx, packet
+        )
 
     def _finish_tx(self, packet: Packet) -> None:
         """End of serialization: counters, fault draws, delivery, hand-off."""
         sim = self.sim
-        self.tx_bytes.add(packet._wire_size)
-        self.tx_packets.add()
+        self.tx_bytes.value += packet._wire_size
+        self.tx_packets.value += 1
         dropped = False
         if self.down:
             self.dropped_packets.add()
@@ -193,7 +196,9 @@ class Channel:
         queue = self._queue
         if queue:
             packet = queue.popleft()
-            sim._schedule_call(self.serialization_delay(packet), self._finish_tx, packet)
+            sim._schedule_call(
+                packet._wire_size * 8.0 / self.bandwidth_bps, self._finish_tx, packet
+            )
         else:
             self._sending = False
 
@@ -219,7 +224,7 @@ def transmit_fanout(sim: Simulator, legs: List[tuple]) -> None:
     for ch, _ in legs:
         ch._sending = True
     ch0, p0 = legs[0]
-    sim._schedule_call(ch0.serialization_delay(p0), _fanout_finish, legs)
+    sim._schedule_call(p0._wire_size * 8.0 / ch0.bandwidth_bps, _fanout_finish, legs)
 
 
 def _fanout_finish(legs: List[tuple]) -> None:
@@ -241,7 +246,7 @@ class Link:
         latency_s: float = 50e-6,
         name: str = "",
     ):
-        if a.link is not None or b.link is not None:
+        if a.channel is not None or b.channel is not None:
             raise RuntimeError("port already linked")
         self.sim = sim
         self.a = a
@@ -251,13 +256,8 @@ class Link:
         self.ba = Channel(sim, b, a, bandwidth_bps, latency_s)
         a.link = self
         b.link = self
-
-    def channel_from(self, port: Port) -> Channel:
-        if port is self.a:
-            return self.ab
-        if port is self.b:
-            return self.ba
-        raise ValueError(f"{port!r} is not an endpoint of {self.name}")
+        a.channel = self.ab
+        b.channel = self.ba
 
     @property
     def channels(self) -> List[Channel]:

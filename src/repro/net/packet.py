@@ -15,9 +15,8 @@ Two granularities share this one class (see DESIGN.md §5):
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 from .addressing import IPv4Address, MacAddress
 
@@ -49,11 +48,13 @@ class Proto(Enum):
     TCP = "tcp"
     ARP = "arp"
 
+    #: Members are singletons, so identity hashing is correct, and it runs
+    #: in C on every flow-memo key.  ``Enum``'s own hash hashes the member
+    #: name — a ``str``, so it was already salted per process.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"Proto.{self.name}"
-
-
-_uid = itertools.count(1)
 
 
 class Packet:
@@ -61,7 +62,7 @@ class Packet:
 
     __slots__ = (
         "src_ip", "dst_ip", "proto", "sport", "dport", "payload", "payload_bytes",
-        "src_mac", "dst_mac", "uid", "trace", "virtual_dst", "_wire_size",
+        "src_mac", "dst_mac", "virtual_dst", "_wire_size",
     )
 
     def __init__(
@@ -90,10 +91,6 @@ class Packet:
         self.payload_bytes = payload_bytes
         self.src_mac = src_mac
         self.dst_mac = dst_mac
-        self.uid = next(_uid)
-        #: Forwarding trace (device names) — used by routing tests and to
-        #: assert single-hop claims; appended by switches and hosts.
-        self.trace: List[str] = []
         #: Original (virtual) destination before any switch rewrite; set by
         #: the first SetIpDst action so replies can echo the vnode a client
         #: targeted.
@@ -105,8 +102,8 @@ class Packet:
         return self._wire_size
 
     def copy(self) -> "Packet":
-        """Independent copy for multicast fan-out: every slot copied, a
-        fresh ``uid`` and its own ``trace`` list; the payload is shared."""
+        """Independent copy for multicast fan-out: every slot copied; the
+        payload is shared."""
         new = object.__new__(Packet)
         new.src_ip = self.src_ip
         new.dst_ip = self.dst_ip
@@ -117,14 +114,12 @@ class Packet:
         new.payload_bytes = self.payload_bytes
         new.src_mac = self.src_mac
         new.dst_mac = self.dst_mac
-        new.uid = next(_uid)
-        new.trace = self.trace.copy()
         new.virtual_dst = self.virtual_dst
         new._wire_size = self._wire_size
         return new
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Packet#{self.uid} {self.proto.name} {self.src_ip}:{self.sport} -> "
+            f"<Packet {self.proto.name} {self.src_ip}:{self.sport} -> "
             f"{self.dst_ip}:{self.dport} {self.payload_bytes}B>"
         )

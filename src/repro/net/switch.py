@@ -58,6 +58,8 @@ class OpenFlowSwitch(Device):
         rewrite_penalty_s: float = 0.0,
     ):
         super().__init__(sim, name)
+        if lookup_latency_s < 0:
+            raise ValueError(f"lookup latency must be non-negative: {lookup_latency_s}")
         self.table = FlowTable(capacity=table_capacity, owner=self)
         self.groups: Dict[int, Group] = {}
         self.lookup_latency_s = lookup_latency_s
@@ -83,7 +85,7 @@ class OpenFlowSwitch(Device):
 
     # -- data plane ---------------------------------------------------------
     def handle_packet(self, packet: Packet, in_port: Port) -> None:
-        self.sim.call_in(self.lookup_latency_s, self._pipeline, packet, in_port.number)
+        self.sim._schedule_call(self.lookup_latency_s, self._pipeline, packet, in_port.number)
 
     def _pipeline(self, packet: Packet, in_port_no: int) -> None:
         if self._harmonia is not None:
@@ -98,8 +100,9 @@ class OpenFlowSwitch(Device):
                 )
             self._packet_in(packet, in_port_no)
             return
-        rule.touch(packet, self.sim.now)
-        packet.trace.append(self.name)
+        rule.packets += 1
+        rule.bytes += packet._wire_size
+        rule.last_used = self.sim.now
         if tr is not None:
             tr.instant(
                 "rule_hit", "switch", node=self.name,
@@ -173,17 +176,17 @@ class OpenFlowSwitch(Device):
         delay = self.rewrite_penalty_s if rewrote else 0.0
         if port_no == FLOOD:
             for no, port in self.ports.items():
-                if no != in_port_no and port.link is not None:
+                if no != in_port_no and port.channel is not None:
                     self._emit(packet.copy(), port, delay)
             return
         port = self.ports.get(port_no)
-        if port is None or port.link is None:
+        if port is None or port.channel is None:
             self.dropped.add()
             return
         self._emit(packet, port, delay)
 
     def _emit(self, packet: Packet, port: Port, delay: float) -> None:
-        self.forwarded.add()
+        self.forwarded.value += 1
         if delay > 0:
             self.sim.call_in(delay, port.send, packet)
         else:
@@ -249,11 +252,11 @@ class OpenFlowSwitch(Device):
                 else:  # SetEthDst (caller verified the action set)
                     clone.dst_mac = action.mac
             port = self.ports.get(bucket.port)
-            if port is None or port.link is None:
+            channel = None if port is None else port.channel
+            if channel is None:
                 self.dropped.add()
                 continue
-            self.forwarded.add()
-            channel = port.link.channel_from(port)
+            self.forwarded.value += 1
             if legs:
                 if channel.bandwidth_bps != bandwidth:
                     batchable = False

@@ -176,7 +176,7 @@ class NoobStorageNode(NodeShell):
         }
 
     def _stamp(self, body: dict) -> PutStamp:
-        return PutStamp(str(self.ip), self.sim.now, body["client_ip"], body["client_ts"])
+        return PutStamp(self.ip_str, self.sim.now, body["client_ip"], body["client_ts"])
 
     def _commit_local(self, body: dict, stamp: PutStamp):
         yield self.disk.write(body["size"], forced=True)

@@ -56,8 +56,10 @@ class Tally:
         self.count += 1
         self._sum += value
         self._sumsq += value * value
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
         if self._samples is not None:
             self._samples.append(value)
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core import ClusterConfig, NiceCluster
 from repro.core.controller import client_divisions
 from repro.net import IPv4Address, Packet, Proto
+from tests.helpers import HopRecorder
 
 
 def make_cluster(**kw):
@@ -130,10 +131,11 @@ def test_learning_switch_arps_unknown_physical_dst():
     assert cluster.controller.directory.arp.lookup(target.ip) is not None
 
 
-def test_single_hop_routing_trace():
+def test_single_hop_routing_trace(monkeypatch):
     """§3.2: the client request reaches the storage node through the switch
     in a single hop (client → switch → node), rewritten in-network."""
     cluster = make_cluster()
+    hops = HopRecorder(monkeypatch)
     client = cluster.clients[0]
     key = "trace-me"
     partition = cluster.uni_vring.subgroup_of_key(key)
@@ -151,7 +153,7 @@ def test_single_hop_routing_trace():
     cluster.sim.run(until=2.0)
     assert len(captured) == 1
     pkt = captured[0]
-    assert pkt.trace == [client.host.name, "sw0", primary.host.name]
+    assert hops.path(pkt) == [client.host.name, "sw0", primary.host.name]
     assert pkt.dst_ip == primary.ip
     assert pkt.virtual_dst == vaddr
 

@@ -7,6 +7,7 @@ import pytest
 from repro.core import ClusterConfig, NiceCluster
 from repro.core.vring import mc_group_address
 from repro.net import IPv4Address, SetIpDst
+from tests.helpers import HopRecorder
 
 
 def make_cluster(**kw):
@@ -63,9 +64,10 @@ def test_put_and_get_work_end_to_end():
         assert node.store.get("k") is not None
 
 
-def test_rewrite_happens_at_the_edge():
-    """A get's trace shows client → its OVS (rewrite) → hw switch → node."""
+def test_rewrite_happens_at_the_edge(monkeypatch):
+    """A get's path is client → its OVS (rewrite) → hw switch → node."""
     cluster = make_cluster()
+    hops = HopRecorder(monkeypatch)
     client = cluster.clients[0]
     key = "traced"
     partition = cluster.uni_vring.subgroup_of_key(key)
@@ -84,9 +86,10 @@ def test_rewrite_happens_at_the_edge():
     cluster.sim.run(until=2.0)
     assert len(captured) == 1
     pkt = captured[0]
-    assert pkt.trace[0] == client.host.name
-    assert pkt.trace[1] == "ovs0"
-    assert pkt.trace[2] == "sw0"
+    path = hops.path(pkt)
+    assert path[0] == client.host.name
+    assert path[1] == "ovs0"
+    assert path[2] == "sw0"
     assert pkt.virtual_dst == vaddr
     assert pkt.dst_ip != vaddr  # rewritten at the edge
 

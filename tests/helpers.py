@@ -1,7 +1,8 @@
-"""Shared test fixtures: a star topology with static L3 forwarding, a log
-of the slots a simulator schedules records in, the linear rule scan the
-flow table's index is checked against, and the content snapshots the
-controller's plan-cache contract is stated in."""
+"""Shared test fixtures: a star topology with static L3 forwarding, a
+recorder of the devices each packet crossed, a log of the slots a simulator
+schedules records in, the linear rule scan the flow table's index is
+checked against, and the content snapshots the controller's plan-cache
+contract is stated in."""
 
 from collections import Counter
 
@@ -15,6 +16,7 @@ from repro.net import (
     Network,
     OpenFlowSwitch,
     Output,
+    Packet,
     Rule,
     SetEthDst,
     SetIpDst,
@@ -68,6 +70,48 @@ class Star:
 
     def link_of(self, host):
         return self.net.link_between(self.switch, host)
+
+
+class HopRecorder:
+    """The devices each packet crossed, kept beside the packets, not in them.
+
+    A host's ``send`` and every ``handle_packet`` of a host or switch
+    append the device's name to that packet's path; a
+    ``Packet.copy`` (a switch output, a fan-out clone) starts from its
+    original's path.  Installed through ``monkeypatch``, so the test undoes
+    it; the recorder holds every packet it saw, so ids are never reused.
+    """
+
+    def __init__(self, monkeypatch):
+        self._paths = {}  # id(packet) -> (packet, [device names])
+        for cls, name in ((Host, "send"), (Host, "handle_packet"),
+                          (OpenFlowSwitch, "handle_packet")):
+            monkeypatch.setattr(cls, name, self._hop(getattr(cls, name)))
+        copy = Packet.copy
+
+        def tracked_copy(packet):
+            new = copy(packet)
+            self._path(new).extend(self._path(packet))
+            return new
+
+        monkeypatch.setattr(Packet, "copy", tracked_copy)
+
+    def _hop(self, method):
+        def wrapped(device, packet, *args):
+            self._path(packet).append(device.name)
+            return method(device, packet, *args)
+
+        return wrapped
+
+    def _path(self, packet):
+        entry = self._paths.get(id(packet))
+        if entry is None:
+            entry = self._paths[id(packet)] = (packet, [])
+        return entry[1]
+
+    def path(self, packet):
+        """Device names ``packet`` (and what it was copied from) crossed."""
+        return list(self._path(packet))
 
 
 def record_slots(sim):

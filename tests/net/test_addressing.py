@@ -40,8 +40,16 @@ def test_ordering_and_arithmetic():
     a = IPv4Address("10.0.0.1")
     b = a + 5
     assert str(b) == "10.0.0.6"
+    assert type(b) is IPv4Address
     assert a < b
     assert b - a == 5
+
+
+@pytest.mark.parametrize("offset", [1, -(0x0A000001 + 1)])
+def test_arithmetic_out_of_range_rejected(offset):
+    base = IPv4Address("255.255.255.255") if offset > 0 else IPv4Address("10.0.0.1")
+    with pytest.raises(ValueError):
+        base + offset
 
 
 def test_hashable():

@@ -2,7 +2,7 @@
 
 Covers the multi-switch topology end to end: wiring invariants, host-pair
 reachability through the full put/get path, deterministic ECMP, forwarding
-loop freedom (TTL-style bounds on packet traces), and exactly-once
+loop freedom (TTL-style bounds on packet paths), and exactly-once
 multicast delivery to every put target.
 """
 
@@ -13,6 +13,7 @@ from repro.core.config import GET_PORT, PUT_PORT
 from repro.net import ecmp_index
 from repro.net.host import Host
 from repro.workloads.synthetic import keys_in_partition
+from tests.helpers import HopRecorder
 
 FABRIC = dict(n_storage_nodes=16, n_clients=4, n_racks=4, n_spines=2)
 
@@ -139,7 +140,7 @@ def test_ecmp_seed_participates_in_choice():
 
 
 def _spy_deliveries(monkeypatch):
-    """Record every packet any host delivers (after its trace is final)."""
+    """Record every packet any host delivers (after handling it)."""
     seen = []
     orig = Host.handle_packet
 
@@ -152,10 +153,11 @@ def _spy_deliveries(monkeypatch):
 
 
 def test_no_forwarding_loops_trace_bounded(monkeypatch):
-    """TTL-style probe: a forwarding loop would grow packet traces without
+    """TTL-style probe: a forwarding loop would grow packet paths without
     bound; in a 2-tier fabric no delivered packet ever revisits a device."""
     cluster = build_fabric_cluster()
     seen = _spy_deliveries(monkeypatch)
+    hops = HopRecorder(monkeypatch)
 
     def driver():
         for i in range(12):
@@ -168,7 +170,7 @@ def test_no_forwarding_loops_trace_bounded(monkeypatch):
         if packet.dport not in (PUT_PORT, GET_PORT):
             continue
         checked += 1
-        trace = packet.trace
+        trace = hops.path(packet)
         # client -> leaf -> spine -> leaf -> host is the longest legal path
         # (the ingress leaf legally repeats when same-rack multicast bounces
         # off the tree's spine root; anything longer is a loop).

@@ -156,9 +156,17 @@ def test_miss_examines_the_same_handful_of_rules_at_1000_and_4000(monkeypatch):
 
 
 def test_rule_counters_touch():
-    r = Rule(Match(), [Drop()])
+    """A switch's rule hit counts the packet and its wire bytes and stamps
+    the hit time (what idle expiry reads)."""
+    from repro.net import OpenFlowSwitch
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    sw = OpenFlowSwitch(sim, "sw", lookup_latency_s=4.2)
+    r = sw.install_rule(Rule(Match(), [Drop()]))
     p = pkt()
-    r.touch(p, now=4.2)
+    sw.handle_packet(p, sw.new_port())
+    sim.run()
     assert r.packets == 1
     assert r.bytes == p.size_bytes
     assert r.last_used == 4.2

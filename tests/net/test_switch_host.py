@@ -26,6 +26,7 @@ from repro.net import (
     make_arp_request,
 )
 from repro.sim import Simulator
+from tests.helpers import HopRecorder
 
 
 class RecordingStack:
@@ -70,15 +71,17 @@ def udp_pkt(src, dst_ip, size=100, dport=4000):
     )
 
 
-def test_switch_forwards_on_rule():
+def test_switch_forwards_on_rule(monkeypatch):
     sim, net, sw, hosts = build_star()
+    hops = HopRecorder(monkeypatch)
     p1 = host_port_on_switch(net, sw, hosts[1])
     sw.install_rule(Rule(Match(ip_dst=hosts[1].ip), [Output(p1)]))
     hosts[0].send(udp_pkt(hosts[0], "10.0.0.2"))
     sim.run()
     assert len(hosts[1].stack.delivered) == 1
     _, pkt = hosts[1].stack.delivered[0]
-    assert pkt.trace[0] == "h0" and "sw1" in pkt.trace and pkt.trace[-1] == "h1"
+    path = hops.path(pkt)
+    assert path[0] == "h0" and "sw1" in path and path[-1] == "h1"
     assert sw.forwarded.value == 1
 
 
@@ -101,8 +104,9 @@ def test_switch_rewrites_dst_and_records_virtual():
     assert pkt.dst_mac == hosts[1].mac
 
 
-def test_switch_group_multicast_clones_to_all_buckets():
+def test_switch_group_multicast_clones_to_all_buckets(monkeypatch):
     sim, net, sw, hosts = build_star(n_hosts=4)
+    hops = HopRecorder(monkeypatch)
     replicas = hosts[1:]
     buckets = [
         Bucket(
@@ -120,9 +124,12 @@ def test_switch_group_multicast_clones_to_all_buckets():
         _, pkt = h.stack.delivered[0]
         assert pkt.dst_ip == h.ip
         assert pkt.payload_bytes == 5000
-    # Each replica got an independent clone.
-    uids = {h.stack.delivered[0][1].uid for h in replicas}
-    assert len(uids) == 3
+    # Each replica got an independent clone, one per bucket, each having
+    # crossed the switch once.
+    clones = [h.stack.delivered[0][1] for h in replicas]
+    assert len({id(pkt) for pkt in clones}) == 3
+    for h, pkt in zip(replicas, clones):
+        assert hops.path(pkt) == ["h0", "sw1", h.name]
     assert sw.groups[1].packets == 1
 
 
@@ -292,6 +299,13 @@ def test_duplicate_device_name_rejected():
     net.register(OpenFlowSwitch(sim, "sw"))
     with pytest.raises(ValueError):
         net.register(OpenFlowSwitch(sim, "sw"))
+
+
+def test_negative_lookup_latency_rejected_at_construction():
+    """The per-packet schedule does not check its delay, so the switch
+    checks its lookup latency once, when it is built."""
+    with pytest.raises(ValueError):
+        OpenFlowSwitch(Simulator(), "sw", lookup_latency_s=-1e-6)
 
 
 def test_software_rewrite_penalty_delays_forwarding():

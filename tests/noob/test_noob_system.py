@@ -155,9 +155,7 @@ def test_primary_fanout_generates_r_copies_on_primary_uplink():
     cluster.sim.run(until=cluster.sim.now + 2.0)
     primary = cluster.primary_of("fat")
     uplink = cluster.network.link_between(cluster.switch, primary.host)
-    to_switch = uplink.channel_from(
-        uplink.a if uplink.a.device is primary.host else uplink.b
-    )
+    to_switch = (uplink.a if uplink.a.device is primary.host else uplink.b).channel
     # The primary transmitted ~2 object copies (R−1 = 2) plus acks.
     assert to_switch.tx_bytes.value >= 2 * wire_size(size)
 

@@ -219,7 +219,7 @@ def _install_four_hop_transmit(monkeypatch):
     handoffs = []
 
     def serialize(channel, packet):
-        ser = channel.serialization_delay(packet)
+        ser = packet.size_bytes * 8.0 / channel.bandwidth_bps
         channel.sim._schedule_call(ser, channel._finish_tx, packet)
 
     def grant(channel, packet):
@@ -245,7 +245,8 @@ def _install_four_hop_transmit(monkeypatch):
 
     def fanout_serialize(sim, legs):
         channel, packet = legs[0]
-        sim._schedule_call(channel.serialization_delay(packet), _fanout_finish, legs)
+        ser = packet.size_bytes * 8.0 / channel.bandwidth_bps
+        sim._schedule_call(ser, _fanout_finish, legs)
 
     def fanout_grant(sim, legs):
         sim._schedule_call(0.0, fanout_serialize, sim, legs)
