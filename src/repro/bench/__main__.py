@@ -30,7 +30,7 @@ from ..obs import runtime as obs_runtime
 from .harness import EXPERIMENTS, run
 from .report import diff_reports, format_result, ratio_summary
 
-#: Default path of the figure-suite JSON report.
+#: Default path of the figure-suite JSON report; only ``all`` writes it.
 FIGURES_OUT = "BENCH_figures.json"
 
 #: Differences ``diff`` prints before it just counts the rest.
@@ -79,9 +79,9 @@ def main(argv=None) -> int:
         help="always recompute cells; do not read or write the cache",
     )
     parser.add_argument(
-        "--figures-out", default=FIGURES_OUT, metavar="PATH",
-        help=f"figure-suite JSON report path (default {FIGURES_OUT}; "
-             "'-' disables)",
+        "--figures-out", default=None, metavar="PATH",
+        help=f"figure/scale JSON report path ('-' disables); without it "
+             f"only 'all' writes a report, to {FIGURES_OUT}",
     )
     parser.add_argument(
         "--perf-out", default=None, metavar="PATH",
@@ -93,7 +93,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--chaos-out", default=None, metavar="PATH",
-        help="chaos suite only: output JSON path (default BENCH_chaos.json)",
+        help="chaos suite only: output JSON path; without it only "
+             "'chaos --smoke' writes a report, to BENCH_chaos.json",
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -172,7 +173,9 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
     if "chaos" in wanted:
         from . import chaos
 
-        out_path = args.chaos_out or chaos.DEFAULT_OUT
+        # The committed BENCH_chaos.json is the smoke matrix: a full run
+        # writes only where --chaos-out points.
+        out_path = args.chaos_out or (chaos.DEFAULT_OUT if args.smoke else None)
         report = chaos.run_suite(
             seeds=args.seeds, smoke=args.smoke, out_path=out_path
         )
@@ -180,12 +183,16 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
         cells = report.get("cells", [])
         hits = sum(1 for c in cells if c["cache_hit"])
         print(f"({len(cells)} cells, {hits} cache hits, --jobs {jobs})")
-        print(f"wrote {out_path}")
+        if out_path:
+            print(f"wrote {out_path}")
         print(f"({report['wall_s']:.1f}s wall)\n")
         failed |= not report["passed"]
         wanted = [w for w in wanted if w != "chaos"]
     if not wanted:
         return int(failed)
+    # The committed BENCH_figures.json is ``all``'s: any other run writes
+    # only where --figures-out points.
+    figures_out = args.figures_out or (FIGURES_OUT if "all" in wanted else "-")
     if "all" in wanted:
         # "all" = the paper's figure suite; the opt-in experiments (python
         # -m repro.bench scale / read_scaling) are their own runs.
@@ -227,7 +234,7 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
         cell_note = f", {len(cells)} cells, {hits} cache hits" if cells else ""
         print(f"({elapsed:.1f}s wall{cell_note})\n")
         experiments.append(dict(vars(result), wall_s=elapsed, cells=cells))
-    if experiments and args.figures_out != "-":
+    if experiments and figures_out != "-":
         prov = parallel.provenance(
             records=all_cells, ops=n_ops, jobs=jobs, full=args.full
         )
@@ -244,10 +251,10 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
             "provenance": prov,
             "experiments": experiments,
         }
-        with open(args.figures_out, "w") as fh:
+        with open(figures_out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"wrote {args.figures_out}")
+        print(f"wrote {figures_out}")
     return int(failed)
 
 

@@ -129,9 +129,10 @@ def run_suite(
     schedules: Optional[List[str]] = None,
     duration: float = 10.0,
     smoke: bool = False,
-    out_path: Optional[str] = DEFAULT_OUT,
+    out_path: Optional[str] = None,
 ) -> Dict:
-    """Run the :func:`plan`; returns (and writes) the report dict.
+    """Run the :func:`plan`; returns the report dict and writes it to
+    ``out_path`` when one is given.
 
     ``smoke`` shrinks everything for CI.  An unfiltered call (no ``modes``,
     no ``schedules``) also runs the whole mutant table.  Cells fan across

@@ -57,13 +57,13 @@ ENTRY_POOL_REUSE_FLOOR = 0.9
 #: reference run; the usual ~1/3).
 PLANS_PER_S_FLOOR = 4000
 
-#: Ceilings per put at replication 3/5/7 on scheduled events (159.9 /
-#: 260.8 / 361.7 today) and on spawned processes (9.2 / 13.2 / 17.2: a
+#: Ceilings per put at replication 3/5/7 on scheduled events (152.8 /
+#: 247.7 / 342.6 today) and on spawned processes (8.2 / 12.2 / 16.2: a
 #: process is for code that waits between steps, DESIGN.md §5g).  Both
 #: counts are deterministic, so the ceilings sit just above them and only
 #: ever ratchet down.
-FANOUT_EVENTS_PER_OP_MAX = {3: 161, 5: 263, 7: 365}
-FANOUT_SPAWNS_PER_OP_MAX = {3: 9.5, 5: 13.5, 7: 17.5}
+FANOUT_EVENTS_PER_OP_MAX = {3: 154, 5: 249, 7: 344}
+FANOUT_SPAWNS_PER_OP_MAX = {3: 8.5, 5: 12.5, 7: 16.5}
 
 #: Floor on harmonia's hot-partition read throughput relative to NICE-LB
 #: at R=3 under YCSB-C (the §5j read-scaling contract).  The structural
@@ -310,7 +310,7 @@ def bench_switch_lookup(n_lookups: int = 20000) -> dict:
 def bench_multicast_fanout(n_ops: int = 150, size: int = 1 << 14) -> dict:
     """Scheduled events and spawned processes per put at replication 3/5/7.
 
-    Every extra replica costs ~50 events of chunk/ACK and 2PC traffic and
+    Every extra replica costs ~47 events of data/ACK and 2PC traffic and
     two processes.  Only these deterministic columns are kept (put wall
     time is ``benchmarks/e2e``'s job), and ``n_ops`` is the same in smoke
     and full runs so the ``FANOUT_*_PER_OP_MAX`` ceilings gate both.

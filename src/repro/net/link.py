@@ -10,7 +10,7 @@ Transmission model (flow-burst store-and-forward; DESIGN.md §5): a packet
 holds the channel for ``size_bytes * 8 / bandwidth`` seconds, then is
 delivered to the far device after the propagation latency.  Channels count
 transmitted bytes for the network-load figures and can drop packets with a
-configured loss rate to exercise the reliable-multicast repair path.
+configured loss rate: whole packets, the simulator's one loss model.
 
 Hot path (DESIGN.md §5g): a transmission is two pooled kernel callbacks —
 end-of-serialization (counters, loss/jitter draws, queue hand-off), scheduled
@@ -112,8 +112,8 @@ class Channel:
         self._queue: deque = deque()
 
     def set_loss(self, rate: float, rng: Optional[np.random.Generator] = None) -> None:
-        """Enable random packet loss (whole control packets; bulk bursts
-        lose chunks at the transport layer instead).
+        """Enable random packet loss: each packet, control message or bulk
+        burst, is dropped whole with probability ``rate``.
 
         ``rate`` must be in ``[0, 1)`` — total loss is modeled by taking
         the channel :meth:`set_down`, not by a loss rate of 1.0.  A rate of

@@ -1,14 +1,16 @@
 """NICEKV's reliable UDP multicast transport (§5, Replication).
 
-Data is conceptually divided into chunks of less than one MTU (1400 B).
-Receivers NACK missing chunks; the sender repairs them over unicast; ACKs
-implement flow control.  The quorum variant ("reliable any-k multicasting")
-returns as soon as any *k* receivers hold the complete data, and keeps
-servicing straggler NACKs afterwards until they finish or time out.
+A multicast transfer is one flow burst fanned out by the switch group
+table; the wire model charges it per MTU chunk (``wire_size``).  Every
+receiver that gets the ``mc_data`` datagram acks it and delivers it to the
+application.  The quorum variant ("reliable any-k multicasting") returns as
+soon as any *k* receivers have acked; the sender then unbinds its ack port,
+and later acks drop there the way UDP drops them at an unbound port.
 
-In the simulator a multicast transfer is one flow burst fanned out by the
-switch group table; chunk loss is drawn per receiver (binomial over the
-chunk count) so the NACK/repair path is exercised without per-chunk events.
+The one loss model is the link's: ``Link.set_loss`` drops whole datagrams.
+The paper's receivers NACK lost MTU chunks and the sender repairs them;
+this transport does not, so a lost ``mc_data`` or ack is recovered by the
+caller's own timeouts and retransmits, the way a lost ``mc_ctrl`` is.
 
 Wire envelopes are plain tuples tagged by their first element — cheaper to
 build and dispatch than dicts on the per-packet hot path, and the declared
@@ -17,18 +19,14 @@ build and dispatch than dicts on the per-packet hot path, and the declared
 * ``("mc_ctrl", payload)``
 * ``("mc_data", op, ack_port, payload)``
 * ``("mc_ack", op)``
-* ``("mc_nack", op, missing, repair_port)``
-* ``("mc_repair", op, chunks)``
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-import numpy as np
-
-from ..net import IPv4Address, MTU_BYTES
+from ..net import IPv4Address
 from ..sim import Store
 
 from .sockets import Datagram, ProtocolStack
@@ -37,7 +35,7 @@ __all__ = ["MulticastSender", "MulticastEndpoint", "MulticastMessage"]
 
 
 class MulticastMessage:
-    """A fully-reassembled multicast message, handed to the application."""
+    """A multicast message as delivered to the application."""
 
     __slots__ = ("src_ip", "ack_port", "op", "payload", "payload_bytes", "virtual_dst")
 
@@ -58,15 +56,8 @@ class MulticastMessage:
         self.virtual_dst = virtual_dst
 
 
-def _chunks(payload_bytes: int) -> int:
-    return max(1, -(-payload_bytes // MTU_BYTES))
-
-
 class MulticastSender:
-    """Initiator side: sends bursts, services NACKs, collects ACKs."""
-
-    #: How long after quorum the sender keeps repairing stragglers (§5).
-    STRAGGLER_TIMEOUT_S = 5.0
+    """Initiator side: sends bursts, collects ACKs up to the quorum."""
 
     def __init__(self, stack: ProtocolStack):
         self.stack = stack
@@ -80,8 +71,8 @@ class MulticastSender:
         payload_bytes: int,
     ) -> None:
         """Unreliable small multicast (the 2PC timestamp message, Fig 3):
-        single chunk, no ACK, no repair — losses surface as protocol
-        timeouts, as with real UDP."""
+        single chunk, no ACK — losses surface as protocol timeouts, as with
+        real UDP."""
         self.stack.udp_send(
             IPv4Address(group_ip),
             dport,
@@ -101,19 +92,17 @@ class MulticastSender:
         """Multicast ``payload``; returns a Process to ``yield`` on.
 
         The process completes when ``quorum`` receivers (default: all
-        ``n_receivers``) have acknowledged complete reception; its value is
-        the list of ``(receiver_ip, ack_time)`` pairs, in arrival order.
+        ``n_receivers``) have acknowledged reception; its value is the list
+        of ``(receiver_ip, ack_time)`` pairs, in arrival order.
         """
         if n_receivers < 1:
             raise ValueError(f"n_receivers must be >= 1: {n_receivers}")
         k = n_receivers if quorum is None else quorum
         if not 1 <= k <= n_receivers:
             raise ValueError(f"quorum {k} out of range 1..{n_receivers}")
-        return self.stack.sim.process(
-            self._send(group_ip, dport, payload, payload_bytes, n_receivers, k)
-        )
+        return self.stack.sim.process(self._send(group_ip, dport, payload, payload_bytes, k))
 
-    def _send(self, group_ip, dport, payload, payload_bytes, n_receivers, k):
+    def _send(self, group_ip, dport, payload, payload_bytes, k):
         sim = self.stack.sim
         op = (self.stack.ip, next(self._op_seq))
         ack_port = self.stack.ephemeral_port()
@@ -129,93 +118,25 @@ class MulticastSender:
         while len(acks) < k:
             dgram = yield inbox.get()
             body = dgram.payload
-            if type(body) is not tuple or len(body) < 2 or body[1] != op:
-                continue
-            if body[0] == "mc_ack":
+            if type(body) is tuple and len(body) == 2 and body[0] == "mc_ack" and body[1] == op:
                 acks.append((dgram.src_ip, sim.now))
-            elif body[0] == "mc_nack":
-                self._repair(dgram, payload_bytes)
-        if len(acks) < n_receivers:
-            sim.process(
-                self._serve_stragglers(
-                    inbox, ack_port, op, payload_bytes, n_receivers - len(acks)
-                )
-            )
-        else:
-            self.stack.udp_unbind(ack_port)
-        return acks
-
-    def _serve_stragglers(self, inbox: Store, ack_port: int, op, payload_bytes, remaining: int):
-        """Post-quorum: keep answering NACKs until all finish or timeout."""
-        sim = self.stack.sim
-        deadline = sim.now + self.STRAGGLER_TIMEOUT_S
-        while remaining > 0 and sim.now < deadline:
-            get = inbox.get()
-            got = yield sim.any_of([get, sim.timeout(max(deadline - sim.now, 0.0))])
-            if get not in got:
-                inbox.cancel(get)
-                break
-            dgram = got[get]
-            body = dgram.payload
-            if type(body) is not tuple or len(body) < 2 or body[1] != op:
-                continue
-            if body[0] == "mc_ack":
-                remaining -= 1
-            elif body[0] == "mc_nack":
-                self._repair(dgram, payload_bytes)
         self.stack.udp_unbind(ack_port)
-        return remaining
-
-    def _repair(self, nack: Datagram, payload_bytes: int) -> None:
-        """Unicast the missing chunks back to the NACKing receiver."""
-        _, op, missing, repair_port = nack.payload
-        missing = int(missing)
-        repair_bytes = min(missing * MTU_BYTES, payload_bytes)
-        self.stack.udp_send(
-            nack.src_ip,
-            repair_port,
-            ("mc_repair", op, missing),
-            repair_bytes,
-            sport=nack.dport,
-        )
+        return acks
 
 
 class MulticastEndpoint:
-    """Receiver side: reassembles bursts, NACKs losses, ACKs completion.
+    """Receiver side: acks and delivers every ``mc_data`` it gets."""
 
-    ``chunk_loss_rate`` injects per-chunk loss (binomially over the burst's
-    chunk count) to exercise the repair protocol; production experiments run
-    with 0.
-    """
-
-    def __init__(
-        self,
-        stack: ProtocolStack,
-        port: int,
-        chunk_loss_rate: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        if chunk_loss_rate and rng is None:
-            raise ValueError("chunk loss injection requires an rng")
-        if not 0.0 <= chunk_loss_rate < 1.0:
-            raise ValueError(f"chunk loss rate must be in [0, 1): {chunk_loss_rate}")
+    def __init__(self, stack: ProtocolStack, port: int):
         self.stack = stack
         self.port = port
-        self.chunk_loss_rate = chunk_loss_rate
-        self.rng = rng
-        #: Complete messages, for the application.
+        #: Delivered messages, for the application.
         self.messages = Store(stack.sim, name=f"{stack.host.name}:mc:{port}")
         self._raw = stack.udp_bind(port)
-        #: op -> (missing chunk count, original datagram)
-        self._partial: Dict[Tuple, Tuple[int, Datagram]] = {}
+        # Always 0: the transport has no NACK/repair; the e2e snapshot reads them.
         self.nacks_sent = 0
         self.repairs_received = 0
         self._raw.serve(self._on_dgram)
-
-    def _lose(self, chunks: int) -> int:
-        if not self.chunk_loss_rate:
-            return 0
-        return int(self.rng.binomial(chunks, self.chunk_loss_rate))
 
     def _on_dgram(self, dgram: Datagram) -> None:
         body = dgram.payload
@@ -224,16 +145,12 @@ class MulticastEndpoint:
         kind = body[0]
         if kind == "mc_data":
             self._on_data(dgram, body)
-        elif kind == "mc_repair":
-            self._on_repair(dgram, body)
         elif kind == "mc_ctrl":
             self._on_ctrl(dgram, body)
         # anything else on this port is not ours; drop.
 
     def _on_ctrl(self, dgram: Datagram, body: tuple) -> None:
-        """Unreliable control message: deliver unless its single chunk is lost."""
-        if self._lose(1):
-            return
+        """Unreliable control message: delivered, never acked."""
         self.messages.put(
             MulticastMessage(
                 src_ip=dgram.src_ip,
@@ -246,42 +163,6 @@ class MulticastEndpoint:
         )
 
     def _on_data(self, dgram: Datagram, body: tuple) -> None:
-        total = _chunks(dgram.payload_bytes)
-        lost = self._lose(total)
-        if lost == 0:
-            self._complete(dgram, body)
-        else:
-            self._partial[body[1]] = (lost, dgram)
-            self._nack(dgram, body, lost)
-
-    def _on_repair(self, dgram: Datagram, body: tuple) -> None:
-        op = body[1]
-        entry = self._partial.get(op)
-        if entry is None:
-            return  # duplicate repair after completion
-        self.repairs_received += 1
-        missing, original = entry
-        repaired = int(body[2])
-        still_lost = self._lose(repaired)
-        missing = missing - repaired + still_lost
-        if missing <= 0:
-            del self._partial[op]
-            self._complete(original, original.payload)
-        else:
-            self._partial[op] = (missing, original)
-            self._nack(original, original.payload, missing)
-
-    def _nack(self, dgram: Datagram, body: tuple, missing: int) -> None:
-        self.nacks_sent += 1
-        self.stack.udp_send(
-            dgram.src_ip,
-            body[2],
-            ("mc_nack", body[1], missing, self.port),
-            0,
-            sport=self.port,
-        )
-
-    def _complete(self, dgram: Datagram, body: tuple) -> None:
         _, op, ack_port, payload = body
         self.stack.udp_send(
             dgram.src_ip,

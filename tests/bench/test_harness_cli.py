@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from repro.bench import build_nice, build_noob, run_to_completion
+from repro.bench import __main__ as cli
+from repro.bench import build_nice, build_noob, chaos, run_to_completion
 from repro.bench.__main__ import main
+from repro.bench.harness import ExperimentResult
 
 
 def test_build_nice_is_warm():
@@ -186,3 +188,30 @@ def test_cli_diff_compares_result_rows_and_notes_and_nothing_else(tmp_path, caps
     assert main(["diff", paths["a"], paths["d"]]) == 1  # different suites share no table
     with pytest.raises(SystemExit):
         main(["diff", paths["a"]])
+
+
+def test_only_all_and_chaos_smoke_write_the_default_reports(tmp_path, monkeypatch, capsys):
+    """A single figure (or scale, or the full chaos matrix) used to write
+    over the committed BENCH_figures.json / BENCH_chaos.json; without
+    ``--figures-out``/``--chaos-out`` only ``all`` and ``chaos --smoke``
+    write them."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["sec46", "--ops", "3", "--jobs", "1", "--no-cache"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+    # Where the reports land is under test, not the rows: stub the runs.
+    monkeypatch.setattr(cli, "run", lambda name, **_kw: ExperimentResult(name, "stub", []))
+    main(["all", "--jobs", "1", "--no-cache"])  # exit 1: stub rows fail the claims
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_figures.json"]
+
+    written = []
+
+    def stub_suite(smoke, out_path, **_kw):
+        written.append(out_path)
+        return dict(cells=[], wall_s=0.0, passed=True)
+
+    monkeypatch.setattr(chaos, "run_suite", stub_suite)
+    monkeypatch.setattr(chaos, "format_report", lambda report: "")
+    assert main(["chaos", "--jobs", "1", "--no-cache"]) == 0
+    assert main(["chaos", "--smoke", "--jobs", "1", "--no-cache"]) == 0
+    assert written == [None, chaos.DEFAULT_OUT]

@@ -71,6 +71,11 @@ class Star:
     def link_of(self, host):
         return self.net.link_between(self.switch, host)
 
+    def downlink_of(self, host):
+        """The channel from the switch to ``host``."""
+        link = self.link_of(host)
+        return (link.a if link.a.device is self.switch else link.b).channel
+
 
 class HopRecorder:
     """The devices each packet crossed, kept beside the packets, not in them.

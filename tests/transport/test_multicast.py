@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import IPv4Address, IPv4Network, MTU_BYTES
+from repro.net import IPv4Address, IPv4Network, wire_size
 from repro.sim import RngRegistry
 from repro.transport import MulticastEndpoint, MulticastSender
 from tests.helpers import Star
@@ -12,18 +12,12 @@ VADDR = IPv4Address("10.11.1.7")
 PORT = 7001
 
 
-def make_mc_star(n_receivers=3, loss=0.0, **star_kw):
+def make_mc_star(n_receivers=3, **star_kw):
     star = Star(n_hosts=n_receivers + 1, **star_kw)
     sender_stack = star.stacks[0]
     receivers = star.hosts[1:]
     star.add_multicast_group(1, VGROUP, receivers)
-    rng = RngRegistry(11)
-    endpoints = [
-        MulticastEndpoint(
-            stack, PORT, chunk_loss_rate=loss, rng=rng.stream(f"loss:{i}") if loss else None
-        )
-        for i, stack in enumerate(star.stacks[1:])
-    ]
+    endpoints = [MulticastEndpoint(stack, PORT) for stack in star.stacks[1:]]
     return star, MulticastSender(sender_stack), endpoints
 
 
@@ -67,37 +61,56 @@ def test_quorum_returns_before_slow_receivers():
     # Completion is near the fast-path time (~2 hops at 1 Gbps ≈ 17 ms),
     # far below the slow receiver's ~170 ms leg.
     assert results["t"] < 0.1
-    # The straggler still completes eventually (served post-return).
+    # The slow receiver still gets the data after the sender returned.
     assert len(endpoints[2].messages) == 1
 
 
-def test_loss_triggers_nack_repair_and_delivery():
-    star, sender, endpoints = make_mc_star(2, loss=0.3)
-    size = 50 * MTU_BYTES  # 50 chunks: loss virtually certain
+def test_lost_data_leg_is_not_repaired():
+    """The one loss model is the link's: a receiver whose downlink drops
+    the ``mc_data`` holds nothing and sends nothing, and the quorum of the
+    other two still completes.  No NACK or repair crosses the wire."""
+    star, sender, endpoints = make_mc_star(3)
+    victim = star.downlink_of(star.hosts[3])
+    victim.set_loss(0.999999, RngRegistry(5).stream("loss"))
+    size = 10_000
     done = {}
 
     def send(sim):
-        acks = yield sender.send(VADDR, PORT, "lossy", size, n_receivers=2)
-        done["acks"] = len(acks)
+        acks = yield sender.send(VADDR, PORT, "x", size, n_receivers=3, quorum=2)
+        done["acks"] = sorted(str(ip) for ip, _ in acks)
 
     star.sim.process(send(star.sim))
-    star.sim.run(until=30.0)
-    assert done["acks"] == 2
-    assert sum(ep.nacks_sent for ep in endpoints) > 0
-    assert sum(ep.repairs_received for ep in endpoints) > 0
-    for ep in endpoints:
-        assert len(ep.messages) == 1
+    star.sim.run(until=10.0)
+    assert done["acks"] == sorted(str(h.ip) for h in star.hosts[1:3])
+    assert victim.dropped_packets.value == 1
+    assert len(endpoints[2].messages) == 0
+    assert [len(ep.messages) for ep in endpoints[:2]] == [1, 1]
+    data_legs = 4 * wire_size(size)  # 1 uplink + 3 downlinks (one dropped)
+    acks = 2 * 2 * wire_size(0)  # 2 acks, 2 hops each
+    assert star.net.total_link_bytes() == data_legs + acks
 
 
-def test_lossless_sends_no_nacks():
-    star, sender, endpoints = make_mc_star(3)
+def test_ack_port_unbound_at_quorum_and_late_ack_dropped():
+    star, sender, endpoints = make_mc_star(3, latency_s=0.0)
+    star.link_of(star.hosts[3]).set_bandwidth(50e6)  # receiver 3 acks late
+    stack = star.stacks[0]
+    seen = {}
 
     def send(sim):
-        yield sender.send(VADDR, PORT, "x", 100, n_receivers=3)
+        acks = yield sender.send(VADDR, PORT, "blob", 1 << 20, n_receivers=3, quorum=2)
+        seen["acks"] = len(acks)
+        ack_port = endpoints[0].messages.items[0].ack_port
+        # Binding succeeds only if the sender let go of the port at quorum.
+        stack.udp_bind(ack_port)
+        stack.udp_unbind(ack_port)
 
     star.sim.process(send(star.sim))
-    star.sim.run(until=5.0)
-    assert all(ep.nacks_sent == 0 for ep in endpoints)
+    star.sim.run()
+    assert seen["acks"] == 2
+    # The late ack reached the sender's host and died at the unbound port.
+    assert len(endpoints[2].messages) == 1
+    to_sender = star.downlink_of(star.hosts[0])
+    assert (to_sender.tx_packets.value, to_sender.dropped_packets.value) == (3, 0)
 
 
 def test_multicast_network_load_is_one_copy_per_leg():
@@ -111,8 +124,6 @@ def test_multicast_network_load_is_one_copy_per_leg():
     star.sim.process(send(star.sim))
     star.sim.run(until=5.0)
     total = star.net.total_link_bytes()
-    from repro.net import wire_size
-
     data_legs = 4 * wire_size(size)  # 1 uplink + 3 downlinks
     acks = 3 * 2 * wire_size(0)  # 3 acks, 2 hops each
     assert total == data_legs + acks
@@ -126,16 +137,6 @@ def test_sender_validates_arguments():
         sender.send(VADDR, PORT, "x", 10, n_receivers=3, quorum=4)
     with pytest.raises(ValueError):
         sender.send(VADDR, PORT, "x", 10, n_receivers=3, quorum=0)
-
-
-def test_endpoint_validates_loss_config():
-    star = Star(n_hosts=2)
-    with pytest.raises(ValueError):
-        MulticastEndpoint(star.stacks[1], PORT, chunk_loss_rate=0.5, rng=None)
-    with pytest.raises(ValueError):
-        MulticastEndpoint(
-            star.stacks[1], PORT, chunk_loss_rate=1.5, rng=RngRegistry(1).stream("x")
-        )
 
 
 def test_two_concurrent_sends_demux_by_op():

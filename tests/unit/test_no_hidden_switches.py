@@ -21,6 +21,32 @@ from repro.core import ClusterConfig, NiceCluster
 from repro.kv import WriteAheadLog
 from repro.net.harmonia import HarmoniaRegistry
 from repro.sim import Simulator
+from repro.transport import MulticastEndpoint
+
+
+def _grep(pattern, *dirs, glob="*.py"):
+    """``path:line`` of every line of the ``glob`` files under ``dirs``
+    that matches ``pattern``."""
+    regex = re.compile(pattern)
+    return [
+        f"{path}:{lineno}"
+        for top in dirs
+        for path in sorted(top.rglob(glob))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if regex.search(line)
+    ]
+
+
+def test_removed_mode_and_env_names_stay_gone():
+    root = Path(repro.__file__).parent
+    pattern = r"approx_mode|sim_mode|REPRO_(DISABLE_FLOW_CACHE|NO_TX_BATCH)"
+    assert _grep(pattern, root) == []
+    assert _grep(pattern, root.parents[1] / ".github", glob="*.yml") == []
+
+
+def test_fault_kinds_have_no_handler_methods():
+    """A fault kind is a record of ``chaos.FAULTS``, not a ``_do_`` method."""
+    assert _grep(r"def _do_", Path(repro.__file__).parent / "chaos") == []
 
 
 def test_src_reads_no_environment_variable():
@@ -45,9 +71,9 @@ def test_cluster_config_has_no_sim_mode():
 )
 def test_cluster_config_has_no_never_set_option(option):
     """Deleted in PR 18: no file under src/, tests/, benchmarks/ or
-    examples/ ever set them.  Chunk loss is still injectable where it is
-    tested (``MulticastEndpoint(chunk_loss_rate=, rng=)``); the fail-slow
-    detector's constants sit beside it."""
+    examples/ ever set them.  Loss is injected on links only
+    (``Link.set_loss``); the multicast endpoint takes no loss knob, and the
+    fail-slow detector's constants sit beside it."""
     with pytest.raises(TypeError):
         ClusterConfig(**{option: 2})
 
@@ -85,6 +111,7 @@ def test_src_ships_no_broken_variant():
     pattern = re.compile(r"harmonia-weak|nice-waloff|wal_forced")
     assert [p.name for p in sorted(root.rglob("*.py")) if pattern.search(p.read_text())] == []
     assert list(inspect.signature(WriteAheadLog).parameters) == ["disk"]
+    assert list(inspect.signature(MulticastEndpoint).parameters) == ["stack", "port"]
     assert list(inspect.signature(HarmoniaRegistry).parameters) == ["ring"]
     with pytest.raises(ValueError, match="must be 'nice' or 'harmonia'"):
         ClusterConfig(protocol_mode="harmonia-weak")
