@@ -12,9 +12,7 @@ Examples::
 Figure and chaos sweeps decompose into independent cells (see
 ``repro.bench.parallel``) that fan across ``--jobs`` worker processes and
 merge deterministically — ``--jobs 1`` and ``--jobs N`` output is
-bit-identical.  Results are cached content-addressed in ``.bench_cache/``
-(keyed on cell params + a fingerprint of ``src/repro``), so re-running
-after an unrelated edit skips unchanged cells; ``--no-cache`` disables.
+bit-identical.
 """
 
 from __future__ import annotations
@@ -69,23 +67,14 @@ def main(argv=None) -> int:
              "(default: all cores; 1 = inline, no pool)",
     )
     parser.add_argument(
-        "--cache-dir", default=parallel.DEFAULT_CACHE_DIR, metavar="DIR",
-        help="content-addressed result cache for figure/chaos cells "
-             f"(default {parallel.DEFAULT_CACHE_DIR}; invalidated by any "
-             "src/repro edit)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="always recompute cells; do not read or write the cache",
-    )
-    parser.add_argument(
         "--figures-out", default=None, metavar="PATH",
         help=f"figure/scale JSON report path ('-' disables); without it "
              f"only 'all' writes a report, to {FIGURES_OUT}",
     )
     parser.add_argument(
         "--perf-out", default=None, metavar="PATH",
-        help="perf suite only: output JSON path (default BENCH_perf.json)",
+        help="perf suite only: output JSON path; without it only a full "
+             "'perf' writes a report, to BENCH_perf.json",
     )
     parser.add_argument(
         "--seeds", type=int, default=5,
@@ -101,8 +90,7 @@ def main(argv=None) -> int:
         help="record a sim-time trace of every cluster built during the "
              "run; written as Chrome trace JSON (open in chrome://tracing "
              "or Perfetto), or JSONL if PATH ends in .jsonl.  Forces "
-             "--jobs 1 and --no-cache (tracers live in this process; a "
-             "cached cell would leave a hole in the trace)",
+             "--jobs 1 (tracers live in this process)",
     )
     args = parser.parse_args(argv)
     if args.experiment[0] == "diff":
@@ -117,14 +105,12 @@ def main(argv=None) -> int:
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
         parser.error(f"--jobs must be >= 1, got {jobs}")
-    cache_dir = None if args.no_cache else args.cache_dir
     if args.trace:
         if args.jobs is not None and args.jobs != 1:
             print(f"--trace: overriding --jobs {args.jobs} -> 1", file=sys.stderr)
         jobs = 1
-        cache_dir = None
         obs_runtime.start(args.trace)
-    prior_config = parallel.configure(jobs=jobs, cache_dir=cache_dir)
+    prior_config = parallel.configure(jobs)
     try:
         return _run(parser, args, n_ops, jobs)
     finally:
@@ -162,11 +148,14 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
     if "perf" in wanted:
         from . import perf
 
-        out_path = args.perf_out or perf.DEFAULT_OUT
+        # The committed BENCH_perf.json is the full suite: a smoke run
+        # writes only where --perf-out points.
+        out_path = args.perf_out or (None if args.smoke else perf.DEFAULT_OUT)
         t0 = time.perf_counter()
         report = perf.run_suite(smoke=args.smoke, out_path=out_path)
         print(perf.format_report(report))
-        print(f"wrote {out_path}")
+        if out_path:
+            print(f"wrote {out_path}")
         print(f"({time.perf_counter() - t0:.1f}s wall)\n")
         failed |= not report["passed"]
         wanted = [w for w in wanted if w != "perf"]
@@ -180,9 +169,7 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
             seeds=args.seeds, smoke=args.smoke, out_path=out_path
         )
         print(chaos.format_report(report))
-        cells = report.get("cells", [])
-        hits = sum(1 for c in cells if c["cache_hit"])
-        print(f"({len(cells)} cells, {hits} cache hits, --jobs {jobs})")
+        print(f"({len(report.get('cells', []))} cells, --jobs {jobs})")
         if out_path:
             print(f"wrote {out_path}")
         print(f"({report['wall_s']:.1f}s wall)\n")
@@ -230,8 +217,7 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
             print("claims:")
             for line in verdicts.splitlines():
                 print(f"  {line}")
-        hits = sum(1 for c in cells if c["cache_hit"])
-        cell_note = f", {len(cells)} cells, {hits} cache hits" if cells else ""
+        cell_note = f", {len(cells)} cells" if cells else ""
         print(f"({elapsed:.1f}s wall{cell_note})\n")
         experiments.append(dict(vars(result), wall_s=elapsed, cells=cells))
     if experiments and figures_out != "-":

@@ -6,7 +6,7 @@ penalty, and the §4.1 membership-maintenance message complexity.
 
 Like the figures, each is one :class:`~repro.bench.harness.Experiment`
 record beside its cell function, so ``bench all --jobs N`` parallelizes
-and caches the ablations too, and each is judged by what it shows
+the ablations too, and each is judged by what it shows
 (``claims.check``).  They register in ``bench all`` order.
 """
 

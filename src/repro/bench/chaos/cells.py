@@ -6,8 +6,8 @@ cheap staleness screen first, then the exact Wing–Gong linearizability
 check.  The paced-workload cells share one pipeline
 (:func:`run_faulted`); the directed cells script their own race.  Each
 is a module-level function of JSON parameters and a seed, so
-:func:`~repro.bench.parallel.run_cells` can cache it and ship it to a
-worker process.
+:func:`~repro.bench.parallel.run_cells` can ship it to a worker
+process.
 """
 
 from __future__ import annotations

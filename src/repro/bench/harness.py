@@ -11,6 +11,7 @@ cell builds its cluster through :func:`build`.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -259,7 +260,10 @@ def run(name: str, shared: Optional[Dict] = None, **overrides: Any) -> Experimen
     if shared is None:
         payloads = run_cells(cells)
     else:
-        sweep = tuple(cell.cache_key("") for cell in cells)  # (fn, params, seed) of each
+        sweep = tuple(
+            (cell.fn_name, json.dumps(cell.params, sort_keys=True), cell.seed)
+            for cell in cells
+        )
         if sweep not in shared:
             shared[sweep] = run_cells(cells)
         payloads = shared[sweep]

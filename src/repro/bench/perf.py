@@ -524,8 +524,6 @@ def run_suite(smoke: bool = False, out_path: Optional[str] = DEFAULT_OUT) -> dic
         out_dir = os.path.dirname(os.path.abspath(out_path))
         if not os.path.isdir(out_dir):
             raise SystemExit(f"perf: output directory does not exist: {out_dir}")
-    # The perf suite deliberately bypasses the cell cache: its payload is
-    # host wall-clock, which a cached result would misreport.
     report = {
         "schema_version": SCHEMA_VERSION,
         "smoke": smoke,

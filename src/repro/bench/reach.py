@@ -73,7 +73,7 @@ def main(smoke: bool = False) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
 
     def rows():
-        common = ["--jobs", "1", "--no-cache", "--figures-out", "-"]  # and no report files
+        common = ["--jobs", "1", "--figures-out", "-"]  # and no report files
         bench(["fig4", "--ops", "20", *common] if smoke else ["all", "--ops", "100", *common])
         bench(["scale", *small, *common])
         bench(["chaos", *small, *common, "--chaos-out", os.devnull])

@@ -129,7 +129,7 @@ def _result_tables(report: dict) -> Dict[str, List[dict]]:
     """The simulated content of a figure, scale or chaos report: each
     experiment's ``rows`` and ``notes`` (Fig 11's failure, rejoin and
     consistent times live only there), a chaos report's ``cases``.
-    Wall-clock, cell and cache records and provenance all live outside
+    Wall-clock and cell records and provenance all live outside
     them."""
     tables = {}
     for e in report.get("experiments", []):

@@ -69,8 +69,6 @@ class BaseConfig:
     #: for 2 seconds".
     client_retry_timeout_s: float = 2.0
     client_space: IPv4Network = field(default_factory=lambda: IPv4Network("10.20.0.0/24"))
-    #: Smooth node placement on the physical ring.
-    ring_points_per_node: int = 32
     #: Per-request CPU service time on a storage node (request parsing,
     #: indexing, syscalls).  Serialized per node: the resource a hot
     #: primary saturates on small-object workloads (Figs 10, 12).
@@ -138,8 +136,6 @@ class ClusterConfig(BaseConfig):
     #: When set, every leaf and spine is built with this table capacity, so
     #: exceeding the budget raises at rule-install time (§4.6 for real).
     switch_rule_budget: int = 0
-    #: Salt for the fabric's ECMP hash — same seed, same paths.
-    ecmp_seed: int = 0
     #: -- Protocol variants, and why each exists (the one place that says) --
     #: The paper has one protocol.  This repo carries two read-path
     #: ``protocol_mode``s, each for one stated reason; a variant no figure

@@ -58,7 +58,7 @@ class NiceControllerApp(ControllerApp):
         super().__init__()
         self.uni = unicast_vring
         self.mc = multicast_vring
-        self.directory = Directory(config.ecmp_seed)
+        self.directory = Directory()
         self.planner = Planner(config, self.directory, unicast_vring, multicast_vring)
         self._partition_map = partition_map
         #: switch name -> {partition -> (version key, plan)} (DESIGN.md §5i).

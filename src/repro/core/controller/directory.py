@@ -52,12 +52,15 @@ class SwitchInfo:
 
 _DEFAULT_SWITCH_INFO = SwitchInfo()
 
+#: Salt hashed into every ECMP choice: the same fabric always takes the
+#: same paths.
+ECMP_SEED = 0
+
 
 class Directory:
     """Hosts, learned locations, switch roles and fabric wiring."""
 
-    def __init__(self, ecmp_seed: int = 0):
-        self.ecmp_seed = ecmp_seed
+    def __init__(self):
         self.hosts: Dict[str, HostRecord] = {}
         self.host_by_ip: Dict[IPv4Address, HostRecord] = {}
         self.arp = ArpTable()
@@ -163,7 +166,7 @@ class Directory:
         aggregate prefix rule always pick the same path.
         """
         spines = self.spines
-        return spines[ecmp_index(len(spines), leaf_name, dst_rack, self.ecmp_seed)]
+        return spines[ecmp_index(len(spines), leaf_name, dst_rack, ECMP_SEED)]
 
     def mc_spine(self, partition: int) -> str:
         """The one spine carrying partition ``partition``'s multicast tree.
@@ -173,7 +176,7 @@ class Directory:
         every leaf holding a put target — no duplicate or looping copies.
         """
         spines = self.spines
-        return spines[ecmp_index(len(spines), "mc", partition, self.ecmp_seed)]
+        return spines[ecmp_index(len(spines), "mc", partition, ECMP_SEED)]
 
     def hosts_behind(self, switch_name: str) -> Sequence[HostRecord]:
         """Hosts learned behind ``switch_name``, registration order.

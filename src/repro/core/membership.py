@@ -29,6 +29,9 @@ from ..kv import ConsistentHashRing, key_hash
 
 __all__ = ["ReplicaSet", "PartitionMap"]
 
+#: Virtual points per node on the physical ring: smooths node placement.
+RING_POINTS_PER_NODE = 32
+
 
 @dataclass
 class ReplicaSet:
@@ -176,7 +179,6 @@ class PartitionMap:
         node_names: List[str],
         n_partitions: int,
         replication_level: int,
-        ring_points_per_node: int = 32,
         racks: Optional[Dict[str, int]] = None,
     ) -> "PartitionMap":
         """Initial placement: partitions land on the physical consistent-hash
@@ -189,7 +191,7 @@ class PartitionMap:
         The swap is deterministic (pure ring order) and a no-op when
         ``racks`` is None or single-rack — the pre-fabric placement.
         """
-        ring = ConsistentHashRing(points_per_node=ring_points_per_node)
+        ring = ConsistentHashRing(points_per_node=RING_POINTS_PER_NODE)
         for name in node_names:
             ring.add_node(name)
         multi_rack = racks is not None and len(set(racks.values())) > 1

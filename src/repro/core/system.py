@@ -132,7 +132,6 @@ class NiceCluster(ClusterBase):
             node_names,
             cfg.n_partitions,
             cfg.replication_level,
-            ring_points_per_node=cfg.ring_points_per_node,
             racks=self.rack_of if cfg.n_racks > 1 else None,
         )
 

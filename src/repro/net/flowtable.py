@@ -3,8 +3,8 @@
 This mirrors the OpenFlow 1.3 feature subset the paper uses (§2.2, §5):
 prefix wildcards on IP source/destination, exact matches on protocol and
 ports, set-field rewrites of destination IP/MAC, unicast output, group
-(multicast) output, and send-to-controller.  Rules carry priorities and
-optional idle timeouts; the controller owns rule lifecycle.
+(multicast) output, and send-to-controller.  Rules carry priorities; the
+controller owns rule lifecycle (no timeouts).
 """
 
 from __future__ import annotations
@@ -154,17 +154,16 @@ _rule_seq = itertools.count(1)
 
 @dataclass
 class Rule:
-    """A flow entry: priority + match + actions (+ optional idle timeout)."""
+    """A flow entry: priority + match + actions.  NICE's controller
+    installs and removes every rule itself, so rules carry no timeout."""
 
     match: Match
     actions: List[Action]
     priority: int = 100
-    idle_timeout: Optional[float] = None
     cookie: str = ""
     seq: int = field(default_factory=lambda: next(_rule_seq))
     packets: int = 0
     bytes: int = 0
-    last_used: float = 0.0
 
     @property
     def content(self) -> tuple:
@@ -200,8 +199,8 @@ class FlowTable:
     construction the rule a linear scan of ``_rules`` would return — so a
     miss costs the prefix lengths in use, not the rules installed (the
     one-stage match §4.6 assumes).  Every table mutation (``add`` / ``remove`` /
-    ``remove_by_cookie`` / ``expire_idle``) bumps a generation counter and
-    the next lookup rebuilds the index, once per generation.
+    ``remove_by_cookie``) bumps a generation counter and the next lookup
+    rebuilds the index, once per generation.
 
     An exact-match memo (the Open vSwitch microflow cache, which the §5.1
     OVS deployment relies on) fronts the classifier: a dict keyed on
@@ -366,21 +365,6 @@ class FlowTable:
                         best = rule
                     break
         return best
-
-    def expire_idle(self, now: float) -> int:
-        """Evict rules idle past their timeout; returns eviction count."""
-        keep = []
-        evicted = 0
-        for r in self._rules:
-            if r.idle_timeout is not None and now - r.last_used > r.idle_timeout:
-                evicted += 1
-            else:
-                keep.append(r)
-        self._rules = keep
-        if evicted:
-            self._generation += 1
-            self._trace_mod("flow_expire", evicted=evicted, rules=len(self._rules))
-        return evicted
 
 
 @dataclass(frozen=True)

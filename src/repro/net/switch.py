@@ -102,7 +102,6 @@ class OpenFlowSwitch(Device):
             return
         rule.packets += 1
         rule.bytes += packet._wire_size
-        rule.last_used = self.sim.now
         if tr is not None:
             tr.instant(
                 "rule_hit", "switch", node=self.name,

@@ -58,10 +58,7 @@ class NoobCluster(ClusterBase):
 
         node_names = [f"n{i}" for i in range(cfg.n_storage_nodes)]
         self.partition_map = PartitionMap.build(
-            node_names,
-            cfg.n_partitions,
-            cfg.replication_level,
-            ring_points_per_node=cfg.ring_points_per_node,
+            node_names, cfg.n_partitions, cfg.replication_level
         )
 
         self.directory: Dict[str, IPv4Address] = {}

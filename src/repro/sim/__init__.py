@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`Simulator` — the event loop.
 * :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` — waitables.
-* :class:`Process`, :class:`Interrupt` — generator coroutines.
+* :class:`Process` — generator coroutines.
 * :class:`Store`, :class:`Resource` — queues and counted resources.
 * :class:`RngRegistry` — named deterministic random streams.
 * :class:`Counter`, :class:`Tally`, :class:`RateSeries` — measurement.
@@ -24,7 +24,7 @@ from .events import (
 from .kernel import Simulator, StopSimulation
 from .monitor import Counter, RateSeries, Tally, summary_stats
 from .primitives import Resource, ResourceRequest, Store
-from .process import Interrupt, Process
+from .process import Process
 from .rng import RngRegistry
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "ConditionValue",
     "Counter",
     "Event",
-    "Interrupt",
     "NORMAL",
     "Process",
     "RateSeries",

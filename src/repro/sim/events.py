@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 #: Scheduling priority for bookkeeping events that must run before ordinary
-#: events scheduled at the same timestamp (e.g. process initialization and
-#: interrupts).
+#: events scheduled at the same timestamp (e.g. process initialization).
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
@@ -160,14 +159,6 @@ class Event:
             self._callbacks = [callback]
         else:
             self._callbacks.append(callback)
-
-    def remove_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Detach a previously-attached callback (no-op if absent)."""
-        if self._callbacks is not None:
-            try:
-                self._callbacks.remove(callback)
-            except ValueError:
-                pass
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (

@@ -111,7 +111,7 @@ class Store:
         self._next()
 
     def cancel(self, get_event: Event) -> None:
-        """Withdraw an unfired ``get`` (e.g. its process was interrupted)."""
+        """Withdraw an unfired ``get`` (e.g. its waiter's timeout fired first)."""
         try:
             self._getters.remove(get_event)  # type: ignore[arg-type]
         except ValueError:

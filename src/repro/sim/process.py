@@ -20,26 +20,14 @@ records the process would have (DESIGN.md §5g).
 from __future__ import annotations
 
 from types import GeneratorType
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
 from .events import URGENT, Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
 
-__all__ = ["Process", "Interrupt"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupt ``cause`` is available as ``exc.cause``.  Used throughout
-    the storage protocols to model request timeouts and node failures.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
+__all__ = ["Process"]
 
 
 class _Started:
@@ -64,7 +52,7 @@ _STARTED = _Started()
 class Process(Event):
     """A running generator, resumable by the event loop."""
 
-    __slots__ = ("_gen", "_target", "name", "_wake")
+    __slots__ = ("_gen", "name", "_wake")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
         if type(generator) is not GeneratorType and (
@@ -83,59 +71,17 @@ class Process(Event):
         self._defused = False
         self._entry = None
         self._gen = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        #: ``_resume`` bound once, for the start, every wake and the detach
-        #: (cleared when the generator ends, so a finished process is not
-        #: kept alive by a cycle through its own bound method).
+        #: ``_resume`` bound once, for the start and every wake (cleared when
+        #: the generator ends, so a finished process is not kept alive by a
+        #: cycle through its own bound method).
         self._wake = wake = self._resume
         # First resume happens on an urgent same-time call so that process
         # bodies start deterministically before ordinary events at `now`.
         sim._schedule_call(0.0, wake, _STARTED, priority=URGENT)
 
-    # -- state -------------------------------------------------------------
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently waiting on (if suspended)."""
-        return self._target
-
-    # -- control -----------------------------------------------------------
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        twice before it resumes queues both interrupts (delivered in order).
-        """
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        ev = Event(self.sim)
-        ev._ok = False
-        ev._value = Interrupt(cause)
-        ev._defused = True
-        ev._callbacks = [self._wake]
-        self.sim._schedule_event(ev, URGENT)
-
     # -- engine ------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self._value is not Event._PENDING:
-            # Process already finished (e.g. interrupted after completion
-            # raced with a pending wakeup): drop stale wakeups, but re-raise
-            # unhandled failures of the stale event.
-            if event._ok is False and not event._defused:
-                raise event._value
-            return
-
-        # Detach from the old target: an interrupt must not leave a stale
-        # callback that would resume us a second time.
-        if self._target is not None and self._target is not event:
-            self._target.remove_callback(self._wake)
-        self._target = None
-
         tr = self.sim.tracer
         if tr is not None and tr.verbose:
             tr.instant("wake", "proc", node=self.name)
@@ -173,7 +119,6 @@ class Process(Event):
                 # Already settled: loop and deliver synchronously.
                 event = next_ev
                 continue
-            self._target = next_ev
             if next_ev._callbacks is None and type(next_ev._entry) is not float:
                 next_ev._callbacks = [self._wake]
             else:

@@ -408,7 +408,7 @@ def test_a_failing_claim_is_cli_exit_status_1(monkeypatch, capsys):
         return result
 
     monkeypatch.setattr(cli, "run", doctored_run)
-    assert main(["fig5", "--no-cache", "--figures-out", "-"]) == 1
+    assert main(["fig5", "--figures-out", "-"]) == 1
     out = capsys.readouterr().out
     assert f"FAIL: {expected[0]}" in out
     assert "   NO       6.14  [3, 5.5]" in out
@@ -448,7 +448,7 @@ def test_scale_gate_and_cli_exit_code(row, fields, expected, monkeypatch, capsys
         return result
 
     monkeypatch.setattr(cli, "run", doctored_scale)
-    assert main(["scale", "--smoke", "--no-cache", "--figures-out", "-"]) == 1
+    assert main(["scale", "--smoke", "--figures-out", "-"]) == 1
     assert f"FAIL: {expected[0]}" in capsys.readouterr().out
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.bench import __main__ as cli
-from repro.bench import build_nice, build_noob, chaos, run_to_completion
+from repro.bench import build_nice, build_noob, chaos, perf, run_to_completion
 from repro.bench.__main__ import main
 from repro.bench.harness import ExperimentResult
 
@@ -58,16 +58,16 @@ def test_run_to_completion_detects_drained_sim():
 
 def test_cli_unknown_experiment_errors():
     with pytest.raises(SystemExit):
-        main(["no-such-figure", "--no-cache", "--figures-out", "-"])
+        main(["no-such-figure", "--figures-out", "-"])
 
 
 def test_cli_rejects_bad_jobs():
     with pytest.raises(SystemExit):
-        main(["sec46", "--jobs", "0", "--no-cache", "--figures-out", "-"])
+        main(["sec46", "--jobs", "0", "--figures-out", "-"])
 
 
 def test_cli_runs_sec46(capsys):
-    rc = main(["sec46", "--jobs", "1", "--no-cache", "--figures-out", "-"])
+    rc = main(["sec46", "--jobs", "1", "--figures-out", "-"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "sec46" in out
@@ -76,37 +76,42 @@ def test_cli_runs_sec46(capsys):
 
 def test_cli_writes_figures_report_with_provenance(tmp_path, capsys):
     out_path = tmp_path / "BENCH_figures.json"
-    rc = main(["sec46", "--jobs", "1", "--no-cache", "--figures-out", str(out_path)])
+    rc = main(["sec46", "--jobs", "1", "--figures-out", str(out_path)])
     assert rc == 0
     report = json.loads(out_path.read_text())
     assert report["suite"] == "figures"
     prov = report["provenance"]
     assert prov["jobs"] == 1 and prov["ops"] == 100
-    assert prov["cells"] == 1 and prov["cache_hits"] == 0
+    assert prov["cells"] == 1
     assert prov["python"] and prov["git_sha"]
     (exp,) = report["experiments"]
     assert exp["name"] == "sec46"
-    assert exp["rows"] and exp["cells"][0]["cache_hit"] is False
+    assert exp["rows"] and exp["cells"][0]["fn"] == "repro.bench.figures.sec46_cell"
 
 
-def test_cli_uses_cache_on_second_run(tmp_path, capsys):
-    argv = [
-        "sec46", "--jobs", "1",
-        "--cache-dir", str(tmp_path / "bc"),
-        "--figures-out", str(tmp_path / "out.json"),
-    ]
+@pytest.mark.parametrize("flag", [["--no-cache"], ["--cache-dir", "bc"]])
+def test_cli_rejects_the_removed_cache_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sec46", *flag, "--figures-out", "-"])
+    assert exc.value.code == 2  # argparse usage error
+    assert flag[0] in capsys.readouterr().err
+
+
+def test_cli_second_run_recomputes_identical_rows(tmp_path, capsys):
+    """Every run computes its cells afresh; two runs write the same rows."""
+    argv = ["sec46", "--jobs", "1", "--figures-out", str(tmp_path / "out.json")]
     assert main(argv) == 0
     first = json.loads((tmp_path / "out.json").read_text())
     assert main(argv) == 0
     second = json.loads((tmp_path / "out.json").read_text())
     assert first["experiments"][0]["rows"] == second["experiments"][0]["rows"]
-    assert second["provenance"]["cache_hits"] == 1
+    assert second["provenance"]["cells"] == 1
 
 
 def test_cli_memoizes_shared_fig5_6_7_sweep(tmp_path, capsys):
     """fig5 fig6 fig7 must run the shared replication sweep exactly once:
     one execution of the shared cell per system, all charged to fig5."""
-    rc = main(["fig5", "fig6", "fig7", "--ops", "3", "--jobs", "1", "--no-cache",
+    rc = main(["fig5", "fig6", "fig7", "--ops", "3", "--jobs", "1",
                "--figures-out", str(tmp_path / "out.json")])
     assert rc == 0
     report = json.loads((tmp_path / "out.json").read_text())
@@ -117,13 +122,37 @@ def test_cli_memoizes_shared_fig5_6_7_sweep(tmp_path, capsys):
     assert all(e["rows"] for e in report["experiments"])
 
 
+def test_shared_memo_keys_on_cell_function_params_and_seed(monkeypatch):
+    """``run(shared=...)`` reuses a sweep only when every cell's function,
+    params and seed agree; a changed seed or parameter runs it afresh."""
+    from repro.bench import harness
+
+    calls = []
+
+    def fake_run_cells(cells):
+        calls.append([cell.label for cell in cells])
+        return [{"fig5": [], "fig6": [], "fig7": []} for _ in cells]
+
+    monkeypatch.setattr(harness, "run_cells", fake_run_cells)
+    shared = {}
+    harness.run("fig5", shared=shared, n_ops=3)
+    harness.run("fig6", shared=shared, n_ops=3)
+    sizes = list(harness.EXPERIMENTS["fig7"].params["sizes"])  # a list keys as the tuple
+    harness.run("fig7", shared=shared, n_ops=3, sizes=sizes)
+    assert len(calls) == 1  # one sweep, three tables
+    harness.run("fig6", shared=shared, n_ops=3, seed=5)
+    harness.run("fig7", shared=shared, n_ops=4)
+    assert len(calls) == 3
+    assert len(shared) == 3
+
+
 def test_cli_traced_cluster_equals_untraced_and_put_spans_have_children(tmp_path):
     """The obs determinism contract on a *real* cluster (DESIGN.md §5e):
     ``--trace`` changes no figure row, and the exported trace holds
     complete put spans correlated, by op id, with their switch hops and
     2PC phases."""
     plain, traced, trace = (tmp_path / n for n in ("plain.json", "traced.json", "t.trace.json"))
-    assert main(["fig5", "--ops", "5", "--jobs", "1", "--no-cache",
+    assert main(["fig5", "--ops", "5", "--jobs", "1",
                  "--figures-out", str(plain)]) == 0
     assert main(["fig5", "--ops", "5", "--trace", str(trace),
                  "--figures-out", str(traced)]) == 0
@@ -144,23 +173,23 @@ def test_cli_traced_cluster_equals_untraced_and_put_spans_have_children(tmp_path
 
 
 def test_cli_diff_compares_result_rows_and_notes_and_nothing_else(tmp_path, capsys):
-    """``bench diff``: wall-clock, cell-cache and provenance fields may
+    """``bench diff``: wall-clock, cell and provenance fields may
     differ freely; one moved row field, note (Fig 11's failure, rejoin and
     consistent times live only there) or chaos case is exit status 1 with
     the row and field named."""
     figures = {
         "suite": "figures",
-        "provenance": {"git_sha": "aaa", "generated_unix": 1.0, "cache_hits": 0},
+        "provenance": {"git_sha": "aaa", "generated_unix": 1.0, "cells": 1},
         "experiments": [
-            {"name": "fig5", "wall_s": 1.0, "cells": [{"cache_hit": False}],
+            {"name": "fig5", "wall_s": 1.0, "cells": [{"wall_s": 1.0}],
              "rows": [{"system": "NICE", "put_ms": 1.5}, {"system": "NOOB", "put_ms": 3.0}]},
             {"name": "fig11", "rows": [],
              "notes": ["t=30.05s: n7 fails", "t=90.08s: n7 consistent"]},
         ],
     }
     rerun = json.loads(json.dumps(figures))
-    rerun["provenance"] = {"git_sha": "bbb", "generated_unix": 2.0, "cache_hits": 1}
-    rerun["experiments"][0].update(wall_s=9.0, cells=[{"cache_hit": True}])
+    rerun["provenance"] = {"git_sha": "bbb", "generated_unix": 2.0, "cells": 1}
+    rerun["experiments"][0].update(wall_s=9.0, cells=[{"wall_s": 9.0}])
     moved = json.loads(json.dumps(rerun))
     moved["experiments"][0]["rows"][1]["put_ms"] = 3.0000000000000004
     late = json.loads(json.dumps(rerun))
@@ -191,17 +220,17 @@ def test_cli_diff_compares_result_rows_and_notes_and_nothing_else(tmp_path, caps
 
 
 def test_only_all_and_chaos_smoke_write_the_default_reports(tmp_path, monkeypatch, capsys):
-    """A single figure (or scale, or the full chaos matrix) used to write
-    over the committed BENCH_figures.json / BENCH_chaos.json; without
-    ``--figures-out``/``--chaos-out`` only ``all`` and ``chaos --smoke``
-    write them."""
+    """A single figure (or scale, the full chaos matrix, or the perf smoke)
+    used to write over the committed BENCH_figures.json / BENCH_chaos.json /
+    BENCH_perf.json; without ``--figures-out``/``--chaos-out``/``--perf-out``
+    only ``all``, ``chaos --smoke`` and a full ``perf`` write them."""
     monkeypatch.chdir(tmp_path)
-    assert main(["sec46", "--ops", "3", "--jobs", "1", "--no-cache"]) == 0
+    assert main(["sec46", "--ops", "3", "--jobs", "1"]) == 0
     assert list(tmp_path.iterdir()) == []
 
     # Where the reports land is under test, not the rows: stub the runs.
     monkeypatch.setattr(cli, "run", lambda name, **_kw: ExperimentResult(name, "stub", []))
-    main(["all", "--jobs", "1", "--no-cache"])  # exit 1: stub rows fail the claims
+    main(["all", "--jobs", "1"])  # exit 1: stub rows fail the claims
     assert [p.name for p in tmp_path.iterdir()] == ["BENCH_figures.json"]
 
     written = []
@@ -212,6 +241,13 @@ def test_only_all_and_chaos_smoke_write_the_default_reports(tmp_path, monkeypatc
 
     monkeypatch.setattr(chaos, "run_suite", stub_suite)
     monkeypatch.setattr(chaos, "format_report", lambda report: "")
-    assert main(["chaos", "--jobs", "1", "--no-cache"]) == 0
-    assert main(["chaos", "--smoke", "--jobs", "1", "--no-cache"]) == 0
+    assert main(["chaos", "--jobs", "1"]) == 0
+    assert main(["chaos", "--smoke", "--jobs", "1"]) == 0
     assert written == [None, chaos.DEFAULT_OUT]
+
+    written.clear()
+    monkeypatch.setattr(perf, "run_suite", stub_suite)
+    monkeypatch.setattr(perf, "format_report", lambda report: "")
+    assert main(["perf"]) == 0
+    assert main(["perf", "--smoke"]) == 0
+    assert written == [perf.DEFAULT_OUT, None]

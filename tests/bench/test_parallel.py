@@ -1,16 +1,12 @@
 """Tests for the parallel sweep orchestrator (repro.bench.parallel).
 
-The bar (set by PR 1 for the flow cache): the optimization must be
-invisible in the results.  ``--jobs N`` output must be bit-identical to
-``--jobs 1`` output, and a cache hit must be indistinguishable from a
-fresh run.
+The bar: the orchestration must be invisible in the results.  ``--jobs N``
+output must be bit-identical to ``--jobs 1`` output.
 """
 
 import concurrent.futures
 import dataclasses
-import json
 import multiprocessing
-import os
 import subprocess
 
 import pytest
@@ -25,7 +21,6 @@ from repro.bench.parallel import (
     drain_records,
     provenance,
     run_cells,
-    source_fingerprint,
 )
 from repro.check.mutants import MUTANTS, mutant_cell
 from repro.kv import WriteAheadLog
@@ -58,18 +53,13 @@ def test_cell_canonicalizes_params():
     assert cell.params == {"x": [1, 2], "y": {"b": 2, "a": 1}}
 
 
-def test_cell_cache_key_independent_of_param_order():
+def test_cell_identity_independent_of_param_order():
+    """Param order names no different cell: the label (what a failure and
+    a cell record print) and the payload are the same."""
     a = Cell(square_cell, {"x": 1, "y": 2}, seed=3)
     b = Cell(square_cell, {"y": 2, "x": 1}, seed=3)
-    assert a.cache_key("fp") == b.cache_key("fp")
-
-
-def test_cell_cache_key_sensitive_to_params_seed_and_source():
-    base = Cell(square_cell, {"x": 1}, seed=3)
-    assert base.cache_key("fp") != Cell(square_cell, {"x": 2}, seed=3).cache_key("fp")
-    assert base.cache_key("fp") != Cell(square_cell, {"x": 1}, seed=4).cache_key("fp")
-    assert base.cache_key("fp") != base.cache_key("other-src")
-    assert base.cache_key("fp") != Cell(float_cell, {"x": 1}, seed=3).cache_key("fp")
+    assert a == b and a.label == b.label == "square_cell(x=1,y=2)#s3"
+    assert a.fn_name == f"{__name__}.square_cell"
 
 
 def test_derive_seed_stable_and_distinct():
@@ -82,15 +72,15 @@ def test_derive_seed_stable_and_distinct():
 # -------------------------------------------------------------- run_cells
 def test_inline_and_pool_results_bit_identical():
     cells = [Cell(float_cell, {"x": x}, seed=x) for x in range(6)]
-    seq = run_cells(cells, jobs=1, cache_dir=None)
-    par = run_cells(cells, jobs=2, cache_dir=None)
+    seq = run_cells(cells, jobs=1)
+    par = run_cells(cells, jobs=2)
     assert seq == par
     assert seq[0]["third"] == 1.0 / 3.0  # exact float round-trip
 
 
 def test_merge_order_is_input_order():
     cells = [Cell(square_cell, {"x": x}, seed=0) for x in (5, 1, 9, 2)]
-    results = run_cells(cells, jobs=3, cache_dir=None)
+    results = run_cells(cells, jobs=3)
     assert [r["rows"][0]["x"] for r in results] == [5, 1, 9, 2]
 
 
@@ -101,7 +91,7 @@ def test_jobs1_never_creates_a_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", forbidden)
     cells = [Cell(square_cell, {"x": x}, seed=0) for x in range(3)]
-    assert run_cells(cells, jobs=1, cache_dir=None)[2]["rows"][0]["sq"] == 4
+    assert run_cells(cells, jobs=1)[2]["rows"][0]["sq"] == 4
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -110,83 +100,73 @@ def test_worker_exception_propagates_naming_the_cell(jobs):
     rerun the one cell — and chains the original exception."""
     cells = [Cell(square_cell, {"x": 1}, seed=0), Cell(boom_cell, {"x": 7}, seed=3)]
     with pytest.raises(RuntimeError, match=r"boom_cell\(x=7\)#s3 failed: ValueError: boom") as exc:
-        run_cells(cells, jobs=jobs, cache_dir=None)
+        run_cells(cells, jobs=jobs)
     assert isinstance(exc.value.__cause__, ValueError)
 
 
+def test_single_cell_never_creates_a_pool(monkeypatch):
+    def forbidden(*a, **k):
+        raise AssertionError("one cell must run inline")
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", forbidden)
+    (result,) = run_cells([Cell(square_cell, {"x": 3}, seed=0)], jobs=4)
+    assert result["rows"][0]["sq"] == 9
+
+
+def test_jobs_default_to_the_session_config(monkeypatch):
+    def forbidden(*a, **k):
+        raise AssertionError("configure(jobs=1) runs inline")
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", forbidden)
+    cells = [Cell(square_cell, {"x": x}, seed=0) for x in range(3)]
+    prior = parallel.configure(jobs=1)
+    try:
+        assert [r["rows"][0]["sq"] for r in run_cells(cells)] == [0, 1, 4]
+    finally:
+        parallel.configure(**prior)
+
+
+def test_empty_sweep_returns_nothing_and_records_nothing():
+    assert run_cells([], jobs=2) == []
+    assert drain_records() == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_record_per_cell_in_input_order(jobs):
+    cells = [Cell(square_cell, {"x": x}, seed=s) for x, s in ((4, 1), (2, 9))]
+    run_cells(cells, jobs=jobs)
+    records = drain_records()
+    assert [r["cell"] for r in records] == ["square_cell(x=4)#s1", "square_cell(x=2)#s9"]
+    assert [r["seed"] for r in records] == [1, 9]
+    assert {r["fn"] for r in records} == {f"{__name__}.square_cell"}
+    assert all(r["wall_s"] >= 0 for r in records)
+    assert drain_records() == []  # draining clears the log
+
+
+def test_a_rerun_recomputes_identical_payloads():
+    """Nothing is replayed: a second run executes every cell again and
+    returns the same payloads."""
+    cells = [Cell(float_cell, {"x": x}, seed=1) for x in range(3)]
+    first = run_cells(cells, jobs=1)
+    second = run_cells(cells, jobs=1)
+    assert first == second
+    assert len(drain_records()) == 6
+
+
+def test_configure_clamps_jobs_to_one():
+    prior = parallel.configure(jobs=0)
+    try:
+        assert parallel._config["jobs"] == 1
+    finally:
+        parallel.configure(**prior)
+
+
 def test_configure_sets_session_defaults():
-    prior = parallel.configure(jobs=4, cache_dir=None)
+    prior = parallel.configure(jobs=4)
     try:
         assert parallel._config["jobs"] == 4
     finally:
         parallel.configure(**prior)
-
-
-# ------------------------------------------------------------------ cache
-def test_cache_second_run_hits_and_payload_identical(tmp_path):
-    cache = str(tmp_path / "bc")
-    cells = [Cell(float_cell, {"x": x}, seed=1) for x in range(3)]
-    first = run_cells(cells, jobs=1, cache_dir=cache)
-    rec1 = drain_records()
-    second = run_cells(cells, jobs=1, cache_dir=cache)
-    rec2 = drain_records()
-    assert first == second
-    assert [r["cache_hit"] for r in rec1] == [False, False, False]
-    assert [r["cache_hit"] for r in rec2] == [True, True, True]
-    # Cached wall time is the original compute time, for trend tracking.
-    assert all(r["wall_s"] >= 0 for r in rec2)
-
-
-def test_cache_miss_on_param_change(tmp_path):
-    cache = str(tmp_path / "bc")
-    run_cells([Cell(square_cell, {"x": 1}, seed=1)], jobs=1, cache_dir=cache)
-    drain_records()
-    run_cells([Cell(square_cell, {"x": 2}, seed=1)], jobs=1, cache_dir=cache)
-    assert [r["cache_hit"] for r in drain_records()] == [False]
-    run_cells([Cell(square_cell, {"x": 1}, seed=2)], jobs=1, cache_dir=cache)
-    assert [r["cache_hit"] for r in drain_records()] == [False]
-
-
-def test_cache_corrupt_entry_recomputes(tmp_path):
-    cache = str(tmp_path / "bc")
-    cell = Cell(square_cell, {"x": 3}, seed=1)
-    run_cells([cell], jobs=1, cache_dir=cache)
-    drain_records()
-    key = cell.cache_key(source_fingerprint())
-    path = parallel._cache_path(cache, key)
-    with open(path, "w") as fh:
-        fh.write("{not json")
-    (result,) = run_cells([cell], jobs=1, cache_dir=cache)
-    assert result["rows"][0]["sq"] == 9
-    assert [r["cache_hit"] for r in drain_records()] == [False]
-
-
-def test_cache_disabled_with_none():
-    cells = [Cell(square_cell, {"x": 1}, seed=1)]
-    prior = parallel.configure(jobs=1, cache_dir="/nonexistent-should-not-be-used")
-    try:
-        # Explicit cache_dir=None overrides the session default.
-        run_cells(cells, cache_dir=None)
-    finally:
-        parallel.configure(**prior)
-    assert [r["key"] for r in drain_records()] == [None]
-
-
-def test_source_fingerprint_tracks_edits(tmp_path):
-    src = tmp_path / "pkg"
-    src.mkdir()
-    (src / "a.py").write_text("x = 1\n")
-    fp1 = source_fingerprint(str(src))
-    parallel.invalidate_fingerprint_memo()
-    fp2 = source_fingerprint(str(src))
-    assert fp1 == fp2  # deterministic
-    (src / "a.py").write_text("x = 2\n")
-    parallel.invalidate_fingerprint_memo()
-    assert source_fingerprint(str(src)) != fp1
-    (src / "a.py").write_text("x = 1\n")
-    (src / "b.txt").write_text("not python\n")
-    parallel.invalidate_fingerprint_memo()
-    assert source_fingerprint(str(src)) == fp1  # only .py files count
 
 
 def test_canonical_round_trips_tuples_and_numpy():
@@ -198,37 +178,31 @@ def test_canonical_round_trips_tuples_and_numpy():
 
 
 # ------------------------------------------------------ scale-cell parity
-def test_scale_cell_jobs_parity(tmp_path):
-    """Scale-ladder cells compose with --jobs N and the cache: rung and
-    ride-along chaos rows are bit-identical inline, pooled and replayed."""
+def test_scale_cell_jobs_parity():
+    """Scale-ladder cells compose with --jobs N: rung and ride-along chaos
+    rows are bit-identical inline and pooled."""
     cfgs = (
         dict(racks=2, hosts_per_rack=3, n_clients=2, budget=256),
         dict(racks=3, hosts_per_rack=2, n_clients=2, budget=256),
     )
     seq = run("scale", n_ops=5, configs=cfgs)
     drain_records()
-    prior = parallel.configure(jobs=2, cache_dir=str(tmp_path / "bc"))
+    prior = parallel.configure(jobs=2)
     try:
         par = run("scale", n_ops=5, configs=cfgs)
-        rec_cold = drain_records()
-        warm = run("scale", n_ops=5, configs=cfgs)
-        rec_warm = drain_records()
+        records = drain_records()
     finally:
         parallel.configure(**prior)
     assert par.rows == seq.rows
-    assert warm.rows == seq.rows
     assert len([row for row in seq.rows if "throughput_ops_s" in row]) == 2
     assert scale.check(seq) == []  # real rows carry every gated field
-    # 2 rung cells + the ride-along chaos cell, all cached and replayed.
-    assert [r["cache_hit"] for r in rec_cold] == [False] * 3
-    assert [r["cache_hit"] for r in rec_warm] == [True] * 3
+    assert len(records) == 3  # 2 rung cells + the ride-along chaos cell
 
 
 # -------------------------------------------------------------- provenance
 def test_provenance_block():
-    block = provenance(records=[{"cache_hit": True}, {"cache_hit": False}],
-                       ops=20, jobs=2)
-    assert block["cells"] == 2 and block["cache_hits"] == 1
+    block = provenance(records=[{"wall_s": 1.0}, {"wall_s": 2.0}], ops=20, jobs=2)
+    assert block["cells"] == 2
     assert block["ops"] == 20 and block["jobs"] == 2
     assert block["python"] and block["platform"] and block["git_sha"]
 
@@ -250,30 +224,25 @@ def test_provenance_survives_a_hung_or_missing_git(monkeypatch, failure):
 
 
 # ------------------------------------------- figure & chaos sweep parity
-def test_figure_sweep_parallel_parity_and_cache(tmp_path):
-    """The acceptance bar: --jobs 1 and --jobs N rows are bit-identical,
-    and a warm-cache rerun skips every cell yet returns identical rows."""
+def test_figure_sweep_parallel_parity():
+    """The acceptance bar: --jobs 1 and --jobs N rows are bit-identical."""
     kw = dict(n_ops=3, sizes=(4, 1024))
     seq = run("fig4", **kw)
     drain_records()
-    prior = parallel.configure(jobs=2, cache_dir=str(tmp_path / "bc"))
+    prior = parallel.configure(jobs=2)
     try:
         par = run("fig4", **kw)
-        rec_cold = drain_records()
-        warm = run("fig4", **kw)
-        rec_warm = drain_records()
+        records = drain_records()
     finally:
         parallel.configure(**prior)
     assert par.rows == seq.rows
-    assert warm.rows == seq.rows
-    assert [r["cache_hit"] for r in rec_cold] == [False] * 4
-    assert [r["cache_hit"] for r in rec_warm] == [True] * 4
+    assert len(records) == 4
 
 
 def test_multi_result_sweep_parallel_parity():
     kw = dict(n_ops=3, sizes=(1024,))
     seq = {name: run(name, **kw) for name in ("fig5", "fig6", "fig7")}
-    prior = parallel.configure(jobs=2, cache_dir=None)
+    prior = parallel.configure(jobs=2)
     try:
         par = {name: run(name, **kw) for name in seq}
     finally:
@@ -286,7 +255,7 @@ def test_chaos_matrix_parallel_parity():
     kw = dict(seeds=1, baseline_seeds=1, modes=["nice"],
               schedules=["partition_rejoin"], duration=3.0, out_path=None)
     seq = chaos.run_suite(**kw)
-    prior = parallel.configure(jobs=2, cache_dir=None)
+    prior = parallel.configure(jobs=2)
     try:
         par = chaos.run_suite(**kw)
     finally:
@@ -306,14 +275,11 @@ HONEST_BLACKOUT = Cell(
 )
 
 
-def test_mutant_rows_identical_inline_pooled_and_warm(tmp_path):
+def test_mutant_rows_identical_inline_and_pooled():
     cells = [mutant("harmonia_commit_clear"), mutant("wal_unflushed")]
-    inline = run_cells(cells, jobs=1, cache_dir=None)
-    drain_records()
-    pooled = run_cells(cells, jobs=2, cache_dir=str(tmp_path / "bc"))
-    warm = run_cells(cells, jobs=2, cache_dir=str(tmp_path / "bc"))
-    assert [r["cache_hit"] for r in drain_records()] == [False, False, True, True]
-    assert inline == pooled == warm
+    inline = run_cells(cells, jobs=1)
+    pooled = run_cells(cells, jobs=2)
+    assert inline == pooled
     assert all(killed(row) for row in inline)
 
 
@@ -337,21 +303,18 @@ def test_a_mutant_patch_is_undone_when_its_cell_raises(monkeypatch):
     doomed = dataclasses.replace(MUTANTS["wal_unflushed"], cell=dies)
     monkeypatch.setitem(MUTANTS, "wal_unflushed", doomed)
     with pytest.raises(RuntimeError, match="cell died mid-run"):
-        run_cells([mutant("wal_unflushed")], jobs=1, cache_dir=None)
+        run_cells([mutant("wal_unflushed")], jobs=1)
     assert WriteAheadLog.append is honest_append
-    (row,) = run_cells([HONEST_BLACKOUT], jobs=1, cache_dir=None)
+    (row,) = run_cells([HONEST_BLACKOUT], jobs=1)
     assert gate_failures(row) == []
 
 
-def test_chaos_cells_cacheable(tmp_path):
+def test_chaos_cells_rerun_identically():
+    """A chaos cell is a pure function of its params and seed: two runs of
+    the same matrix give the same cases."""
     kw = dict(seeds=1, baseline_seeds=1, modes=["nice"],
               schedules=["crash_rejoin"], duration=2.0, out_path=None)
-    prior = parallel.configure(jobs=1, cache_dir=str(tmp_path / "bc"))
-    try:
-        cold = chaos.run_suite(**kw)
-        warm = chaos.run_suite(**kw)
-    finally:
-        parallel.configure(**prior)
-    assert cold["cases"] == warm["cases"]
-    assert [c["cache_hit"] for c in cold["cells"]] == [False]
-    assert [c["cache_hit"] for c in warm["cells"]] == [True]
+    first = chaos.run_suite(**kw)
+    second = chaos.run_suite(**kw)
+    assert first["cases"] == second["cases"]
+    assert [c["fn"] for c in first["cells"]] == [c["fn"] for c in second["cells"]]

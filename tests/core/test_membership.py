@@ -118,6 +118,23 @@ def test_partition_map_build_shapes():
         assert all(m in names for m in replicas.members)
 
 
+def test_partition_map_places_on_a_ring_of_fixed_virtual_points():
+    """Placement is the R clockwise successors of each partition point on
+    a ring with ``RING_POINTS_PER_NODE`` virtual points per node."""
+    from repro.core.membership import RING_POINTS_PER_NODE
+    from repro.kv import ConsistentHashRing
+
+    assert RING_POINTS_PER_NODE == 32
+    nodes = [f"n{i}" for i in range(8)]
+    ring = ConsistentHashRing(points_per_node=RING_POINTS_PER_NODE)
+    for name in nodes:
+        ring.add_node(name)
+    pm = PartitionMap.build(nodes, 16, 3)
+    for p in range(16):
+        point = ConsistentHashRing.partition_point(p, 16)
+        assert pm.get(p).members == [str(n) for n in ring.successors(point, 3)]
+
+
 def test_partition_map_every_node_serves_something():
     names = [f"n{i}" for i in range(8)]
     pm = PartitionMap.build(names, 16, 3)

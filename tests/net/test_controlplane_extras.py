@@ -1,5 +1,5 @@
 """Coverage for control-plane operations not exercised elsewhere:
-group deletion, rule deletion, packet-out, idle expiry wiring."""
+group deletion, rule deletion, packet-out."""
 
 from repro.net import (
     Bucket,
@@ -85,13 +85,15 @@ def test_negative_control_latency_rejected():
         ControlPlane(star.sim, Nop(), latency_s=-1.0)
 
 
-def test_idle_expiry_evicts_unused_vring_rule():
+def test_unused_rule_stays_until_the_controller_deletes_it():
+    """Rules carry no timeout: one no packet ever hits survives any idle
+    span and leaves only on the controller's delete."""
     star, plane = make_plane()
-    rule = Rule(Match(ip_dst="10.10.1.0/24"), [Drop()], idle_timeout=1.0, cookie="i")
+    rule = Rule(Match(ip_dst="10.10.1.0/24"), [Drop()], cookie="i")
     plane.apply_batch(star.switch, [("rule", rule)])
-    star.sim.run(until=0.5)
-    assert len([r for r in star.switch.table.rules if r.cookie == "i"]) == 1
-    # No traffic touches it: expire sweep at t=10 evicts it.
-    star.sim.call_in(10.0, star.switch.table.expire_idle, 10.0)
-    star.sim.run(until=11.0)
-    assert len([r for r in star.switch.table.rules if r.cookie == "i"]) == 0
+    star.sim.run(until=1000.0)
+    assert [r.cookie for r in star.switch.table.rules].count("i") == 1
+    assert rule.packets == 0
+    plane.apply_batch(star.switch, [("delete", "i")])
+    star.sim.run(until=1001.0)
+    assert "i" not in [r.cookie for r in star.switch.table.rules]

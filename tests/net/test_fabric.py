@@ -126,14 +126,24 @@ def test_ecmp_choice_is_function_of_src_dst_seed():
         b.controller.rule_counts_by_switch()
 
 
-def test_ecmp_seed_participates_in_choice():
-    # crc32 is linear, so with n=2 a seed bump can flip every choice's
-    # parity at once (or none); n=4 exposes the seed's real contribution.
-    def vec(seed):
-        return [ecmp_index(4, f"leaf{r}", d, seed)
-                for r in range(4) for d in range(4)]
+def test_ecmp_choices_hash_on_flow_key_and_fixed_seed():
+    """Spine choice is ``ecmp_index`` over the flow key plus the fixed
+    ``ECMP_SEED``, for unicast (leaf, rack) and multicast (partition)."""
+    from repro.core.controller.directory import ECMP_SEED
 
-    assert vec(0) != vec(1)
+    cluster = build_fabric_cluster(n_spines=4)
+    directory = cluster.controller.directory
+    spines = directory.spines
+    assert ECMP_SEED == 0 and len(spines) == 4
+    picks = set()
+    for leaf in (f"leaf{r}" for r in range(4)):
+        for rack in range(4):
+            want = spines[ecmp_index(4, leaf, rack, ECMP_SEED)]
+            assert directory.spine_toward(leaf, rack) == want
+            picks.add(want)
+    for p in range(len(cluster.metadata.partition_map)):
+        assert directory.mc_spine(p) == spines[ecmp_index(4, "mc", p, ECMP_SEED)]
+    assert len(picks) > 1  # unicast flows spread over the spines
 
 
 # -- loop freedom + multicast delivery --------------------------------------

@@ -156,8 +156,7 @@ def test_miss_examines_the_same_handful_of_rules_at_1000_and_4000(monkeypatch):
 
 
 def test_rule_counters_touch():
-    """A switch's rule hit counts the packet and its wire bytes and stamps
-    the hit time (what idle expiry reads)."""
+    """A switch's rule hit counts the packet and its wire bytes."""
     from repro.net import OpenFlowSwitch
     from repro.sim import Simulator
 
@@ -169,16 +168,27 @@ def test_rule_counters_touch():
     sim.run()
     assert r.packets == 1
     assert r.bytes == p.size_bytes
-    assert r.last_used == 4.2
 
 
-def test_idle_expiry():
-    table = FlowTable()
-    r1 = table.add(Rule(Match(), [Drop()], idle_timeout=5.0))
-    r2 = table.add(Rule(Match(), [Drop()]))  # no timeout: survives
-    r1.last_used = 0.0
-    assert table.expire_idle(now=10.0) == 1
-    assert table.rules == (r2,)
+def test_rule_counters_accumulate_per_hit():
+    from repro.net import OpenFlowSwitch
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    sw = OpenFlowSwitch(sim, "sw", lookup_latency_s=0.0)
+    r = sw.install_rule(Rule(Match(), [Drop()]))
+    port = sw.new_port()
+    packets = [
+        Packet(src_ip=IPv4Address("10.0.0.1"), dst_ip=IPv4Address("10.10.1.5"),
+               proto=Proto.UDP, dport=4000, payload_bytes=n)
+        for n in (10, 1000, 64)
+    ]
+    for p in packets:
+        sw.handle_packet(p, port)
+    sim.run()
+    assert r.packets == 3
+    assert r.bytes == sum(p.size_bytes for p in packets)
+    assert len({p.size_bytes for p in packets}) == 3  # each hit adds its own size
 
 
 def test_group_buckets():

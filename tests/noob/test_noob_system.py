@@ -62,7 +62,7 @@ def test_config_validation():
 NICE_ONLY = (
     "controller_latency_s", "heartbeat_interval_s", "heartbeat_miss_limit",
     "unicast_vring", "multicast_vring", "load_balancing", "metadata_standbys",
-    "deployment", "n_racks", "n_spines", "switch_rule_budget", "ecmp_seed",
+    "deployment", "n_racks", "n_spines", "switch_rule_budget",
     "protocol_mode", "scrub_interval_s",
 )
 
@@ -76,7 +76,7 @@ def test_noob_config_rejects_nice_only_knobs():
         NoobConfig(n_racks=4, metadata_standbys=1, protocol_mode="harmonia",
                    scrub_interval_s=1.0)
     nice, noob = ({f.name for f in dataclasses.fields(c)} for c in (ClusterConfig, NoobConfig))
-    assert (len(nice), len(noob)) == (27, 18)
+    assert (len(nice), len(noob)) == (25, 17)
     assert nice - noob == set(NICE_ONLY)
     assert noob - nice == {"access", "consistency", "quorum_k", "get_lb", "n_gateways"}
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Interrupt, SimulationError, Simulator
+from repro.sim import Event, SimulationError, Simulator
 
 
 def test_process_return_value_via_join():
@@ -72,57 +72,6 @@ def test_unjoined_process_exception_aborts_run():
         sim.run()
 
 
-def test_interrupt_wakes_waiting_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-            log.append("slept full")
-        except Interrupt as intr:
-            log.append(("interrupted", sim.now, intr.cause))
-            yield sim.timeout(1.0)
-            log.append(("resumed", sim.now))
-
-    proc = sim.process(sleeper(sim))
-    sim.call_in(2.0, proc.interrupt, "failure detected")
-    sim.run()
-    assert log == [("interrupted", 2.0, "failure detected"), ("resumed", 3.0)]
-
-
-def test_interrupt_does_not_leave_stale_wakeup():
-    """After an interrupt, the original timeout firing must not resume the
-    process a second time."""
-    sim = Simulator()
-    wakeups = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(5.0)
-        except Interrupt:
-            pass
-        wakeups.append(sim.now)
-        yield sim.timeout(100.0)
-
-    proc = sim.process(sleeper(sim))
-    sim.call_in(1.0, proc.interrupt)
-    sim.run(until=50.0)
-    assert wakeups == [1.0]
-
-
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick(sim))
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
 def test_yielding_non_event_raises_into_process():
     sim = Simulator()
     caught = []
@@ -144,21 +93,6 @@ def test_process_requires_generator():
         sim.process(lambda: None)  # type: ignore[arg-type]
 
 
-def test_is_alive_and_target():
-    sim = Simulator()
-
-    def sleeper(sim):
-        yield sim.timeout(10.0)
-
-    proc = sim.process(sleeper(sim))
-    assert proc.is_alive
-    sim.run(until=5.0)
-    assert proc.is_alive
-    assert proc.target is not None
-    sim.run()
-    assert not proc.is_alive
-
-
 def test_two_processes_can_join_same_process():
     sim = Simulator()
     got = []
@@ -176,6 +110,64 @@ def test_two_processes_can_join_same_process():
     sim.process(parent(sim, proc, "b"))
     sim.run()
     assert sorted(got) == [("a", "x"), ("b", "x")]
+
+
+def test_a_process_resumes_once_per_wait_and_leaves_no_stray_record():
+    """Each yield wakes the process exactly once, at the event's time; a
+    finished process leaves nothing on the heap."""
+    sim = Simulator()
+    wakes = []
+
+    def sleeper(sim):
+        for delay in (1.0, 2.0, 0.5):
+            yield sim.timeout(delay)
+            wakes.append(sim.now)
+
+    proc = sim.process(sleeper(sim))
+    sim.run()
+    assert wakes == [1.0, 3.0, 3.5]
+    assert proc.processed and sim.pending_events == 0
+
+
+def test_waiters_on_one_event_run_in_registration_order():
+    """A process and plain callbacks sharing one event are served in the
+    order they attached, each with the event's value."""
+    sim = Simulator()
+    ev = sim.event()
+    order = []
+
+    def waiter(sim, tag):
+        value = yield ev
+        order.append((tag, value, sim.now))
+
+    ev.add_callback(lambda e: order.append(("cb0", e.value, sim.now)))
+    sim.process(waiter(sim, "p1"))
+    sim.run(until=0.5)  # p1 attaches at t=0, after cb0
+    ev.add_callback(lambda e: order.append(("cb2", e.value, sim.now)))
+    sim.process(waiter(sim, "p3"))
+    sim.call_in(1.0, ev.succeed, "v")
+    sim.run()
+    assert order == [("cb0", "v", 1.5), ("p1", "v", 1.5), ("cb2", "v", 1.5), ("p3", "v", 1.5)]
+
+
+def test_caught_failure_lets_the_process_wait_again():
+    """A failure thrown into a process is an ordinary exception: caught,
+    the process goes on waiting and returns normally."""
+    sim = Simulator()
+    ev = sim.event()
+
+    def worker(sim):
+        try:
+            yield ev
+        except KeyError:
+            pass
+        yield sim.timeout(2.0)
+        return sim.now
+
+    proc = sim.process(worker(sim))
+    sim.call_in(1.0, ev.fail, KeyError("gone"))
+    sim.run()
+    assert proc.value == 3.0
 
 
 def test_immediate_chain_of_settled_events_runs_synchronously():

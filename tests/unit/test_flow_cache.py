@@ -2,8 +2,8 @@
 
 Neither the destination index nor the exact-match memo may ever change
 which rule a lookup returns, only how fast.  These tests pin the hit/miss
-accounting, every invalidation edge (flow-mod, remove, remove-by-cookie,
-idle expiry), what the memo key keeps and drops, the memo-off path, and —
+accounting, every invalidation edge (flow-mod, remove, remove-by-cookie),
+what the memo key keeps and drops, the memo-off path, and —
 via hypothesis — that lookup *is* the linear scan of the rule list (kept
 in ``tests/helpers.py`` as the reference) on randomized rule sets under
 interleaved mutation.
@@ -117,20 +117,12 @@ def test_remove_by_absent_cookie_keeps_cache_warm():
     assert table.cache_hits == 1
 
 
-def test_idle_expiry_invalidates():
+def test_removing_an_uninstalled_rule_keeps_cache_warm():
     table = cached_table()
-    rule = table.add(Rule(Match(ip_dst="10.10.1.5"), [Output(1)], idle_timeout=5.0))
-    assert table.lookup(pkt()) is rule
-    rule.last_used = 0.0
-    assert table.expire_idle(now=10.0) == 1
-    assert table.lookup(pkt()) is None
-
-
-def test_expire_with_no_evictions_keeps_cache_warm():
-    table = cached_table()
-    table.add(Rule(Match(ip_dst="10.10.1.5"), [Output(1)]))  # no timeout
+    table.add(Rule(Match(ip_dst="10.10.1.5"), [Output(1)]))
     table.lookup(pkt())
-    assert table.expire_idle(now=1e9) == 0
+    table.remove(Rule(Match(ip_dst="10.10.1.5"), [Output(1)]))  # an equal twin, never added
+    assert len(table) == 1
     table.lookup(pkt())
     assert table.cache_hits == 1
 
@@ -217,7 +209,6 @@ _rule_specs = st.fixed_dictionaries(
         proto=st.sampled_from([None, Proto.UDP, Proto.TCP]),
         dport=st.sampled_from([None, 4000, 4001]),
         cookie=st.sampled_from(["a", "b", "c"]),
-        idle_timeout=st.sampled_from([None, 2.0, 6.0]),
     )
 )
 
@@ -236,16 +227,13 @@ _ops = st.one_of(
     st.tuples(st.just("lookup"), _packet_specs),
     st.tuples(st.just("remove"), st.integers(min_value=0, max_value=63)),
     st.tuples(st.just("remove_by_cookie"), st.sampled_from(["a", "b"])),
-    st.tuples(st.just("expire_idle"), st.none()),
 )
 
 
-def _rule(spec, now):
+def _rule(spec):
     spec = dict(spec)
     match = Match(**{k: spec.pop(k) for k in ("ip_dst", "ip_src", "in_port", "proto", "dport")})
-    rule = Rule(match, [Drop()], **spec)
-    rule.last_used = now
-    return rule
+    return Rule(match, [Drop()], **spec)
 
 
 @given(
@@ -260,22 +248,17 @@ def test_cached_lookup_always_agrees_with_scan(rules, ops, cache_enabled):
     linear scan of the rule list returns, memo on or off."""
     table = FlowTable(cache_enabled=cache_enabled)
     for spec in rules:
-        table.add(_rule(spec, 0.0))
-    for now, (op, arg) in enumerate(ops):
-        now = float(now)
+        table.add(_rule(spec))
+    for op, arg in ops:
         if op == "add":
-            table.add(_rule(arg, now))
+            table.add(_rule(arg))
         elif op == "remove":
             if len(table):
                 table.remove(table.rules[arg % len(table)])
         elif op == "remove_by_cookie":
             table.remove_by_cookie(arg)
-        elif op == "expire_idle":
-            table.expire_idle(now)
         else:
             dst, src, proto, dport, in_port = arg
             p = pkt(src=src, dst=dst, proto=proto, dport=dport)
             hit = table.lookup(p, in_port)
             assert hit is linear_scan(table, p, in_port)
-            if hit is not None:
-                hit.last_used = now  # what a switch's rule hit stamps

@@ -5,9 +5,11 @@ are gone; these checks keep them from growing back under another name:
 the simulator reads no environment variable, and every place the mode
 used to be settable now rejects it.  Likewise no deliberately broken
 variant is settable: those are in-process patches in the mutant table.
-And the metadata service has one way to run, standbys or not.
+And the metadata service has one way to run, standbys or not, as a bench
+cell has one way to run: inline or pooled, never served from a cache.
 """
 
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -16,9 +18,11 @@ import pytest
 
 import repro
 from repro.bench.__main__ import main
+from repro.bench import parallel
 from repro.bench.parallel import Cell
 from repro.core import ClusterConfig, NiceCluster
 from repro.kv import WriteAheadLog
+from repro.net import Rule
 from repro.net.harmonia import HarmoniaRegistry
 from repro.sim import Simulator
 from repro.transport import MulticastEndpoint
@@ -39,7 +43,7 @@ def _grep(pattern, *dirs, glob="*.py"):
 
 def test_removed_mode_and_env_names_stay_gone():
     root = Path(repro.__file__).parent
-    pattern = r"approx_mode|sim_mode|REPRO_(DISABLE_FLOW_CACHE|NO_TX_BATCH)"
+    pattern = r"approx_mode|sim_mode|REPRO_(DISABLE_FLOW_CACHE|NO_TX_BATCH)|no-cache|cache_dir"
     assert _grep(pattern, root) == []
     assert _grep(pattern, root.parents[1] / ".github", glob="*.yml") == []
 
@@ -112,6 +116,9 @@ def test_src_ships_no_broken_variant():
     assert [p.name for p in sorted(root.rglob("*.py")) if pattern.search(p.read_text())] == []
     assert list(inspect.signature(WriteAheadLog).parameters) == ["disk"]
     assert list(inspect.signature(MulticastEndpoint).parameters) == ["stack", "port"]
+    assert list(inspect.signature(parallel.run_cells).parameters) == ["cells", "jobs"]
+    assert list(inspect.signature(parallel.configure).parameters) == ["jobs"]
+    assert "idle_timeout" not in {f.name for f in dataclasses.fields(Rule)}
     assert list(inspect.signature(HarmoniaRegistry).parameters) == ["ring"]
     with pytest.raises(ValueError, match="must be 'nice' or 'harmonia'"):
         ClusterConfig(protocol_mode="harmonia-weak")
