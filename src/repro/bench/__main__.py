@@ -5,6 +5,7 @@ Examples::
     python -m repro.bench fig5                 # quick scale
     python -m repro.bench fig5 --full          # paper scale (1000 ops/point)
     python -m repro.bench all --ops 100 --jobs 4   # exit 1 if a paper claim fails
+    python -m repro.bench chaos --smoke --out BENCH_chaos.json   # no report without --out
     nice-bench fig12 --ops 500
     python -m repro.bench diff A.json B.json   # exit 1 unless rows and notes are identical
     python -m repro.bench reach                # what the rows / tier-1 / nothing reaches
@@ -28,14 +29,11 @@ from ..obs import runtime as obs_runtime
 from .harness import EXPERIMENTS, run
 from .report import diff_reports, format_result, ratio_summary
 
-#: Default path of the figure-suite JSON report; only ``all`` writes it.
-FIGURES_OUT = "BENCH_figures.json"
-
 #: Differences ``diff`` prints before it just counts the rest.
 DIFF_SHOWN = 10
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nice-bench",
         description="Regenerate the figures of NICE (HPDC 2017) on the simulator.",
@@ -43,8 +41,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiment",
         nargs="+",
-        help="fig4..fig12, sec46, scale, ablation-*, 'perf', 'chaos', "
-             "'all' (= the figure suite; 'scale' runs separately), "
+        help="fig4..fig12, sec46, scale, ablation-*, 'all' (= the figure "
+             "suite; 'scale' runs separately), 'perf' or 'chaos' (each alone), "
              "'diff A.json B.json' to compare the result rows and notes of two "
              "figure/scale/chaos reports, or 'reach' (the reachability "
              "census of src/repro; from a checkout)",
@@ -67,23 +65,13 @@ def main(argv=None) -> int:
              "(default: all cores; 1 = inline, no pool)",
     )
     parser.add_argument(
-        "--figures-out", default=None, metavar="PATH",
-        help=f"figure/scale JSON report path ('-' disables); without it "
-             f"only 'all' writes a report, to {FIGURES_OUT}",
-    )
-    parser.add_argument(
-        "--perf-out", default=None, metavar="PATH",
-        help="perf suite only: output JSON path; without it only a full "
-             "'perf' writes a report, to BENCH_perf.json",
-    )
-    parser.add_argument(
         "--seeds", type=int, default=5,
         help="chaos suite only: seeds per NICE schedule (default 5)",
     )
     parser.add_argument(
-        "--chaos-out", default=None, metavar="PATH",
-        help="chaos suite only: output JSON path; without it only "
-             "'chaos --smoke' writes a report, to BENCH_chaos.json",
+        "--out", default=None, metavar="PATH",
+        help="write the suite's JSON report to PATH; without it no run "
+             "writes one",
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -92,7 +80,16 @@ def main(argv=None) -> int:
              "or Perfetto), or JSONL if PATH ends in .jsonl.  Forces "
              "--jobs 1 (tracers live in this process)",
     )
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
+    if args.out:  # checked before any suite runs: a bad path must not cost the run
+        out_dir = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(out_dir):
+            parser.error(f"--out: no such directory: {out_dir}")
     if args.experiment[0] == "diff":
         if len(args.experiment) != 3:
             parser.error("diff takes exactly two report paths")
@@ -142,44 +139,40 @@ def _diff(path_a: str, path_b: str) -> int:
 
 
 def _run(parser, args, n_ops: int, jobs: int) -> int:
-    # Each suite's verdict is its own ``check``; the exit code is all CI reads.
-    failed = False
+    """Run the one suite ``args.experiment`` names, print it, write its
+    report where ``--out`` points; the exit status is its ``check``'s."""
     wanted = args.experiment
-    if "perf" in wanted:
+    if ("perf" in wanted or "chaos" in wanted) and len(wanted) > 1:
+        parser.error("'perf' and 'chaos' each run alone: one suite per invocation")
+    if wanted == ["perf"]:
         from . import perf
 
-        # The committed BENCH_perf.json is the full suite: a smoke run
-        # writes only where --perf-out points.
-        out_path = args.perf_out or (None if args.smoke else perf.DEFAULT_OUT)
         t0 = time.perf_counter()
-        report = perf.run_suite(smoke=args.smoke, out_path=out_path)
+        report = perf.run_suite(smoke=args.smoke)
         print(perf.format_report(report))
-        if out_path:
-            print(f"wrote {out_path}")
         print(f"({time.perf_counter() - t0:.1f}s wall)\n")
-        failed |= not report["passed"]
-        wanted = [w for w in wanted if w != "perf"]
-    if "chaos" in wanted:
+        failed = not report["passed"]
+    elif wanted == ["chaos"]:
         from . import chaos
 
-        # The committed BENCH_chaos.json is the smoke matrix: a full run
-        # writes only where --chaos-out points.
-        out_path = args.chaos_out or (chaos.DEFAULT_OUT if args.smoke else None)
-        report = chaos.run_suite(
-            seeds=args.seeds, smoke=args.smoke, out_path=out_path
-        )
+        report = chaos.run_suite(seeds=args.seeds, smoke=args.smoke)
         print(chaos.format_report(report))
         print(f"({len(report.get('cells', []))} cells, --jobs {jobs})")
-        if out_path:
-            print(f"wrote {out_path}")
         print(f"({report['wall_s']:.1f}s wall)\n")
-        failed |= not report["passed"]
-        wanted = [w for w in wanted if w != "chaos"]
-    if not wanted:
-        return int(failed)
-    # The committed BENCH_figures.json is ``all``'s: any other run writes
-    # only where --figures-out points.
-    figures_out = args.figures_out or (FIGURES_OUT if "all" in wanted else "-")
+        failed = not report["passed"]
+    else:
+        report, failed = _figures(parser, args, n_ops, jobs)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {args.out}")
+    return int(failed)
+
+
+def _figures(parser, args, n_ops: int, jobs: int):
+    """Run figure/§4.6/scale/ablation experiments; (report, any claim failed)."""
+    wanted = args.experiment
     if "all" in wanted:
         # "all" = the paper's figure suite; the opt-in experiments (python
         # -m repro.bench scale / read_scaling) are their own runs.
@@ -189,6 +182,7 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
 
     parallel.drain_records()  # figure records start clean for the report
+    failed = False
     experiments = []
     all_cells = []
     shared = {}  # fig5 fig6 fig7 read one sweep: run it once per invocation
@@ -220,28 +214,21 @@ def _run(parser, args, n_ops: int, jobs: int) -> int:
         cell_note = f", {len(cells)} cells" if cells else ""
         print(f"({elapsed:.1f}s wall{cell_note})\n")
         experiments.append(dict(vars(result), wall_s=elapsed, cells=cells))
-    if experiments and figures_out != "-":
-        prov = parallel.provenance(
-            records=all_cells, ops=n_ops, jobs=jobs, full=args.full
-        )
-        session = obs_runtime.current()
-        if session is not None:
-            prov["trace"] = {
-                "path": session.path,
-                "runs": len(session.tracers),
-                "events": session.total_events,
-            }
-        report = {
-            "schema_version": 1,
-            "suite": "figures",
-            "provenance": prov,
-            "experiments": experiments,
+    prov = parallel.provenance(records=all_cells, ops=n_ops, jobs=jobs, full=args.full)
+    session = obs_runtime.current()
+    if session is not None:
+        prov["trace"] = {
+            "path": session.path,
+            "runs": len(session.tracers),
+            "events": session.total_events,
         }
-        with open(figures_out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {figures_out}")
-    return int(failed)
+    report = {
+        "schema_version": 1,
+        "suite": "figures",
+        "provenance": prov,
+        "experiments": experiments,
+    }
+    return report, failed
 
 
 if __name__ == "__main__":

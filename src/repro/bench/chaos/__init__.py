@@ -8,7 +8,6 @@ tier-1 test over the committed ``BENCH_chaos.json`` share).
 
 from .cells import chaos_cell, reconcile_vs_scratch, run_faulted
 from .suite import (
-    DEFAULT_OUT,
     MODES,
     SCHEMA_VERSION,
     check,
@@ -19,7 +18,6 @@ from .suite import (
 )
 
 __all__ = [
-    "DEFAULT_OUT",
     "MODES",
     "SCHEMA_VERSION",
     "chaos_cell",

@@ -2,8 +2,9 @@
 
 For every (access mode, fault schedule, seed) the plan names one cell of
 :mod:`~repro.bench.chaos.cells`; :func:`run_suite` runs them, plus one
-cell per entry of the mutant table (:mod:`repro.check.mutants`), and
-writes the pass/fail matrix to ``BENCH_chaos.json``.  Everything else
+cell per entry of the mutant table (:mod:`repro.check.mutants`), into
+the pass/fail matrix (``bench chaos --smoke --out BENCH_chaos.json`` is
+the committed one).  Everything else
 here — :func:`summarize`, :func:`check`, :func:`format_report` — is a
 pure function of the report's rows.
 
@@ -16,7 +17,6 @@ mutants differs from the one the table expects.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Dict, List, Optional
 
@@ -32,7 +32,6 @@ from .cells import (
     torn_wal_cell,
 )
 
-DEFAULT_OUT = "BENCH_chaos.json"
 SCHEMA_VERSION = 7
 
 #: The matrix's access modes (keys of ``harness.SYSTEMS``, which say how
@@ -129,10 +128,8 @@ def run_suite(
     schedules: Optional[List[str]] = None,
     duration: float = 10.0,
     smoke: bool = False,
-    out_path: Optional[str] = None,
 ) -> Dict:
-    """Run the :func:`plan`; returns the report dict and writes it to
-    ``out_path`` when one is given.
+    """Run the :func:`plan`; returns the report dict.
 
     ``smoke`` shrinks everything for CI.  An unfiltered call (no ``modes``,
     no ``schedules``) also runs the whole mutant table.  Cells fan across
@@ -176,9 +173,6 @@ def run_suite(
     report.update(summarize(report))
     report["failures"] = check(report)
     report["passed"] = not report["failures"]
-    if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
     return report
 
 

@@ -15,10 +15,10 @@ end-to-end perf contract) cannot see — schema v11:
   NICE-LB (§5j).
 * ``plan_scale`` — the incremental rule planner on the fabric rungs (§5i).
 
-``python -m repro.bench perf`` runs them, judges the report with
+``python -m repro.bench perf`` runs them and judges the report with
 :func:`check` — the one definition of every floor, ceiling and cache
 contract, shared by the CLI exit code, CI and the tier-1 test over the
-committed report — and writes ``BENCH_perf.json`` (schema in
+committed report; ``--out BENCH_perf.json`` writes it (schema in
 EXPERIMENTS.md).  Wall-clock numbers are machine-dependent; the ratios
 and the simulated results are not.
 """
@@ -26,10 +26,7 @@ and the simulated results are not.
 from __future__ import annotations
 
 import gc
-import json
-import os
 import time
-from typing import Optional
 
 from ..net import (
     FlowTable, IPv4Address, IPv4Network, Match, Output, Packet, Proto, Rule, ToController,
@@ -40,10 +37,9 @@ from .figures import read_scaling_cell
 from .harness import BASE_SEED, build_nice, run_to_completion
 from .parallel import provenance
 
-__all__ = ["run_suite", "check", "format_report", "DEFAULT_OUT", "SCHEMA_VERSION"]
+__all__ = ["run_suite", "check", "format_report", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 11
-DEFAULT_OUT = "BENCH_perf.json"
 
 #: Host-rate floors, events/s: ~1/3 of the rate observed on the reference
 #: box after the §5g kernel overhaul, leaving headroom for slower CI
@@ -517,13 +513,8 @@ def check(report: dict) -> list:
     return failures
 
 
-def run_suite(smoke: bool = False, out_path: Optional[str] = DEFAULT_OUT) -> dict:
-    """Run every bench, judge the report with :func:`check`, write
-    ``out_path`` (unless None) and return the report."""
-    if out_path:
-        out_dir = os.path.dirname(os.path.abspath(out_path))
-        if not os.path.isdir(out_dir):
-            raise SystemExit(f"perf: output directory does not exist: {out_dir}")
+def run_suite(smoke: bool = False) -> dict:
+    """Run every bench, judge the report with :func:`check` and return it."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "smoke": smoke,
@@ -535,10 +526,6 @@ def run_suite(smoke: bool = False, out_path: Optional[str] = DEFAULT_OUT) -> dic
     }
     report["failures"] = check(report)
     report["passed"] = not report["failures"]
-    if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return report
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import ast
 import contextlib
 import json
-import os
 import runpy
 import sys
 from collections import Counter
@@ -73,11 +72,11 @@ def main(smoke: bool = False) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
 
     def rows():
-        common = ["--jobs", "1", "--figures-out", "-"]  # and no report files
-        bench(["fig4", "--ops", "20", *common] if smoke else ["all", "--ops", "100", *common])
-        bench(["scale", *small, *common])
-        bench(["chaos", *small, *common, "--chaos-out", os.devnull])
-        bench(["perf", *small, "--perf-out", os.devnull])
+        # No --out: no run writes a report file.
+        bench(["fig4", "--ops", "20", "--jobs", "1"] if smoke else ["all", "--jobs", "1"])
+        bench(["scale", *small, "--jobs", "1"])
+        bench(["chaos", *small, "--jobs", "1"])
+        bench(["perf", *small])
         for workload in spec["workloads"]:  # in-process only with --workload
             sys.argv = [str(ROOT / spec["command"][1]), "--workload", workload["name"], "--smoke"]
             with contextlib.suppress(SystemExit):

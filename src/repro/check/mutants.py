@@ -12,9 +12,8 @@ expects.  A mutant no cell kills yet is listed as an expected survivor
 (``killed=False``) rather than hidden.
 
 :func:`mutant_cell` applies the patch inside the cell body, so a
-``--jobs N`` worker and the result cache (keyed on the mutant's name) see
-the same mutant an inline run does, and the patch is undone when the
-cell returns or raises.
+``--jobs N`` worker sees the same mutant an inline run does, and the
+patch is undone when the cell returns or raises.
 """
 
 from __future__ import annotations

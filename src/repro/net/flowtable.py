@@ -369,10 +369,18 @@ class FlowTable:
 
 @dataclass(frozen=True)
 class Bucket:
-    """One multicast replication leg: rewrite actions then an output port."""
+    """One multicast replication leg: header rewrites, then an output port.
+
+    The switch applies the rewrites inline on each clone, so a bucket
+    holds :class:`SetIpDst` / :class:`SetEthDst` and nothing else."""
 
     actions: tuple
     port: int
+
+    def __post_init__(self) -> None:
+        for action in self.actions:
+            if type(action) not in (SetIpDst, SetEthDst):
+                raise TypeError(f"a bucket only rewrites headers, not {action!r}")
 
 
 @dataclass

@@ -41,10 +41,6 @@ __all__ = ["OpenFlowSwitch", "FLOOD"]
 #: Pseudo-port: flood out of every port except the ingress.
 FLOOD = -1
 
-#: Bucket actions the vectorized fan-out path knows how to apply inline;
-#: any other action type sends the whole group down the generic loop.
-_SIMPLE_REWRITES = (SetIpDst, SetEthDst)
-
 
 class OpenFlowSwitch(Device):
     """A programmable switch with a flow table and a group (multicast) table."""
@@ -132,7 +128,7 @@ class OpenFlowSwitch(Device):
             elif isinstance(action, Output):
                 self._output(packet.copy(), action.port, in_port_no, rewrote)
             elif isinstance(action, OutputGroup):
-                self._output_group(packet, action.group_id, in_port_no, rewrote)
+                self._output_group(packet, action.group_id)
             elif isinstance(action, ToController):
                 self._packet_in(packet, in_port_no)
             elif isinstance(action, HarmoniaRead):
@@ -191,7 +187,17 @@ class OpenFlowSwitch(Device):
         else:
             port.send(packet)
 
-    def _output_group(self, packet: Packet, group_id: int, in_port_no: int, rewrote: bool) -> None:
+    def _output_group(self, packet: Packet, group_id: int) -> None:
+        """Fan ``packet`` out over an ALL-group: one clone per bucket, its
+        header rewrites applied inline (a :class:`Bucket` holds nothing
+        else), one egress leg each.
+
+        The legs share one end-of-serialization event when their channels
+        are all idle, distinct and of equal bandwidth; otherwise each leg
+        transmits alone, so chaos cases like per-link throttling keep their
+        exact event order.  A rewriting leg under ``rewrite_penalty_s`` is
+        sent that much later, on its own.
+        """
         group = self.groups.get(group_id)
         if group is None:
             self.dropped.add()
@@ -204,41 +210,13 @@ class OpenFlowSwitch(Device):
                 op=packet_op(packet.payload), group=group_id,
                 buckets=len(group.buckets),
             )
-        buckets = group.buckets
-        if len(buckets) > 1 and self.rewrite_penalty_s == 0.0:
-            for bucket in buckets:
-                for action in bucket.actions:
-                    if type(action) not in _SIMPLE_REWRITES:
-                        break
-                else:
-                    continue
-                break
-            else:
-                self._output_group_fast(packet, buckets, tr)
-                return
-        for bucket in buckets:
-            clone = packet.copy()
-            self.apply_actions(clone, list(bucket.actions) + [Output(bucket.port)], in_port_no)
-
-    def _output_group_fast(self, packet: Packet, buckets, tr) -> None:
-        """Batched fan-out: one clone per leg, one shared transmit chain.
-
-        Semantically identical to running ``apply_actions`` per bucket (the
-        caller has verified every bucket action is a plain header rewrite
-        and the rewrite penalty is zero), but the R legs share one
-        end-of-serialization event when their channels are all idle,
-        distinct and equal-bandwidth — otherwise every leg falls back to
-        its own (still pooled) transmit chain, so chaos cases like per-link
-        throttling keep their exact event order.
-        """
+        penalty = self.rewrite_penalty_s
         legs = []
         batchable = True
-        bandwidth = 0.0
-        for bucket in buckets:
+        for bucket in group.buckets:
             clone = packet.copy()
             for action in bucket.actions:
-                cls = type(action)
-                if cls is SetIpDst:
+                if type(action) is SetIpDst:
                     if clone.virtual_dst is None:
                         clone.virtual_dst = clone.dst_ip
                     if tr is not None:
@@ -248,7 +226,7 @@ class OpenFlowSwitch(Device):
                             field="ip_dst", old=clone.dst_ip, new=action.ip,
                         )
                     clone.dst_ip = action.ip
-                else:  # SetEthDst (caller verified the action set)
+                else:  # SetEthDst
                     clone.dst_mac = action.mac
             port = self.ports.get(bucket.port)
             channel = None if port is None else port.channel
@@ -256,19 +234,17 @@ class OpenFlowSwitch(Device):
                 self.dropped.add()
                 continue
             self.forwarded.value += 1
-            if legs:
-                if channel.bandwidth_bps != bandwidth:
-                    batchable = False
-            else:
-                bandwidth = channel.bandwidth_bps
-            if channel._sending or channel._queue:
+            if penalty > 0 and bucket.actions:
+                self.sim.call_in(penalty, port.send, clone)
+                continue
+            if channel._sending or channel._queue or (
+                legs and channel.bandwidth_bps != legs[0][0].bandwidth_bps
+            ):
                 batchable = False
             legs.append((channel, clone))
-        if len(legs) > 1 and batchable:
-            seen = {id(ch) for ch, _ in legs}
-            if len(seen) == len(legs):
-                transmit_fanout(self.sim, legs)
-                return
+        if batchable and len(legs) > 1 and len({id(ch) for ch, _ in legs}) == len(legs):
+            transmit_fanout(self.sim, legs)
+            return
         for channel, clone in legs:
             channel.transmit(clone)
 

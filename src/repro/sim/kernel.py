@@ -36,7 +36,7 @@ from collections import deque
 from math import inf
 from typing import Any, Callable, Iterable, List, Optional
 
-from .events import NORMAL, URGENT, AllOf, AnyOf, Event, SimulationError, Timeout
+from .events import NORMAL, URGENT, AllOf, Event, SimulationError, Timeout
 from .process import Process
 
 __all__ = ["Simulator", "StopSimulation"]
@@ -210,9 +210,6 @@ class Simulator:
         t.delay = delay
         self._schedule_event(t, NORMAL, delay=delay)
         return t
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

@@ -265,7 +265,7 @@ def test_filtered_run_skips_the_families_it_never_planned():
     mutant either; the honest directed mid-put cell serves no stale read."""
     report = chaos.run_suite(
         seeds=1, baseline_seeds=1, modes=["harmonia"], schedules=["crash_rejoin"],
-        duration=3.0, out_path=None,
+        duration=3.0,
     )
     assert report["failures"] == [] and report["passed"]
     assert report["planned_mutants"] == [] and "mutants" not in report
@@ -408,7 +408,7 @@ def test_a_failing_claim_is_cli_exit_status_1(monkeypatch, capsys):
         return result
 
     monkeypatch.setattr(cli, "run", doctored_run)
-    assert main(["fig5", "--figures-out", "-"]) == 1
+    assert main(["fig5"]) == 1
     out = capsys.readouterr().out
     assert f"FAIL: {expected[0]}" in out
     assert "   NO       6.14  [3, 5.5]" in out
@@ -448,7 +448,7 @@ def test_scale_gate_and_cli_exit_code(row, fields, expected, monkeypatch, capsys
         return result
 
     monkeypatch.setattr(cli, "run", doctored_scale)
-    assert main(["scale", "--smoke", "--figures-out", "-"]) == 1
+    assert main(["scale", "--smoke"]) == 1
     assert f"FAIL: {expected[0]}" in capsys.readouterr().out
 
 
@@ -466,5 +466,5 @@ def test_suite_cli_exits_nonzero_on_a_failing_report(suite, monkeypatch, capsys,
 
     monkeypatch.setattr(module, "run_suite", doctored_run)
     out = str(tmp_path / "unused.json")
-    assert main([suite, "--perf-out", out, "--chaos-out", out]) == 1
+    assert main([suite, "--out", out]) == 1
     assert expected[0] in capsys.readouterr().out

@@ -147,4 +147,4 @@ def test_an_unknown_schedule_is_rejected_before_any_cell_runs(monkeypatch):
 
     monkeypatch.setattr(suite, "run_cells", no_cell_may_run)
     with pytest.raises(ValueError, match="unknown schedule 'crash_rejoice'"):
-        chaos.run_suite(modes=["nice"], schedules=["crash_rejoice"], out_path=None)
+        chaos.run_suite(modes=["nice"], schedules=["crash_rejoice"])

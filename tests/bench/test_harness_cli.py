@@ -58,16 +58,16 @@ def test_run_to_completion_detects_drained_sim():
 
 def test_cli_unknown_experiment_errors():
     with pytest.raises(SystemExit):
-        main(["no-such-figure", "--figures-out", "-"])
+        main(["no-such-figure"])
 
 
 def test_cli_rejects_bad_jobs():
     with pytest.raises(SystemExit):
-        main(["sec46", "--jobs", "0", "--figures-out", "-"])
+        main(["sec46", "--jobs", "0"])
 
 
 def test_cli_runs_sec46(capsys):
-    rc = main(["sec46", "--jobs", "1", "--figures-out", "-"])
+    rc = main(["sec46", "--jobs", "1"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "sec46" in out
@@ -76,7 +76,7 @@ def test_cli_runs_sec46(capsys):
 
 def test_cli_writes_figures_report_with_provenance(tmp_path, capsys):
     out_path = tmp_path / "BENCH_figures.json"
-    rc = main(["sec46", "--jobs", "1", "--figures-out", str(out_path)])
+    rc = main(["sec46", "--jobs", "1", "--out", str(out_path)])
     assert rc == 0
     report = json.loads(out_path.read_text())
     assert report["suite"] == "figures"
@@ -92,14 +92,14 @@ def test_cli_writes_figures_report_with_provenance(tmp_path, capsys):
 @pytest.mark.parametrize("flag", [["--no-cache"], ["--cache-dir", "bc"]])
 def test_cli_rejects_the_removed_cache_flags(flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["sec46", *flag, "--figures-out", "-"])
+        main(["sec46", *flag])
     assert exc.value.code == 2  # argparse usage error
     assert flag[0] in capsys.readouterr().err
 
 
 def test_cli_second_run_recomputes_identical_rows(tmp_path, capsys):
     """Every run computes its cells afresh; two runs write the same rows."""
-    argv = ["sec46", "--jobs", "1", "--figures-out", str(tmp_path / "out.json")]
+    argv = ["sec46", "--jobs", "1", "--out", str(tmp_path / "out.json")]
     assert main(argv) == 0
     first = json.loads((tmp_path / "out.json").read_text())
     assert main(argv) == 0
@@ -112,7 +112,7 @@ def test_cli_memoizes_shared_fig5_6_7_sweep(tmp_path, capsys):
     """fig5 fig6 fig7 must run the shared replication sweep exactly once:
     one execution of the shared cell per system, all charged to fig5."""
     rc = main(["fig5", "fig6", "fig7", "--ops", "3", "--jobs", "1",
-               "--figures-out", str(tmp_path / "out.json")])
+               "--out", str(tmp_path / "out.json")])
     assert rc == 0
     report = json.loads((tmp_path / "out.json").read_text())
     assert [e["name"] for e in report["experiments"]] == ["fig5", "fig6", "fig7"]
@@ -153,9 +153,9 @@ def test_cli_traced_cluster_equals_untraced_and_put_spans_have_children(tmp_path
     2PC phases."""
     plain, traced, trace = (tmp_path / n for n in ("plain.json", "traced.json", "t.trace.json"))
     assert main(["fig5", "--ops", "5", "--jobs", "1",
-                 "--figures-out", str(plain)]) == 0
+                 "--out", str(plain)]) == 0
     assert main(["fig5", "--ops", "5", "--trace", str(trace),
-                 "--figures-out", str(traced)]) == 0
+                 "--out", str(traced)]) == 0
 
     def rows(path):
         return [e["rows"] for e in json.loads(path.read_text())["experiments"]]
@@ -219,35 +219,70 @@ def test_cli_diff_compares_result_rows_and_notes_and_nothing_else(tmp_path, caps
         main(["diff", paths["a"]])
 
 
-def test_only_all_and_chaos_smoke_write_the_default_reports(tmp_path, monkeypatch, capsys):
-    """A single figure (or scale, the full chaos matrix, or the perf smoke)
-    used to write over the committed BENCH_figures.json / BENCH_chaos.json /
-    BENCH_perf.json; without ``--figures-out``/``--chaos-out``/``--perf-out``
-    only ``all``, ``chaos --smoke`` and a full ``perf`` write them."""
+@pytest.mark.parametrize("flag", ["--figures-out", "--perf-out", "--chaos-out"])
+def test_cli_rejects_the_removed_per_suite_output_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sec46", flag, "x.json"])
+    assert exc.value.code == 2  # argparse usage error
+    assert flag in capsys.readouterr().err
+
+
+def _stub_suites(monkeypatch):
+    """Where the report lands is under test, not the rows: stub every run.
+    Returns the list each suite run appends its name to."""
+    ran = []
+
+    def stub_run(name, **_kw):
+        ran.append(name)
+        return ExperimentResult(name, "stub", [])
+
+    def stub_suite(module):
+        def run_suite(smoke, **_kw):
+            ran.append(module.__name__)
+            return dict(cells=[], wall_s=0.0, passed=True)
+        return run_suite
+
+    monkeypatch.setattr(cli, "run", stub_run)
+    for module in (chaos, perf):
+        monkeypatch.setattr(module, "run_suite", stub_suite(module))
+        monkeypatch.setattr(module, "format_report", lambda report: "")
+    return ran
+
+
+@pytest.mark.parametrize("argv", [
+    ["all"], ["sec46"], ["scale", "--smoke"], ["chaos"], ["chaos", "--smoke"],
+    ["perf"], ["perf", "--smoke"],
+])
+def test_no_run_writes_a_report_without_out(argv, tmp_path, monkeypatch, capsys):
+    """A single figure, ``scale``, the full chaos matrix and the perf smoke
+    used to be able to write over a committed BENCH_*.json, and ``all``,
+    ``chaos --smoke`` and a full ``perf`` did so by default.  Now the one
+    writer writes one report, only where ``--out`` points."""
+    _stub_suites(monkeypatch)
     monkeypatch.chdir(tmp_path)
-    assert main(["sec46", "--ops", "3", "--jobs", "1"]) == 0
+    main([*argv, "--jobs", "1"])  # a stubbed figure may fail its claims: exit 1
     assert list(tmp_path.iterdir()) == []
+    main([*argv, "--jobs", "1", "--out", "report.json"])
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert json.loads((tmp_path / "report.json").read_text())
 
-    # Where the reports land is under test, not the rows: stub the runs.
-    monkeypatch.setattr(cli, "run", lambda name, **_kw: ExperimentResult(name, "stub", []))
-    main(["all", "--jobs", "1"])  # exit 1: stub rows fail the claims
-    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_figures.json"]
 
-    written = []
+def test_perf_and_chaos_each_run_alone(monkeypatch, capsys):
+    ran = _stub_suites(monkeypatch)
+    for argv in (["perf", "chaos"], ["chaos", "fig5"], ["all", "perf"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "one suite per invocation" in capsys.readouterr().err
+    assert ran == []
 
-    def stub_suite(smoke, out_path, **_kw):
-        written.append(out_path)
-        return dict(cells=[], wall_s=0.0, passed=True)
 
-    monkeypatch.setattr(chaos, "run_suite", stub_suite)
-    monkeypatch.setattr(chaos, "format_report", lambda report: "")
-    assert main(["chaos", "--jobs", "1"]) == 0
-    assert main(["chaos", "--smoke", "--jobs", "1"]) == 0
-    assert written == [None, chaos.DEFAULT_OUT]
-
-    written.clear()
-    monkeypatch.setattr(perf, "run_suite", stub_suite)
-    monkeypatch.setattr(perf, "format_report", lambda report: "")
-    assert main(["perf"]) == 0
-    assert main(["perf", "--smoke"]) == 0
-    assert written == [perf.DEFAULT_OUT, None]
+@pytest.mark.parametrize("suite", ["sec46", "chaos"])
+def test_a_bad_out_directory_fails_before_any_suite_runs(suite, tmp_path, monkeypatch, capsys):
+    """It used to cost the whole run: every cell ran, then ``open`` raised."""
+    ran = _stub_suites(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main([suite, "--jobs", "1", "--out", str(tmp_path / "missing" / "x.json")])
+    assert exc.value.code == 2
+    assert "--out: no such directory" in capsys.readouterr().err
+    assert ran == []

@@ -253,7 +253,7 @@ def test_multi_result_sweep_parallel_parity():
 
 def test_chaos_matrix_parallel_parity():
     kw = dict(seeds=1, baseline_seeds=1, modes=["nice"],
-              schedules=["partition_rejoin"], duration=3.0, out_path=None)
+              schedules=["partition_rejoin"], duration=3.0)
     seq = chaos.run_suite(**kw)
     prior = parallel.configure(jobs=2)
     try:
@@ -313,7 +313,7 @@ def test_chaos_cells_rerun_identically():
     """A chaos cell is a pure function of its params and seed: two runs of
     the same matrix give the same cases."""
     kw = dict(seeds=1, baseline_seeds=1, modes=["nice"],
-              schedules=["crash_rejoin"], duration=2.0, out_path=None)
+              schedules=["crash_rejoin"], duration=2.0)
     first = chaos.run_suite(**kw)
     second = chaos.run_suite(**kw)
     assert first["cases"] == second["cases"]

@@ -197,6 +197,15 @@ def test_group_buckets():
     assert g.buckets[0].port == 3
 
 
+@pytest.mark.parametrize("action", [Output(4), ToController(), Drop()])
+def test_bucket_holds_only_header_rewrites(action):
+    """The switch applies a bucket's actions inline on each clone; any
+    action but ``SetIpDst``/``SetEthDst`` is refused when the bucket is
+    built, not found per packet."""
+    with pytest.raises(TypeError, match="only rewrites headers"):
+        Bucket(actions=(SetIpDst(IPv4Address("10.0.0.9")), action), port=3)
+
+
 def test_match_rejects_garbage_ip():
     with pytest.raises(TypeError):
         Match(ip_dst=3.14)  # type: ignore[arg-type]

@@ -25,6 +25,8 @@ from repro.net import (
     SetIpDst,
     make_arp_request,
 )
+import repro.net.switch as switch_mod
+from repro.obs.tracer import Tracer
 from repro.sim import Simulator
 from tests.helpers import HopRecorder
 
@@ -149,6 +151,74 @@ def test_multicast_network_load_counts_each_egress_once():
     sim.run()
     # 1 client uplink + 3 replica downlinks = 4 traversals.
     assert net.total_link_bytes() == 4 * wire
+
+
+def _per_bucket_group_egress(switch, packet, group_id):
+    """The generic loop the group egress replaced: each bucket's clone goes
+    back through ``apply_actions``, its rewrites then an ``Output``."""
+    group = switch.groups[group_id]
+    group.packets += 1
+    for bucket in group.buckets:
+        switch.apply_actions(packet.copy(), [*bucket.actions, Output(bucket.port)], 0)
+
+
+def _group_egress_run(receivers, penalty, reference, monkeypatch):
+    """One packet into an ALL-group whose buckets point at ``receivers``
+    (host indices; ``None`` is a port the switch does not have).  Returns
+    (deliveries, forwarded, dropped, rewrite instants, fan-out batches)."""
+    sim, net, sw, hosts = build_star(n_hosts=4, rewrite_penalty_s=penalty)
+    sim.tracer = Tracer(sim)
+    batches = []
+    real_fanout = switch_mod.transmit_fanout
+
+    def counting_fanout(sim, legs):
+        batches.append(len(legs))
+        real_fanout(sim, legs)
+
+    monkeypatch.setattr(switch_mod, "transmit_fanout", counting_fanout)
+    if reference:
+        monkeypatch.setattr(OpenFlowSwitch, "_output_group", _per_bucket_group_egress)
+    buckets = [
+        Bucket(actions=(SetIpDst(hosts[i].ip), SetEthDst(hosts[i].mac)),
+               port=host_port_on_switch(net, sw, hosts[i]))
+        if i is not None else Bucket(actions=(), port=99)
+        for i in receivers
+    ]
+    sw.install_group(Group(1, buckets))
+    sw.install_rule(Rule(Match(ip_dst=IPv4Network("10.11.0.0/16")), [OutputGroup(1)]))
+    hosts[0].send(udp_pkt(hosts[0], "10.11.0.9", size=5000))
+    sim.run()
+    monkeypatch.undo()
+    deliveries = [
+        (h.name, when, pkt.dst_ip, pkt.dst_mac, pkt.virtual_dst)
+        for h in hosts for when, pkt in h.stack.delivered
+    ]
+    rewrites = [(e.ts, e.args) for e in sim.tracer.events if e.name == "rewrite"]
+    return deliveries, sw.forwarded.value, sw.dropped.value, rewrites, batches
+
+
+@pytest.mark.parametrize("receivers, penalty, batched", [
+    ([1], 0.0, []),
+    ([1, 2, 3], 0.0, [3]),
+    ([1, 2, 3], 1e-3, []),
+    ([1, None, 3], 0.0, [2]),
+])
+def test_group_egress_equals_per_bucket_apply_actions(receivers, penalty, batched, monkeypatch):
+    """One loop serves every group: a lone bucket, a batched fan-out, legs
+    delayed by the software-rewrite penalty and a bucket on a missing
+    port all deliver, count and trace exactly as running each bucket
+    through ``apply_actions`` did."""
+    got = _group_egress_run(receivers, penalty, False, monkeypatch)
+    want = _group_egress_run(receivers, penalty, True, monkeypatch)
+    assert got[:4] == want[:4]
+    deliveries, forwarded, dropped, rewrites, batches = got
+    live = [i for i in receivers if i is not None]
+    assert [name for name, *_ in deliveries] == [f"h{i}" for i in live]
+    assert (forwarded, dropped) == (len(live), len(receivers) - len(live))
+    assert len(rewrites) == len(live)
+    assert batches == batched and want[4] == []
+    if penalty:
+        assert min(when for _, when, *_ in deliveries) > penalty
 
 
 def test_missing_group_drops():

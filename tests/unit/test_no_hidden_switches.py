@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.bench.__main__ import main
+from repro.bench.__main__ import _parser, main
 from repro.bench import parallel
 from repro.bench.parallel import Cell
 from repro.core import ClusterConfig, NiceCluster
@@ -92,6 +92,15 @@ def test_cli_rejects_sim_mode_flag(capsys):
         main(["--sim-mode", "approx", "fig5"])
     assert exc.value.code == 2  # argparse usage error
     assert "--sim-mode" in capsys.readouterr().err
+
+
+def test_cli_options_are_pinned():
+    """One report writer, one output flag: a per-suite ``--*-out`` (or any
+    other new switch) has to change this list to come back."""
+    options = {opt for action in _parser()._actions for opt in action.option_strings}
+    assert options == {
+        "-h", "--help", "--ops", "--full", "--smoke", "--jobs", "--seeds", "--out", "--trace",
+    }
 
 
 def test_kernel_knows_nothing_about_approximation():
