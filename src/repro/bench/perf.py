@@ -54,12 +54,13 @@ ENTRY_POOL_REUSE_FLOOR = 0.9
 PLANS_PER_S_FLOOR = 4000
 
 #: Ceilings per put at replication 3/5/7 on scheduled events (152.8 /
-#: 247.7 / 342.6 today) and on spawned processes (8.2 / 12.2 / 16.2: a
-#: process is for code that waits between steps, DESIGN.md §5g).  Both
+#: 247.7 / 342.6 today) and on spawned processes (6.14 / 10.18 / 14.22,
+#: all on the replicas: the client op and its multicast send are chains —
+#: a process is for code that waits between steps, DESIGN.md §5g).  Both
 #: counts are deterministic, so the ceilings sit just above them and only
 #: ever ratchet down.
 FANOUT_EVENTS_PER_OP_MAX = {3: 154, 5: 249, 7: 344}
-FANOUT_SPAWNS_PER_OP_MAX = {3: 8.5, 5: 12.5, 7: 16.5}
+FANOUT_SPAWNS_PER_OP_MAX = {3: 6.2, 5: 10.2, 7: 14.3}
 
 #: Floor on harmonia's hot-partition read throughput relative to NICE-LB
 #: at R=3 under YCSB-C (the §5j read-scaling contract).  The structural

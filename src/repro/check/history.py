@@ -2,11 +2,12 @@
 
 A :class:`HistoryRecorder` captures every client operation as an
 :class:`Operation` with simulated-time invoke/return stamps — the raw
-material for the linearizability and monotonic-reads checkers.  It hooks
-into the client libraries non-invasively: :meth:`HistoryRecorder.record`
-wraps the client's operation *generator*, so the recorder sees the exact
-invocation instant (when the process starts running, not when it was
-scheduled) and the exact completion instant and :class:`OpResult`.
+material for the linearizability and monotonic-reads checkers.  The
+client's attempt loop calls two hooks: :meth:`HistoryRecorder.invoke` in
+the op's start record (the exact invocation instant: when the op starts
+running, not when it was created — so ``op_index`` is start order) and
+:meth:`HistoryRecorder.complete` in the record that returns its
+:class:`OpResult`.
 
 Recording is attached per client (``client.recorder = recorder``); clients
 without a recorder pay nothing.
@@ -15,7 +16,7 @@ without a recorder pay nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 __all__ = ["HistoryRecorder", "Operation"]
 
@@ -86,34 +87,30 @@ class HistoryRecorder:
             client.recorder = self
         return self
 
-    def record(self, client: str, kind: str, key: str, value: Any, sim, gen) -> Iterator:
-        """Wrap a client op generator; yields through to the simulator.
-
-        The wrapper stamps ``invoke_ts`` when the process first runs and
-        fills in the outcome from the generator's returned
-        :class:`~repro.core.client.OpResult`.
-        """
+    def invoke(self, client: str, kind: str, key: str, value: Any, now: float) -> Operation:
+        """Open the record of one op, invoked at ``now`` (the instant its
+        chain starts running, not when it was created)."""
         op = Operation(
             op_index=len(self.ops),
             client=client,
             kind=kind,
             key=key,
-            invoke_ts=sim.now,
+            invoke_ts=now,
             value=None if kind == "get" else value,
         )
         self.ops.append(op)
-        result = yield from gen
-        op.return_ts = sim.now
-        if result is None:  # defensive: a client bug, not a protocol outcome
-            op.ok = False
-            op.status = "error"
-        else:
-            op.ok = bool(result.ok)
-            op.status = result.status if result.status else ("ok" if result.ok else "error")
-            op.retries = result.retries
-            if kind == "get" and result.ok:
-                op.value = result.value
-        return result
+        return op
+
+    @staticmethod
+    def complete(op: Operation, result, now: float) -> None:
+        """Close ``op`` with the client's :class:`~repro.core.client.OpResult`
+        at ``now``, the instant the op returned it."""
+        op.return_ts = now
+        op.ok = bool(result.ok)
+        op.status = result.status if result.status else ("ok" if result.ok else "error")
+        op.retries = result.retries
+        if op.kind == "get" and result.ok:
+            op.value = result.value
 
     # -- views -----------------------------------------------------------------
     def pending(self) -> List[Operation]:

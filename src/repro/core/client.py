@@ -5,6 +5,9 @@ reply socket and its waiters, latency tallies, counters, the recorder hook
 — and *the* attempt loop: a failed operation is retried after a fixed
 back-off (Fig 11 uses 2 s).  The two systems differ only in how one attempt
 is addressed and sent, which each subclass hands the loop as a closure.
+An op is not a process: the loop is a callback chain (:class:`_Op`, an
+Event whose value is the :class:`OpResult`) that schedules the records the
+process did (DESIGN.md §5g).
 
 :class:`NiceClient` addresses the *virtual* storage system: it hashes the
 object name, finds the responsible vnode, and fires a UDP request at the
@@ -20,7 +23,7 @@ import itertools
 from typing import Dict, Tuple
 
 from ..net import Host, IPv4Address
-from ..sim import AnyOf, Counter, Event, Simulator, Tally
+from ..sim import URGENT, Counter, Event, Simulator, Tally
 from ..transport import MulticastSender, ProtocolStack
 from .config import (
     CLIENT_PORT,
@@ -77,11 +80,6 @@ class KvClient:
     def ip(self) -> IPv4Address:
         return self.host.ip
 
-    def _traced(self, kind: str, key: str, value, gen):
-        if self.recorder is not None:
-            gen = self.recorder.record(self.host.name, kind, key, value, self.sim, gen)
-        return self.sim.process(gen)
-
     def _on_reply(self, msg) -> None:
         body = msg.payload or {}
         op_id = tuple(body.get("op_id", ()))
@@ -104,51 +102,172 @@ class KvClient:
             **extra,
         }
 
-    def _attempts(self, kind: str, key: str, max_retries: int, address):
-        """The attempt loop shared by every put and get.
+    def _op(self, kind: str, key: str, value, max_retries: int, address) -> "_Op":
+        """Start the attempt loop of one op; returns it (an Event →
+        :class:`OpResult`).  ``value`` is what a put writes (``None`` for a
+        get): the recorder's, if one is attached now."""
+        return _Op(self, kind, key, value, max_retries, address)
 
-        ``address(attempt)`` resolves where one attempt goes and returns
-        ``(send, span_attrs)``; ``send(op_id)`` fires the request.  Each
-        attempt gets a fresh op id and waits for its reply or the retry
-        timeout.  ``ok`` ends the op; so does a get's authoritative miss
-        (an answer — the checker reads it as "initial value" — not a
-        failure to reach the store).  Anything else is retried, and an
-        early rejection (e.g. an aborted 2PC, which arrives well before the
-        retry timeout fires) still waits out the fixed back-off: without it
-        the client re-sends in the same sim instant, so a rejecting
-        replica set sees max_retries+1 requests in zero sim time.
-        """
-        t0 = self.sim.now
-        tr = self.sim.tracer
-        backoff = self.config.client_retry_timeout_s
-        for attempt in range(max_retries + 1):
-            send, span_attrs = address(attempt)
-            op_id = self._new_op()
-            span = None
-            if tr is not None:
-                span = tr.begin(kind, "op", node=self.host.name, op=op_id,
-                                key=key, attempt=attempt, **span_attrs)
-            waiter = Event(self.sim)
-            self._waiters[op_id] = waiter
-            send(op_id)
-            got = yield AnyOf(self.sim, [waiter, self.sim.timeout(backoff)])
-            self._waiters.pop(op_id, None)
-            replied = waiter in got
-            status = got[waiter].get("status", "error") if replied else "timeout"
-            if span is not None:
-                span.end(status=status)
-            if status == "ok":
-                latency = self.sim.now - t0
-                (self.put_latency if kind == "put" else self.get_latency).observe(latency)
-                return OpResult(True, latency, attempt, value=got[waiter].get("value"))
-            if status == "miss" and kind == "get":
-                return OpResult(False, self.sim.now - t0, attempt, status="miss")
-            if attempt < max_retries:
-                self.retries.add()
-                if replied:
-                    yield self.sim.timeout(backoff)
-        self.failures.add()
-        return OpResult(False, self.sim.now - t0, max_retries, status="timeout")
+
+class _Op(Event):
+    """The attempt loop shared by every put and get, as a callback chain
+    that schedules the records of the process it replaced (DESIGN.md §5g):
+    the URGENT start, per attempt the request and its retry timer, one
+    NORMAL zero-delay join where the attempt's ``AnyOf`` triggered, the
+    back-off timer; it completes like a process, with the
+    :class:`OpResult` as its value.
+
+    ``address(attempt)`` resolves where one attempt goes and returns
+    ``(send, span_attrs)``; ``send(op_id)`` fires the request.  Each
+    attempt gets a fresh op id and waits for its reply or the retry
+    timeout.  ``ok`` ends the op; so does a get's authoritative miss (an
+    answer — the checker reads it as "initial value" — not a failure to
+    reach the store).  Anything else is retried, and an early rejection
+    (e.g. an aborted 2PC, which arrives well before the retry timeout
+    fires) still waits out the fixed back-off: without it the client
+    re-sends in the same sim instant, so a rejecting replica set sees
+    max_retries+1 requests in zero sim time.
+
+    The join settles the race as ``AnyOf`` did: a winning reply cancels
+    the retry timer; a timer that wins leaves the reply waiter armed, and
+    a reply that lands after it is ignored.  The history recorder's hooks
+    and the tracer's spans run at the instants the process stamped them.
+    """
+
+    __slots__ = (
+        "client", "kind", "key", "written", "max_retries", "address",
+        "recorder", "operation", "t0", "attempt", "op_id", "span",
+        "waiter", "timer", "won",
+    )
+
+    def __init__(self, client: KvClient, kind: str, key: str, written,
+                 max_retries: int, address):
+        super().__init__(client.sim)
+        self.client = client
+        self.kind = kind
+        self.key = key
+        self.written = written
+        self.max_retries = max_retries
+        self.address = address
+        self.recorder = client.recorder
+        self.operation = None
+        self.attempt = 0
+        client.sim._schedule_call(0.0, self._start, priority=URGENT)
+
+    def _start(self) -> None:
+        client = self.client
+        if self.recorder is not None:
+            self.operation = self.recorder.invoke(
+                client.host.name, self.kind, self.key, self.written, client.sim.now)
+        self.t0 = client.sim.now
+        self._attempt()
+
+    def _attempt(self, _backoff=None) -> None:
+        client = self.client
+        sim = client.sim
+        send, span_attrs = self.address(self.attempt)
+        self.op_id = op_id = client._new_op()
+        tr = sim.tracer
+        self.span = None if tr is None else tr.begin(
+            self.kind, "op", node=client.host.name, op=op_id, key=self.key,
+            attempt=self.attempt, **span_attrs)
+        self.waiter = waiter = Event(sim)
+        client._waiters[op_id] = waiter
+        send(op_id)
+        self._race(waiter)
+
+    def _race(self, waiter: Event) -> None:
+        """Wait for ``waiter`` or the retry timer, whichever comes first."""
+        self.won = None
+        self.timer = timer = self.client.sim.timeout(self.client.config.client_retry_timeout_s)
+        settle = self._settle
+        waiter._callbacks = [settle]
+        timer._callbacks = [settle]
+
+    def _settle(self, ev: Event) -> None:
+        if self.won is not None or (ev is not self.waiter and ev is not self.timer):
+            return  # the race is settled, or ``ev`` is an earlier attempt's
+        self.won = ev
+        sim = self.client.sim
+        sim._schedule_call(0.0, self._join)
+        if ev is self.waiter:
+            timer = self.timer
+            timer._callbacks = None
+            sim.cancel_timer(timer)
+
+    def _join(self) -> None:
+        client = self.client
+        sim = client.sim
+        attempt = self.attempt
+        client._waiters.pop(self.op_id, None)
+        replied = self.won is self.waiter
+        reply = self.waiter._value if replied else None
+        status = reply.get("status", "error") if replied else "timeout"
+        if self.span is not None:
+            self.span.end(status=status)
+        if status == "ok":
+            latency = sim.now - self.t0
+            (client.put_latency if self.kind == "put" else client.get_latency).observe(latency)
+            self._finish(OpResult(True, latency, attempt, value=reply.get("value")))
+        elif status == "miss" and self.kind == "get":
+            self._finish(OpResult(False, sim.now - self.t0, attempt, status="miss"))
+        elif attempt < self.max_retries:
+            client.retries.add()
+            self.attempt = attempt + 1
+            if replied:
+                sim.timeout(client.config.client_retry_timeout_s)._callbacks = [self._attempt]
+            else:
+                self._attempt()
+        else:
+            client.failures.add()
+            self._finish(OpResult(False, sim.now - self.t0, self.max_retries, status="timeout"))
+
+    def _finish(self, result: "OpResult") -> None:
+        if self.operation is not None:
+            self.recorder.complete(self.operation, result, self.client.sim.now)
+        self._complete(result)
+
+
+class _AnykOp(_Op):
+    """A quorum-mode put (§5) as one attempt of :class:`_Op`'s chain: it
+    waits for the reliable any-k multicast itself instead of a reply, under
+    the same timeout contract — if ``quorum`` replicas are unreachable
+    (crash/partition) the multicast never completes, and without the bound
+    the op would hang forever and still report ok=True."""
+
+    __slots__ = ("quorum", "size")
+
+    def __init__(self, client: "NiceClient", key: str, value, size: int, quorum: int):
+        self.quorum = quorum
+        self.size = size
+        super().__init__(client, "put", key, value, 0, None)
+
+    def _attempt(self, _backoff=None) -> None:
+        client = self.client
+        self.op_id = op_id = client._new_op()
+        tr = client.sim.tracer
+        self.span = None if tr is None else tr.begin(
+            "put_anyk", "op", node=client.host.name, op=op_id, key=self.key,
+            quorum=self.quorum)
+        self.waiter = sender = client._multicast_put(
+            "put_anyk", op_id, self.key, self.written, self.size, self.t0, self.quorum)
+        self._race(sender)
+
+    def _join(self) -> None:
+        client = self.client
+        now = client.sim.now
+        if self.won is not self.waiter:
+            client.failures.add()
+            if self.span is not None:
+                self.span.end(status="timeout")
+            self._finish(OpResult(False, now - self.t0, 0, status="timeout"))
+            return
+        acks = self.waiter._value
+        latency = now - self.t0
+        client.put_latency.observe(latency)
+        if self.span is not None:
+            self.span.end(status="ok", acks=len(acks))
+        self._finish(OpResult(True, latency, 0, value=len(acks)))
 
 
 class NiceClient(KvClient):
@@ -169,17 +288,45 @@ class NiceClient(KvClient):
 
     # -- public API -----------------------------------------------------------
     def put(self, key: str, value, size: int, max_retries: int = 3):
-        """Store ``value`` under ``key``; returns a Process → :class:`OpResult`."""
-        return self._traced("put", key, value, self._put(key, value, size, max_retries))
+        """Store ``value`` under ``key``; returns an Event → :class:`OpResult`."""
+        client_ts = self.sim.now  # reused across retries: idempotence token
+
+        def send(op_id):
+            self._multicast_put("put", op_id, key, value, size, client_ts, quorum=1)
+
+        def address(attempt):
+            tr = self.sim.tracer
+            if attempt == 0 and tr is not None:
+                tr.instant("vnode_resolve", "client", node=self.host.name, key=key,
+                           vnode=str(self.mc.vnode_for_key(key)), kind="put")
+            return send, {}
+
+        return self._op("put", key, value, max_retries, address)
 
     def get(self, key: str, max_retries: int = 3):
-        """Fetch ``key``; returns a Process → :class:`OpResult`."""
-        return self._traced("get", key, None, self._get(key, max_retries))
+        """Fetch ``key``; returns an Event → :class:`OpResult`."""
+
+        def address(attempt):
+            vaddr = self._resolve_get_route(key, attempt)
+            tr = self.sim.tracer
+            if tr is not None:
+                tr.instant("vnode_resolve", "client", node=self.host.name,
+                           key=key, vnode=str(vaddr), kind="get",
+                           attempt=attempt)
+
+            def send(op_id):
+                self.stack.udp_send(
+                    vaddr, GET_PORT, self._request("get", op_id, key), REQUEST_BYTES
+                )
+
+            return send, {}
+
+        return self._op("get", key, None, max_retries, address)
 
     def put_anyk(self, key: str, value, size: int, quorum: int):
         """Quorum-mode put (§5): the reliable any-k multicast returns when
         ``quorum`` replicas hold the data; no 2PC round (Fig 8's NICE side)."""
-        return self._traced("put", key, value, self._put_anyk(key, value, size, quorum))
+        return _AnykOp(self, key, value, size, quorum)
 
     # -- how one attempt is addressed and sent ------------------------------------
     def _multicast_put(self, kind: str, op_id: Tuple, key: str, value, size: int,
@@ -192,18 +339,6 @@ class NiceClient(KvClient):
             n_receivers=self.config.replication_level,
             quorum=quorum,
         )
-
-    def _put(self, key: str, value, size: int, max_retries: int):
-        client_ts = self.sim.now  # reused across retries: idempotence token
-        tr = self.sim.tracer
-        if tr is not None:
-            tr.instant("vnode_resolve", "client", node=self.host.name, key=key,
-                       vnode=str(self.mc.vnode_for_key(key)), kind="put")
-
-        def send(op_id):
-            self._multicast_put("put", op_id, key, value, size, client_ts, quorum=1)
-
-        return (yield from self._attempts("put", key, max_retries, lambda attempt: (send, {})))
 
     def _resolve_get_route(self, key: str, attempt: int):
         """Vnode address for one get attempt.
@@ -224,49 +359,3 @@ class NiceClient(KvClient):
         prefix = self.uni.subgroup_prefix(self.uni.subgroup_of_key(key))
         offset = (vaddr - prefix.address + attempt) % prefix.num_addresses
         return prefix.address + offset
-
-    def _get(self, key: str, max_retries: int):
-        def address(attempt):
-            vaddr = self._resolve_get_route(key, attempt)
-            tr = self.sim.tracer
-            if tr is not None:
-                tr.instant("vnode_resolve", "client", node=self.host.name,
-                           key=key, vnode=str(vaddr), kind="get",
-                           attempt=attempt)
-
-            def send(op_id):
-                self.stack.udp_send(
-                    vaddr, GET_PORT, self._request("get", op_id, key), REQUEST_BYTES
-                )
-
-            return send, {}
-
-        return (yield from self._attempts("get", key, max_retries, address))
-
-    def _put_anyk(self, key: str, value, size: int, quorum: int):
-        t0 = self.sim.now
-        op_id = self._new_op()
-        tr = self.sim.tracer
-        span = None
-        if tr is not None:
-            span = tr.begin("put_anyk", "op", node=self.host.name, op=op_id,
-                            key=key, quorum=quorum)
-        sender = self._multicast_put("put_anyk", op_id, key, value, size, t0, quorum)
-        # Same timeout contract as a put attempt: if quorum replicas are
-        # unreachable (crash/partition) the reliable multicast never
-        # completes — without this bound the op would hang forever and
-        # still report ok=True.
-        got = yield AnyOf(
-            self.sim, [sender, self.sim.timeout(self.config.client_retry_timeout_s)]
-        )
-        if sender not in got:
-            self.failures.add()
-            if span is not None:
-                span.end(status="timeout")
-            return OpResult(False, self.sim.now - t0, 0, status="timeout")
-        acks = got[sender]
-        latency = self.sim.now - t0
-        self.put_latency.observe(latency)
-        if span is not None:
-            span.end(status="ok", acks=len(acks))
-        return OpResult(True, latency, 0, value=len(acks))

@@ -48,6 +48,11 @@ class NodeShell:
     def ip(self) -> IPv4Address:
         return self.host.ip
 
+    # Two wire idioms come in two forms side by side: a generator for code
+    # that runs as a process (``yield from``), and a callback chain for the
+    # chains of the get path (DESIGN.md §5g).  A chain step gives each fresh
+    # event its one callback, as a process yielding it would, and calls
+    # ``then`` where the generator returns: both schedule the same records.
     def cpu_work(self):
         """One request's worth of CPU service time (serialized per node)."""
         cost = self.config.node_cpu_per_op_s
@@ -59,6 +64,24 @@ class NodeShell:
             yield self.sim.timeout(cost)
         finally:
             req.release()
+
+    def cpu_work_then(self, then) -> None:
+        """:meth:`cpu_work` as a chain: CPU grant, service timer, release,
+        then ``then()``."""
+        cost = self.config.node_cpu_per_op_s
+        if cost <= 0:
+            then()
+            return
+        req = self.cpu.request()
+
+        def granted(_req) -> None:
+            def served(_timer) -> None:
+                req.release()
+                then()
+
+            self.sim.timeout(cost)._callbacks = [served]
+
+        req._callbacks = [granted]
 
     # -- node-to-node request/reply -------------------------------------------
     def new_token(self) -> Tuple:
@@ -125,3 +148,25 @@ class NodeShell:
         return self.stack.tcp.send_message(
             IPv4Address(request["client_ip"]), request["client_port"], reply, size
         )
+
+    def reply_get_then(self, request: dict, obj: Optional[StoredObject], then) -> None:
+        """``yield (yield from reply_get(request, obj))`` as a chain: the
+        disk read on a hit, the reply's send, then ``then(send)`` once the
+        reply has left."""
+        self.gets_served.add()
+        reply = {"type": "get_reply", "op_id": tuple(request["op_id"])}
+        client_ip = IPv4Address(request["client_ip"])
+        if obj is None:
+            reply["status"] = "miss"
+            self.stack.tcp.send_message(
+                client_ip, request["client_port"], reply, ACK_BYTES
+            )._callbacks = [then]
+            return
+
+        def read(_io) -> None:
+            reply.update(status="ok", value=obj.value, size=obj.size_bytes)
+            self.stack.tcp.send_message(
+                client_ip, request["client_port"], reply, REQUEST_BYTES + obj.size_bytes
+            )._callbacks = [then]
+
+        self.disk.read(obj.size_bytes)._callbacks = [read]

@@ -10,7 +10,10 @@ from a consistent replica, on the get path and in the opt-in scrubber.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ...kv import StoredObject
+from ...sim import URGENT, Event, Subroutine
 from ..config import ACK_BYTES, NODE_PORT, REQUEST_BYTES
 from ..membership import ReplicaSet
 
@@ -23,85 +26,13 @@ class ReadPath:
     def __init__(self, node):
         self.node = node
 
-    def serve(self, body: dict, virtual_dst):
-        node = self.node
-        tr = node.sim.tracer
-        span = None
-        if tr is not None:
-            span = tr.begin("get.serve", "op", node=node.name,
-                            op=tuple(body["op_id"]), key=body["key"])
-        yield from node.cpu_work()
-        key = body["key"]
-        if "partition" in body:
-            partition = body["partition"]
-        elif virtual_dst is not None and virtual_dst in node.uni.prefix:
-            partition = node.uni.subgroup_of_address(virtual_dst)
-        else:
-            partition = node.uni.subgroup_of_key(key)
-        body = dict(body, partition=partition)
-        my_role = node.role(partition)
-        forwarded = None
-        if my_role == "handoff":
-            obj = node.store.get_handoff(key)
-            if obj is None:
-                # §4.4: handoff forwards gets for objects it never received.
-                forwarded = "forwarded"
-        elif my_role is None:
-            # A stale switch rule routed this get here (e.g. to a node
-            # just released from handoff duty, before the controller's
-            # flow-mods re-sync).  This node is not a consistent replica
-            # for the partition and must not answer from its store —
-            # §4.3's invariant is that clients only ever reach consistent
-            # replicas.  Forward to the primary if the slice is known,
-            # else stay silent and let the client's retry find the
-            # updated rules.
-            forwarded = "forwarded_stale"
-        else:
-            rs = node.replica_sets.get(partition)
-            if rs is not None and node.name in rs.absent and node.name not in rs.handoffs:
-                # Member but not get-visible (failed/mid-rejoin): a stale
-                # rule routed the get here — e.g. the controller crashed
-                # before the post-failure flow-mods landed.  The local
-                # store may be arbitrarily behind; forward to the primary.
-                forwarded = "forwarded_joining"
-            else:
-                obj = node.store.get(key)
-                if obj is not None and not node.store.verify(obj):
-                    # Bit-rot (§5k): never serve a value that fails its
-                    # checksum — read-repair from a consistent replica first.
-                    obj = yield from self._read_repair(key, rs)
-                    if obj is not None:
-                        node.read_repairs.add()
-        if forwarded is not None:
-            yield from self._forward(partition, body)
-            if span is not None:
-                span.end(status=forwarded)
-            return
-        yield (yield from node.reply_get(body, obj))
-        if span is not None:
-            span.end(status="ok" if obj is not None else "miss")
+    def serve(self, body: dict, virtual_dst) -> Event:
+        """Serve one get that landed here; returns the chain (an Event)."""
+        return _Serve(self, body, virtual_dst)
 
-    def _forward(self, partition: int, body: dict):
-        """Relay a get we must not answer to the partition's primary."""
-        node = self.node
-        rs = node.replica_sets.get(partition)
-        primary_ip = node.directory.get(rs.primary) if rs else None
-        if primary_ip is None:
-            return
-        node.gets_forwarded.add()
-        yield node.stack.tcp.send_message(
-            primary_ip,
-            NODE_PORT,
-            {"type": "get_forward", "request": body},
-            REQUEST_BYTES,
-        )
-
-    def serve_forwarded(self, request: dict):
+    def serve_forwarded(self, request: dict) -> Event:
         """Primary side of a forwarded get: answer the client directly."""
-        node = self.node
-        obj = node.store.get(request["key"])
-        node.gets_forwarded.add()
-        yield (yield from node.reply_get(request, obj))
+        return _Serve(self, request, None, forwarded=True)
 
     # -- integrity (§5k) ----------------------------------------------------------
     def serve_fetch_object(self, msg, body: dict):
@@ -183,3 +114,118 @@ class ReadPath:
                 repaired = yield from self._read_repair(key, rs)
                 if repaired is not None:
                     node.scrub_repairs.add()
+
+
+class _Serve(Event):
+    """One get's service on this node as a callback chain that schedules
+    the records of the process it replaced (DESIGN.md §5g): the URGENT
+    start, the CPU step (grant, service timer, release), then one of —
+    the reply (disk read on a hit, the send), a forward to the primary
+    (the send), or read-repair first (a :class:`~repro.sim.Subroutine`,
+    which adds no record of its own).  It completes like a process.  A
+    forwarded get skips the span and the CPU step and is answered from
+    the store, as the primary's old ``serve_forwarded`` was."""
+
+    __slots__ = ("reads", "body", "virtual_dst", "span", "status")
+
+    def __init__(self, reads: ReadPath, body: dict, virtual_dst, forwarded: bool = False):
+        super().__init__(reads.node.sim)
+        self.reads = reads
+        self.body = body
+        self.virtual_dst = virtual_dst
+        self.span = None
+        self.sim._schedule_call(
+            0.0, self._answer_forwarded if forwarded else self._start, priority=URGENT)
+
+    def _start(self) -> None:
+        node = self.reads.node
+        tr = node.sim.tracer
+        if tr is not None:
+            body = self.body
+            self.span = tr.begin("get.serve", "op", node=node.name,
+                                 op=tuple(body["op_id"]), key=body["key"])
+        node.cpu_work_then(self._route)
+
+    def _route(self) -> None:
+        node = self.reads.node
+        body = self.body
+        key = body["key"]
+        virtual_dst = self.virtual_dst
+        if "partition" in body:
+            partition = body["partition"]
+        elif virtual_dst is not None and virtual_dst in node.uni.prefix:
+            partition = node.uni.subgroup_of_address(virtual_dst)
+        else:
+            partition = node.uni.subgroup_of_key(key)
+        self.body = body = dict(body, partition=partition)
+        my_role = node.role(partition)
+        if my_role == "handoff":
+            obj = node.store.get_handoff(key)
+            if obj is None:
+                # §4.4: handoff forwards gets for objects it never received.
+                self._forward(partition, "forwarded")
+                return
+        elif my_role is None:
+            # A stale switch rule routed this get here (e.g. to a node
+            # just released from handoff duty, before the controller's
+            # flow-mods re-sync).  This node is not a consistent replica
+            # for the partition and must not answer from its store —
+            # §4.3's invariant is that clients only ever reach consistent
+            # replicas.  Forward to the primary if the slice is known,
+            # else stay silent and let the client's retry find the
+            # updated rules.
+            self._forward(partition, "forwarded_stale")
+            return
+        else:
+            rs = node.replica_sets.get(partition)
+            if rs is not None and node.name in rs.absent and node.name not in rs.handoffs:
+                # Member but not get-visible (failed/mid-rejoin): a stale
+                # rule routed the get here — e.g. the controller crashed
+                # before the post-failure flow-mods landed.  The local
+                # store may be arbitrarily behind; forward to the primary.
+                self._forward(partition, "forwarded_joining")
+                return
+            obj = node.store.get(key)
+            if obj is not None and not node.store.verify(obj):
+                # Bit-rot (§5k): never serve a value that fails its
+                # checksum — read-repair from a consistent replica first.
+                Subroutine(node.sim, self.reads._read_repair(key, rs), self._repaired)
+                return
+        self._reply(obj)
+
+    def _repaired(self, obj: Optional[StoredObject]) -> None:
+        if obj is not None:
+            self.reads.node.read_repairs.add()
+        self._reply(obj)
+
+    def _reply(self, obj: Optional[StoredObject]) -> None:
+        self.status = "ok" if obj is not None else "miss"
+        self.reads.node.reply_get_then(self.body, obj, self._end)
+
+    def _answer_forwarded(self) -> None:
+        node = self.reads.node
+        obj = node.store.get(self.body["key"])
+        node.gets_forwarded.add()
+        self._reply(obj)
+
+    def _forward(self, partition: int, status: str) -> None:
+        """Relay a get we must not answer to the partition's primary."""
+        node = self.reads.node
+        self.status = status
+        rs = node.replica_sets.get(partition)
+        primary_ip = node.directory.get(rs.primary) if rs else None
+        if primary_ip is None:
+            self._end()
+            return
+        node.gets_forwarded.add()
+        node.stack.tcp.send_message(
+            primary_ip,
+            NODE_PORT,
+            {"type": "get_forward", "request": self.body},
+            REQUEST_BYTES,
+        )._callbacks = [self._end]
+
+    def _end(self, _sent=None) -> None:
+        if self.span is not None:
+            self.span.end(status=self.status)
+        self._complete()

@@ -134,7 +134,8 @@ class NiceStorageNode(NodeShell):
 
     # ------------------------------------------------------------------ inbound dispatch
     # Three served mailboxes (``Store.serve``): the handlers never wait, so
-    # whatever takes time is spawned as its own process.
+    # whatever takes time runs on its own — a get as a callback chain
+    # (``node.reads``), the rest as processes.
     def _on_put_msg(self, msg) -> None:
         """The multicast vring: puts and the 2PC outcome (Fig 3)."""
         body = msg.payload or {}
@@ -152,7 +153,7 @@ class NiceStorageNode(NodeShell):
         """The unicast vring: gets."""
         body = dgram.payload or {}
         if body.get("type") == "get":
-            self.sim.process(self.reads.serve(body, dgram.virtual_dst))
+            self.reads.serve(body, dgram.virtual_dst)
 
     def _on_node_msg(self, msg) -> None:
         """Node-to-node and metadata-to-node TCP."""
@@ -171,7 +172,7 @@ class NiceStorageNode(NodeShell):
         elif kind == "rejoin_restart":
             self.recovery.on_rejoin_restart(body)
         elif kind == "get_forward":
-            self.sim.process(self.reads.serve_forwarded(body["request"]))
+            self.reads.serve_forwarded(body["request"])
         elif kind == "query_locks":
             self.sim.process(self.recovery.serve_query_locks(msg, body))
         elif kind == "query_commit":

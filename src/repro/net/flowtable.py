@@ -260,12 +260,16 @@ class FlowTable:
         return iter(self._rules)
 
     def _trace_mod(self, name: str, **args) -> None:
-        """Emit a flow-mod trace event via the owning switch (if traced)."""
+        """Emit a flow-mod trace event via the owning switch (if traced).
+        A ``match`` argument is the rule's :class:`Match`, formatted here
+        and only when traced: an untraced flow-mod costs no string."""
         owner = self.owner
         if owner is None:
             return
         tr = owner.sim.tracer
         if tr is not None:
+            if "match" in args:
+                args["match"] = str(args["match"])
             tr.instant(name, "flowtable", node=owner.name, **args)
 
     def add(self, rule: Rule) -> Rule:
@@ -277,7 +281,7 @@ class FlowTable:
         self._generation += 1
         self._trace_mod(
             "flow_add", cookie=rule.cookie, priority=rule.priority,
-            match=str(rule.match), rules=len(self._rules),
+            match=rule.match, rules=len(self._rules),
         )
         return rule
 

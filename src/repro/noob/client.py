@@ -69,14 +69,12 @@ class NoobClient(KvClient):
 
     # -- operations ---------------------------------------------------------------
     def put(self, key: str, value, size: int, max_retries: int = 3):
-        return self._traced(
-            "put", key, value, self._op("put", key, size, max_retries, value=value, size=size)
-        )
+        return self._tcp_op("put", key, size, max_retries, value=value, size=size)
 
     def get(self, key: str, max_retries: int = 3):
-        return self._traced("get", key, None, self._op("get", key, REQUEST_BYTES, max_retries))
+        return self._tcp_op("get", key, REQUEST_BYTES, max_retries)
 
-    def _op(self, kind: str, key: str, wire_bytes: int, max_retries: int, **payload):
+    def _tcp_op(self, kind: str, key: str, wire_bytes: int, max_retries: int, **payload):
         client_ts = self.sim.now
 
         def address(attempt):
@@ -88,4 +86,4 @@ class NoobClient(KvClient):
 
             return send, {"target": str(ip)}
 
-        return (yield from self._attempts(kind, key, max_retries, address))
+        return self._op(kind, key, payload.get("value"), max_retries, address)

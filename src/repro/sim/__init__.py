@@ -4,7 +4,8 @@ Public surface:
 
 * :class:`Simulator` — the event loop.
 * :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` — waitables.
-* :class:`Process` — generator coroutines.
+* :class:`Process` — generator coroutines; :class:`Subroutine` — one run
+  from a callback chain.
 * :class:`Store`, :class:`Resource` — queues and counted resources.
 * :class:`RngRegistry` — named deterministic random streams.
 * :class:`Counter`, :class:`Tally`, :class:`RateSeries` — measurement.
@@ -24,7 +25,7 @@ from .events import (
 from .kernel import Simulator, StopSimulation
 from .monitor import Counter, RateSeries, Tally, summary_stats
 from .primitives import Resource, ResourceRequest, Store
-from .process import Process
+from .process import Process, Subroutine
 from .rng import RngRegistry
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "Simulator",
     "StopSimulation",
     "Store",
+    "Subroutine",
     "Tally",
     "Timeout",
     "URGENT",

@@ -13,8 +13,11 @@ process per secondary replica and joins them with ``AllOf``).
 
 A process is for code that waits between steps.  A mailbox whose handler
 never waits is served (``Store.serve``), and a fixed chain of waits (a
-disk IO, a TCP send) is an ``Event`` subclass whose callbacks schedule the
-records the process would have (DESIGN.md §5g).
+disk IO, a TCP send, a client op's attempts, a multicast send, a replica's
+get service) is an ``Event`` subclass whose callbacks schedule the records
+the process would have (DESIGN.md §5g).  A chain that must wait on
+generator code it does not own (the get path's read-repair) runs it as a
+:class:`Subroutine`: ``yield from`` without a process around it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .events import URGENT, Event, SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
 
-__all__ = ["Process"]
+__all__ = ["Process", "Subroutine"]
 
 
 class _Started:
@@ -135,3 +138,25 @@ class Process(Event):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.triggered else "alive"
         return f"<Process {self.name!r} {state}>"
+
+
+class Subroutine(Process):
+    """``yield from generator`` for a callback chain: the generator runs
+    from the current record (no start record) and its return value goes to
+    ``then(value)`` in the record in which it returns (no completion
+    record) — the records the generator schedules inline in a process,
+    and no others.  Not counted as a spawn."""
+
+    __slots__ = ("_then",)
+
+    def __init__(self, sim: Simulator, generator: Generator, then):
+        Event.__init__(self, sim)
+        self._gen = generator
+        self.name = getattr(generator, "__name__", "subroutine")
+        self._then = then
+        self._wake = self._resume
+        self._resume(_STARTED)
+
+    def _finish(self, value: Any) -> None:
+        self._wake = None
+        self._then(value)

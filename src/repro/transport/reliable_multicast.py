@@ -24,10 +24,10 @@ build and dispatch than dicts on the per-packet hot path, and the declared
 from __future__ import annotations
 
 import itertools
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from ..net import IPv4Address
-from ..sim import Store
+from ..sim import URGENT, Event, Store
 
 from .sockets import Datagram, ProtocolStack
 
@@ -89,9 +89,9 @@ class MulticastSender:
         n_receivers: int,
         quorum: Optional[int] = None,
     ):
-        """Multicast ``payload``; returns a Process to ``yield`` on.
+        """Multicast ``payload``; returns an Event to ``yield`` on.
 
-        The process completes when ``quorum`` receivers (default: all
+        The event completes when ``quorum`` receivers (default: all
         ``n_receivers``) have acknowledged reception; its value is the list
         of ``(receiver_ip, ack_time)`` pairs, in arrival order.
         """
@@ -100,28 +100,57 @@ class MulticastSender:
         k = n_receivers if quorum is None else quorum
         if not 1 <= k <= n_receivers:
             raise ValueError(f"quorum {k} out of range 1..{n_receivers}")
-        return self.stack.sim.process(self._send(group_ip, dport, payload, payload_bytes, k))
+        return _Send(self, group_ip, dport, payload, payload_bytes, k)
 
-    def _send(self, group_ip, dport, payload, payload_bytes, k):
-        sim = self.stack.sim
-        op = (self.stack.ip, next(self._op_seq))
-        ack_port = self.stack.ephemeral_port()
-        inbox = self.stack.udp_bind(ack_port)
-        self.stack.udp_send(
-            IPv4Address(group_ip),
-            dport,
-            ("mc_data", op, ack_port, payload),
-            payload_bytes,
+
+class _Send(Event):
+    """One :meth:`MulticastSender.send` as a callback chain that schedules
+    the records of the process it replaced (DESIGN.md §5g): the URGENT
+    start — which draws the op id and the ack port, binds it and sends the
+    burst — then one ``inbox.get()`` per datagram until ``k`` acks for this
+    op are in; it unbinds the port and completes like a process, with the
+    acks as its value."""
+
+    __slots__ = ("sender", "group_ip", "dport", "payload", "payload_bytes", "k",
+                 "op", "ack_port", "inbox", "acks")
+
+    def __init__(self, sender: MulticastSender, group_ip, dport: int, payload: Any,
+                 payload_bytes: int, k: int):
+        super().__init__(sender.stack.sim)
+        self.sender = sender
+        self.group_ip = group_ip
+        self.dport = dport
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.k = k
+        self.sim._schedule_call(0.0, self._start, priority=URGENT)
+
+    def _start(self) -> None:
+        stack = self.sender.stack
+        self.op = op = (stack.ip, next(self.sender._op_seq))
+        self.ack_port = ack_port = stack.ephemeral_port()
+        self.inbox = stack.udp_bind(ack_port)
+        stack.udp_send(
+            IPv4Address(self.group_ip),
+            self.dport,
+            ("mc_data", op, ack_port, self.payload),
+            self.payload_bytes,
             sport=ack_port,
         )
-        acks: List[Tuple[IPv4Address, float]] = []
-        while len(acks) < k:
-            dgram = yield inbox.get()
-            body = dgram.payload
-            if type(body) is tuple and len(body) == 2 and body[0] == "mc_ack" and body[1] == op:
-                acks.append((dgram.src_ip, sim.now))
-        self.stack.udp_unbind(ack_port)
-        return acks
+        self.acks = []
+        self.inbox.get()._callbacks = [self._on_dgram]
+
+    def _on_dgram(self, get: Event) -> None:
+        dgram = get._value
+        body = dgram.payload
+        acks = self.acks
+        if type(body) is tuple and len(body) == 2 and body[0] == "mc_ack" and body[1] == self.op:
+            acks.append((dgram.src_ip, self.sim.now))
+        if len(acks) < self.k:
+            self.inbox.get()._callbacks = [self._on_dgram]
+            return
+        self.sender.stack.udp_unbind(self.ack_port)
+        self._complete(acks)
 
 
 class MulticastEndpoint:

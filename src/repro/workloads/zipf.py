@@ -7,6 +7,7 @@ from key order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -47,8 +48,9 @@ class ZipfianGenerator:
         # Direct sum; n is bounded (YCSB default record counts are small).
         return float(np.sum(1.0 / np.power(np.arange(1, n + 1), theta)))
 
-    def next(self) -> int:
-        u = self.rng.random()
+    def _rank(self, u: float) -> int:
+        """The rank a uniform draw ``u`` maps to, in Python floats (a
+        vectorised ``np.power`` may differ in the last ulp by CPU)."""
         uz = u * self._zetan
         if uz < 1.0:
             return 0
@@ -57,8 +59,25 @@ class ZipfianGenerator:
         rank = int(self.n_items * (self._eta * u - self._eta + 1) ** self._alpha)
         return min(rank, self.n_items - 1)
 
+    def next(self) -> int:
+        return self._rank(self.rng.random())
+
     def sample(self, count: int) -> np.ndarray:
-        return np.fromiter((self.next() for _ in range(count)), dtype=np.int64, count=count)
+        """``count`` draws of :meth:`next`, from one ``rng.random(count)``
+        call (the same doubles the per-draw calls consume)."""
+        rank = self._rank
+        return np.array([rank(u) for u in self.rng.random(count).tolist()], dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=8)
+def _scrambled(n_items: int) -> tuple:
+    """Where each of ``n_items`` ranks lands: its blake2b hash mod n."""
+    return tuple(
+        int.from_bytes(
+            hashlib.blake2b(rank.to_bytes(8, "little"), digest_size=8).digest(), "little"
+        ) % n_items
+        for rank in range(n_items)
+    )
 
 
 class ScrambledZipfianGenerator:
@@ -69,14 +88,13 @@ class ScrambledZipfianGenerator:
     def __init__(self, n_items: int, theta: float = 0.99, rng: np.random.Generator = None):
         self._inner = ZipfianGenerator(n_items, theta, rng)
         self.n_items = n_items
+        self._table = _scrambled(n_items)
 
     def next(self) -> int:
-        rank = self._inner.next()
-        digest = hashlib.blake2b(rank.to_bytes(8, "little"), digest_size=8).digest()
-        return int.from_bytes(digest, "little") % self.n_items
+        return self._table[self._inner.next()]
 
     def sample(self, count: int) -> np.ndarray:
-        return np.fromiter((self.next() for _ in range(count)), dtype=np.int64, count=count)
+        return np.asarray(self._table, dtype=np.int64)[self._inner.sample(count)]
 
 
 class LatestGenerator:

@@ -10,7 +10,7 @@ Pins the PR-4 bugfix sweep:
 * an authoritative get "miss" returns immediately — it is an answer,
   not a failure to reach the store.
 
-The attempt loop itself is one piece of code (``KvClient._attempts``) that
+The attempt loop itself is one piece of code (``core/client.py: _Op``) that
 the NICE and the NOOB client both run: the ``system``-parametrized tests
 at the bottom drive it through each, using only the network (dark hosts, a
 rejection sent by another machine) to provoke each branch.

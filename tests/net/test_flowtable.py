@@ -209,3 +209,40 @@ def test_bucket_holds_only_header_rewrites(action):
 def test_match_rejects_garbage_ip():
     with pytest.raises(TypeError):
         Match(ip_dst=3.14)  # type: ignore[arg-type]
+
+
+def _fabric_build(sim=None):
+    from repro.core import ClusterConfig, NiceCluster
+
+    cluster = NiceCluster(
+        ClusterConfig(n_storage_nodes=8, n_clients=2, replication_level=3, n_racks=2),
+        sim=sim,
+    )
+    cluster.warm_up()
+    return cluster
+
+
+def test_untraced_flow_mods_format_no_match(monkeypatch):
+    """Instrumentation costs nothing when off: an untraced flow-mod never
+    formats its rule's match (a fabric build installs thousands)."""
+
+    def refuse(self):
+        raise AssertionError("Match formatted with no tracer installed")
+
+    monkeypatch.setattr(Match, "__str__", refuse)
+    cluster = _fabric_build()
+    assert sum(len(sw.table) for sw in cluster.switches) > 0
+
+
+def test_traced_flow_adds_carry_the_match_string():
+    from repro.obs import install
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    tracer = install(sim, label="flows")
+    cluster = _fabric_build(sim)
+    adds = [ev for ev in tracer.events if ev.name == "flow_add"]
+    installed = {str(rule.match) for sw in cluster.switches for rule in sw.table.iter_rules()}
+    assert adds and all(type(ev.args["match"]) is str for ev in adds)
+    assert installed <= {ev.args["match"] for ev in adds}
+    assert list(adds[0].args) == ["cookie", "priority", "match", "rules"]

@@ -241,3 +241,45 @@ def test_run_until_stops_when_an_unobserved_process_returns():
     assert proc.value == 7 and fired == []
     sim.run()
     assert fired == ["same time, scheduled later"]
+
+
+def test_subroutine_is_yield_from_without_a_process():
+    """A ``Subroutine`` schedules exactly the records its generator does
+    inside a process that runs it with ``yield from``: no start record,
+    no completion record, and ``then`` runs in the record it returns in."""
+    from repro.sim import Subroutine
+    from tests.helpers import record_slots
+
+    def body(sim, log):
+        log.append(("in", sim.now))
+        yield sim.timeout(1.0)
+        yield sim.timeout(0.0)
+        return "value"
+
+    def inline(sim, log):
+        yield sim.timeout(0.5)
+        value = yield from body(sim, log)
+        log.append(("then", sim.now, value))
+        yield sim.timeout(2.0)
+
+    def chained(sim, log):
+        yield sim.timeout(0.5)
+
+        def then(value):
+            log.append(("then", sim.now, value))
+            sim.timeout(2.0)._callbacks = [lambda _: None]
+
+        Subroutine(sim, body(sim, log), then)
+        yield Event(sim)  # parks forever, like the caller's chain would end
+
+    runs = []
+    for driver in (inline, chained):
+        sim = Simulator()
+        slots = record_slots(sim)
+        log = []
+        sim.process(driver(sim, log))
+        sim.run()
+        runs.append((log, slots[:5], sim._spawned, sim.now))
+    assert runs[0][:2] == runs[1][:2] and runs[0][3] == runs[1][3] == 3.5
+    assert runs[0][0] == [("in", 0.5), ("then", 1.5, "value")]
+    assert runs[1][2] == 1, "a Subroutine is not a spawn"

@@ -51,6 +51,37 @@ def test_scrambled_zipf_spreads_hot_items():
     assert values[np.argmax(counts)] != 0
 
 
+def _draw_by_draw(n, seed, count):
+    """The scrambled stream as it was drawn before the rank table: one
+    ``rng.random()`` and one blake2b hash per key."""
+    import hashlib
+
+    zipf = ZipfianGenerator(n, rng=np.random.default_rng(seed))
+    out = []
+    for _ in range(count):
+        u = zipf.rng.random()
+        uz = u * zipf._zetan
+        if uz < 1.0:
+            rank = 0
+        elif uz < 1.0 + 0.5**zipf.theta:
+            rank = min(1, n - 1)
+        else:
+            rank = min(int(n * (zipf._eta * u - zipf._eta + 1) ** zipf._alpha), n - 1)
+        digest = hashlib.blake2b(rank.to_bytes(8, "little"), digest_size=8).digest()
+        out.append(int.from_bytes(digest, "little") % n)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300, 1000])
+def test_scrambled_zipf_bulk_draws_are_the_per_draw_keys(n):
+    for seed in range(40):
+        reference = _draw_by_draw(n, seed, 64)
+        bulk = ScrambledZipfianGenerator(n, rng=np.random.default_rng(seed))
+        assert bulk.sample(64).tolist() == reference
+        one_by_one = ScrambledZipfianGenerator(n, rng=np.random.default_rng(seed))
+        assert [one_by_one.next() for _ in range(64)] == reference
+
+
 def test_uniform_generator():
     g = UniformGenerator(50, rng=np.random.default_rng(4))
     s = g.sample(5000)
