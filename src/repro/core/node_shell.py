@@ -3,8 +3,11 @@
 The paper's two systems differ in *where* routing and replication run
 (switch vs end host, §2.1 vs §4), not in what a server is: a protocol
 stack, one CPU, a disk with an object store, a write-ahead log and a lock
-table on it, and a handful of wire idioms — the token-matched reply wait,
-the get reply, the put reply.  The NICE and NOOB nodes add their protocols.
+table on it, and a handful of wire idioms — the CPU step and the get reply
+(callback chains, for the request paths), the put reply, and the bounded
+send and token-matched reply wait (generators, for the background paths:
+recovery, the metadata link, read-repair).  The NICE and NOOB nodes add
+their protocols.
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ from ..sim import AnyOf, Counter, Resource, Simulator
 from ..transport import ProtocolStack
 from .config import ACK_BYTES, NODE_PORT, REQUEST_BYTES, BaseConfig
 
-__all__ = ["NodeShell"]
+__all__ = ["NodeShell", "wait_sent"]
+
+
+def wait_sent(_send=None) -> None:
+    """A send's callback that does nothing: the send is waited for, so its
+    completion keeps the record a process yielding it would have made."""
 
 
 class NodeShell:
@@ -48,26 +56,13 @@ class NodeShell:
     def ip(self) -> IPv4Address:
         return self.host.ip
 
-    # Two wire idioms come in two forms side by side: a generator for code
-    # that runs as a process (``yield from``), and a callback chain for the
-    # chains of the get path (DESIGN.md §5g).  A chain step gives each fresh
-    # event its one callback, as a process yielding it would, and calls
-    # ``then`` where the generator returns: both schedule the same records.
-    def cpu_work(self):
-        """One request's worth of CPU service time (serialized per node)."""
-        cost = self.config.node_cpu_per_op_s
-        if cost <= 0:
-            return
-        req = self.cpu.request()
-        yield req
-        try:
-            yield self.sim.timeout(cost)
-        finally:
-            req.release()
-
+    # The CPU step and the get reply are callback chains (DESIGN.md §5g): a
+    # step gives each fresh event its one callback, as a process yielding it
+    # would, and calls ``then`` where a generator would have returned, so a
+    # request's chain schedules the records its process did.
     def cpu_work_then(self, then) -> None:
-        """:meth:`cpu_work` as a chain: CPU grant, service timer, release,
-        then ``then()``."""
+        """One request's worth of CPU service time (serialized per node):
+        CPU grant, service timer, release, then ``then()``."""
         cost = self.config.node_cpu_per_op_s
         if cost <= 0:
             then()
@@ -132,41 +127,23 @@ class NodeShell:
             ACK_BYTES,
         )
 
-    def reply_get(self, request: dict, obj: Optional[StoredObject]):
-        """Read ``obj`` off the disk and answer the get ``request`` — a
-        hit carries the value, ``None`` is an authoritative miss.  Returns
-        the reply's send Event, for callers that wait for it to leave."""
-        self.gets_served.add()
-        reply = {"type": "get_reply", "op_id": tuple(request["op_id"])}
-        if obj is not None:
-            yield self.disk.read(obj.size_bytes)
-            reply.update(status="ok", value=obj.value, size=obj.size_bytes)
-            size = REQUEST_BYTES + obj.size_bytes
-        else:
-            reply["status"] = "miss"
-            size = ACK_BYTES
-        return self.stack.tcp.send_message(
-            IPv4Address(request["client_ip"]), request["client_port"], reply, size
-        )
-
     def reply_get_then(self, request: dict, obj: Optional[StoredObject], then) -> None:
-        """``yield (yield from reply_get(request, obj))`` as a chain: the
-        disk read on a hit, the reply's send, then ``then(send)`` once the
-        reply has left."""
+        """Read ``obj`` off the disk and answer the get ``request`` — a hit
+        carries the value, ``None`` is an authoritative miss — then
+        ``then(send)`` with the reply's send Event as soon as it is issued,
+        for callers that wait for it to leave."""
         self.gets_served.add()
         reply = {"type": "get_reply", "op_id": tuple(request["op_id"])}
         client_ip = IPv4Address(request["client_ip"])
         if obj is None:
             reply["status"] = "miss"
-            self.stack.tcp.send_message(
-                client_ip, request["client_port"], reply, ACK_BYTES
-            )._callbacks = [then]
+            then(self.stack.tcp.send_message(
+                client_ip, request["client_port"], reply, ACK_BYTES))
             return
 
         def read(_io) -> None:
             reply.update(status="ok", value=obj.value, size=obj.size_bytes)
-            self.stack.tcp.send_message(
-                client_ip, request["client_port"], reply, REQUEST_BYTES + obj.size_bytes
-            )._callbacks = [then]
+            then(self.stack.tcp.send_message(
+                client_ip, request["client_port"], reply, REQUEST_BYTES + obj.size_bytes))
 
         self.disk.read(obj.size_bytes)._callbacks = [read]

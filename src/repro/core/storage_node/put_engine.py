@@ -15,9 +15,10 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from ...kv import PreparedOp, PutStamp, StoredObject, TwoPhaseParticipant
-from ...sim import AnyOf, Event
+from ...sim import URGENT, Event, Subroutine
 from ..config import ACK_BYTES, COMMIT_BYTES, NODE_PORT, PUT_PORT
 from ..membership import ReplicaSet
+from ..node_shell import wait_sent
 from ..vring import mc_group_address
 
 __all__ = ["PutEngine"]
@@ -83,77 +84,48 @@ class PutEngine:
         self._volatile.clear()
 
     # -- replica side -----------------------------------------------------------
-    def prepare(self, msg, body: dict):
-        node = self.node
-        if msg.virtual_dst is None or msg.virtual_dst not in node.mc.prefix:
-            return
-        partition = node.mc.subgroup_of_address(msg.virtual_dst)
-        my_role = node.role(partition)
-        if my_role is None:
-            return
-        op = PreparedOp(
-            tuple(body["op_id"]), body["key"], body["size"], body["client_ip"],
-            body["client_ts"], value=body["value"], client_port=body["client_port"],
-            partition=partition, role=my_role,
-        )
-        op_id = op.op_id
-        if not self.participant.admit(op):
-            return  # duplicate delivery of a retried put
-        tr = node.sim.tracer
-        span = None
-        if tr is not None:
-            span = tr.begin("2pc.prepare", "2pc", node=node.name, op=op_id,
-                            role=my_role, key=op.key)
-        yield from node.cpu_work()
-        status = yield from self.participant.prepare(op)
-        if status in ("raced", "crashed"):
-            # Aborted (or already force-committed) while we queued, or
-            # crashed mid-prepare: the process dies with the node.
-            if span is not None:
-                span.end(status=status)
-            return
-        self._clients_seen.setdefault(partition, set()).add(op.client_addr)
-        rs = node.replica_sets[partition]
-        if status == "aborted":
-            self._after_abort(op_id)
-        if span is not None:
-            span.end(status=status)
-        if status == "early_commit":
-            self._after_commit(op)
-            if my_role != "primary":
-                yield from self._ack_primary(rs, op_id, phase=2)
-        elif status == "prepared":
-            if my_role == "primary":
-                yield from self._coordinate(op, rs)
-            else:
-                yield from self._ack_primary(rs, op_id, phase=1)
+    def prepare(self, msg, body: dict) -> Event:
+        """A put multicast reached this replica: admit it, run the local
+        participant sequence, then ack the primary — or, on the primary,
+        coordinate.  Returns the chain (an Event)."""
+        return _Put(self, msg, body)
 
-    def _ack_primary(self, rs: Optional[ReplicaSet], op_id: Tuple, phase: int):
+    def _ack_primary(self, rs: Optional[ReplicaSet], op_id: Tuple, phase: int, then) -> None:
+        """Send ``put_ack{phase}`` to the primary; ``then(send)`` once it
+        has left (at once, with no send, when the primary is unknown)."""
         node = self.node
         primary_ip = node.directory.get(rs.primary) if rs else None
-        if primary_ip is not None:
-            yield node.stack.tcp.send_message(
-                primary_ip,
-                NODE_PORT,
-                {"type": f"put_ack{phase}", "op_id": op_id, "node": node.name},
-                ACK_BYTES,
-            )
+        if primary_ip is None:
+            then()
+            return
+        node.stack.tcp.send_message(
+            primary_ip,
+            NODE_PORT,
+            {"type": f"put_ack{phase}", "op_id": op_id, "node": node.name},
+            ACK_BYTES,
+        )._callbacks = [then]
 
-    def store_anyk(self, body: dict):
+    def store_anyk(self, body: dict) -> None:
         """Quorum-mode put (§5 any-k multicast): the transport already
-        acked reception; just persist — no 2PC round."""
+        acked reception; just persist — no 2PC round.  Called in an URGENT
+        record; the forced write's completion stores the object."""
         node = self.node
-        yield node.disk.write(body["size"], forced=True)
-        stamp = PutStamp(node.ip_str, node.sim.now, body["client_ip"], body["client_ts"])
-        node.store.put(StoredObject(body["key"], body["value"], body["size"], stamp))
-        node.puts_served.add()
-        tr = node.sim.tracer
-        if tr is not None:
-            tr.instant("store_anyk", "op", node=node.name,
-                       op=tuple(body["op_id"]), key=body["key"])
 
-    def on_commit(self, body: dict):
-        """The primary's timestamp multicast reached this replica."""
+        def stored(_write) -> None:
+            stamp = PutStamp(node.ip_str, node.sim.now, body["client_ip"], body["client_ts"])
+            node.store.put(StoredObject(body["key"], body["value"], body["size"], stamp))
+            node.puts_served.add()
+            tr = node.sim.tracer
+            if tr is not None:
+                tr.instant("store_anyk", "op", node=node.name,
+                           op=tuple(body["op_id"]), key=body["key"])
+
+        node.disk.write(body["size"], forced=True)._callbacks = [stored]
+
+    def on_commit(self, body: dict) -> None:
+        """The primary's timestamp multicast reached this replica.  Called
+        in an URGENT record; the ack2 send is waited for, so its
+        completion keeps its record."""
         op_id = tuple(body["op_id"])
         op = self.participant.pending.get(op_id)
         if op is None:
@@ -162,9 +134,7 @@ class PutEngine:
         if op.role == "primary":
             return  # primary committed inline; duplicates ignored
         self.apply_commit(op_id, body["stamp"])
-        yield from self._ack_primary(
-            self.node.replica_sets.get(op.partition), op_id, phase=2
-        )
+        self._ack_primary(self.node.replica_sets.get(op.partition), op_id, 2, wait_sent)
 
     def apply_commit(self, op_id: Tuple, stamp: PutStamp) -> None:
         node = self.node
@@ -218,48 +188,179 @@ class PutEngine:
         if coord.need <= coord.acks[phase] and not coord.done[phase].triggered:
             coord.done[phase].succeed()
 
-    def _coordinate(self, op: PreparedOp, rs: ReplicaSet):
-        """Primary-side 2PC (Fig 3): gather ack1, multicast the timestamp,
-        gather ack2, acknowledge the client."""
-        node = self.node
+
+class _Put(Event):
+    """One delivered put on this replica as a callback chain that schedules
+    the records of the process it replaced (DESIGN.md §5g): the URGENT
+    start, the admit checks, the CPU step, the participant's prepare, then
+    the ack to the primary — or, on the primary, the coordination (Fig 3):
+    gather ack1, multicast the timestamp, gather ack2, answer the client.
+    It completes like a process.
+
+    Each gather waits on ``coord.done[phase]`` and the peer timer directly:
+    the first to fire schedules one NORMAL zero-delay ``_join`` call where
+    ``AnyOf._on_trigger`` scheduled the condition and, if it was the acks,
+    cancels the timer as ``Condition._settle_losers`` did.  Acks already
+    processed when the gather starts (no secondaries) join at once and
+    leave the timer armed, as the ``AnyOf`` did.  Strikes against silent
+    peers run one after another, each a :class:`~repro.sim.Subroutine`."""
+
+    __slots__ = ("engine", "virtual_dst", "body", "op", "span", "coord", "phase", "waiting",
+                 "timer", "won", "missing", "strikes")
+
+    def __init__(self, engine: PutEngine, msg, body: dict):
+        super().__init__(engine.node.sim)
+        self.engine = engine
+        self.virtual_dst = msg.virtual_dst
+        self.body = body
+        self.span = None
+        self.sim._schedule_call(0.0, self._start, priority=URGENT)
+
+    def _end(self, _sent=None) -> None:
+        self._complete()
+
+    # -- replica side ---------------------------------------------------------------
+    def _start(self) -> None:
+        engine = self.engine
+        node = engine.node
+        virtual_dst = self.virtual_dst
+        if virtual_dst is None or virtual_dst not in node.mc.prefix:
+            self._complete()
+            return
+        partition = node.mc.subgroup_of_address(virtual_dst)
+        my_role = node.role(partition)
+        if my_role is None:
+            self._complete()
+            return
+        body = self.body
+        self.op = op = PreparedOp(
+            tuple(body["op_id"]), body["key"], body["size"], body["client_ip"],
+            body["client_ts"], value=body["value"], client_port=body["client_port"],
+            partition=partition, role=my_role,
+        )
+        if not engine.participant.admit(op):
+            self._complete()  # duplicate delivery of a retried put
+            return
+        tr = node.sim.tracer
+        if tr is not None:
+            self.span = tr.begin("2pc.prepare", "2pc", node=node.name, op=op.op_id,
+                                 role=my_role, key=op.key)
+        node.cpu_work_then(self._prepare)
+
+    def _prepare(self) -> None:
+        self.engine.participant.prepare(self.op, self._prepared)
+
+    def _prepared(self, status: str) -> None:
+        engine = self.engine
+        op = self.op
+        span = self.span
+        if status in ("raced", "crashed"):
+            # Aborted (or already force-committed) while we queued, or
+            # crashed mid-prepare: the put ends with the node.
+            if span is not None:
+                span.end(status=status)
+            self._complete()
+            return
+        node = engine.node
+        engine._clients_seen.setdefault(op.partition, set()).add(op.client_addr)
+        rs = node.replica_sets[op.partition]
+        if status == "aborted":
+            engine._after_abort(op.op_id)
+        if span is not None:
+            span.end(status=status)
+        if status == "early_commit":
+            engine._after_commit(op)
+            if op.role != "primary":
+                engine._ack_primary(rs, op.op_id, 2, self._end)
+                return
+        elif status == "prepared":
+            if op.role == "primary":
+                self._coordinate(rs)
+            else:
+                engine._ack_primary(rs, op.op_id, 1, self._end)
+            return
+        self._complete()
+
+    # -- primary side -------------------------------------------------------------------
+    def _coordinate(self, rs: ReplicaSet) -> None:
+        engine = self.engine
+        node = engine.node
+        op = self.op
         op_id = op.op_id
         tr = node.sim.tracer
-        span = None
-        if tr is not None:
-            span = tr.begin("2pc.coordinate", "2pc", node=node.name, op=op_id,
-                            key=op.key)
+        self.span = None if tr is None else tr.begin(
+            "2pc.coordinate", "2pc", node=node.name, op=op_id, key=op.key)
         # Phase-1 rejoiners receive puts best-effort: they are still
         # catching up and will fetch anything missed from the handoff, so
         # the operation's success must not depend on their acks (§4.4).
         secondaries = {s for s in rs.secondaries() if s not in rs.joining}
-        coord = self._coord[op_id] = _Coordination(node.sim, need=secondaries)
+        self.coord = coord = engine._coord[op_id] = _Coordination(node.sim, need=secondaries)
         # Drain acks that beat us here while our prepare was on the disk.
-        early = self._early_acks.pop(op_id, None)
+        early = engine._early_acks.pop(op_id, None)
         if early:
             for phase, peers in early.items():
                 for peer in peers:
-                    self.record_ack(op_id, peer, phase)
+                    engine.record_ack(op_id, peer, phase)
         if not secondaries:
             for done in coord.done.values():
                 if not done.triggered:
                     done.succeed()
+        self._gather(1)
+
+    def _gather(self, phase: int) -> None:
+        """Wait for the phase's acks or the peer timeout."""
+        sim = self.sim
+        self.phase = phase
+        self.won = None
+        self.timer = timer = sim.timeout(self.engine.node.config.peer_timeout_s)
+        self.waiting = done = self.coord.done[phase]
+        if done._processed:
+            self.won = done
+            sim._schedule_call(0.0, self._join)
+            return
+        settle = self._settle
+        done.add_callback(settle)
+        timer._callbacks = [settle]
+
+    def _settle(self, ev: Event) -> None:
+        if self.won is not None:
+            return  # the acks after the timer won
+        self.won = ev
+        sim = self.sim
+        sim._schedule_call(0.0, self._join)
+        if ev is self.waiting:
+            timer = self.timer
+            timer._callbacks = None
+            sim.cancel_timer(timer)
+
+    def _join(self) -> None:
+        acked = self.won is self.waiting
+        self.waiting = self.timer = None
+        if self.phase == 1:
+            self._committing(acked)
+        else:
+            self._committed(acked)
+
+    def _committing(self, acked: bool) -> None:
+        engine = self.engine
+        node = engine.node
+        op = self.op
+        op_id = op.op_id
+        coord = self.coord
         # Nodes address the replica set's IP multicast group directly (they
         # hold the O(R) membership); works on cores that cannot rewrite.
         group_addr = mc_group_address(op.partition)
-        if not (yield from self._await(coord.done[1])):
+        if not acked:
             # Secondary failed mid-put: abort, tell the client, report peers.
-            missing = coord.need - coord.acks[1]
+            self.missing = missing = sorted(coord.need - coord.acks[1])
             node.aborts.add()
             node.mc_sender.send_ctrl(
                 group_addr, PUT_PORT, {"type": "abort", "op_id": op_id}, ACK_BYTES
             )
-            self.apply_abort(op_id)
-            self._coord.pop(op_id, None)
+            engine.apply_abort(op_id)
+            engine._coord.pop(op_id, None)
             node.reply_put(op.client_addr, op.client_port, op_id, "fail")
-            for peer in sorted(missing):
-                yield from node.meta.strike(peer)
-            if span is not None:
-                span.end(status="aborted", missing=sorted(missing))
+            self._strike_all()
             return
         stamp = PutStamp(node.ip_str, node.sim.now, op.client_addr, op.client_ts)
         node.mc_sender.send_ctrl(
@@ -268,29 +369,45 @@ class PutEngine:
             {"type": "commit", "op_id": op_id, "stamp": stamp},
             COMMIT_BYTES,
         )
+        tr = node.sim.tracer
         if tr is not None:
             tr.instant("commit_mcast", "2pc", node=node.name, op=op_id)
         if not node.host.up:
-            if span is not None:
-                span.end(status="crashed")
+            if self.span is not None:
+                self.span.end(status="crashed")
+            self._complete()
             return  # crashed at the timestamp boundary: no local commit
-        self.apply_commit(op_id, stamp)
-        ok2 = yield from self._await(coord.done[2])
-        self._coord.pop(op_id, None)
-        if not ok2:
-            missing = coord.need - coord.acks[2]
-            for peer in sorted(missing):
-                yield from node.meta.strike(peer)
-            node.reply_put(op.client_addr, op.client_port, op_id, "fail")
-            if span is not None:
-                span.end(status="fail", missing=sorted(missing))
-            return
-        node.puts_served.add()
-        node.reply_put(op.client_addr, op.client_port, op_id, "ok")
-        if span is not None:
-            span.end(status="ok")
+        engine.apply_commit(op_id, stamp)
+        self._gather(2)
 
-    def _await(self, ev: Event):
-        sim = self.node.sim
-        got = yield AnyOf(sim, [ev, sim.timeout(self.node.config.peer_timeout_s)])
-        return ev in got
+    def _committed(self, acked: bool) -> None:
+        engine = self.engine
+        op = self.op
+        engine._coord.pop(op.op_id, None)
+        if not acked:
+            self.missing = sorted(self.coord.need - self.coord.acks[2])
+            self._strike_all()
+            return
+        node = engine.node
+        node.puts_served.add()
+        node.reply_put(op.client_addr, op.client_port, op.op_id, "ok")
+        if self.span is not None:
+            self.span.end(status="ok")
+        self._complete()
+
+    def _strike_all(self) -> None:
+        self.strikes = iter(self.missing)
+        self._strike()
+
+    def _strike(self, _reported=None) -> None:
+        """One strike per silent peer, in order (§4.4), then the end."""
+        for peer in self.strikes:
+            Subroutine(self.sim, self.engine.node.meta.strike(peer), self._strike)
+            return
+        op = self.op
+        if self.phase == 2:
+            self.engine.node.reply_put(op.client_addr, op.client_port, op.op_id, "fail")
+        if self.span is not None:
+            self.span.end(status="aborted" if self.phase == 1 else "fail",
+                          missing=self.missing)
+        self._complete()

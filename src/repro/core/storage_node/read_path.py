@@ -200,7 +200,10 @@ class _Serve(Event):
 
     def _reply(self, obj: Optional[StoredObject]) -> None:
         self.status = "ok" if obj is not None else "miss"
-        self.reads.node.reply_get_then(self.body, obj, self._end)
+        self.reads.node.reply_get_then(self.body, obj, self._replied)
+
+    def _replied(self, send: Event) -> None:
+        send._callbacks = [self._end]
 
     def _answer_forwarded(self) -> None:
         node = self.reads.node

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ...net import Host, IPv4Address
-from ...sim import Counter, Event, Simulator
+from ...sim import URGENT, Counter, Event, Simulator
 from ...transport import MulticastEndpoint, MulticastSender
 from ..config import ClusterConfig, GET_PORT, NODE_PORT, PUT_PORT
 from ..membership import ReplicaSet
@@ -134,18 +134,20 @@ class NiceStorageNode(NodeShell):
 
     # ------------------------------------------------------------------ inbound dispatch
     # Three served mailboxes (``Store.serve``): the handlers never wait, so
-    # whatever takes time runs on its own — a get as a callback chain
-    # (``node.reads``), the rest as processes.
+    # whatever takes time runs on its own — a put or a get as a callback
+    # chain (``node.puts``, ``node.reads``), a commit or an any-k store as
+    # an URGENT call where a process would have started, and the recovery
+    # and repair services as processes.
     def _on_put_msg(self, msg) -> None:
         """The multicast vring: puts and the 2PC outcome (Fig 3)."""
         body = msg.payload or {}
         kind = body.get("type")
         if kind == "put":
-            self.sim.process(self.puts.prepare(msg, body))
+            self.puts.prepare(msg, body)
         elif kind == "put_anyk":
-            self.sim.process(self.puts.store_anyk(body))
+            self.sim._schedule_call(0.0, self.puts.store_anyk, body, priority=URGENT)
         elif kind == "commit":
-            self.sim.process(self.puts.on_commit(body))
+            self.sim._schedule_call(0.0, self.puts.on_commit, body, priority=URGENT)
         elif kind == "abort":
             self.puts.apply_abort(tuple(body["op_id"]))
 

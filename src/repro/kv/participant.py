@@ -6,7 +6,8 @@ the same whether the put reached it through the switch's multicast group
 shared part — the prepare sequence, commit, abort, the outcomes that can
 race a prepare, what a crash clears — and it knows nothing about messages
 or who coordinates: callers map their wire protocol onto
-``admit → prepare → commit | abort``.
+``admit → prepare → commit | abort``.  The prepare is a callback chain
+(DESIGN.md §5g) that hands its outcome to the caller's chain.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class TwoPhaseParticipant:
     """One node's prepared-operation state and the sequence that builds it.
 
     ``is_up`` is asked once per prepare, when the data write lands: a
-    participant that died mid-prepare registers nothing (the process dies
-    with the node).
+    participant that died mid-prepare registers nothing (the prepare ends
+    ``"crashed"``).
     """
 
     def __init__(self, sim: Simulator, disk: Disk, store: ObjectStore, wal: WriteAheadLog,
@@ -122,42 +123,17 @@ class TwoPhaseParticipant:
         self._preparing[op.op_id] = op.partition
         return True
 
-    def prepare(self, op: PreparedOp):
+    def prepare(self, op: PreparedOp, then: Callable[[str], None]) -> None:
         """Lock → forced log append → data write → pending, then apply an
-        outcome that raced us here.  Returns how it ended: ``"prepared"``,
-        ``"early_commit"``, ``"aborted"``, ``"raced"`` (resolved while
-        queued on the lock) or ``"crashed"``."""
-        op_id, key = op.op_id, op.key
-        try:
-            # Lock; contended writers queue FIFO — grant order equals
-            # arrival order, which for NICE the switch makes identical on
-            # every replica.
-            yield self.locks.request(self.sim, key, op_id)
-            if self._resolved(op_id):
-                self.locks.release(key, op_id)
-                return "raced"
-            # +L then W (Fig 3): the log append carries the flush; the
-            # object write needs ordering but not a second fsync (group
-            # commit — the durable log record already covers the op).
-            yield self.wal.append(op)
-            data_write = self.disk.write(op.size_bytes, forced=False)
-            op.data_seq = self.disk.issued_seq
-            yield data_write
-            if not self.is_up():
-                return "crashed"
-            self._pending[op_id] = op
-        finally:
-            self._preparing.pop(op_id, None)
-        # The outcome may have raced the prepare (we might be a best-effort
-        # joiner whose ack the coordinator didn't wait for).
-        early_stamp = self._early_commits.pop(op_id, None)
-        if op_id in self._aborted:
-            self.abort(op_id)
-            return "aborted"
-        if early_stamp is not None:
-            self.commit(op_id, early_stamp)
-            return "early_commit"
-        return "prepared"
+        outcome that raced us here, and call ``then(status)`` with how it
+        ended: ``"prepared"``, ``"early_commit"``, ``"aborted"``,
+        ``"raced"`` (resolved while queued on the lock) or ``"crashed"``.
+
+        A callback chain (DESIGN.md §5g): each step gives its fresh event
+        its one callback, and ``then`` runs in the record of the last one,
+        so a caller's chain schedules the records a process yielding the
+        same events would."""
+        _Prepare(self, op, then)
 
     # -- outcomes ---------------------------------------------------------------
     def commit(self, op_id: Tuple, stamp: PutStamp) -> Optional[PreparedOp]:
@@ -212,3 +188,56 @@ class TwoPhaseParticipant:
         self.wal.mark_committed(rec.op_id, stamp)
         self.wal.remove(rec.op_id)
         _remember(self._recently_committed, rec.op_id, stamp)
+
+
+class _Prepare:
+    """One :meth:`TwoPhaseParticipant.prepare`: lock (contended writers
+    queue FIFO — grant order equals arrival order, which for NICE the
+    switch makes identical on every replica), +L, then W (Fig 3).  The log
+    append carries the flush; the object write needs ordering but not a
+    second fsync (group commit — the durable log record already covers the
+    op).  ``_preparing`` is dropped on every way out."""
+
+    __slots__ = ("part", "op", "then")
+
+    def __init__(self, part: TwoPhaseParticipant, op: PreparedOp, then):
+        self.part = part
+        self.op = op
+        self.then = then
+        part.locks.request(part.sim, op.key, op.op_id)._callbacks = [self._locked]
+
+    def _locked(self, _grant) -> None:
+        part, op = self.part, self.op
+        if part._resolved(op.op_id):
+            part.locks.release(op.key, op.op_id)
+            part._preparing.pop(op.op_id, None)
+            self.then("raced")
+            return
+        part.wal.append(op)._callbacks = [self._logged]
+
+    def _logged(self, _append) -> None:
+        part, op = self.part, self.op
+        data_write = part.disk.write(op.size_bytes, forced=False)
+        op.data_seq = part.disk.issued_seq
+        data_write._callbacks = [self._written]
+
+    def _written(self, _write) -> None:
+        part, op = self.part, self.op
+        op_id = op.op_id
+        if not part.is_up():
+            part._preparing.pop(op_id, None)
+            self.then("crashed")
+            return
+        part._pending[op_id] = op
+        part._preparing.pop(op_id, None)
+        # The outcome may have raced the prepare (we might be a best-effort
+        # joiner whose ack the coordinator didn't wait for).
+        early_stamp = part._early_commits.pop(op_id, None)
+        if op_id in part._aborted:
+            part.abort(op_id)
+            self.then("aborted")
+        elif early_stamp is not None:
+            part.commit(op_id, early_stamp)
+            self.then("early_commit")
+        else:
+            self.then("prepared")

@@ -19,10 +19,10 @@ from typing import Dict, List
 
 from ..core.config import ACK_BYTES, COMMIT_BYTES, NODE_PORT, REQUEST_BYTES
 from ..core.membership import PartitionMap
-from ..core.node_shell import NodeShell
+from ..core.node_shell import NodeShell, wait_sent
 from ..kv import PreparedOp, PutStamp, StoredObject, TwoPhaseParticipant
 from ..net import Host, IPv4Address
-from ..sim import AllOf, Counter, Event, Simulator
+from ..sim import URGENT, AllOf, AnyOf, Counter, Event, Simulator
 from .config import NoobConfig
 
 __all__ = ["NoobStorageNode"]
@@ -71,94 +71,8 @@ class NoobStorageNode(NodeShell):
     def _send(self, ip: IPv4Address, body: dict, size: int) -> Event:
         return self.stack.tcp.send_message(ip, NODE_PORT, body, size)
 
-    def _rpc(self, peer: str, body: dict, size: int, timeout_factor: int):
-        """One request to ``peer``; returns its token-matched reply, or
-        ``None`` after ``timeout_factor`` peer timeouts.  Only the reply
-        wait is bounded — the send is not (unlike
-        :meth:`NodeShell.request`), which is part of the NOOB schedule."""
-        token = self.new_token()
-        conn = yield self._send(self.directory[peer], dict(body, token=token), size)
-        return (yield from self.await_reply(
-            conn,
-            lambda m: (m.payload or {}).get("token") == token,
-            self.config.peer_timeout_s * timeout_factor,
-        ))
-
     def _reply_put(self, body: dict, status: str) -> None:
         self.reply_put(body["client_ip"], body["client_port"], tuple(body["op_id"]), status)
-
-    # -- dispatch --------------------------------------------------------------------
-    def _on_msg(self, msg) -> None:
-        body = msg.payload or {}
-        kind = body.get("type")
-        if kind == "put":
-            self.sim.process(self._handle_put(body))
-        elif kind == "get":
-            self.sim.process(self._handle_get(body))
-        elif kind == "replicate":
-            self.sim.process(self._handle_replicate(msg, body))
-        elif kind == "prepare":
-            self.sim.process(self._handle_prepare(msg, body))
-        elif kind == "commit2pc":
-            self.sim.process(self._handle_commit2pc(msg, body))
-        elif kind == "chain_put":
-            self.sim.process(self._handle_chain_put(body))
-        elif kind == "read_version":
-            self.sim.process(self._handle_read_version(msg, body))
-        elif kind == "membership_update":
-            self.membership_updates.add()
-            self.sim.process(self._ack(msg))
-
-    def _ack(self, msg):
-        yield msg.conn.send({"type": "membership_ack"}, ACK_BYTES)
-
-    def _handle_read_version(self, msg, body: dict):
-        """Quorum-read participant: return our version of the object."""
-        yield from self.cpu_work()
-        obj = self.store.get(body["key"])
-        if obj is not None:
-            yield self.disk.read(obj.size_bytes)
-        yield msg.conn.send(
-            {
-                "type": "read_version_reply",
-                "token": body["token"],
-                "stamp": obj.stamp if obj else None,
-                "value": obj.value if obj else None,
-                "size": obj.size_bytes if obj else 0,
-            },
-            (obj.size_bytes if obj else 0) + ACK_BYTES,
-        )
-
-    # -- put coordination ----------------------------------------------------------------
-    def _handle_put(self, body: dict):
-        yield from self.cpu_work()
-        key = body["key"]
-        replicas = self.partition_map.replicas_of_key(key)
-        tr = self.sim.tracer
-        if replicas[0] != self.name:
-            # Misdirected (ROG random node): one extra hop to the primary.
-            self.forwards.add()
-            if tr is not None:
-                tr.instant("put_forward", "op", node=self.name,
-                           op=tuple(body["op_id"]), to=replicas[0])
-            yield self._send(self.directory[replicas[0]], dict(body), body["size"])
-            return
-        secondaries = replicas[1:]
-        mode = self.config.consistency
-        span = None
-        if tr is not None:
-            span = tr.begin(f"put.{mode}", "op", node=self.name,
-                            op=tuple(body["op_id"]), key=key)
-        if mode == "primary":
-            yield from self._put_primary_only(body, secondaries)
-        elif mode == "2pc":
-            yield from self._put_2pc(body, secondaries)
-        elif mode == "quorum":
-            yield from self._put_quorum(body, secondaries)
-        elif mode == "chain":
-            yield from self._put_chain(body, replicas)
-        if span is not None:
-            span.end()
 
     @staticmethod
     def _copy(body: dict, stamp: PutStamp, msg_type: str, **extra) -> dict:
@@ -178,138 +92,84 @@ class NoobStorageNode(NodeShell):
     def _stamp(self, body: dict) -> PutStamp:
         return PutStamp(self.ip_str, self.sim.now, body["client_ip"], body["client_ts"])
 
-    def _commit_local(self, body: dict, stamp: PutStamp):
-        yield self.disk.write(body["size"], forced=True)
-        self.store.put(StoredObject(body["key"], body["value"], body["size"], stamp))
+    def _commit_local(self, body: dict, stamp: PutStamp, then) -> None:
+        """Forced write, store the object, then ``then()``."""
 
-    def _replication_request(self, peer: str, body: dict, stamp: PutStamp, msg_type: str):
-        """One unicast copy to one secondary; completes on its app ack.
+        def written(_write) -> None:
+            self.store.put(StoredObject(body["key"], body["value"], body["size"], stamp))
+            then()
 
-        Each outbound copy costs the primary CPU time — the end-host
-        replication work NICE offloads to the switch (§4.2).
-        """
-        yield from self.cpu_work()
-        copy = self._copy(body, stamp, msg_type)
-        return (yield from self._rpc(peer, copy, body["size"], timeout_factor=4))
+        self.disk.write(body["size"], forced=True)._callbacks = [written]
 
-    def _put_primary_only(self, body: dict, secondaries: List[str]):
-        """Primary-backup: write locally, fan out R−1 unicast copies, ack
-        client when every replica confirmed."""
-        stamp = self._stamp(body)
-        transfers = [
-            self.sim.process(self._replication_request(s, body, stamp, "replicate"))
-            for s in secondaries
-        ]
-        yield from self._commit_local(body, stamp)
-        if transfers:
-            yield AllOf(self.sim, transfers)
-        self.puts_served.add()
-        self._reply_put(body, "ok")
-
-    def _prepare(self, body: dict, role: str):
-        """The local participant sequence for one put (lock, +L, W)."""
+    def _prepare(self, body: dict, role: str, then) -> None:
+        """The local participant sequence for one put (lock, +L, W), then
+        ``then(status)``."""
         op = PreparedOp(
             tuple(body["op_id"]), body["key"], body["size"], body["client_ip"],
             body["client_ts"], value=body["value"], role=role,
         )
         self.participant.admit(op)
-        yield from self.participant.prepare(op)
+        self.participant.prepare(op, then)
 
-    def _put_2pc(self, body: dict, secondaries: List[str]):
-        """Two explicit rounds (Fig 2's dashed arrows): prepare (data) then
-        commit, each acked by every secondary."""
-        op_id = tuple(body["op_id"])
-        yield from self._prepare(body, "primary")
-        stamp = self._stamp(body)
-        prepares = [
-            self.sim.process(self._replication_request(s, body, stamp, "prepare"))
-            for s in secondaries
-        ]
-        if prepares:
-            replies = yield AllOf(self.sim, prepares)
-            if any(v is None for v in replies.values()):
-                self.participant.abort(op_id)
-                self._reply_put(body, "fail")
-                return
-        commit = {"type": "commit2pc", "op_id": op_id, "key": body["key"], "stamp": stamp}
-        commits = [
-            self.sim.process(self._rpc(s, commit, COMMIT_BYTES, timeout_factor=4))
-            for s in secondaries
-        ]
-        self.participant.commit(op_id, stamp)
-        if commits:
-            yield AllOf(self.sim, commits)
-        self.puts_served.add()
-        self._reply_put(body, "ok")
-
-    def _put_quorum(self, body: dict, secondaries: List[str]):
-        """Quorum write: the primary concurrently unicasts to *all* replicas
-        but acks the client after the write-set is met.  The remaining
-        transfers keep running — the link contention the paper blames for
-        NOOB's Fig 8 behaviour."""
-        stamp = self._stamp(body)
-        k = self.config.quorum_k
-        transfers = [
-            self.sim.process(self._replication_request(s, body, stamp, "replicate"))
-            for s in secondaries
-        ]
-        yield from self._commit_local(body, stamp)
-        needed = k - 1  # local write counts toward the write set
-        if needed > 0:
-            done = Event(self.sim)
-            state = {"acks": 0}
-
-            def on_done(ev):
-                if ev.ok and ev.value is not None:
-                    state["acks"] += 1
-                    if state["acks"] >= needed and not done.triggered:
-                        done.succeed()
-
-            for t in transfers:
-                t.add_callback(on_done)
-            if len(transfers) >= needed:
-                yield done
-        self.puts_served.add()
-        self._reply_put(body, "ok")
-
-    def _put_chain(self, body: dict, replicas: List[str]):
-        """Chain replication [43]: store locally, pass the object down the
-        chain; the tail acknowledges the client."""
-        stamp = self._stamp(body)
-        yield from self._commit_local(body, stamp)
-        yield from self._chain_forward(body, replicas, position=0, stamp=stamp)
-
-    def _chain_forward(self, body: dict, replicas: List[str], position: int, stamp: PutStamp):
+    def _chain_forward(self, body: dict, replicas: List[str], position: int,
+                       stamp: PutStamp, then) -> None:
+        """Pass the object down the chain [43] and ``then(send)`` once it
+        has left; the tail acknowledges the client and calls ``then()``."""
         if position + 1 < len(replicas):
             nxt = replicas[position + 1]
             copy = self._copy(
                 body, stamp, "chain_put",
                 client_port=body["client_port"], position=position + 1,
             )
-            yield self._send(self.directory[nxt], copy, body["size"])
+            self._send(self.directory[nxt], copy, body["size"])._callbacks = [then]
         else:
             self.puts_served.add()
             self._reply_put(body, "ok")
+            then()
+
+    # -- dispatch --------------------------------------------------------------------
+    # No message spawns a process (DESIGN.md §5g): a put or a get is a chain
+    # object; a replica-side handler runs in an URGENT call, where its
+    # process started, and its later steps are closures.
+    def _on_msg(self, msg) -> None:
+        body = msg.payload or {}
+        kind = body.get("type")
+        if kind == "put":
+            _Put(self, body)
+        elif kind == "get":
+            _Get(self, body)
+        elif kind == "membership_update":
+            self.membership_updates.add()
+            self.sim._schedule_call(0.0, msg.conn.send, {"type": "membership_ack"},
+                                    ACK_BYTES, priority=URGENT)
+        else:
+            handler = self._HANDLERS.get(kind)
+            if handler is not None:
+                self.sim._schedule_call(0.0, handler, self, msg, body, priority=URGENT)
 
     # -- replica-side handlers --------------------------------------------------------------
-    def _handle_replicate(self, msg, body: dict):
-        yield from self.cpu_work()
-        yield from self._commit_local(body, body["stamp"])
-        yield msg.conn.send({"type": "replicate_ack", "token": body["token"]}, ACK_BYTES)
+    def _handle_replicate(self, msg, body: dict) -> None:
+        def ack() -> None:
+            msg.conn.send({"type": "replicate_ack", "token": body["token"]}, ACK_BYTES)
 
-    def _handle_prepare(self, msg, body: dict):
-        yield from self.cpu_work()
-        tr = self.sim.tracer
-        span = None
-        if tr is not None:
-            span = tr.begin("2pc.prepare", "2pc", node=self.name,
-                            op=tuple(body["op_id"]), key=body["key"])
-        yield from self._prepare(body, "secondary")
-        if span is not None:
-            span.end(status="prepared")
-        yield msg.conn.send({"type": "prepare_ack", "token": body["token"]}, ACK_BYTES)
+        self.cpu_work_then(lambda: self._commit_local(body, body["stamp"], ack))
 
-    def _handle_commit2pc(self, msg, body: dict):
+    def _handle_prepare(self, msg, body: dict) -> None:
+        def prepare() -> None:
+            tr = self.sim.tracer
+            span = None if tr is None else tr.begin(
+                "2pc.prepare", "2pc", node=self.name, op=tuple(body["op_id"]), key=body["key"])
+
+            def prepared(_status) -> None:
+                if span is not None:
+                    span.end(status="prepared")
+                msg.conn.send({"type": "prepare_ack", "token": body["token"]}, ACK_BYTES)
+
+            self._prepare(body, "secondary", prepared)
+
+        self.cpu_work_then(prepare)
+
+    def _handle_commit2pc(self, msg, body: dict) -> None:
         op_id = tuple(body["op_id"])
         op = self.participant.commit(op_id, body["stamp"])
         if op is None:
@@ -320,60 +180,335 @@ class NoobStorageNode(NodeShell):
         if tr is not None:
             tr.instant("commit", "2pc", node=self.name, op=op_id,
                        applied=op is not None)
-        yield msg.conn.send({"type": "commit_ack", "token": body["token"]}, ACK_BYTES)
+        msg.conn.send({"type": "commit_ack", "token": body["token"]}, ACK_BYTES)
 
-    def _handle_chain_put(self, body: dict):
-        yield from self.cpu_work()
-        yield from self._commit_local(body, body["stamp"])
-        replicas = self.partition_map.replicas_of_key(body["key"])
-        yield from self._chain_forward(body, replicas, body["position"], body["stamp"])
+    def _handle_chain_put(self, _msg, body: dict) -> None:
+        stamp = body["stamp"]
 
-    # -- gets ------------------------------------------------------------------------------
-    def _handle_get(self, body: dict):
-        tr = self.sim.tracer
-        span = None
-        if tr is not None:
-            span = tr.begin("get.serve", "op", node=self.name,
-                            op=tuple(body["op_id"]), key=body["key"])
-        yield from self.cpu_work()
+        def stored() -> None:
+            replicas = self.partition_map.replicas_of_key(body["key"])
+            self._chain_forward(body, replicas, body["position"], stamp, wait_sent)
+
+        self.cpu_work_then(lambda: self._commit_local(body, stamp, stored))
+
+    def _handle_read_version(self, msg, body: dict) -> None:
+        """Quorum-read participant: return our version of the object."""
+
+        def serve() -> None:
+            obj = self.store.get(body["key"])
+
+            def reply(_read=None) -> None:
+                msg.conn.send(
+                    {
+                        "type": "read_version_reply",
+                        "token": body["token"],
+                        "stamp": obj.stamp if obj else None,
+                        "value": obj.value if obj else None,
+                        "size": obj.size_bytes if obj else 0,
+                    },
+                    (obj.size_bytes if obj else 0) + ACK_BYTES,
+                )
+
+            if obj is not None:
+                self.disk.read(obj.size_bytes)._callbacks = [reply]
+            else:
+                reply()
+
+        self.cpu_work_then(serve)
+
+    _HANDLERS = {
+        "replicate": _handle_replicate,
+        "prepare": _handle_prepare,
+        "commit2pc": _handle_commit2pc,
+        "chain_put": _handle_chain_put,
+        "read_version": _handle_read_version,
+    }
+
+
+class _Rpc(Event):
+    """One request to ``peer`` and its token-matched reply, or ``None``
+    after ``timeout_factor`` peer timeouts.  Only the reply wait is bounded
+    — the send is not (unlike :meth:`NodeShell.request`), which is part of
+    the NOOB schedule.  A callback chain that schedules the records of the
+    process it replaced (DESIGN.md §5g): the URGENT start, the send, then
+    the reply ``AnyOf`` (a withdrawn ``get`` on timeout); it completes like
+    a process, with the reply as its value.  Given ``then`` it runs as
+    ``yield from`` did instead: from the current record, and
+    ``then(reply)`` in the record it ends in."""
+
+    __slots__ = ("node", "peer", "body", "size", "wait_s", "then", "token", "conn", "get")
+
+    def __init__(self, node: NoobStorageNode, peer: str, body: dict, size: int,
+                 timeout_factor: int, then=None):
+        super().__init__(node.sim)
+        self.node = node
+        self.peer = peer
+        self.body = body
+        self.size = size
+        self.wait_s = node.config.peer_timeout_s * timeout_factor
+        self.then = then
+        if then is None:
+            self.sim._schedule_call(0.0, self._start, priority=URGENT)
+        else:
+            self._start()
+
+    def _start(self) -> None:
+        node = self.node
+        self.token = token = node.new_token()
+        node._send(node.directory[self.peer], dict(self.body, token=token),
+                   self.size)._callbacks = [self._sent]
+
+    def _sent(self, send: Event) -> None:
+        self.conn = conn = send._value
+        token = self.token
+        self.get = get = conn.inbox.get(lambda m: (m.payload or {}).get("token") == token)
+        sim = self.sim
+        AnyOf(sim, [get, sim.timeout(self.wait_s)])._callbacks = [self._replied]
+
+    def _replied(self, race: Event) -> None:
+        get = self.get
+        if get in race._value:
+            reply = get._value.payload
+        else:
+            self.conn.inbox.cancel(get)
+            reply = None
+        self.conn = self.get = None
+        then = self.then
+        if then is None:
+            self._complete(reply)
+        else:
+            self.then = None
+            then(reply)
+
+
+class _Replicate(_Rpc):
+    """One unicast copy to one secondary; completes on its app ack.  Each
+    outbound copy costs the primary CPU time first — the end-host
+    replication work NICE offloads to the switch (§4.2)."""
+
+    __slots__ = ()
+
+    def __init__(self, node: NoobStorageNode, peer: str, body: dict, stamp: PutStamp,
+                 msg_type: str):
+        super().__init__(node, peer, node._copy(body, stamp, msg_type), body["size"], 4)
+
+    def _start(self) -> None:
+        self.node.cpu_work_then(super()._start)
+
+
+class _Put(Event):
+    """A client put on this node as a callback chain that schedules the
+    records of the process it replaced (DESIGN.md §5g): the URGENT start,
+    the CPU step, then a forward to the primary (ROG), or one of the four
+    replication modes; it completes like a process."""
+
+    __slots__ = ("node", "body", "span", "secondaries", "stamp", "transfers",
+                 "acks", "quorum")
+
+    def __init__(self, node: NoobStorageNode, body: dict):
+        super().__init__(node.sim)
+        self.node = node
+        self.body = body
+        self.span = None
+        self.sim._schedule_call(0.0, node.cpu_work_then, self._route, priority=URGENT)
+
+    def _route(self) -> None:
+        node = self.node
+        body = self.body
         key = body["key"]
-        replicas = self.partition_map.replicas_of_key(key)
+        replicas = node.partition_map.replicas_of_key(key)
+        tr = node.sim.tracer
+        if replicas[0] != node.name:
+            # Misdirected (ROG random node): one extra hop to the primary.
+            node.forwards.add()
+            if tr is not None:
+                tr.instant("put_forward", "op", node=node.name,
+                           op=tuple(body["op_id"]), to=replicas[0])
+            node._send(node.directory[replicas[0]], dict(body),
+                       body["size"])._callbacks = [self._forwarded]
+            return
+        self.secondaries = secondaries = replicas[1:]
+        mode = node.config.consistency
+        if tr is not None:
+            self.span = tr.begin(f"put.{mode}", "op", node=node.name,
+                                 op=tuple(body["op_id"]), key=key)
+        if mode == "2pc":
+            # Two explicit rounds (Fig 2's dashed arrows): prepare (data)
+            # then commit, each acked by every secondary.
+            node._prepare(body, "primary", self._prepared)
+            return
+        self.stamp = stamp = node._stamp(body)
+        if mode == "chain":
+            # Chain replication [43]: store locally, pass the object down
+            # the chain; the tail acknowledges the client.
+            node._commit_local(body, stamp, lambda: node._chain_forward(
+                body, replicas, 0, stamp, self._end))
+        elif mode in ("primary", "quorum"):
+            # Write locally and fan out R−1 unicast copies concurrently.
+            self.transfers = [_Replicate(node, s, body, stamp, "replicate")
+                              for s in secondaries]
+            node._commit_local(
+                body, stamp, self._all_stored if mode == "primary" else self._quorum_stored)
+        else:
+            self._end()
+
+    def _forwarded(self, _send) -> None:
+        self._complete()
+
+    def _end(self, _ev=None) -> None:
+        if self.span is not None:
+            self.span.end()
+        self._complete()
+
+    def _acked(self, _ev=None) -> None:
+        node = self.node
+        node.puts_served.add()
+        node._reply_put(self.body, "ok")
+        self._end()
+
+    def _all_stored(self) -> None:
+        """Primary-backup: the client is acked once every replica confirmed."""
+        transfers, self.transfers = self.transfers, None
+        if transfers:
+            AllOf(self.sim, transfers)._callbacks = [self._acked]
+        else:
+            self._acked()
+
+    def _quorum_stored(self) -> None:
+        """Quorum write: the client is acked once the write set is met
+        (the local write counts toward it).  The remaining transfers keep
+        running — the link contention the paper blames for NOOB's Fig 8
+        behaviour."""
+        transfers, self.transfers = self.transfers, None
+        needed = self.node.config.quorum_k - 1
+        if needed > 0:
+            self.acks = 0
+            self.quorum = done = Event(self.sim)
+            for t in transfers:
+                t.add_callback(self._transferred)
+            if len(transfers) >= needed:
+                done._callbacks = [self._acked]
+                return
+        self._acked()
+
+    def _transferred(self, ev: Event) -> None:
+        if ev._ok and ev._value is not None:
+            self.acks += 1
+            if self.acks >= self.node.config.quorum_k - 1 and not self.quorum.triggered:
+                self.quorum.succeed()
+
+    def _prepared(self, _status) -> None:
+        node = self.node
+        self.stamp = stamp = node._stamp(self.body)
+        prepares = [_Replicate(node, s, self.body, stamp, "prepare") for s in self.secondaries]
+        if prepares:
+            AllOf(self.sim, prepares)._callbacks = [self._voted]
+        else:
+            self._commit()
+
+    def _voted(self, votes: Event) -> None:
+        if any(v is None for v in votes._value.values()):
+            self.node.participant.abort(tuple(self.body["op_id"]))
+            self.node._reply_put(self.body, "fail")
+            self._end()
+            return
+        self._commit()
+
+    def _commit(self) -> None:
+        node = self.node
+        body = self.body
+        op_id = tuple(body["op_id"])
+        commit = {"type": "commit2pc", "op_id": op_id, "key": body["key"], "stamp": self.stamp}
+        commits = [_Rpc(node, s, commit, COMMIT_BYTES, 4) for s in self.secondaries]
+        node.participant.commit(op_id, self.stamp)
+        if commits:
+            AllOf(self.sim, commits)._callbacks = [self._acked]
+        else:
+            self._acked()
+
+
+class _Get(Event):
+    """A client get on this node as a callback chain that schedules the
+    records of the process it replaced (DESIGN.md §5g): the URGENT start,
+    the CPU step, then a forward to the primary, or the reply — after a
+    quorum read of the peers' versions, one :class:`_Rpc` at a time, in
+    quorum mode; it completes like a process, without waiting for the
+    reply to leave."""
+
+    __slots__ = ("node", "body", "span", "obj", "peers", "votes")
+
+    def __init__(self, node: NoobStorageNode, body: dict):
+        super().__init__(node.sim)
+        self.node = node
+        self.body = body
+        self.sim._schedule_call(0.0, self._start, priority=URGENT)
+
+    def _start(self) -> None:
+        node = self.node
+        tr = node.sim.tracer
+        self.span = None if tr is None else tr.begin(
+            "get.serve", "op", node=node.name, op=tuple(self.body["op_id"]),
+            key=self.body["key"])
+        node.cpu_work_then(self._route)
+
+    def _route(self) -> None:
+        node = self.node
+        body = self.body
+        key = body["key"]
+        replicas = node.partition_map.replicas_of_key(key)
+        config = node.config
         can_serve = (
-            self.name in replicas
-            if self.config.consistency in ("2pc", "chain", "quorum")
-            or self.config.get_lb == "round_robin"
-            else self.name == replicas[0]
+            node.name in replicas
+            if config.consistency in ("2pc", "chain", "quorum")
+            or config.get_lb == "round_robin"
+            else node.name == replicas[0]
         )
         if not can_serve:
-            self.forwards.add()
-            yield self._send(self.directory[replicas[0]], dict(body), REQUEST_BYTES)
-            if span is not None:
-                span.end(status="forwarded")
+            node.forwards.add()
+            node._send(node.directory[replicas[0]], dict(body),
+                       REQUEST_BYTES)._callbacks = [self._forwarded]
             return
-        obj = self.store.get(key)
-        if self.config.consistency == "quorum":
+        self.obj = node.store.get(key)
+        if config.consistency == "quorum":
             # §3.3: quorum systems must read a write-set-covering quorum —
             # R − W + 1 replicas — to guarantee they see the latest commit.
             # This is the "unnecessary high overhead during get operations"
             # the paper charges quorum designs with.
-            read_set = self.config.replication_level - self.config.quorum_k + 1
-            peers = [r for r in replicas if r != self.name][: read_set - 1]
-            votes = []
-            for peer in peers:
-                reply = yield from self._rpc(
-                    peer, {"type": "read_version", "key": key}, REQUEST_BYTES,
-                    timeout_factor=2,
-                )
-                if reply is not None and reply.get("stamp") is not None:
-                    votes.append((reply["stamp"], reply["value"], reply["size"]))
-            if obj is not None:
-                votes.append((obj.stamp, obj.value, obj.size_bytes))
-            if votes:
-                votes.sort(key=lambda v: v[0])
-                stamp, value, size = votes[-1]
-                obj = StoredObject(key, value, size, stamp)
-            else:
-                obj = None
-        yield from self.reply_get(body, obj)
-        if span is not None:
-            span.end(status="ok" if obj is not None else "miss")
+            read_set = config.replication_level - config.quorum_k + 1
+            self.peers = iter([r for r in replicas if r != node.name][: read_set - 1])
+            self.votes = []
+            self._read_quorum()
+            return
+        node.reply_get_then(body, self.obj, self._replied)
+
+    def _read_quorum(self) -> None:
+        for peer in self.peers:
+            _Rpc(self.node, peer, {"type": "read_version", "key": self.body["key"]},
+                 REQUEST_BYTES, 2, then=self._voted)
+            return
+        obj = self.obj
+        votes = self.votes
+        if obj is not None:
+            votes.append((obj.stamp, obj.value, obj.size_bytes))
+        if votes:
+            votes.sort(key=lambda v: v[0])
+            stamp, value, size = votes[-1]
+            self.obj = StoredObject(self.body["key"], value, size, stamp)
+        else:
+            self.obj = None
+        self.node.reply_get_then(self.body, self.obj, self._replied)
+
+    def _voted(self, reply) -> None:
+        if reply is not None and reply.get("stamp") is not None:
+            self.votes.append((reply["stamp"], reply["value"], reply["size"]))
+        self._read_quorum()
+
+    def _forwarded(self, _send) -> None:
+        if self.span is not None:
+            self.span.end(status="forwarded")
+        self._complete()
+
+    def _replied(self, _send) -> None:
+        if self.span is not None:
+            self.span.end(status="ok" if self.obj is not None else "miss")
+        self._complete()

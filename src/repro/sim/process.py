@@ -11,12 +11,15 @@ to return, and its :attr:`value` is the generator's return value.  This is
 how protocol state machines compose (e.g. a put operation spawns one
 process per secondary replica and joins them with ``AllOf``).
 
-A process is for code that waits between steps.  A mailbox whose handler
-never waits is served (``Store.serve``), and a fixed chain of waits (a
-disk IO, a TCP send, a client op's attempts, a multicast send, a replica's
-get service) is an ``Event`` subclass whose callbacks schedule the records
-the process would have (DESIGN.md §5g).  A chain that must wait on
-generator code it does not own (the get path's read-repair) runs it as a
+A process is for background code that waits between steps (heartbeats,
+recovery, metadata replication, the chaos engine, workload drivers).  A
+mailbox whose handler never waits is served (``Store.serve``), and every
+request path — a disk IO, a TCP send or handshake, a client op's attempts,
+a multicast send, a replica's get service, its 2PC prepare and
+coordination, every NOOB handler — is a fixed chain of waits: an ``Event``
+subclass whose callbacks schedule the records the process would have
+(DESIGN.md §5g).  A chain that must wait on generator code it does not own
+(the get path's read-repair, the put path's strikes) runs it as a
 :class:`Subroutine`: ``yield from`` without a process around it.
 """
 

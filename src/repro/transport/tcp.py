@@ -151,25 +151,17 @@ class TcpLayer:
         self._client_conns[(dst_ip, dport)] = conn
         self._conns[(dst_ip, dport, local_port)] = conn
         self._send_ctrl(conn, "syn")
-        self.stack.sim.process(self._syn_retry(conn, (dst_ip, dport)))
+        _SynRetry(self, conn, (dst_ip, dport))
         return done
 
-    def _syn_retry(self, conn: TcpConnection, key):
-        """Retransmit the SYN with backoff; tear down on final failure so a
-        recovered peer can be reconnected with a fresh handshake."""
-        tries = 1
-        while not conn.established and tries < self.SYN_MAX_TRIES:
-            yield self.stack.sim.timeout(self.SYN_RETRY_S * min(tries, 4))
-            if conn.established:
-                return
-            self._send_ctrl(conn, "syn")
-            tries += 1
-        if not conn.established:
-            if self._client_conns.get(key) is conn:
-                del self._client_conns[key]
-            self._conns.pop((conn.remote_ip, conn.remote_port, conn.local_port), None)
-            # Waiters stay untriggered: protocol timeouts own that failure.
-            self._connecting.pop(key, None)
+    def _teardown(self, conn: TcpConnection, key) -> None:
+        """The last SYN went unanswered: forget the handshake so a
+        recovered peer can be reconnected with a fresh one."""
+        if self._client_conns.get(key) is conn:
+            del self._client_conns[key]
+        self._conns.pop((conn.remote_ip, conn.remote_port, conn.local_port), None)
+        # Waiters stay untriggered: protocol timeouts own that failure.
+        self._connecting.pop(key, None)
 
     def send_message(
         self, dst_ip: IPv4Address, dport: int, payload: Any, payload_bytes: int
@@ -313,3 +305,39 @@ class _SendMessage(Event):
 
     def _delivered(self, _ev: Event) -> None:
         self._complete(self.conn)
+
+
+class _SynRetry(Event):
+    """A handshake's SYN retransmission with backoff as a timer chain that
+    schedules the records of the process it replaced (DESIGN.md §5g): the
+    URGENT start, then one retry timer per attempt until the connection is
+    established or the last attempt is spent, when it tears the handshake
+    down; it completes like a process."""
+
+    __slots__ = ("layer", "conn", "key", "tries")
+
+    def __init__(self, layer: TcpLayer, conn: TcpConnection, key):
+        super().__init__(layer.stack.sim)
+        self.layer = layer
+        self.conn = conn
+        self.key = key
+        self.tries = 1
+        self.sim._schedule_call(0.0, self._wait, priority=URGENT)
+
+    def _wait(self) -> None:
+        if not self.conn.established:
+            layer = self.layer
+            if self.tries < layer.SYN_MAX_TRIES:
+                self.sim.timeout(
+                    layer.SYN_RETRY_S * min(self.tries, 4))._callbacks = [self._retry]
+                return
+            self.layer._teardown(self.conn, self.key)
+        self._complete()
+
+    def _retry(self, _timer: Event) -> None:
+        if self.conn.established:
+            self._complete()
+            return
+        self.layer._send_ctrl(self.conn, "syn")
+        self.tries += 1
+        self._wait()

@@ -212,8 +212,8 @@ PERF_MUTATIONS = {
         ["multicast_fanout: R=5 250.0 events/op over ceiling 249"],
     ),
     "spawns_per_op over its ceiling": (
-        lambda r: bench(r, "multicast_fanout")["legs"][0].update(spawns_per_op=6.3),
-        ["multicast_fanout: R=3 6.3 spawns/op over ceiling 6.2"],
+        lambda r: bench(r, "multicast_fanout")["legs"][2].update(spawns_per_op=0.3),
+        ["multicast_fanout: R=7 0.3 spawns/op over ceiling 0.2"],
     ),
     "warm reconcile recomputes": (
         lambda r: bench(r, "plan_scale")["rungs"][2].update(warm_recomputes=1),

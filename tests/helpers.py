@@ -1,8 +1,9 @@
 """Shared test fixtures: a star topology with static L3 forwarding, a
 recorder of the devices each packet crossed, a log of the slots a simulator
-schedules records in, the linear rule scan the flow table's index is
-checked against, and the content snapshots the controller's plan-cache
-contract is stated in."""
+schedules records in, the generator forms of a node's CPU step and get
+reply that the request chains are checked against, the linear rule scan
+the flow table's index is checked against, and the content snapshots the
+controller's plan-cache contract is stated in."""
 
 from collections import Counter
 
@@ -21,6 +22,7 @@ from repro.net import (
     SetEthDst,
     SetIpDst,
 )
+from repro.core.config import ACK_BYTES, REQUEST_BYTES
 from repro.sim import NORMAL, Simulator
 from repro.transport import ProtocolStack
 
@@ -136,6 +138,37 @@ def record_slots(sim):
 
     sim._schedule_call, sim._schedule_event = call, event
     return slots
+
+
+def ref_cpu_work(node):
+    """``NodeShell.cpu_work_then`` as the generator it replaced: one
+    request's worth of CPU service time, serialized per node."""
+    cost = node.config.node_cpu_per_op_s
+    if cost <= 0:
+        return
+    req = node.cpu.request()
+    yield req
+    try:
+        yield node.sim.timeout(cost)
+    finally:
+        req.release()
+
+
+def ref_reply_get(node, request, obj):
+    """``NodeShell.reply_get_then`` as the generator it replaced: the disk
+    read on a hit, then the reply; returns the reply's send Event."""
+    node.gets_served.add()
+    reply = {"type": "get_reply", "op_id": tuple(request["op_id"])}
+    if obj is not None:
+        yield node.disk.read(obj.size_bytes)
+        reply.update(status="ok", value=obj.value, size=obj.size_bytes)
+        size = REQUEST_BYTES + obj.size_bytes
+    else:
+        reply["status"] = "miss"
+        size = ACK_BYTES
+    return node.stack.tcp.send_message(
+        IPv4Address(request["client_ip"]), request["client_port"], reply, size
+    )
 
 
 def linear_scan(table, packet, in_port=None):

@@ -14,7 +14,7 @@ from repro.kv import (
     TwoPhaseParticipant,
     WriteAheadLog,
 )
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 
 
 class Rig:
@@ -36,9 +36,12 @@ class Rig:
         )
 
     def prepare(self, op):
-        """Admit and start preparing ``op``; returns the prepare Process."""
+        """Admit and start preparing ``op``; returns an Event that
+        succeeds with the prepare's status."""
         assert self.participant.admit(op)
-        return self.sim.process(self.participant.prepare(op))
+        done = Event(self.sim)
+        self.participant.prepare(op, done.succeed)
+        return done
 
     def run(self):
         self.sim.run(until=self.sim.now + 1.0)

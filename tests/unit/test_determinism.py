@@ -284,16 +284,18 @@ def test_contended_leg_identical_with_two_and_four_hop_transmit(monkeypatch, n_r
 def test_contended_leg_identical_with_and_without_completion_records(
     monkeypatch, n_racks, jitter_s
 ):
-    """A process nobody waits on completes without a heap record; the
-    reference schedules one for every return, as ``succeed`` always did."""
-    from repro.sim import Process
+    """A process or a callback chain nobody waits on completes without a
+    heap record; the reference schedules one for every completion, as
+    ``succeed`` always did.  ``Event._complete`` is the one completion path
+    both share (the put path runs no process any more)."""
+    from repro.sim import Event
 
     rows_skipped, now_skipped, events_skipped = _contended_leg(n_racks, jitter_s)
 
-    def finish_through_the_heap(proc, value):
-        proc.succeed(value)
+    def complete_through_the_heap(event, value=None):
+        event.succeed(value)
 
-    monkeypatch.setattr(Process, "_finish", finish_through_the_heap)
+    monkeypatch.setattr(Event, "_complete", complete_through_the_heap)
     rows_recorded, now_recorded, events_recorded = _contended_leg(n_racks, jitter_s)
     assert events_recorded > events_skipped
     assert rows_skipped == rows_recorded

@@ -4,7 +4,8 @@
 ``TcpLayer.send_message`` run as callback chains that schedule the records
 the generator processes below did: the URGENT start, the same grant,
 timeout, flush-join and delivery events, and a completion record only
-when someone waits.  The references are those processes, kept here the
+when someone waits.  So does a handshake's SYN retransmission, a timer
+chain.  The references are those processes, kept here the
 way ``test_determinism.py`` keeps the one-heap kernel.  Each scenario runs
 on both and must agree on every completion time, the disk's durability
 state and flush-cycle clock, the number of event ids consumed and the
@@ -13,6 +14,7 @@ state and flush-cycle clock, the number of event ids consumed and the
 
 from repro.kv import Disk
 from repro.sim import AnyOf, Event, Simulator
+import repro.transport.tcp as tcp_module
 from repro.transport import TcpLayer
 from tests.helpers import Star, record_slots
 
@@ -217,3 +219,59 @@ def test_tcp_send_chain_equals_process(monkeypatch):
     assert handshakes == 2  # one shared by fresh + in-flight + cached, one to `other`
     assert ("abandoned", 10e-6, False) in log
     assert [e for e in log if e[0] == "late"][0][1] is True
+
+
+# -- SYN retransmission --------------------------------------------------------------
+def _ref_syn_retry(layer, conn, key):
+    tries = 1
+    while not conn.established and tries < layer.SYN_MAX_TRIES:
+        yield layer.stack.sim.timeout(layer.SYN_RETRY_S * min(tries, 4))
+        if conn.established:
+            return
+        layer._send_ctrl(conn, "syn")
+        tries += 1
+    if not conn.established:
+        layer._teardown(conn, key)
+
+
+def _syn_run():
+    """Handshakes to a peer that answers at once, to one dark until its
+    fourth SYN, and to one that never answers (torn down after the last
+    SYN, then connected afresh once it is back)."""
+    star = Star(n_hosts=4)
+    sim = star.sim
+    slots = record_slots(sim)
+    client = star.stacks[0]
+    for stack in star.stacks[1:]:
+        stack.tcp.listen(6000)
+    late, dark = star.hosts[2], star.hosts[3]
+    late.fail()
+    dark.fail()
+    sim.call_in(1.6, late.recover)
+    sim.call_in(40.0, dark.recover)
+    log = []
+
+    def connect(tag, dst, delay):
+        yield sim.timeout(delay)
+        conn = yield client.tcp.connect(dst, 6000)
+        log.append((tag, sim.now, conn.local_port))
+
+    sim.process(connect("up", star.hosts[1].ip, 0.0))
+    sim.process(connect("late", late.ip, 0.0))
+    sim.process(connect("dark", dark.ip, 0.0))
+    sim.process(connect("again", dark.ip, 41.0))
+    sim.run(until=45.0)
+    state = (sorted(map(str, client.tcp._client_conns)), sorted(map(str, client.tcp._connecting)))
+    return log, state, client.tcp.handshakes, sim._eid, sim.pending_events, slots
+
+
+def test_syn_retry_chain_equals_process(monkeypatch):
+    chain = _syn_run()
+    monkeypatch.setattr(
+        tcp_module, "_SynRetry",
+        lambda layer, conn, key: layer.stack.sim.process(_ref_syn_retry(layer, conn, key)))
+    assert chain == _syn_run()
+    log, state, handshakes = chain[:3]
+    assert [entry[0] for entry in log] == ["up", "late", "again"]  # "dark" never connects
+    assert 3.0 < log[1][1] < 3.1 and handshakes == 4  # SYNs at 0, 0.5, 1.5, 3 s
+    assert len(state[0]) == 3 and state[1] == []

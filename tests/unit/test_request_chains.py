@@ -29,7 +29,7 @@ from repro.obs import install as install_tracer
 from repro.sim import AnyOf, Counter, Event
 from repro.transport import MulticastEndpoint, MulticastSender
 from repro.net import IPv4Address
-from tests.helpers import Star, record_slots
+from tests.helpers import Star, record_slots, ref_cpu_work, ref_reply_get
 
 
 # -- the reference processes ---------------------------------------------------------
@@ -151,7 +151,7 @@ def _ref_serve_gen(self, body, virtual_dst):
     if tr is not None:
         span = tr.begin("get.serve", "op", node=node.name,
                         op=tuple(body["op_id"]), key=body["key"])
-    yield from node.cpu_work()
+    yield from ref_cpu_work(node)
     key = body["key"]
     if "partition" in body:
         partition = body["partition"]
@@ -183,7 +183,7 @@ def _ref_serve_gen(self, body, virtual_dst):
         if span is not None:
             span.end(status=forwarded)
         return
-    yield (yield from node.reply_get(body, obj))
+    yield (yield from ref_reply_get(node, body, obj))
     if span is not None:
         span.end(status="ok" if obj is not None else "miss")
 
@@ -204,7 +204,7 @@ def _ref_serve_forwarded_gen(self, request):
     node = self.node
     obj = node.store.get(request["key"])
     node.gets_forwarded.add()
-    yield (yield from node.reply_get(request, obj))
+    yield (yield from ref_reply_get(node, request, obj))
 
 
 def _both(scenario, monkeypatch):
