@@ -72,10 +72,14 @@ def _observe_clearing_on_commit(self, packet) -> None:
             self._resolve(tuple(body["op_id"]), pin=False)
 
 
-def _append_unflushed(self, record):
+def _append_unflushed(self, record, then=None):
     write = self.disk.write
-    with mock.patch.object(self.disk, "write", lambda nbytes, forced: write(nbytes, forced=False)):
-        return _honest_append(self, record)
+
+    def unforced(nbytes, forced, then=None):
+        return write(nbytes, forced=False, then=then)
+
+    with mock.patch.object(self.disk, "write", unforced):
+        return _honest_append(self, record, then)
 
 
 def _mark_committed_in_memory(self, op_id, stamp) -> None:

@@ -20,7 +20,7 @@ retries (§4.3).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..net import Host, IPv4Address
 from ..sim import URGENT, Counter, Event, Simulator, Tally
@@ -65,7 +65,8 @@ class KvClient:
         self.ip_str = str(host.ip)
         self.stack = ProtocolStack(sim, host)
         self._reply_inbox = self.stack.tcp.listen(CLIENT_PORT)
-        self._waiters: Dict[Tuple, Event] = {}
+        #: op id -> the callback its reply goes to.
+        self._waiters: Dict[Tuple, Callable[[dict], None]] = {}
         self._op_seq = itertools.count(1)
         self.put_latency = Tally(f"{host.name}.put")
         self.get_latency = Tally(f"{host.name}.get")
@@ -81,11 +82,12 @@ class KvClient:
         return self.host.ip
 
     def _on_reply(self, msg) -> None:
+        """Hand a reply to its op's waiter in a NORMAL zero-delay record of
+        its own (where a reply event's record went)."""
         body = msg.payload or {}
-        op_id = tuple(body.get("op_id", ()))
-        waiter = self._waiters.pop(op_id, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(body)
+        then = self._waiters.pop(tuple(body.get("op_id", ())), None)
+        if then is not None:
+            self.sim._schedule_call(0.0, then, body)
         # Late duplicates (replies to retried ops) are dropped.
 
     def _new_op(self) -> Tuple:
@@ -112,9 +114,10 @@ class KvClient:
 class _Op(Event):
     """The attempt loop shared by every put and get, as a callback chain
     that schedules the records of the process it replaced (DESIGN.md §5g):
-    the URGENT start, per attempt the request and its retry timer, one
+    the URGENT start, per attempt the request, its reply (a call to
+    ``_replied`` in the reply event's slot) and its retry timer, one
     NORMAL zero-delay join where the attempt's ``AnyOf`` triggered, the
-    back-off timer; it completes like a process, with the
+    back-off; it completes like a process, with the
     :class:`OpResult` as its value.
 
     ``address(attempt)`` resolves where one attempt goes and returns
@@ -130,14 +133,15 @@ class _Op(Event):
 
     The join settles the race as ``AnyOf`` did: a winning reply cancels
     the retry timer; a timer that wins leaves the reply waiter armed, and
-    a reply that lands after it is ignored.  The history recorder's hooks
-    and the tracer's spans run at the instants the process stamped them.
+    a reply that lands after it (or an earlier attempt's) is ignored.  The
+    back-off is a timer call.  The history recorder's hooks and the
+    tracer's spans run at the instants the process stamped them.
     """
 
     __slots__ = (
         "client", "kind", "key", "written", "max_retries", "address",
         "recorder", "operation", "t0", "attempt", "op_id", "span",
-        "waiter", "timer", "won",
+        "timer", "settled", "reply",
     )
 
     def __init__(self, client: KvClient, kind: str, key: str, written,
@@ -162,7 +166,7 @@ class _Op(Event):
         self.t0 = client.sim.now
         self._attempt()
 
-    def _attempt(self, _backoff=None) -> None:
+    def _attempt(self) -> None:
         client = self.client
         sim = client.sim
         send, span_attrs = self.address(self.attempt)
@@ -171,37 +175,44 @@ class _Op(Event):
         self.span = None if tr is None else tr.begin(
             self.kind, "op", node=client.host.name, op=op_id, key=self.key,
             attempt=self.attempt, **span_attrs)
-        self.waiter = waiter = Event(sim)
-        client._waiters[op_id] = waiter
+        client._waiters[op_id] = self._replied
         send(op_id)
-        self._race(waiter)
+        self._race()
 
-    def _race(self, waiter: Event) -> None:
-        """Wait for ``waiter`` or the retry timer, whichever comes first."""
-        self.won = None
+    def _race(self) -> None:
+        """Arm the retry timer; the reply or the timer, whichever comes
+        first, settles the attempt."""
+        self.settled = False
+        self.reply = None
         self.timer = timer = self.client.sim.timeout(self.client.config.client_retry_timeout_s)
-        settle = self._settle
-        waiter._callbacks = [settle]
-        timer._callbacks = [settle]
+        timer._callbacks = [self._timed_out]
 
-    def _settle(self, ev: Event) -> None:
-        if self.won is not None or (ev is not self.waiter and ev is not self.timer):
-            return  # the race is settled, or ``ev`` is an earlier attempt's
-        self.won = ev
+    def _replied(self, reply) -> None:
+        if self.settled or tuple(reply["op_id"]) != self.op_id:
+            return  # the timer won, or the reply is an earlier attempt's
+        self._won(reply)
+
+    def _won(self, reply) -> None:
+        self.settled = True
+        self.reply = reply
         sim = self.client.sim
         sim._schedule_call(0.0, self._join)
-        if ev is self.waiter:
-            timer = self.timer
-            timer._callbacks = None
-            sim.cancel_timer(timer)
+        timer = self.timer
+        timer._callbacks = None
+        sim.cancel_timer(timer)
+
+    def _timed_out(self, _timer: Event) -> None:
+        if not self.settled:
+            self.settled = True
+            self.client.sim._schedule_call(0.0, self._join)
 
     def _join(self) -> None:
         client = self.client
         sim = client.sim
         attempt = self.attempt
         client._waiters.pop(self.op_id, None)
-        replied = self.won is self.waiter
-        reply = self.waiter._value if replied else None
+        reply = self.reply
+        replied = reply is not None
         status = reply.get("status", "error") if replied else "timeout"
         if self.span is not None:
             self.span.end(status=status)
@@ -215,7 +226,7 @@ class _Op(Event):
             client.retries.add()
             self.attempt = attempt + 1
             if replied:
-                sim.timeout(client.config.client_retry_timeout_s)._callbacks = [self._attempt]
+                sim._schedule_call(client.config.client_retry_timeout_s, self._attempt)
             else:
                 self._attempt()
         else:
@@ -242,27 +253,32 @@ class _AnykOp(_Op):
         self.size = size
         super().__init__(client, "put", key, value, 0, None)
 
-    def _attempt(self, _backoff=None) -> None:
+    def _attempt(self) -> None:
         client = self.client
         self.op_id = op_id = client._new_op()
         tr = client.sim.tracer
         self.span = None if tr is None else tr.begin(
             "put_anyk", "op", node=client.host.name, op=op_id, key=self.key,
             quorum=self.quorum)
-        self.waiter = sender = client._multicast_put(
+        sender = client._multicast_put(
             "put_anyk", op_id, self.key, self.written, self.size, self.t0, self.quorum)
-        self._race(sender)
+        self._race()
+        sender._callbacks = [self._sent]
+
+    def _sent(self, sender: Event) -> None:
+        if not self.settled:
+            self._won(sender._value)
 
     def _join(self) -> None:
         client = self.client
         now = client.sim.now
-        if self.won is not self.waiter:
+        acks = self.reply
+        if acks is None:
             client.failures.add()
             if self.span is not None:
                 self.span.end(status="timeout")
             self._finish(OpResult(False, now - self.t0, 0, status="timeout"))
             return
-        acks = self.waiter._value
         latency = now - self.t0
         client.put_latency.observe(latency)
         if self.span is not None:

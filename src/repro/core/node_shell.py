@@ -57,9 +57,9 @@ class NodeShell:
         return self.host.ip
 
     # The CPU step and the get reply are callback chains (DESIGN.md §5g): a
-    # step gives each fresh event its one callback, as a process yielding it
-    # would, and calls ``then`` where a generator would have returned, so a
-    # request's chain schedules the records its process did.
+    # wait with one waiter is a call record in the slot its event took, and
+    # ``then`` runs where a generator would have returned, so a request's
+    # chain schedules the records its process did.
     def cpu_work_then(self, then) -> None:
         """One request's worth of CPU service time (serialized per node):
         CPU grant, service timer, release, then ``then()``."""
@@ -67,16 +67,12 @@ class NodeShell:
         if cost <= 0:
             then()
             return
-        req = self.cpu.request()
 
-        def granted(_req) -> None:
-            def served(_timer) -> None:
-                req.release()
-                then()
+        def served() -> None:
+            self.cpu.release()
+            then()
 
-            self.sim.timeout(cost)._callbacks = [served]
-
-        req._callbacks = [granted]
+        self.cpu.request_then(lambda: self.sim._schedule_call(cost, served))
 
     # -- node-to-node request/reply -------------------------------------------
     def new_token(self) -> Tuple:
@@ -127,23 +123,29 @@ class NodeShell:
             ACK_BYTES,
         )
 
-    def reply_get_then(self, request: dict, obj: Optional[StoredObject], then) -> None:
+    def reply_get_then(self, request: dict, obj: Optional[StoredObject],
+                       issued=None, sent=None) -> None:
         """Read ``obj`` off the disk and answer the get ``request`` — a hit
         carries the value, ``None`` is an authoritative miss — then
-        ``then(send)`` with the reply's send Event as soon as it is issued,
-        for callers that wait for it to leave."""
+        ``issued()`` as soon as the reply is on its way, and ``sent(conn)``
+        once it reached the client (``None``: nobody waits for either)."""
         self.gets_served.add()
         reply = {"type": "get_reply", "op_id": tuple(request["op_id"])}
         client_ip = IPv4Address(request["client_ip"])
         if obj is None:
             reply["status"] = "miss"
-            then(self.stack.tcp.send_message(
-                client_ip, request["client_port"], reply, ACK_BYTES))
+            self.stack.tcp.send_message(
+                client_ip, request["client_port"], reply, ACK_BYTES, then=sent)
+            if issued is not None:
+                issued()
             return
 
-        def read(_io) -> None:
+        def read() -> None:
             reply.update(status="ok", value=obj.value, size=obj.size_bytes)
-            then(self.stack.tcp.send_message(
-                client_ip, request["client_port"], reply, REQUEST_BYTES + obj.size_bytes))
+            self.stack.tcp.send_message(
+                client_ip, request["client_port"], reply, REQUEST_BYTES + obj.size_bytes,
+                then=sent)
+            if issued is not None:
+                issued()
 
-        self.disk.read(obj.size_bytes)._callbacks = [read]
+        self.disk.read(obj.size_bytes, then=read)

@@ -103,7 +103,8 @@ class PutEngine:
             NODE_PORT,
             {"type": f"put_ack{phase}", "op_id": op_id, "node": node.name},
             ACK_BYTES,
-        )._callbacks = [then]
+            then=then,
+        )
 
     def store_anyk(self, body: dict) -> None:
         """Quorum-mode put (§5 any-k multicast): the transport already
@@ -111,7 +112,7 @@ class PutEngine:
         record; the forced write's completion stores the object."""
         node = self.node
 
-        def stored(_write) -> None:
+        def stored() -> None:
             stamp = PutStamp(node.ip_str, node.sim.now, body["client_ip"], body["client_ts"])
             node.store.put(StoredObject(body["key"], body["value"], body["size"], stamp))
             node.puts_served.add()
@@ -120,7 +121,7 @@ class PutEngine:
                 tr.instant("store_anyk", "op", node=node.name,
                            op=tuple(body["op_id"]), key=body["key"])
 
-        node.disk.write(body["size"], forced=True)._callbacks = [stored]
+        node.disk.write(body["size"], forced=True, then=stored)
 
     def on_commit(self, body: dict) -> None:
         """The primary's timestamp multicast reached this replica.  Called

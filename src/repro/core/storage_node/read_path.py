@@ -200,10 +200,7 @@ class _Serve(Event):
 
     def _reply(self, obj: Optional[StoredObject]) -> None:
         self.status = "ok" if obj is not None else "miss"
-        self.reads.node.reply_get_then(self.body, obj, self._replied)
-
-    def _replied(self, send: Event) -> None:
-        send._callbacks = [self._end]
+        self.reads.node.reply_get_then(self.body, obj, sent=self._end)
 
     def _answer_forwarded(self) -> None:
         node = self.reads.node
@@ -226,7 +223,8 @@ class _Serve(Event):
             NODE_PORT,
             {"type": "get_forward", "request": self.body},
             REQUEST_BYTES,
-        )._callbacks = [self._end]
+            then=self._end,
+        )
 
     def _end(self, _sent=None) -> None:
         if self.span is not None:

@@ -30,7 +30,7 @@ pre-crash epoch no longer advance the post-crash durability state.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..sim import URGENT, Counter, Event, Resource, Simulator
 
@@ -62,7 +62,8 @@ class Disk:
         self._nominal = (write_bandwidth_bps, read_bandwidth_bps, base_latency_s)
         self.degraded_factor = 1.0
         self._device = Resource(sim, capacity=1, name=f"{name}.device")
-        self._flush_waiters: List[Event] = []
+        #: The callbacks of the forced writes waiting for the next cycle.
+        self._flush_waiters: List[Callable[[], None]] = []
         self._flusher_running = False
         # -- durability state (§5k) ------------------------------------
         self._epoch = 0
@@ -99,41 +100,42 @@ class Disk:
         meaningful for sequences issued in the current power epoch."""
         return seq <= self.durable_seq
 
-    def write(self, nbytes: int, forced: bool = False) -> Event:
-        """Persist ``nbytes``; returns an Event to ``yield`` on."""
+    def write(self, nbytes: int, forced: bool = False, then=None) -> Event:
+        """Persist ``nbytes``; returns an Event to ``yield`` on, or with
+        ``then``, calls ``then()`` in the record that Event would fire in."""
         if nbytes < 0:
             raise ValueError(f"negative write size: {nbytes}")
         self._issued_seq += 1
-        return _Io(self, nbytes, forced, True, self._issued_seq)
+        return _Io(self, nbytes, forced, True, self._issued_seq, then)
 
-    def read(self, nbytes: int) -> Event:
-        """Fetch ``nbytes``; returns an Event to ``yield`` on."""
+    def read(self, nbytes: int, then=None) -> Event:
+        """Fetch ``nbytes``; returns an Event to ``yield`` on, or with
+        ``then``, calls ``then()`` in the record that Event would fire in."""
         if nbytes < 0:
             raise ValueError(f"negative read size: {nbytes}")
-        return _Io(self, nbytes, False, False, 0)
+        return _Io(self, nbytes, False, False, 0, then)
 
     def _flush_cycle(self) -> None:
         """Back-to-back flush cycles while demand exists; each cycle covers
         every write that finished its transfer before the cycle started
-        (the cycle rides on its timer's value)."""
+        (the cycle rides on its timer call's arguments)."""
         if not self._flush_waiters:
             self._flusher_running = False
             return
         covered, self._flush_waiters = self._flush_waiters, []
         self.flush_cycles_started += 1
-        timer = self.sim.timeout(
-            self.flush_latency_s, (covered, self._epoch, self._completed_seq)
+        self.sim._schedule_call(
+            self.flush_latency_s, self._end_cycle, covered, self._epoch, self._completed_seq
         )
-        timer._callbacks = [self._end_cycle]
 
-    def _end_cycle(self, timer: Event) -> None:
-        covered, epoch, barrier = timer._value
+    def _end_cycle(self, covered: list, epoch: int, barrier: int) -> None:
         self.flushes.value += 1
         if epoch == self._epoch:
             self._advance_barrier(barrier)
             self.flush_cycles_done += 1
-        for ev in covered:
-            ev.succeed()
+        schedule = self.sim._schedule_call
+        for then in covered:
+            schedule(0.0, then)
         self._flush_cycle()
 
     def _advance_barrier(self, barrier: int):
@@ -187,14 +189,16 @@ class _Io(Event):
     """One transfer, returned by :meth:`Disk.write` / :meth:`Disk.read`: a
     callback chain that schedules the records of the process it replaced
     (DESIGN.md §5g) — the URGENT start, the device grant, the service
-    timeout and, for a forced write, the flush-join event — and completes
-    like a process, through a record only when someone waits on it.  Each
-    event below is fresh and unwatched, so it takes its one callback by
-    assignment, exactly as a process yielding it would."""
+    timer and, for a forced write, the flush join — and completes like a
+    process, through a record only when someone waits on it.  Every wait
+    has one waiter, this chain, so each is a call record in the slot its
+    event took: ``Resource.request_then``, a service timer call, a
+    callback in the flush cycle's list.  Given ``then``, the transfer ends
+    with ``then()`` in the record its completion event would fire in."""
 
-    __slots__ = ("disk", "nbytes", "forced", "write", "seq", "epoch", "_req")
+    __slots__ = ("disk", "nbytes", "forced", "write", "seq", "epoch", "then")
 
-    def __init__(self, disk: Disk, nbytes: int, forced: bool, write: bool, seq: int):
+    def __init__(self, disk: Disk, nbytes: int, forced: bool, write: bool, seq: int, then):
         super().__init__(disk.sim)
         self.disk = disk
         self.nbytes = nbytes
@@ -202,19 +206,19 @@ class _Io(Event):
         self.write = write
         self.seq = seq
         self.epoch = disk._epoch
+        self.then = then
         disk.sim._schedule_call(0.0, self._start, priority=URGENT)
 
     def _start(self) -> None:
-        self._req = req = self.disk._device.request()
-        req._callbacks = [self._granted]
+        self.disk._device.request_then(self._granted)
 
-    def _granted(self, _req: Event) -> None:
+    def _granted(self) -> None:
         disk = self.disk
         bw = disk.write_bandwidth_bps if self.write else disk.read_bandwidth_bps
-        timer = disk.sim.timeout(disk.base_latency_s + self.nbytes * 8.0 / bw)
-        timer._callbacks = [self._served]
+        service = disk.base_latency_s + self.nbytes * 8.0 / bw
+        disk.sim._schedule_call(service, self._served, service)
 
-    def _served(self, timer: Event) -> None:
+    def _served(self, service: float) -> None:
         disk, nbytes, write = self.disk, self.nbytes, self.write
         if write:
             disk.bytes_written.value += nbytes
@@ -228,24 +232,27 @@ class _Io(Event):
         nom_w, nom_r, nom_base = disk._nominal
         expected = nom_base + nbytes * 8.0 / (nom_w if write else nom_r)
         if expected > 0.0:  # zero-cost transfers carry no signal
-            disk._ratio_sum += timer.delay / expected
+            disk._ratio_sum += service / expected
             disk._ratio_n += 1
         if write and self.epoch == disk._epoch:
             disk._completed_seq = self.seq
             disk._dirty.append((self.seq, nbytes))
             disk.dirty_bytes += nbytes
-        self._req.release()
+        disk._device.release()
         if not self.forced:
-            self._complete()
+            self._done()
             return
         # Group commit: join the next flush cycle; the flusher's start
         # record goes where its process used to be spawned.
-        done = Event(disk.sim)
-        done._callbacks = [self._flushed]
-        disk._flush_waiters.append(done)
+        disk._flush_waiters.append(self._done)
         if not disk._flusher_running:
             disk._flusher_running = True
             disk.sim._schedule_call(0.0, disk._flush_cycle, priority=URGENT)
 
-    def _flushed(self, _done: Event) -> None:
-        self._complete()
+    def _done(self) -> None:
+        then = self.then
+        if then is None:
+            self._complete()
+        else:
+            self.then = None
+            self.sim._schedule_call(0.0, then)

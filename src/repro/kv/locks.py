@@ -6,7 +6,7 @@ the commit timestamp.  After a primary failure, the new primary enumerates
 locked objects across the replica set to decide commit-vs-abort (§4.4),
 so the table exposes exactly that enumeration.
 
-Contended acquisitions queue FIFO (:meth:`LockTable.request`).  Grant
+Contended acquisitions queue FIFO (:meth:`LockTable.request_then`).  Grant
 order therefore follows arrival order — which, for NICE, the switch makes
 *identical on every replica* (one multicast serialization point), so
 concurrent puts to one object cannot deadlock across the replica set.
@@ -15,7 +15,7 @@ concurrent puts to one object cannot deadlock across the replica set.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 __all__ = ["LockTable"]
 
@@ -38,18 +38,15 @@ class LockTable:
             return True
         return False
 
-    def request(self, sim, key: str, op_id: Tuple):
-        """FIFO blocking acquisition: returns an Event that triggers when
-        ``op_id`` holds the lock.  Re-requesting under the holding op
-        triggers immediately."""
-        from ..sim import Event
-
-        ev = Event(sim)
+    def request_then(self, sim, key: str, op_id: Tuple, then: Callable[[], None]) -> None:
+        """FIFO blocking acquisition: ``then()`` runs in a NORMAL
+        zero-delay record once ``op_id`` holds the lock — now if it is
+        free (or already held by ``op_id``), else in the release that
+        hands it over; the slot a lock-grant event's record took."""
         if self.acquire(key, op_id):
-            ev.succeed()
+            sim._schedule_call(0.0, then)
         else:
-            self._queues.setdefault(key, deque()).append((op_id, ev))
-        return ev
+            self._queues.setdefault(key, deque()).append((op_id, sim, then))
 
     def release(self, key: str, op_id: Tuple) -> bool:
         """Release if held by ``op_id``; False otherwise.  Grants the next
@@ -62,22 +59,19 @@ class LockTable:
 
     def _grant_next(self, key: str) -> None:
         queue = self._queues.get(key)
-        while queue:
-            next_op, ev = queue.popleft()
-            if ev.triggered:
-                continue
+        if queue:
+            next_op, sim, then = queue.popleft()
             self._owners[key] = next_op
-            ev.succeed()
-            break
-        if queue is not None and not queue:
-            del self._queues[key]
+            sim._schedule_call(0.0, then)
+            if not queue:
+                del self._queues[key]
 
     def cancel(self, key: str, op_id: Tuple) -> None:
         """Withdraw a queued (not yet granted) request."""
         queue = self._queues.get(key)
         if not queue:
             return
-        remaining = deque((op, ev) for op, ev in queue if op != op_id)
+        remaining = deque(entry for entry in queue if entry[0] != op_id)
         if remaining:
             self._queues[key] = remaining
         else:

@@ -129,10 +129,11 @@ class TwoPhaseParticipant:
         ended: ``"prepared"``, ``"early_commit"``, ``"aborted"``,
         ``"raced"`` (resolved while queued on the lock) or ``"crashed"``.
 
-        A callback chain (DESIGN.md §5g): each step gives its fresh event
-        its one callback, and ``then`` runs in the record of the last one,
-        so a caller's chain schedules the records a process yielding the
-        same events would."""
+        A callback chain (DESIGN.md §5g): each wait — the lock grant, the
+        log append, the data write — is a call record in the slot its
+        event took, and ``then`` runs in the record of the last one, so a
+        caller's chain schedules the records a process yielding the same
+        events would."""
         _Prepare(self, op, then)
 
     # -- outcomes ---------------------------------------------------------------
@@ -204,24 +205,23 @@ class _Prepare:
         self.part = part
         self.op = op
         self.then = then
-        part.locks.request(part.sim, op.key, op.op_id)._callbacks = [self._locked]
+        part.locks.request_then(part.sim, op.key, op.op_id, self._locked)
 
-    def _locked(self, _grant) -> None:
+    def _locked(self) -> None:
         part, op = self.part, self.op
         if part._resolved(op.op_id):
             part.locks.release(op.key, op.op_id)
             part._preparing.pop(op.op_id, None)
             self.then("raced")
             return
-        part.wal.append(op)._callbacks = [self._logged]
+        part.wal.append(op, then=self._logged)
 
-    def _logged(self, _append) -> None:
+    def _logged(self) -> None:
         part, op = self.part, self.op
-        data_write = part.disk.write(op.size_bytes, forced=False)
+        part.disk.write(op.size_bytes, forced=False, then=self._written)
         op.data_seq = part.disk.issued_seq
-        data_write._callbacks = [self._written]
 
-    def _written(self, _write) -> None:
+    def _written(self) -> None:
         part, op = self.part, self.op
         op_id = op.op_id
         if not part.is_up():

@@ -7,8 +7,9 @@ on the nodes will identify the latest put operations" (§4.4) — hence
 :meth:`replay`.
 
 Crash consistency (DESIGN.md §5k): alongside the in-memory record map the
-log keeps a *journal* — the byte-exact frame each append wrote to disk,
-tagged with the disk write's sequence number.  A frame is an 8-byte
+log keeps a *journal* — the fields of the frame each append wrote to
+disk, tagged with the disk write's sequence number; the byte-exact frames
+are encoded only when a power loss reads them.  A frame is an 8-byte
 header (big-endian body length + CRC32 of the body) followed by the
 pickled record fields.  On power loss (:meth:`power_loss`) the journal is
 replayed against the disk's durability barrier to reconstruct exactly
@@ -78,27 +79,33 @@ class LogRecord:
     stamp: Optional[PutStamp] = None
 
 
+def _fields(record: LogRecord) -> tuple:
+    """What a frame of ``record`` holds, as of now."""
+    stamp = record.stamp
+    return (
+        record.op_id,
+        record.key,
+        record.size_bytes,
+        record.client_addr,
+        record.client_ts,
+        record.value,
+        record.client_port,
+        record.partition,
+        record.committed,
+        None
+        if stamp is None
+        else (stamp.primary_addr, stamp.primary_ts, stamp.client_addr, stamp.client_ts),
+    )
+
+
+def _frame(fields: tuple) -> bytes:
+    body = pickle.dumps(fields, protocol=4)
+    return _HEADER.pack(len(body), zlib.crc32(body) & 0xFFFFFFFF) + body
+
+
 def encode_record(record: LogRecord) -> bytes:
     """One checksummed on-disk frame for ``record``."""
-    stamp = record.stamp
-    body = pickle.dumps(
-        (
-            record.op_id,
-            record.key,
-            record.size_bytes,
-            record.client_addr,
-            record.client_ts,
-            record.value,
-            record.client_port,
-            record.partition,
-            record.committed,
-            None
-            if stamp is None
-            else (stamp.primary_addr, stamp.primary_ts, stamp.client_addr, stamp.client_ts),
-        ),
-        protocol=4,
-    )
-    return _HEADER.pack(len(body), zlib.crc32(body) & 0xFFFFFFFF) + body
+    return _frame(_fields(record))
 
 
 def decode_log(image: bytes) -> Tuple[List[LogRecord], bool]:
@@ -132,14 +139,15 @@ def decode_log(image: bytes) -> Tuple[List[LogRecord], bool]:
 
 
 class _JournalEntry:
-    """Bookkeeping for one append: its disk write sequence, the frame it
-    wrote, and (once −L ran) the disk's flush-cycle count at removal."""
+    """Bookkeeping for one append: its disk write sequence, the fields of
+    the frame it wrote (encoded only when a power loss reads the image),
+    and (once −L ran) the disk's flush-cycle count at removal."""
 
-    __slots__ = ("seq", "frame", "removed_cycle")
+    __slots__ = ("seq", "fields", "removed_cycle")
 
-    def __init__(self, seq: int, frame: bytes):
+    def __init__(self, seq: int, fields: tuple):
         self.seq = seq
-        self.frame = frame
+        self.fields = fields
         self.removed_cycle: Optional[int] = None
 
 
@@ -157,14 +165,13 @@ class WriteAheadLog:
         self.lost_records = 0
         self.resurrected_records = 0
 
-    def append(self, record: LogRecord) -> Event:
-        """Durably append (+L, forced write); returns an Event to yield on."""
+    def append(self, record: LogRecord, then=None) -> Event:
+        """Durably append (+L, forced write); returns an Event to yield on,
+        or with ``then``, calls ``then()`` once the record is durable."""
         self._records[record.op_id] = record
         self.appended += 1
-        done = self.disk.write(RECORD_BYTES, forced=True)
-        self._journal[record.op_id] = _JournalEntry(
-            self.disk.issued_seq, encode_record(record)
-        )
+        done = self.disk.write(RECORD_BYTES, forced=True, then=then)
+        self._journal[record.op_id] = _JournalEntry(self.disk.issued_seq, _fields(record))
         return done
 
     def mark_committed(self, op_id: Tuple, stamp: PutStamp) -> None:
@@ -175,7 +182,7 @@ class WriteAheadLog:
             rec.stamp = stamp
             entry = self._journal.get(op_id)
             if entry is not None:
-                entry.frame = encode_record(rec)
+                entry.fields = _fields(rec)
 
     def remove(self, op_id: Tuple) -> None:
         """Delete the record (−L): cheap, not forced (Fig 3 shows −L white)."""
@@ -250,7 +257,7 @@ class WriteAheadLog:
             if entry.seq <= barrier:
                 if self._removal_durable(entry):
                     continue  # durably removed
-                image += entry.frame
+                image += _frame(entry.fields)
             elif torn_entry is None:
                 torn_entry = entry  # oldest unflushed append: torn tail
             else:
@@ -258,7 +265,7 @@ class WriteAheadLog:
         if torn_entry is not None:
             # Cut at a deterministic mid-frame offset derived from the
             # write sequence (Fibonacci hashing keeps it well spread).
-            frame = torn_entry.frame
+            frame = _frame(torn_entry.fields)
             cut = 1 + (torn_entry.seq * 2654435761) % (len(frame) - 1)
             image += frame[:cut]
         records, torn = decode_log(bytes(image))
@@ -267,7 +274,7 @@ class WriteAheadLog:
         journal: Dict[Tuple, _JournalEntry] = {}
         for rec in records:
             old = self._journal[rec.op_id]
-            journal[rec.op_id] = _JournalEntry(old.seq, encode_record(rec))
+            journal[rec.op_id] = _JournalEntry(old.seq, _fields(rec))
         self._journal = journal
         self.torn_records += int(torn)
         self.lost_records += lost

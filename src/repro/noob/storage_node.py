@@ -22,7 +22,7 @@ from ..core.membership import PartitionMap
 from ..core.node_shell import NodeShell, wait_sent
 from ..kv import PreparedOp, PutStamp, StoredObject, TwoPhaseParticipant
 from ..net import Host, IPv4Address
-from ..sim import URGENT, AllOf, AnyOf, Counter, Event, Simulator
+from ..sim import URGENT, Counter, Event, Simulator
 from .config import NoobConfig
 
 __all__ = ["NoobStorageNode"]
@@ -68,8 +68,8 @@ class NoobStorageNode(NodeShell):
         self.host.recover()
 
     # -- helpers -----------------------------------------------------------------
-    def _send(self, ip: IPv4Address, body: dict, size: int) -> Event:
-        return self.stack.tcp.send_message(ip, NODE_PORT, body, size)
+    def _send(self, ip: IPv4Address, body: dict, size: int, then=None) -> Event:
+        return self.stack.tcp.send_message(ip, NODE_PORT, body, size, then)
 
     def _reply_put(self, body: dict, status: str) -> None:
         self.reply_put(body["client_ip"], body["client_port"], tuple(body["op_id"]), status)
@@ -95,11 +95,11 @@ class NoobStorageNode(NodeShell):
     def _commit_local(self, body: dict, stamp: PutStamp, then) -> None:
         """Forced write, store the object, then ``then()``."""
 
-        def written(_write) -> None:
+        def written() -> None:
             self.store.put(StoredObject(body["key"], body["value"], body["size"], stamp))
             then()
 
-        self.disk.write(body["size"], forced=True)._callbacks = [written]
+        self.disk.write(body["size"], forced=True, then=written)
 
     def _prepare(self, body: dict, role: str, then) -> None:
         """The local participant sequence for one put (lock, +L, W), then
@@ -121,7 +121,7 @@ class NoobStorageNode(NodeShell):
                 body, stamp, "chain_put",
                 client_port=body["client_port"], position=position + 1,
             )
-            self._send(self.directory[nxt], copy, body["size"])._callbacks = [then]
+            self._send(self.directory[nxt], copy, body["size"], then)
         else:
             self.puts_served.add()
             self._reply_put(body, "ok")
@@ -197,7 +197,7 @@ class NoobStorageNode(NodeShell):
         def serve() -> None:
             obj = self.store.get(body["key"])
 
-            def reply(_read=None) -> None:
+            def reply() -> None:
                 msg.conn.send(
                     {
                         "type": "read_version_reply",
@@ -210,7 +210,7 @@ class NoobStorageNode(NodeShell):
                 )
 
             if obj is not None:
-                self.disk.read(obj.size_bytes)._callbacks = [reply]
+                self.disk.read(obj.size_bytes, then=reply)
             else:
                 reply()
 
@@ -225,63 +225,105 @@ class NoobStorageNode(NodeShell):
     }
 
 
-class _Rpc(Event):
+class _Rpc:
     """One request to ``peer`` and its token-matched reply, or ``None``
-    after ``timeout_factor`` peer timeouts.  Only the reply wait is bounded
-    — the send is not (unlike :meth:`NodeShell.request`), which is part of
-    the NOOB schedule.  A callback chain that schedules the records of the
-    process it replaced (DESIGN.md §5g): the URGENT start, the send, then
-    the reply ``AnyOf`` (a withdrawn ``get`` on timeout); it completes like
-    a process, with the reply as its value.  Given ``then`` it runs as
-    ``yield from`` did instead: from the current record, and
-    ``then(reply)`` in the record it ends in."""
+    after ``timeout_factor`` peer timeouts, run as ``yield from`` did: from
+    the current record, with ``then(reply)`` in the record it ends in.
+    Only the reply wait is bounded — the send is not (unlike
+    :meth:`NodeShell.request`), which is part of the NOOB schedule.  A
+    callback chain that schedules the records of the generator it
+    replaced (DESIGN.md §5g): the send, then the reply and the peer timer
+    raced the way the client ``_Op`` races them — the reply is a
+    ``get_then`` call in its get event's slot, the first to fire schedules
+    one NORMAL zero-delay ``_join`` where the ``AnyOf`` triggered and, if
+    it was the reply, cancels the timer; a timer that wins withdraws the
+    getter."""
 
-    __slots__ = ("node", "peer", "body", "size", "wait_s", "then", "token", "conn", "get")
+    __slots__ = ("node", "peer", "body", "size", "wait_s", "then", "token", "conn",
+                 "getter", "timer", "settled", "reply")
 
     def __init__(self, node: NoobStorageNode, peer: str, body: dict, size: int,
                  timeout_factor: int, then=None):
-        super().__init__(node.sim)
         self.node = node
         self.peer = peer
         self.body = body
         self.size = size
         self.wait_s = node.config.peer_timeout_s * timeout_factor
         self.then = then
-        if then is None:
-            self.sim._schedule_call(0.0, self._start, priority=URGENT)
-        else:
+        if then is not None:
             self._start()
 
     def _start(self) -> None:
         node = self.node
-        self.token = token = node.new_token()
-        node._send(node.directory[self.peer], dict(self.body, token=token),
-                   self.size)._callbacks = [self._sent]
+        self.token = node.new_token()
+        node._send(node.directory[self.peer], dict(self.body, token=self.token),
+                   self.size, self._sent)
 
-    def _sent(self, send: Event) -> None:
-        self.conn = conn = send._value
+    def _sent(self, conn) -> None:
+        self.conn = conn
         token = self.token
-        self.get = get = conn.inbox.get(lambda m: (m.payload or {}).get("token") == token)
-        sim = self.sim
-        AnyOf(sim, [get, sim.timeout(self.wait_s)])._callbacks = [self._replied]
+        sim = self.node.sim
+        self.settled = False
+        self.reply = None
+        self.getter = conn.inbox.get_then(
+            self._got, lambda m: (m.payload or {}).get("token") == token)
+        self.timer = timer = sim.timeout(self.wait_s)
+        timer._callbacks = [self._timed_out]
 
-    def _replied(self, race: Event) -> None:
-        get = self.get
-        if get in race._value:
-            reply = get._value.payload
-        else:
-            self.conn.inbox.cancel(get)
-            reply = None
-        self.conn = self.get = None
+    def _got(self, msg) -> None:
+        if self.settled:
+            return  # the timer won: the reply is dropped with the getter
+        self.settled = True
+        self.reply = msg.payload
+        sim = self.node.sim
+        sim._schedule_call(0.0, self._join)
+        timer = self.timer
+        timer._callbacks = None
+        sim.cancel_timer(timer)
+
+    def _timed_out(self, _timer) -> None:
+        if not self.settled:
+            self.settled = True
+            self.node.sim._schedule_call(0.0, self._join)
+
+    def _join(self) -> None:
+        conn = self.conn
+        if self.timer._processed:
+            conn.inbox.cancel(self.getter)
+        self.conn = self.getter = self.timer = None
+        self._end(self.reply)
+
+    def _end(self, reply) -> None:
+        then, self.then = self.then, None
+        then(reply)
+
+
+class _Gathered(_Rpc):
+    """An :class:`_Rpc` that one put fans out and gathers later: it starts
+    in an URGENT record of its own, where its process was spawned, and a
+    gather (``then``, set by :meth:`_Put._gather`) takes its reply in the
+    NORMAL zero-delay record where the process's completion fired; a
+    reply no one gathers yet waits in ``reply``, as a process nobody
+    waited on completed on the spot."""
+
+    __slots__ = ("done",)
+
+    def __init__(self, node: NoobStorageNode, peer: str, body: dict, size: int,
+                 timeout_factor: int):
+        super().__init__(node, peer, body, size, timeout_factor)
+        self.done = False
+        node.sim._schedule_call(0.0, self._start, priority=URGENT)
+
+    def _end(self, reply) -> None:
         then = self.then
         if then is None:
-            self._complete(reply)
+            self.done = True
         else:
             self.then = None
-            then(reply)
+            self.node.sim._schedule_call(0.0, then, reply)
 
 
-class _Replicate(_Rpc):
+class _Replicate(_Gathered):
     """One unicast copy to one secondary; completes on its app ack.  Each
     outbound copy costs the primary CPU time first — the end-host
     replication work NICE offloads to the switch (§4.2)."""
@@ -300,10 +342,18 @@ class _Put(Event):
     """A client put on this node as a callback chain that schedules the
     records of the process it replaced (DESIGN.md §5g): the URGENT start,
     the CPU step, then a forward to the primary (ROG), or one of the four
-    replication modes; it completes like a process."""
+    replication modes; it completes like a process.
+
+    A gather over the secondaries' RPCs (the copies, the prepares, the
+    commits) is a fold where an ``AllOf`` was: each reply is counted in
+    the record where its RPC's completion fired (counted at once if it
+    already came), and the last schedules one NORMAL zero-delay ``_join``
+    where the ``AllOf`` triggered.  The quorum write counts successful
+    copies the same way and schedules its join where the quorum event
+    fired."""
 
     __slots__ = ("node", "body", "span", "secondaries", "stamp", "transfers",
-                 "acks", "quorum")
+                 "left", "vetoed", "join")
 
     def __init__(self, node: NoobStorageNode, body: dict):
         super().__init__(node.sim)
@@ -324,8 +374,8 @@ class _Put(Event):
             if tr is not None:
                 tr.instant("put_forward", "op", node=node.name,
                            op=tuple(body["op_id"]), to=replicas[0])
-            node._send(node.directory[replicas[0]], dict(body),
-                       body["size"])._callbacks = [self._forwarded]
+            node._send(node.directory[replicas[0]], dict(body), body["size"],
+                       self._forwarded)
             return
         self.secondaries = secondaries = replicas[1:]
         mode = node.config.consistency
@@ -352,62 +402,82 @@ class _Put(Event):
         else:
             self._end()
 
-    def _forwarded(self, _send) -> None:
+    def _forwarded(self, _conn) -> None:
         self._complete()
 
-    def _end(self, _ev=None) -> None:
+    def _end(self, _conn=None) -> None:
         if self.span is not None:
             self.span.end()
         self._complete()
 
-    def _acked(self, _ev=None) -> None:
+    def _acked(self) -> None:
         node = self.node
         node.puts_served.add()
         node._reply_put(self.body, "ok")
         self._end()
 
+    def _gather(self, rpcs: List[_Gathered], join) -> None:
+        """Fold the replies of ``rpcs`` (an ``AllOf``), then ``join()``."""
+        self.left = len(rpcs)
+        self.vetoed = False
+        self.join = join
+        for rpc in rpcs:
+            if rpc.done:
+                self._tally(rpc.reply)
+            else:
+                rpc.then = self._tally
+
+    def _tally(self, reply) -> None:
+        if reply is None:
+            self.vetoed = True
+        self.left -= 1
+        if not self.left:
+            join, self.join = self.join, None
+            self.sim._schedule_call(0.0, join)
+
     def _all_stored(self) -> None:
         """Primary-backup: the client is acked once every replica confirmed."""
         transfers, self.transfers = self.transfers, None
         if transfers:
-            AllOf(self.sim, transfers)._callbacks = [self._acked]
+            self._gather(transfers, self._acked)
         else:
             self._acked()
 
     def _quorum_stored(self) -> None:
         """Quorum write: the client is acked once the write set is met
-        (the local write counts toward it).  The remaining transfers keep
-        running — the link contention the paper blames for NOOB's Fig 8
-        behaviour."""
+        (the local write counts toward it; ``quorum_k ≤ R``, so the copies
+        can meet it).  The remaining transfers keep running — the link
+        contention the paper blames for NOOB's Fig 8 behaviour.  A copy
+        that already came is counted in an URGENT record of its own, where
+        a late callback on its processed event ran."""
         transfers, self.transfers = self.transfers, None
-        needed = self.node.config.quorum_k - 1
-        if needed > 0:
-            self.acks = 0
-            self.quorum = done = Event(self.sim)
-            for t in transfers:
-                t.add_callback(self._transferred)
-            if len(transfers) >= needed:
-                done._callbacks = [self._acked]
-                return
-        self._acked()
+        self.left = self.node.config.quorum_k - 1  # copies still to confirm
+        if self.left <= 0:
+            self._acked()
+            return
+        for t in transfers:
+            if t.done:
+                self.sim._schedule_call(0.0, self._transferred, t.reply, priority=URGENT)
+            else:
+                t.then = self._transferred
 
-    def _transferred(self, ev: Event) -> None:
-        if ev._ok and ev._value is not None:
-            self.acks += 1
-            if self.acks >= self.node.config.quorum_k - 1 and not self.quorum.triggered:
-                self.quorum.succeed()
+    def _transferred(self, reply) -> None:
+        if reply is not None:
+            self.left -= 1
+            if self.left == 0:
+                self.sim._schedule_call(0.0, self._acked)
 
     def _prepared(self, _status) -> None:
         node = self.node
         self.stamp = stamp = node._stamp(self.body)
         prepares = [_Replicate(node, s, self.body, stamp, "prepare") for s in self.secondaries]
         if prepares:
-            AllOf(self.sim, prepares)._callbacks = [self._voted]
+            self._gather(prepares, self._voted)
         else:
             self._commit()
 
-    def _voted(self, votes: Event) -> None:
-        if any(v is None for v in votes._value.values()):
+    def _voted(self) -> None:
+        if self.vetoed:
             self.node.participant.abort(tuple(self.body["op_id"]))
             self.node._reply_put(self.body, "fail")
             self._end()
@@ -419,10 +489,10 @@ class _Put(Event):
         body = self.body
         op_id = tuple(body["op_id"])
         commit = {"type": "commit2pc", "op_id": op_id, "key": body["key"], "stamp": self.stamp}
-        commits = [_Rpc(node, s, commit, COMMIT_BYTES, 4) for s in self.secondaries]
+        commits = [_Gathered(node, s, commit, COMMIT_BYTES, 4) for s in self.secondaries]
         node.participant.commit(op_id, self.stamp)
         if commits:
-            AllOf(self.sim, commits)._callbacks = [self._acked]
+            self._gather(commits, self._acked)
         else:
             self._acked()
 
@@ -465,8 +535,8 @@ class _Get(Event):
         )
         if not can_serve:
             node.forwards.add()
-            node._send(node.directory[replicas[0]], dict(body),
-                       REQUEST_BYTES)._callbacks = [self._forwarded]
+            node._send(node.directory[replicas[0]], dict(body), REQUEST_BYTES,
+                       self._forwarded)
             return
         self.obj = node.store.get(key)
         if config.consistency == "quorum":
@@ -503,12 +573,12 @@ class _Get(Event):
             self.votes.append((reply["stamp"], reply["value"], reply["size"]))
         self._read_quorum()
 
-    def _forwarded(self, _send) -> None:
+    def _forwarded(self, _conn) -> None:
         if self.span is not None:
             self.span.end(status="forwarded")
         self._complete()
 
-    def _replied(self, _send) -> None:
+    def _replied(self) -> None:
         if self.span is not None:
             self.span.end(status="ok" if self.obj is not None else "miss")
         self._complete()

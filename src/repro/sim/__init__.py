@@ -24,7 +24,7 @@ from .events import (
 )
 from .kernel import Simulator, StopSimulation
 from .monitor import Counter, RateSeries, Tally, summary_stats
-from .primitives import Resource, ResourceRequest, Store
+from .primitives import Resource, Store
 from .process import Process, Subroutine
 from .rng import RngRegistry
 
@@ -39,7 +39,6 @@ __all__ = [
     "Process",
     "RateSeries",
     "Resource",
-    "ResourceRequest",
     "RngRegistry",
     "SimulationError",
     "Simulator",

@@ -13,15 +13,34 @@ from typing import Any, Callable, Deque, List, Optional
 from .events import URGENT, Event, SimulationError
 from .kernel import Simulator
 
-__all__ = ["Store", "Resource", "ResourceRequest"]
+__all__ = ["Store", "Resource"]
 
 
 class _StoreGet(Event):
+    """A ``get()``: an Event the item succeeds (for generators)."""
+
     __slots__ = ("filter",)
 
     def __init__(self, sim: Simulator, filter: Optional[Callable[[Any], bool]]):
         super().__init__(sim)
         self.filter = filter
+
+    _deliver = Event.succeed
+
+
+class _GetThen:
+    """A ``get_then()``: the item goes to ``then`` in a call record of its
+    own, the slot a ``get()`` event's record would take."""
+
+    __slots__ = ("sim", "filter", "then")
+
+    def __init__(self, sim: Simulator, filter, then):
+        self.sim = sim
+        self.filter = filter
+        self.then = then
+
+    def _deliver(self, item: Any) -> None:
+        self.sim._schedule_call(0.0, self.then, item)
 
 
 class Store:
@@ -29,8 +48,9 @@ class Store:
 
     ``put`` never blocks (the network model applies backpressure at links,
     not at host queues); ``get`` returns an event that triggers when an item
-    is available.  An optional filter ``get(lambda item: ...)`` supports
-    selective receive (used by transport-layer demultiplexing).  A mailbox
+    is available (``get_then(then)`` hands it to a callback instead).  An
+    optional filter ``get(lambda item: ...)`` supports selective receive
+    (used by transport-layer demultiplexing).  A mailbox
     whose consumer never waits between items is served (:meth:`serve`)
     instead of read.
     """
@@ -39,7 +59,7 @@ class Store:
         self.sim = sim
         self.name = name
         self._items: Deque[Any] = deque()
-        self._getters: List[_StoreGet] = []
+        self._getters: List = []
         #: :meth:`serve`'s handler, and whether it waits for the next item
         #: (the state in which the loop it replaces sat in ``get()``).
         self._handler: Optional[Callable[[Any], None]] = None
@@ -61,11 +81,9 @@ class Store:
             self.sim._schedule_call(0.0, self._dispatch, item)
             return
         for i, getter in enumerate(self._getters):
-            if getter.triggered:
-                continue
             if getter.filter is None or getter.filter(item):
                 del self._getters[i]
-                getter.succeed(item)
+                getter._deliver(item)
                 return
         self._items.append(item)
 
@@ -81,6 +99,23 @@ class Store:
                 return ev
         self._getters.append(ev)
         return ev
+
+    def get_then(self, then: Callable[[Any], None],
+                 filter: Optional[Callable[[Any], bool]] = None) -> Optional[_GetThen]:
+        """``get()`` for a callback chain: ``then(item)`` with the next
+        (matching) item, in the record the event ``get()`` returns would
+        have fired in.  Returns the pending getter to :meth:`cancel`, or
+        ``None`` when an item was already queued."""
+        if self._handler is not None:
+            raise SimulationError(f"{self.name}: get_then() on a served store")
+        for i, item in enumerate(self._items):
+            if filter is None or filter(item):
+                del self._items[i]
+                self.sim._schedule_call(0.0, then, item)
+                return None
+        getter = _GetThen(self.sim, filter, then)
+        self._getters.append(getter)
+        return getter
 
     def serve(self, handler: Callable[[Any], None]) -> None:
         """Call ``handler(item)`` for every item, in order, forever.
@@ -110,10 +145,11 @@ class Store:
         self._handler(item)
         self._next()
 
-    def cancel(self, get_event: Event) -> None:
-        """Withdraw an unfired ``get`` (e.g. its waiter's timeout fired first)."""
+    def cancel(self, getter) -> None:
+        """Withdraw an unfired ``get`` or ``get_then`` (e.g. its waiter's
+        timeout fired first)."""
         try:
-            self._getters.remove(get_event)  # type: ignore[arg-type]
+            self._getters.remove(getter)
         except ValueError:
             pass
 
@@ -124,30 +160,19 @@ class Store:
         return n
 
 
-class ResourceRequest(Event):
-    """Pending acquisition of a :class:`Resource` slot."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, sim: Simulator, resource: "Resource"):
-        super().__init__(sim)
-        self.resource = resource
-
-    def release(self) -> None:
-        self.resource.release(self)
-
-
 class Resource:
     """A counted resource with FIFO admission (capacity-1 ⇒ a mutex).
 
-    Usage from a process::
+    A request is a callback, not an event: ``request_then(then)`` calls
+    ``then()`` in a NORMAL zero-delay record once a slot is granted — the
+    slot the grant event of a ``yield resource.request()`` occupied, now
+    if a slot is free, else in the ``release()`` that frees one::
 
-        req = link.resource.request()
-        yield req
-        try:
+        def granted():
             ... hold the resource ...
-        finally:
-            req.release()
+            resource.release()
+
+        resource.request_then(granted)
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "resource"):
@@ -156,38 +181,30 @@ class Resource:
         self.sim = sim
         self.name = name
         self.capacity = capacity
-        self._users: List[ResourceRequest] = []
-        self._queue: Deque[ResourceRequest] = deque()
+        self._in_use = 0
+        self._queue: Deque[Callable[[], None]] = deque()
 
     @property
     def in_use(self) -> int:
-        return len(self._users)
+        return self._in_use
 
     @property
     def queued(self) -> int:
         return len(self._queue)
 
-    def request(self) -> ResourceRequest:
-        req = ResourceRequest(self.sim, self)
-        if len(self._users) < self.capacity:
-            self._users.append(req)
-            req.succeed()
+    def request_then(self, then: Callable[[], None]) -> None:
+        """Queue for a slot; ``then()`` runs in the record that grants it."""
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            self.sim._schedule_call(0.0, then)
         else:
-            self._queue.append(req)
-        return req
+            self._queue.append(then)
 
-    def release(self, req: ResourceRequest) -> None:
-        """Release a granted slot (or cancel a queued request)."""
-        try:
-            self._users.remove(req)
-        except ValueError:
-            # Not granted yet: cancel from the waiting queue if present.
-            try:
-                self._queue.remove(req)
-            except ValueError:
-                pass
-            return
-        while self._queue and len(self._users) < self.capacity:
-            nxt = self._queue.popleft()
-            self._users.append(nxt)
-            nxt.succeed()
+    def release(self) -> None:
+        """Free a granted slot: the first queued request takes it over."""
+        if self._queue:
+            self.sim._schedule_call(0.0, self._queue.popleft())
+        elif self._in_use:
+            self._in_use -= 1
+        else:
+            raise SimulationError(f"{self.name}: release() with no slot granted")

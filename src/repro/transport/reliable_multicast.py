@@ -107,8 +107,9 @@ class _Send(Event):
     """One :meth:`MulticastSender.send` as a callback chain that schedules
     the records of the process it replaced (DESIGN.md §5g): the URGENT
     start — which draws the op id and the ack port, binds it and sends the
-    burst — then one ``inbox.get()`` per datagram until ``k`` acks for this
-    op are in; it unbinds the port and completes like a process, with the
+    burst — then one ``inbox.get_then()`` per datagram (a call record in the
+    slot of the ``get()`` event it replaced) until ``k`` acks for this op
+    are in; it unbinds the port and completes like a process, with the
     acks as its value."""
 
     __slots__ = ("sender", "group_ip", "dport", "payload", "payload_bytes", "k",
@@ -138,16 +139,15 @@ class _Send(Event):
             sport=ack_port,
         )
         self.acks = []
-        self.inbox.get()._callbacks = [self._on_dgram]
+        self.inbox.get_then(self._on_dgram)
 
-    def _on_dgram(self, get: Event) -> None:
-        dgram = get._value
+    def _on_dgram(self, dgram) -> None:
         body = dgram.payload
         acks = self.acks
         if type(body) is tuple and len(body) == 2 and body[0] == "mc_ack" and body[1] == self.op:
             acks.append((dgram.src_ip, self.sim.now))
         if len(acks) < self.k:
-            self.inbox.get()._callbacks = [self._on_dgram]
+            self.inbox.get_then(self._on_dgram)
             return
         self.sender.stack.udp_unbind(self.ack_port)
         self._complete(acks)

@@ -19,7 +19,8 @@ between the compared systems and would multiply event counts (DESIGN.md §5).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..net import IPv4Address, Packet, Proto
 from ..sim import URGENT, Event, Store
@@ -70,18 +71,25 @@ class TcpConnection:
         self.inbox = Store(layer.stack.sim, name=f"tcp-conn-{self.conn_id}")
         self._msg_seq = itertools.count(1)
 
-    def send(self, payload: Any, payload_bytes: int) -> Event:
-        """Transmit one message; the returned event triggers on delivery.
+    def send(self, payload: Any, payload_bytes: int, then=None) -> Optional[Event]:
+        """Transmit one message; the returned event triggers on delivery —
+        or, given ``then``, ``then()`` runs in the record that event would
+        fire in (and nothing is returned).
 
-        The event never triggers if the peer is down — callers guard with
-        protocol timeouts, exactly as the paper's protocols do (§4.4).
+        Neither happens if the peer is down — callers guard with protocol
+        timeouts, exactly as the paper's protocols do (§4.4).
         """
-        done = Event(self.layer.stack.sim)
+        if then is None:
+            done = Event(self.layer.stack.sim)
+            delivered = done.succeed
+        else:
+            done = None
+            delivered = partial(self.layer.stack.sim._schedule_call, 0.0, then)
         body = {
             "kind": "data",
             "msg": next(self._msg_seq),
             "payload": payload,
-            "_delivered": done,
+            "_delivered": delivered,
         }
         self.layer._send_segment(self, body, payload_bytes)
         return done
@@ -112,8 +120,8 @@ class TcpLayer:
         self._client_conns: Dict[Tuple[IPv4Address, int], TcpConnection] = {}
         #: All connections keyed for demux: (remote_ip, remote_port, local_port).
         self._conns: Dict[Tuple[IPv4Address, int, int], TcpConnection] = {}
-        #: In-flight handshakes: (dst_ip, dst_port) -> waiter events.
-        self._connecting: Dict[Tuple[IPv4Address, int], List[Event]] = {}
+        #: In-flight handshakes: (dst_ip, dst_port) -> waiters' callbacks.
+        self._connecting: Dict[Tuple[IPv4Address, int], List[Callable]] = {}
         self.handshakes = 0
 
     # -- server side ------------------------------------------------------------
@@ -126,25 +134,22 @@ class TcpLayer:
         return store
 
     # -- client side --------------------------------------------------------------
-    def connect(self, dst_ip: IPv4Address, dport: int) -> Event:
-        """Return an event yielding an established connection.
-
-        Reuses a cached connection when available (triggers immediately);
-        otherwise runs the 3-way handshake.  Concurrent connects to the same
+    def connect(self, dst_ip: IPv4Address, dport: int, then: Callable) -> None:
+        """``then(conn)`` with an established connection, in a NORMAL
+        zero-delay record: now for a cached connection, else once the
+        3-way handshake completes.  Concurrent connects to the same
         destination share one handshake.
         """
         dst_ip = IPv4Address(dst_ip)
-        sim = self.stack.sim
-        done = Event(sim)
         cached = self._client_conns.get((dst_ip, dport))
         if cached is not None and cached.established:
-            done.succeed(cached)
-            return done
+            self.stack.sim._schedule_call(0.0, then, cached)
+            return
         waiters = self._connecting.get((dst_ip, dport))
         if waiters is not None:
-            waiters.append(done)
-            return done
-        self._connecting[(dst_ip, dport)] = [done]
+            waiters.append(then)
+            return
+        self._connecting[(dst_ip, dport)] = [then]
         self.handshakes += 1
         local_port = self.stack.ephemeral_port()
         conn = TcpConnection(self, local_port, dst_ip, dport)
@@ -152,7 +157,6 @@ class TcpLayer:
         self._conns[(dst_ip, dport, local_port)] = conn
         self._send_ctrl(conn, "syn")
         _SynRetry(self, conn, (dst_ip, dport))
-        return done
 
     def _teardown(self, conn: TcpConnection, key) -> None:
         """The last SYN went unanswered: forget the handshake so a
@@ -164,14 +168,15 @@ class TcpLayer:
         self._connecting.pop(key, None)
 
     def send_message(
-        self, dst_ip: IPv4Address, dport: int, payload: Any, payload_bytes: int
+        self, dst_ip: IPv4Address, dport: int, payload: Any, payload_bytes: int, then=None
     ) -> Event:
         """Connect (cached) then send; returns an Event to ``yield`` on.
 
         The event's value is the connection, so callers can await the
-        reply on ``conn.inbox``.
+        reply on ``conn.inbox``.  Given ``then``, ``then(conn)`` runs in
+        the record that event would fire in instead.
         """
-        return _SendMessage(self, dst_ip, dport, payload, payload_bytes)
+        return _SendMessage(self, dst_ip, dport, payload, payload_bytes, then)
 
     def reset_peer(self, ip: IPv4Address) -> int:
         """Tear down all cached state toward ``ip`` (peer declared failed).
@@ -239,10 +244,9 @@ class TcpLayer:
             return
         conn.established = True
         self._send_ctrl(conn, "ack")
-        waiters = self._connecting.pop((packet.src_ip, packet.sport), [])
-        for waiter in waiters:
-            if not waiter.triggered:
-                waiter.succeed(conn)
+        schedule = self.stack.sim._schedule_call
+        for then in self._connecting.pop((packet.src_ip, packet.sport), ()):
+            schedule(0.0, then, conn)
 
     def _on_ack(self, packet: Packet) -> None:
         # Final handshake leg; the server connection is already usable.
@@ -271,40 +275,49 @@ class TcpLayer:
             listener.put(message)
         else:
             conn.inbox.put(message)
-        delivered = packet.payload.get("_delivered")
-        if delivered is not None and not delivered.triggered:
-            delivered.succeed()
+        # Once: a message is delivered (and its sender told) at most once.
+        delivered = packet.payload.pop("_delivered", None)
+        if delivered is not None:
+            delivered()
 
 
 class _SendMessage(Event):
     """:meth:`TcpLayer.send_message` as a callback chain that schedules the
     records of the process it replaced (DESIGN.md §5g): the URGENT start,
-    the connect event (cached, shared or fresh handshake), the delivery
-    event; it completes like a process, with the connection as its value,
-    through a record only when someone waits on it.  Both events are fresh
-    and unwatched, so each takes its one callback by assignment, exactly as
-    a process yielding it would."""
+    the connect (cached, shared or fresh handshake), the delivery; it
+    completes like a process, with the connection as its value, through a
+    record only when someone waits on it — or, given ``then``, with
+    ``then(conn)`` in that record.  The connect and the delivery have one
+    waiter, this chain, so each is a call record in the slot its event
+    took."""
 
-    __slots__ = ("layer", "dst_ip", "dport", "payload", "payload_bytes", "conn")
+    __slots__ = ("layer", "dst_ip", "dport", "payload", "payload_bytes", "then", "conn")
 
-    def __init__(self, layer: TcpLayer, dst_ip, dport: int, payload: Any, payload_bytes: int):
+    def __init__(self, layer: TcpLayer, dst_ip, dport: int, payload: Any, payload_bytes: int,
+                 then):
         super().__init__(layer.stack.sim)
         self.layer = layer
         self.dst_ip = dst_ip
         self.dport = dport
         self.payload = payload
         self.payload_bytes = payload_bytes
+        self.then = then
         self.sim._schedule_call(0.0, self._start, priority=URGENT)
 
     def _start(self) -> None:
-        self.layer.connect(self.dst_ip, self.dport)._callbacks = [self._connected]
+        self.layer.connect(self.dst_ip, self.dport, self._connected)
 
-    def _connected(self, ev: Event) -> None:
-        self.conn = conn = ev._value
-        conn.send(self.payload, self.payload_bytes)._callbacks = [self._delivered]
+    def _connected(self, conn: TcpConnection) -> None:
+        self.conn = conn
+        conn.send(self.payload, self.payload_bytes, self._delivered)
 
-    def _delivered(self, _ev: Event) -> None:
-        self._complete(self.conn)
+    def _delivered(self) -> None:
+        then = self.then
+        if then is None:
+            self._complete(self.conn)
+        else:
+            self.then = None
+            self.sim._schedule_call(0.0, then, self.conn)
 
 
 class _SynRetry(Event):

@@ -161,17 +161,12 @@ def test_get_retries_reresolve_the_route():
     client = cluster.clients[0]
     key = "re-resolve-me"
 
-    def swallow_attempts(sim, n):
-        # Eat the first n in-flight attempts so the client times out and
-        # walks the whole retry ladder.
-        for _ in range(n):
-            yield sim.timeout(1e-4)
-            (op_id, waiter), = list(client._waiters.items())
-            waiter.succeed({"op_id": list(op_id), "status": "error"})
-            yield sim.timeout(cluster.config.client_retry_timeout_s)
-
     def driver(sim):
-        sim.process(swallow_attempts(sim, 3))
+        # The client's NIC is dark through its first three attempts: each
+        # times out, and the fourth — sent after it recovers — lands.
+        timeout = cluster.config.client_retry_timeout_s
+        client.host.fail()
+        sim.call_in(2.5 * timeout, client.host.recover)
         result = yield client.get(key, max_retries=3)
         return result
 

@@ -1,11 +1,13 @@
 """Shared test fixtures: a star topology with static L3 forwarding, a
 recorder of the devices each packet crossed, a log of the slots a simulator
-schedules records in, the generator forms of a node's CPU step and get
-reply that the request chains are checked against, the linear rule scan
-the flow table's index is checked against, and the content snapshots the
-controller's plan-cache contract is stated in."""
+schedules records in, the Event forms of every one-shot wait the chains
+now schedule as a call (``install_event_forms``) and the generator forms
+of a node's CPU step and get reply that the request chains are checked
+against, the linear rule scan the flow table's index is checked against,
+and the content snapshots the controller's plan-cache contract is stated
+in."""
 
-from collections import Counter
+from collections import Counter, deque
 
 from repro.net import (
     Bucket,
@@ -22,9 +24,13 @@ from repro.net import (
     SetEthDst,
     SetIpDst,
 )
+import repro.core.node_shell as node_shell_module
+import repro.kv.disk as disk_module
+import repro.transport.tcp as tcp_module
 from repro.core.config import ACK_BYTES, REQUEST_BYTES
-from repro.sim import NORMAL, Simulator
-from repro.transport import ProtocolStack
+from repro.kv import Disk, LockTable
+from repro.sim import NORMAL, Event, Resource, Simulator, Store
+from repro.transport import ProtocolStack, TcpConnection, TcpLayer
 
 
 class Star:
@@ -140,9 +146,243 @@ def record_slots(sim):
     return slots
 
 
+# -- the Event forms of the one-shot waits -------------------------------------------
+# Each wait a chain now schedules as a call record — a resource or lock
+# grant, a store getter, a TCP connect, delivery and send, a disk transfer
+# with its group-commit flush — as the Event (or process) it replaced,
+# whose record takes the same slot.  ``install_event_forms`` swaps them in
+# for a reference run.
+class RefResource(Resource):
+    """``Resource`` with its old Event requests: ``request()`` returns an
+    Event that triggers when the slot is granted, ``release(req)`` frees
+    it (or withdraws it while queued).  ``request_then`` is the old chain
+    step, a callback on that Event."""
+
+    def __init__(self, sim, capacity=1, name="resource"):
+        super().__init__(sim, capacity, name)
+        self._users = []
+
+    def request(self):
+        req = Event(self.sim)
+        if len(self._users) < self.capacity:
+            self._users.append(req)
+            req.succeed()
+        else:
+            self._queue.append(req)
+        return req
+
+    def request_then(self, then):
+        self.request()._callbacks = [lambda _req: then()]
+
+    def release(self, req=None):
+        if req is None:
+            req = self._users[0]
+        try:
+            self._users.remove(req)
+        except ValueError:
+            try:
+                self._queue.remove(req)
+            except ValueError:
+                pass
+            return
+        while self._queue and len(self._users) < self.capacity:
+            nxt = self._queue.popleft()
+            self._users.append(nxt)
+            nxt.succeed()
+
+
+class RefLockTable(LockTable):
+    """``LockTable`` with its old lock-grant Event (``request``)."""
+
+    def request(self, sim, key, op_id):
+        ev = Event(sim)
+        if self.acquire(key, op_id):
+            ev.succeed()
+        else:
+            self._queues.setdefault(key, deque()).append((op_id, ev))
+        return ev
+
+    def request_then(self, sim, key, op_id, then):
+        self.request(sim, key, op_id)._callbacks = [lambda _grant: then()]
+
+    def _grant_next(self, key):
+        queue = self._queues.get(key)
+        while queue:
+            next_op, ev = queue.popleft()
+            if ev.triggered:
+                continue
+            self._owners[key] = next_op
+            ev.succeed()
+            break
+        if queue is not None and not queue:
+            del self._queues[key]
+
+
+def ref_get_then(store, then, filter=None):
+    """``Store.get_then`` as a ``get()`` Event with one callback."""
+    ev = store.get(filter)
+    ev._callbacks = [lambda got: then(got._value)]
+    return ev
+
+
+def ref_connect(layer, dst_ip, dport):
+    """``TcpLayer.connect`` as the Event it returned (with
+    ``ref_on_synack`` completing the shared handshake)."""
+    dst_ip = IPv4Address(dst_ip)
+    done = Event(layer.stack.sim)
+    cached = layer._client_conns.get((dst_ip, dport))
+    if cached is not None and cached.established:
+        done.succeed(cached)
+        return done
+    waiters = layer._connecting.get((dst_ip, dport))
+    if waiters is not None:
+        waiters.append(done)
+        return done
+    layer._connecting[(dst_ip, dport)] = [done]
+    layer.handshakes += 1
+    local_port = layer.stack.ephemeral_port()
+    conn = TcpConnection(layer, local_port, dst_ip, dport)
+    layer._client_conns[(dst_ip, dport)] = conn
+    layer._conns[(dst_ip, dport, local_port)] = conn
+    layer._send_ctrl(conn, "syn")
+    tcp_module._SynRetry(layer, conn, (dst_ip, dport))
+    return done
+
+
+def ref_on_synack(layer, packet):
+    conn = layer._conns.get((packet.src_ip, packet.sport, packet.dport))
+    if conn is None:
+        return
+    conn.established = True
+    layer._send_ctrl(conn, "ack")
+    for waiter in layer._connecting.pop((packet.src_ip, packet.sport), []):
+        if not waiter.triggered:
+            waiter.succeed(conn)
+
+
+def _then_on(ev, then, with_value=False):
+    """The old chain step: ``then`` as the one callback of ``ev``."""
+    ev._callbacks = [(lambda got: then(got._value)) if with_value else (lambda _got: then())]
+    return ev
+
+
+def ref_send_message(layer, dst_ip, dport, payload, payload_bytes, then=None):
+    """``TcpLayer.send_message`` as the process it replaced."""
+
+    def run():
+        conn = yield ref_connect(layer, dst_ip, dport)
+        yield ref_send(conn, payload, payload_bytes)
+        return conn
+
+    proc = layer.stack.sim.process(run())
+    return proc if then is None else _then_on(proc, then, with_value=True)
+
+
+_send = TcpConnection.send
+
+
+def ref_send(conn, payload, payload_bytes, then=None):
+    """``TcpConnection.send`` as its delivery Event."""
+    done = _send(conn, payload, payload_bytes)
+    if then is None:
+        return done
+    _then_on(done, then)
+
+
+def _ref_io(disk, nbytes, forced, write, seq, epoch):
+    req = disk._device.request()
+    yield req
+    try:
+        bw = disk.write_bandwidth_bps if write else disk.read_bandwidth_bps
+        service = disk.base_latency_s + nbytes * 8.0 / bw
+        yield disk.sim.timeout(service)
+        if write:
+            disk.bytes_written.add(nbytes)
+            disk.writes.add()
+        else:
+            disk.bytes_read.add(nbytes)
+            disk.reads.add()
+        nom_w, nom_r, nom_base = disk._nominal
+        expected = nom_base + nbytes * 8.0 / (nom_w if write else nom_r)
+        if expected > 0.0:
+            disk._ratio_sum += service / expected
+            disk._ratio_n += 1
+        if write and epoch == disk._epoch:
+            disk._completed_seq = seq
+            disk._dirty.append((seq, nbytes))
+            disk.dirty_bytes += nbytes
+    finally:
+        disk._device.release(req)
+    if forced:
+        done = Event(disk.sim)
+        disk._flush_waiters.append(done)
+        if not disk._flusher_running:
+            disk._flusher_running = True
+            disk.sim.process(_ref_flusher(disk))
+        yield done
+
+
+def _ref_flusher(disk):
+    while disk._flush_waiters:
+        covered, disk._flush_waiters = disk._flush_waiters, []
+        epoch, barrier = disk._epoch, disk._completed_seq
+        disk.flush_cycles_started += 1
+        yield disk.sim.timeout(disk.flush_latency_s)
+        disk.flushes.add()
+        if epoch == disk._epoch:
+            disk._advance_barrier(barrier)
+            disk.flush_cycles_done += 1
+        for ev in covered:
+            ev.succeed()
+    disk._flusher_running = False
+
+
+def ref_write(disk, nbytes, forced=False, then=None):
+    """``Disk.write`` as the process it replaced (needs ``RefResource``)."""
+    if nbytes < 0:
+        raise ValueError(f"negative write size: {nbytes}")
+    disk._issued_seq += 1
+    proc = disk.sim.process(_ref_io(disk, nbytes, forced, True, disk._issued_seq, disk._epoch))
+    return proc if then is None else _then_on(proc, then)
+
+
+def ref_read(disk, nbytes, then=None):
+    """``Disk.read`` as the process it replaced (needs ``RefResource``)."""
+    proc = disk.sim.process(_ref_io(disk, nbytes, False, False, 0, disk._epoch))
+    return proc if then is None else _then_on(proc, then)
+
+
+def install_event_forms(monkeypatch):
+    """Swap every one-shot wait the chains schedule as a call back to the
+    Event or process it replaced, for the nodes, disks and stacks built
+    from here on: a run under these forms schedules the old records."""
+    monkeypatch.setattr(node_shell_module, "Resource", RefResource)
+    monkeypatch.setattr(disk_module, "Resource", RefResource)
+    monkeypatch.setattr(node_shell_module, "LockTable", RefLockTable)
+    monkeypatch.setattr(Store, "get_then", ref_get_then)
+    monkeypatch.setattr(
+        TcpLayer, "connect",
+        lambda layer, dst_ip, dport, then: _then_on(
+            ref_connect(layer, dst_ip, dport), then, with_value=True))
+    monkeypatch.setattr(TcpLayer, "_on_synack", ref_on_synack)
+    monkeypatch.setattr(TcpLayer, "send_message", ref_send_message)
+    monkeypatch.setattr(TcpConnection, "send", ref_send)
+    monkeypatch.setattr(Disk, "write", ref_write)
+    monkeypatch.setattr(Disk, "read", ref_read)
+
+
+def connected(stack, ip, port):
+    """An Event that fires with the connection ``stack.tcp.connect`` hands
+    over — for generator tests of the handshake."""
+    ev = Event(stack.sim)
+    stack.tcp.connect(ip, port, ev.succeed)
+    return ev
+
+
 def ref_cpu_work(node):
     """``NodeShell.cpu_work_then`` as the generator it replaced: one
-    request's worth of CPU service time, serialized per node."""
+    request's worth of CPU service time, serialized per node (needs
+    ``RefResource``)."""
     cost = node.config.node_cpu_per_op_s
     if cost <= 0:
         return
@@ -151,7 +391,7 @@ def ref_cpu_work(node):
     try:
         yield node.sim.timeout(cost)
     finally:
-        req.release()
+        node.cpu.release(req)
 
 
 def ref_reply_get(node, request, obj):

@@ -39,9 +39,9 @@ def test_put_protocol_message_sequence():
         orig_append = node.wal.append
         orig_remove = node.wal.remove
 
-        def tapped_append(rec, node=node, orig=orig_append):
+        def tapped_append(rec, then=None, node=node, orig=orig_append):
             events.append((node.sim.now, node.name, "+L"))
-            return orig(rec)
+            return orig(rec, then)
 
         def tapped_remove(op, node=node, orig=orig_remove):
             events.append((node.sim.now, node.name, "-L"))

@@ -12,9 +12,11 @@ from repro.sim import Simulator
 def test_request_grants_immediately_when_free():
     sim = Simulator()
     lt = LockTable()
-    ev = lt.request(sim, "k", ("op", 1))
-    assert ev.triggered
+    granted = []
+    lt.request_then(sim, "k", ("op", 1), lambda: granted.append(sim.now))
     assert lt.holder("k") == ("op", 1)
+    sim.run()
+    assert granted == [0.0]
 
 
 def test_request_queues_fifo():
@@ -22,15 +24,16 @@ def test_request_queues_fifo():
     lt = LockTable()
     order = []
 
-    def worker(sim, op, hold):
-        yield lt.request(sim, "k", op)
-        order.append((sim.now, op))
-        yield sim.timeout(hold)
-        lt.release("k", op)
+    def worker(op, hold):
+        def granted():
+            order.append((sim.now, op))
+            sim.call_in(hold, lt.release, "k", op)
 
-    sim.process(worker(sim, ("op", 1), 1.0))
-    sim.process(worker(sim, ("op", 2), 1.0))
-    sim.process(worker(sim, ("op", 3), 1.0))
+        lt.request_then(sim, "k", op, granted)
+
+    worker(("op", 1), 1.0)
+    worker(("op", 2), 1.0)
+    worker(("op", 3), 1.0)
     sim.run()
     assert [op for _, op in order] == [("op", 1), ("op", 2), ("op", 3)]
     assert [t for t, _ in order] == pytest.approx([0.0, 1.0, 2.0])
@@ -40,38 +43,44 @@ def test_request_queues_fifo():
 def test_request_reentrant_same_op():
     sim = Simulator()
     lt = LockTable()
-    lt.request(sim, "k", ("op", 1))
-    again = lt.request(sim, "k", ("op", 1))
-    assert again.triggered
+    granted = []
+    lt.request_then(sim, "k", ("op", 1), lambda: granted.append(1))
+    lt.request_then(sim, "k", ("op", 1), lambda: granted.append(2))
+    assert lt.queued("k") == 0
+    sim.run()
+    assert granted == [1, 2]
 
 
 def test_cancel_queued_request():
     sim = Simulator()
     lt = LockTable()
-    lt.request(sim, "k", ("op", 1))
-    ev2 = lt.request(sim, "k", ("op", 2))
+    granted = []
+    lt.request_then(sim, "k", ("op", 1), lambda: None)
+    lt.request_then(sim, "k", ("op", 2), lambda: granted.append(2))
     lt.cancel("k", ("op", 2))
     lt.release("k", ("op", 1))
     sim.run()
-    assert not ev2.triggered
+    assert granted == []
     assert not lt.is_locked("k")
 
 
 def test_force_release_grants_next():
     sim = Simulator()
     lt = LockTable()
-    lt.request(sim, "k", ("op", 1))
-    ev2 = lt.request(sim, "k", ("op", 2))
+    granted = []
+    lt.request_then(sim, "k", ("op", 1), lambda: None)
+    lt.request_then(sim, "k", ("op", 2), lambda: granted.append(sim.now))
     lt.force_release("k")
-    assert ev2.triggered
     assert lt.holder("k") == ("op", 2)
+    sim.run()
+    assert granted == [0.0]
 
 
 def test_clear_drops_queues():
     sim = Simulator()
     lt = LockTable()
-    lt.request(sim, "k", ("op", 1))
-    lt.request(sim, "k", ("op", 2))
+    lt.request_then(sim, "k", ("op", 1), lambda: None)
+    lt.request_then(sim, "k", ("op", 2), lambda: None)
     assert lt.queued("k") == 1
     lt.clear()
     assert lt.queued("k") == 0
@@ -84,23 +93,19 @@ def test_queue_grant_order_is_arrival_order_not_poll_order():
     sim = Simulator()
     lt = LockTable()
     grants = []
+    lt.request_then(sim, "k", ("h", 0), lambda: sim.call_in(5.0, lt.release, "k", ("h", 0)))
 
-    def holder(sim):
-        yield lt.request(sim, "k", ("h", 0))
-        yield sim.timeout(5.0)
-        lt.release("k", ("h", 0))
+    def waiter(i):
+        def granted():
+            grants.append(i)
+            lt.release("k", ("w", i))
 
-    def waiter(sim, i, delay):
-        yield sim.timeout(delay)
-        yield lt.request(sim, "k", ("w", i))
-        grants.append(i)
-        lt.release("k", ("w", i))
+        lt.request_then(sim, "k", ("w", i), granted)
 
-    sim.process(holder(sim))
     # Requests arrive in order 2, 0, 1.
-    sim.process(waiter(sim, 2, 1.0))
-    sim.process(waiter(sim, 0, 2.0))
-    sim.process(waiter(sim, 1, 3.0))
+    sim.call_in(1.0, waiter, 2)
+    sim.call_in(2.0, waiter, 0)
+    sim.call_in(3.0, waiter, 1)
     sim.run()
     assert grants == [2, 0, 1]
 

@@ -114,16 +114,19 @@ def test_resource_mutual_exclusion():
     res = Resource(sim, capacity=1)
     trace = []
 
-    def worker(sim, res, tag, hold):
-        req = res.request()
-        yield req
-        trace.append((sim.now, tag, "acquired"))
-        yield sim.timeout(hold)
-        req.release()
-        trace.append((sim.now, tag, "released"))
+    def worker(tag, hold):
+        def granted():
+            trace.append((sim.now, tag, "acquired"))
+            sim.call_in(hold, done)
 
-    sim.process(worker(sim, res, "a", 2.0))
-    sim.process(worker(sim, res, "b", 1.0))
+        def done():
+            res.release()
+            trace.append((sim.now, tag, "released"))
+
+        res.request_then(granted)
+
+    worker("a", 2.0)
+    worker("b", 1.0)
     sim.run()
     assert trace == [
         (0.0, "a", "acquired"),
@@ -138,44 +141,48 @@ def test_resource_capacity_two():
     res = Resource(sim, capacity=2)
     acquired_at = []
 
-    def worker(sim, res, hold):
-        req = res.request()
-        yield req
+    def granted():
         acquired_at.append(sim.now)
-        yield sim.timeout(hold)
-        req.release()
+        sim.call_in(5.0, res.release)
 
     for _ in range(3):
-        sim.process(worker(sim, res, 5.0))
+        res.request_then(granted)
     sim.run()
     assert acquired_at == [0.0, 0.0, 5.0]
 
 
-def test_resource_release_queued_request_cancels():
+def test_resource_grant_is_a_record_of_its_own():
+    """A grant is a call record of its own: nothing runs inside
+    ``request_then`` or ``release``, and a release with nothing granted
+    is a misuse, not a silent no-op."""
     sim = Simulator()
     res = Resource(sim, capacity=1)
-    first = res.request()
-    assert first.triggered
-    second = res.request()
-    assert not second.triggered
-    second.release()  # cancel while queued
-    first.release()
-    third = res.request()
-    assert third.triggered
-    assert not second.triggered
+    granted = []
+    res.request_then(lambda: granted.append("first"))
+    res.request_then(lambda: granted.append("second"))
+    assert granted == [] and sim.pending_events == 1
+    sim.run()
+    assert granted == ["first"] and res.queued == 1
+    res.release()
+    assert granted == ["first"] and res.queued == 0 and sim.pending_events == 1
+    sim.run()
+    assert granted == ["first", "second"]
+    res.release()
+    with pytest.raises(SimulationError):
+        res.release()
 
 
 def test_resource_counters():
     sim = Simulator()
     res = Resource(sim, capacity=1)
-    a = res.request()
-    b = res.request()
+    res.request_then(lambda: None)
+    res.request_then(lambda: None)
     assert res.in_use == 1
     assert res.queued == 1
-    a.release()
-    assert res.in_use == 1  # b promoted
+    res.release()
+    assert res.in_use == 1  # the queued request promoted
     assert res.queued == 0
-    b.release()
+    res.release()
     assert res.in_use == 0
 
 

@@ -4,7 +4,7 @@ future connects once the host recovers."""
 import pytest
 
 from repro.sim import AnyOf
-from tests.helpers import Star
+from tests.helpers import Star, connected
 
 
 def test_connect_succeeds_after_peer_recovers():
@@ -15,7 +15,7 @@ def test_connect_succeeds_after_peer_recovers():
     out = {}
 
     def connector(sim):
-        conn = yield client.tcp.connect(server.ip, 6000)
+        conn = yield connected(client, server.ip, 6000)
         out["t"] = sim.now
         out["conn"] = conn
 
@@ -35,7 +35,7 @@ def test_fresh_connect_after_handshake_gave_up():
     server.host.fail()
 
     def first(sim):
-        got = yield AnyOf(sim, [client.tcp.connect(server.ip, 6000), sim.timeout(1.0)])
+        got = yield AnyOf(sim, [connected(client, server.ip, 6000), sim.timeout(1.0)])
 
     star.sim.process(first(star.sim))
     # Run long enough for SYN retries to exhaust and tear down state.
@@ -45,7 +45,7 @@ def test_fresh_connect_after_handshake_gave_up():
     out = {}
 
     def second(sim):
-        conn = yield client.tcp.connect(server.ip, 6000)
+        conn = yield connected(client, server.ip, 6000)
         out["conn"] = conn
 
     star.sim.process(second(star.sim))

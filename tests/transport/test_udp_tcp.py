@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import AnyOf
-from tests.helpers import Star
+from tests.helpers import Star, connected
 
 
 # ---------------------------------------------------------------- UDP ----
@@ -147,7 +147,7 @@ def test_tcp_concurrent_connects_share_handshake():
             msg = yield listener.get()
 
     def connector(sim):
-        conn = yield client.tcp.connect(server.ip, 6000)
+        conn = yield connected(client, server.ip, 6000)
         conns.append(conn)
 
     star.sim.process(server_proc(star.sim))
@@ -165,7 +165,7 @@ def test_tcp_connect_to_non_listener_never_completes():
     outcome = []
 
     def connector(sim):
-        got = yield AnyOf(sim, [client.tcp.connect(server.ip, 1234), sim.timeout(1.0)])
+        got = yield AnyOf(sim, [connected(client, server.ip, 1234), sim.timeout(1.0)])
         outcome.append(len(got))
 
     star.sim.process(connector(star.sim))

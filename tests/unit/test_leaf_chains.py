@@ -2,96 +2,29 @@
 
 ``Disk.write``/``read`` with its group-commit flusher and
 ``TcpLayer.send_message`` run as callback chains that schedule the records
-the generator processes below did: the URGENT start, the same grant,
-timeout, flush-join and delivery events, and a completion record only
-when someone waits.  So does a handshake's SYN retransmission, a timer
-chain.  The references are those processes, kept here the
-way ``test_determinism.py`` keeps the one-heap kernel.  Each scenario runs
-on both and must agree on every completion time, the disk's durability
-state and flush-cycle clock, the number of event ids consumed and the
+the generator processes did: the URGENT start, the grant, service timer,
+flush join, connect and delivery — each a call record in the slot its
+event took — and a completion record only when someone waits, or a call
+to ``then`` in that slot.  So does a handshake's SYN retransmission, a
+timer chain.  The references are those processes and Events
+(``tests.helpers.install_event_forms``), kept the way
+``test_determinism.py`` keeps the one-heap kernel.  Each scenario runs on
+both and must agree on every completion time, the disk's durability state
+and flush-cycle clock, the number of event ids consumed and the
 ``(now, delay, priority)`` slot of every record scheduled.
 """
 
 from repro.kv import Disk
 from repro.sim import AnyOf, Event, Simulator
 import repro.transport.tcp as tcp_module
-from repro.transport import TcpLayer
-from tests.helpers import Star, record_slots
-
-
-# -- the reference processes ---------------------------------------------------------
-def _ref_io(disk, nbytes, forced, write, seq, epoch):
-    req = disk._device.request()
-    yield req
-    try:
-        bw = disk.write_bandwidth_bps if write else disk.read_bandwidth_bps
-        service = disk.base_latency_s + nbytes * 8.0 / bw
-        yield disk.sim.timeout(service)
-        if write:
-            disk.bytes_written.add(nbytes)
-            disk.writes.add()
-        else:
-            disk.bytes_read.add(nbytes)
-            disk.reads.add()
-        nom_w, nom_r, nom_base = disk._nominal
-        expected = nom_base + nbytes * 8.0 / (nom_w if write else nom_r)
-        if expected > 0.0:
-            disk._ratio_sum += service / expected
-            disk._ratio_n += 1
-        if write and epoch == disk._epoch:
-            disk._completed_seq = seq
-            disk._dirty.append((seq, nbytes))
-            disk.dirty_bytes += nbytes
-    finally:
-        req.release()
-    if forced:
-        done = Event(disk.sim)
-        disk._flush_waiters.append(done)
-        if not disk._flusher_running:
-            disk._flusher_running = True
-            disk.sim.process(_ref_flusher(disk))
-        yield done
-
-
-def _ref_flusher(disk):
-    while disk._flush_waiters:
-        covered, disk._flush_waiters = disk._flush_waiters, []
-        epoch, barrier = disk._epoch, disk._completed_seq
-        disk.flush_cycles_started += 1
-        yield disk.sim.timeout(disk.flush_latency_s)
-        disk.flushes.add()
-        if epoch == disk._epoch:
-            disk._advance_barrier(barrier)
-            disk.flush_cycles_done += 1
-        for ev in covered:
-            ev.succeed()
-    disk._flusher_running = False
-
-
-def _ref_write(disk, nbytes, forced=False):
-    disk._issued_seq += 1
-    return disk.sim.process(_ref_io(disk, nbytes, forced, True, disk._issued_seq, disk._epoch))
-
-
-def _ref_read(disk, nbytes):
-    return disk.sim.process(_ref_io(disk, nbytes, False, False, 0, disk._epoch))
-
-
-def _ref_send_message(layer, dst_ip, dport, payload, payload_bytes):
-    def _run():
-        conn = yield layer.connect(dst_ip, dport)
-        yield conn.send(payload, payload_bytes)
-        return conn
-
-    return layer.stack.sim.process(_run())
+from tests.helpers import Star, connected, install_event_forms, record_slots
 
 
 def _both(scenario, monkeypatch):
-    """``scenario()`` on the chains, then on the reference processes."""
+    """``scenario()`` on the chains, then on the Event forms and reference
+    processes they replaced (``tests.helpers.install_event_forms``)."""
     chain = scenario()
-    monkeypatch.setattr(Disk, "write", _ref_write)
-    monkeypatch.setattr(Disk, "read", _ref_read)
-    monkeypatch.setattr(TcpLayer, "send_message", _ref_send_message)
+    install_event_forms(monkeypatch)
     return chain, scenario()
 
 
@@ -135,6 +68,11 @@ def _contended_disk(crash_at=None):
     sim.process(writer("b", [100] * 7, 1, 0.0))
     sim.process(writer("c", [60000, 10, 10, 10, 4000], 3, 150e-6))
     sim.process(reader())
+    # Transfers that end in a callback instead of an Event.
+    for at, forced in ((50e-6, True), (400e-6, False)):
+        sim.call_in(at, lambda forced=forced: disk.write(
+            700, forced=forced, then=lambda: log.append(("then", forced, sim.now))))
+    sim.call_in(60e-6, lambda: disk.read(900, then=lambda: log.append(("then-r", sim.now))))
     if crash_at is not None:
         sim.call_at(crash_at, lambda: log.append(("crash", disk.crash())))
     sim.run()
@@ -145,7 +83,8 @@ def test_contended_disk_chain_equals_processes(monkeypatch):
     chain, ref = _both(_contended_disk, monkeypatch)
     assert chain == ref
     log, state, _ = chain
-    assert state[2] > 1 and any(entry[3] is False for entry in log if entry[0] != "r")
+    assert state[2] > 1 and any(entry[3] is False for entry in log if entry[0] in "abc")
+    assert sorted(entry[1] for entry in log if entry[0] == "then") == [False, True]
 
 
 def test_crash_mid_flush_chain_equals_processes(monkeypatch):
@@ -253,7 +192,7 @@ def _syn_run():
 
     def connect(tag, dst, delay):
         yield sim.timeout(delay)
-        conn = yield client.tcp.connect(dst, 6000)
+        conn = yield connected(client, dst, 6000)
         log.append((tag, sim.now, conn.local_port))
 
     sim.process(connect("up", star.hosts[1].ip, 0.0))
@@ -267,6 +206,7 @@ def _syn_run():
 
 def test_syn_retry_chain_equals_process(monkeypatch):
     chain = _syn_run()
+    install_event_forms(monkeypatch)
     monkeypatch.setattr(
         tcp_module, "_SynRetry",
         lambda layer, conn, key: layer.stack.sim.process(_ref_syn_retry(layer, conn, key)))

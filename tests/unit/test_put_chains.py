@@ -27,7 +27,7 @@ from repro.noob import NoobCluster, NoobConfig
 from repro.noob.storage_node import NoobStorageNode
 from repro.obs import install as install_tracer
 from repro.sim import AllOf, AnyOf, Counter, Event
-from tests.helpers import record_slots, ref_cpu_work, ref_reply_get
+from tests.helpers import install_event_forms, record_slots, ref_cpu_work, ref_reply_get
 
 
 # -- the reference processes: the participant ----------------------------------------
@@ -464,8 +464,10 @@ def _ref_handle_get(self, body):
 
 
 def _both(scenario, monkeypatch):
-    """``scenario()`` on the chains, then on the reference processes."""
+    """``scenario()`` on the chains, then on the reference processes and
+    the Event forms of their waits (``tests.helpers.install_event_forms``)."""
     chain = scenario()
+    install_event_forms(monkeypatch)
     monkeypatch.setattr(NiceStorageNode, "_on_put_msg", _ref_on_put_msg)
     monkeypatch.setattr(NoobStorageNode, "_on_msg", _ref_noob_on_msg)
     return chain, scenario()

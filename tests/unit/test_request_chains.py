@@ -29,7 +29,7 @@ from repro.obs import install as install_tracer
 from repro.sim import AnyOf, Counter, Event
 from repro.transport import MulticastEndpoint, MulticastSender
 from repro.net import IPv4Address
-from tests.helpers import Star, record_slots, ref_cpu_work, ref_reply_get
+from tests.helpers import Star, install_event_forms, record_slots, ref_cpu_work, ref_reply_get
 
 
 # -- the reference processes ---------------------------------------------------------
@@ -65,6 +65,18 @@ def _ref_attempts(self, kind, key, max_retries, address):
                 yield self.sim.timeout(backoff)
     self.failures.add()
     return OpResult(False, self.sim.now - t0, max_retries, status="timeout")
+
+
+def _ref_on_reply(self, msg):
+    """``KvClient._on_reply`` as it was: the reply succeeds its op's Event
+    waiter.  (The get scenario below registers callbacks in both runs.)"""
+    body = msg.payload or {}
+    waiter = self._waiters.pop(tuple(body.get("op_id", ())), None)
+    if isinstance(waiter, Event):
+        if not waiter.triggered:
+            waiter.succeed(body)
+    elif waiter is not None:
+        self.sim._schedule_call(0.0, waiter, body)
 
 
 def _ref_record(recorder, client, kind, key, value, sim, gen):
@@ -208,9 +220,12 @@ def _ref_serve_forwarded_gen(self, request):
 
 
 def _both(scenario, monkeypatch):
-    """``scenario()`` on the chains, then on the reference processes."""
+    """``scenario()`` on the chains, then on the reference processes and
+    the Event forms of their waits (``tests.helpers.install_event_forms``)."""
     chain = scenario()
+    install_event_forms(monkeypatch)
     monkeypatch.setattr(KvClient, "_op", _ref_op)
+    monkeypatch.setattr(KvClient, "_on_reply", _ref_on_reply)
     monkeypatch.setattr(NiceClient, "put_anyk", _ref_put_anyk)
     monkeypatch.setattr(MulticastSender, "send", _ref_mc_send)
     monkeypatch.setattr(
@@ -529,10 +544,8 @@ def _get_run(case, mode):
     log = []
     for i in range(3):
         op_id = client._new_op()
-        waiter = Event(sim)
-        client._waiters[op_id] = waiter
-        waiter.add_callback(lambda ev, i=i: log.append(
-            (i, sim.now, ev.value.get("status"), ev.value.get("value"))))
+        client._waiters[op_id] = lambda reply, i=i: log.append(
+            (i, sim.now, reply.get("status"), reply.get("value")))
         body = client._request("get", op_id, key)
         if forwarded:
             node.reads.serve_forwarded(dict(body, partition=cluster.partition_of_key(key)))
