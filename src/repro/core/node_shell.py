@@ -21,12 +21,7 @@ from ..sim import AnyOf, Counter, Resource, Simulator
 from ..transport import ProtocolStack
 from .config import ACK_BYTES, NODE_PORT, REQUEST_BYTES, BaseConfig
 
-__all__ = ["NodeShell", "wait_sent"]
-
-
-def wait_sent(_send=None) -> None:
-    """A send's callback that does nothing: the send is waited for, so its
-    completion keeps the record a process yielding it would have made."""
+__all__ = ["NodeShell"]
 
 
 class NodeShell:

@@ -18,7 +18,6 @@ from ...kv import PreparedOp, PutStamp, StoredObject, TwoPhaseParticipant
 from ...sim import URGENT, Event, Subroutine
 from ..config import ACK_BYTES, COMMIT_BYTES, NODE_PORT, PUT_PORT
 from ..membership import ReplicaSet
-from ..node_shell import wait_sent
 from ..vring import mc_group_address
 
 __all__ = ["PutEngine"]
@@ -90,13 +89,16 @@ class PutEngine:
         coordinate.  Returns the chain (an Event)."""
         return _Put(self, msg, body)
 
-    def _ack_primary(self, rs: Optional[ReplicaSet], op_id: Tuple, phase: int, then) -> None:
-        """Send ``put_ack{phase}`` to the primary; ``then(send)`` once it
-        has left (at once, with no send, when the primary is unknown)."""
+    def _ack_primary(self, rs: Optional[ReplicaSet], op_id: Tuple, phase: int,
+                     then=None) -> None:
+        """Send ``put_ack{phase}`` to the primary; ``then(conn)`` once it
+        has arrived (at once, with no send, when the primary is unknown;
+        ``None``: nobody waits)."""
         node = self.node
         primary_ip = node.directory.get(rs.primary) if rs else None
         if primary_ip is None:
-            then()
+            if then is not None:
+                then()
             return
         node.stack.tcp.send_message(
             primary_ip,
@@ -125,8 +127,7 @@ class PutEngine:
 
     def on_commit(self, body: dict) -> None:
         """The primary's timestamp multicast reached this replica.  Called
-        in an URGENT record; the ack2 send is waited for, so its
-        completion keeps its record."""
+        in an URGENT record; nothing waits for the ack2 send."""
         op_id = tuple(body["op_id"])
         op = self.participant.pending.get(op_id)
         if op is None:
@@ -135,7 +136,7 @@ class PutEngine:
         if op.role == "primary":
             return  # primary committed inline; duplicates ignored
         self.apply_commit(op_id, body["stamp"])
-        self._ack_primary(self.node.replica_sets.get(op.partition), op_id, 2, wait_sent)
+        self._ack_primary(self.node.replica_sets.get(op.partition), op_id, 2)
 
     def apply_commit(self, op_id: Tuple, stamp: PutStamp) -> None:
         node = self.node

@@ -19,7 +19,7 @@ from typing import Dict, List
 
 from ..core.config import ACK_BYTES, COMMIT_BYTES, NODE_PORT, REQUEST_BYTES
 from ..core.membership import PartitionMap
-from ..core.node_shell import NodeShell, wait_sent
+from ..core.node_shell import NodeShell
 from ..kv import PreparedOp, PutStamp, StoredObject, TwoPhaseParticipant
 from ..net import Host, IPv4Address
 from ..sim import URGENT, Counter, Event, Simulator
@@ -112,9 +112,10 @@ class NoobStorageNode(NodeShell):
         self.participant.prepare(op, then)
 
     def _chain_forward(self, body: dict, replicas: List[str], position: int,
-                       stamp: PutStamp, then) -> None:
-        """Pass the object down the chain [43] and ``then(send)`` once it
-        has left; the tail acknowledges the client and calls ``then()``."""
+                       stamp: PutStamp, then=None) -> None:
+        """Pass the object down the chain [43] and ``then(conn)`` once it
+        has arrived; the tail acknowledges the client and calls ``then()``
+        (``None``: nobody waits)."""
         if position + 1 < len(replicas):
             nxt = replicas[position + 1]
             copy = self._copy(
@@ -125,7 +126,8 @@ class NoobStorageNode(NodeShell):
         else:
             self.puts_served.add()
             self._reply_put(body, "ok")
-            then()
+            if then is not None:
+                then()
 
     # -- dispatch --------------------------------------------------------------------
     # No message spawns a process (DESIGN.md §5g): a put or a get is a chain
@@ -187,7 +189,7 @@ class NoobStorageNode(NodeShell):
 
         def stored() -> None:
             replicas = self.partition_map.replicas_of_key(body["key"])
-            self._chain_forward(body, replicas, body["position"], stamp, wait_sent)
+            self._chain_forward(body, replicas, body["position"], stamp)
 
         self.cpu_work_then(lambda: self._commit_local(body, stamp, stored))
 

@@ -73,15 +73,16 @@ class TcpConnection:
 
     def send(self, payload: Any, payload_bytes: int, then=None) -> Optional[Event]:
         """Transmit one message; the returned event triggers on delivery —
-        or, given ``then``, ``then()`` runs in the record that event would
-        fire in (and nothing is returned).
+        through a record only if someone waits on it by then, like the end
+        of a chain — or, given ``then``, ``then()`` runs in the record
+        that event would fire in (and nothing is returned).
 
         Neither happens if the peer is down — callers guard with protocol
         timeouts, exactly as the paper's protocols do (§4.4).
         """
         if then is None:
             done = Event(self.layer.stack.sim)
-            delivered = done.succeed
+            delivered = done._complete  # a record only if someone waits
         else:
             done = None
             delivered = partial(self.layer.stack.sim._schedule_call, 0.0, then)

@@ -11,7 +11,10 @@ the generator form of ``TwoPhaseParticipant.prepare`` they called — kept
 here the way ``test_request_chains.py`` keeps the client's.  Each scenario
 runs on both, bare and traced, and must agree on every outcome, counter,
 stored object, trace event, the number of event ids consumed and the
-``(now, delay, priority)`` slot of every record scheduled.
+``(now, delay, priority)`` slot of every record scheduled.  A send nobody
+waits for — the ack2, a replica's forward down the chain, the replica
+handlers' replies — completes without a record, so the references send
+those without yielding them.
 """
 
 import copy
@@ -102,14 +105,22 @@ def _ref_prepare(self, msg, body):
             yield from _ref_ack_primary(self, rs, op_id, phase=1)
 
 
-def _ref_ack_primary(self, rs, op_id, phase):
+def _ref_send_ack(self, rs, op_id, phase):
+    """Send ``put_ack{phase}`` to the primary; returns the send, if any."""
     node = self.node
     primary_ip = node.directory.get(rs.primary) if rs else None
     if primary_ip is not None:
-        yield node.stack.tcp.send_message(
+        return node.stack.tcp.send_message(
             primary_ip, NODE_PORT,
             {"type": f"put_ack{phase}", "op_id": op_id, "node": node.name}, ACK_BYTES,
         )
+    return None
+
+
+def _ref_ack_primary(self, rs, op_id, phase):
+    send = _ref_send_ack(self, rs, op_id, phase)
+    if send is not None:
+        yield send
 
 
 def _ref_store_anyk(self, body):
@@ -132,7 +143,10 @@ def _ref_on_commit(self, body):
     if op.role == "primary":
         return
     self.apply_commit(op_id, body["stamp"])
-    yield from _ref_ack_primary(self, self.node.replica_sets.get(op.partition), op_id, phase=2)
+    # Nothing waits for the ack2 to arrive: it completes without a record.
+    _ref_send_ack(self, self.node.replica_sets.get(op.partition), op_id, phase=2)
+    return
+    yield  # a generator, spawned where the chain's URGENT call runs
 
 
 def _ref_coordinate(self, op, rs):
@@ -234,8 +248,12 @@ def _ref_noob_on_msg(self, msg):
         self.sim.process(handler())
 
 
+# The replica-side handlers end with their reply: nothing waits for its
+# delivery, which completes without a record.
 def _ref_ack(self, msg):
-    yield msg.conn.send({"type": "membership_ack"}, ACK_BYTES)
+    msg.conn.send({"type": "membership_ack"}, ACK_BYTES)
+    return
+    yield  # a generator, spawned where the chain's URGENT call runs
 
 
 def _ref_rpc(self, peer, body, size, timeout_factor):
@@ -252,7 +270,7 @@ def _ref_handle_read_version(self, msg, body):
     obj = self.store.get(body["key"])
     if obj is not None:
         yield self.disk.read(obj.size_bytes)
-    yield msg.conn.send(
+    msg.conn.send(
         {"type": "read_version_reply", "token": body["token"],
          "stamp": obj.stamp if obj else None, "value": obj.value if obj else None,
          "size": obj.size_bytes if obj else 0},
@@ -368,24 +386,27 @@ def _ref_put_quorum(self, body, secondaries):
 def _ref_put_chain(self, body, replicas):
     stamp = self._stamp(body)
     yield from _ref_commit_local(self, body, stamp)
-    yield from _ref_chain_forward(self, body, replicas, 0, stamp)
+    send = _ref_chain_forward(self, body, replicas, 0, stamp)
+    if send is not None:
+        yield send
 
 
 def _ref_chain_forward(self, body, replicas, position, stamp):
+    """Forward down the chain (returns the send) or, at the tail, ack."""
     if position + 1 < len(replicas):
         nxt = replicas[position + 1]
         copy_ = self._copy(body, stamp, "chain_put", client_port=body["client_port"],
                            position=position + 1)
-        yield self._send(self.directory[nxt], copy_, body["size"])
-    else:
-        self.puts_served.add()
-        self._reply_put(body, "ok")
+        return self._send(self.directory[nxt], copy_, body["size"])
+    self.puts_served.add()
+    self._reply_put(body, "ok")
+    return None
 
 
 def _ref_handle_replicate(self, msg, body):
     yield from ref_cpu_work(self)
     yield from _ref_commit_local(self, body, body["stamp"])
-    yield msg.conn.send({"type": "replicate_ack", "token": body["token"]}, ACK_BYTES)
+    msg.conn.send({"type": "replicate_ack", "token": body["token"]}, ACK_BYTES)
 
 
 def _ref_handle_prepare(self, msg, body):
@@ -398,7 +419,7 @@ def _ref_handle_prepare(self, msg, body):
     yield from _ref_noob_prepare(self, body, "secondary")
     if span is not None:
         span.end(status="prepared")
-    yield msg.conn.send({"type": "prepare_ack", "token": body["token"]}, ACK_BYTES)
+    msg.conn.send({"type": "prepare_ack", "token": body["token"]}, ACK_BYTES)
 
 
 def _ref_handle_commit2pc(self, msg, body):
@@ -409,14 +430,16 @@ def _ref_handle_commit2pc(self, msg, body):
     tr = self.sim.tracer
     if tr is not None:
         tr.instant("commit", "2pc", node=self.name, op=op_id, applied=op is not None)
-    yield msg.conn.send({"type": "commit_ack", "token": body["token"]}, ACK_BYTES)
+    msg.conn.send({"type": "commit_ack", "token": body["token"]}, ACK_BYTES)
+    return
+    yield  # a generator, spawned where the chain's URGENT call runs
 
 
 def _ref_handle_chain_put(self, body):
     yield from ref_cpu_work(self)
     yield from _ref_commit_local(self, body, body["stamp"])
     replicas = self.partition_map.replicas_of_key(body["key"])
-    yield from _ref_chain_forward(self, body, replicas, body["position"], body["stamp"])
+    _ref_chain_forward(self, body, replicas, body["position"], body["stamp"])
 
 
 def _ref_handle_get(self, body):
