@@ -17,7 +17,8 @@ mailbox whose handler never waits is served (``Store.serve``), and every
 request path — a disk IO, a TCP send or handshake, a client op's attempts,
 a multicast send, a replica's get service, its 2PC prepare and
 coordination, every NOOB handler — is a fixed chain of waits: an ``Event``
-subclass whose callbacks schedule the records the process would have
+subclass whose callbacks schedule the records the process would have, a
+wait it is the only waiter of being a call record in its event's slot
 (DESIGN.md §5g).  A chain that must wait on generator code it does not own
 (the get path's read-repair, the put path's strikes) runs it as a
 :class:`Subroutine`: ``yield from`` without a process around it.
