@@ -89,31 +89,25 @@ class Store:
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> Event:
         """Return an event yielding the next (matching) item."""
-        if self._handler is not None:
-            raise SimulationError(f"{self.name}: get() on a served store")
-        ev = _StoreGet(self.sim, filter)
-        for i, item in enumerate(self._items):
-            if filter is None or filter(item):
-                del self._items[i]
-                ev.succeed(item)
-                return ev
-        self._getters.append(ev)
-        return ev
+        return self._wait(_StoreGet(self.sim, filter))
 
     def get_then(self, then: Callable[[Any], None],
-                 filter: Optional[Callable[[Any], bool]] = None) -> Optional[_GetThen]:
+                 filter: Optional[Callable[[Any], bool]] = None) -> _GetThen:
         """``get()`` for a callback chain: ``then(item)`` with the next
         (matching) item, in the record the event ``get()`` returns would
-        have fired in.  Returns the pending getter to :meth:`cancel`, or
-        ``None`` when an item was already queued."""
+        have fired in.  Returns the getter, to :meth:`cancel`."""
+        return self._wait(_GetThen(self.sim, filter, then))
+
+    def _wait(self, getter):
+        """Hand ``getter`` the first matching queued item, else queue it."""
         if self._handler is not None:
-            raise SimulationError(f"{self.name}: get_then() on a served store")
+            raise SimulationError(f"{self.name}: get() on a served store")
+        filter = getter.filter
         for i, item in enumerate(self._items):
             if filter is None or filter(item):
                 del self._items[i]
-                self.sim._schedule_call(0.0, then, item)
-                return None
-        getter = _GetThen(self.sim, filter, then)
+                getter._deliver(item)
+                return getter
         self._getters.append(getter)
         return getter
 
@@ -164,9 +158,9 @@ class Resource:
     """A counted resource with FIFO admission (capacity-1 ⇒ a mutex).
 
     A request is a callback, not an event: ``request_then(then)`` calls
-    ``then()`` in a NORMAL zero-delay record once a slot is granted — the
-    slot the grant event of a ``yield resource.request()`` occupied, now
-    if a slot is free, else in the ``release()`` that frees one::
+    ``then()`` in a NORMAL zero-delay record of its own once a slot is
+    granted — scheduled now if a slot is free, else by the ``release()``
+    that frees one (the slots a grant event's records took)::
 
         def granted():
             ... hold the resource ...
