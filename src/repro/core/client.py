@@ -23,7 +23,7 @@ import itertools
 from typing import Callable, Dict, Tuple
 
 from ..net import Host, IPv4Address
-from ..sim import URGENT, Counter, Event, Simulator, Tally
+from ..sim import URGENT, Counter, Event, Race, Simulator, Tally
 from ..transport import MulticastSender, ProtocolStack
 from .config import (
     CLIENT_PORT,
@@ -111,7 +111,7 @@ class KvClient:
         return _Op(self, kind, key, value, max_retries, address)
 
 
-class _Op(Event):
+class _Op(Race, Event):
     """The attempt loop shared by every put and get, as a callback chain
     that schedules the records of the process it replaced (DESIGN.md §5g):
     the URGENT start, per attempt the request, its reply (a call to
@@ -131,17 +131,16 @@ class _Op(Event):
     re-sends in the same sim instant, so a rejecting replica set sees
     max_retries+1 requests in zero sim time.
 
-    The join settles the race as ``AnyOf`` did: a winning reply cancels
-    the retry timer; a timer that wins leaves the reply waiter armed, and
-    a reply that lands after it (or an earlier attempt's) is ignored.  The
-    back-off is a timer call.  The history recorder's hooks and the
-    tracer's spans run at the instants the process stamped them.
+    Each attempt is a :class:`~repro.sim.Race` of its reply against the
+    retry timer (a reply to an earlier attempt is ignored); the back-off
+    is a timer call.  The history recorder's hooks and the tracer's spans
+    run at the instants the process stamped them.
     """
 
     __slots__ = (
         "client", "kind", "key", "written", "max_retries", "address",
         "recorder", "operation", "t0", "attempt", "op_id", "span",
-        "timer", "settled", "reply",
+        "settled", "reply", "timer",
     )
 
     def __init__(self, client: KvClient, kind: str, key: str, written,
@@ -177,41 +176,17 @@ class _Op(Event):
             attempt=self.attempt, **span_attrs)
         client._waiters[op_id] = self._replied
         send(op_id)
-        self._race()
-
-    def _race(self) -> None:
-        """Arm the retry timer; the reply or the timer, whichever comes
-        first, settles the attempt."""
-        self.settled = False
-        self.reply = None
-        self.timer = timer = self.client.sim.timeout(self.client.config.client_retry_timeout_s)
-        timer._callbacks = [self._timed_out]
+        self._race(sim, client.config.client_retry_timeout_s)
 
     def _replied(self, reply) -> None:
-        if self.settled or tuple(reply["op_id"]) != self.op_id:
-            return  # the timer won, or the reply is an earlier attempt's
-        self._won(reply)
+        if tuple(reply["op_id"]) == self.op_id:  # not an earlier attempt's
+            self._won(reply)
 
-    def _won(self, reply) -> None:
-        self.settled = True
-        self.reply = reply
-        sim = self.client.sim
-        sim._schedule_call(0.0, self._join)
-        timer = self.timer
-        timer._callbacks = None
-        sim.cancel_timer(timer)
-
-    def _timed_out(self, _timer: Event) -> None:
-        if not self.settled:
-            self.settled = True
-            self.client.sim._schedule_call(0.0, self._join)
-
-    def _join(self) -> None:
+    def _settled(self, reply) -> None:
         client = self.client
         sim = client.sim
         attempt = self.attempt
         client._waiters.pop(self.op_id, None)
-        reply = self.reply
         replied = reply is not None
         status = reply.get("status", "error") if replied else "timeout"
         if self.span is not None:
@@ -262,17 +237,15 @@ class _AnykOp(_Op):
             quorum=self.quorum)
         sender = client._multicast_put(
             "put_anyk", op_id, self.key, self.written, self.size, self.t0, self.quorum)
-        self._race()
+        self._race(client.sim, client.config.client_retry_timeout_s)
         sender._callbacks = [self._sent]
 
     def _sent(self, sender: Event) -> None:
-        if not self.settled:
-            self._won(sender._value)
+        self._won(sender._value)
 
-    def _join(self) -> None:
+    def _settled(self, acks) -> None:
         client = self.client
         now = client.sim.now
-        acks = self.reply
         if acks is None:
             client.failures.add()
             if self.span is not None:

@@ -256,7 +256,7 @@ class MetadataReplica:
                         self.log.append(record)
             elif kind == "log_sync":
                 if self.leading:
-                    yield msg.conn.send(
+                    yield self.sim.wait(msg.conn.send,
                         {
                             "type": "log_sync_reply",
                             "epoch": self.service.epoch,
@@ -279,7 +279,7 @@ class MetadataReplica:
                     self.leader_ip is not None
                     and self.sim.now - self.last_leader_beat <= lease
                 ):
-                    yield msg.conn.send(
+                    yield self.sim.wait(msg.conn.send,
                         {
                             "type": "meta_redirect",
                             "epoch": self.epoch_seen,
@@ -291,8 +291,8 @@ class MetadataReplica:
     def _sync_log_from(self, ip: IPv4Address):
         """Post-demotion catch-up: copy the new leader's full log."""
         timeout = self.config.peer_timeout_s * 4
-        send = self.stack.tcp.send_message(
-            ip, META_PORT, {"type": "log_sync"}, REQUEST_BYTES
+        send = self.sim.wait(
+            self.stack.tcp.send_message, ip, META_PORT, {"type": "log_sync"}, REQUEST_BYTES
         )
         got = yield AnyOf(self.sim, [send, self.sim.timeout(timeout)])
         if send not in got:
@@ -382,7 +382,7 @@ class MetadataReplica:
                 }))
 
     def _send_node(self, ip: IPv4Address, body: dict):
-        send = self.stack.tcp.send_message(ip, NODE_PORT, body, MEMBERSHIP_BYTES)
+        send = self.sim.wait(self.stack.tcp.send_message, ip, NODE_PORT, body, MEMBERSHIP_BYTES)
         yield AnyOf(self.sim, [send, self.sim.timeout(self.config.peer_timeout_s * 4)])
 
 

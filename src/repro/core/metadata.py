@@ -145,28 +145,28 @@ class MetadataService:
             # a node already DOWN is a no-op.
             if self.status.get(suspect) in (UP, JOINING):
                 self.declare_failed(suspect)
-            yield msg.conn.send({"type": "report_ack"}, ACK_BYTES)
+            yield self.sim.wait(msg.conn.send, {"type": "report_ack"}, ACK_BYTES)
         elif kind == "rejoin":
             if self._switch_channel_down():
                 # The §4.4 two-phase visibility protocol depends on the
                 # flow-mods landing; with the switch channel down they are
                 # dropped, which would leave a "joining" node invisible to
                 # puts yet later marked consistent.  Defer the node.
-                yield msg.conn.send({"type": "retry_later"}, ACK_BYTES)
+                yield self.sim.wait(msg.conn.send, {"type": "retry_later"}, ACK_BYTES)
                 return
             reply = self.begin_rejoin(body["node"])
-            yield msg.conn.send(
+            yield self.sim.wait(msg.conn.send,
                 {"type": "rejoin_ack", "epoch": self.epoch, **reply}, MEMBERSHIP_BYTES
             )
         elif kind == "consistent":
             if self._switch_channel_down():
-                yield msg.conn.send({"type": "retry_later"}, ACK_BYTES)
+                yield self.sim.wait(msg.conn.send, {"type": "retry_later"}, ACK_BYTES)
                 return
             self.complete_rejoin(body["node"])
-            yield msg.conn.send({"type": "consistent_ack"}, ACK_BYTES)
+            yield self.sim.wait(msg.conn.send, {"type": "consistent_ack"}, ACK_BYTES)
         elif kind == "admin_remove":
             self.admin_remove(body["node"])
-            yield msg.conn.send({"type": "admin_ack"}, ACK_BYTES)
+            yield self.sim.wait(msg.conn.send, {"type": "admin_ack"}, ACK_BYTES)
 
     def _switch_channel_down(self) -> bool:
         """True while the controller's switch channel is severed (the
@@ -216,8 +216,8 @@ class MetadataService:
             self.sim.process(self._replicate_record(ip, record))
 
     def _replicate_record(self, ip: IPv4Address, record: dict):
-        send = self.stack.tcp.send_message(
-            ip, META_PORT,
+        send = self.sim.wait(
+            self.stack.tcp.send_message, ip, META_PORT,
             {"type": "meta_log", "epoch": self.epoch, "record": record},
             MEMBERSHIP_BYTES,
         )
@@ -442,8 +442,8 @@ class MetadataService:
             self.sim.process(self._send_membership(ip, wire))
 
     def _send_membership(self, ip: IPv4Address, wire: dict):
-        yield self.stack.tcp.send_message(
-            ip, NODE_PORT,
+        yield self.sim.wait(
+            self.stack.tcp.send_message, ip, NODE_PORT,
             {"type": "membership", "epoch": self.epoch, "replica_set": wire},
             MEMBERSHIP_BYTES,
         )

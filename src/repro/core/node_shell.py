@@ -7,7 +7,8 @@ table on it, and a handful of wire idioms — the CPU step and the get reply
 (callback chains, for the request paths), the put reply, and the bounded
 send and token-matched reply wait (generators, for the background paths:
 recovery, the metadata link, read-repair).  The NICE and NOOB nodes add
-their protocols.
+their protocols.  A wait API (a disk IO, a WAL append, a TCP send) takes
+only ``then=``; the generators wait on it as ``yield sim.wait(fn, *args)``.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class NodeShell:
         """A send that cannot wedge this process on an unreachable peer
         (e.g. a handoff inside an isolated rack that nobody has declared
         failed yet): returns the connection, or ``None`` after ``wait_s``."""
-        send = self.stack.tcp.send_message(ip, port, body, size)
+        send = self.sim.wait(self.stack.tcp.send_message, ip, port, body, size)
         got = yield AnyOf(self.sim, [send, self.sim.timeout(wait_s)])
         return got[send] if send in got else None
 

@@ -12,25 +12,16 @@ reconciliation forces.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional, Set, Tuple
 
 from ...kv import PreparedOp, PutStamp, StoredObject, TwoPhaseParticipant
-from ...sim import URGENT, Event, Subroutine
+from ...sim import URGENT, Event, Fold, Race, Subroutine
 from ..config import ACK_BYTES, COMMIT_BYTES, NODE_PORT, PUT_PORT
 from ..membership import ReplicaSet
 from ..vring import mc_group_address
 
 __all__ = ["PutEngine"]
-
-
-class _Coordination:
-    """Primary-side per-operation 2PC state: per phase (1 = prepared,
-    2 = committed), who acked and the event that fires when all have."""
-
-    def __init__(self, sim, need: Set[str]):
-        self.need = need
-        self.acks: Dict[int, Set[str]] = {1: set(), 2: set()}
-        self.done: Dict[int, Event] = {1: Event(sim), 2: Event(sim)}
 
 
 class PutEngine:
@@ -42,7 +33,8 @@ class PutEngine:
             node.sim, node.disk, node.store, node.wal, node.locks,
             is_up=lambda: node.host.up,
         )
-        self._coord: Dict[Tuple, _Coordination] = {}
+        #: op id → the primary's put chain coordinating it.
+        self._coord: Dict[Tuple, _Put] = {}
         #: Acks that raced ahead of the primary's own prepare (its disk can
         #: queue behind concurrent gets); drained when the coord is created.
         self._early_acks: Dict[Tuple, Dict[int, Set[str]]] = {}
@@ -180,18 +172,20 @@ class PutEngine:
 
     # -- primary side -------------------------------------------------------------
     def record_ack(self, op_id: Tuple, peer: str, phase: int) -> None:
-        coord = self._coord.get(op_id)
-        if coord is None:
+        put = self._coord.get(op_id)
+        if put is None:
             if op_id not in self.participant.committed:
                 self._early_acks.setdefault(op_id, {}).setdefault(phase, set()).add(peer)
             return
-        coord.acks[phase].add(peer)
+        acks = put.acks[phase]
+        needed = peer in put.need and peer not in acks
+        acks.add(peer)
         self.node.meta.clear_strikes(peer)
-        if coord.need <= coord.acks[phase] and not coord.done[phase].triggered:
-            coord.done[phase].succeed()
+        if needed:
+            put.folds[phase].add()
 
 
-class _Put(Event):
+class _Put(Race, Event):
     """One delivered put on this replica as a callback chain that schedules
     the records of the process it replaced (DESIGN.md §5g): the URGENT
     start, the admit checks, the CPU step, the participant's prepare, then
@@ -199,16 +193,16 @@ class _Put(Event):
     gather ack1, multicast the timestamp, gather ack2, answer the client.
     It completes like a process.
 
-    Each gather waits on ``coord.done[phase]`` and the peer timer directly:
-    the first to fire schedules one NORMAL zero-delay ``_join`` call where
-    ``AnyOf._on_trigger`` scheduled the condition and, if it was the acks,
-    cancels the timer as ``Condition._settle_losers`` did.  Acks already
-    processed when the gather starts (no secondaries) join at once and
-    leave the timer armed, as the ``AnyOf`` did.  Strikes against silent
+    Each phase's acks are a :class:`~repro.sim.Fold` over the secondaries
+    it needs (``record_ack`` adds to it), whose record is where the
+    phase's done event fired; each gather is a :class:`~repro.sim.Race`
+    of that record against the peer timer.  Acks all in before their
+    gather starts (no secondaries) join at once and leave the timer armed,
+    as the ``AnyOf`` over a processed event did.  Strikes against silent
     peers run one after another, each a :class:`~repro.sim.Subroutine`."""
 
-    __slots__ = ("engine", "virtual_dst", "body", "op", "span", "coord", "phase", "waiting",
-                 "timer", "won", "missing", "strikes")
+    __slots__ = ("engine", "virtual_dst", "body", "op", "span", "need", "acks", "folds",
+                 "phase", "early", "missing", "strikes", "settled", "reply", "timer")
 
     def __init__(self, engine: PutEngine, msg, body: dict):
         super().__init__(engine.node.sim)
@@ -295,66 +289,55 @@ class _Put(Event):
         # Phase-1 rejoiners receive puts best-effort: they are still
         # catching up and will fetch anything missed from the handoff, so
         # the operation's success must not depend on their acks (§4.4).
-        secondaries = {s for s in rs.secondaries() if s not in rs.joining}
-        self.coord = coord = engine._coord[op_id] = _Coordination(node.sim, need=secondaries)
+        self.need = secondaries = {s for s in rs.secondaries() if s not in rs.joining}
+        self.acks = {1: set(), 2: set()}
+        self.early = None
+        sim = node.sim
+        self.folds = {phase: Fold(sim, len(secondaries), partial(self._acked, phase))
+                      for phase in (1, 2)}
+        engine._coord[op_id] = self
         # Drain acks that beat us here while our prepare was on the disk.
         early = engine._early_acks.pop(op_id, None)
         if early:
             for phase, peers in early.items():
                 for peer in peers:
                     engine.record_ack(op_id, peer, phase)
-        if not secondaries:
-            for done in coord.done.values():
-                if not done.triggered:
-                    done.succeed()
         self._gather(1)
 
     def _gather(self, phase: int) -> None:
         """Wait for the phase's acks or the peer timeout."""
-        sim = self.sim
         self.phase = phase
-        self.won = None
-        self.timer = timer = sim.timeout(self.engine.node.config.peer_timeout_s)
-        self.waiting = done = self.coord.done[phase]
-        if done._processed:
-            self.won = done
-            sim._schedule_call(0.0, self._join)
-            return
-        settle = self._settle
-        done.add_callback(settle)
-        timer._callbacks = [settle]
-
-    def _settle(self, ev: Event) -> None:
-        if self.won is not None:
-            return  # the acks after the timer won
-        self.won = ev
         sim = self.sim
-        sim._schedule_call(0.0, self._join)
-        if ev is self.waiting:
-            timer = self.timer
-            timer._callbacks = None
-            sim.cancel_timer(timer)
+        self._race(sim, self.engine.node.config.peer_timeout_s)
+        if self.early == phase:  # join at once; the timer stays armed
+            self.settled = True
+            self.reply = True
+            sim._schedule_call(0.0, self._join)
 
-    def _join(self) -> None:
-        acked = self.won is self.waiting
-        self.waiting = self.timer = None
+    def _acked(self, phase: int) -> None:
+        """All of ``phase``'s needed acks are in."""
+        if phase == self.phase:
+            self._won(True)
+        else:
+            self.early = phase  # before its gather began
+
+    def _settled(self, acked) -> None:
         if self.phase == 1:
             self._committing(acked)
         else:
             self._committed(acked)
 
-    def _committing(self, acked: bool) -> None:
+    def _committing(self, acked) -> None:
         engine = self.engine
         node = engine.node
         op = self.op
         op_id = op.op_id
-        coord = self.coord
         # Nodes address the replica set's IP multicast group directly (they
         # hold the O(R) membership); works on cores that cannot rewrite.
         group_addr = mc_group_address(op.partition)
         if not acked:
             # Secondary failed mid-put: abort, tell the client, report peers.
-            self.missing = missing = sorted(coord.need - coord.acks[1])
+            self.missing = missing = sorted(self.need - self.acks[1])
             node.aborts.add()
             node.mc_sender.send_ctrl(
                 group_addr, PUT_PORT, {"type": "abort", "op_id": op_id}, ACK_BYTES
@@ -382,12 +365,12 @@ class _Put(Event):
         engine.apply_commit(op_id, stamp)
         self._gather(2)
 
-    def _committed(self, acked: bool) -> None:
+    def _committed(self, acked) -> None:
         engine = self.engine
         op = self.op
         engine._coord.pop(op.op_id, None)
         if not acked:
-            self.missing = sorted(self.coord.need - self.coord.acks[2])
+            self.missing = sorted(self.need - self.acks[2])
             self._strike_all()
             return
         node = engine.node

@@ -43,8 +43,8 @@ class ReadPath:
         obj = node.store.get(body["key"])
         good = obj is not None and node.store.verify(obj)
         if good:
-            yield node.disk.read(obj.size_bytes)
-        yield msg.conn.send(
+            yield node.sim.wait(node.disk.read, obj.size_bytes)
+        yield node.sim.wait(msg.conn.send,
             {
                 "type": "object_data",
                 "token": body["token"],
@@ -77,7 +77,7 @@ class ReadPath:
                 continue
             name, value, size, stamp = reply["object"]
             obj = StoredObject(name, value, size, stamp)
-            yield node.disk.write(size, forced=True)
+            yield node.sim.wait(node.disk.write, size, forced=True)
             node.store.repair(obj)
             node.puts.made_durable(key)
             tr = node.sim.tracer
@@ -105,7 +105,7 @@ class ReadPath:
                 if obj is None:
                     continue
                 node.scrub_scans.add()
-                yield node.disk.read(obj.size_bytes)
+                yield node.sim.wait(node.disk.read, obj.size_bytes)
                 if node.store.verify(obj):
                     continue
                 rs = node.replica_sets.get(node.uni.subgroup_of_key(key))

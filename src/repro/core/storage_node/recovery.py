@@ -143,7 +143,7 @@ class Recovery:
         if data is None:
             return None
         for name, value, size, stamp in data["objects"]:
-            yield node.disk.write(size, forced=True)
+            yield node.sim.wait(node.disk.write, size, forced=True)
             node.store.put(StoredObject(name, value, size, stamp))
         return len(data["objects"])
 
@@ -239,7 +239,7 @@ class Recovery:
         source = node.store.handoff_objects() if handoff else node.store.objects()
         objs = [o for o in source if node.uni.subgroup_of_key(o.name) == partition]
         total = sum(o.size_bytes for o in objs) + ACK_BYTES
-        yield msg.conn.send(
+        yield self.node.sim.wait(msg.conn.send,
             {
                 "type": "handoff_data" if handoff else "partition_data",
                 "token": body["token"],
@@ -275,7 +275,7 @@ class Recovery:
     # -- failover reconciliation -----------------------------------------------------------
     def serve_query_locks(self, msg, body: dict):
         participant = self.node.puts.participant
-        yield msg.conn.send(
+        yield self.node.sim.wait(msg.conn.send,
             {
                 "type": "query_locks_reply",
                 "token": body["token"],
@@ -289,7 +289,7 @@ class Recovery:
         """Report commit evidence for one client attempt: does our store
         hold a version committed from that exact (client, timestamp) put?"""
         stamp = self._store_commit_evidence(body["key"], body["client_ip"], body["client_ts"])
-        yield msg.conn.send(
+        yield self.node.sim.wait(msg.conn.send,
             {"type": "query_commit_reply", "token": body["token"], "stamp": stamp},
             ACK_BYTES,
         )

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
-from ..sim import URGENT, Counter, Event, Resource, Simulator
+from ..sim import URGENT, Counter, Resource, Simulator
 
 __all__ = ["Disk"]
 
@@ -100,20 +100,20 @@ class Disk:
         meaningful for sequences issued in the current power epoch."""
         return seq <= self.durable_seq
 
-    def write(self, nbytes: int, forced: bool = False, then=None) -> Event:
-        """Persist ``nbytes``; returns an Event to ``yield`` on, or with
-        ``then``, calls ``then()`` in the record that Event would fire in."""
+    def write(self, nbytes: int, forced: bool = False, then=None) -> None:
+        """Persist ``nbytes``, then ``then()`` (``None``: nobody waits; a
+        generator yields ``sim.wait(disk.write, nbytes, forced)``)."""
         if nbytes < 0:
             raise ValueError(f"negative write size: {nbytes}")
         self._issued_seq += 1
-        return _Io(self, nbytes, forced, True, self._issued_seq, then)
+        _Io(self, nbytes, forced, True, self._issued_seq, then)
 
-    def read(self, nbytes: int, then=None) -> Event:
-        """Fetch ``nbytes``; returns an Event to ``yield`` on, or with
-        ``then``, calls ``then()`` in the record that Event would fire in."""
+    def read(self, nbytes: int, then=None) -> None:
+        """Fetch ``nbytes``, then ``then()`` (``None``: nobody waits; a
+        generator yields ``sim.wait(disk.read, nbytes)``)."""
         if nbytes < 0:
             raise ValueError(f"negative read size: {nbytes}")
-        return _Io(self, nbytes, False, False, 0, then)
+        _Io(self, nbytes, False, False, 0, then)
 
     def _flush_cycle(self) -> None:
         """Back-to-back flush cycles while demand exists; each cycle covers
@@ -185,21 +185,19 @@ class Disk:
         return ratio
 
 
-class _Io(Event):
-    """One transfer, returned by :meth:`Disk.write` / :meth:`Disk.read`: a
-    callback chain that schedules the records of the process it replaced
-    (DESIGN.md §5g) — the URGENT start, the device grant, the service
-    timer and, for a forced write, the flush join — and completes like a
-    process, through a record only when someone waits on it.  Every wait
-    has one waiter, this chain, so each is a call record in the slot its
+class _Io:
+    """One transfer of :meth:`Disk.write` / :meth:`Disk.read`: a callback
+    chain that schedules the records of the process it replaced (DESIGN.md
+    §5g) — the URGENT start, the device grant, the service timer and, for
+    a forced write, the flush join — each a call record in the slot its
     event took: ``Resource.request_then``, a service timer call, a
-    callback in the flush cycle's list.  Given ``then``, the transfer ends
-    with ``then()`` in the record its completion event would fire in."""
+    callback in the flush cycle's list.  It ends with ``then()`` in the
+    record the process's completion fired in, or with nothing when
+    nobody waits."""
 
     __slots__ = ("disk", "nbytes", "forced", "write", "seq", "epoch", "then")
 
     def __init__(self, disk: Disk, nbytes: int, forced: bool, write: bool, seq: int, then):
-        super().__init__(disk.sim)
         self.disk = disk
         self.nbytes = nbytes
         self.forced = forced
@@ -250,9 +248,5 @@ class _Io(Event):
             disk.sim._schedule_call(0.0, disk._flush_cycle, priority=URGENT)
 
     def _done(self) -> None:
-        then = self.then
-        if then is None:
-            self._complete()
-        else:
-            self.then = None
-            self.sim._schedule_call(0.0, then)
+        if self.then is not None:
+            self.disk.sim._schedule_call(0.0, self.then)

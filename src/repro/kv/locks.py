@@ -66,17 +66,6 @@ class LockTable:
             if not queue:
                 del self._queues[key]
 
-    def cancel(self, key: str, op_id: Tuple) -> None:
-        """Withdraw a queued (not yet granted) request."""
-        queue = self._queues.get(key)
-        if not queue:
-            return
-        remaining = deque(entry for entry in queue if entry[0] != op_id)
-        if remaining:
-            self._queues[key] = remaining
-        else:
-            del self._queues[key]
-
     def force_release(self, key: str) -> None:
         """Administrative unlock (failover reconciliation)."""
         if key in self._owners:

@@ -40,7 +40,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..sim import Event
 from .disk import Disk
 from .timestamps import PutStamp
 
@@ -165,14 +164,13 @@ class WriteAheadLog:
         self.lost_records = 0
         self.resurrected_records = 0
 
-    def append(self, record: LogRecord, then=None) -> Event:
-        """Durably append (+L, forced write); returns an Event to yield on,
-        or with ``then``, calls ``then()`` once the record is durable."""
+    def append(self, record: LogRecord, then=None) -> None:
+        """Durably append (+L, forced write), then ``then()`` once the
+        record is durable (``None``: nobody waits)."""
         self._records[record.op_id] = record
         self.appended += 1
-        done = self.disk.write(RECORD_BYTES, forced=True, then=then)
+        self.disk.write(RECORD_BYTES, forced=True, then=then)
         self._journal[record.op_id] = _JournalEntry(self.disk.issued_seq, _fields(record))
-        return done
 
     def mark_committed(self, op_id: Tuple, stamp: PutStamp) -> None:
         """Record the commit stamp (in-place update before removal)."""

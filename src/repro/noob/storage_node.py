@@ -22,7 +22,7 @@ from ..core.membership import PartitionMap
 from ..core.node_shell import NodeShell
 from ..kv import PreparedOp, PutStamp, StoredObject, TwoPhaseParticipant
 from ..net import Host, IPv4Address
-from ..sim import URGENT, Counter, Event, Simulator
+from ..sim import URGENT, Counter, Event, Fold, Race, Simulator
 from .config import NoobConfig
 
 __all__ = ["NoobStorageNode"]
@@ -68,8 +68,8 @@ class NoobStorageNode(NodeShell):
         self.host.recover()
 
     # -- helpers -----------------------------------------------------------------
-    def _send(self, ip: IPv4Address, body: dict, size: int, then=None) -> Event:
-        return self.stack.tcp.send_message(ip, NODE_PORT, body, size, then)
+    def _send(self, ip: IPv4Address, body: dict, size: int, then=None) -> None:
+        self.stack.tcp.send_message(ip, NODE_PORT, body, size, then)
 
     def _reply_put(self, body: dict, status: str) -> None:
         self.reply_put(body["client_ip"], body["client_port"], tuple(body["op_id"]), status)
@@ -227,22 +227,19 @@ class NoobStorageNode(NodeShell):
     }
 
 
-class _Rpc:
+class _Rpc(Race):
     """One request to ``peer`` and its token-matched reply, or ``None``
     after ``timeout_factor`` peer timeouts, run as ``yield from`` did: from
     the current record, with ``then(reply)`` in the record it ends in.
     Only the reply wait is bounded — the send is not (unlike
     :meth:`NodeShell.request`), which is part of the NOOB schedule.  A
     callback chain that schedules the records of the generator it
-    replaced (DESIGN.md §5g): the send, then the reply and the peer timer
-    raced the way the client ``_Op`` races them — the reply is a
-    ``get_then`` call in its get event's slot, the first to fire schedules
-    one NORMAL zero-delay ``_join`` where the ``AnyOf`` triggered and, if
-    it was the reply, cancels the timer; a timer that wins withdraws the
-    getter."""
+    replaced (DESIGN.md §5g): the send, then a :class:`~repro.sim.Race` of
+    the reply — a ``get_then`` call in its get event's slot — against the
+    peer timer; a timer that wins withdraws the getter."""
 
     __slots__ = ("node", "peer", "body", "size", "wait_s", "then", "token", "conn",
-                 "getter", "timer", "settled", "reply")
+                 "getter", "settled", "reply", "timer")
 
     def __init__(self, node: NoobStorageNode, peer: str, body: dict, size: int,
                  timeout_factor: int, then=None):
@@ -264,36 +261,18 @@ class _Rpc:
     def _sent(self, conn) -> None:
         self.conn = conn
         token = self.token
-        sim = self.node.sim
-        self.settled = False
-        self.reply = None
         self.getter = conn.inbox.get_then(
             self._got, lambda m: (m.payload or {}).get("token") == token)
-        self.timer = timer = sim.timeout(self.wait_s)
-        timer._callbacks = [self._timed_out]
+        self._race(self.node.sim, self.wait_s)
 
     def _got(self, msg) -> None:
-        if self.settled:
-            return  # the timer won: the reply is dropped with the getter
-        self.settled = True
-        self.reply = msg.payload
-        sim = self.node.sim
-        sim._schedule_call(0.0, self._join)
-        timer = self.timer
-        timer._callbacks = None
-        sim.cancel_timer(timer)
+        self._won(msg.payload)
 
-    def _timed_out(self, _timer) -> None:
-        if not self.settled:
-            self.settled = True
-            self.node.sim._schedule_call(0.0, self._join)
-
-    def _join(self) -> None:
-        conn = self.conn
-        if self.timer._processed:
-            conn.inbox.cancel(self.getter)
+    def _settled(self, reply) -> None:
+        if reply is None:
+            self.conn.inbox.cancel(self.getter)
         self.conn = self.getter = self.timer = None
-        self._end(self.reply)
+        self._end(reply)
 
     def _end(self, reply) -> None:
         then, self.then = self.then, None
@@ -347,15 +326,12 @@ class _Put(Event):
     replication modes; it completes like a process.
 
     A gather over the secondaries' RPCs (the copies, the prepares, the
-    commits) is a fold where an ``AllOf`` was: each reply is counted in
-    the record where its RPC's completion fired (counted at once if it
-    already came), and the last schedules one NORMAL zero-delay ``_join``
-    where the ``AllOf`` triggered.  The quorum write counts successful
-    copies the same way and schedules its join where the quorum event
-    fired."""
+    commits) is a :class:`~repro.sim.Fold` where an ``AllOf`` was: each
+    reply is counted in the record where its RPC's completion fired
+    (counted at once if it already came).  The quorum write folds its
+    successful copies the same way."""
 
-    __slots__ = ("node", "body", "span", "secondaries", "stamp", "transfers",
-                 "left", "vetoed", "join")
+    __slots__ = ("node", "body", "span", "secondaries", "stamp", "transfers", "fold")
 
     def __init__(self, node: NoobStorageNode, body: dict):
         super().__init__(node.sim)
@@ -399,8 +375,7 @@ class _Put(Event):
             # Write locally and fan out R−1 unicast copies concurrently.
             self.transfers = [_Replicate(node, s, body, stamp, "replicate")
                               for s in secondaries]
-            node._commit_local(
-                body, stamp, self._all_stored if mode == "primary" else self._quorum_stored)
+            node._commit_local(body, stamp, self._stored)
         else:
             self._end()
 
@@ -420,54 +395,42 @@ class _Put(Event):
 
     def _gather(self, rpcs: List[_Gathered], join) -> None:
         """Fold the replies of ``rpcs`` (an ``AllOf``), then ``join()``."""
-        self.left = len(rpcs)
-        self.vetoed = False
-        self.join = join
+        if not rpcs:
+            join()
+            return
+        self.fold = fold = Fold(self.sim, len(rpcs), join)
         for rpc in rpcs:
             if rpc.done:
-                self._tally(rpc.reply)
+                fold.add(rpc.reply)
             else:
-                rpc.then = self._tally
+                rpc.then = fold.add
 
-    def _tally(self, reply) -> None:
-        if reply is None:
-            self.vetoed = True
-        self.left -= 1
-        if not self.left:
-            join, self.join = self.join, None
-            self.sim._schedule_call(0.0, join)
-
-    def _all_stored(self) -> None:
-        """Primary-backup: the client is acked once every replica confirmed."""
-        transfers, self.transfers = self.transfers, None
-        if transfers:
-            self._gather(transfers, self._acked)
-        else:
-            self._acked()
-
-    def _quorum_stored(self) -> None:
-        """Quorum write: the client is acked once the write set is met
-        (the local write counts toward it; ``quorum_k ≤ R``, so the copies
-        can meet it).  The remaining transfers keep running — the link
+    def _stored(self) -> None:
+        """Primary-backup: the client is acked once every replica
+        confirmed.  Quorum write: once the write set is met (the local
+        write counts toward it; ``quorum_k ≤ R``, so the copies can meet
+        it), while the remaining transfers keep running — the link
         contention the paper blames for NOOB's Fig 8 behaviour.  A copy
         that already came is counted in an URGENT record of its own, where
         a late callback on its processed event ran."""
         transfers, self.transfers = self.transfers, None
-        self.left = self.node.config.quorum_k - 1  # copies still to confirm
-        if self.left <= 0:
+        config = self.node.config
+        if config.consistency == "primary":
+            self._gather(transfers, self._acked)
+            return
+        if config.quorum_k <= 1:
             self._acked()
             return
+        self.fold = Fold(self.sim, config.quorum_k - 1, self._acked)
         for t in transfers:
             if t.done:
-                self.sim._schedule_call(0.0, self._transferred, t.reply, priority=URGENT)
+                self.sim._schedule_call(0.0, self._copied, t.reply, priority=URGENT)
             else:
-                t.then = self._transferred
+                t.then = self._copied
 
-    def _transferred(self, reply) -> None:
+    def _copied(self, reply) -> None:
         if reply is not None:
-            self.left -= 1
-            if self.left == 0:
-                self.sim._schedule_call(0.0, self._acked)
+            self.fold.add()
 
     def _prepared(self, _status) -> None:
         node = self.node
@@ -479,7 +442,7 @@ class _Put(Event):
             self._commit()
 
     def _voted(self) -> None:
-        if self.vetoed:
+        if self.fold.failed:
             self.node.participant.abort(tuple(self.body["op_id"]))
             self.node._reply_put(self.body, "fail")
             self._end()
@@ -493,10 +456,7 @@ class _Put(Event):
         commit = {"type": "commit2pc", "op_id": op_id, "key": body["key"], "stamp": self.stamp}
         commits = [_Gathered(node, s, commit, COMMIT_BYTES, 4) for s in self.secondaries]
         node.participant.commit(op_id, self.stamp)
-        if commits:
-            self._gather(commits, self._acked)
-        else:
-            self._acked()
+        self._gather(commits, self._acked)
 
 
 class _Get(Event):

@@ -144,8 +144,8 @@ class NoobCluster(ClusterBase):
         stack = self._coordinator_stack
 
         def one(ip):
-            conn = yield stack.tcp.send_message(
-                ip, NODE_PORT, {"type": "membership_update"}, MEMBERSHIP_BYTES
+            conn = yield self.sim.wait(
+                stack.tcp.send_message, ip, NODE_PORT, {"type": "membership_update"}, MEMBERSHIP_BYTES
             )
             yield conn.inbox.get(
                 lambda m: (m.payload or {}).get("type") == "membership_ack"

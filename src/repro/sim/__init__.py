@@ -5,7 +5,9 @@ Public surface:
 * :class:`Simulator` — the event loop.
 * :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` — waitables.
 * :class:`Process` — generator coroutines; :class:`Subroutine` — one run
-  from a callback chain.
+  from a callback chain; :class:`Race`, :class:`Fold` — a chain's reply
+  against a timer, its replies counted up to a target; ``sim.wait(fn,
+  *args)`` — a ``then=`` wait API as an Event a generator can yield.
 * :class:`Store`, :class:`Resource` — queues and counted resources.
 * :class:`RngRegistry` — named deterministic random streams.
 * :class:`Counter`, :class:`Tally`, :class:`RateSeries` — measurement.
@@ -25,7 +27,7 @@ from .events import (
 from .kernel import Simulator, StopSimulation
 from .monitor import Counter, RateSeries, Tally, summary_stats
 from .primitives import Resource, Store
-from .process import Process, Subroutine
+from .process import Fold, Process, Race, Subroutine
 from .rng import RngRegistry
 
 __all__ = [
@@ -35,8 +37,10 @@ __all__ = [
     "ConditionValue",
     "Counter",
     "Event",
+    "Fold",
     "NORMAL",
     "Process",
+    "Race",
     "RateSeries",
     "Resource",
     "RngRegistry",

@@ -140,6 +140,16 @@ class Event:
         self._value = value
         self._processed = True
 
+    def _fire(self, value: Any = None) -> None:
+        """Succeed with ``value`` and run the waiters now, inline, with no
+        record of its own: the ``then`` of :meth:`Simulator.wait`."""
+        self._ok = True
+        self._value = value
+        self._processed = True
+        callbacks, self._callbacks = self._callbacks, None
+        for callback in callbacks or ():
+            callback(self)
+
     # -- callbacks ---------------------------------------------------------
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Attach ``callback(event)``; runs when the event is processed."""

@@ -223,6 +223,13 @@ class Simulator:
             tr.instant("spawn", "proc", node=proc.name)
         return proc
 
+    def wait(self, fn: Callable, *args: Any, **kwargs: Any) -> Event:
+        """``fn(*args, then=…, **kwargs)`` as an Event for a generator to
+        yield: ``then``'s value, its waiters run in ``then``'s record."""
+        done = Event(self)
+        fn(*args, then=done._fire, **kwargs)
+        return done
+
     def call_at(self, when: float, func: Callable, *args: Any) -> None:
         """Invoke ``func(*args)`` at absolute simulated time ``when``."""
         if when < self._now:

@@ -16,12 +16,19 @@ recovery, metadata replication, the chaos engine, workload drivers).  A
 mailbox whose handler never waits is served (``Store.serve``), and every
 request path — a disk IO, a TCP send or handshake, a client op's attempts,
 a multicast send, a replica's get service, its 2PC prepare and
-coordination, every NOOB handler — is a fixed chain of waits: an ``Event``
-subclass whose callbacks schedule the records the process would have, a
-wait it is the only waiter of being a call record in its event's slot
-(DESIGN.md §5g).  A chain that must wait on generator code it does not own
+coordination, every NOOB handler — is a fixed chain of waits whose
+callbacks schedule the records the process would have (an ``Event``
+subclass where a caller waits on the chain), a wait it is the only waiter
+of being a call record in its event's slot (DESIGN.md §5g).  A chain that
+races a reply against a timer is a :class:`Race`; one that counts replies
+up to a target (an ``AllOf``, a quorum, a 2PC phase's acks) is a
+:class:`Fold`.  A chain that must wait on generator code it does not own
 (the get path's read-repair, the put path's strikes) runs it as a
 :class:`Subroutine`: ``yield from`` without a process around it.
+
+A wait API has one form: ``then=`` (``None``: nobody waits, so nothing is
+scheduled and no Event built).  A generator yields ``sim.wait(fn,
+*args)`` instead — an Event whose waiters run inside ``then``'s record.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .events import URGENT, Event, SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
 
-__all__ = ["Process", "Subroutine"]
+__all__ = ["Fold", "Process", "Race", "Subroutine"]
 
 
 class _Started:
@@ -164,3 +171,65 @@ class Subroutine(Process):
     def _finish(self, value: Any) -> None:
         self._wake = None
         self._then(value)
+
+
+class Race:
+    """A chain's reply raced against a timer (``_race``), settled in the
+    records an ``AnyOf`` over the two took: the first to come schedules
+    one NORMAL zero-delay ``_join``, which hands ``_settled`` the reply, or
+    ``None`` on timeout; a reply that wins tombstones the timer, and one
+    that comes after the race settled is ignored.  A mixin: the subclass
+    declares the slots ``settled``, ``reply`` and ``timer``."""
+
+    __slots__ = ()
+
+    def _race(self, sim: Simulator, delay: float) -> None:
+        self.settled = False
+        self.reply = None
+        self.timer = timer = sim.timeout(delay)
+        timer._callbacks = [self._timed_out]
+
+    def _won(self, reply: Any) -> None:
+        if self.settled:
+            return
+        self.settled = True
+        self.reply = reply
+        timer = self.timer
+        sim = timer.sim
+        sim._schedule_call(0.0, self._join)
+        timer._callbacks = None
+        sim.cancel_timer(timer)
+
+    def _timed_out(self, timer: Event) -> None:
+        if not self.settled:
+            self.settled = True
+            timer.sim._schedule_call(0.0, self._join)
+
+    def _join(self) -> None:
+        self._settled(self.reply)
+
+
+class Fold:
+    """A chain's replies counted up to ``target`` (a target of 0 is met at
+    once): the :meth:`add` that meets it schedules ``then()``, once, in a
+    NORMAL zero-delay record — where the ``AllOf`` or "all acked" event
+    triggered.  A ``None`` reply (a timeout) marks the fold ``failed``."""
+
+    __slots__ = ("sim", "left", "then", "failed")
+
+    def __init__(self, sim: Simulator, target: int, then):
+        self.sim = sim
+        self.left = target
+        self.failed = False
+        if target > 0:
+            self.then = then
+        else:
+            sim._schedule_call(0.0, then)
+
+    def add(self, reply: Any = True) -> None:
+        if reply is None:
+            self.failed = True
+        self.left = left = self.left - 1
+        if left == 0:
+            then, self.then = self.then, None
+            self.sim._schedule_call(0.0, then)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..net import IPv4Address, Packet, Proto
 from ..sim import URGENT, Event, Store
@@ -71,29 +71,21 @@ class TcpConnection:
         self.inbox = Store(layer.stack.sim, name=f"tcp-conn-{self.conn_id}")
         self._msg_seq = itertools.count(1)
 
-    def send(self, payload: Any, payload_bytes: int, then=None) -> Optional[Event]:
-        """Transmit one message; the returned event triggers on delivery —
-        through a record only if someone waits on it by then, like the end
-        of a chain — or, given ``then``, ``then()`` runs in the record
-        that event would fire in (and nothing is returned).
+    def send(self, payload: Any, payload_bytes: int, then=None) -> None:
+        """Transmit one message, then ``then()`` in a NORMAL zero-delay
+        record once it is delivered (``None``: nobody waits).
 
-        Neither happens if the peer is down — callers guard with protocol
-        timeouts, exactly as the paper's protocols do (§4.4).
+        That never happens if the peer is down — callers guard with
+        protocol timeouts, exactly as the paper's protocols do (§4.4).
         """
-        if then is None:
-            done = Event(self.layer.stack.sim)
-            delivered = done._complete  # a record only if someone waits
-        else:
-            done = None
-            delivered = partial(self.layer.stack.sim._schedule_call, 0.0, then)
         body = {
             "kind": "data",
             "msg": next(self._msg_seq),
             "payload": payload,
-            "_delivered": delivered,
+            "_delivered": None if then is None
+            else partial(self.layer.stack.sim._schedule_call, 0.0, then),
         }
         self.layer._send_segment(self, body, payload_bytes)
-        return done
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "est" if self.established else "syn"
@@ -170,14 +162,11 @@ class TcpLayer:
 
     def send_message(
         self, dst_ip: IPv4Address, dport: int, payload: Any, payload_bytes: int, then=None
-    ) -> Event:
-        """Connect (cached) then send; returns an Event to ``yield`` on.
-
-        The event's value is the connection, so callers can await the
-        reply on ``conn.inbox``.  Given ``then``, ``then(conn)`` runs in
-        the record that event would fire in instead.
-        """
-        return _SendMessage(self, dst_ip, dport, payload, payload_bytes, then)
+    ) -> None:
+        """Connect (cached) then send, then ``then(conn)`` once delivered —
+        the connection, so callers can await the reply on ``conn.inbox``
+        (``None``: nobody waits)."""
+        _SendMessage(self, dst_ip, dport, payload, payload_bytes, then)
 
     def reset_peer(self, ip: IPv4Address) -> int:
         """Tear down all cached state toward ``ip`` (peer declared failed).
@@ -282,28 +271,25 @@ class TcpLayer:
             delivered()
 
 
-class _SendMessage(Event):
+class _SendMessage:
     """:meth:`TcpLayer.send_message` as a callback chain that schedules the
     records of the process it replaced (DESIGN.md §5g): the URGENT start,
-    the connect (cached, shared or fresh handshake), the delivery; it
-    completes like a process, with the connection as its value, through a
-    record only when someone waits on it — or, given ``then``, with
-    ``then(conn)`` in that record.  The connect and the delivery have one
-    waiter, this chain, so each is a call record in the slot its event
-    took."""
+    the connect (cached, shared or fresh handshake), the delivery — each
+    a call record in the slot its event took — and ``then(conn)`` in the
+    record the process's completion fired in, or nothing when nobody
+    waits."""
 
     __slots__ = ("layer", "dst_ip", "dport", "payload", "payload_bytes", "then", "conn")
 
     def __init__(self, layer: TcpLayer, dst_ip, dport: int, payload: Any, payload_bytes: int,
                  then):
-        super().__init__(layer.stack.sim)
         self.layer = layer
         self.dst_ip = dst_ip
         self.dport = dport
         self.payload = payload
         self.payload_bytes = payload_bytes
         self.then = then
-        self.sim._schedule_call(0.0, self._start, priority=URGENT)
+        layer.stack.sim._schedule_call(0.0, self._start, priority=URGENT)
 
     def _start(self) -> None:
         self.layer.connect(self.dst_ip, self.dport, self._connected)
@@ -313,12 +299,8 @@ class _SendMessage(Event):
         conn.send(self.payload, self.payload_bytes, self._delivered)
 
     def _delivered(self) -> None:
-        then = self.then
-        if then is None:
-            self._complete(self.conn)
-        else:
-            self.then = None
-            self.sim._schedule_call(0.0, then, self.conn)
+        if self.then is not None:
+            self.layer.stack.sim._schedule_call(0.0, self.then, self.conn)
 
 
 class _SynRetry(Event):

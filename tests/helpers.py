@@ -1,13 +1,15 @@
 """Shared test fixtures: a star topology with static L3 forwarding, a
 recorder of the devices each packet crossed, a log of the slots a simulator
 schedules records in, the Event forms of every one-shot wait the chains
-now schedule as a call (``install_event_forms``) and the generator forms
-of a node's CPU step and get reply that the request chains are checked
+now schedule as a call (``install_event_forms``), the generator forms
+of a node's CPU step and get reply and the Event form of the NICE
+primary's ack gathers that the request and put chains are checked
 against, the linear rule scan the flow table's index is checked against,
 and the content snapshots the controller's plan-cache contract is stated
 in."""
 
 from collections import Counter, deque
+from functools import partial
 
 from repro.net import (
     Bucket,
@@ -278,12 +280,13 @@ def ref_send_message(layer, dst_ip, dport, payload, payload_bytes, then=None):
     return proc if then is None else _then_on(proc, then, with_value=True)
 
 
-_send = TcpConnection.send
-
-
 def ref_send(conn, payload, payload_bytes, then=None):
-    """``TcpConnection.send`` as its delivery Event."""
-    done = _send(conn, payload, payload_bytes)
+    """``TcpConnection.send`` as its delivery Event, processed on the spot
+    (no record) when nobody waits for it by then."""
+    done = Event(conn.layer.stack.sim)
+    body = {"kind": "data", "msg": next(conn._msg_seq), "payload": payload,
+            "_delivered": done._complete}
+    conn.layer._send_segment(conn, body, payload_bytes)
     if then is None:
         return done
     _then_on(done, then)
@@ -396,19 +399,44 @@ def ref_cpu_work(node):
 
 def ref_reply_get(node, request, obj):
     """``NodeShell.reply_get_then`` as the generator it replaced: the disk
-    read on a hit, then the reply; returns the reply's send Event."""
+    read on a hit, then the reply; returns the reply's send,
+    ``send(then=None)``, to call or to ``yield sim.wait(send)`` on."""
     node.gets_served.add()
     reply = {"type": "get_reply", "op_id": tuple(request["op_id"])}
     if obj is not None:
-        yield node.disk.read(obj.size_bytes)
+        yield node.sim.wait(node.disk.read, obj.size_bytes)
         reply.update(status="ok", value=obj.value, size=obj.size_bytes)
         size = REQUEST_BYTES + obj.size_bytes
     else:
         reply["status"] = "miss"
         size = ACK_BYTES
-    return node.stack.tcp.send_message(
-        IPv4Address(request["client_ip"]), request["client_port"], reply, size
-    )
+    return partial(node.stack.tcp.send_message,
+                   IPv4Address(request["client_ip"]), request["client_port"], reply, size)
+
+
+# -- the Event form of the NICE primary's ack gathers --------------------------------
+class RefCoordination:
+    """What ``PutEngine`` kept per coordinated op before its gathers were
+    folds: per phase (1 = prepared, 2 = committed), who acked and the
+    event that fires when all needed have (``ref_record_ack``)."""
+
+    def __init__(self, sim, need):
+        self.need = need
+        self.acks = {1: set(), 2: set()}
+        self.done = {1: Event(sim), 2: Event(sim)}
+
+
+def ref_record_ack(engine, op_id, peer, phase):
+    """``PutEngine.record_ack`` over a :class:`RefCoordination`."""
+    coord = engine._coord.get(op_id)
+    if coord is None:
+        if op_id not in engine.participant.committed:
+            engine._early_acks.setdefault(op_id, {}).setdefault(phase, set()).add(peer)
+        return
+    coord.acks[phase].add(peer)
+    engine.node.meta.clear_strikes(peer)
+    if coord.need <= coord.acks[phase] and not coord.done[phase].triggered:
+        coord.done[phase].succeed()
 
 
 def linear_scan(table, packet, in_port=None):

@@ -94,7 +94,8 @@ def test_committed_somewhere_commits_everywhere_after_full_restart():
 
     def stage(sim):
         for node in nodes:
-            yield node.wal.append(
+            yield sim.wait(
+                node.wal.append,
                 LogRecord(
                     op_id, key, 100, "10.20.0.0", 0.5,
                     value="v-committed", client_port=7300, partition=part,

@@ -41,7 +41,7 @@ def test_unforced_write_stays_volatile():
     disk = Disk(sim)
 
     def io():
-        yield disk.write(1000)
+        yield sim.wait(disk.write, 1000)
 
     run_io(sim, io())
     seq = disk.issued_seq
@@ -55,8 +55,8 @@ def test_forced_write_advances_barrier_and_drains_dirty():
     disk = Disk(sim)
 
     def io():
-        yield disk.write(1000)          # unforced, but issued earlier
-        yield disk.write(100, forced=True)
+        yield sim.wait(disk.write, 1000)          # unforced, but issued earlier
+        yield sim.wait(disk.write, 100, forced=True)
 
     run_io(sim, io())
     # The flush covers everything whose transfer completed before the
@@ -71,8 +71,8 @@ def test_crash_discards_unflushed_keeps_durable():
     disk = Disk(sim)
 
     def io():
-        yield disk.write(100, forced=True)
-        yield disk.write(5000)  # volatile
+        yield sim.wait(disk.write, 100, forced=True)
+        yield sim.wait(disk.write, 5000)  # volatile
 
     run_io(sim, io())
     assert disk.dirty_bytes == 5000
@@ -89,7 +89,7 @@ def test_inflight_io_across_crash_does_not_advance_new_epoch():
     disk = Disk(sim)
 
     def writer():
-        yield disk.write(4000)
+        yield sim.wait(disk.write, 4000)
 
     sim.process(writer())
     # Crash while the transfer is still in flight: the IO completes on
@@ -109,7 +109,7 @@ def test_degraded_disk_scales_service_and_reports_ratio():
 
     def io():
         start = sim.now
-        yield disk.write(1000)
+        yield sim.wait(disk.write, 1000)
         t0.append(sim.now - start)
 
     run_io(sim, io())
@@ -120,7 +120,7 @@ def test_degraded_disk_scales_service_and_reports_ratio():
     disk.set_degraded(1.0)
 
     def io2():
-        yield disk.write(1000)
+        yield sim.wait(disk.write, 1000)
 
     run_io(sim, io2())
     assert disk.consume_service_ratio() == pytest.approx(1.0)
@@ -135,7 +135,7 @@ def test_replay_preserves_append_order():
 
     def io():
         for n in (1, 2, 3):
-            yield wal.append(rec(n))
+            yield sim.wait(wal.append, rec(n))
 
     run_io(sim, io())
     assert [r.op_id for r in wal.replay()] == [("c", 1), ("c", 2), ("c", 3)]
@@ -147,7 +147,7 @@ def test_replay_after_partial_removals():
 
     def io():
         for n in (1, 2, 3, 4):
-            yield wal.append(rec(n))
+            yield sim.wait(wal.append, rec(n))
 
     run_io(sim, io())
     wal.mark_committed(("c", 2), stamp(2.0))
@@ -163,7 +163,7 @@ def test_mark_committed_then_remove_interplay():
     wal = WriteAheadLog(Disk(sim))
 
     def io():
-        yield wal.append(rec(1))
+        yield sim.wait(wal.append, rec(1))
 
     run_io(sim, io())
     wal.mark_committed(("c", 1), stamp(1.0))
@@ -184,7 +184,7 @@ def test_power_loss_tears_unflushed_append():
     wal = WriteAheadLog(disk)
 
     def io():
-        yield wal.append(rec(1))
+        yield sim.wait(wal.append, rec(1))
 
     sim.process(io())
     # Crash after the transfer but before the flush covers it.
@@ -203,8 +203,8 @@ def test_power_loss_keeps_flushed_appends_and_commit_bit():
     wal = WriteAheadLog(disk)
 
     def io():
-        yield wal.append(rec(1))
-        yield wal.append(rec(2))
+        yield sim.wait(wal.append, rec(1))
+        yield sim.wait(wal.append, rec(2))
 
     run_io(sim, io())
     wal.mark_committed(("c", 1), stamp(1.0))
@@ -223,7 +223,7 @@ def test_power_loss_resurrects_unflushed_removal():
     wal = WriteAheadLog(disk)
 
     def io():
-        yield wal.append(rec(1))
+        yield sim.wait(wal.append, rec(1))
 
     run_io(sim, io())
     # −L is not forced: no flush covers the removal before the crash.
@@ -241,13 +241,13 @@ def test_power_loss_honors_durable_removal():
     wal = WriteAheadLog(disk)
 
     def io():
-        yield wal.append(rec(1))
+        yield sim.wait(wal.append, rec(1))
 
     run_io(sim, io())
     wal.remove(("c", 1))
 
     def later():
-        yield disk.write(10, forced=True)  # flush covers the removal
+        yield sim.wait(disk.write, 10, forced=True)  # flush covers the removal
 
     run_io(sim, later())
     disk.crash()
@@ -264,7 +264,7 @@ def test_unforced_wal_loses_appends_on_power_loss():
 
     def io():
         for n in (1, 2, 3):
-            yield wal.append(rec(n))
+            yield sim.wait(wal.append, rec(n))
 
     with MUTANTS["wal_unflushed"].patch:
         run_io(sim, io())

@@ -51,19 +51,6 @@ def test_request_reentrant_same_op():
     assert granted == [1, 2]
 
 
-def test_cancel_queued_request():
-    sim = Simulator()
-    lt = LockTable()
-    granted = []
-    lt.request_then(sim, "k", ("op", 1), lambda: None)
-    lt.request_then(sim, "k", ("op", 2), lambda: granted.append(2))
-    lt.cancel("k", ("op", 2))
-    lt.release("k", ("op", 1))
-    sim.run()
-    assert granted == []
-    assert not lt.is_locked("k")
-
-
 def test_force_release_grants_next():
     sim = Simulator()
     lt = LockTable()
@@ -119,7 +106,7 @@ def test_single_forced_write_pays_full_flush():
     done = []
 
     def w(sim):
-        yield disk.write(0, forced=True)
+        yield sim.wait(disk.write, 0, forced=True)
         done.append(sim.now)
 
     sim.process(w(sim))
@@ -135,7 +122,7 @@ def test_concurrent_forced_writes_share_flush_cycles():
     done = []
 
     def w(sim):
-        yield disk.write(0, forced=True)
+        yield sim.wait(disk.write, 0, forced=True)
         done.append(sim.now)
 
     for _ in range(100):
@@ -154,7 +141,7 @@ def test_flush_covers_only_completed_transfers():
     done = {}
 
     def w(sim, tag, nbytes):
-        yield disk.write(nbytes, forced=True)
+        yield sim.wait(disk.write, nbytes, forced=True)
         done[tag] = sim.now
 
     sim.process(w(sim, "big", 1_000_000))  # 1 s transfer
@@ -169,7 +156,7 @@ def test_unforced_writes_never_flush():
     disk = Disk(sim)
 
     def w(sim):
-        yield disk.write(100, forced=False)
+        yield sim.wait(disk.write, 100, forced=False)
 
     sim.process(w(sim))
     sim.run()

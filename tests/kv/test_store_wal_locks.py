@@ -108,7 +108,7 @@ def test_wal_append_is_forced_write():
     done = []
 
     def writer(sim):
-        yield wal.append(LogRecord(("c", 1), "k", 100, "c", 1.0))
+        yield sim.wait(wal.append, LogRecord(("c", 1), "k", 100, "c", 1.0))
         done.append(sim.now)
 
     sim.process(writer(sim))
@@ -124,7 +124,7 @@ def test_wal_commit_and_remove():
     rec = LogRecord(("c", 1), "k", 100, "c", 1.0)
 
     def writer(sim):
-        yield wal.append(rec)
+        yield sim.wait(wal.append, rec)
 
     sim.process(writer(sim))
     sim.run()
@@ -142,8 +142,8 @@ def test_wal_replay_returns_all_records():
     wal = WriteAheadLog(Disk(sim))
 
     def writer(sim):
-        yield wal.append(LogRecord(("c", 1), "a", 1, "c", 1.0))
-        yield wal.append(LogRecord(("c", 2), "b", 1, "c", 2.0))
+        yield sim.wait(wal.append, LogRecord(("c", 1), "a", 1, "c", 1.0))
+        yield sim.wait(wal.append, LogRecord(("c", 2), "b", 1, "c", 2.0))
 
     sim.process(writer(sim))
     sim.run()
@@ -204,7 +204,7 @@ def test_disk_serializes_io():
     finish = []
 
     def writer(sim, nbytes):
-        yield disk.write(nbytes)
+        yield sim.wait(disk.write, nbytes)
         finish.append(sim.now)
 
     sim.process(writer(sim, 1_000_000))  # 1 s at 1 MB/s
@@ -220,8 +220,8 @@ def test_disk_read_write_counters_and_validation():
     disk = Disk(sim)
 
     def io(sim):
-        yield disk.write(100, forced=True)
-        yield disk.read(50)
+        yield sim.wait(disk.write, 100, forced=True)
+        yield sim.wait(disk.read, 50)
 
     sim.process(io(sim))
     sim.run()

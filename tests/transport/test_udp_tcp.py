@@ -71,10 +71,10 @@ def test_tcp_message_roundtrip():
     def server_proc(sim):
         msg = yield listener.get()
         log.append(("server", sim.now, msg.payload))
-        yield msg.conn.send({"reply": True}, 50)
+        yield sim.wait(msg.conn.send, {"reply": True}, 50)
 
     def client_proc(sim):
-        conn = yield client.tcp.send_message(server.ip, 6000, {"req": 1}, 200)
+        conn = yield sim.wait(client.tcp.send_message, server.ip, 6000, {"req": 1}, 200)
         reply = yield conn.inbox.get()
         log.append(("client", sim.now, reply.payload))
 
@@ -94,11 +94,11 @@ def test_tcp_handshake_happens_once_per_peer():
     def server_proc(sim):
         while True:
             msg = yield listener.get()
-            yield msg.conn.send("ok", 10)
+            yield sim.wait(msg.conn.send, "ok", 10)
 
     def client_proc(sim):
         for _ in range(3):
-            conn = yield client.tcp.send_message(server.ip, 6000, "req", 10)
+            conn = yield sim.wait(client.tcp.send_message, server.ip, 6000, "req", 10)
             yield conn.inbox.get()
 
     star.sim.process(server_proc(star.sim))
@@ -117,12 +117,12 @@ def test_tcp_handshake_costs_latency():
     def server_proc(sim):
         while True:
             msg = yield listener.get()
-            yield msg.conn.send("ok", 0)
+            yield sim.wait(msg.conn.send, "ok", 0)
 
     def client_proc(sim):
         for _ in range(2):
             t0 = sim.now
-            conn = yield client.tcp.send_message(server.ip, 6000, "req", 0)
+            conn = yield sim.wait(client.tcp.send_message, server.ip, 6000, "req", 0)
             yield conn.inbox.get()
             times.append(sim.now - t0)
 
@@ -181,7 +181,7 @@ def test_tcp_send_to_down_host_times_out():
     outcome = []
 
     def client_proc(sim):
-        send = client.tcp.send_message(server.ip, 6000, "req", 10)
+        send = sim.wait(client.tcp.send_message, server.ip, 6000, "req", 10)
         got = yield AnyOf(sim, [send, sim.timeout(2.0)])
         outcome.append(send in got)
 
@@ -198,13 +198,13 @@ def test_tcp_reset_peer_forces_new_handshake():
     def server_proc(sim):
         while True:
             msg = yield listener.get()
-            yield msg.conn.send("ok", 0)
+            yield sim.wait(msg.conn.send, "ok", 0)
 
     def client_proc(sim):
-        conn = yield client.tcp.send_message(server.ip, 6000, "a", 0)
+        conn = yield sim.wait(client.tcp.send_message, server.ip, 6000, "a", 0)
         yield conn.inbox.get()
         assert client.tcp.reset_peer(server.ip) >= 1
-        conn2 = yield client.tcp.send_message(server.ip, 6000, "b", 0)
+        conn2 = yield sim.wait(client.tcp.send_message, server.ip, 6000, "b", 0)
         yield conn2.inbox.get()
         assert conn2 is not conn
 
@@ -234,7 +234,7 @@ def test_tcp_large_transfer_occupies_link():
         arrival.append(sim.now)
 
     def client_proc(sim):
-        yield client.tcp.send_message(server.ip, 6000, "blob", 1 << 20)
+        yield sim.wait(client.tcp.send_message, server.ip, 6000, "blob", 1 << 20)
 
     star.sim.process(server_proc(star.sim))
     star.sim.process(client_proc(star.sim))
@@ -256,7 +256,7 @@ def test_tcp_interleaved_messages_one_connection():
             seen.append(msg.payload)
 
     def sender(sim, tag):
-        yield client.tcp.send_message(server.ip, 6000, tag, 100)
+        yield sim.wait(client.tcp.send_message, server.ip, 6000, tag, 100)
 
     star.sim.process(server_proc(star.sim))
     for tag in ["m1", "m2", "m3"]:

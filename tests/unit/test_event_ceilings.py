@@ -1,14 +1,15 @@
 """A warm request builds few Events (DESIGN.md §5g, "A wait is not an event").
 
 A one-shot wait with one waiter — a resource or lock grant, a service or
-flush timer, a TCP connect or delivery, a client's reply, a NOOB vote —
-is a call record in the slot its Event took, not an Event.  What a warm op
-still builds is counted here by class and held under a named ceiling: the
-chains themselves (the client ``_Op``, a disk ``_Io``, a
-``_SendMessage``, a multicast ``_Send``, the put and get chains), the
-timers ``cancel_timer`` tombstones (the client retry timer, the gather and
-RPC peer timers) and the 2PC coordination's ack events.  A conversion
-undone, or a new one-shot Event on these paths, fails the test.
+flush timer, a TCP connect or delivery, a client's reply, a NOOB vote, a
+2PC phase's acks — is a call record in the slot its Event took, not an
+Event, and a wait nobody waits for (``then=None``) builds nothing.  A disk
+IO and a TCP send are plain chains, not Events.  What a warm op still
+builds is counted here by class and held under a named ceiling: the
+chains a caller can wait on (the client ``_Op``, a multicast ``_Send``,
+the put and get chains) and the timers ``cancel_timer`` tombstones (the
+client retry timer, the gather and RPC peer timers).  A conversion undone,
+or a new one-shot Event on these paths, fails the test.
 """
 
 from collections import Counter
@@ -20,17 +21,15 @@ from repro.noob import NoobCluster, NoobConfig
 from repro.sim import Event, Process, Simulator
 
 #: Events built per warm op, at most — what a warm op builds today (the
-#: counts are deterministic).  A NICE put: 6 ``_Io``, 5 ``_SendMessage``,
-#: 3 replica ``_Put`` chains, 3 timers (the client retry and two gather
-#: timers), the 2 coordination ack events, the ``_Op`` and the ``_Send``.
-#: A NICE get: the ``_Op``, its retry timer, the ``_Serve``, one ``_Io``
-#: and the reply's ``_SendMessage``.  A NOOB 2PC put: 6 ``_Io``, 6
-#: ``_SendMessage``, 5 timers (the client's, four RPC peer timers), 4
-#: replica replies' delivery Events, the ``_Op`` and the ``_Put``.
+#: counts are deterministic).  A NICE put: 3 replica ``_Put`` chains, 3
+#: timers (the client retry and two gather timers), the ``_Op`` and the
+#: ``_Send``.  A NICE get: the ``_Op``, its retry timer and the
+#: ``_Serve``.  A NOOB 2PC put: 5 timers (the client's, four RPC peer
+#: timers), the ``_Op`` and the ``_Put``.
 CEILINGS = {
-    "nice_put": 21,
-    "nice_get": 5,
-    "noob_2pc_put": 23,
+    "nice_put": 8,
+    "nice_get": 3,
+    "noob_2pc_put": 7,
 }
 
 OPS = 8

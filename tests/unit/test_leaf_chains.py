@@ -4,9 +4,9 @@
 ``TcpLayer.send_message`` run as callback chains that schedule the records
 the generator processes did: the URGENT start, the grant, service timer,
 flush join, connect and delivery — each a call record in the slot its
-event took — and a completion record only when someone waits, or a call
-to ``then`` in that slot.  So does a handshake's SYN retransmission, a
-timer chain.  The references are those processes and Events
+event took — and, only when someone waits, a call to ``then`` in the slot
+the completion record took (a process waits through ``sim.wait``).  So
+does a handshake's SYN retransmission, a timer chain.  The references are those processes and Events
 (``tests.helpers.install_event_forms``), kept the way
 ``test_determinism.py`` keeps the one-heap kernel.  Each scenario runs on
 both and must agree on every completion time, the disk's durability state
@@ -49,19 +49,20 @@ def _contended_disk(crash_at=None):
     def writer(tag, sizes, forced_every, gap):
         for i, size in enumerate(sizes):
             forced = i % forced_every == 0
-            ev = disk.write(size, forced=forced)
-            seq = disk.issued_seq
             if i % 3 == 2:
-                disk.write(size // 2)  # nobody waits on this one
+                disk.write(size, forced=forced)  # nobody waits on these two
+                disk.write(size // 2)
                 yield sim.timeout(gap)
                 continue
+            ev = sim.wait(disk.write, size, forced=forced)
+            seq = disk.issued_seq
             yield ev
             log.append((tag, i, seq, forced, sim.now, disk.is_durable(seq)))
             yield sim.timeout(gap)
 
     def reader():
         for i in range(6):
-            yield disk.read(2000 * (i + 1))
+            yield sim.wait(disk.read, 2000 * (i + 1))
             log.append(("r", i, sim.now))
 
     sim.process(writer("a", [4000, 100, 900, 20000, 50, 3000, 700], 2, 20e-6))
@@ -102,7 +103,7 @@ def test_wal_append_is_an_event_that_completes_once_flushed():
     sim = Simulator()
     disk = Disk(sim)
     wal = WriteAheadLog(disk)
-    done = wal.append(LogRecord(("c", 1), "k", 100, "c", 1.0))
+    done = sim.wait(wal.append, LogRecord(("c", 1), "k", 100, "c", 1.0))
     assert isinstance(done, Event) and not done.triggered
     sim.run()
     assert done.processed and disk.is_durable(disk.issued_seq)
@@ -128,13 +129,13 @@ def _tcp_run():
 
     def sender(tag, dst, payload, size, delay):
         yield sim.timeout(delay)
-        conn = yield client.tcp.send_message(dst, 6000, payload, size)
+        conn = yield sim.wait(client.tcp.send_message, dst, 6000, payload, size)
         log.append((tag, sim.now, conn.local_port))
         yield conn.inbox.get(lambda m: m.payload == ("re", payload))
         log.append((tag, "reply", sim.now))
 
     def abandoned():
-        send = client.tcp.send_message(other.ip, 6000, "slow", 1 << 20)
+        send = sim.wait(client.tcp.send_message, other.ip, 6000, "slow", 1 << 20)
         got = yield AnyOf(sim, [send, sim.timeout(10e-6)])
         log.append(("abandoned", sim.now, send in got))
         yield sim.timeout(0.05)

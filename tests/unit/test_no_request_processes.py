@@ -8,6 +8,10 @@ replication, the chaos engine, the workload drivers, NOOB's membership
 broadcast and the bench drivers.  A new call site fails the test, and so
 does a listed one that is gone, so the list cannot go stale.  The generator
 forms the chains replaced must stay gone too.
+
+A chain that races a reply against a timer is a ``sim.Race``: every
+``cancel_timer(`` call site is named the same way, so a hand-rolled fourth
+race fails the test.
 """
 
 import ast
@@ -72,6 +76,13 @@ PROCESS_SITES = {
     ("bench/scale.py", "scale_cell.<locals>.driver"),
 }
 
+#: Every ``cancel_timer(`` call site under ``src/repro``: the race base and
+#: the event algebra's ``AnyOf``/``AllOf``.
+CANCEL_TIMER_SITES = {
+    ("sim/events.py", "Condition._settle_losers"),
+    ("sim/process.py", "Race._won"),
+}
+
 
 def _own_nodes(node):
     """``node``'s descendants, not entering nested functions or classes."""
@@ -82,8 +93,8 @@ def _own_nodes(node):
         yield from _own_nodes(child)
 
 
-def _process_sites():
-    """{(module, qualname)} of every function that calls ``<x>.process(...)``."""
+def _call_sites(method):
+    """{(module, qualname)} of every function that calls ``<x>.<method>(...)``."""
     root = Path(repro.__file__).parent
     found = set()
 
@@ -96,7 +107,7 @@ def _process_sites():
                 if any(
                     isinstance(n, ast.Call)
                     and isinstance(n.func, ast.Attribute)
-                    and n.func.attr == "process"
+                    and n.func.attr == method
                     for n in _own_nodes(child)
                 ):
                     found.add((module, qualname))
@@ -108,9 +119,15 @@ def _process_sites():
 
 
 def test_every_process_spawn_is_a_named_background_site():
-    found = _process_sites()
+    found = _call_sites("process")
     assert sorted(found - PROCESS_SITES) == [], "spawns a process on a request path?"
     assert sorted(PROCESS_SITES - found) == [], "listed site is gone: drop it from the list"
+
+
+def test_every_timer_cancel_is_the_race_base_or_the_event_algebra():
+    found = _call_sites("cancel_timer")
+    assert sorted(found - CANCEL_TIMER_SITES) == [], "a hand-rolled race? use sim.Race"
+    assert sorted(CANCEL_TIMER_SITES - found) == [], "listed site is gone: drop it from the list"
 
 
 def test_the_generator_forms_the_chains_replaced_are_gone():

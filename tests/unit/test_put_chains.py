@@ -23,6 +23,7 @@ import pytest
 
 from repro.core import ClusterConfig, NiceCluster
 from repro.core.config import ACK_BYTES, COMMIT_BYTES, NODE_PORT, PUT_PORT, REQUEST_BYTES
+from repro.core.storage_node.put_engine import PutEngine
 from repro.core.storage_node.shell import NiceStorageNode
 from repro.core.vring import mc_group_address
 from repro.kv import PreparedOp, PutStamp, StoredObject
@@ -30,7 +31,14 @@ from repro.noob import NoobCluster, NoobConfig
 from repro.noob.storage_node import NoobStorageNode
 from repro.obs import install as install_tracer
 from repro.sim import AllOf, AnyOf, Counter, Event
-from tests.helpers import install_event_forms, record_slots, ref_cpu_work, ref_reply_get
+from tests.helpers import (
+    RefCoordination,
+    install_event_forms,
+    record_slots,
+    ref_cpu_work,
+    ref_record_ack,
+    ref_reply_get,
+)
 
 
 # -- the reference processes: the participant ----------------------------------------
@@ -41,8 +49,8 @@ def _ref_participant_prepare(part, op):
         if part._resolved(op_id):
             part.locks.release(key, op_id)
             return "raced"
-        yield part.wal.append(op)
-        data_write = part.disk.write(op.size_bytes, forced=False)
+        yield part.sim.wait(part.wal.append, op)
+        data_write = part.sim.wait(part.disk.write, op.size_bytes, forced=False)
         op.data_seq = part.disk.issued_seq
         yield data_write
         if not part.is_up():
@@ -105,27 +113,28 @@ def _ref_prepare(self, msg, body):
             yield from _ref_ack_primary(self, rs, op_id, phase=1)
 
 
-def _ref_send_ack(self, rs, op_id, phase):
-    """Send ``put_ack{phase}`` to the primary; returns the send, if any."""
+def _ref_send_ack(self, rs, op_id, phase, then=None):
+    """Send ``put_ack{phase}`` to the primary, then ``then()`` — at once,
+    without a send, when the primary is unknown."""
     node = self.node
     primary_ip = node.directory.get(rs.primary) if rs else None
     if primary_ip is not None:
-        return node.stack.tcp.send_message(
+        node.stack.tcp.send_message(
             primary_ip, NODE_PORT,
             {"type": f"put_ack{phase}", "op_id": op_id, "node": node.name}, ACK_BYTES,
+            then=then,
         )
-    return None
+    elif then is not None:
+        then()
 
 
 def _ref_ack_primary(self, rs, op_id, phase):
-    send = _ref_send_ack(self, rs, op_id, phase)
-    if send is not None:
-        yield send
+    yield self.node.sim.wait(_ref_send_ack, self, rs, op_id, phase)
 
 
 def _ref_store_anyk(self, body):
     node = self.node
-    yield node.disk.write(body["size"], forced=True)
+    yield node.sim.wait(node.disk.write, body["size"], forced=True)
     stamp = PutStamp(node.ip_str, node.sim.now, body["client_ip"], body["client_ts"])
     node.store.put(StoredObject(body["key"], body["value"], body["size"], stamp))
     node.puts_served.add()
@@ -150,8 +159,6 @@ def _ref_on_commit(self, body):
 
 
 def _ref_coordinate(self, op, rs):
-    from repro.core.storage_node.put_engine import _Coordination
-
     node = self.node
     op_id = op.op_id
     tr = node.sim.tracer
@@ -159,7 +166,7 @@ def _ref_coordinate(self, op, rs):
     if tr is not None:
         span = tr.begin("2pc.coordinate", "2pc", node=node.name, op=op_id, key=op.key)
     secondaries = {s for s in rs.secondaries() if s not in rs.joining}
-    coord = self._coord[op_id] = _Coordination(node.sim, need=secondaries)
+    coord = self._coord[op_id] = RefCoordination(node.sim, need=secondaries)
     early = self._early_acks.pop(op_id, None)
     if early:
         for phase, peers in early.items():
@@ -258,7 +265,7 @@ def _ref_ack(self, msg):
 
 def _ref_rpc(self, peer, body, size, timeout_factor):
     token = self.new_token()
-    conn = yield self._send(self.directory[peer], dict(body, token=token), size)
+    conn = yield self.sim.wait(self._send, self.directory[peer], dict(body, token=token), size)
     return (yield from self.await_reply(
         conn, lambda m: (m.payload or {}).get("token") == token,
         self.config.peer_timeout_s * timeout_factor,
@@ -269,7 +276,7 @@ def _ref_handle_read_version(self, msg, body):
     yield from ref_cpu_work(self)
     obj = self.store.get(body["key"])
     if obj is not None:
-        yield self.disk.read(obj.size_bytes)
+        yield self.sim.wait(self.disk.read, obj.size_bytes)
     msg.conn.send(
         {"type": "read_version_reply", "token": body["token"],
          "stamp": obj.stamp if obj else None, "value": obj.value if obj else None,
@@ -288,7 +295,7 @@ def _ref_handle_put(self, body):
         if tr is not None:
             tr.instant("put_forward", "op", node=self.name, op=tuple(body["op_id"]),
                        to=replicas[0])
-        yield self._send(self.directory[replicas[0]], dict(body), body["size"])
+        yield self.sim.wait(self._send, self.directory[replicas[0]], dict(body), body["size"])
         return
     secondaries = replicas[1:]
     mode = self.config.consistency
@@ -308,7 +315,7 @@ def _ref_handle_put(self, body):
 
 
 def _ref_commit_local(self, body, stamp):
-    yield self.disk.write(body["size"], forced=True)
+    yield self.sim.wait(self.disk.write, body["size"], forced=True)
     self.store.put(StoredObject(body["key"], body["value"], body["size"], stamp))
 
 
@@ -386,21 +393,22 @@ def _ref_put_quorum(self, body, secondaries):
 def _ref_put_chain(self, body, replicas):
     stamp = self._stamp(body)
     yield from _ref_commit_local(self, body, stamp)
-    send = _ref_chain_forward(self, body, replicas, 0, stamp)
-    if send is not None:
-        yield send
+    yield self.sim.wait(_ref_chain_forward, self, body, replicas, 0, stamp)
 
 
-def _ref_chain_forward(self, body, replicas, position, stamp):
-    """Forward down the chain (returns the send) or, at the tail, ack."""
+def _ref_chain_forward(self, body, replicas, position, stamp, then=None):
+    """Forward down the chain, then ``then(conn)``; or, at the tail, ack
+    and ``then()`` at once."""
     if position + 1 < len(replicas):
         nxt = replicas[position + 1]
         copy_ = self._copy(body, stamp, "chain_put", client_port=body["client_port"],
                            position=position + 1)
-        return self._send(self.directory[nxt], copy_, body["size"])
+        self._send(self.directory[nxt], copy_, body["size"], then)
+        return
     self.puts_served.add()
     self._reply_put(body, "ok")
-    return None
+    if then is not None:
+        then()
 
 
 def _ref_handle_replicate(self, msg, body):
@@ -459,7 +467,7 @@ def _ref_handle_get(self, body):
     )
     if not can_serve:
         self.forwards.add()
-        yield self._send(self.directory[replicas[0]], dict(body), REQUEST_BYTES)
+        yield self.sim.wait(self._send, self.directory[replicas[0]], dict(body), REQUEST_BYTES)
         if span is not None:
             span.end(status="forwarded")
         return
@@ -481,7 +489,7 @@ def _ref_handle_get(self, body):
             obj = StoredObject(key, value, size, stamp)
         else:
             obj = None
-    yield from ref_reply_get(self, body, obj)
+    (yield from ref_reply_get(self, body, obj))()  # nobody waits for the reply
     if span is not None:
         span.end(status="ok" if obj is not None else "miss")
 
@@ -493,6 +501,7 @@ def _both(scenario, monkeypatch):
     install_event_forms(monkeypatch)
     monkeypatch.setattr(NiceStorageNode, "_on_put_msg", _ref_on_put_msg)
     monkeypatch.setattr(NoobStorageNode, "_on_msg", _ref_noob_on_msg)
+    monkeypatch.setattr(PutEngine, "record_ack", ref_record_ack)
     return chain, scenario()
 
 

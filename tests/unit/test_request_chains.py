@@ -195,7 +195,7 @@ def _ref_serve_gen(self, body, virtual_dst):
         if span is not None:
             span.end(status=forwarded)
         return
-    yield (yield from ref_reply_get(node, body, obj))
+    yield node.sim.wait((yield from ref_reply_get(node, body, obj)))
     if span is not None:
         span.end(status="ok" if obj is not None else "miss")
 
@@ -207,7 +207,8 @@ def _ref_forward(self, partition, body):
     if primary_ip is None:
         return
     node.gets_forwarded.add()
-    yield node.stack.tcp.send_message(
+    yield node.sim.wait(
+        node.stack.tcp.send_message,
         primary_ip, NODE_PORT, {"type": "get_forward", "request": body}, REQUEST_BYTES,
     )
 
@@ -216,7 +217,7 @@ def _ref_serve_forwarded_gen(self, request):
     node = self.node
     obj = node.store.get(request["key"])
     node.gets_forwarded.add()
-    yield (yield from ref_reply_get(node, request, obj))
+    yield node.sim.wait((yield from ref_reply_get(node, request, obj)))
 
 
 def _both(scenario, monkeypatch):
