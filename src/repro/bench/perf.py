@@ -53,13 +53,13 @@ ENTRY_POOL_REUSE_FLOOR = 0.9
 #: reference run; the usual ~1/3).
 PLANS_PER_S_FLOOR = 4000
 
-#: Ceilings per put at replication 3/5/7 on scheduled events (152.8 /
-#: 247.7 / 342.6 today) and, at every R, on spawned processes (0.08: the
+#: Ceilings per put at replication 3/5/7 on scheduled events (143.8 /
+#: 230.6 / 317.4 today) and, at every R, on spawned processes (0.08: the
 #: workload driver's own; the client op, its multicast send and every
 #: replica's put are chains — a process is for code that waits between
 #: steps, DESIGN.md §5g).  Both counts are deterministic, so the ceilings
 #: sit just above them and only ever ratchet down.
-FANOUT_EVENTS_PER_OP_MAX = {3: 154, 5: 249, 7: 344}
+FANOUT_EVENTS_PER_OP_MAX = {3: 147, 5: 236, 7: 325}
 FANOUT_SPAWNS_PER_OP_MAX = 0.2
 
 #: Floor on harmonia's hot-partition read throughput relative to NICE-LB
@@ -307,7 +307,7 @@ def bench_switch_lookup(n_lookups: int = 20000) -> dict:
 def bench_multicast_fanout(n_ops: int = 150, size: int = 1 << 14) -> dict:
     """Scheduled events and spawned processes per put at replication 3/5/7.
 
-    Every extra replica costs ~47 events of data/ACK and 2PC traffic and no
+    Every extra replica costs ~43 events of data/ACK and 2PC traffic and no
     process.  Only these deterministic columns are kept (put wall time is
     ``benchmarks/e2e``'s job), and ``n_ops`` is the same in smoke and full
     runs so the ``FANOUT_*_PER_OP_MAX`` ceilings gate both.

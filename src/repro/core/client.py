@@ -116,9 +116,9 @@ class _Op(Race, Event):
     that schedules the records of the process it replaced (DESIGN.md §5g):
     the URGENT start, per attempt the request, its reply (a call to
     ``_replied`` in the reply event's slot) and its retry timer, one
-    NORMAL zero-delay join where the attempt's ``AnyOf`` triggered, the
-    back-off; it completes like a process, with the
-    :class:`OpResult` as its value.
+    NORMAL zero-delay join where the attempt's any-of condition
+    triggered, the back-off.  The caller waits on it, so it is an Event:
+    it completes with the :class:`OpResult` as its value.
 
     ``address(attempt)`` resolves where one attempt goes and returns
     ``(send, span_attrs)``; ``send(op_id)`` fires the request.  Each

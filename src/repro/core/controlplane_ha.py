@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..kv import Disk
 from ..net import Host, IPv4Address
-from ..sim import AnyOf, Counter, Simulator
+from ..sim import Counter, Simulator
 from ..transport import ProtocolStack
 from .config import (
     ACK_BYTES,
@@ -291,21 +291,14 @@ class MetadataReplica:
     def _sync_log_from(self, ip: IPv4Address):
         """Post-demotion catch-up: copy the new leader's full log."""
         timeout = self.config.peer_timeout_s * 4
-        send = self.sim.wait(
-            self.stack.tcp.send_message, ip, META_PORT, {"type": "log_sync"}, REQUEST_BYTES
-        )
-        got = yield AnyOf(self.sim, [send, self.sim.timeout(timeout)])
-        if send not in got:
+        conn = yield from self.stack.tcp.bounded_send(
+            ip, META_PORT, {"type": "log_sync"}, REQUEST_BYTES, timeout)
+        if conn is None:
             return
-        conn = got[send]
-        reply = conn.inbox.get(
-            lambda m: (m.payload or {}).get("type") == "log_sync_reply"
-        )
-        got = yield AnyOf(self.sim, [reply, self.sim.timeout(timeout)])
-        if reply not in got:
-            conn.inbox.cancel(reply)
+        body = yield from conn.await_reply(
+            lambda m: (m.payload or {}).get("type") == "log_sync_reply", timeout)
+        if body is None:
             return
-        body = got[reply].payload or {}
         if body.get("epoch", 0) >= self.epoch_seen:
             self.log.replace(body.get("records") or [])
             self.epoch_seen = max(self.epoch_seen, body.get("epoch", 0))
@@ -372,18 +365,14 @@ class MetadataReplica:
             ip = svc.node_ip(node)
             if ip is None:
                 continue
-            self.sim.process(self._send_node(ip, {
+            svc._send(ip, NODE_PORT, {
                 "type": "meta_leader", "epoch": svc.epoch, "ip": str(self.host.ip),
-            }))
+            })
             if state == JOINING:
-                self.sim.process(self._send_node(ip, {
+                svc._send(ip, NODE_PORT, {
                     "type": "rejoin_restart", "epoch": svc.epoch,
                     "ip": str(self.host.ip),
-                }))
-
-    def _send_node(self, ip: IPv4Address, body: dict):
-        send = self.sim.wait(self.stack.tcp.send_message, ip, NODE_PORT, body, MEMBERSHIP_BYTES)
-        yield AnyOf(self.sim, [send, self.sim.timeout(self.config.peer_timeout_s * 4)])
+                })
 
 
 class ControlPlaneHA:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..net import IPv4Address
-from ..sim import AnyOf, Counter, Simulator
+from ..sim import URGENT, Counter, Simulator
 from ..transport import ProtocolStack
 from .config import (
     ACK_BYTES,
@@ -212,17 +212,10 @@ class MetadataService:
             "slices": [rs.to_wire() for rs in slices],
         }
         self.log.append(record)
+        body = {"type": "meta_log", "epoch": self.epoch, "record": record}
         for ip in self.peers:
-            self.sim.process(self._replicate_record(ip, record))
-
-    def _replicate_record(self, ip: IPv4Address, record: dict):
-        send = self.sim.wait(
-            self.stack.tcp.send_message, ip, META_PORT,
-            {"type": "meta_log", "epoch": self.epoch, "record": record},
-            MEMBERSHIP_BYTES,
-        )
-        # Best-effort: a dead standby must not wedge the leader.
-        yield AnyOf(self.sim, [send, self.sim.timeout(self.config.peer_timeout_s * 4)])
+            # Best-effort and unwaited: a dead standby cannot wedge the leader.
+            self._send(ip, META_PORT, body)
 
     def reconcile_switches(self) -> Dict[str, int]:
         """Recompute the desired ruleset from membership and diff-repair
@@ -439,11 +432,11 @@ class MetadataService:
             if ip is None or self.status.get(name) == DOWN:
                 continue
             self.membership_messages.add()
-            self.sim.process(self._send_membership(ip, wire))
+            self._send(ip, NODE_PORT,
+                       {"type": "membership", "epoch": self.epoch, "replica_set": wire})
 
-    def _send_membership(self, ip: IPv4Address, wire: dict):
-        yield self.sim.wait(
-            self.stack.tcp.send_message, ip, NODE_PORT,
-            {"type": "membership", "epoch": self.epoch, "replica_set": wire},
-            MEMBERSHIP_BYTES,
-        )
+    def _send(self, ip: IPv4Address, port: int, body: dict) -> None:
+        """One membership-sized message nobody waits on, sent from an
+        URGENT call where the process that used to send it started."""
+        self.sim._schedule_call(0.0, self.stack.tcp.send_message, ip, port, body,
+                                MEMBERSHIP_BYTES, priority=URGENT)

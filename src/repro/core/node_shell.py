@@ -4,11 +4,12 @@ The paper's two systems differ in *where* routing and replication run
 (switch vs end host, §2.1 vs §4), not in what a server is: a protocol
 stack, one CPU, a disk with an object store, a write-ahead log and a lock
 table on it, and a handful of wire idioms — the CPU step and the get reply
-(callback chains, for the request paths), the put reply, and the bounded
-send and token-matched reply wait (generators, for the background paths:
-recovery, the metadata link, read-repair).  The NICE and NOOB nodes add
-their protocols.  A wait API (a disk IO, a WAL append, a TCP send) takes
-only ``then=``; the generators wait on it as ``yield sim.wait(fn, *args)``.
+(callback chains, for the request paths), the put reply, and the
+token-matched request over the TCP layer's bounded waits (a generator, for
+recovery and read-repair).  The NICE and NOOB nodes add their protocols.
+A wait API (a disk IO, a WAL append, a TCP send) takes only ``then=``: a
+generator waits on it as ``yield sim.wait(fn, *args)``, and what nobody
+waits on passes ``then=None`` and schedules nothing when it ends.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Dict, Optional, Tuple
 
 from ..kv import Disk, LockTable, ObjectStore, StoredObject, WriteAheadLog
 from ..net import Host, IPv4Address
-from ..sim import AnyOf, Counter, Resource, Simulator
+from ..sim import Counter, Resource, Simulator
 from ..transport import ProtocolStack
 from .config import ACK_BYTES, NODE_PORT, REQUEST_BYTES, BaseConfig
 
@@ -75,24 +76,6 @@ class NodeShell:
         """A tag that pairs a request with its reply on a shared connection."""
         return (self.name, next(self._token_seq))
 
-    def await_reply(self, conn, match, wait_s: float):
-        """Wait up to ``wait_s`` for a message satisfying ``match`` on
-        ``conn``; returns its payload, or ``None`` on timeout."""
-        get = conn.inbox.get(match)
-        got = yield AnyOf(self.sim, [get, self.sim.timeout(wait_s)])
-        if get in got:
-            return got[get].payload
-        conn.inbox.cancel(get)
-        return None
-
-    def bounded_send(self, ip: IPv4Address, port: int, body: dict, size: int, wait_s: float):
-        """A send that cannot wedge this process on an unreachable peer
-        (e.g. a handoff inside an isolated rack that nobody has declared
-        failed yet): returns the connection, or ``None`` after ``wait_s``."""
-        send = self.sim.wait(self.stack.tcp.send_message, ip, port, body, size)
-        got = yield AnyOf(self.sim, [send, self.sim.timeout(wait_s)])
-        return got[send] if send in got else None
-
     def request(self, ip: IPv4Address, body: dict, size: int, reply_type: str,
                 wait_s: Optional[float] = None):
         """Request/response over the node TCP port; both halves — the send
@@ -100,11 +83,11 @@ class NodeShell:
         the peer timeout)."""
         wait = wait_s if wait_s is not None else self.config.peer_timeout_s
         token = self.new_token()
-        conn = yield from self.bounded_send(ip, NODE_PORT, dict(body, token=token), size, wait)
+        conn = yield from self.stack.tcp.bounded_send(
+            ip, NODE_PORT, dict(body, token=token), size, wait)
         if conn is None:
             return None
-        return (yield from self.await_reply(
-            conn,
+        return (yield from conn.await_reply(
             lambda m: (m.payload or {}).get("token") == token
             and m.payload.get("type") == reply_type,
             wait,

@@ -101,7 +101,8 @@ class MetaLink:
     def _send(self, target: IPv4Address, body: dict, wait_s: float):
         """One bounded send to ``target``; a dead leader costs ``wait_s``,
         then we fail over.  Returns the connection, or ``None``."""
-        conn = yield from self.node.bounded_send(target, META_PORT, body, REQUEST_BYTES, wait_s)
+        conn = yield from self.node.stack.tcp.bounded_send(
+            target, META_PORT, body, REQUEST_BYTES, wait_s)
         if conn is None:
             self._fail_over(target)
         return conn
@@ -127,8 +128,8 @@ class MetaLink:
             if conn is None:
                 attempts -= 1
                 continue
-            payload = yield from node.await_reply(
-                conn, lambda m: (m.payload or {}).get("type") in accept, wait
+            payload = yield from conn.await_reply(
+                lambda m: (m.payload or {}).get("type") in accept, wait
             )
             if payload is None:
                 attempts -= 1

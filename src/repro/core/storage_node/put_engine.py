@@ -16,7 +16,7 @@ from functools import partial
 from typing import Dict, Optional, Set, Tuple
 
 from ...kv import PreparedOp, PutStamp, StoredObject, TwoPhaseParticipant
-from ...sim import URGENT, Event, Fold, Race, Subroutine
+from ...sim import URGENT, Fold, Race, Subroutine
 from ..config import ACK_BYTES, COMMIT_BYTES, NODE_PORT, PUT_PORT
 from ..membership import ReplicaSet
 from ..vring import mc_group_address
@@ -75,29 +75,24 @@ class PutEngine:
         self._volatile.clear()
 
     # -- replica side -----------------------------------------------------------
-    def prepare(self, msg, body: dict) -> Event:
+    def prepare(self, msg, body: dict) -> None:
         """A put multicast reached this replica: admit it, run the local
         participant sequence, then ack the primary — or, on the primary,
-        coordinate.  Returns the chain (an Event)."""
-        return _Put(self, msg, body)
+        coordinate."""
+        _Put(self, msg, body)
 
-    def _ack_primary(self, rs: Optional[ReplicaSet], op_id: Tuple, phase: int,
-                     then=None) -> None:
-        """Send ``put_ack{phase}`` to the primary; ``then(conn)`` once it
-        has arrived (at once, with no send, when the primary is unknown;
-        ``None``: nobody waits)."""
+    def _ack_primary(self, rs: Optional[ReplicaSet], op_id: Tuple, phase: int) -> None:
+        """Send ``put_ack{phase}`` to the primary (no send when it is
+        unknown); the primary's gather waits for it, nothing here does."""
         node = self.node
         primary_ip = node.directory.get(rs.primary) if rs else None
         if primary_ip is None:
-            if then is not None:
-                then()
             return
         node.stack.tcp.send_message(
             primary_ip,
             NODE_PORT,
             {"type": f"put_ack{phase}", "op_id": op_id, "node": node.name},
             ACK_BYTES,
-            then=then,
         )
 
     def store_anyk(self, body: dict) -> None:
@@ -185,35 +180,33 @@ class PutEngine:
             put.folds[phase].add()
 
 
-class _Put(Race, Event):
+class _Put(Race):
     """One delivered put on this replica as a callback chain that schedules
     the records of the process it replaced (DESIGN.md §5g): the URGENT
     start, the admit checks, the CPU step, the participant's prepare, then
     the ack to the primary — or, on the primary, the coordination (Fig 3):
     gather ack1, multicast the timestamp, gather ack2, answer the client.
-    It completes like a process.
+    Nobody waits on it, so it ends without a record, and so does the ack
+    it sends.
 
     Each phase's acks are a :class:`~repro.sim.Fold` over the secondaries
     it needs (``record_ack`` adds to it), whose record is where the
     phase's done event fired; each gather is a :class:`~repro.sim.Race`
     of that record against the peer timer.  Acks all in before their
     gather starts (no secondaries) join at once and leave the timer armed,
-    as the ``AnyOf`` over a processed event did.  Strikes against silent
+    as the old any-of wait over a processed event did.  Strikes against silent
     peers run one after another, each a :class:`~repro.sim.Subroutine`."""
 
-    __slots__ = ("engine", "virtual_dst", "body", "op", "span", "need", "acks", "folds",
-                 "phase", "early", "missing", "strikes", "settled", "reply", "timer")
+    __slots__ = ("sim", "engine", "virtual_dst", "body", "op", "span", "need", "acks",
+                 "folds", "phase", "early", "missing", "strikes", "settled", "reply", "timer")
 
     def __init__(self, engine: PutEngine, msg, body: dict):
-        super().__init__(engine.node.sim)
+        self.sim = sim = engine.node.sim
         self.engine = engine
         self.virtual_dst = msg.virtual_dst
         self.body = body
         self.span = None
-        self.sim._schedule_call(0.0, self._start, priority=URGENT)
-
-    def _end(self, _sent=None) -> None:
-        self._complete()
+        sim._schedule_call(0.0, self._start, priority=URGENT)
 
     # -- replica side ---------------------------------------------------------------
     def _start(self) -> None:
@@ -221,12 +214,10 @@ class _Put(Race, Event):
         node = engine.node
         virtual_dst = self.virtual_dst
         if virtual_dst is None or virtual_dst not in node.mc.prefix:
-            self._complete()
             return
         partition = node.mc.subgroup_of_address(virtual_dst)
         my_role = node.role(partition)
         if my_role is None:
-            self._complete()
             return
         body = self.body
         self.op = op = PreparedOp(
@@ -235,8 +226,7 @@ class _Put(Race, Event):
             partition=partition, role=my_role,
         )
         if not engine.participant.admit(op):
-            self._complete()  # duplicate delivery of a retried put
-            return
+            return  # duplicate delivery of a retried put
         tr = node.sim.tracer
         if tr is not None:
             self.span = tr.begin("2pc.prepare", "2pc", node=node.name, op=op.op_id,
@@ -255,7 +245,6 @@ class _Put(Race, Event):
             # crashed mid-prepare: the put ends with the node.
             if span is not None:
                 span.end(status=status)
-            self._complete()
             return
         node = engine.node
         engine._clients_seen.setdefault(op.partition, set()).add(op.client_addr)
@@ -267,15 +256,12 @@ class _Put(Race, Event):
         if status == "early_commit":
             engine._after_commit(op)
             if op.role != "primary":
-                engine._ack_primary(rs, op.op_id, 2, self._end)
-                return
+                engine._ack_primary(rs, op.op_id, 2)
         elif status == "prepared":
             if op.role == "primary":
                 self._coordinate(rs)
             else:
-                engine._ack_primary(rs, op.op_id, 1, self._end)
-            return
-        self._complete()
+                engine._ack_primary(rs, op.op_id, 1)
 
     # -- primary side -------------------------------------------------------------------
     def _coordinate(self, rs: ReplicaSet) -> None:
@@ -360,7 +346,6 @@ class _Put(Race, Event):
         if not node.host.up:
             if self.span is not None:
                 self.span.end(status="crashed")
-            self._complete()
             return  # crashed at the timestamp boundary: no local commit
         engine.apply_commit(op_id, stamp)
         self._gather(2)
@@ -378,7 +363,6 @@ class _Put(Race, Event):
         node.reply_put(op.client_addr, op.client_port, op.op_id, "ok")
         if self.span is not None:
             self.span.end(status="ok")
-        self._complete()
 
     def _strike_all(self) -> None:
         self.strikes = iter(self.missing)
@@ -395,4 +379,3 @@ class _Put(Race, Event):
         if self.span is not None:
             self.span.end(status="aborted" if self.phase == 1 else "fail",
                           missing=self.missing)
-        self._complete()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ...kv import StoredObject
-from ...sim import URGENT, Event, Subroutine
+from ...sim import URGENT, Subroutine
 from ..config import ACK_BYTES, NODE_PORT, REQUEST_BYTES
 from ..membership import ReplicaSet
 
@@ -26,34 +26,29 @@ class ReadPath:
     def __init__(self, node):
         self.node = node
 
-    def serve(self, body: dict, virtual_dst) -> Event:
-        """Serve one get that landed here; returns the chain (an Event)."""
-        return _Serve(self, body, virtual_dst)
+    def serve(self, body: dict, virtual_dst) -> None:
+        """Serve one get that landed here."""
+        _Serve(self, body, virtual_dst)
 
-    def serve_forwarded(self, request: dict) -> Event:
+    def serve_forwarded(self, request: dict) -> None:
         """Primary side of a forwarded get: answer the client directly."""
-        return _Serve(self, request, None, forwarded=True)
+        _Serve(self, request, None, forwarded=True)
 
     # -- integrity (§5k) ----------------------------------------------------------
-    def serve_fetch_object(self, msg, body: dict):
+    def serve_fetch_object(self, msg, body: dict) -> None:
         """Serve a peer's read-repair: ship our copy of one object, but
         only if it passes its own checksum — repair must never spread a
-        second replica's rot."""
+        second replica's rot.  Called in an URGENT record: the disk read
+        of a good copy, then the reply, which nothing here waits for."""
         node = self.node
         obj = node.store.get(body["key"])
-        good = obj is not None and node.store.verify(obj)
-        if good:
-            yield node.sim.wait(node.disk.read, obj.size_bytes)
-        yield node.sim.wait(msg.conn.send,
-            {
-                "type": "object_data",
-                "token": body["token"],
-                "object": (obj.name, obj.value, obj.size_bytes, obj.stamp)
-                if good
-                else None,
-            },
-            (obj.size_bytes if good else 0) + ACK_BYTES,
-        )
+        reply = {"type": "object_data", "token": body["token"], "object": None}
+        if obj is None or not node.store.verify(obj):
+            msg.conn.send(reply, ACK_BYTES)
+            return
+        reply["object"] = (obj.name, obj.value, obj.size_bytes, obj.stamp)
+        node.disk.read(obj.size_bytes,
+                       then=lambda: msg.conn.send(reply, obj.size_bytes + ACK_BYTES))
 
     def _read_repair(self, key: str, rs: ReplicaSet):
         """Replace a checksum-failing local copy from a consistent replica
@@ -116,25 +111,25 @@ class ReadPath:
                     node.scrub_repairs.add()
 
 
-class _Serve(Event):
+class _Serve:
     """One get's service on this node as a callback chain that schedules
     the records of the process it replaced (DESIGN.md §5g): the URGENT
     start, the CPU step (grant, service timer, release), then one of —
     the reply (disk read on a hit, the send), a forward to the primary
     (the send), or read-repair first (a :class:`~repro.sim.Subroutine`,
-    which adds no record of its own).  It completes like a process.  A
-    forwarded get skips the span and the CPU step and is answered from
+    which adds no record of its own) — and its span's end once the reply
+    or forward arrived.  Nobody waits on it, so it ends without a record.
+    A forwarded get skips the span and the CPU step and is answered from
     the store, as the primary's old ``serve_forwarded`` was."""
 
     __slots__ = ("reads", "body", "virtual_dst", "span", "status")
 
     def __init__(self, reads: ReadPath, body: dict, virtual_dst, forwarded: bool = False):
-        super().__init__(reads.node.sim)
         self.reads = reads
         self.body = body
         self.virtual_dst = virtual_dst
         self.span = None
-        self.sim._schedule_call(
+        reads.node.sim._schedule_call(
             0.0, self._answer_forwarded if forwarded else self._start, priority=URGENT)
 
     def _start(self) -> None:
@@ -229,4 +224,3 @@ class _Serve(Event):
     def _end(self, _sent=None) -> None:
         if self.span is not None:
             self.span.end(status=self.status)
-        self._complete()

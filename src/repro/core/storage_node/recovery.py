@@ -239,7 +239,8 @@ class Recovery:
         source = node.store.handoff_objects() if handoff else node.store.objects()
         objs = [o for o in source if node.uni.subgroup_of_key(o.name) == partition]
         total = sum(o.size_bytes for o in objs) + ACK_BYTES
-        yield self.node.sim.wait(msg.conn.send,
+        # The joiner waits for this reply; nothing here waits for it to land.
+        msg.conn.send(
             {
                 "type": "handoff_data" if handoff else "partition_data",
                 "token": body["token"],
@@ -273,9 +274,11 @@ class Recovery:
             in_flight &= participant.in_flight(partition)
 
     # -- failover reconciliation -----------------------------------------------------------
-    def serve_query_locks(self, msg, body: dict):
+    # The two query services answer at once: each runs in an URGENT call,
+    # where its process started, and nothing waits for the reply to land.
+    def serve_query_locks(self, msg, body: dict) -> None:
         participant = self.node.puts.participant
-        yield self.node.sim.wait(msg.conn.send,
+        msg.conn.send(
             {
                 "type": "query_locks_reply",
                 "token": body["token"],
@@ -285,11 +288,11 @@ class Recovery:
             MEMBERSHIP_BYTES,
         )
 
-    def serve_query_commit(self, msg, body: dict):
+    def serve_query_commit(self, msg, body: dict) -> None:
         """Report commit evidence for one client attempt: does our store
         hold a version committed from that exact (client, timestamp) put?"""
         stamp = self._store_commit_evidence(body["key"], body["client_ip"], body["client_ts"])
-        yield self.node.sim.wait(msg.conn.send,
+        msg.conn.send(
             {"type": "query_commit_reply", "token": body["token"], "stamp": stamp},
             ACK_BYTES,
         )
@@ -363,7 +366,7 @@ class Recovery:
             for peer in peers:
                 # Bounded: a peer that became unreachable mid-reconcile
                 # must not wedge the remaining force decisions.
-                yield from node.bounded_send(
+                yield from node.stack.tcp.bounded_send(
                     node.directory.get(peer), NODE_PORT, dict(body), ACK_BYTES,
                     node.config.peer_timeout_s,
                 )

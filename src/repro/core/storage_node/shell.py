@@ -135,9 +135,10 @@ class NiceStorageNode(NodeShell):
     # ------------------------------------------------------------------ inbound dispatch
     # Three served mailboxes (``Store.serve``): the handlers never wait, so
     # whatever takes time runs on its own — a put or a get as a callback
-    # chain (``node.puts``, ``node.reads``), a commit or an any-k store as
-    # an URGENT call where a process would have started, and the recovery
-    # and repair services as processes.
+    # chain (``node.puts``, ``node.reads``); a commit, an any-k store, a
+    # lock or commit query and an object fetch as an URGENT call where a
+    # process would have started; a partition fetch, which waits out
+    # in-flight puts first, as a process.
     def _on_put_msg(self, msg) -> None:
         """The multicast vring: puts and the 2PC outcome (Fig 3)."""
         body = msg.payload or {}
@@ -176,9 +177,11 @@ class NiceStorageNode(NodeShell):
         elif kind == "get_forward":
             self.reads.serve_forwarded(body["request"])
         elif kind == "query_locks":
-            self.sim.process(self.recovery.serve_query_locks(msg, body))
+            self.sim._schedule_call(0.0, self.recovery.serve_query_locks, msg, body,
+                                    priority=URGENT)
         elif kind == "query_commit":
-            self.sim.process(self.recovery.serve_query_commit(msg, body))
+            self.sim._schedule_call(0.0, self.recovery.serve_query_commit, msg, body,
+                                    priority=URGENT)
         elif kind == "force_commit":
             self.puts.apply_commit(tuple(body["op_id"]), body["stamp"])
         elif kind == "force_abort":
@@ -186,4 +189,5 @@ class NiceStorageNode(NodeShell):
         elif kind in ("fetch_handoff", "fetch_partition"):
             self.sim.process(self.recovery.serve_fetch(msg, body))
         elif kind == "fetch_object":
-            self.sim.process(self.reads.serve_fetch_object(msg, body))
+            self.sim._schedule_call(0.0, self.reads.serve_fetch_object, msg, body,
+                                    priority=URGENT)

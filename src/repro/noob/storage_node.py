@@ -22,7 +22,7 @@ from ..core.membership import PartitionMap
 from ..core.node_shell import NodeShell
 from ..kv import PreparedOp, PutStamp, StoredObject, TwoPhaseParticipant
 from ..net import Host, IPv4Address
-from ..sim import URGENT, Counter, Event, Fold, Race, Simulator
+from ..sim import URGENT, Counter, Fold, Race, Simulator
 from .config import NoobConfig
 
 __all__ = ["NoobStorageNode"]
@@ -319,11 +319,12 @@ class _Replicate(_Gathered):
         self.node.cpu_work_then(super()._start)
 
 
-class _Put(Event):
+class _Put:
     """A client put on this node as a callback chain that schedules the
     records of the process it replaced (DESIGN.md §5g): the URGENT start,
-    the CPU step, then a forward to the primary (ROG), or one of the four
-    replication modes; it completes like a process.
+    the CPU step, then a forward to the primary (ROG), which nothing waits
+    for, or one of the four replication modes.  Nobody waits on the chain,
+    so it ends without a record.
 
     A gather over the secondaries' RPCs (the copies, the prepares, the
     commits) is a :class:`~repro.sim.Fold` where an ``AllOf`` was: each
@@ -334,11 +335,10 @@ class _Put(Event):
     __slots__ = ("node", "body", "span", "secondaries", "stamp", "transfers", "fold")
 
     def __init__(self, node: NoobStorageNode, body: dict):
-        super().__init__(node.sim)
         self.node = node
         self.body = body
         self.span = None
-        self.sim._schedule_call(0.0, node.cpu_work_then, self._route, priority=URGENT)
+        node.sim._schedule_call(0.0, node.cpu_work_then, self._route, priority=URGENT)
 
     def _route(self) -> None:
         node = self.node
@@ -352,8 +352,7 @@ class _Put(Event):
             if tr is not None:
                 tr.instant("put_forward", "op", node=node.name,
                            op=tuple(body["op_id"]), to=replicas[0])
-            node._send(node.directory[replicas[0]], dict(body), body["size"],
-                       self._forwarded)
+            node._send(node.directory[replicas[0]], dict(body), body["size"])
             return
         self.secondaries = secondaries = replicas[1:]
         mode = node.config.consistency
@@ -379,13 +378,9 @@ class _Put(Event):
         else:
             self._end()
 
-    def _forwarded(self, _conn) -> None:
-        self._complete()
-
     def _end(self, _conn=None) -> None:
         if self.span is not None:
             self.span.end()
-        self._complete()
 
     def _acked(self) -> None:
         node = self.node
@@ -398,7 +393,7 @@ class _Put(Event):
         if not rpcs:
             join()
             return
-        self.fold = fold = Fold(self.sim, len(rpcs), join)
+        self.fold = fold = Fold(self.node.sim, len(rpcs), join)
         for rpc in rpcs:
             if rpc.done:
                 fold.add(rpc.reply)
@@ -414,6 +409,7 @@ class _Put(Event):
         that already came is counted in an URGENT record of its own, where
         a late callback on its processed event ran."""
         transfers, self.transfers = self.transfers, None
+        sim = self.node.sim
         config = self.node.config
         if config.consistency == "primary":
             self._gather(transfers, self._acked)
@@ -421,10 +417,10 @@ class _Put(Event):
         if config.quorum_k <= 1:
             self._acked()
             return
-        self.fold = Fold(self.sim, config.quorum_k - 1, self._acked)
+        self.fold = Fold(sim, config.quorum_k - 1, self._acked)
         for t in transfers:
             if t.done:
-                self.sim._schedule_call(0.0, self._copied, t.reply, priority=URGENT)
+                sim._schedule_call(0.0, self._copied, t.reply, priority=URGENT)
             else:
                 t.then = self._copied
 
@@ -459,21 +455,20 @@ class _Put(Event):
         self._gather(commits, self._acked)
 
 
-class _Get(Event):
+class _Get:
     """A client get on this node as a callback chain that schedules the
     records of the process it replaced (DESIGN.md §5g): the URGENT start,
     the CPU step, then a forward to the primary, or the reply — after a
     quorum read of the peers' versions, one :class:`_Rpc` at a time, in
-    quorum mode; it completes like a process, without waiting for the
-    reply to leave."""
+    quorum mode — and its span's end.  Nobody waits on the chain, so it
+    ends without a record, and without waiting for the reply to leave."""
 
     __slots__ = ("node", "body", "span", "obj", "peers", "votes")
 
     def __init__(self, node: NoobStorageNode, body: dict):
-        super().__init__(node.sim)
         self.node = node
         self.body = body
-        self.sim._schedule_call(0.0, self._start, priority=URGENT)
+        node.sim._schedule_call(0.0, self._start, priority=URGENT)
 
     def _start(self) -> None:
         node = self.node
@@ -538,9 +533,7 @@ class _Get(Event):
     def _forwarded(self, _conn) -> None:
         if self.span is not None:
             self.span.end(status="forwarded")
-        self._complete()
 
     def _replied(self) -> None:
         if self.span is not None:
             self.span.end(status="ok" if self.obj is not None else "miss")
-        self._complete()

@@ -11,24 +11,28 @@ to return, and its :attr:`value` is the generator's return value.  This is
 how protocol state machines compose (e.g. a put operation spawns one
 process per secondary replica and joins them with ``AllOf``).
 
-A process is for background code that waits between steps (heartbeats,
-recovery, metadata replication, the chaos engine, workload drivers).  A
-mailbox whose handler never waits is served (``Store.serve``), and every
-request path — a disk IO, a TCP send or handshake, a client op's attempts,
-a multicast send, a replica's get service, its 2PC prepare and
-coordination, every NOOB handler — is a fixed chain of waits whose
-callbacks schedule the records the process would have (an ``Event``
-subclass where a caller waits on the chain), a wait it is the only waiter
-of being a call record in its event's slot (DESIGN.md §5g).  A chain that
-races a reply against a timer is a :class:`Race`; one that counts replies
-up to a target (an ``AllOf``, a quorum, a 2PC phase's acks) is a
-:class:`Fold`.  A chain that must wait on generator code it does not own
-(the get path's read-repair, the put path's strikes) runs it as a
-:class:`Subroutine`: ``yield from`` without a process around it.
+A process is for background code that waits between steps and has work
+left after a wait (heartbeats, recovery, the chaos engine, closed-loop
+workloads); a background send nobody waits on is an URGENT call where its
+process started.  A mailbox whose handler never waits is served
+(``Store.serve``), and every request path — a disk IO, a TCP send or
+handshake, a client op's attempts, a multicast send, a replica's get
+service, its 2PC prepare and coordination, every NOOB handler — is a fixed
+chain of waits whose callbacks schedule the records the process would
+have, a wait it is the only waiter of being a call record in its event's
+slot (DESIGN.md §5g).  A chain is an ``Event`` only where a caller waits
+on it (the client op, the multicast send); one nobody waits on is a plain
+object and ends without a record.  A chain that races a reply against a
+timer is a :class:`Race`; one that counts replies up to a target (an
+``AllOf``, a quorum, a 2PC phase's acks) is a :class:`Fold`.  A chain
+that must wait on generator code it does not own (the get path's
+read-repair, the put path's strikes) runs it as a :class:`Subroutine`:
+``yield from`` without a process around it.
 
 A wait API has one form: ``then=`` (``None``: nobody waits, so nothing is
-scheduled and no Event built).  A generator yields ``sim.wait(fn,
-*args)`` instead — an Event whose waiters run inside ``then``'s record.
+scheduled at its end and no Event built).  A generator yields
+``sim.wait(fn, *args)`` instead — an Event whose waiters run inside
+``then``'s record.
 """
 
 from __future__ import annotations

@@ -109,8 +109,8 @@ class _Send(Event):
     start — which draws the op id and the ack port, binds it and sends the
     burst — then one ``inbox.get_then()`` per datagram (a call record in the
     slot of the ``get()`` event it replaced) until ``k`` acks for this op
-    are in; it unbinds the port and completes like a process, with the
-    acks as its value."""
+    are in; it unbinds the port and completes.  The client's op waits on
+    it, so it is an Event, with the acks as its value."""
 
     __slots__ = ("sender", "group_ip", "dport", "payload", "payload_bytes", "k",
                  "op", "ack_port", "inbox", "acks")

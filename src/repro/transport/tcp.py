@@ -10,7 +10,9 @@ serialization of the data itself.  The model therefore provides:
   contact, with per-(peer, port) connection caching thereafter;
 * message sends that complete when the message reaches the peer's stack
   (the data traverses the network for real, so link contention applies);
-* per-connection inboxes plus listener sockets with selective receive.
+* per-connection inboxes plus listener sockets with selective receive;
+* a send and a receive that give up after a deadline, for background
+  generators (:meth:`TcpLayer.bounded_send`, :meth:`TcpConnection.await_reply`).
 
 Segment-level ACK clocking is *not* modeled: it contributes no asymmetry
 between the compared systems and would multiply event counts (DESIGN.md §5).
@@ -23,7 +25,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Tuple
 
 from ..net import IPv4Address, Packet, Proto
-from ..sim import URGENT, Event, Store
+from ..sim import URGENT, AnyOf, Store
 
 __all__ = ["TcpLayer", "TcpConnection", "TcpMessage"]
 
@@ -86,6 +88,17 @@ class TcpConnection:
             else partial(self.layer.stack.sim._schedule_call, 0.0, then),
         }
         self.layer._send_segment(self, body, payload_bytes)
+
+    def await_reply(self, match, wait_s: float):
+        """A generator: wait up to ``wait_s`` for a message satisfying
+        ``match``; returns its payload, or ``None`` on timeout."""
+        sim = self.layer.stack.sim
+        get = self.inbox.get(match)
+        got = yield AnyOf(sim, [get, sim.timeout(wait_s)])
+        if get in got:
+            return got[get].payload
+        self.inbox.cancel(get)
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "est" if self.established else "syn"
@@ -167,6 +180,16 @@ class TcpLayer:
         the connection, so callers can await the reply on ``conn.inbox``
         (``None``: nobody waits)."""
         _SendMessage(self, dst_ip, dport, payload, payload_bytes, then)
+
+    def bounded_send(self, ip: IPv4Address, port: int, body: Any, size: int, wait_s: float):
+        """A generator: a send that cannot wedge its caller on an
+        unreachable peer (e.g. a handoff inside an isolated rack nobody has
+        declared failed yet); returns the connection, or ``None`` after
+        ``wait_s``."""
+        sim = self.stack.sim
+        send = sim.wait(self.send_message, ip, port, body, size)
+        got = yield AnyOf(sim, [send, sim.timeout(wait_s)])
+        return got[send] if send in got else None
 
     def reset_peer(self, ip: IPv4Address) -> int:
         """Tear down all cached state toward ``ip`` (peer declared failed).
@@ -273,11 +296,12 @@ class TcpLayer:
 
 class _SendMessage:
     """:meth:`TcpLayer.send_message` as a callback chain that schedules the
-    records of the process it replaced (DESIGN.md §5g): the URGENT start,
-    the connect (cached, shared or fresh handshake), the delivery — each
-    a call record in the slot its event took — and ``then(conn)`` in the
-    record the process's completion fired in, or nothing when nobody
-    waits."""
+    records of the process it replaced (DESIGN.md §5g): the URGENT start
+    and the connect (cached, shared or fresh handshake), each a call
+    record in the slot its event took; then, only when someone waits, the
+    delivery and ``then(conn)`` in the record the process's completion
+    fired in.  A send nobody waits on schedules nothing once it is on the
+    wire."""
 
     __slots__ = ("layer", "dst_ip", "dport", "payload", "payload_bytes", "then", "conn")
 
@@ -296,43 +320,41 @@ class _SendMessage:
 
     def _connected(self, conn: TcpConnection) -> None:
         self.conn = conn
-        conn.send(self.payload, self.payload_bytes, self._delivered)
+        conn.send(self.payload, self.payload_bytes,
+                  None if self.then is None else self._delivered)
 
     def _delivered(self) -> None:
-        if self.then is not None:
-            self.layer.stack.sim._schedule_call(0.0, self.then, self.conn)
+        self.layer.stack.sim._schedule_call(0.0, self.then, self.conn)
 
 
-class _SynRetry(Event):
+class _SynRetry:
     """A handshake's SYN retransmission with backoff as a timer chain that
     schedules the records of the process it replaced (DESIGN.md §5g): the
     URGENT start, then one retry timer per attempt until the connection is
     established or the last attempt is spent, when it tears the handshake
-    down; it completes like a process."""
+    down.  Nobody waits on it, so it ends without a record."""
 
     __slots__ = ("layer", "conn", "key", "tries")
 
     def __init__(self, layer: TcpLayer, conn: TcpConnection, key):
-        super().__init__(layer.stack.sim)
         self.layer = layer
         self.conn = conn
         self.key = key
         self.tries = 1
-        self.sim._schedule_call(0.0, self._wait, priority=URGENT)
+        layer.stack.sim._schedule_call(0.0, self._wait, priority=URGENT)
 
     def _wait(self) -> None:
-        if not self.conn.established:
-            layer = self.layer
-            if self.tries < layer.SYN_MAX_TRIES:
-                self.sim.timeout(
-                    layer.SYN_RETRY_S * min(self.tries, 4))._callbacks = [self._retry]
-                return
-            self.layer._teardown(self.conn, self.key)
-        self._complete()
-
-    def _retry(self, _timer: Event) -> None:
         if self.conn.established:
-            self._complete()
+            return
+        layer = self.layer
+        if self.tries < layer.SYN_MAX_TRIES:
+            layer.stack.sim.timeout(
+                layer.SYN_RETRY_S * min(self.tries, 4))._callbacks = [self._retry]
+        else:
+            layer._teardown(self.conn, self.key)
+
+    def _retry(self, _timer) -> None:
+        if self.conn.established:
             return
         self.layer._send_ctrl(self.conn, "syn")
         self.tries += 1

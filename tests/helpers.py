@@ -4,9 +4,10 @@ schedules records in, the Event forms of every one-shot wait the chains
 now schedule as a call (``install_event_forms``), the generator forms
 of a node's CPU step and get reply and the Event form of the NICE
 primary's ack gathers that the request and put chains are checked
-against, the linear rule scan the flow table's index is checked against,
-and the content snapshots the controller's plan-cache contract is stated
-in."""
+against, the process forms of a membership push and a lock-query reply
+that the background sends are checked against, the linear rule scan the
+flow table's index is checked against, and the content snapshots the
+controller's plan-cache contract is stated in."""
 
 from collections import Counter, deque
 from functools import partial
@@ -29,7 +30,8 @@ from repro.net import (
 import repro.core.node_shell as node_shell_module
 import repro.kv.disk as disk_module
 import repro.transport.tcp as tcp_module
-from repro.core.config import ACK_BYTES, REQUEST_BYTES
+from repro.core.config import ACK_BYTES, MEMBERSHIP_BYTES, NODE_PORT, REQUEST_BYTES
+from repro.core.metadata import DOWN
 from repro.kv import Disk, LockTable
 from repro.sim import NORMAL, Event, Resource, Simulator, Store
 from repro.transport import ProtocolStack, TcpConnection, TcpLayer
@@ -269,11 +271,16 @@ def _then_on(ev, then, with_value=False):
 
 
 def ref_send_message(layer, dst_ip, dport, payload, payload_bytes, then=None):
-    """``TcpLayer.send_message`` as the process it replaced."""
+    """``TcpLayer.send_message`` as the process it replaced.  A send
+    nobody waits on by the time it is on the wire does not wait for its
+    delivery either, which then completes on the spot (no record), as
+    ``ref_send``'s does."""
 
     def run():
         conn = yield ref_connect(layer, dst_ip, dport)
-        yield ref_send(conn, payload, payload_bytes)
+        delivered = ref_send(conn, payload, payload_bytes)
+        if proc._callbacks:
+            yield delivered
         return conn
 
     proc = layer.stack.sim.process(run())
@@ -412,6 +419,40 @@ def ref_reply_get(node, request, obj):
         size = ACK_BYTES
     return partial(node.stack.tcp.send_message,
                    IPv4Address(request["client_ip"]), request["client_port"], reply, size)
+
+
+# -- the process forms of two background sends nobody waits on ----------------------
+def ref_inform_replicas(service, rs, extra=None):
+    """``MetadataService._inform_replicas`` as it was: one process per
+    target, which sends the slice and waits for its delivery."""
+    targets = set(rs.put_targets()) | set(rs.get_targets()) | set(extra or [])
+    wire = rs.to_wire()
+    for name in sorted(targets):
+        ip = service.node_ip(name)
+        if ip is None or service.status.get(name) == DOWN:
+            continue
+        service.membership_messages.add()
+        service.sim.process(_ref_send_membership(service, ip, wire))
+
+
+def _ref_send_membership(service, ip, wire):
+    yield service.sim.wait(
+        service.stack.tcp.send_message, ip, NODE_PORT,
+        {"type": "membership", "epoch": service.epoch, "replica_set": wire},
+        MEMBERSHIP_BYTES,
+    )
+
+
+def ref_serve_query_locks(recovery, msg, body):
+    """``Recovery.serve_query_locks`` as the process it was: the reply,
+    waited for until it is delivered."""
+    participant = recovery.node.puts.participant
+    yield recovery.node.sim.wait(msg.conn.send, {
+        "type": "query_locks_reply",
+        "token": body["token"],
+        "locked": list(participant.locked_ops(body["partition"])),
+        "committed": dict(participant.committed),
+    }, MEMBERSHIP_BYTES)
 
 
 # -- the Event form of the NICE primary's ack gathers --------------------------------

@@ -4,7 +4,8 @@ replace (DESIGN.md §5g).
 A wait API takes only ``then=``; a generator yields ``sim.wait(fn,
 *args)``, whose waiters run inside ``then``'s record — the slot the old
 completion event's record took — so a process or an ``AnyOf`` resumes
-where it did.  ``then=None`` schedules nothing and builds no Event.  A
+where it did.  ``then=None`` schedules nothing once the wait is under way
+and builds no Event: an unwaited send has no delivery record.  A
 ``Race`` settles a reply against a timer in the records an ``AnyOf`` over
 the two did; a ``Fold`` counts replies up to a target.  The ``wait`` and
 ``Race`` cases compare the ``(now, delay, priority)`` slot of every record
@@ -17,7 +18,8 @@ import pytest
 
 from repro.kv import Disk
 from repro.sim import NORMAL, URGENT, AnyOf, Event, Fold, Race, Simulator
-from tests.helpers import Star, install_event_forms, record_slots
+from repro.transport import TcpLayer
+from tests.helpers import Star, install_event_forms, record_slots, ref_connect, ref_send
 
 
 def _events_built(monkeypatch):
@@ -63,7 +65,7 @@ def test_a_process_resumes_from_wait_in_the_old_events_slot(monkeypatch):
 
 
 def _bounded_send(use_wait, dark):
-    """``NodeShell.bounded_send``'s shape: a send raced by ``AnyOf``
+    """``TcpLayer.bounded_send``'s shape: a send raced by ``AnyOf``
     against a timeout, to a peer that answers or one that is dark."""
     star = Star()
     sim = star.sim
@@ -127,28 +129,54 @@ def test_a_then_before_the_yield_resumes_synchronously():
 
 def _unwaited(monkeypatch=None):
     """A write and a TCP send nobody waits for: their records, and (given
-    ``monkeypatch``) the Events the two calls and their runs build."""
+    ``monkeypatch``) the Events the two calls and their runs build; and
+    when the send's data segment reached the server."""
     star = Star()
     sim = star.sim
     slots = record_slots(sim)
     disk = Disk(sim)
     client, server = star.stacks[0], star.stacks[1]
     server.tcp.listen(6000)
+    arrived = []
+    on_data = server.tcp._on_data
+    server.tcp._on_data = lambda packet: (arrived.append(sim.now), on_data(packet))
     built = None if monkeypatch is None else _events_built(monkeypatch)
     disk.write(500, forced=True)
     client.tcp.send_message(server.ip, 6000, "ff", 100)
     sim.run()
     if monkeypatch is not None:
         monkeypatch.undo()
-    return (slots, sim._eid, disk.durable_seq), built
+    return (slots, sim._eid, disk.durable_seq), built, arrived
+
+
+def _send_waiting_for_delivery(layer, dst_ip, dport, payload, payload_bytes, then=None):
+    """The process form of ``send_message`` before a send nobody waits on
+    stopped waiting for its delivery: it always does."""
+
+    def run():
+        conn = yield ref_connect(layer, dst_ip, dport)
+        yield ref_send(conn, payload, payload_bytes)
+        return conn
+
+    layer.stack.sim.process(run())
 
 
 def test_then_none_schedules_no_completion_and_builds_no_event(monkeypatch):
-    new, built = _unwaited(monkeypatch)
-    assert built == Counter({"_SynRetry": 1})  # the handshake's, not the send's
+    new, built, arrived = _unwaited(monkeypatch)
+    assert built == Counter()  # no Event at all: not the send's, not the handshake's
     install_event_forms(monkeypatch)
     assert new == _unwaited()[0]
     assert new[2] == 1
+    # Against the process that waited for the delivery: its slots less
+    # exactly one, the delivery record at the data segment's arrival.
+    monkeypatch.setattr(TcpLayer, "send_message", _send_waiting_for_delivery)
+    (old_slots, old_eid, old_durable), _, old_arrived = _unwaited()
+    new_slots, new_eid, new_durable = new
+    assert arrived == old_arrived and len(arrived) == 1
+    assert (old_eid - 1, old_durable) == (new_eid, new_durable)
+    dropped = [old_slots[i] for i in range(len(old_slots))
+               if old_slots[:i] + old_slots[i + 1:] == new_slots]
+    assert set(dropped) == {(arrived[0], 0.0, NORMAL)}
 
 
 # -- Race ----------------------------------------------------------------------------

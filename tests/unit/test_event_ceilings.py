@@ -6,10 +6,11 @@ flush timer, a TCP connect or delivery, a client's reply, a NOOB vote, a
 Event, and a wait nobody waits for (``then=None``) builds nothing.  A disk
 IO and a TCP send are plain chains, not Events.  What a warm op still
 builds is counted here by class and held under a named ceiling: the
-chains a caller can wait on (the client ``_Op``, a multicast ``_Send``,
-the put and get chains) and the timers ``cancel_timer`` tombstones (the
-client retry timer, the gather and RPC peer timers).  A conversion undone,
-or a new one-shot Event on these paths, fails the test.
+chains a caller waits on (the client ``_Op``, a multicast ``_Send``) and
+the timers ``cancel_timer`` tombstones (the client retry timer, the gather
+and RPC peer timers).  A chain nobody waits on — a replica's put or get,
+a SYN retry — is a plain object, not an Event.  A conversion undone, or a
+new one-shot Event on these paths, fails the test.
 """
 
 from collections import Counter
@@ -21,15 +22,14 @@ from repro.noob import NoobCluster, NoobConfig
 from repro.sim import Event, Process, Simulator
 
 #: Events built per warm op, at most — what a warm op builds today (the
-#: counts are deterministic).  A NICE put: 3 replica ``_Put`` chains, 3
-#: timers (the client retry and two gather timers), the ``_Op`` and the
-#: ``_Send``.  A NICE get: the ``_Op``, its retry timer and the
-#: ``_Serve``.  A NOOB 2PC put: 5 timers (the client's, four RPC peer
-#: timers), the ``_Op`` and the ``_Put``.
+#: counts are deterministic).  A NICE put: 3 timers (the client retry and
+#: two gather timers), the ``_Op`` and the ``_Send``.  A NICE get: the
+#: ``_Op`` and its retry timer.  A NOOB 2PC put: 5 timers (the client's,
+#: four RPC peer timers) and the ``_Op``.
 CEILINGS = {
-    "nice_put": 8,
-    "nice_get": 3,
-    "noob_2pc_put": 7,
+    "nice_put": 5,
+    "nice_get": 2,
+    "noob_2pc_put": 6,
 }
 
 OPS = 8

@@ -3,9 +3,9 @@
 A client op, a get or put on a replica, a NOOB handler, a TCP send or
 handshake, a disk IO and a multicast send are callback chains.  What still
 calls ``<sim>.process(...)`` is named here by (module, enclosing function):
-background loops, recovery and repair services, metadata and control-plane
-replication, the chaos engine, the workload drivers, NOOB's membership
-broadcast and the bench drivers.  A new call site fails the test, and so
+background loops, recovery, the partition fetch service, the metadata
+and control-plane loops, the chaos engine, the closed-loop workloads, NOOB's
+membership broadcast and the bench cells.  A new call site fails the test, and so
 does a listed one that is gone, so the list cannot go stale.  The generator
 forms the chains replaced must stay gone too.
 
@@ -24,19 +24,20 @@ from repro.kv import TwoPhaseParticipant
 
 #: Every ``.process(`` call site under ``src/repro``: (module, qualname).
 PROCESS_SITES = {
-    # Background loops, and the recovery and repair services a node serves
-    # to its peers (lock queries, commit queries, handoff and object fetch).
+    # Background loops, recovery, and the one service a node serves to its
+    # peers that waits between steps (a handoff or partition fetch drains
+    # in-flight puts first).
     ("core/storage_node/shell.py", "NiceStorageNode.__init__"),
     ("core/storage_node/shell.py", "NiceStorageNode._on_node_msg"),
     ("core/storage_node/recovery.py", "Recovery.on_membership"),
     ("core/storage_node/recovery.py", "Recovery.on_rejoin_restart"),
     ("core/storage_node/recovery.py", "Recovery.restart"),
-    # Metadata and control-plane HA replication.
+    # The metadata service's monitor, the replicas' control and lease
+    # loops, and a demoted leader's log catch-up.  Membership pushes, log
+    # replication and a new leader's announcements are sends nobody waits
+    # on: no process.
     ("core/metadata.py", "MetadataService.__init__"),
-    ("core/metadata.py", "MetadataService._inform_replicas"),
-    ("core/metadata.py", "MetadataService._log_append"),
     ("core/controlplane_ha.py", "MetadataReplica.__init__"),
-    ("core/controlplane_ha.py", "MetadataReplica._announce"),
     ("core/controlplane_ha.py", "MetadataReplica._demote"),
     # The chaos engine.
     ("chaos/engine.py", "ChaosEngine.restart"),

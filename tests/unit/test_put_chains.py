@@ -12,9 +12,9 @@ here the way ``test_request_chains.py`` keeps the client's.  Each scenario
 runs on both, bare and traced, and must agree on every outcome, counter,
 stored object, trace event, the number of event ids consumed and the
 ``(now, delay, priority)`` slot of every record scheduled.  A send nobody
-waits for — the ack2, a replica's forward down the chain, the replica
-handlers' replies — completes without a record, so the references send
-those without yielding them.
+waits for — the ack1 and ack2, the ROG forward of a put, a replica's
+forward down the chain, the replica handlers' replies — completes without
+a record, so the references send those without yielding them.
 """
 
 import copy
@@ -105,31 +105,24 @@ def _ref_prepare(self, msg, body):
     if status == "early_commit":
         self._after_commit(op)
         if my_role != "primary":
-            yield from _ref_ack_primary(self, rs, op_id, phase=2)
+            _ref_send_ack(self, rs, op_id, phase=2)
     elif status == "prepared":
         if my_role == "primary":
             yield from _ref_coordinate(self, op, rs)
         else:
-            yield from _ref_ack_primary(self, rs, op_id, phase=1)
+            _ref_send_ack(self, rs, op_id, phase=1)
 
 
-def _ref_send_ack(self, rs, op_id, phase, then=None):
-    """Send ``put_ack{phase}`` to the primary, then ``then()`` — at once,
-    without a send, when the primary is unknown."""
+def _ref_send_ack(self, rs, op_id, phase):
+    """Send ``put_ack{phase}`` to the primary (no send when it is
+    unknown); nothing waits for it to arrive."""
     node = self.node
     primary_ip = node.directory.get(rs.primary) if rs else None
     if primary_ip is not None:
         node.stack.tcp.send_message(
             primary_ip, NODE_PORT,
             {"type": f"put_ack{phase}", "op_id": op_id, "node": node.name}, ACK_BYTES,
-            then=then,
         )
-    elif then is not None:
-        then()
-
-
-def _ref_ack_primary(self, rs, op_id, phase):
-    yield self.node.sim.wait(_ref_send_ack, self, rs, op_id, phase)
 
 
 def _ref_store_anyk(self, body):
@@ -266,8 +259,8 @@ def _ref_ack(self, msg):
 def _ref_rpc(self, peer, body, size, timeout_factor):
     token = self.new_token()
     conn = yield self.sim.wait(self._send, self.directory[peer], dict(body, token=token), size)
-    return (yield from self.await_reply(
-        conn, lambda m: (m.payload or {}).get("token") == token,
+    return (yield from conn.await_reply(
+        lambda m: (m.payload or {}).get("token") == token,
         self.config.peer_timeout_s * timeout_factor,
     ))
 
@@ -295,7 +288,7 @@ def _ref_handle_put(self, body):
         if tr is not None:
             tr.instant("put_forward", "op", node=self.name, op=tuple(body["op_id"]),
                        to=replicas[0])
-        yield self.sim.wait(self._send, self.directory[replicas[0]], dict(body), body["size"])
+        self._send(self.directory[replicas[0]], dict(body), body["size"])
         return
     secondaries = replicas[1:]
     mode = self.config.consistency
