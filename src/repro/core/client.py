@@ -235,13 +235,9 @@ class _AnykOp(_Op):
         self.span = None if tr is None else tr.begin(
             "put_anyk", "op", node=client.host.name, op=op_id, key=self.key,
             quorum=self.quorum)
-        sender = client._multicast_put(
-            "put_anyk", op_id, self.key, self.written, self.size, self.t0, self.quorum)
+        client._multicast_put("put_anyk", op_id, self.key, self.written, self.size,
+                              self.t0, self.quorum, then=self._won)
         self._race(client.sim, client.config.client_retry_timeout_s)
-        sender._callbacks = [self._sent]
-
-    def _sent(self, sender: Event) -> None:
-        self._won(sender._value)
 
     def _settled(self, acks) -> None:
         client = self.client
@@ -319,14 +315,15 @@ class NiceClient(KvClient):
 
     # -- how one attempt is addressed and sent ------------------------------------
     def _multicast_put(self, kind: str, op_id: Tuple, key: str, value, size: int,
-                       client_ts: float, quorum: int):
-        return self.mc_sender.send(
+                       client_ts: float, quorum: int, then=None) -> None:
+        self.mc_sender.send(
             self.mc.vnode_for_key(key),
             PUT_PORT,
             self._request(kind, op_id, key, value=value, size=size, client_ts=client_ts),
             size,
             n_receivers=self.config.replication_level,
             quorum=quorum,
+            then=then,
         )
 
     def _resolve_get_route(self, key: str, attempt: int):

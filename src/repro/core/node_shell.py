@@ -107,7 +107,9 @@ class NodeShell:
         """Read ``obj`` off the disk and answer the get ``request`` — a hit
         carries the value, ``None`` is an authoritative miss — then
         ``issued()`` as soon as the reply is on its way, and ``sent(conn)``
-        once it reached the client (``None``: nobody waits for either)."""
+        once it reached the client (``None``: nobody waits for either).
+        ``sent`` costs two records, the delivery and its own, so pass it
+        only when someone reads the arrival (a tracer's span)."""
         self.gets_served.add()
         reply = {"type": "get_reply", "op_id": tuple(request["op_id"])}
         client_ip = IPv4Address(request["client_ip"])

@@ -117,9 +117,11 @@ class _Serve:
     start, the CPU step (grant, service timer, release), then one of —
     the reply (disk read on a hit, the send), a forward to the primary
     (the send), or read-repair first (a :class:`~repro.sim.Subroutine`,
-    which adds no record of its own) — and its span's end once the reply
-    or forward arrived.  Nobody waits on it, so it ends without a record.
-    A forwarded get skips the span and the CPU step and is answered from
+    which adds no record of its own).  Only its span waits for the reply
+    or forward to arrive, so only under a tracer does that delivery
+    schedule the span's end; untraced, nothing is scheduled once the
+    message is on the wire, and the chain ends without a record.  A
+    forwarded get skips the span and the CPU step and is answered from
     the store, as the primary's old ``serve_forwarded`` was."""
 
     __slots__ = ("reads", "body", "virtual_dst", "span", "status")
@@ -195,7 +197,8 @@ class _Serve:
 
     def _reply(self, obj: Optional[StoredObject]) -> None:
         self.status = "ok" if obj is not None else "miss"
-        self.reads.node.reply_get_then(self.body, obj, sent=self._end)
+        self.reads.node.reply_get_then(
+            self.body, obj, sent=None if self.span is None else self._end)
 
     def _answer_forwarded(self) -> None:
         node = self.reads.node
@@ -218,7 +221,7 @@ class _Serve:
             NODE_PORT,
             {"type": "get_forward", "request": self.body},
             REQUEST_BYTES,
-            then=self._end,
+            then=None if self.span is None else self._end,
         )
 
     def _end(self, _sent=None) -> None:

@@ -324,7 +324,8 @@ class _Put:
     records of the process it replaced (DESIGN.md §5g): the URGENT start,
     the CPU step, then a forward to the primary (ROG), which nothing waits
     for, or one of the four replication modes.  Nobody waits on the chain,
-    so it ends without a record.
+    so it ends without a record; the chain mode's first hop is waited for
+    only by a tracer's span.
 
     A gather over the secondaries' RPCs (the copies, the prepares, the
     commits) is a :class:`~repro.sim.Fold` where an ``AllOf`` was: each
@@ -369,7 +370,7 @@ class _Put:
             # Chain replication [43]: store locally, pass the object down
             # the chain; the tail acknowledges the client.
             node._commit_local(body, stamp, lambda: node._chain_forward(
-                body, replicas, 0, stamp, self._end))
+                body, replicas, 0, stamp, None if self.span is None else self._end))
         elif mode in ("primary", "quorum"):
             # Write locally and fan out R−1 unicast copies concurrently.
             self.transfers = [_Replicate(node, s, body, stamp, "replicate")
@@ -461,7 +462,8 @@ class _Get:
     the CPU step, then a forward to the primary, or the reply — after a
     quorum read of the peers' versions, one :class:`_Rpc` at a time, in
     quorum mode — and its span's end.  Nobody waits on the chain, so it
-    ends without a record, and without waiting for the reply to leave."""
+    ends without a record, and without waiting for the reply to leave; a
+    forward's arrival is waited for only by a tracer's span."""
 
     __slots__ = ("node", "body", "span", "obj", "peers", "votes")
 
@@ -493,7 +495,7 @@ class _Get:
         if not can_serve:
             node.forwards.add()
             node._send(node.directory[replicas[0]], dict(body), REQUEST_BYTES,
-                       self._forwarded)
+                       None if self.span is None else self._forwarded)
             return
         self.obj = node.store.get(key)
         if config.consistency == "quorum":

@@ -27,7 +27,7 @@ import itertools
 from typing import Any, Optional, Tuple
 
 from ..net import IPv4Address
-from ..sim import URGENT, Event, Store
+from ..sim import URGENT, Store
 
 from .sockets import Datagram, ProtocolStack
 
@@ -88,43 +88,45 @@ class MulticastSender:
         payload_bytes: int,
         n_receivers: int,
         quorum: Optional[int] = None,
-    ):
-        """Multicast ``payload``; returns an Event to ``yield`` on.
-
-        The event completes when ``quorum`` receivers (default: all
-        ``n_receivers``) have acknowledged reception; its value is the list
-        of ``(receiver_ip, ack_time)`` pairs, in arrival order.
+        then=None,
+    ) -> None:
+        """Multicast ``payload``, then ``then(acks)`` in a NORMAL zero-delay
+        record once ``quorum`` receivers (default: all ``n_receivers``)
+        have acknowledged reception — ``acks`` is the list of
+        ``(receiver_ip, ack_time)`` pairs, in arrival order (``None``:
+        nobody waits, and the last ack schedules nothing).
         """
         if n_receivers < 1:
             raise ValueError(f"n_receivers must be >= 1: {n_receivers}")
         k = n_receivers if quorum is None else quorum
         if not 1 <= k <= n_receivers:
             raise ValueError(f"quorum {k} out of range 1..{n_receivers}")
-        return _Send(self, group_ip, dport, payload, payload_bytes, k)
+        _Send(self, group_ip, dport, payload, payload_bytes, k, then)
 
 
-class _Send(Event):
+class _Send:
     """One :meth:`MulticastSender.send` as a callback chain that schedules
     the records of the process it replaced (DESIGN.md §5g): the URGENT
     start — which draws the op id and the ack port, binds it and sends the
     burst — then one ``inbox.get_then()`` per datagram (a call record in the
     slot of the ``get()`` event it replaced) until ``k`` acks for this op
-    are in; it unbinds the port and completes.  The client's op waits on
-    it, so it is an Event, with the acks as its value."""
+    are in; it unbinds the port and calls ``then(acks)`` in the slot its
+    completion event took.  Only an any-k put waits on it; a plain put's
+    send ends without a record."""
 
-    __slots__ = ("sender", "group_ip", "dport", "payload", "payload_bytes", "k",
+    __slots__ = ("sender", "group_ip", "dport", "payload", "payload_bytes", "k", "then",
                  "op", "ack_port", "inbox", "acks")
 
     def __init__(self, sender: MulticastSender, group_ip, dport: int, payload: Any,
-                 payload_bytes: int, k: int):
-        super().__init__(sender.stack.sim)
+                 payload_bytes: int, k: int, then):
         self.sender = sender
         self.group_ip = group_ip
         self.dport = dport
         self.payload = payload
         self.payload_bytes = payload_bytes
         self.k = k
-        self.sim._schedule_call(0.0, self._start, priority=URGENT)
+        self.then = then
+        sender.stack.sim._schedule_call(0.0, self._start, priority=URGENT)
 
     def _start(self) -> None:
         stack = self.sender.stack
@@ -144,13 +146,15 @@ class _Send(Event):
     def _on_dgram(self, dgram) -> None:
         body = dgram.payload
         acks = self.acks
+        stack = self.sender.stack
         if type(body) is tuple and len(body) == 2 and body[0] == "mc_ack" and body[1] == self.op:
-            acks.append((dgram.src_ip, self.sim.now))
+            acks.append((dgram.src_ip, stack.sim.now))
         if len(acks) < self.k:
             self.inbox.get_then(self._on_dgram)
             return
-        self.sender.stack.udp_unbind(self.ack_port)
-        self._complete(acks)
+        stack.udp_unbind(self.ack_port)
+        if self.then is not None:
+            stack.sim._schedule_call(0.0, self.then, acks)
 
 
 class MulticastEndpoint:

@@ -1,13 +1,14 @@
 """Shared test fixtures: a star topology with static L3 forwarding, a
 recorder of the devices each packet crossed, a log of the slots a simulator
-schedules records in, the Event forms of every one-shot wait the chains
-now schedule as a call (``install_event_forms``), the generator forms
-of a node's CPU step and get reply and the Event form of the NICE
-primary's ack gathers that the request and put chains are checked
-against, the process forms of a membership push and a lock-query reply
-that the background sends are checked against, the linear rule scan the
-flow table's index is checked against, and the content snapshots the
-controller's plan-cache contract is stated in."""
+schedules records in (and of what each record runs), the Event forms of
+every one-shot wait the chains now schedule as a call
+(``install_event_forms``), the generator forms of a node's CPU step and
+get reply, a get service's reply that always waits for its delivery, and
+the Event form of the NICE primary's ack gathers that the request and put
+chains are checked against, the process forms of a membership push and a
+lock-query reply that the background sends are checked against, the linear
+rule scan the flow table's index is checked against, and the content
+snapshots the controller's plan-cache contract is stated in."""
 
 from collections import Counter, deque
 from functools import partial
@@ -33,8 +34,8 @@ import repro.transport.tcp as tcp_module
 from repro.core.config import ACK_BYTES, MEMBERSHIP_BYTES, NODE_PORT, REQUEST_BYTES
 from repro.core.metadata import DOWN
 from repro.kv import Disk, LockTable
-from repro.sim import NORMAL, Event, Resource, Simulator, Store
-from repro.transport import ProtocolStack, TcpConnection, TcpLayer
+from repro.sim import NORMAL, URGENT, Event, Resource, Simulator, Store
+from repro.transport import MulticastSender, ProtocolStack, TcpConnection, TcpLayer
 
 
 class Star:
@@ -150,12 +151,33 @@ def record_slots(sim):
     return slots
 
 
+def record_targets(sim):
+    """``record_slots`` with what each record runs: log ``(now, delay,
+    priority, target)`` of every record ``sim`` schedules from here on,
+    ``target`` the qualified name of the call's function or the event's
+    class."""
+    log = []
+    schedule_call, schedule_event = sim._schedule_call, sim._schedule_event
+
+    def call(delay, func, *args, priority=NORMAL):
+        name = getattr(func, "__qualname__", None) or type(func).__name__
+        log.append((sim.now, delay, priority, name))
+        schedule_call(delay, func, *args, priority=priority)
+
+    def event(ev, priority, delay=0.0):
+        log.append((sim.now, delay, priority, type(ev).__name__))
+        schedule_event(ev, priority, delay)
+
+    sim._schedule_call, sim._schedule_event = call, event
+    return log
+
+
 # -- the Event forms of the one-shot waits -------------------------------------------
 # Each wait a chain now schedules as a call record — a resource or lock
 # grant, a store getter, a TCP connect, delivery and send, a disk transfer
-# with its group-commit flush — as the Event (or process) it replaced,
-# whose record takes the same slot.  ``install_event_forms`` swaps them in
-# for a reference run.
+# with its group-commit flush, a multicast send — as the Event (or
+# process) it replaced, whose record takes the same slot.
+# ``install_event_forms`` swaps them in for a reference run.
 class RefResource(Resource):
     """``Resource`` with its old Event requests: ``request()`` returns an
     Event that triggers when the slot is granted, ``release(req)`` frees
@@ -299,6 +321,52 @@ def ref_send(conn, payload, payload_bytes, then=None):
     _then_on(done, then)
 
 
+class RefSend(Event):
+    """``MulticastSender.send``'s chain as the Event it was: the same
+    records, and on the ``k``-th ack it completes with the acks as its
+    value — a record only if someone waits (``ref_mc_send``)."""
+
+    def __init__(self, sender, group_ip, dport, payload, payload_bytes, k):
+        super().__init__(sender.stack.sim)
+        self.sender = sender
+        self.group_ip = group_ip
+        self.dport = dport
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.k = k
+        self.sim._schedule_call(0.0, self._start, priority=URGENT)
+
+    def _start(self):
+        stack = self.sender.stack
+        self.op = op = (stack.ip, next(self.sender._op_seq))
+        self.ack_port = ack_port = stack.ephemeral_port()
+        self.inbox = stack.udp_bind(ack_port)
+        stack.udp_send(IPv4Address(self.group_ip), self.dport,
+                       ("mc_data", op, ack_port, self.payload), self.payload_bytes,
+                       sport=ack_port)
+        self.acks = []
+        self.inbox.get_then(self._on_dgram)
+
+    def _on_dgram(self, dgram):
+        body = dgram.payload
+        if type(body) is tuple and len(body) == 2 and body[0] == "mc_ack" and body[1] == self.op:
+            self.acks.append((dgram.src_ip, self.sim.now))
+        if len(self.acks) < self.k:
+            self.inbox.get_then(self._on_dgram)
+            return
+        self.sender.stack.udp_unbind(self.ack_port)
+        self._complete(self.acks)
+
+
+def ref_mc_send(sender, group_ip, dport, payload, payload_bytes, n_receivers,
+                quorum=None, then=None):
+    """``MulticastSender.send`` as the :class:`RefSend` Event it returned,
+    with ``then(acks)`` as its one callback."""
+    done = RefSend(sender, group_ip, dport, payload, payload_bytes,
+                   n_receivers if quorum is None else quorum)
+    return done if then is None else _then_on(done, then, with_value=True)
+
+
 def _ref_io(disk, nbytes, forced, write, seq, epoch):
     req = disk._device.request()
     yield req
@@ -379,6 +447,7 @@ def install_event_forms(monkeypatch):
     monkeypatch.setattr(TcpConnection, "send", ref_send)
     monkeypatch.setattr(Disk, "write", ref_write)
     monkeypatch.setattr(Disk, "read", ref_read)
+    monkeypatch.setattr(MulticastSender, "send", ref_mc_send)
 
 
 def connected(stack, ip, port):
@@ -402,6 +471,13 @@ def ref_cpu_work(node):
         yield node.sim.timeout(cost)
     finally:
         node.cpu.release(req)
+
+
+def ref_serve_reply(serve, obj):
+    """``_Serve._reply`` as it was: the chain waits for its reply's
+    delivery, to end its span, whether or not a tracer is installed."""
+    serve.status = "ok" if obj is not None else "miss"
+    serve.reads.node.reply_get_then(serve.body, obj, sent=serve._end)
 
 
 def ref_reply_get(node, request, obj):

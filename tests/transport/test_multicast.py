@@ -26,7 +26,7 @@ def test_all_receivers_get_message_and_sender_completes():
     results = {}
 
     def send(sim):
-        acks = yield sender.send(VADDR, PORT, {"obj": "v"}, 5000, n_receivers=3)
+        acks = yield sim.wait(sender.send, VADDR, PORT, {"obj": "v"}, 5000, n_receivers=3)
         results["acks"] = acks
         results["t"] = sim.now
 
@@ -51,7 +51,7 @@ def test_quorum_returns_before_slow_receivers():
     size = 1 << 20
 
     def send(sim):
-        acks = yield sender.send(VADDR, PORT, "blob", size, n_receivers=3, quorum=2)
+        acks = yield sim.wait(sender.send, VADDR, PORT, "blob", size, n_receivers=3, quorum=2)
         results["t"] = sim.now
         results["n"] = len(acks)
 
@@ -76,7 +76,7 @@ def test_lost_data_leg_is_not_repaired():
     done = {}
 
     def send(sim):
-        acks = yield sender.send(VADDR, PORT, "x", size, n_receivers=3, quorum=2)
+        acks = yield sim.wait(sender.send, VADDR, PORT, "x", size, n_receivers=3, quorum=2)
         done["acks"] = sorted(str(ip) for ip, _ in acks)
 
     star.sim.process(send(star.sim))
@@ -97,7 +97,8 @@ def test_ack_port_unbound_at_quorum_and_late_ack_dropped():
     seen = {}
 
     def send(sim):
-        acks = yield sender.send(VADDR, PORT, "blob", 1 << 20, n_receivers=3, quorum=2)
+        acks = yield sim.wait(sender.send, VADDR, PORT, "blob", 1 << 20, n_receivers=3,
+                              quorum=2)
         seen["acks"] = len(acks)
         ack_port = endpoints[0].messages.items[0].ack_port
         # Binding succeeds only if the sender let go of the port at quorum.
@@ -119,7 +120,7 @@ def test_multicast_network_load_is_one_copy_per_leg():
     size = 100_000
 
     def send(sim):
-        yield sender.send(VADDR, PORT, "x", size, n_receivers=3)
+        yield sim.wait(sender.send, VADDR, PORT, "x", size, n_receivers=3)
 
     star.sim.process(send(star.sim))
     star.sim.run(until=5.0)
@@ -144,7 +145,7 @@ def test_two_concurrent_sends_demux_by_op():
     done = []
 
     def send(sim, tag):
-        yield sender.send(VADDR, PORT, tag, 1000, n_receivers=2)
+        yield sim.wait(sender.send, VADDR, PORT, tag, 1000, n_receivers=2)
         done.append(tag)
 
     star.sim.process(send(star.sim, "a"))
@@ -162,7 +163,7 @@ def test_failed_receiver_does_not_block_quorum():
     result = {}
 
     def send(sim):
-        acks = yield sender.send(VADDR, PORT, "x", 1000, n_receivers=3, quorum=2)
+        acks = yield sim.wait(sender.send, VADDR, PORT, "x", 1000, n_receivers=3, quorum=2)
         result["n"] = len(acks)
 
     star.sim.process(send(star.sim))

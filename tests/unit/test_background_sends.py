@@ -17,31 +17,11 @@ from functools import partial
 from repro.core import ClusterConfig, NiceCluster
 from repro.core.config import NODE_PORT, REQUEST_BYTES
 from repro.core.storage_node.shell import NiceStorageNode
-from repro.sim import NORMAL
-from tests.helpers import ref_inform_replicas, ref_serve_query_locks
+from tests.helpers import record_targets, ref_inform_replicas, ref_serve_query_locks
 
 #: The targets of the records an old form scheduled that ran no code: the
 #: delivery of a send someone waited on, and the wake of that waiter.
 RAN_NOTHING = {"_SendMessage._delivered", "Event._fire"}
-
-
-def _record_targets(sim):
-    """Log ``(now, delay, priority, target)`` of every record ``sim``
-    schedules from here on; ``target`` names what the record runs."""
-    log = []
-    schedule_call, schedule_event = sim._schedule_call, sim._schedule_event
-
-    def call(delay, func, *args, priority=NORMAL):
-        name = getattr(func, "__qualname__", None) or type(func).__name__
-        log.append((sim.now, delay, priority, name))
-        schedule_call(delay, func, *args, priority=priority)
-
-    def event(ev, priority, delay=0.0):
-        log.append((sim.now, delay, priority, type(ev).__name__))
-        schedule_event(ev, priority, delay)
-
-    sim._schedule_call, sim._schedule_event = call, event
-    return log
 
 
 def _cluster():
@@ -64,7 +44,7 @@ def _push(old_form):
     service = cluster.metadata_active
     rs = cluster.partition_map.get(cluster.partition_of_key("k"))
     held = {name: node.replica_sets.get(rs.partition) for name, node in cluster.nodes.items()}
-    log = _record_targets(sim)
+    log = record_targets(sim)
     inform = partial(ref_inform_replicas, service) if old_form else service._inform_replicas
     inform(rs)
     sim.run(until=sim.now + 0.05)
@@ -92,7 +72,7 @@ def _query_locks(old_form, monkeypatch):
     part = cluster.partition_of_key("k")
     primary = cluster.node_of_partition(part)
     asker = next(n for n in cluster.nodes.values() if n is not primary)
-    log = _record_targets(sim)
+    log = record_targets(sim)
     asker.stack.tcp.send_message(
         primary.ip, NODE_PORT, {"type": "query_locks", "partition": part, "token": ("t", 1)},
         REQUEST_BYTES)

@@ -286,9 +286,13 @@ def test_contended_leg_identical_with_and_without_completion_records(
 ):
     """A process or a callback chain nobody waits on completes without a
     heap record; the reference schedules one for every completion, as
-    ``succeed`` always did.  ``Event._complete`` is the one completion path
-    both share (the put path runs no process any more)."""
+    ``succeed`` always did, and builds each put's multicast send as the
+    Event it was (``tests.helpers.RefSend``), whose completion nobody
+    waits on.  ``Event._complete`` is the one completion path both share
+    (the put path runs no process any more)."""
     from repro.sim import Event
+    from repro.transport import MulticastSender
+    from tests.helpers import ref_mc_send
 
     rows_skipped, now_skipped, events_skipped = _contended_leg(n_racks, jitter_s)
 
@@ -296,6 +300,7 @@ def test_contended_leg_identical_with_and_without_completion_records(
         event.succeed(value)
 
     monkeypatch.setattr(Event, "_complete", complete_through_the_heap)
+    monkeypatch.setattr(MulticastSender, "send", ref_mc_send)
     rows_recorded, now_recorded, events_recorded = _contended_leg(n_racks, jitter_s)
     assert events_recorded > events_skipped
     assert rows_skipped == rows_recorded

@@ -1,16 +1,21 @@
-"""A warm request builds few Events (DESIGN.md §5g, "A wait is not an event").
+"""A warm request builds few Events and schedules few records (DESIGN.md
+§5g, "A wait is not an event", "What nobody waits on is not built").
 
 A one-shot wait with one waiter — a resource or lock grant, a service or
 flush timer, a TCP connect or delivery, a client's reply, a NOOB vote, a
-2PC phase's acks — is a call record in the slot its Event took, not an
-Event, and a wait nobody waits for (``then=None``) builds nothing.  A disk
-IO and a TCP send are plain chains, not Events.  What a warm op still
-builds is counted here by class and held under a named ceiling: the
-chains a caller waits on (the client ``_Op``, a multicast ``_Send``) and
-the timers ``cancel_timer`` tombstones (the client retry timer, the gather
-and RPC peer timers).  A chain nobody waits on — a replica's put or get,
-a SYN retry — is a plain object, not an Event.  A conversion undone, or a
-new one-shot Event on these paths, fails the test.
+2PC phase's acks, a multicast send's acks — is a call record in the slot
+its Event took, not an Event, and a wait nobody waits for (``then=None``)
+builds nothing.  A disk IO, a TCP send and a multicast send are plain
+chains, not Events.  What a warm op still builds is counted here by class
+and held under a named ceiling: the chain a caller waits on (the client
+``_Op``) and the timers ``cancel_timer`` tombstones (the client retry
+timer, the gather and RPC peer timers).  A chain nobody waits on — a
+replica's put or get, a SYN retry — is a plain object, not an Event.  A
+conversion undone, or a new one-shot Event on these paths, fails the test.
+
+The records a warm op schedules are held at their measured count too, so
+a record that runs no code — a delivery or a span's end scheduled though
+nobody waits for it — fails the test when it comes back.
 """
 
 from collections import Counter
@@ -23,13 +28,22 @@ from repro.sim import Event, Process, Simulator
 
 #: Events built per warm op, at most — what a warm op builds today (the
 #: counts are deterministic).  A NICE put: 3 timers (the client retry and
-#: two gather timers), the ``_Op`` and the ``_Send``.  A NICE get: the
-#: ``_Op`` and its retry timer.  A NOOB 2PC put: 5 timers (the client's,
-#: four RPC peer timers) and the ``_Op``.
+#: two gather timers) and the ``_Op``.  A NICE get: the ``_Op`` and its
+#: retry timer.  A NOOB 2PC put: 5 timers (the client's, four RPC peer
+#: timers) and the ``_Op``.
 CEILINGS = {
-    "nice_put": 5,
+    "nice_put": 4,
     "nice_get": 2,
     "noob_2pc_put": 6,
+}
+
+#: Records scheduled per warm op (event ids taken), at most — the measured
+#: counts, with no headroom.  An untraced NICE get schedules neither its
+#: reply's delivery nor its serve span's end.
+RECORD_CEILINGS = {
+    "nice_put": 142,
+    "nice_get": 26,
+    "noob_2pc_put": 154,
 }
 
 OPS = 8
@@ -59,25 +73,30 @@ def _count_events(monkeypatch, counts):
 
 
 def _built(monkeypatch, build, op):
-    """Events, by class, that ``OPS`` warm ops of ``op`` build."""
+    """Events, by class, that ``OPS`` warm ops of ``op`` build, and the
+    records they schedule (event ids taken from the first op's start to
+    the last op's end)."""
     cluster = build()
     sim = cluster.sim
     client = cluster.clients[0]
     counts = Counter()
     results = []
+    eids = []
 
     def driver():
         for i in range(OPS):  # connections up, keys stored
             yield client.put(f"k{i}", "v", 1000)
         _count_events(monkeypatch, counts)
+        eids.append(sim._eid)
         for i in range(OPS):
             results.append((yield op(client, f"k{i}")))
+        eids.append(sim._eid)
         monkeypatch.undo()
 
     sim.process(driver())
     sim.run(until=sim.now + 5.0)
     assert len(results) == OPS and all(r.ok for r in results)
-    return counts
+    return counts, eids[1] - eids[0]
 
 
 def _nice():
@@ -102,7 +121,14 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_warm_op_builds_at_most_its_ceiling_of_events(case, monkeypatch):
-    counts = _built(monkeypatch, *CASES[case])
+    counts, _ = _built(monkeypatch, *CASES[case])
     per_op = sum(counts.values()) / OPS
     detail = ", ".join(f"{name} {n / OPS:g}" for name, n in counts.most_common())
     assert per_op <= CEILINGS[case], f"{case}: {per_op:g} Events per op ({detail})"
+
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_warm_op_schedules_at_most_its_ceiling_of_records(case, monkeypatch):
+    _, records = _built(monkeypatch, *CASES[case])
+    assert records / OPS <= RECORD_CEILINGS[case], f"{case}: {records / OPS:g} records per op"

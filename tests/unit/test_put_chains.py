@@ -13,8 +13,10 @@ runs on both, bare and traced, and must agree on every outcome, counter,
 stored object, trace event, the number of event ids consumed and the
 ``(now, delay, priority)`` slot of every record scheduled.  A send nobody
 waits for — the ack1 and ack2, the ROG forward of a put, a replica's
-forward down the chain, the replica handlers' replies — completes without
-a record, so the references send those without yielding them.
+forward down the chain, the replica handlers' replies, and, untraced, a
+chain-mode put's first hop and a get's forward, which only a span waits
+for — completes without a record, so the references send those without
+yielding them.
 """
 
 import copy
@@ -302,7 +304,7 @@ def _ref_handle_put(self, body):
     elif mode == "quorum":
         yield from _ref_put_quorum(self, body, secondaries)
     elif mode == "chain":
-        yield from _ref_put_chain(self, body, replicas)
+        yield from _ref_put_chain(self, body, replicas, waited=span is not None)
     if span is not None:
         span.end()
 
@@ -383,10 +385,14 @@ def _ref_put_quorum(self, body, secondaries):
     self._reply_put(body, "ok")
 
 
-def _ref_put_chain(self, body, replicas):
+def _ref_put_chain(self, body, replicas, waited):
+    """Only the span waits for the first hop down the chain."""
     stamp = self._stamp(body)
     yield from _ref_commit_local(self, body, stamp)
-    yield self.sim.wait(_ref_chain_forward, self, body, replicas, 0, stamp)
+    if waited:
+        yield self.sim.wait(_ref_chain_forward, self, body, replicas, 0, stamp)
+    else:
+        _ref_chain_forward(self, body, replicas, 0, stamp)
 
 
 def _ref_chain_forward(self, body, replicas, position, stamp, then=None):
@@ -460,9 +466,11 @@ def _ref_handle_get(self, body):
     )
     if not can_serve:
         self.forwards.add()
+        if span is None:  # only the span waits for the forward to arrive
+            self._send(self.directory[replicas[0]], dict(body), REQUEST_BYTES)
+            return
         yield self.sim.wait(self._send, self.directory[replicas[0]], dict(body), REQUEST_BYTES)
-        if span is not None:
-            span.end(status="forwarded")
+        span.end(status="forwarded")
         return
     obj = self.store.get(key)
     if self.config.consistency == "quorum":

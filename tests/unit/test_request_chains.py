@@ -6,15 +6,20 @@ send (``MulticastSender.send``) and a replica's get service
 schedule the records the generator processes below did: the URGENT start,
 the same request, timer, grant, read and send events, one NORMAL
 zero-delay join per attempt where its ``AnyOf`` triggered, and a
-completion record only when someone waits.  The references are those
-processes — with the history recorder's generator wrapper — kept here the
-way ``test_leaf_chains.py`` keeps the disk and TCP ones.  Each scenario
-runs on both and must agree on every outcome, counter, recorded operation
-and trace event, the number of event ids consumed and the
-``(now, delay, priority)`` slot of every record scheduled.
+completion record only when someone waits — a get service waits for its
+reply's or forward's delivery only to end a tracer's span.  The
+references are those processes — with the history recorder's generator
+wrapper — kept here the way ``test_leaf_chains.py`` keeps the disk and TCP
+ones.  Each scenario runs on both and must agree on every outcome,
+counter, recorded operation and trace event, the number of event ids
+consumed and the ``(now, delay, priority)`` slot of every record
+scheduled.  The multicast send is also checked against its Event form,
+and a warm get against the reply that always waited for its delivery.
 """
 
+import collections
 import copy
+from functools import partial
 
 import pytest
 
@@ -22,14 +27,23 @@ from repro.check import HistoryRecorder, Operation
 from repro.core import ClusterConfig, NiceCluster
 from repro.core.client import KvClient, NiceClient, OpResult
 from repro.core.config import NODE_PORT, REQUEST_BYTES
-from repro.core.storage_node.read_path import ReadPath
+from repro.core.storage_node.read_path import ReadPath, _Serve
 from repro.kv import StoredObject
 from repro.noob import NoobCluster, NoobConfig
 from repro.obs import install as install_tracer
 from repro.sim import AnyOf, Counter, Event
 from repro.transport import MulticastEndpoint, MulticastSender
 from repro.net import IPv4Address
-from tests.helpers import Star, install_event_forms, record_slots, ref_cpu_work, ref_reply_get
+from tests.helpers import (
+    Star,
+    install_event_forms,
+    record_slots,
+    record_targets,
+    ref_cpu_work,
+    ref_mc_send,
+    ref_reply_get,
+    ref_serve_reply,
+)
 
 
 # -- the reference processes ---------------------------------------------------------
@@ -111,7 +125,8 @@ def _ref_put_anyk_gen(self, key, value, size, quorum):
     if tr is not None:
         span = tr.begin("put_anyk", "op", node=self.host.name, op=op_id,
                         key=key, quorum=quorum)
-    sender = self._multicast_put("put_anyk", op_id, key, value, size, t0, quorum)
+    sender = self.sim.wait(self._multicast_put, "put_anyk", op_id, key, value, size, t0,
+                           quorum)
     got = yield AnyOf(
         self.sim, [sender, self.sim.timeout(self.config.client_retry_timeout_s)]
     )
@@ -151,9 +166,12 @@ def _ref_mc_gen(self, group_ip, dport, payload, payload_bytes, k):
     return acks
 
 
-def _ref_mc_send(self, group_ip, dport, payload, payload_bytes, n_receivers, quorum=None):
+def _ref_mc_send(self, group_ip, dport, payload, payload_bytes, n_receivers, quorum=None,
+                 then=None):
     k = n_receivers if quorum is None else quorum
-    return self.stack.sim.process(_ref_mc_gen(self, group_ip, dport, payload, payload_bytes, k))
+    proc = self.stack.sim.process(_ref_mc_gen(self, group_ip, dport, payload, payload_bytes, k))
+    if then is not None:
+        proc._callbacks = [lambda done: then(done._value)]
 
 
 def _ref_serve_gen(self, body, virtual_dst):
@@ -191,33 +209,39 @@ def _ref_serve_gen(self, body, virtual_dst):
                 if obj is not None:
                     node.read_repairs.add()
     if forwarded is not None:
-        yield from _ref_forward(self, partition, body)
-        if span is not None:
-            span.end(status=forwarded)
+        send = _ref_forward(self, partition, body)
+        status = forwarded
+    else:
+        send = yield from ref_reply_get(node, body, obj)
+        status = "ok" if obj is not None else "miss"
+    # Only the span waits for the reply or forward to arrive.
+    if span is None:
+        if send is not None:
+            send()
         return
-    yield node.sim.wait((yield from ref_reply_get(node, body, obj)))
-    if span is not None:
-        span.end(status="ok" if obj is not None else "miss")
+    if send is not None:
+        yield node.sim.wait(send)
+    span.end(status=status)
 
 
 def _ref_forward(self, partition, body):
+    """The forward's send, ``send(then=None)``; ``None`` if the primary is
+    unknown."""
     node = self.node
     rs = node.replica_sets.get(partition)
     primary_ip = node.directory.get(rs.primary) if rs else None
     if primary_ip is None:
-        return
+        return None
     node.gets_forwarded.add()
-    yield node.sim.wait(
-        node.stack.tcp.send_message,
-        primary_ip, NODE_PORT, {"type": "get_forward", "request": body}, REQUEST_BYTES,
-    )
+    return partial(node.stack.tcp.send_message, primary_ip, NODE_PORT,
+                   {"type": "get_forward", "request": body}, REQUEST_BYTES)
 
 
 def _ref_serve_forwarded_gen(self, request):
     node = self.node
     obj = node.store.get(request["key"])
     node.gets_forwarded.add()
-    yield node.sim.wait((yield from ref_reply_get(node, request, obj)))
+    (yield from ref_reply_get(node, request, obj))()  # no span: nobody waits for it
 
 
 def _both(scenario, monkeypatch):
@@ -413,6 +437,37 @@ def test_put_anyk_chain_equals_process(quorum, mode, monkeypatch):
     assert log[0][2][0] is (quorum == "ok") and log[1][2][:1] == (True,)
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("quorum", ["ok", "timeout"])
+def test_multicast_send_schedules_the_slots_of_its_event_form(quorum, mode, monkeypatch):
+    """The any-k put's multicast send calls ``then(acks)`` in the slot the
+    Event form (``tests.helpers.RefSend``) completed in, and a plain put's,
+    which nobody waits on, schedules no completion in either form: the
+    same records, slots and outcomes, one Event fewer per send."""
+    setup = (lambda c: _crash_secondary(c, "anyk")) if quorum == "timeout" else None
+    ops = [(0, 0.0, lambda c: c.put_anyk("anyk", "v", 4000, quorum=3)),
+           (1, 0.0, lambda c: c.put_anyk("other", "w", 100, quorum=1)),
+           (1, 0.001, _put("plain"))]
+    init = Event.__init__
+    runs = []
+    for send in (MulticastSender.send, ref_mc_send):
+        built = collections.Counter()
+
+        def counted_init(ev, sim, built=built):
+            built[type(ev).__name__] += 1
+            init(ev, sim)
+
+        monkeypatch.setattr(MulticastSender, "send", send)
+        monkeypatch.setattr(Event, "__init__", counted_init)
+        runs.append((_client_run(_nice, mode, ops, setup), built))
+    (chain, chain_built), (ref, ref_built) = runs
+    assert chain == ref
+    assert [r[2][0] for r in chain[0]] == [quorum == "ok", True, True]
+    # Two stored keys and three puts, each one multicast send.
+    sends = ref_built["RefSend"]
+    assert sends >= 5 and ref_built - collections.Counter(RefSend=sends) == chain_built
+
+
 # -- the multicast sender ------------------------------------------------------------
 def _mc_run():
     """Quorum 1, 2 and R, waited on and fire-and-forget, with a stray
@@ -438,7 +493,7 @@ def _mc_run():
 
     def send(tag, k, size, delay):
         yield sim.timeout(delay)
-        acks = yield sender.send(group, 7000, tag, size, n_receivers=3, quorum=k)
+        acks = yield sim.wait(sender.send, group, 7000, tag, size, n_receivers=3, quorum=k)
         log.append((tag, sim.now, [(str(ip), t) for ip, t in acks]))
 
     sim.process(send("q1", 1, 500, 0.0))
@@ -577,6 +632,73 @@ def test_get_service_chain_equals_process(case, mode, monkeypatch):
     if mode == "tracer":
         ends = {ev[6]["status"] for ev in trace if ev[2] == "get.serve" and ev[1] == "E"}
         assert ends == served
+
+
+_ON_REPLY = KvClient._on_reply
+
+
+def _warm_gets(traced, monkeypatch):
+    """Four warm gets, one after another, from one client; returns every
+    reply as the client got it (time, op id, status, value), the records
+    scheduled from the first get on, the event ids they took and the
+    trace."""
+    replies = []
+
+    def logged(client, msg):
+        body = msg.payload
+        if body.get("type") == "get_reply":
+            replies.append((client.sim.now, tuple(body["op_id"]), body["status"],
+                            body.get("value")))
+        _ON_REPLY(client, msg)
+
+    monkeypatch.setattr(KvClient, "_on_reply", logged)
+    cluster = _nice(n_clients=1)
+    sim = cluster.sim
+    keys = [f"k{i}" for i in range(4)]
+    _store(cluster, *keys)
+    tracer = install_tracer(sim, label="gets") if traced else None
+    log = record_targets(sim)
+    eid = sim._eid
+
+    def gets():
+        for key in keys:
+            assert (yield cluster.clients[0].get(key)).ok
+
+    sim.process(gets())
+    sim.run(until=sim.now + 0.1)
+    trace = None if tracer is None else [
+        (ev.ts, ev.ph, ev.name, ev.op, ev.args) for ev in tracer.events if ev.cat != "proc"]
+    return replies, log, sim._eid - eid, trace
+
+
+#: What a get's serve chain scheduled only to end its span: the reply's
+#: delivery and the end it called.
+SPAN_ONLY = {"_SendMessage._delivered", "_Serve._end"}
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["bare", "tracer"])
+def test_a_warm_get_waits_for_its_reply_only_under_a_tracer(traced, monkeypatch):
+    """Against the serve chain's reply as it was (``ref_serve_reply``),
+    which waited for the reply's delivery whether or not a span was open:
+    untraced, a warm get schedules the same records in the same slots less
+    exactly those two per get, and the client gets the same replies at the
+    same times; traced, it schedules the same records, and the node's
+    ``get.serve`` span ends at the instant its reply reaches the client."""
+    replies, log, eids, trace = _warm_gets(traced, monkeypatch)
+    monkeypatch.setattr(_Serve, "_reply", ref_serve_reply)
+    old_replies, old_log, old_eids, old_trace = _warm_gets(traced, monkeypatch)
+    assert replies == old_replies and trace == old_trace
+    assert [r[2] for r in replies] == ["ok"] * 4
+    dropped = collections.Counter(e[3] for e in old_log if e[3] in SPAN_ONLY)
+    assert dropped == {name: 4 for name in SPAN_ONLY}
+    if traced:
+        assert log == old_log and eids == old_eids
+        ends = {op: ts for ts, ph, name, op, _ in trace if name == "get.serve" and ph == "E"}
+        assert ends == {op: t for t, op, _, _ in replies}
+    else:
+        assert [e[:3] for e in log] == [e[:3] for e in old_log if e[3] not in SPAN_ONLY]
+        assert not [e for e in log if e[3] in SPAN_ONLY]
+        assert eids == old_eids - 2 * 4
 
 
 # -- no process on the request path --------------------------------------------------
