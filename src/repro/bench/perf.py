@@ -53,13 +53,13 @@ ENTRY_POOL_REUSE_FLOOR = 0.9
 #: reference run; the usual ~1/3).
 PLANS_PER_S_FLOOR = 4000
 
-#: Ceilings per put at replication 3/5/7 on scheduled events (143.8 /
-#: 230.6 / 317.4 today) and, at every R, on spawned processes (0.08: the
+#: Ceilings per put at replication 3/5/7 on scheduled events (133.7 /
+#: 214.4 / 295.1 today) and, at every R, on spawned processes (0.08: the
 #: workload driver's own; the client op, its multicast send and every
 #: replica's put are chains — a process is for code that waits between
 #: steps, DESIGN.md §5g).  Both counts are deterministic, so the ceilings
 #: sit just above them and only ever ratchet down.
-FANOUT_EVENTS_PER_OP_MAX = {3: 147, 5: 236, 7: 325}
+FANOUT_EVENTS_PER_OP_MAX = {3: 137, 5: 220, 7: 303}
 FANOUT_SPAWNS_PER_OP_MAX = 0.2
 
 #: Floor on harmonia's hot-partition read throughput relative to NICE-LB

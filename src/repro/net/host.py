@@ -60,7 +60,7 @@ class Host(Device):
         self.tx_bytes.value += packet._wire_size
         self.port.send(packet)
 
-    def handle_packet(self, packet: Packet, in_port: Port) -> None:
+    def receive(self, packet: Packet, in_port_no: int) -> None:
         if not self.up:
             return
         self.rx_bytes.value += packet._wire_size

@@ -14,7 +14,9 @@ configured loss rate: whole packets, the simulator's one loss model.
 
 Hot path (DESIGN.md §5g): a transmission is two pooled kernel callbacks —
 end-of-serialization (counters, loss/jitter draws, queue hand-off), scheduled
-the moment the packet gets the wire, and delivery.  A packet gets the wire in
+the moment the packet gets the wire, and delivery: the far device's
+``receive`` ``ingress_delay_s`` after the arrival (a switch's pipeline one
+lookup later), with no record between.  A packet gets the wire in
 :meth:`Channel.transmit` when the channel is idle, else in the
 end-of-serialization of the packet ahead of it, so both moments are known
 without a grant or serialize-start hop and the simulated times are those of
@@ -192,7 +194,13 @@ class Channel:
             delay = self.latency_s
             if self.delay_jitter_s and self._jitter_rng is not None:
                 delay += self._jitter_rng.random() * self.delay_jitter_s
-            sim._schedule_call(delay, self._deliver, packet)
+            # Counted from the arrival time: bit-equal to a delivery record
+            # that schedules the ingress delay (float + is not associative).
+            rx = self.dst.device
+            sim._schedule_call(
+                rx.ingress_delay_s, rx.receive, packet, self.dst.number,
+                after=sim._now + delay,
+            )
         queue = self._queue
         if queue:
             packet = queue.popleft()
@@ -201,9 +209,6 @@ class Channel:
             )
         else:
             self._sending = False
-
-    def _deliver(self, packet: Packet) -> None:
-        self.dst.device.handle_packet(packet, self.dst)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Channel {self.name} {self.bandwidth_bps/GBPS:g}Gbps>"

@@ -1,8 +1,9 @@
 """The OpenFlow-enabled switch.
 
-Forwarding pipeline: per-packet lookup latency, then highest-priority rule
-wins; its action list runs in order (header rewrites, then output /
-group-multicast / controller).  A table miss raises a *packet-in* to the
+Forwarding pipeline: per-packet lookup latency (the switch's ingress
+delay: the link runs the pipeline that long after the arrival), then the
+highest-priority rule wins; its action list runs in order (header
+rewrites, then output / group-multicast / controller).  A table miss raises a *packet-in* to the
 attached controller and buffers the packet, exactly as OpenFlow reason
 ``NO_MATCH`` does; the controller later releases or drops the buffer.
 
@@ -43,7 +44,10 @@ FLOOD = -1
 
 
 class OpenFlowSwitch(Device):
-    """A programmable switch with a flow table and a group (multicast) table."""
+    """A programmable switch with a flow table and a group (multicast) table.
+
+    Its ingress delay is the lookup latency: the link schedules
+    :meth:`receive`, the pipeline, that long after a packet arrives."""
 
     def __init__(
         self,
@@ -58,7 +62,7 @@ class OpenFlowSwitch(Device):
             raise ValueError(f"lookup latency must be non-negative: {lookup_latency_s}")
         self.table = FlowTable(capacity=table_capacity, owner=self)
         self.groups: Dict[int, Group] = {}
-        self.lookup_latency_s = lookup_latency_s
+        self.ingress_delay_s = lookup_latency_s
         #: Extra per-packet delay when a rule rewrites headers — 0 for the
         #: client-side OVS deployment; set large to model the software-path
         #: hardware switch of §5.1.
@@ -80,10 +84,9 @@ class OpenFlowSwitch(Device):
         self._harmonia = None
 
     # -- data plane ---------------------------------------------------------
-    def handle_packet(self, packet: Packet, in_port: Port) -> None:
-        self.sim._schedule_call(self.lookup_latency_s, self._pipeline, packet, in_port.number)
-
-    def _pipeline(self, packet: Packet, in_port_no: int) -> None:
+    def receive(self, packet: Packet, in_port_no: int) -> None:
+        """The pipeline, run ``ingress_delay_s`` after ``packet`` arrives
+        (and again when the controller releases a buffered packet)."""
         if self._harmonia is not None:
             self._harmonia.observe(packet)
         rule = self.table.lookup(packet, in_port_no)
@@ -262,7 +265,7 @@ class OpenFlowSwitch(Device):
         """Re-run the pipeline for a buffered packet (post flow-mod)."""
         entry = self._buffered.pop(buffer_id, None)
         if entry is not None:
-            self._pipeline(*entry)
+            self.receive(*entry)
 
     def drop_buffered(self, buffer_id: int) -> None:
         if self._buffered.pop(buffer_id, None) is not None:

@@ -38,7 +38,12 @@ def ecmp_index(n: int, *keys) -> int:
 
 
 class Device:
-    """Anything with ports: hosts and switches derive from this."""
+    """Anything with ports: hosts and switches derive from this.
+
+    A packet arriving on port ``n`` runs ``receive(packet, n)``
+    ``ingress_delay_s`` later, in the one record the link schedules."""
+
+    ingress_delay_s = 0.0
 
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
@@ -52,7 +57,7 @@ class Device:
         self._next_port += 1
         return port
 
-    def handle_packet(self, packet: Packet, in_port: Port) -> None:  # pragma: no cover
+    def receive(self, packet: Packet, in_port_no: int) -> None:  # pragma: no cover
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover

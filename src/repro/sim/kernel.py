@@ -128,14 +128,19 @@ class Simulator:
             heapq.heappush(self._heap, entry)
 
     def _schedule_call(
-        self, delay: float, func: Callable, *args: Any, priority: int = NORMAL
+        self, delay: float, func: Callable, *args: Any, priority: int = NORMAL,
+        after: Optional[float] = None,
     ) -> None:
+        # ``after``: the absolute time ``delay`` counts from instead of now,
+        # so ``after + delay`` is the float sum two steps would have made.
         self._calls += 1
         self._eid = eid = self._eid + 1
+        now = self._now
+        when = (now if after is None else after) + delay
         pool = self._entry_pool
         if pool:
             entry = pool.pop()
-            entry[0] = self._now + delay
+            entry[0] = when
             entry[1] = priority
             entry[2] = eid
             entry[3] = func
@@ -143,10 +148,10 @@ class Simulator:
         else:
             self._entry_misses += 1
             self._call_misses += 1
-            entry = [self._now + delay, priority, eid, func, args]
-        if delay == 0.0 and priority == NORMAL:
+            entry = [when, priority, eid, func, args]
+        if when == now and priority == NORMAL:
             self._normal.append(entry)
-        elif delay == 0.0 and priority == URGENT:
+        elif when == now and priority == URGENT:
             self._urgent.append(entry)
         else:
             heapq.heappush(self._heap, entry)

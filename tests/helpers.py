@@ -93,17 +93,18 @@ class Star:
 class HopRecorder:
     """The devices each packet crossed, kept beside the packets, not in them.
 
-    A host's ``send`` and every ``handle_packet`` of a host or switch
-    append the device's name to that packet's path; a
-    ``Packet.copy`` (a switch output, a fan-out clone) starts from its
-    original's path.  Installed through ``monkeypatch``, so the test undoes
+    A host's ``send`` and every ``receive`` (the ingress a link
+    schedules; a switch runs it again for a packet its controller
+    releases) of a host or switch append the device's name to that
+    packet's path; a ``Packet.copy`` (a switch output, a fan-out clone)
+    starts from its original's path.  Installed through ``monkeypatch``, so the test undoes
     it; the recorder holds every packet it saw, so ids are never reused.
     """
 
     def __init__(self, monkeypatch):
         self._paths = {}  # id(packet) -> (packet, [device names])
-        for cls, name in ((Host, "send"), (Host, "handle_packet"),
-                          (OpenFlowSwitch, "handle_packet")):
+        for cls, name in ((Host, "send"), (Host, "receive"),
+                          (OpenFlowSwitch, "receive")):
             monkeypatch.setattr(cls, name, self._hop(getattr(cls, name)))
         copy = Packet.copy
 
@@ -134,14 +135,16 @@ class HopRecorder:
 
 def record_slots(sim):
     """Log ``(now, delay, priority)`` of every record ``sim`` schedules
-    from here on, in order: two runs that schedule the same records in the
-    same slots — event or call, whatever the target — log the same list."""
+    from here on, in order (``now`` is a call's ``after`` when it has one:
+    the time its delay counts from): two runs that schedule the same
+    records in the same slots — event or call, whatever the target — log
+    the same list."""
     slots = []
     schedule_call, schedule_event = sim._schedule_call, sim._schedule_event
 
-    def call(delay, func, *args, priority=NORMAL):
-        slots.append((sim.now, delay, priority))
-        schedule_call(delay, func, *args, priority=priority)
+    def call(delay, func, *args, priority=NORMAL, after=None):
+        slots.append((sim.now if after is None else after, delay, priority))
+        schedule_call(delay, func, *args, priority=priority, after=after)
 
     def event(ev, priority, delay=0.0):
         slots.append((sim.now, delay, priority))
@@ -159,10 +162,10 @@ def record_targets(sim):
     log = []
     schedule_call, schedule_event = sim._schedule_call, sim._schedule_event
 
-    def call(delay, func, *args, priority=NORMAL):
+    def call(delay, func, *args, priority=NORMAL, after=None):
         name = getattr(func, "__qualname__", None) or type(func).__name__
-        log.append((sim.now, delay, priority, name))
-        schedule_call(delay, func, *args, priority=priority)
+        log.append((sim.now if after is None else after, delay, priority, name))
+        schedule_call(delay, func, *args, priority=priority, after=after)
 
     def event(ev, priority, delay=0.0):
         log.append((sim.now, delay, priority, type(ev).__name__))

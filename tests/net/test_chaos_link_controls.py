@@ -13,7 +13,7 @@ class Sink(Device):
         super().__init__(sim, name)
         self.received = []
 
-    def handle_packet(self, packet, in_port):
+    def receive(self, packet, in_port_no):
         self.received.append((self.sim.now, packet))
 
 

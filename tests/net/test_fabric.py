@@ -152,13 +152,13 @@ def test_ecmp_choices_hash_on_flow_key_and_fixed_seed():
 def _spy_deliveries(monkeypatch):
     """Record every packet any host delivers (after handling it)."""
     seen = []
-    orig = Host.handle_packet
+    orig = Host.receive
 
-    def spy(self, packet, in_port):
-        orig(self, packet, in_port)
+    def spy(self, packet, in_port_no):
+        orig(self, packet, in_port_no)
         seen.append((self.name, packet))
 
-    monkeypatch.setattr(Host, "handle_packet", spy)
+    monkeypatch.setattr(Host, "receive", spy)
     return seen
 
 

@@ -164,7 +164,7 @@ def test_rule_counters_touch():
     sw = OpenFlowSwitch(sim, "sw", lookup_latency_s=4.2)
     r = sw.install_rule(Rule(Match(), [Drop()]))
     p = pkt()
-    sw.handle_packet(p, sw.new_port())
+    sw.receive(p, sw.new_port().number)
     sim.run()
     assert r.packets == 1
     assert r.bytes == p.size_bytes
@@ -184,7 +184,7 @@ def test_rule_counters_accumulate_per_hit():
         for n in (10, 1000, 64)
     ]
     for p in packets:
-        sw.handle_packet(p, port)
+        sw.receive(p, port.number)
     sim.run()
     assert r.packets == 3
     assert r.bytes == sum(p.size_bytes for p in packets)

@@ -1,6 +1,7 @@
 """Integration-ish unit tests: switch forwarding, multicast groups,
 packet-in buffering, host ARP and failure injection."""
 
+import numpy as np
 import pytest
 
 from repro.net import (
@@ -27,7 +28,7 @@ from repro.net import (
 )
 import repro.net.switch as switch_mod
 from repro.obs.tracer import Tracer
-from repro.sim import Simulator
+from repro.sim import NORMAL, Simulator
 from tests.helpers import HopRecorder
 
 
@@ -85,6 +86,54 @@ def test_switch_forwards_on_rule(monkeypatch):
     path = hops.path(pkt)
     assert path[0] == "h0" and "sw1" in path and path[-1] == "h1"
     assert sw.forwarded.value == 1
+
+
+@pytest.mark.parametrize("jitter_s,start", [(0.0, 0.25), (20e-6, 0.1)])
+def test_switch_hop_is_two_records(jitter_s, start):
+    """h0 -> sw -> h1 schedules four records: end of serialization, the
+    switch pipeline, end of serialization, host arrival.  The pipeline
+    runs at ``(t_f + delay) + lookup``, the float sum of the delivery and
+    lookup steps it replaced (each ``start`` is one where ``t_f + (delay +
+    lookup)`` differs); the host arrival is scheduled at its end of
+    serialization and lands at ``t_f + delay``, its slot before the fold."""
+    sim, net, sw, hosts = build_star(n_hosts=2, lookup_latency_s=5e-6)
+    p1 = host_port_on_switch(net, sw, hosts[1])
+    sw.install_rule(Rule(Match(ip_dst=hosts[1].ip), [Output(p1)]))
+    up = hosts[0].port.channel
+    down = net.link_between(sw, hosts[1])
+    down = down.ab if down.ab.dst.device is hosts[1] else down.ba
+    delays = []
+    for seed, channel in ((3, up), (4, down)):
+        channel.set_delay_jitter(jitter_s, np.random.default_rng(seed))
+        delays.append(channel.latency_s + np.random.default_rng(seed).random() * jitter_s)
+    log = []
+    schedule_call = sim._schedule_call
+
+    def call(delay, func, *args, priority=NORMAL, after=None):
+        when = (sim.now if after is None else after) + delay
+        log.append((sim.now, when, priority, func.__qualname__))
+        schedule_call(delay, func, *args, priority=priority, after=after)
+
+    sim.run(until=start)
+    sim._schedule_call = call
+    packet = udp_pkt(hosts[0], "10.0.0.2")
+    hosts[0].send(packet)
+    sim.run()
+
+    ser = packet.size_bytes * 8.0 / up.bandwidth_bps
+    t_f = start + ser
+    pipeline = (t_f + delays[0]) + sw.ingress_delay_s
+    assert pipeline != t_f + (delays[0] + sw.ingress_delay_s)
+    t_f2 = pipeline + ser
+    arrival = t_f2 + delays[1]
+    assert log == [
+        (start, t_f, NORMAL, "Channel._finish_tx"),
+        (t_f, pipeline, NORMAL, "OpenFlowSwitch.receive"),
+        (pipeline, t_f2, NORMAL, "Channel._finish_tx"),
+        (t_f2, arrival, NORMAL, "Host.receive"),
+    ]
+    assert sim._eid == 4
+    assert [t for t, _ in hosts[1].stack.delivered] == [arrival]
 
 
 def test_switch_rewrites_dst_and_records_virtual():

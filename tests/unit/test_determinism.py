@@ -318,22 +318,23 @@ def _install_one_heap_kernel(monkeypatch):
 
     from repro.sim import NORMAL, Simulator
 
-    def push(sim, delay, priority, target, args):
+    def push(sim, when, priority, target, args):
         sim._eid += 1
         if sim._entry_pool:
             entry = sim._entry_pool.pop()
-            entry[:] = sim._now + delay, priority, sim._eid, target, args
+            entry[:] = when, priority, sim._eid, target, args
         else:
             sim._entry_misses += 1
-            entry = [sim._now + delay, priority, sim._eid, target, args]
+            entry = [when, priority, sim._eid, target, args]
         heapq.heappush(sim._heap, entry)
         return entry
 
     def schedule_event(sim, event, priority, delay=0.0):
-        event._entry = push(sim, delay, priority, event, None)
+        event._entry = push(sim, sim._now + delay, priority, event, None)
 
-    def schedule_call(sim, delay, func, *args, priority=NORMAL):
-        push(sim, delay, priority, func, args)
+    def schedule_call(sim, delay, func, *args, priority=NORMAL, after=None):
+        base = sim._now if after is None else after
+        push(sim, base + delay, priority, func, args)
 
     monkeypatch.setattr(Simulator, "_schedule_event", schedule_event)
     monkeypatch.setattr(Simulator, "_schedule_call", schedule_call)

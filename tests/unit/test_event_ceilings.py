@@ -39,11 +39,12 @@ CEILINGS = {
 
 #: Records scheduled per warm op (event ids taken), at most — the measured
 #: counts, with no headroom.  An untraced NICE get schedules neither its
-#: reply's delivery nor its serve span's end.
+#: reply's delivery nor its serve span's end, and a switch hop is two
+#: records (end of serialization, pipeline), not a delivery between them.
 RECORD_CEILINGS = {
-    "nice_put": 142,
-    "nice_get": 26,
-    "noob_2pc_put": 154,
+    "nice_put": 132,
+    "nice_get": 24,
+    "noob_2pc_put": 144,
 }
 
 OPS = 8
