@@ -192,6 +192,7 @@ class MetricsRegistry:
             ("call_pool", "reuse_rate"),
             ("entry_pool", "reuse_rate"),
             ("heap", "size"),
+            ("heap", "live"),
             ("heap", "dead"),
             ("processes", "spawned"),
         ):

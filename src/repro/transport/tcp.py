@@ -7,7 +7,10 @@ creating and maintaining up to 8 TCP connections" — and (b) the bytes and
 serialization of the data itself.  The model therefore provides:
 
 * a 3-way handshake (SYN / SYN-ACK / ACK control packets, 1.5 RTT) on first
-  contact, with per-(peer, port) connection caching thereafter;
+  contact, with per-(peer, port) connection caching thereafter.  The
+  initiator's connection owns its handshake — waiters, SYN count, armed
+  retransmit timer — and one step ends it (answered, peer reset, or the
+  last SYN unanswered), disarming the timer;
 * message sends that complete when the message reaches the peer's stack
   (the data traverses the network for real, so link contention applies);
 * per-connection inboxes plus listener sockets with selective receive;
@@ -51,7 +54,11 @@ class TcpMessage:
 
 
 class TcpConnection:
-    """One established (or establishing) connection endpoint."""
+    """One established (or establishing) connection endpoint.
+
+    An initiator's connection carries its handshake: the callbacks waiting
+    for it (``None`` once it is established or abandoned), the SYNs sent
+    and the armed SYN retransmit timer."""
 
     _ids = itertools.count(1)
 
@@ -67,6 +74,9 @@ class TcpConnection:
         self.remote_ip = remote_ip
         self.remote_port = remote_port
         self.established = False
+        self._waiters = None
+        self._syns = 0
+        self._syn_timer = None
         self.conn_id = next(self._ids)
         #: Messages arriving on this connection when no listener is bound to
         #: the local port (the initiator side's receive path).
@@ -114,8 +124,8 @@ class TcpLayer:
     #: Handshake control segments carry no payload (66 B on the wire).
     CTRL_BYTES = 0
     #: SYN retransmission schedule: base interval and max attempts.  A peer
-    #: that stays dark wedges nothing — the handshake state is torn down
-    #: after the last attempt so later connects start fresh.
+    #: that stays dark wedges nothing — the handshake is abandoned at the
+    #: last attempt so later connects start fresh.
     SYN_RETRY_S = 0.5
     SYN_MAX_TRIES = 20
 
@@ -126,8 +136,6 @@ class TcpLayer:
         self._client_conns: Dict[Tuple[IPv4Address, int], TcpConnection] = {}
         #: All connections keyed for demux: (remote_ip, remote_port, local_port).
         self._conns: Dict[Tuple[IPv4Address, int, int], TcpConnection] = {}
-        #: In-flight handshakes: (dst_ip, dst_port) -> waiters' callbacks.
-        self._connecting: Dict[Tuple[IPv4Address, int], List[Callable]] = {}
         self.handshakes = 0
 
     # -- server side ------------------------------------------------------------
@@ -147,31 +155,53 @@ class TcpLayer:
         destination share one handshake.
         """
         dst_ip = IPv4Address(dst_ip)
-        cached = self._client_conns.get((dst_ip, dport))
-        if cached is not None and cached.established:
-            self.stack.sim._schedule_call(0.0, then, cached)
-            return
-        waiters = self._connecting.get((dst_ip, dport))
-        if waiters is not None:
-            waiters.append(then)
-            return
-        self._connecting[(dst_ip, dport)] = [then]
-        self.handshakes += 1
-        local_port = self.stack.ephemeral_port()
-        conn = TcpConnection(self, local_port, dst_ip, dport)
-        self._client_conns[(dst_ip, dport)] = conn
-        self._conns[(dst_ip, dport, local_port)] = conn
-        self._send_ctrl(conn, "syn")
-        _SynRetry(self, conn, (dst_ip, dport))
+        conn = self._client_conns.get((dst_ip, dport))
+        if conn is None:
+            self.handshakes += 1
+            local_port = self.stack.ephemeral_port()
+            conn = TcpConnection(self, local_port, dst_ip, dport)
+            conn._waiters = [then]
+            self._client_conns[(dst_ip, dport)] = conn
+            self._conns[(dst_ip, dport, local_port)] = conn
+            self._send_syn(conn)
+            self.stack.sim._schedule_call(0.0, self._arm_syn, conn, priority=URGENT)
+        elif conn.established:
+            self.stack.sim._schedule_call(0.0, then, conn)
+        else:
+            conn._waiters.append(then)
 
-    def _teardown(self, conn: TcpConnection, key) -> None:
-        """The last SYN went unanswered: forget the handshake so a
-        recovered peer can be reconnected with a fresh one."""
-        if self._client_conns.get(key) is conn:
-            del self._client_conns[key]
-        self._conns.pop((conn.remote_ip, conn.remote_port, conn.local_port), None)
-        # Waiters stay untriggered: protocol timeouts own that failure.
-        self._connecting.pop(key, None)
+    def _send_syn(self, conn: TcpConnection) -> None:
+        self._send_ctrl(conn, "syn")
+        conn._syns += 1
+
+    def _arm_syn(self, conn: TcpConnection) -> None:
+        """Arm the retransmit timer of ``conn``'s handshake (0.5, 1, 1.5,
+        then 2 s), unless the handshake has ended."""
+        if conn._waiters is not None:
+            conn._syn_timer = timer = self.stack.sim.timeout(
+                self.SYN_RETRY_S * min(conn._syns, 4))
+            timer._callbacks = [partial(self._resend_syn, conn)]
+
+    def _resend_syn(self, conn: TcpConnection, _timer) -> None:
+        self._send_syn(conn)
+        if conn._syns < self.SYN_MAX_TRIES:
+            self._arm_syn(conn)
+            return
+        # The last SYN: abandon the handshake (still cached: a reset would
+        # have ended it) so a recovered peer gets a fresh one.  Its waiters
+        # are left to their protocol timeouts.
+        self._end_handshake(conn)
+        del self._client_conns[(conn.remote_ip, conn.remote_port)]
+        del self._conns[(conn.remote_ip, conn.remote_port, conn.local_port)]
+
+    def _end_handshake(self, conn: TcpConnection) -> List[Callable]:
+        """End ``conn``'s handshake (answered, peer reset or out of SYNs):
+        disarm its SYN timer — a tombstone, no record — and hand back its
+        waiters (none if it had ended already)."""
+        waiters, conn._waiters = conn._waiters, None
+        if conn._syn_timer is not None:
+            self.stack.sim.cancel_timer(conn._syn_timer)
+        return waiters or []
 
     def send_message(
         self, dst_ip: IPv4Address, dport: int, payload: Any, payload_bytes: int, then=None
@@ -194,8 +224,9 @@ class TcpLayer:
     def reset_peer(self, ip: IPv4Address) -> int:
         """Tear down all cached state toward ``ip`` (peer declared failed).
 
-        Returns the number of connections dropped.  Pending handshake
-        waiters toward the peer are left to their protocol timeouts.
+        Returns the number of connections dropped.  In-flight handshakes
+        toward the peer end; their waiters are left to their protocol
+        timeouts.
         """
         ip = IPv4Address(ip)
         dropped = 0
@@ -205,8 +236,7 @@ class TcpLayer:
         for key in [k for k in self._conns if k[0] == ip]:
             conn = self._conns.pop(key)
             conn.established = False
-        for key in [k for k in self._connecting if k[0] == ip]:
-            self._connecting.pop(key)  # abandon in-flight handshakes
+            self._end_handshake(conn)
         return dropped
 
     # -- wire --------------------------------------------------------------------
@@ -233,11 +263,10 @@ class TcpLayer:
             self._on_syn(packet)
         elif kind == "synack":
             self._on_synack(packet)
-        elif kind == "ack":
-            self._on_ack(packet)
         elif kind == "data":
             self._on_data(packet)
-        # Unknown kinds are dropped (corrupt/late segments).
+        # The final ACK is dropped (the server connection is usable from the
+        # SYN on), as are unknown kinds (corrupt/late segments).
 
     def _on_syn(self, packet: Packet) -> None:
         if packet.dport not in self._listeners:
@@ -258,12 +287,8 @@ class TcpLayer:
         conn.established = True
         self._send_ctrl(conn, "ack")
         schedule = self.stack.sim._schedule_call
-        for then in self._connecting.pop((packet.src_ip, packet.sport), ()):
+        for then in self._end_handshake(conn):
             schedule(0.0, then, conn)
-
-    def _on_ack(self, packet: Packet) -> None:
-        # Final handshake leg; the server connection is already usable.
-        return
 
     def _on_data(self, packet: Packet) -> None:
         key = (packet.src_ip, packet.sport, packet.dport)
@@ -326,36 +351,3 @@ class _SendMessage:
     def _delivered(self) -> None:
         self.layer.stack.sim._schedule_call(0.0, self.then, self.conn)
 
-
-class _SynRetry:
-    """A handshake's SYN retransmission with backoff as a timer chain that
-    schedules the records of the process it replaced (DESIGN.md §5g): the
-    URGENT start, then one retry timer per attempt until the connection is
-    established or the last attempt is spent, when it tears the handshake
-    down.  Nobody waits on it, so it ends without a record."""
-
-    __slots__ = ("layer", "conn", "key", "tries")
-
-    def __init__(self, layer: TcpLayer, conn: TcpConnection, key):
-        self.layer = layer
-        self.conn = conn
-        self.key = key
-        self.tries = 1
-        layer.stack.sim._schedule_call(0.0, self._wait, priority=URGENT)
-
-    def _wait(self) -> None:
-        if self.conn.established:
-            return
-        layer = self.layer
-        if self.tries < layer.SYN_MAX_TRIES:
-            layer.stack.sim.timeout(
-                layer.SYN_RETRY_S * min(self.tries, 4))._callbacks = [self._retry]
-        else:
-            layer._teardown(self.conn, self.key)
-
-    def _retry(self, _timer) -> None:
-        if self.conn.established:
-            return
-        self.layer._send_ctrl(self.conn, "syn")
-        self.tries += 1
-        self._wait()

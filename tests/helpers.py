@@ -30,7 +30,6 @@ from repro.net import (
 )
 import repro.core.node_shell as node_shell_module
 import repro.kv.disk as disk_module
-import repro.transport.tcp as tcp_module
 from repro.core.config import ACK_BYTES, MEMBERSHIP_BYTES, NODE_PORT, REQUEST_BYTES
 from repro.core.metadata import DOWN
 from repro.kv import Disk, LockTable
@@ -259,23 +258,26 @@ def ref_connect(layer, dst_ip, dport):
     ``ref_on_synack`` completing the shared handshake)."""
     dst_ip = IPv4Address(dst_ip)
     done = Event(layer.stack.sim)
-    cached = layer._client_conns.get((dst_ip, dport))
-    if cached is not None and cached.established:
-        done.succeed(cached)
-        return done
-    waiters = layer._connecting.get((dst_ip, dport))
-    if waiters is not None:
-        waiters.append(done)
-        return done
-    layer._connecting[(dst_ip, dport)] = [done]
-    layer.handshakes += 1
-    local_port = layer.stack.ephemeral_port()
-    conn = TcpConnection(layer, local_port, dst_ip, dport)
-    layer._client_conns[(dst_ip, dport)] = conn
-    layer._conns[(dst_ip, dport, local_port)] = conn
-    layer._send_ctrl(conn, "syn")
-    tcp_module._SynRetry(layer, conn, (dst_ip, dport))
+    conn = layer._client_conns.get((dst_ip, dport))
+    if conn is None:
+        layer.handshakes += 1
+        local_port = layer.stack.ephemeral_port()
+        conn = TcpConnection(layer, local_port, dst_ip, dport)
+        conn._waiters = [done]
+        layer._client_conns[(dst_ip, dport)] = conn
+        layer._conns[(dst_ip, dport, local_port)] = conn
+        layer._send_syn(conn)
+        ref_syn_retry(layer, conn)
+    elif conn.established:
+        done.succeed(conn)
+    else:
+        conn._waiters.append(done)
     return done
+
+
+def ref_syn_retry(layer, conn):
+    """Arm the SYN retransmit timer in an URGENT record, as ``connect`` does."""
+    layer.stack.sim._schedule_call(0.0, layer._arm_syn, conn, priority=URGENT)
 
 
 def ref_on_synack(layer, packet):
@@ -284,7 +286,7 @@ def ref_on_synack(layer, packet):
         return
     conn.established = True
     layer._send_ctrl(conn, "ack")
-    for waiter in layer._connecting.pop((packet.src_ip, packet.sport), []):
+    for waiter in layer._end_handshake(conn):
         if not waiter.triggered:
             waiter.succeed(conn)
 

@@ -99,10 +99,10 @@ def test_from_cluster_registers_every_switch_of_a_fabric():
 def test_from_cluster_switch_names_on_one_switch_ovs_and_noob():
     nice = NiceCluster(ClusterConfig(n_storage_nodes=4, n_clients=2))
     assert _switches_registered(nice) == {"sw0"}
-    # 178 as before this walk was rewritten, plus the sim.processes.spawned
-    # gauge, plus metadata.ha.* (five counters and log_records): every NICE
-    # cluster's metadata service is a replica group, a group of one here.
-    assert len(MetricsRegistry.from_cluster(nice)) == 185
+    # 178 as before this walk was rewritten, plus sim.processes.spawned and
+    # sim.heap.live, plus metadata.ha.* (five counters and log_records): every
+    # NICE cluster's metadata service is a replica group, a group of one here.
+    assert len(MetricsRegistry.from_cluster(nice)) == 186
     ovs = NiceCluster(ClusterConfig(n_storage_nodes=4, n_clients=2, deployment="ovs"))
     assert _switches_registered(ovs) == {"sw0", "ovs0", "ovs1"}
     noob = NoobCluster(NoobConfig(n_storage_nodes=4, n_clients=2, access="rog"))
@@ -133,6 +133,7 @@ def test_from_cluster_snapshot_reflects_traffic():
     # Kernel occupancy sits beside the pool reuse rates.
     heap = cluster.sim.pool_stats()["heap"]
     assert snap["sim"]["heap"]["size"]["value"] == heap["size"]
+    assert snap["sim"]["heap"]["live"]["value"] == heap["live"]
     assert snap["sim"]["heap"]["dead"]["value"] == heap["dead"]
     assert 0.0 < snap["sim"]["entry_pool"]["reuse_rate"]["value"] <= 1.0
     spawned = cluster.sim.pool_stats()["processes"]["spawned"]

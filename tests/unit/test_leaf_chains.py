@@ -16,7 +16,7 @@ and flush-cycle clock, the number of event ids consumed and the
 
 from repro.kv import Disk
 from repro.sim import AnyOf, Event, Simulator
-import repro.transport.tcp as tcp_module
+from tests import helpers
 from tests.helpers import Star, connected, install_event_forms, record_slots
 
 
@@ -162,16 +162,15 @@ def test_tcp_send_chain_equals_process(monkeypatch):
 
 
 # -- SYN retransmission --------------------------------------------------------------
-def _ref_syn_retry(layer, conn, key):
-    tries = 1
-    while not conn.established and tries < layer.SYN_MAX_TRIES:
-        yield layer.stack.sim.timeout(layer.SYN_RETRY_S * min(tries, 4))
-        if conn.established:
-            return
-        layer._send_ctrl(conn, "syn")
-        tries += 1
-    if not conn.established:
-        layer._teardown(conn, key)
+def _ref_syn_retry(layer, conn):
+    while conn._waiters is not None and conn._syns < layer.SYN_MAX_TRIES:
+        conn._syn_timer = layer.stack.sim.timeout(layer.SYN_RETRY_S * min(conn._syns, 4))
+        yield conn._syn_timer
+        layer._send_syn(conn)
+    if conn._waiters is not None:
+        layer._end_handshake(conn)
+        del layer._client_conns[(conn.remote_ip, conn.remote_port)]
+        del layer._conns[(conn.remote_ip, conn.remote_port, conn.local_port)]
 
 
 def _syn_run():
@@ -201,7 +200,8 @@ def _syn_run():
     sim.process(connect("dark", dark.ip, 0.0))
     sim.process(connect("again", dark.ip, 41.0))
     sim.run(until=45.0)
-    state = (sorted(map(str, client.tcp._client_conns)), sorted(map(str, client.tcp._connecting)))
+    conns = client.tcp._client_conns
+    state = (sorted(map(str, conns)), sorted(str(k) for k, c in conns.items() if c._waiters))
     return log, state, client.tcp.handshakes, sim._eid, sim.pending_events, slots
 
 
@@ -209,8 +209,8 @@ def test_syn_retry_chain_equals_process(monkeypatch):
     chain = _syn_run()
     install_event_forms(monkeypatch)
     monkeypatch.setattr(
-        tcp_module, "_SynRetry",
-        lambda layer, conn, key: layer.stack.sim.process(_ref_syn_retry(layer, conn, key)))
+        helpers, "ref_syn_retry",
+        lambda layer, conn: layer.stack.sim.process(_ref_syn_retry(layer, conn)))
     assert chain == _syn_run()
     log, state, handshakes = chain[:3]
     assert [entry[0] for entry in log] == ["up", "late", "again"]  # "dark" never connects

@@ -11,7 +11,9 @@ forms the chains replaced must stay gone too.
 
 A chain that races a reply against a timer is a ``sim.Race``: every
 ``cancel_timer(`` call site is named the same way, so a hand-rolled fourth
-race fails the test.
+race fails the test.  The one site outside ``sim/`` is the end of a TCP
+handshake, which disarms its SYN retransmit timer: nobody waits on that
+timer, and a ``Race`` would add a join record per handshake and retry.
 """
 
 import ast
@@ -77,11 +79,12 @@ PROCESS_SITES = {
     ("bench/scale.py", "scale_cell.<locals>.driver"),
 }
 
-#: Every ``cancel_timer(`` call site under ``src/repro``: the race base and
-#: the event algebra's ``AnyOf``/``AllOf``.
+#: Every ``cancel_timer(`` call site under ``src/repro``: the race base,
+#: the event algebra's ``AnyOf``/``AllOf`` and a handshake's end.
 CANCEL_TIMER_SITES = {
     ("sim/events.py", "Condition._settle_losers"),
     ("sim/process.py", "Race._won"),
+    ("transport/tcp.py", "TcpLayer._end_handshake"),
 }
 
 
